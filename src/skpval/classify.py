@@ -67,9 +67,7 @@ class InvariantReport:
             ],
             "status": self.status,
             "per_row": self.per_row,
-            "semigroup_generators": [
-                [str(c) for c in g.coords] for g in self.semigroup_generators
-            ],
+            "semigroup_generators": [g.to_json() for g in self.semigroup_generators],
             "notes": self.notes,
         }
 

@@ -5,20 +5,14 @@ Reports are byte-deterministic for identical inputs and tool version.
 """
 
 import argparse
+import functools
 import hashlib
 import json
-import os
 import sys
 
 from . import __version__
 from .classify import abhyankar_check, classify_table1
-from .errors import (
-    HypothesisViolatedError,
-    InvalidTableError,
-    SchemaError,
-    SkpvalError,
-    VerificationFailedError,
-)
+from .errors import SchemaError, SkpvalError
 from . import jsonio
 from .poly import parse_poly
 from .realize import realize, verify_realization
@@ -50,16 +44,6 @@ def _read_problem(path):
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return data, _digest(raw)
-
-
-def _value_payload(value):
-    payload = {"value": [str(c) for c in value.coords]}
-    payload["value_str"] = (
-        str(value.coords[0])
-        if value.dim == 1
-        else "(" + ", ".join(str(c) for c in value.coords) + ")"
-    )
-    return payload
 
 
 def _load_valuation(args):
@@ -101,7 +85,7 @@ def cmd_eval(args):
     valuation, digest = _load_valuation(args)
     f = parse_poly(args.poly, valuation.skp.nvars, valuation.skp.field)
     value, trunc_ok = value_report(f, valuation)
-    payload = _value_payload(value)
+    payload = {"value": value.to_json(), "value_str": str(value)}
     if trunc_ok is not None:
         payload["truncation_valid"] = trunc_ok
     return 0, digest, payload
@@ -148,11 +132,11 @@ def cmd_classify(args):
     return 0, digest, {"invariants": payload}
 
 
-def cmd_realize(args, force_verify=False):
+def cmd_realize(args):
     data, digest = _read_problem(args.file)
     spec = jsonio.load_semigroup_spec(data)
     mode = args.mode or data.get("mode", "corrected")
-    thetas = jsonio.load_thetas_for_realize(data, spec.field)
+    thetas = jsonio.load_thetas(data, spec.field)
     result = realize(spec, mode, thetas)
     payload = {
         "mode": mode,
@@ -161,7 +145,7 @@ def cmd_realize(args, force_verify=False):
         "table": jsonio.dump_table(result.table),
         "report": result.report,
     }
-    if force_verify or args.verify:
+    if args.verify:
         verdict = verify_realization(
             result.valuation,
             spec,
@@ -173,10 +157,6 @@ def cmd_realize(args, force_verify=False):
         )
         payload["verification"] = verdict.to_json()
     return 0, digest, {"realization": payload}
-
-
-def cmd_verify(args):
-    return cmd_realize(args, force_verify=True)
 
 
 def _add_poly_commands(sub):
@@ -196,6 +176,7 @@ def _add_poly_commands(sub):
         p.set_defaults(func=fn)
 
 
+@functools.cache
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="skpval",
@@ -205,13 +186,6 @@ def make_parser():
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     parser.add_argument(
         "--seed", type=int, default=0, help="seed for randomized sweeps (printed)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("SKPVAL_JOBS", "1")),
-        help="worker cap for batch sweeps (recorded; sweeps run serially at "
-        "desk scale)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,7 +210,7 @@ def make_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_classify)
 
-    for name, fn in (("realize", cmd_realize), ("verify", cmd_verify)):
+    for name in ("realize", "verify"):
         p = sub.add_parser(name, help=f"{name} a semigroup from its generators")
         p.add_argument("file")
         p.add_argument("--mode", choices=("literal", "corrected"))
@@ -244,7 +218,7 @@ def make_parser():
         p.add_argument("--coeff-bound", type=int, dest="coeff_bound")
         p.add_argument("--degree-bound", type=int, dest="degree_bound")
         p.add_argument("--samples", type=int)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_realize, verify=name == "verify")
     return parser
 
 
@@ -256,7 +230,6 @@ def run_command(argv):
         "version": __version__,
         "command": args.command,
         "seed": args.seed,
-        "jobs": args.jobs,
         "diagnostics": [],
     }
     try:
@@ -268,18 +241,13 @@ def run_command(argv):
         report["status"] = "error"
         report["diagnostics"].append({"kind": "schema", "message": str(exc)})
         code = 2
-    except (InvalidTableError, VerificationFailedError, HypothesisViolatedError) as exc:
-        report["status"] = "invalid"
-        kind = type(exc).__name__.removesuffix("Error")
-        report["diagnostics"].append({"kind": kind, "message": str(exc)})
-        if isinstance(exc, InvalidTableError) and exc.report is not None:
-            report["diagnostics"][-1]["validation"] = exc.report.to_json()
-        code = 1
     except SkpvalError as exc:
         report["status"] = "invalid"
-        report["diagnostics"].append(
-            {"kind": type(exc).__name__.removesuffix("Error"), "message": str(exc)}
-        )
+        kind = type(exc).__name__.removesuffix("Error")
+        diagnostic = {"kind": kind, "message": str(exc)}
+        if getattr(exc, "report", None) is not None:
+            diagnostic["validation"] = exc.report.to_json()
+        report["diagnostics"].append(diagnostic)
         code = 1
     except ValueError as exc:
         # bad argument values (cutoff vectors, positions) count as malformed input

@@ -17,7 +17,7 @@ grouping the adic expansion by top-row exponents.
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, monic_divide
-from .skp import normalize_alpha
+from .skp import _collapsed_rewrite, normalize_alpha
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -97,9 +97,6 @@ class AdicExpansion:
             out = out + self.skp.monomial_poly(m.exps).scale(m.coeff)
         return self.skp.truncation.apply(out)
 
-    def restrict(self, keep):
-        return AdicExpansion(self.skp, self.alpha, [m for m in self.monomials if keep(m)])
-
     def to_json(self):
         field = self.skp.field
         return [
@@ -122,23 +119,6 @@ def _add_monomial(work, key, coeff, zero):
         work.pop(key, None)
     else:
         work[key] = cur
-
-
-def _collapsed_rewrite(skp, alpha, index):
-    """Rewrite data for U_{i,j}^{n}: (next index, summand terms).
-
-    Walks forward across n = 1 positions strictly below the cutoff so the
-    dropped chain never appears in the output.
-    """
-    i, _ = index
-    entry = skp.entries[index]
-    terms = list(entry.rewrite_terms)
-    nxt = entry.rewrite_next
-    while nxt[1] < alpha[i] and skp.entries[nxt].n == 1:
-        nxt_entry = skp.entries[nxt]
-        terms.extend(nxt_entry.rewrite_terms)
-        nxt = nxt_entry.rewrite_next
-    return nxt, terms
 
 
 def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):

@@ -16,8 +16,6 @@ from .realize import SemigroupSpec
 from .skp import LimitTail, build_skp
 from .valtable import compute_relations
 
-KINDS = ("values", "skp", "expansion", "valuation", "classify", "realize")
-
 
 def _require(cond, message):
     if not cond:
@@ -42,10 +40,6 @@ def load_group_value(data, dim=None):
     if dim is not None and v.dim != dim:
         raise SchemaError(f"group value {data!r} has dimension {v.dim}, want {dim}")
     return v
-
-
-def dump_group_value(v):
-    return [str(c) for c in v.coords]
 
 
 def load_index_key(key):
@@ -81,7 +75,7 @@ def load_table(data):
 def dump_table(table):
     out = {
         "dimension": table.dimension,
-        "rows": [[dump_group_value(v) for v in row] for row in table.rows],
+        "rows": [[v.to_json() for v in row] for row in table.rows],
     }
     if table.limit_labels:
         out["limit_labels"] = {
@@ -108,23 +102,14 @@ def load_limit_tail(data):
         raise SchemaError(f"bad limit tail {data!r}") from exc
 
 
-def load_skp_problem(data):
-    """An skp/valuation problem: the table plus build options."""
-    table_data = data.get("values", data)
-    table = load_table(table_data)
+def build_from_problem(data):
+    """Build the key polynomials of an skp/valuation problem."""
+    table = load_table(data.get("values", data))
     field = field_from_spec(data.get("field"))
-    thetas = {
-        load_index_key(k): field.parse(str(v)) if isinstance(v, str) else field.of(v)
-        for k, v in (data.get("thetas") or {}).items()
-    }
+    thetas = load_thetas(data, field)
     tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
     cutoff = data.get("cutoff")
     truncation = TruncationContext(int(cutoff)) if cutoff is not None else None
-    return table, thetas, truncation, field, tails
-
-
-def build_from_problem(data):
-    table, thetas, truncation, field, tails = load_skp_problem(data)
     return build_skp(
         table, thetas=thetas, truncation=truncation, field=field, limit_tails=tails
     )
@@ -148,7 +133,7 @@ def dump_skp(skp):
         e = skp.entries[index]
         key = f"{index[0]},{index[1]}"
         entries[key] = {
-            "beta": dump_group_value(e.beta),
+            "beta": e.beta.to_json(),
             "n": format_index(e.n),
             "d": e.d,
             "poly": str(e.poly),
@@ -216,8 +201,7 @@ def load_semigroup_spec(data):
         raise SchemaError(str(exc)) from exc
 
 
-def load_thetas_for_realize(data, field):
-    out = {}
-    for k, v in (data.get("thetas") or {}).items():
-        out[load_index_key(k)] = field.parse(str(v)) if isinstance(v, str) else field.of(v)
-    return out
+def load_thetas(data, field):
+    """The optional "thetas" object as a map from table index to field element."""
+    thetas = data.get("thetas") or {}
+    return {load_index_key(k): field.of(v) for k, v in thetas.items()}

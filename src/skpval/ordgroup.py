@@ -112,6 +112,10 @@ class GroupValue:
             return str(self.coords[0])
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
+    def to_json(self):
+        """JSON form: the coordinates as rational strings "p/q" (or "p")."""
+        return [str(c) for c in self.coords]
+
 
 def as_group_value(x, dim=None):
     """Coerce a scalar, sequence, or GroupValue; optionally check dimension."""
@@ -179,10 +183,6 @@ class Representation:
     @property
     def is_positive(self):
         return all(m > 0 for m in self.coeffs.values())
-
-    @property
-    def support(self):
-        return frozenset(self.coeffs)
 
     def evaluate(self, previous):
         """Reconstruct sum m_j * previous[j] as a GroupValue."""
@@ -320,9 +320,3 @@ def isolated_level(v):
 
 def format_index(n):
     return "inf" if not is_finite_index(n) else int(n)
-
-
-def parse_index(s):
-    if s == "inf":
-        return INFINITY
-    return int(s)

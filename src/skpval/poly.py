@@ -298,6 +298,11 @@ def poly_to_str(f):
     return " ".join(parts)
 
 
+# deepest nesting of parentheses and unary minus the parser accepts; each
+# level costs a few Python frames, so the bound keeps well clear of the
+# interpreter's recursion limit
+MAX_NESTING = 100
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<op>[-+*^()]))"
 )
@@ -327,6 +332,7 @@ class _Parser:
         self.pos = 0
         self.nvars = nvars
         self.field = field
+        self.depth = 0
 
     def peek(self):
         if self.pos >= len(self.tokens):
@@ -354,7 +360,6 @@ class _Parser:
         return f
 
     def expr(self):
-        kind, val = self.peek()
         f = self.term()
         while True:
             kind, val = self.peek()
@@ -397,12 +402,17 @@ class _Parser:
                     f"variable {val} out of range (ring has X0..X{self.nvars - 1})"
                 )
             return MultiPoly.variable(i, self.nvars, self.field)
-        if kind == "op" and val == "(":
-            f = self.expr()
-            self.expect_op(")")
+        if kind == "op" and val in ("(", "-"):
+            if self.depth == MAX_NESTING:
+                raise PolyParseError(f"nested deeper than {MAX_NESTING} levels")
+            self.depth += 1
+            if val == "(":
+                f = self.expr()
+                self.expect_op(")")
+            else:
+                f = -self.factor()
+            self.depth -= 1
             return f
-        if kind == "op" and val == "-":
-            return -self.factor()
         raise PolyParseError(f"unexpected token {val!r}")
 
 
@@ -418,5 +428,5 @@ def poly_from_json(data, nvars, field=QQ):
     terms = {}
     for key, cs in data.items():
         exps = tuple(int(a) for a in key.split(","))
-        terms[exps] = field.parse(cs) if isinstance(cs, str) else field.of(cs)
+        terms[exps] = field.of(cs)
     return MultiPoly(nvars, terms, field)

@@ -249,14 +249,14 @@ class VerificationVerdict:
             "passed": self.passed,
             "attainment": [
                 {
-                    "gamma": [str(c) for c in g.coords],
+                    "gamma": g.to_json(),
                     "witness": list(w),
                     "poly": s,
                 }
                 for g, w, s in self.attainment
             ],
             "containment_checked": self.containment_checked,
-            "window_threshold": [str(c) for c in self.threshold.coords],
+            "window_threshold": self.threshold.to_json(),
             "seed": self.seed,
         }
 

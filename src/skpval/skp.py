@@ -113,6 +113,19 @@ class LimitTail:
         }
 
 
+def key_product(entries, exps, nvars, field, truncation):
+    """prod U_{idx}^{e} over ``entries``, truncated after each factor.
+
+    Truncating by total degree commutes with multiplication, so this equals
+    truncating the full product once.
+    """
+    out = MultiPoly.one(nvars, field)
+    for idx, e in sorted(exps.items()):
+        if e:
+            out = truncation.apply(out * entries[idx].poly ** e)
+    return out
+
+
 class SkpTable:
     """Key polynomials over a value table, plus degrees and rewrite data."""
 
@@ -128,9 +141,6 @@ class SkpTable:
     def dimension(self):
         return self.values.dimension
 
-    def entry(self, index):
-        return self.entries[index]
-
     def row_length(self, i):
         return self.values.row_length(i)
 
@@ -142,14 +152,7 @@ class SkpTable:
 
     def monomial_poly(self, exps):
         """Evaluate prod U_{i,j}^{e} as a polynomial (truncation applied)."""
-        out = MultiPoly.one(self.nvars, self.field)
-        for idx, e in sorted(exps.items()):
-            if e:
-                out = self.truncation.apply(out * self.entries[idx].poly ** e)
-        return out
-
-    def ord_of_entry(self, index):
-        return self.entries[index].poly.order()
+        return key_product(self.entries, exps, self.nvars, self.field, self.truncation)
 
     def __repr__(self):
         return f"SkpTable({self.values!r})"
@@ -224,10 +227,7 @@ def unroll_limit(skp_or_entries, tail, truncation=None, field=None):
             raise NonStabilizingError(
                 f"summand order still <= {cutoff} after {tail.depth} terms"
             )
-        term = MultiPoly.one(start.poly.nvars, field)
-        for idx, e in sorted(m.items()):
-            term = term * entries[idx].poly ** e
-        term = truncation.apply(term)
+        term = key_product(entries, m, start.poly.nvars, field, truncation)
         acc = truncation.apply(acc - theta * term)
         summands.append((theta, m))
         used += 1
@@ -282,10 +282,7 @@ def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
                 )
                 entry.unroll_report = unrolled.report
             else:
-                um = MultiPoly.one(nvars, field)
-                for idx, e in sorted(prev.relation.items()):
-                    um = um * entries[idx].poly ** e
-                um = truncation.apply(um)
+                um = key_product(entries, prev.relation, nvars, field, truncation)
                 poly = truncation.apply(prev.poly ** prev.n - prev.theta * um)
                 prev.rewrite_next = index
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
@@ -314,6 +311,23 @@ def _check_entry_shape(entry, nvars, truncation):
     for k in range(entry.d):
         coeff = poly.coefficient_of(i, k)
         assert (0,) * nvars not in coeff.terms, entry
+
+
+def _collapsed_rewrite(skp, alpha, index):
+    """Rewrite data for U_{i,j}^{n}: (next index, summand terms).
+
+    Walks forward across n = 1 positions strictly below the cutoff so the
+    dropped chain never appears in the output.
+    """
+    i, _ = index
+    entry = skp.entries[index]
+    terms = list(entry.rewrite_terms)
+    nxt = entry.rewrite_next
+    while nxt[1] < alpha[i] and skp.entries[nxt].n == 1:
+        nxt_entry = skp.entries[nxt]
+        terms.extend(nxt_entry.rewrite_terms)
+        nxt = nxt_entry.rewrite_next
+    return nxt, terms
 
 
 def minimal_pseudo_skp(skp):
@@ -364,25 +378,18 @@ def minimal_pseudo_skp(skp):
         entry.truncated_limit = old.truncated_limit
         new_entries[new_index] = entry
 
-    # collapse rewrite chains over the dropped positions
+    # collapse rewrite chains over the dropped positions: under the full
+    # cutoff the walk stops exactly at the next kept entry
+    alpha = skp.full_alpha()
     for index in kept:
-        i, j = index
         if skp.is_row_final(index):
             continue
-        terms = []
-        cur = skp.entries[index]
-        while True:
-            terms.extend(
-                (theta, {remap[k]: m for k, m in mmap.items()})
-                for theta, mmap in cur.rewrite_terms
-            )
-            nxt = cur.rewrite_next
-            if nxt in remap:
-                break
-            cur = skp.entries[nxt]
+        nxt, terms = _collapsed_rewrite(skp, alpha, index)
         entry = new_entries[remap[index]]
         entry.rewrite_next = remap[nxt]
-        entry.rewrite_terms = terms
+        entry.rewrite_terms = [
+            (theta, {remap[k]: m for k, m in mmap.items()}) for theta, mmap in terms
+        ]
 
     return SkpTable(new_table, new_entries, skp.field, skp.truncation)
 

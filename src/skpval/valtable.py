@@ -52,19 +52,12 @@ class ValueTable:
     def row_lengths(self):
         return tuple(len(r) for r in self.rows)
 
-    def entry(self, index):
-        return self.entries[index]
-
     def is_row_final(self, index):
         i, j = index
         return j == len(self.rows[i])
 
     def all_values(self):
         return [self.entries[k].beta for k in self.order]
-
-    def prefix_values(self, index):
-        """Values at entries strictly earlier than ``index`` in lex order."""
-        return [self.entries[k].beta for k in self.order if k < index]
 
     def __repr__(self):
         rows = "; ".join(

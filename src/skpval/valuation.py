@@ -37,9 +37,6 @@ class SkpValuation:
     def zero_value(self):
         return GroupValue((0,) * self.dimension)
 
-    def restricted(self, alpha):
-        return SkpValuation(self.skp, alpha)
-
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp.values!r})"
 
@@ -168,7 +165,7 @@ class GradedNormalForm:
                 ",".join(str(e) for e in key): field.format(c)
                 for key, c in sorted(self.torus.items())
             },
-            "value": [str(c) for c in self.value.coords],
+            "value": self.value.to_json(),
         }
 
     def __repr__(self):
@@ -266,7 +263,7 @@ class StabilizationProfile:
     def to_json(self):
         return {
             "cutoffs": list(self.cutoffs),
-            "values": [[str(c) for c in v.coords] for v in self.values],
+            "values": [v.to_json() for v in self.values],
             "stable_from": self.stable_from,
         }
 

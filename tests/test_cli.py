@@ -41,6 +41,23 @@ class TestEval:
         assert report["status"] == "error"
         assert report["diagnostics"]
 
+    def test_deep_nesting_is_malformed_input(self, capsys):
+        code, report = run(
+            capsys, "eval", "--skp", DATA / "remark_diffskp.json",
+            "--poly", "(" * 300 + "X0" + ")" * 300,
+        )
+        assert code == 2
+        assert report["status"] == "error"
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
+    def test_moderate_nesting_still_parses(self, capsys):
+        code, report = run(
+            capsys, "eval", "--skp", DATA / "remark_diffskp.json",
+            "--poly", "(" * 50 + "X0" + ")" * 50,
+        )
+        assert code == 0
+        assert report["result"]["value"] == ["2"]
+
 
 class TestValidate:
     def test_ok_table(self, capsys):
@@ -236,3 +253,10 @@ class TestReportShape:
         )
         assert report["seed"] == 7
         assert report["result"]["realization"]["verification"]["seed"] == 7
+
+    def test_jobs_environment_is_ignored(self, monkeypatch, capsys):
+        monkeypatch.setenv("SKPVAL_JOBS", "abc")
+        code, report = run(capsys, "validate", DATA / "example2.json")
+        assert code == 0
+        assert report["status"] == "ok"
+        assert "jobs" not in report

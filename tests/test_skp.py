@@ -1,6 +1,8 @@
 import itertools
+import json
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,9 @@ from skpval import (
     unroll_limit,
     validate_acceptable,
 )
+from skpval.jsonio import build_from_problem
 
+DATA = Path(__file__).parent / "data"
 
 
 def P(text, nvars=2):
@@ -92,6 +96,23 @@ class TestExample1:
     def test_truncated_limit_flagged(self, example1):
         assert example1.entries[(2, 5)].truncated_limit
         assert example1.entries[(2, 10)].truncated_limit
+
+
+class TestTruncatedSuccessors:
+    def test_rewrite_identity_under_truncation(self, example1):
+        # U_{i,j}^n = U_{i,j+1} + sum theta * prod U^m, modulo the cutoff
+        with open(DATA / "example1_tail.json") as fh:
+            tail_skp = build_from_problem(json.load(fh))
+        for skp in (example1, tail_skp):
+            assert skp.truncation.active
+            for (i, j), entry in skp.entries.items():
+                if j == 1:
+                    continue
+                prev = skp.entries[(i, j - 1)]
+                expected = prev.poly ** prev.n
+                for theta, mmap in prev.rewrite_terms:
+                    expected = expected - theta * skp.monomial_poly(mmap)
+                assert entry.poly == skp.truncation.apply(expected), (i, j)
 
 
 class TestUnrollLimit:
