@@ -40,7 +40,7 @@ from .valtable import (
     enumerate_semigroup,
     validate_table,
 )
-from .poly import MultiPoly, TruncationContext, monic_divide, order_of, parse_poly
+from .poly import MultiPoly, monic_divide, order_of, parse_poly
 from .skp import (
     LimitTail,
     SkpTable,

@@ -34,7 +34,7 @@ class ThetaZeroError(SkpvalError):
 
 
 class NoCutoffError(SkpvalError):
-    """Limit unrolling requires an active truncation cutoff."""
+    """Limit unrolling requires a truncation cutoff."""
 
 
 class NonStabilizingError(SkpvalError):

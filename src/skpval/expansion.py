@@ -17,7 +17,7 @@ grouping the adic expansion by top-row exponents.
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, monic_divide
-from .skp import _collapsed_rewrite, normalize_alpha
+from .skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -91,11 +91,11 @@ class AdicExpansion:
         return len(self.monomials)
 
     def evaluate(self):
-        """Multiply the expansion back out (truncation-adjusted)."""
+        """Multiply the expansion back out (cutoff applied)."""
         out = MultiPoly.zero(self.skp.nvars, self.skp.field)
         for m in self.monomials:
             out = out + self.skp.monomial_poly(m.exps).scale(m.coeff)
-        return self.skp.truncation.apply(out)
+        return out.truncate(self.skp.cutoff)
 
     def to_json(self):
         field = self.skp.field
@@ -137,13 +137,12 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             raise ValueError(f"X{i} appears but row {i} has no key polynomials")
 
     zero = skp.field.zero
-    cutoff = skp.truncation.cutoff
-    ords = {idx: skp.entries[idx].poly.order() for idx in skp.order}
+    cutoff = skp.cutoff
+    # a key polynomial the cutoff truncated to 0 refuses the expansion here
+    orders = entry_orders(skp)
 
     def over_cutoff(key):
-        if cutoff is None:
-            return False
-        return sum(e * ords[idx] for idx, e in key) > cutoff
+        return cutoff is not None and u_order(key, skp.entries, orders) > cutoff
 
     work = {}
     for exps, c in f.terms.items():

@@ -11,7 +11,6 @@ from .classify import PseudoSkpArithmetic, RowArithmetic
 from .errors import SchemaError
 from .fields import QQ, field_from_spec, field_to_spec
 from .ordgroup import GroupValue, format_index
-from .poly import TruncationContext
 from .realize import SemigroupSpec
 from .skp import LimitTail, build_skp
 from .valtable import compute_relations
@@ -84,6 +83,9 @@ def dump_table(table):
     return out
 
 
+_TAIL_OPTIONS = (("theta", load_rational), ("depth", int))
+
+
 def load_limit_tail(data):
     _require(isinstance(data, dict), "limit tail must be an object")
     try:
@@ -91,15 +93,24 @@ def load_limit_tail(data):
             load_index_key(k): (int(a), int(b))
             for k, (a, b) in data["exponents"].items()
         }
+        # absent keys keep LimitTail's own defaults
+        optional = {k: load(data[k]) for k, load in _TAIL_OPTIONS if k in data}
         return LimitTail(
-            row=int(data["row"]),
-            at=int(data["at"]),
-            exponents=exponents,
-            theta=load_rational(data.get("theta", 1)),
-            depth=int(data.get("depth", 64)),
+            row=int(data["row"]), at=int(data["at"]), exponents=exponents, **optional
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad limit tail {data!r}") from exc
+
+
+def load_cutoff(data):
+    """The optional total-degree cutoff: None or a nonnegative integer."""
+    if data is None:
+        return None
+    integral = (isinstance(data, int) and not isinstance(data, bool)) or (
+        isinstance(data, float) and data.is_integer()
+    )
+    _require(integral and data >= 0, f"bad cutoff {data!r} (want a nonnegative integer)")
+    return int(data)
 
 
 def build_from_problem(data):
@@ -108,11 +119,8 @@ def build_from_problem(data):
     field = field_from_spec(data.get("field"))
     thetas = load_thetas(data, field)
     tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
-    cutoff = data.get("cutoff")
-    truncation = TruncationContext(int(cutoff)) if cutoff is not None else None
-    return build_skp(
-        table, thetas=thetas, truncation=truncation, field=field, limit_tails=tails
-    )
+    cutoff = load_cutoff(data.get("cutoff"))
+    return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
 
 
 def load_alpha(data, skp):
@@ -151,8 +159,8 @@ def dump_skp(skp):
         "field": field_to_spec(skp.field),
         "entries": entries,
     }
-    if skp.truncation.active:
-        out["cutoff"] = skp.truncation.cutoff
+    if skp.cutoff is not None:
+        out["cutoff"] = skp.cutoff
     return out
 
 
@@ -188,14 +196,17 @@ def load_semigroup_spec(data):
     gens = data.get("generators")
     _require(isinstance(gens, list) and gens, "need a nonempty \"generators\" array")
     try:
+        # absent bounds keep SemigroupSpec's own defaults
+        bounds = {
+            key: int(data[key])
+            for key in ("coeff_bound", "degree_bound", "samples", "minimality_bound")
+            if key in data
+        }
         return SemigroupSpec(
             [load_group_value(g) for g in gens],
             limit_labels=data.get("limit_labels") or (),
             field=field_from_spec(data.get("field")),
-            coeff_bound=int(data.get("coeff_bound", 4)),
-            degree_bound=int(data.get("degree_bound", 8)),
-            samples=int(data.get("samples", 200)),
-            minimality_bound=int(data.get("minimality_bound", 8)),
+            **bounds,
         )
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
@@ -204,4 +215,5 @@ def load_semigroup_spec(data):
 def load_thetas(data, field):
     """The optional "thetas" object as a map from table index to field element."""
     thetas = data.get("thetas") or {}
-    return {load_index_key(k): field.of(v) for k, v in thetas.items()}
+    _require(isinstance(thetas, dict), "\"thetas\" must be an object")
+    return {load_index_key(k): field.of(load_rational(v)) for k, v in thetas.items()}

@@ -249,27 +249,6 @@ def monic_divide(f, g, i):
     return q, rem
 
 
-class TruncationContext:
-    """Optional total-degree cutoff applied after arithmetic steps."""
-
-    __slots__ = ("cutoff",)
-
-    def __init__(self, cutoff=None):
-        if cutoff is not None and cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
-        self.cutoff = cutoff
-
-    @property
-    def active(self):
-        return self.cutoff is not None
-
-    def apply(self, f):
-        return f.truncate(self.cutoff) if self.active else f
-
-    def __repr__(self):
-        return f"TruncationContext({self.cutoff})"
-
-
 # -- text form ---------------------------------------------------------------
 
 

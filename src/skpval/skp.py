@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import QQ
 from .ordgroup import is_finite_index
-from .poly import MultiPoly, TruncationContext
+from .poly import MultiPoly
 from .valtable import ValueTable, compute_relations, validate_table
 
 DEFAULT_LIMIT_CUTOFF = 32
@@ -113,7 +113,7 @@ class LimitTail:
         }
 
 
-def key_product(entries, exps, nvars, field, truncation):
+def key_product(entries, exps, nvars, field, cutoff):
     """prod U_{idx}^{e} over ``entries``, truncated after each factor.
 
     Truncating by total degree commutes with multiplication, so this equals
@@ -122,18 +122,42 @@ def key_product(entries, exps, nvars, field, truncation):
     out = MultiPoly.one(nvars, field)
     for idx, e in sorted(exps.items()):
         if e:
-            out = truncation.apply(out * entries[idx].poly ** e)
+            out = (out * entries[idx].poly ** e).truncate(cutoff)
     return out
+
+
+def u_order(exps, entries, orders):
+    """Total-degree order of prod U^e, i.e. sum e * ord U, over the
+    ``(index, e)`` items of an exponent map.
+
+    ``orders`` holds the entry orders of one caller's run and gains each
+    order on first use.  A key polynomial the cutoff truncated to 0 has no
+    order and raises ZeroPolyError.
+    """
+    total = 0
+    for idx, e in exps:
+        if idx not in orders:
+            orders[idx] = entries[idx].poly.order()
+        total += e * orders[idx]
+    return total
+
+
+def entry_orders(skp):
+    """The order of every key polynomial of a table, as ``u_order`` keeps
+    them; raises ZeroPolyError when the cutoff truncated one to 0."""
+    orders = {}
+    u_order(((idx, 1) for idx in skp.order), skp.entries, orders)
+    return orders
 
 
 class SkpTable:
     """Key polynomials over a value table, plus degrees and rewrite data."""
 
-    def __init__(self, values, entries, field, truncation):
+    def __init__(self, values, entries, field, cutoff):
         self.values = values
         self.entries = entries
         self.field = field
-        self.truncation = truncation or TruncationContext()
+        self.cutoff = cutoff
         self.nvars = values.num_rows
         self.order = sorted(entries)
 
@@ -151,8 +175,8 @@ class SkpTable:
         return self.values.is_row_final(index)
 
     def monomial_poly(self, exps):
-        """Evaluate prod U_{i,j}^{e} as a polynomial (truncation applied)."""
-        return key_product(self.entries, exps, self.nvars, self.field, self.truncation)
+        """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
+        return key_product(self.entries, exps, self.nvars, self.field, self.cutoff)
 
     def __repr__(self):
         return f"SkpTable({self.values!r})"
@@ -179,70 +203,55 @@ class UnrollResult:
         self.summands = summands
 
 
-def unroll_limit(skp_or_entries, tail, truncation=None, field=None):
+def unroll_limit(entries, tail, cutoff, field):
     """Accumulate a declared tail until summand orders pass the cutoff.
 
-    Returns an UnrollResult.  Requires an active cutoff; raises
-    NonStabilizingError when the depth is exhausted with summands still at
-    or below the cutoff.  Depth 0 returns the start power unchanged.
+    ``entries`` maps table indices to the SkpEntry objects built so far.
+    Returns an UnrollResult.  Requires a cutoff; raises NonStabilizingError
+    when the depth is exhausted with summands still at or below the cutoff.
+    Depth 0 (or less) returns the start power unchanged.
     """
-    if isinstance(skp_or_entries, SkpTable):
-        entries = skp_or_entries.entries
-        truncation = truncation or skp_or_entries.truncation
-        field = field or skp_or_entries.field
-    else:
-        entries = skp_or_entries
-        field = field or QQ
-    truncation = truncation or TruncationContext()
-    if not truncation.active:
+    if cutoff is None:
         raise NoCutoffError("limit unrolling requires a truncation cutoff")
-    cutoff = truncation.cutoff
 
     start = entries[(tail.row, tail.at - 1)]
     n_start = start.n if is_finite_index(start.n) else 1
-    acc = truncation.apply(start.poly ** n_start)
+    acc = (start.poly ** n_start).truncate(cutoff)
     theta = field.of(tail.theta)
-    entry_orders = {}
-
-    def order_of_map(m):
-        total = 0
-        for idx, e in m.items():
-            if idx not in entry_orders:
-                entry_orders[idx] = entries[idx].poly.order()
-            total += e * entry_orders[idx]
-        return total
-
-    if tail.depth == 0:
+    if tail.depth <= 0:
         return UnrollResult(acc, UnrollReport(False, 0, cutoff), [])
 
+    orders = {}
     summands = []
-    used = 0
-    stabilized = False
     for k in range(tail.depth + 1):
         m = tail.exponent_map(k)
-        if order_of_map(m) > cutoff:
-            stabilized = True
+        if u_order(m.items(), entries, orders) > cutoff:
             break
         if k == tail.depth:
             raise NonStabilizingError(
                 f"summand order still <= {cutoff} after {tail.depth} terms"
             )
-        term = key_product(entries, m, start.poly.nvars, field, truncation)
-        acc = truncation.apply(acc - theta * term)
+        term = key_product(entries, m, start.poly.nvars, field, cutoff)
+        acc = (acc - theta * term).truncate(cutoff)
         summands.append((theta, m))
-        used += 1
-    return UnrollResult(acc, UnrollReport(stabilized, used, cutoff), summands)
+    # past depth 0 the loop ends only at a summand above the cutoff
+    return UnrollResult(acc, UnrollReport(True, len(summands), cutoff), summands)
 
 
-def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
+def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
     """Build the key polynomials of a validated value table.
 
     ``thetas`` maps an entry index (i, j) to the nonzero scale used when
     constructing the next entry of the row (default 1 everywhere).
-    ``limit_tails`` is a list of LimitTail declarations; limit-labeled
-    entries without a tail are built by the plain successor formula from the
-    last materialized predecessor and flagged ``truncated_limit``.
+    ``cutoff`` is a nonnegative total degree above which terms are dropped;
+    None means no cutoff, except that a table with limit labels or tails
+    gets DEFAULT_LIMIT_CUTOFF.  ``limit_tails`` is a list of LimitTail
+    declarations; limit-labeled entries without a tail are built by the
+    plain successor formula from the last materialized predecessor and
+    flagged ``truncated_limit``.
     """
+    if cutoff is not None and cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     if not isinstance(table, ValueTable):
         table = compute_relations(table)
     report = validate_table(table)
@@ -254,10 +263,8 @@ def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
         )
     theta_map = _as_theta_map(thetas, field)
     tails = {(t.row, t.at): t for t in (limit_tails or [])}
-    if tails or table.limit_labels:
-        if truncation is None:
-            truncation = TruncationContext(DEFAULT_LIMIT_CUTOFF)
-    truncation = truncation or TruncationContext()
+    if cutoff is None and (tails or table.limit_labels):
+        cutoff = DEFAULT_LIMIT_CUTOFF
     nvars = table.num_rows
 
     entries = {}
@@ -273,7 +280,7 @@ def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
             d = prev.n * prev.d
             if index in tails:
                 tail = tails[index]
-                unrolled = unroll_limit(entries, tail, truncation, field)
+                unrolled = unroll_limit(entries, tail, cutoff, field)
                 prev.rewrite_next = index
                 prev.rewrite_terms = unrolled.summands
                 entry = SkpEntry(
@@ -282,8 +289,8 @@ def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
                 )
                 entry.unroll_report = unrolled.report
             else:
-                um = key_product(entries, prev.relation, nvars, field, truncation)
-                poly = truncation.apply(prev.poly ** prev.n - prev.theta * um)
+                um = key_product(entries, prev.relation, nvars, field, cutoff)
+                poly = (prev.poly ** prev.n - prev.theta * um).truncate(cutoff)
                 prev.rewrite_next = index
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
                 entry = SkpEntry(
@@ -293,17 +300,17 @@ def build_skp(table, thetas=None, truncation=None, field=QQ, limit_tails=None):
                     entry.truncated_limit = True
         entry.limit_label = ventry.limit_label
         entries[index] = entry
-        _check_entry_shape(entry, nvars, truncation)
+        _check_entry_shape(entry, nvars, cutoff)
 
-    return SkpTable(table, entries, field, truncation)
+    return SkpTable(table, entries, field, cutoff)
 
 
-def _check_entry_shape(entry, nvars, truncation):
+def _check_entry_shape(entry, nvars, cutoff):
     i, _ = entry.index
     poly = entry.poly
     # support: U_{i,j} involves only X_0..X_i
     assert all(v <= i for v in poly.support_variables()), entry
-    if truncation.active:
+    if cutoff is not None:
         return
     # monic of the predicted X_i-degree, lower coefficients with no constant term
     assert poly.deg_in(i) == entry.d, entry
@@ -391,7 +398,7 @@ def minimal_pseudo_skp(skp):
             (theta, {remap[k]: m for k, m in mmap.items()}) for theta, mmap in terms
         ]
 
-    return SkpTable(new_table, new_entries, skp.field, skp.truncation)
+    return SkpTable(new_table, new_entries, skp.field, skp.cutoff)
 
 
 def normalize_alpha(skp, alpha=None):

@@ -18,7 +18,7 @@ from .expansion import (
     vp,
 )
 from .ordgroup import GroupValue, is_finite_index
-from .skp import normalize_alpha, validate_acceptable
+from .skp import entry_orders, normalize_alpha, validate_acceptable
 
 
 class SkpValuation:
@@ -49,12 +49,17 @@ def monomial_value(exps, skp):
     return total
 
 
-def value_of(f, valuation):
-    """The valuation of a nonzero polynomial via its adic expansion."""
+def _valued_expansion(f, valuation):
+    """The adic expansion of f and the value of each of its monomials."""
     expansion = adic_expand(f, valuation.skp, valuation.alpha)
     if not len(expansion):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
-    return min(monomial_value(m.exps, valuation.skp) for m in expansion)
+    return expansion, [monomial_value(m.exps, valuation.skp) for m in expansion]
+
+
+def value_of(f, valuation):
+    """The valuation of a nonzero polynomial via its adic expansion."""
+    return min(_valued_expansion(f, valuation)[1])
 
 
 def value_of_fraction(num, den, valuation):
@@ -63,22 +68,21 @@ def value_of_fraction(num, den, valuation):
 
 
 def value_report(f, valuation):
-    """Value plus a conservativeness flag under an active truncation.
+    """Value plus a conservativeness flag under a cutoff.
 
     A dropped monomial has total U-order above the cutoff N, hence value at
     least (N+1) times the smallest beta-per-order ratio; the computed value
     is trustworthy exactly when it does not exceed that threshold.
     """
     val = value_of(f, valuation)
-    cutoff = valuation.skp.truncation.cutoff
-    if cutoff is None:
-        return val, None
     skp = valuation.skp
-    ratios = []
-    for idx in skp.order:
-        entry = skp.entries[idx]
-        ratios.append(entry.beta.scale(Fraction(1, max(entry.poly.order(), 1))))
-    threshold = min(ratios).scale(cutoff + 1)
+    if skp.cutoff is None:
+        return val, None
+    ratios = [
+        skp.entries[idx].beta.scale(Fraction(1, max(order, 1)))
+        for idx, order in entry_orders(skp).items()
+    ]
+    threshold = min(ratios).scale(skp.cutoff + 1)
     return val, val <= threshold
 
 
@@ -88,11 +92,8 @@ def initial_form(f, valuation):
     The row-final exponent tuples of the result are pairwise distinct; this
     is asserted on every call.
     """
-    expansion = adic_expand(f, valuation.skp, valuation.alpha)
-    if not len(expansion):
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
+    expansion, values = _valued_expansion(f, valuation)
     skp = valuation.skp
-    values = [monomial_value(m.exps, skp) for m in expansion]
     low = min(values)
     kept = [m for m, v in zip(expansion.monomials, values) if v == low]
     vps = [vp(m, skp, valuation.alpha) for m in kept]
@@ -125,18 +126,21 @@ def _euclid_value(f, valuation, top):
     return best
 
 
+def _top_row_cut(skp, j):
+    """The valuation with full lower rows and the top row cut at ``j``."""
+    alpha = list(skp.full_alpha())
+    alpha[-1] = j
+    return SkpValuation(skp, tuple(alpha))
+
+
 def delta_of(f, skp, j):
     """Max exponent of the top-row cutoff entry over initial-form monomials.
 
     The context is the acceptable vector with full lower rows and the top
     row cut at ``j``.
     """
-    top = skp.nvars - 1
-    alpha = list(skp.full_alpha())
-    alpha[top] = j
-    v = SkpValuation(skp, tuple(alpha))
-    inf_form = initial_form(f, v)
-    return max(m.exponent((top, j)) for m in inf_form)
+    inf_form = initial_form(f, _top_row_cut(skp, j))
+    return max(m.exponent((skp.nvars - 1, j)) for m in inf_form)
 
 
 class GradedNormalForm:
@@ -278,9 +282,5 @@ def stabilization_profile(f, skp, cutoffs):
     cutoffs = sorted(int(j) for j in cutoffs)
     if cutoffs and not 1 <= cutoffs[0] <= cutoffs[-1] <= skp.row_length(top):
         raise ValueError("cutoffs outside the built row")
-    values = []
-    for j in cutoffs:
-        alpha = list(skp.full_alpha())
-        alpha[top] = j
-        values.append(value_of(f, SkpValuation(skp, tuple(alpha))))
+    values = [value_of(f, _top_row_cut(skp, j)) for j in cutoffs]
     return StabilizationProfile(cutoffs, values)

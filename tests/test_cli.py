@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from skpval.cli import run_command
 
 DATA = Path(__file__).parent / "data"
@@ -260,3 +262,41 @@ class TestReportShape:
         assert code == 0
         assert report["status"] == "ok"
         assert "jobs" not in report
+
+
+def swapped_with(tmp_path, **changes):
+    """swapped_diffskp.json with some top-level keys replaced, as a new file."""
+    data = json.loads((DATA / "swapped_diffskp.json").read_text())
+    data.update(changes)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestProblemScalars:
+    @pytest.mark.parametrize("theta", [1.5, True, None, [1]])
+    def test_theta_of_wrong_type_is_malformed_input(self, tmp_path, capsys, theta):
+        path = swapped_with(tmp_path, thetas={"1,1": theta})
+        code, report = run(capsys, "build", path)
+        assert code == 2
+        assert report["status"] == "error"
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
+    def test_thetas_not_an_object_is_malformed_input(self, tmp_path, capsys):
+        code, report = run(capsys, "build", swapped_with(tmp_path, thetas=[1]))
+        assert code == 2
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
+    def test_theta_as_string_or_integer(self, tmp_path, capsys):
+        _, by_text = run(capsys, "build", swapped_with(tmp_path, thetas={"1,2": "-1"}))
+        _, by_int = run(capsys, "build", swapped_with(tmp_path, thetas={"1,2": -1}))
+        assert by_text["result"] == by_int["result"]
+
+    @pytest.mark.parametrize("cutoff", [2.5, True, False, -1, "3", [3]])
+    def test_cutoff_of_wrong_type_is_malformed_input(self, tmp_path, capsys, cutoff):
+        path = swapped_with(tmp_path, cutoff=cutoff)
+        for argv in (["build", path], ["eval", "--skp", path, "--poly", "X0"]):
+            code, report = run(capsys, *argv)
+            assert code == 2
+            assert report["status"] == "error"
+            assert [d["kind"] for d in report["diagnostics"]] == ["schema"]

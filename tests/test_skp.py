@@ -13,7 +13,6 @@ from skpval import (
     NoCutoffError,
     NonStabilizingError,
     ThetaZeroError,
-    TruncationContext,
     build_skp,
     compute_relations,
     minimal_pseudo_skp,
@@ -72,6 +71,10 @@ class TestBuild:
         with pytest.raises(ThetaZeroError):
             build_skp(diffskp_table, thetas={(1, 1): 0})
 
+    def test_rejects_negative_cutoff(self, diffskp_table):
+        with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+            build_skp(diffskp_table, cutoff=-1)
+
     def test_empty_row_zero_allowed_when_valid(self):
         skp = build_skp(compute_relations([[], [(1, 0)], [(0, 1)]]))
         assert (0, 1) not in skp.entries
@@ -104,7 +107,7 @@ class TestTruncatedSuccessors:
         with open(DATA / "example1_tail.json") as fh:
             tail_skp = build_from_problem(json.load(fh))
         for skp in (example1, tail_skp):
-            assert skp.truncation.active
+            assert skp.cutoff is not None
             for (i, j), entry in skp.entries.items():
                 if j == 1:
                     continue
@@ -112,7 +115,7 @@ class TestTruncatedSuccessors:
                 expected = prev.poly ** prev.n
                 for theta, mmap in prev.rewrite_terms:
                     expected = expected - theta * skp.monomial_poly(mmap)
-                assert entry.poly == skp.truncation.apply(expected), (i, j)
+                assert entry.poly == expected.truncate(skp.cutoff), (i, j)
 
 
 class TestUnrollLimit:
@@ -123,7 +126,7 @@ class TestUnrollLimit:
     def test_block_zero_truncation(self):
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=10)
-        res = unroll_limit(skp, tail, TruncationContext(5))
+        res = unroll_limit(skp.entries, tail, 5, skp.field)
         assert res.poly == parse_poly("X2 - X0*X1^2 - X0^2*X1^2 - X0^3*X1^2", 3)
         assert res.report.stabilized
         assert res.report.summands_used == 3
@@ -131,7 +134,7 @@ class TestUnrollLimit:
     def test_depth_zero_unchanged(self):
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=0)
-        res = unroll_limit(skp, tail, TruncationContext(5))
+        res = unroll_limit(skp.entries, tail, 5, skp.field)
         assert res.poly == parse_poly("X2", 3)
         assert not res.report.stabilized
 
@@ -139,13 +142,13 @@ class TestUnrollLimit:
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (2, 0)}, depth=8)
         with pytest.raises(NonStabilizingError):
-            unroll_limit(skp, tail, TruncationContext(5))
+            unroll_limit(skp.entries, tail, 5, skp.field)
 
     def test_requires_cutoff(self):
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (1, 1)}, depth=4)
         with pytest.raises(NoCutoffError):
-            unroll_limit(skp, tail, TruncationContext(None))
+            unroll_limit(skp.entries, tail, None, skp.field)
 
     def test_build_with_declared_tail(self):
         rows = [
@@ -155,7 +158,7 @@ class TestUnrollLimit:
         ]
         table = compute_relations(rows, limit_labels={(2, 2): 1})
         tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=20)
-        skp = build_skp(table, truncation=TruncationContext(5), limit_tails=[tail])
+        skp = build_skp(table, cutoff=5, limit_tails=[tail])
         assert skp.entries[(2, 2)].poly == parse_poly(
             "X2 - X0*X1^2 - X0^2*X1^2 - X0^3*X1^2", 3
         )

@@ -75,10 +75,8 @@ class TestValueOf:
         assert value_of_fraction(P("X1^2"), P("X0"), vdiff) == gv(4)
 
     def test_truncation_validity_flag(self):
-        from skpval import TruncationContext
-
         t = compute_relations([[2], [3, 9, 10]])
-        skp = build_skp(t, truncation=TruncationContext(12))
+        skp = build_skp(t, cutoff=12)
         v = SkpValuation(skp)
         val, ok = value_report(P("X1^2"), v)
         assert val == gv(6) and ok is True
