@@ -6,13 +6,19 @@ stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
 positions form an n = 1 chain, by the collapsed sum across the chain.  The
 result is unique; the strategy here is deterministic: the monomial with the
-smallest Vdeg (lexicographic per-variable degree vector) is processed first,
-and within it the violating index with the greatest lex position.
+smallest Vdeg (lexicographic per-variable degree vector), ties broken by
+its sorted exponent key, is processed first, and within it the violating
+index with the greatest lex position.  A priority queue keyed by
+(Vdeg, key) holds the violating monomials, so each rewrite pops its target
+instead of rescanning the working set; the order, and so the rewrite count
+under ``max_rewrites``, is that of the scan.
 
 The Euclidean expansion of the top row is computed by iterated monic
 division by the largest applicable key polynomial; it coincides with
 grouping the adic expansion by top-row exponents.
 """
+
+import heapq
 
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
@@ -113,14 +119,6 @@ class AdicExpansion:
         return " + ".join(repr(m) for m in self.monomials) or "0"
 
 
-def _add_monomial(work, key, coeff, zero):
-    cur = work.get(key, zero) + coeff
-    if cur == zero:
-        work.pop(key, None)
-    else:
-        work[key] = cur
-
-
 def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     """The unique adic expansion of a nonzero polynomial.
 
@@ -140,63 +138,72 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     cutoff = skp.cutoff
     # a key polynomial the cutoff truncated to 0 refuses the expansion here
     orders = entry_orders(skp)
+    # the exponent bound n at every position kept below its index
+    bounds = {
+        (i, j): entry.n
+        for (i, j), entry in skp.entries.items()
+        if j < alpha[i] and is_finite_index(entry.n)
+    }
+    degrees = {index: entry.d for index, entry in skp.entries.items()}
+    nvars = skp.nvars
 
-    def over_cutoff(key):
-        return cutoff is not None and u_order(key, skp.entries, orders) > cutoff
-
+    # Every violating key in ``work`` has an entry (Vdeg, key, greatest
+    # violating index) in ``heap``; an entry whose key has left ``work`` is
+    # stale and skipped.  Popping the least entry therefore picks the same
+    # monomial as scanning ``work`` for the least (Vdeg, key).
     work = {}
-    for exps, c in f.terms.items():
-        key = tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e))
-        if not over_cutoff(key):
-            _add_monomial(work, key, c, zero)
+    heap = []
 
-    def violations(key):
-        out = []
-        for (i, j), e in key:
-            if j < alpha[i] and is_finite_index(skp.entries[(i, j)].n):
-                if e >= skp.entries[(i, j)].n:
-                    out.append((i, j))
-        return out
+    def add(key, coeff):
+        if cutoff is not None and u_order(key, skp.entries, orders) > cutoff:
+            return
+        cur = work.get(key)
+        if cur is not None:
+            cur = cur + coeff
+            if cur == zero:
+                del work[key]
+            else:
+                work[key] = cur
+            return
+        if coeff == zero:
+            return
+        work[key] = coeff
+        index = None
+        deg = [0] * nvars
+        for idx, e in key:
+            deg[idx[0]] += e * degrees[idx]
+            if idx in bounds and e >= bounds[idx]:
+                index = idx  # keys are sorted, so the last one is the greatest
+        if index is not None:
+            heapq.heappush(heap, (tuple(deg), key, index))
+
+    for exps, c in f.terms.items():
+        add(tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
 
     rewrites = 0
-    while True:
-        target = None
-        target_sort = None
-        target_viol = None
-        for key in work:
-            viol = violations(key)
-            if not viol:
-                continue
-            cand = (vdeg(dict(key), skp), key)
-            if target is None or cand < target_sort:
-                target, target_sort, target_viol = key, cand, viol
-        if target is None:
-            break
+    while heap:
+        _, target, index = heapq.heappop(heap)
+        if target not in work:
+            continue
         rewrites += 1
         if rewrites > max_rewrites:
             raise IterationCapError(f"exceeded {max_rewrites} rewrites")
 
-        index = max(target_viol)
         coeff = work.pop(target)
-        n = skp.entries[index].n
         base = dict(target)
-        base[index] -= n
+        base[index] -= bounds[index]
         if base[index] == 0:
             del base[index]
         nxt, terms = _collapsed_rewrite(skp, alpha, index)
 
         branch = dict(base)
         branch[nxt] = branch.get(nxt, 0) + 1
-        key2 = tuple(sorted(branch.items()))
-        if not over_cutoff(key2):
-            _add_monomial(work, key2, coeff, zero)
+        add(tuple(sorted(branch.items())), coeff)
         for theta, mmap in terms:
             branch = dict(base)
             for idx, e in mmap.items():
                 branch[idx] = branch.get(idx, 0) + e
-            key2 = tuple(sorted(branch.items()))
-            if not over_cutoff(key2):
-                _add_monomial(work, key2, coeff * theta, zero)
+            add(tuple(sorted(branch.items())), coeff * theta)
 
     monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
     return AdicExpansion(skp, alpha, monomials)
@@ -288,7 +295,8 @@ def euclidean_expand(f, skp, j=None, row=None):
     for key in result:
         for (pos, t) in key:
             entry = skp.entries[(top, pos)]
-            assert pos == j or not is_finite_index(entry.n) or t < entry.n, key
+            if pos != j and is_finite_index(entry.n) and t >= entry.n:
+                raise AssertionError(key)
     items = [(dict(key), cpoly) for key, cpoly in result.items()]
     items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
     return items

@@ -145,7 +145,9 @@ class PrimeField:
             return FpElement(self.p, x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise SchemaError(
+                    f"{x} is not in {self.name}: denominator divisible by {self.p}"
+                )
             return FpElement(self.p, x.numerator) / FpElement(self.p, x.denominator)
         if isinstance(x, str):
             return self.parse(x)

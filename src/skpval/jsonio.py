@@ -31,6 +31,21 @@ def load_rational(data):
     raise SchemaError(f"bad rational {data!r}")
 
 
+def load_int(data, what, nonnegative=False):
+    """A JSON integer, or a number with an integral value such as 3.0.
+
+    A bool is refused although Python counts it as an int.
+    """
+    integral = (isinstance(data, int) and not isinstance(data, bool)) or (
+        isinstance(data, float) and data.is_integer()
+    )
+    want = "a nonnegative integer" if nonnegative else "an integer"
+    _require(
+        integral and not (nonnegative and data < 0), f"bad {what} {data!r} (want {want})"
+    )
+    return int(data)
+
+
 def load_group_value(data, dim=None):
     if isinstance(data, (int, str)):
         data = [data]
@@ -61,10 +76,9 @@ def load_table(data):
         _require(isinstance(r, list), "each table row must be an array")
     dim = data.get("dimension")
     raw_rows = [[load_group_value(v, dim) for v in row] for row in rows]
-    labels = {
-        load_index_key(k): int(t)
-        for k, t in (data.get("limit_labels") or {}).items()
-    }
+    labels = data.get("limit_labels") or {}
+    _require(isinstance(labels, dict), "\"limit_labels\" must be an object")
+    labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}
     try:
         return compute_relations(raw_rows, dimension=dim, limit_labels=labels)
     except ValueError as exc:
@@ -83,20 +97,26 @@ def dump_table(table):
     return out
 
 
-_TAIL_OPTIONS = (("theta", load_rational), ("depth", int))
+_TAIL_OPTIONS = (
+    ("theta", load_rational),
+    ("depth", lambda data: load_int(data, "tail depth")),
+)
 
 
 def load_limit_tail(data):
     _require(isinstance(data, dict), "limit tail must be an object")
     try:
         exponents = {
-            load_index_key(k): (int(a), int(b))
+            load_index_key(k): tuple(load_int(x, "tail exponent") for x in (a, b))
             for k, (a, b) in data["exponents"].items()
         }
         # absent keys keep LimitTail's own defaults
         optional = {k: load(data[k]) for k, load in _TAIL_OPTIONS if k in data}
         return LimitTail(
-            row=int(data["row"]), at=int(data["at"]), exponents=exponents, **optional
+            row=load_int(data["row"], "tail row"),
+            at=load_int(data["at"], "tail position"),
+            exponents=exponents,
+            **optional,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad limit tail {data!r}") from exc
@@ -106,11 +126,7 @@ def load_cutoff(data):
     """The optional total-degree cutoff: None or a nonnegative integer."""
     if data is None:
         return None
-    integral = (isinstance(data, int) and not isinstance(data, bool)) or (
-        isinstance(data, float) and data.is_integer()
-    )
-    _require(integral and data >= 0, f"bad cutoff {data!r} (want a nonnegative integer)")
-    return int(data)
+    return load_int(data, "cutoff", nonnegative=True)
 
 
 def build_from_problem(data):
@@ -195,16 +211,18 @@ def load_semigroup_spec(data):
     _require(isinstance(data, dict), "realize problem must be an object")
     gens = data.get("generators")
     _require(isinstance(gens, list) and gens, "need a nonempty \"generators\" array")
+    # absent bounds keep SemigroupSpec's own defaults
+    bounds = {
+        key: load_int(data[key], key, nonnegative=True)
+        for key in ("coeff_bound", "degree_bound", "samples", "minimality_bound")
+        if key in data
+    }
+    labels = data.get("limit_labels") or []
+    _require(isinstance(labels, list), "\"limit_labels\" must be an array")
     try:
-        # absent bounds keep SemigroupSpec's own defaults
-        bounds = {
-            key: int(data[key])
-            for key in ("coeff_bound", "degree_bound", "samples", "minimality_bound")
-            if key in data
-        }
         return SemigroupSpec(
             [load_group_value(g) for g in gens],
-            limit_labels=data.get("limit_labels") or (),
+            limit_labels=[load_int(p, "limit label") for p in labels],
             field=field_from_spec(data.get("field")),
             **bounds,
         )

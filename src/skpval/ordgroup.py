@@ -241,7 +241,8 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
         for j2, m in relations[j].coeffs.items():
             p[j2] += q * m
     rep = Representation({j: m for j, m in enumerate(p)})
-    assert rep.evaluate(previous) == target if previous else target.is_zero()
+    if not (rep.evaluate(previous) == target if previous else target.is_zero()):
+        raise AssertionError(f"representation {rep} does not evaluate to {target}")
     return rep
 
 

@@ -245,7 +245,8 @@ def monic_divide(f, g, i):
         t = lead * xi ** (d - dg)
         q = q + t
         rem = rem - t * g
-        assert rem.is_zero() or rem.deg_in(i) < d
+        if not rem.is_zero() and rem.deg_in(i) >= d:
+            raise AssertionError(f"division step kept X{i}-degree {d}")
     return q, rem
 
 

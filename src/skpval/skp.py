@@ -12,6 +12,8 @@ consumes; for a freshly built table that is a single summand, for a reduced
 table the collapsed chain.
 """
 
+import functools
+
 from .errors import (
     InvalidTableError,
     NoCutoffError,
@@ -19,7 +21,7 @@ from .errors import (
     ThetaZeroError,
 )
 from .fields import QQ
-from .ordgroup import is_finite_index
+from .ordgroup import _integer_rows, is_finite_index
 from .poly import MultiPoly
 from .valtable import ValueTable, compute_relations, validate_table
 
@@ -174,6 +176,12 @@ class SkpTable:
     def is_row_final(self, index):
         return self.values.is_row_final(index)
 
+    @functools.cached_property
+    def integer_betas(self):
+        """(index -> beta as an integer vector, common denominator)."""
+        rows, denom = _integer_rows([self.entries[idx].beta for idx in self.order])
+        return dict(zip(self.order, rows)), denom
+
     def monomial_poly(self, exps):
         """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
         return key_product(self.entries, exps, self.nvars, self.field, self.cutoff)
@@ -309,15 +317,19 @@ def _check_entry_shape(entry, nvars, cutoff):
     i, _ = entry.index
     poly = entry.poly
     # support: U_{i,j} involves only X_0..X_i
-    assert all(v <= i for v in poly.support_variables()), entry
+    if any(v > i for v in poly.support_variables()):
+        raise AssertionError(entry)
     if cutoff is not None:
         return
     # monic of the predicted X_i-degree, lower coefficients with no constant term
-    assert poly.deg_in(i) == entry.d, entry
-    assert poly.is_monic_in(i), entry
+    if poly.deg_in(i) != entry.d:
+        raise AssertionError(entry)
+    if not poly.is_monic_in(i):
+        raise AssertionError(entry)
     for k in range(entry.d):
         coeff = poly.coefficient_of(i, k)
-        assert (0,) * nvars not in coeff.terms, entry
+        if (0,) * nvars in coeff.terms:
+            raise AssertionError(entry)
 
 
 def _collapsed_rewrite(skp, alpha, index):
@@ -374,10 +386,10 @@ def minimal_pseudo_skp(skp):
         ventry = new_table.entries[new_index]
         # indices and relations recomputed on the reduced table must agree
         # with the originals: dropped entries never carry relation mass
-        assert ventry.n == old.n, (index, ventry.n, old.n)
-        assert ventry.relation == {
-            remap[k]: m for k, m in old.relation.items()
-        }, index
+        if ventry.n != old.n:
+            raise AssertionError((index, ventry.n, old.n))
+        if ventry.relation != {remap[k]: m for k, m in old.relation.items()}:
+            raise AssertionError(index)
         entry = SkpEntry(
             new_index, old.beta, old.n, ventry.relation, old.d, old.poly, old.theta
         )

@@ -50,11 +50,29 @@ def monomial_value(exps, skp):
 
 
 def _valued_expansion(f, valuation):
-    """The adic expansion of f and the value of each of its monomials."""
-    expansion = adic_expand(f, valuation.skp, valuation.alpha)
+    """The adic expansion of f and the value of each of its monomials.
+
+    Each beta is an integer vector over the table's common denominator, so
+    a monomial's value is an integer sum; one GroupValue is built per
+    distinct sum.
+    """
+    skp = valuation.skp
+    expansion = adic_expand(f, skp, valuation.alpha)
     if not len(expansion):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
-    return expansion, [monomial_value(m.exps, valuation.skp) for m in expansion]
+    betas, denom = skp.integer_betas
+    values = {}
+    out = []
+    for m in expansion:
+        total = [0] * skp.dimension
+        for idx, e in m.exps.items():
+            for k, c in enumerate(betas[idx]):
+                total[k] += e * c
+        total = tuple(total)
+        if total not in values:
+            values[total] = GroupValue(tuple(Fraction(c, denom) for c in total))
+        out.append(values[total])
+    return expansion, out
 
 
 def value_of(f, valuation):
@@ -90,14 +108,15 @@ def initial_form(f, valuation):
     """The sub-expansion of minimal-value monomials.
 
     The row-final exponent tuples of the result are pairwise distinct; this
-    is asserted on every call.
+    is checked on every call.
     """
     expansion, values = _valued_expansion(f, valuation)
     skp = valuation.skp
     low = min(values)
     kept = [m for m, v in zip(expansion.monomials, values) if v == low]
     vps = [vp(m, skp, valuation.alpha) for m in kept]
-    assert len(set(vps)) == len(vps), "initial-form power vectors collide"
+    if len(set(vps)) != len(vps):
+        raise AssertionError("initial-form power vectors collide")
     return AdicExpansion(skp, valuation.alpha, kept)
 
 
@@ -236,11 +255,12 @@ def graded_normal_form(f, valuation, unconstrained_rows=()):
             for idx2, m in entry.relation.items():
                 if q * m:
                     exps[idx2] = exps.get(idx2, 0) + q * m
-        assert monomial_value(exps, skp) == value
+        if monomial_value(exps, skp) != value:
+            raise AssertionError("normal-form monomial changed value")
         if common_J is None:
             common_J = exps
-        else:
-            assert common_J == exps, "normal-form base exponent differs"
+        elif common_J != exps:
+            raise AssertionError("normal-form base exponent differs")
         key = tuple(tdeg[i] for i in A)
         cur = torus.get(key, zero) + coeff
         if cur == zero:

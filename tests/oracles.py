@@ -2,16 +2,19 @@
 
 These deliberately avoid the library's computation paths: the index scan
 walks r = 1, 2, ... with a plain lattice-membership solve, representations
-are found by exhaustive search over the coefficient box, and semigroup
-balls come from nested coefficient loops.
+are found by exhaustive search over the coefficient box, semigroup
+balls come from nested coefficient loops, and the adic expansion has a
+reference loop that rescans the whole working set before every rewrite.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd, inf
 
+from skpval.expansion import AdicExpansion, AdicMonomial, vdeg
 from skpval.intlattice import solve_combination
-from skpval.ordgroup import as_group_value
+from skpval.ordgroup import as_group_value, is_finite_index
+from skpval.skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
 
 def _int_rows(values):
@@ -116,3 +119,61 @@ def swap_variables(f, perm):
             new[perm[i]] = e
         terms[tuple(new)] = c
     return MultiPoly(f.nvars, terms, f.field)
+
+
+def rescan_adic_expand(f, skp, alpha=None):
+    """Adic expansion by rescanning the working set before every rewrite.
+
+    Each step picks the violating monomial with the least (Vdeg, key) and
+    rewrites it at its greatest violating index: the order the library's
+    priority queue must reproduce.  Returns (expansion, rewrite count).
+    """
+    alpha = normalize_alpha(skp, alpha)
+    zero = skp.field.zero
+    cutoff = skp.cutoff
+    orders = entry_orders(skp)
+
+    def add(work, key, coeff):
+        if cutoff is not None and u_order(key, skp.entries, orders) > cutoff:
+            return
+        cur = work.get(key, zero) + coeff
+        if cur == zero:
+            work.pop(key, None)
+        else:
+            work[key] = cur
+
+    def violations(key):
+        return [
+            (i, j)
+            for (i, j), e in key
+            if j < alpha[i]
+            and is_finite_index(skp.entries[(i, j)].n)
+            and e >= skp.entries[(i, j)].n
+        ]
+
+    work = {}
+    for exps, c in f.terms.items():
+        add(work, tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
+    rewrites = 0
+    while True:
+        candidates = [
+            (vdeg(dict(key), skp), key) for key in work if violations(key)
+        ]
+        if not candidates:
+            break
+        target = min(candidates)[1]
+        rewrites += 1
+        index = max(violations(target))
+        coeff = work.pop(target)
+        base = dict(target)
+        base[index] -= skp.entries[index].n
+        if base[index] == 0:
+            del base[index]
+        nxt, terms = _collapsed_rewrite(skp, alpha, index)
+        for theta, mmap in [(skp.field.one, {nxt: 1})] + list(terms):
+            branch = dict(base)
+            for idx, e in mmap.items():
+                branch[idx] = branch.get(idx, 0) + e
+            add(work, tuple(sorted(branch.items())), coeff * theta)
+    monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
+    return AdicExpansion(skp, alpha, monomials), rewrites

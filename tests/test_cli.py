@@ -282,6 +282,17 @@ class TestProblemScalars:
         assert report["status"] == "error"
         assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
 
+    def test_theta_outside_the_prime_field_is_malformed_input(self, tmp_path, capsys):
+        path = swapped_with(tmp_path, field={"prime": 7}, thetas={"1,1": "1/7"})
+        code, report = run(capsys, "build", path)
+        assert code == 2
+        assert report["status"] == "error"
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+        path = swapped_with(tmp_path, field={"prime": 7}, thetas={})
+        code, report = run(capsys, "eval", "--skp", path, "--poly", "1/7*X0")
+        assert code == 2
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
     def test_thetas_not_an_object_is_malformed_input(self, tmp_path, capsys):
         code, report = run(capsys, "build", swapped_with(tmp_path, thetas=[1]))
         assert code == 2
@@ -300,3 +311,68 @@ class TestProblemScalars:
             assert code == 2
             assert report["status"] == "error"
             assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
+
+def problem_with(tmp_path, name, edit):
+    """A tests/data problem changed in place by ``edit``, as a new file."""
+    data = json.loads((DATA / name).read_text())
+    edit(data)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def assert_schema_error(capsys, *argv):
+    code, report = run(capsys, *argv)
+    assert code == 2
+    assert report["status"] == "error"
+    assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
+
+class TestProblemIntegers:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("samples", 2.5),
+            ("samples", -1),
+            ("coeff_bound", True),
+            ("degree_bound", "6"),
+            ("minimality_bound", None),
+            ("limit_labels", "1"),
+            ("limit_labels", [1.5]),
+            ("limit_labels", [True]),
+        ],
+    )
+    def test_semigroup_spec_integers(self, tmp_path, capsys, key, value):
+        path = problem_with(tmp_path, "free_pair.json", lambda d: d.update({key: value}))
+        assert_schema_error(capsys, "verify", path)
+
+    def test_integral_numbers_are_integers(self, tmp_path, capsys):
+        _, want = run(capsys, "verify", DATA / "free_pair.json")
+        path = problem_with(
+            tmp_path, "free_pair.json", lambda d: d.update(samples=100.0, coeff_bound=3.0)
+        )
+        code, got = run(capsys, "verify", path)
+        assert code == 0
+        assert got["result"] == want["result"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["values"].update(limit_labels={"2,2": 1.5}),
+            lambda d: d["values"].update(limit_labels={"2,2": True}),
+            lambda d: d["values"].update(limit_labels=[1]),
+            lambda d: d["limit_tails"][0].update(depth=2.5),
+            lambda d: d["limit_tails"][0].update(depth=False),
+            lambda d: d["limit_tails"][0].update(row=True),
+            lambda d: d["limit_tails"][0].update(at=2.5),
+            lambda d: d["limit_tails"][0].update(exponents={"0,1": [1.5, 1]}),
+        ],
+        ids=[
+            "label-float", "label-bool", "labels-array", "depth-float",
+            "depth-bool", "row-bool", "at-float", "exponent-float",
+        ],
+    )
+    def test_table_and_tail_integers(self, tmp_path, capsys, edit):
+        path = problem_with(tmp_path, "example1_tail.json", edit)
+        assert_schema_error(capsys, "build", path)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from skpval import (
+    IterationCapError,
     MultiPoly,
     ZeroPolyError,
     adic_expand,
@@ -15,6 +16,8 @@ from skpval import (
 )
 from skpval.expansion import AdicMonomial, monomial_sort_key, vdeg
 from skpval.realize import random_polynomial
+
+from oracles import rescan_adic_expand
 
 
 def P(text, nvars=2):
@@ -97,6 +100,35 @@ class TestAdicExpand:
             assert len(set(keys)) == len(keys)
             degs = [vdeg(m, diffskp) for m in mons]
             assert len(set(degs)) == len(degs)
+
+
+class TestRewriteOrder:
+    """The priority queue rewrites in the order of the rescanning loop."""
+
+    @pytest.mark.parametrize("k, rewrites", [(6, 33), (10, 225)])
+    def test_pinned_rewrite_counts(self, diffskp, k, rewrites):
+        f = P(f"(X0+X1)^{k}")
+        expansion = adic_expand(f, diffskp, max_rewrites=rewrites)
+        with pytest.raises(IterationCapError):
+            adic_expand(f, diffskp, max_rewrites=rewrites - 1)
+        reference, count = rescan_adic_expand(f, diffskp)
+        assert count == rewrites
+        assert expansion.to_json() == reference.to_json()
+
+    def test_agrees_with_rescan_reference(self, diffskp, example2, example1):
+        rng = random.Random(31)
+        for skp, degree, polys in ((diffskp, 8, 40), (example2, 8, 40), (example1, 5, 20)):
+            # the full table and the top row cut at its second entry
+            alphas = (skp.full_alpha(), skp.full_alpha()[:-1] + (2,))
+            for _ in range(polys):
+                f = random_polynomial(rng, skp.nvars, degree)
+                for alpha in alphas:
+                    reference, rewrites = rescan_adic_expand(f, skp, alpha)
+                    got = adic_expand(f, skp, alpha, max_rewrites=rewrites)
+                    assert got.to_json() == reference.to_json()
+                    if rewrites:
+                        with pytest.raises(IterationCapError):
+                            adic_expand(f, skp, alpha, max_rewrites=rewrites - 1)
 
 
 class TestVdegVp:
