@@ -133,6 +133,9 @@ def cmd_classify(args):
 
 
 def cmd_realize(args):
+    for key in ("coeff_bound", "degree_bound", "samples"):
+        if getattr(args, key) is not None:
+            jsonio.load_int(getattr(args, key), "--" + key.replace("_", "-"), nonnegative=True)
     data, digest = _read_problem(args.file)
     spec = jsonio.load_semigroup_spec(data)
     mode = args.mode or data.get("mode", "corrected")

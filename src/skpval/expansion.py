@@ -15,14 +15,16 @@ under ``max_rewrites``, is that of the scan.
 
 The Euclidean expansion of the top row is computed by iterated monic
 division by the largest applicable key polynomial; it coincides with
-grouping the adic expansion by top-row exponents.
+grouping the adic expansion by top-row exponents.  One call splits the input
+and each divisor by X_top-degree once (``MultiPoly.split``) and divides in
+split form; only the final coefficients become polynomials again.
 """
 
 import heapq
 
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
-from .poly import MultiPoly, monic_divide
+from .poly import MultiPoly, divide_split, split_divisor
 from .skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
 DEFAULT_REWRITE_CAP = 1_000_000
@@ -261,25 +263,28 @@ def euclidean_expand(f, skp, j=None, row=None):
     if f.is_zero():
         return []
 
+    divisors = {}
+
     def rec(g, jmax):
-        dg = g.deg_in(top)
+        dg = max(g)
         applicable = [
             j2 for j2 in range(1, jmax + 1) if skp.entries[(top, j2)].d <= dg
         ]
         if not applicable:
             return {(): g}
         j0 = max(applicable)
-        divisor = skp.entries[(top, j0)].poly
-        d0 = skp.entries[(top, j0)].d
+        if j0 not in divisors:
+            divisors[j0] = split_divisor(f, skp.entries[(top, j0)].poly, top)
+        lower, d0 = divisors[j0]
         coeffs = {}
         cur = g
         t = 0
-        while not cur.is_zero():
-            if cur.deg_in(top) < d0:
+        while cur:
+            if max(cur) < d0:
                 coeffs[t] = cur
                 break
-            q, r = monic_divide(cur, divisor, top)
-            if not r.is_zero():
+            q, r = divide_split(cur, lower, d0)
+            if r:
                 coeffs[t] = r
             cur = q
             t += 1
@@ -290,13 +295,13 @@ def euclidean_expand(f, skp, j=None, row=None):
                 out[key] = cpoly
         return out
 
-    result = rec(f, j)
+    result = rec(f.split(top), j)
     # positions strictly before the cutoff stay below their index
     for key in result:
         for (pos, t) in key:
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    items = [(dict(key), cpoly) for key, cpoly in result.items()]
+    items = [(dict(k), MultiPoly.join(g, top, f.nvars, f.field)) for k, g in result.items()]
     items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
     return items

@@ -125,11 +125,32 @@ class FpElement:
         return f"{self.v}"
 
 
+# strong-probable-prime bases that make Miller-Rabin exact below MAX_PRIME
+# (Sorenson and Webster, 2015)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p):
+    """Deterministic Miller-Rabin primality, exact for p < MAX_PRIME."""
+    if p < 2 or any(p % b == 0 for b in MR_BASES):
+        return p in MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    for b in MR_BASES:
+        x = pow(b, d, p)
+        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(s)):
+            return False
+    return True
+
+
 class PrimeField:
     """F_p for a prime p, behind the same interface as the rationals."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= MAX_PRIME:
+            raise SchemaError(f"prime {p} is too large (want p < {MAX_PRIME})")
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"

@@ -4,13 +4,14 @@ Terms are stored as a map from exponent tuple (one entry per variable) to a
 nonzero coefficient.  Arithmetic is exact; nothing here ever introduces a
 denominator that the scalar field does not already carry.
 
-The one nontrivial algorithm is ``monic_divide``: division with remainder in
-a chosen variable X_i by a divisor that is monic in X_i (its leading
-X_i-coefficient is the constant 1), which keeps quotient and remainder in
-the same coefficient ring.
+The one nontrivial algorithm is division with remainder in X_i by a divisor
+monic in X_i, which keeps quotient and remainder in the same ring.  It runs
+on X_i-degree splits (``MultiPoly.split``, ``divide_split``): each step is one
+scaled subtraction per lower X_i-coefficient of the divisor.
 """
 
 import re
+from operator import add
 
 from .errors import NotMonicError, PolyParseError, ZeroPolyError
 from .fields import QQ
@@ -163,25 +164,25 @@ class MultiPoly:
             raise ZeroPolyError("order of the zero polynomial")
         return min(sum(e) for e in self.terms)
 
-    def coefficient_of(self, i, k):
-        """The coefficient of X_i^k, as a polynomial with zero X_i-degree."""
-        terms = {}
+    def split(self, i):
+        """{k: terms of the coefficient of X_i^k}, their X_i-exponent set to 0."""
+        out = {}
         for e, c in self.terms.items():
-            if e[i] == k:
-                e2 = list(e)
-                e2[i] = 0
-                terms[tuple(e2)] = c
-        out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = terms
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
+        return out
+
+    @classmethod
+    def join(cls, groups, i, nvars, field=QQ):
+        """The polynomial whose X_i-degree split is ``groups``."""
+        out = cls.zero(nvars, field)
+        for k, part in groups.items():
+            out.terms.update((e[:i] + (k,) + e[i + 1 :], c) for e, c in part.items())
         return out
 
     def is_monic_in(self, i):
         """True when the leading X_i-coefficient is the constant 1."""
-        d = self.deg_in(i)
-        if d < 0:
-            return False
-        lead = self.coefficient_of(i, d)
-        return lead.terms == {(0,) * self.nvars: self.field.one}
+        groups = self.split(i)
+        return bool(groups) and groups[max(groups)] == {(0,) * self.nvars: self.field.one}
 
     def truncate(self, cutoff):
         """Drop all terms of total degree above the cutoff."""
@@ -225,6 +226,42 @@ def order_of(f):
     return f.order()
 
 
+def split_divisor(f, g, i):
+    """(lower X_i-coefficients, X_i-degree) of g, a divisor of f monic in X_i."""
+    f._check(g)
+    if not g.is_monic_in(i):
+        raise NotMonicError(f"divisor is not monic in X{i}")
+    groups = g.split(i)
+    dg = max(groups)
+    return [(k, part) for k, part in groups.items() if k < dg], dg
+
+
+def divide_split(rem, lower, dg):
+    """The splits (q, rem) of f = q*g + rem, deg_{X_i} rem < dg, from the
+    split of f (consumed) and the divisor as ``split_divisor`` gives it."""
+    q = {}
+    for d in range(max(rem, default=-1), dg - 1, -1):
+        lead = rem.pop(d, None)
+        if lead is None:
+            continue
+        q[d - dg] = lead
+        for k, part in lower:
+            target = rem.setdefault(d - dg + k, {})
+            for e1, c1 in lead.items():
+                for e2, c2 in part.items():
+                    e = tuple(map(add, e1, e2))
+                    c = target.get(e, 0) - c1 * c2
+                    if c:
+                        target[e] = c
+                    else:
+                        del target[e]
+            if not target:
+                del rem[d - dg + k]
+    if rem and max(rem) >= dg:
+        raise AssertionError(f"division left X_i-degree {max(rem)} >= {dg}")
+    return q, rem
+
+
 def monic_divide(f, g, i):
     """Division with remainder by a divisor monic in X_i.
 
@@ -232,22 +269,9 @@ def monic_divide(f, g, i):
     deg_{X_i}(g).  Since g is monic in X_i no coefficient division happens,
     so quotient and remainder stay in the same ring.
     """
-    f._check(g)
-    if not g.is_monic_in(i):
-        raise NotMonicError(f"divisor is not monic in X{i}")
-    dg = g.deg_in(i)
-    q = MultiPoly.zero(f.nvars, f.field)
-    rem = f
-    xi = MultiPoly.variable(i, f.nvars, f.field)
-    while not rem.is_zero() and rem.deg_in(i) >= dg:
-        d = rem.deg_in(i)
-        lead = rem.coefficient_of(i, d)
-        t = lead * xi ** (d - dg)
-        q = q + t
-        rem = rem - t * g
-        if not rem.is_zero() and rem.deg_in(i) >= d:
-            raise AssertionError(f"division step kept X{i}-degree {d}")
-    return q, rem
+    lower, dg = split_divisor(f, g, i)
+    q, rem = divide_split(f.split(i), lower, dg)
+    return tuple(MultiPoly.join(part, i, f.nvars, f.field) for part in (q, rem))
 
 
 # -- text form ---------------------------------------------------------------

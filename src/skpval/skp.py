@@ -326,9 +326,8 @@ def _check_entry_shape(entry, nvars, cutoff):
         raise AssertionError(entry)
     if not poly.is_monic_in(i):
         raise AssertionError(entry)
-    for k in range(entry.d):
-        coeff = poly.coefficient_of(i, k)
-        if (0,) * nvars in coeff.terms:
+    for k, coeff in poly.split(i).items():
+        if k < entry.d and (0,) * nvars in coeff:
             raise AssertionError(entry)
 
 

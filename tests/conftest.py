@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from skpval import GroupValue, build_skp, compute_relations
+from skpval import GF, GroupValue, build_skp, compute_relations
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +70,13 @@ def example1(example1_table):
 @pytest.fixture(scope="session")
 def free2():
     return build_skp(compute_relations([[(1, 0)], [(0, 1)]]))
+
+
+@pytest.fixture(scope="session")
+def key_tables(diffskp, example2, example1, diffskp_table, example2_table, example1_table):
+    """The diffskp, example2 and example1 tables over Q and over GF(7)."""
+    gf7 = [
+        build_skp(table, field=GF(7))
+        for table in (diffskp_table, example2_table, example1_table)
+    ]
+    return [diffskp, example2, example1] + gf7

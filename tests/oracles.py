@@ -3,17 +3,21 @@
 These deliberately avoid the library's computation paths: the index scan
 walks r = 1, 2, ... with a plain lattice-membership solve, representations
 are found by exhaustive search over the coefficient box, semigroup
-balls come from nested coefficient loops, and the adic expansion has a
-reference loop that rescans the whole working set before every rewrite.
+balls come from nested coefficient loops, the adic expansion has a
+reference loop that rescans the whole working set before every rewrite, and
+division in one variable has a reference that multiplies and subtracts whole
+polynomials at every step.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd, inf
 
+from skpval.errors import NotMonicError
 from skpval.expansion import AdicExpansion, AdicMonomial, vdeg
 from skpval.intlattice import solve_combination
 from skpval.ordgroup import as_group_value, is_finite_index
+from skpval.poly import MultiPoly
 from skpval.skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
 
@@ -110,8 +114,6 @@ def brute_semigroup(values, bound):
 
 def swap_variables(f, perm):
     """Relabel variables of a polynomial by the permutation perm."""
-    from skpval.poly import MultiPoly
-
     terms = {}
     for exps, c in f.terms.items():
         new = [0] * f.nvars
@@ -177,3 +179,77 @@ def rescan_adic_expand(f, skp, alpha=None):
             add(work, tuple(sorted(branch.items())), coeff * theta)
     monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
     return AdicExpansion(skp, alpha, monomials), rewrites
+
+
+def coefficient_of(f, i, k):
+    """The coefficient of X_i^k, as a polynomial with zero X_i-degree."""
+    terms = {}
+    for e, c in f.terms.items():
+        if e[i] == k:
+            e2 = list(e)
+            e2[i] = 0
+            terms[tuple(e2)] = c
+    return MultiPoly(f.nvars, terms, f.field)
+
+
+def long_divide(f, g, i):
+    """Division with remainder by g monic in X_i, one whole-polynomial step
+    at a time: subtract lead * X_i^(d - dg) * g until deg_{X_i} < dg."""
+    f._check(g)
+    dg = g.deg_in(i)
+    unit = MultiPoly.one(f.nvars, f.field)
+    if dg < 0 or coefficient_of(g, i, dg) != unit:
+        raise NotMonicError(f"divisor is not monic in X{i}")
+    q = MultiPoly.zero(f.nvars, f.field)
+    rem = f
+    xi = MultiPoly.variable(i, f.nvars, f.field)
+    while not rem.is_zero() and rem.deg_in(i) >= dg:
+        d = rem.deg_in(i)
+        t = coefficient_of(rem, i, d) * xi ** (d - dg)
+        q = q + t
+        rem = rem - t * g
+        if not rem.is_zero() and rem.deg_in(i) >= d:
+            raise AssertionError(f"division step kept X{i}-degree {d}")
+    return q, rem
+
+
+def long_euclidean_expand(f, skp, j=None, row=None):
+    """Euclidean expansion of a row by ``long_divide``, as a sorted list of
+    (exponent map, coefficient polynomial); the same contract as the
+    library's ``euclidean_expand``."""
+    top = skp.nvars - 1 if row is None else row
+    if j is None:
+        j = skp.row_length(top)
+    if f.is_zero():
+        return []
+
+    def rec(g, jmax):
+        dg = g.deg_in(top)
+        applicable = [
+            j2 for j2 in range(1, jmax + 1) if skp.entries[(top, j2)].d <= dg
+        ]
+        if not applicable:
+            return {(): g}
+        j0 = max(applicable)
+        divisor = skp.entries[(top, j0)].poly
+        coeffs = {}
+        cur = g
+        t = 0
+        while not cur.is_zero():
+            if cur.deg_in(top) < skp.entries[(top, j0)].d:
+                coeffs[t] = cur
+                break
+            q, r = long_divide(cur, divisor, top)
+            if not r.is_zero():
+                coeffs[t] = r
+            cur = q
+            t += 1
+        out = {}
+        for t, ct in coeffs.items():
+            for subkey, cpoly in rec(ct, j0 - 1).items():
+                out[subkey + ((j0, t),) if t else subkey] = cpoly
+        return out
+
+    items = [(dict(key), cpoly) for key, cpoly in rec(f, j).items()]
+    items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
+    return items

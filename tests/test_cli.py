@@ -376,3 +376,42 @@ class TestProblemIntegers:
     def test_table_and_tail_integers(self, tmp_path, capsys, edit):
         path = problem_with(tmp_path, "example1_tail.json", edit)
         assert_schema_error(capsys, "build", path)
+
+
+class TestCommandLineBounds:
+    @pytest.mark.parametrize(
+        "flag, value", [("--coeff-bound", -1), ("--samples", -5), ("--degree-bound", -3)]
+    )
+    def test_negative_bound_is_malformed_input(self, capsys, flag, value):
+        for command in ("verify", "realize"):
+            assert_schema_error(capsys, command, DATA / "free_pair.json", flag, value)
+
+    def test_zero_bounds_are_accepted(self, capsys):
+        code, report = run(
+            capsys, "verify", DATA / "free_pair.json",
+            "--coeff-bound", 0, "--samples", 0, "--degree-bound", 0,
+        )
+        assert code == 0
+        assert report["result"]["realization"]["verification"]["passed"]
+
+
+class TestPrimeFields:
+    def test_large_prime_builds_quickly(self, tmp_path, capsys):
+        import time
+
+        path = swapped_with(tmp_path, field={"prime": 1000000000000000003})
+        start = time.perf_counter()
+        code, report = run(capsys, "build", path)
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert report["status"] == "ok"
+
+    @pytest.mark.parametrize("p", [2047, 1373653, 3215031751, 1000000000000000001])
+    def test_composite_is_malformed_input(self, tmp_path, capsys, p):
+        # 2047 = 23 * 89 passes the base-2 strong test; 1373653 fools bases 2
+        # and 3, 3215031751 bases 2, 3, 5 and 7
+        assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))
+
+    @pytest.mark.parametrize("p", [3317044064679887385961981, 10**30 + 57])
+    def test_prime_beyond_the_exact_range_is_malformed_input(self, tmp_path, capsys, p):
+        assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))

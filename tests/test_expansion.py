@@ -6,8 +6,10 @@ import pytest
 from skpval import (
     IterationCapError,
     MultiPoly,
+    NotMonicError,
     ZeroPolyError,
     adic_expand,
+    build_skp,
     euclidean_expand,
     exponent_from_vdeg,
     minimal_pseudo_skp,
@@ -17,7 +19,7 @@ from skpval import (
 from skpval.expansion import AdicMonomial, monomial_sort_key, vdeg
 from skpval.realize import random_polynomial
 
-from oracles import rescan_adic_expand
+from oracles import long_euclidean_expand, rescan_adic_expand
 
 
 def P(text, nvars=2):
@@ -237,6 +239,59 @@ class TestEuclidean:
                         for exps, coeff in euclidean_expand(f, skp, j)
                     }
                     assert grouped == eucl
+
+
+def exact_expansion(items):
+    """A Euclidean expansion with each coefficient's type spelled out."""
+    return [
+        (exps, c.nvars, c.field, sorted((e, type(v), v) for e, v in c.terms.items()))
+        for exps, c in items
+    ]
+
+
+def assert_expands_like_oracle(f, skp, j, row):
+    try:
+        want = long_euclidean_expand(f, skp, j, row)
+    except NotMonicError:
+        with pytest.raises(NotMonicError):
+            euclidean_expand(f, skp, j, row)
+        return
+    assert exact_expansion(euclidean_expand(f, skp, j, row)) == exact_expansion(want)
+
+
+class TestEuclideanOracle:
+    """euclidean_expand returns exactly the list of the loop that divides
+    whole polynomials (tests/oracles.py)."""
+
+    def test_every_row_and_cutoff(self, key_tables):
+        rng = random.Random(61)
+        for skp in key_tables:
+            # example1's fourteen top-row cutoffs get fewer inputs each
+            polys = 6 if skp.nvars == 2 else 2
+            for row in range(skp.nvars):
+                for j in range(1, skp.row_length(row) + 1):
+                    for _ in range(polys):
+                        f = random_polynomial(rng, skp.nvars, 6, skp.field)
+                        assert_expands_like_oracle(f, skp, j, row)
+                        # a dividend of high degree in the row's variable
+                        g = skp.entries[(row, j)].poly ** 2 * f + f
+                        assert_expands_like_oracle(g, skp, j, row)
+
+    def test_truncated_divisors(self, diffskp_table):
+        # at cutoff 1 the key polynomial X1^2 - X0^3 truncates to 0, which is
+        # not monic; at cutoff 2 it truncates to X1^2
+        rng = random.Random(67)
+        for cutoff in (1, 2, 3):
+            skp = build_skp(diffskp_table, cutoff=cutoff)
+            for j in range(1, skp.row_length(1) + 1):
+                for _ in range(10):
+                    f = random_polynomial(rng, 2, 6)
+                    assert_expands_like_oracle(f, skp, j, 1)
+
+    def test_truncated_divisor_is_refused(self, diffskp_table):
+        skp = build_skp(diffskp_table, cutoff=1)
+        with pytest.raises(NotMonicError):
+            euclidean_expand(P("X1^2"), skp, 2)
 
 
 class TestGuards:

@@ -14,7 +14,11 @@ from skpval import (
     order_of,
     parse_poly,
 )
+from skpval.fields import QQ
 from skpval.poly import poly_from_json
+from skpval.realize import random_polynomial
+
+from oracles import long_divide
 
 
 def P(text, nvars=2, field=None):
@@ -156,3 +160,146 @@ class TestTextAndJson:
     def test_json_round_trip(self):
         f = P("X1^2 - 5/3*X0^3")
         assert poly_from_json(f.to_json(), 2) == f
+
+
+def exact(p):
+    """A polynomial's ring and terms, with each coefficient's type."""
+    return p.nvars, p.field, sorted((e, type(c), c) for e, c in p.terms.items())
+
+
+def assert_divides_like_oracle(f, g, i):
+    try:
+        want = long_divide(f, g, i)
+    except NotMonicError:
+        with pytest.raises(NotMonicError):
+            monic_divide(f, g, i)
+        return
+    q, r = monic_divide(f, g, i)
+    assert (exact(q), exact(r)) == tuple(exact(p) for p in want)
+
+
+def random_monic(rng, nvars, i, field):
+    """X_i^dg plus up to four lower terms, dg in 1..3."""
+    dg = rng.randint(1, 3)
+    exps = [0] * nvars
+    exps[i] = dg
+    g = MultiPoly.monomial(exps, 1, nvars, field)
+    for _ in range(rng.randint(0, 4)):
+        exps = [rng.randint(0, 4) for _ in range(nvars)]
+        exps[i] = rng.randint(0, dg - 1)
+        g = g + MultiPoly.monomial(exps, rng.randint(-4, 4), nvars, field)
+    return g
+
+
+class TestDivisionOracle:
+    """monic_divide returns exactly the whole-polynomial step loop's (q, rem)."""
+
+    def test_roundtrip_500_inputs(self):
+        # the dividends and divisors of TestMonicDivide.test_roundtrip_500
+        rng = random.Random(2024)
+        for _ in range(500):
+            f = random_poly(rng, 2, 8)
+            dg = rng.randint(1, 3)
+            g = MultiPoly.monomial((0, dg), 1, 2)
+            for _ in range(rng.randint(0, 4)):
+                exps = (rng.randint(0, 4), rng.randint(0, dg - 1))
+                g = g + MultiPoly.monomial(exps, Fraction(rng.randint(-4, 4)), 2)
+            assert_divides_like_oracle(f, g, 1)
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("nvars", [2, 3])
+    def test_random_monic_divisors(self, field, nvars):
+        rng = random.Random(97 + nvars)
+        for _ in range(150):
+            i = rng.randrange(nvars)
+            g = random_monic(rng, nvars, i, field)
+            f = random_polynomial(rng, nvars, 6, field)
+            assert_divides_like_oracle(f, g, i)
+            assert_divides_like_oracle(f * g + random_polynomial(rng, nvars, 4, field), g, i)
+
+    def test_key_polynomial_divisors(self, key_tables):
+        rng = random.Random(41)
+        for skp in key_tables:
+            for (i, _), entry in sorted(skp.entries.items()):
+                g = entry.poly
+                for _ in range(4):
+                    f = random_polynomial(rng, skp.nvars, 5, skp.field)
+                    assert_divides_like_oracle(f, g, i)
+                    a = random_polynomial(rng, skp.nvars, 3, skp.field)
+                    assert_divides_like_oracle(a * g + f, g, i)
+
+    def test_not_monic_and_ring_checks(self):
+        f = P("X1^3 + X0")
+        for g in (P("2*X1 - X0"), P("X0*X1 - 1"), MultiPoly.zero(2)):
+            assert_divides_like_oracle(f, g, 1)
+        with pytest.raises(ValueError):
+            monic_divide(f, P("X1", nvars=3), 1)
+        with pytest.raises(ValueError):
+            monic_divide(f, P("X1", field=GF(7)), 1)
+
+
+def to_sympy(f, symbols):
+    import sympy
+
+    total = sympy.Integer(0)
+    for e, c in f.terms.items():
+        c = c if f.field == QQ else Fraction(c.v)
+        term = sympy.Rational(c.numerator, c.denominator)
+        for x, k in zip(symbols, e):
+            term *= x**k
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_monic_divide_matches_sympy(field):
+    """Over Q, sympy divides in X_i over QQ[other variables]; over GF(7),
+    reduction by g in lex order with X_i first is the same division, since
+    g's leading term there is X_i^dg."""
+    sympy = pytest.importorskip("sympy")
+    opts = {} if field == QQ else {"modulus": field.p}
+    rng = random.Random(1234)
+    for _ in range(30):
+        nvars = rng.choice((2, 3))
+        symbols = sympy.symbols(f"x0:{nvars}")
+        i = rng.randrange(nvars)
+        others = [x for k, x in enumerate(symbols) if k != i]
+        g = random_monic(rng, nvars, i, field)
+        f = random_polynomial(rng, nvars, 6, field) * random_polynomial(rng, nvars, 2, field)
+        sf, sg = to_sympy(f, symbols), to_sympy(g, symbols)
+        if field == QQ:
+            domain = sympy.QQ[tuple(others)]
+            sq, sr = sympy.Poly(sf, symbols[i], domain=domain).div(
+                sympy.Poly(sg, symbols[i], domain=domain)
+            )
+            sq, sr = sq.as_expr(), sr.as_expr()
+        else:
+            (sq,), sr = sympy.reduced(sf, [sg], symbols[i], *others, order="lex", **opts)
+        q, r = monic_divide(f, g, i)
+        for ours, theirs in ((q, sq), (r, sr)):
+            assert sympy.Poly(to_sympy(ours, symbols) - theirs, *symbols, **opts).is_zero
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        from skpval.fields import is_prime
+
+        def trial(p):
+            return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+        assert all(is_prime(p) == trial(p) for p in range(-3, 20000))
+        rng = random.Random(17)
+        for _ in range(300):
+            p = rng.randrange(10**9, 10**10)
+            assert is_prime(p) == trial(p)
+
+    def test_strong_pseudoprimes_and_large_primes(self):
+        from skpval.fields import is_prime
+
+        # the least strong pseudoprimes to the first k prime bases, k = 1..12
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n)
+        assert is_prime(1000000000000000003) and is_prime(2**61 - 1)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))
