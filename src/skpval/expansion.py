@@ -136,7 +136,7 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
         if alpha[i] == 0:
             raise ValueError(f"X{i} appears but row {i} has no key polynomials")
 
-    zero = skp.field.zero
+    reduce = skp.field.reduce
     cutoff = skp.cutoff
     # a key polynomial the cutoff truncated to 0 refuses the expansion here
     orders = entry_orders(skp)
@@ -161,13 +161,13 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             return
         cur = work.get(key)
         if cur is not None:
-            cur = cur + coeff
-            if cur == zero:
+            cur = reduce(cur + coeff)
+            if not cur:
                 del work[key]
             else:
                 work[key] = cur
             return
-        if coeff == zero:
+        if not coeff:
             return
         work[key] = coeff
         index = None
@@ -205,7 +205,7 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             branch = dict(base)
             for idx, e in mmap.items():
                 branch[idx] = branch.get(idx, 0) + e
-            add(tuple(sorted(branch.items())), coeff * theta)
+            add(tuple(sorted(branch.items())), reduce(coeff * theta))
 
     monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
     return AdicExpansion(skp, alpha, monomials)
@@ -283,7 +283,7 @@ def euclidean_expand(f, skp, j=None, row=None):
             if max(cur) < d0:
                 coeffs[t] = cur
                 break
-            q, r = divide_split(cur, lower, d0)
+            q, r = divide_split(cur, lower, d0, f.field)
             if r:
                 coeffs[t] = r
             cur = q

@@ -1,8 +1,13 @@
 """Scalar coefficient fields: exact rationals and prime fields.
 
-Every field object exposes ``zero``, ``one``, ``of`` (coercion from int,
-Fraction, string, or a field element) and ``parse``/``format`` for the
-string forms used in JSON ("p/q" or "p").
+Coefficients are plain Python numbers: over Q an ``int`` when the value is
+integral and a ``fractions.Fraction`` otherwise, over F_p an ``int`` in
+[0, p).  Python's operators do the arithmetic; every stored result goes
+through the field's ``reduce``, which restores that form.
+
+Every field object exposes ``zero``, ``one``, ``reduce``, ``of`` (coercion
+from int, Fraction or string) and ``parse``/``format`` for the string forms
+used in JSON ("p/q" or "p").
 """
 
 from fractions import Fraction
@@ -11,24 +16,30 @@ from .errors import SchemaError
 
 
 class RationalField:
-    """The field of rationals, elements are fractions.Fraction."""
+    """The field of rationals: ints, and Fractions for non-integral values."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
+
+    def reduce(self, c):
+        """An integral Fraction as an int; any other value unchanged."""
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return self.reduce(x)
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def parse(self, s):
         try:
-            return Fraction(s.strip())
+            return self.reduce(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad rational literal {s!r}") from exc
 
@@ -46,83 +57,6 @@ class RationalField:
 
 
 QQ = RationalField()
-
-
-class FpElement:
-    """An element of F_p; arithmetic stays reduced mod p."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _check(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise TypeError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        return FpElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._check(other)
-        if o is NotImplemented:
-            return o
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return self * FpElement(self.p, pow(o.v, self.p - 2, self.p))
-
-    def __pow__(self, n):
-        return FpElement(self.p, pow(self.v, n, self.p))
-
-    def __neg__(self):
-        return FpElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 # strong-probable-prime bases that make Miller-Rabin exact below MAX_PRIME
@@ -145,7 +79,11 @@ def is_prime(p):
 
 
 class PrimeField:
-    """F_p for a prime p, behind the same interface as the rationals."""
+    """F_p for a prime p, behind the same interface as the rationals;
+    elements are ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p):
         if p >= MAX_PRIME:
@@ -154,22 +92,20 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"F{p}"
-        self.zero = FpElement(p, 0)
-        self.one = FpElement(p, 1)
+
+    def reduce(self, c):
+        """The residue of an int in [0, p)."""
+        return c % self.p
 
     def of(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise TypeError("mixed prime fields")
-            return x
         if isinstance(x, int):
-            return FpElement(self.p, x)
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise SchemaError(
                     f"{x} is not in {self.name}: denominator divisible by {self.p}"
                 )
-            return FpElement(self.p, x.numerator) / FpElement(self.p, x.denominator)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
@@ -178,7 +114,7 @@ class PrimeField:
         return self.of(QQ.parse(s))
 
     def format(self, x):
-        return str(x.v)
+        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

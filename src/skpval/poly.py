@@ -1,8 +1,11 @@
 """Sparse exact multivariate polynomials over Q or a prime field.
 
 Terms are stored as a map from exponent tuple (one entry per variable) to a
-nonzero coefficient.  Arithmetic is exact; nothing here ever introduces a
-denominator that the scalar field does not already carry.
+nonzero coefficient in the field's form (``fields``): an int, or over Q a
+Fraction when it is not integral.  Python's operators do the arithmetic and
+every stored result passes through ``field.reduce``.  Arithmetic is exact;
+nothing here ever introduces a denominator that the scalar field does not
+already carry.
 
 The one nontrivial algorithm is division with remainder in X_i by a divisor
 monic in X_i, which keeps quotient and remainder in the same ring.  It runs
@@ -27,8 +30,8 @@ class MultiPoly:
         self.field = field
         clean = {}
         for exps, c in (terms or {}).items():
-            c = field.of(c) if not _is_field_elem(c, field) else c
-            if c == field.zero:
+            c = field.of(c)
+            if not c:
                 continue
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
@@ -70,20 +73,22 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
+        reduce = self.field.reduce
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            c2 = terms.get(e, self.field.zero) + c
-            if c2 == self.field.zero:
+            c = reduce(terms.get(e, 0) + c)
+            if not c:
                 terms.pop(e, None)
             else:
-                terms[e] = c2
+                terms[e] = c
         out = MultiPoly.zero(self.nvars, self.field)
         out.terms = terms
         return out
 
     def __neg__(self):
+        reduce = self.field.reduce
         out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = {e: -c for e, c in self.terms.items()}
+        out.terms = {e: reduce(-c) for e, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
@@ -94,17 +99,13 @@ class MultiPoly:
             return self.scale(other)
         self._check(other)
         terms = {}
-        zero = self.field.zero
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = terms.get(e, zero) + c1 * c2
-                if c == zero:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = c
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        reduce = self.field.reduce
         out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = terms
+        out.terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
         return out
 
     def __rmul__(self, other):
@@ -112,10 +113,10 @@ class MultiPoly:
 
     def scale(self, c):
         c = self.field.of(c)
-        if c == self.field.zero:
-            return MultiPoly.zero(self.nvars, self.field)
+        reduce = self.field.reduce
         out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = {e: c * v for e, v in self.terms.items()}
+        if c:
+            out.terms = {e: reduce(c * v) for e, v in self.terms.items()}
         return out
 
     def __pow__(self, n):
@@ -217,10 +218,6 @@ class MultiPoly:
         }
 
 
-def _is_field_elem(c, field):
-    return type(c) is type(field.zero) and not isinstance(c, int)
-
-
 def order_of(f):
     """Minimum total degree of a nonzero polynomial."""
     return f.order()
@@ -236,9 +233,10 @@ def split_divisor(f, g, i):
     return [(k, part) for k, part in groups.items() if k < dg], dg
 
 
-def divide_split(rem, lower, dg):
+def divide_split(rem, lower, dg, field):
     """The splits (q, rem) of f = q*g + rem, deg_{X_i} rem < dg, from the
     split of f (consumed) and the divisor as ``split_divisor`` gives it."""
+    reduce = field.reduce
     q = {}
     for d in range(max(rem, default=-1), dg - 1, -1):
         lead = rem.pop(d, None)
@@ -250,7 +248,7 @@ def divide_split(rem, lower, dg):
             for e1, c1 in lead.items():
                 for e2, c2 in part.items():
                     e = tuple(map(add, e1, e2))
-                    c = target.get(e, 0) - c1 * c2
+                    c = reduce(target.get(e, 0) - c1 * c2)
                     if c:
                         target[e] = c
                     else:
@@ -270,7 +268,7 @@ def monic_divide(f, g, i):
     so quotient and remainder stay in the same ring.
     """
     lower, dg = split_divisor(f, g, i)
-    q, rem = divide_split(f.split(i), lower, dg)
+    q, rem = divide_split(f.split(i), lower, dg, f.field)
     return tuple(MultiPoly.join(part, i, f.nvars, f.field) for part in (q, rem))
 
 

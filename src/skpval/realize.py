@@ -16,7 +16,6 @@ generator (always independent) then sits alone in row 0.
 """
 
 import random
-from fractions import Fraction
 
 from .errors import InvalidTableError, VerificationFailedError
 from .fields import QQ
@@ -262,7 +261,8 @@ class VerificationVerdict:
 
 
 def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None, max_terms=5):
-    """A random nonzero polynomial with small integer coefficients."""
+    """A random nonzero polynomial with small integer coefficients, each in
+    the field's form (``field.of``)."""
     if variables is None:
         variables = list(range(nvars))
     while True:
@@ -277,7 +277,7 @@ def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None, max_term
             c = rng.randint(-5, 5)
             if c == 0:
                 c = 1
-            terms[tuple(exps)] = field.of(Fraction(c))
+            terms[tuple(exps)] = field.of(c)
         f = MultiPoly(nvars, terms, field)
         if not f.is_zero():
             return f

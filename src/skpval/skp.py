@@ -13,6 +13,7 @@ table the collapsed chain.
 """
 
 import functools
+from fractions import Fraction
 
 from .errors import (
     InvalidTableError,
@@ -21,7 +22,7 @@ from .errors import (
     ThetaZeroError,
 )
 from .fields import QQ
-from .ordgroup import _integer_rows, is_finite_index
+from .ordgroup import GroupValue, _integer_rows, is_finite_index
 from .poly import MultiPoly
 from .valtable import ValueTable, compute_relations, validate_table
 
@@ -181,6 +182,12 @@ class SkpTable:
         """(index -> beta as an integer vector, common denominator)."""
         rows, denom = _integer_rows([self.entries[idx].beta for idx in self.order])
         return dict(zip(self.order, rows)), denom
+
+    def group_value(self, vector):
+        """The GroupValue of an integer vector over the common denominator
+        of ``integer_betas``."""
+        denom = self.integer_betas[1]
+        return GroupValue(tuple(Fraction(c, denom) for c in vector))
 
     def monomial_poly(self, exps):
         """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""

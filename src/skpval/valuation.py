@@ -34,9 +34,6 @@ class SkpValuation:
     def dimension(self):
         return self.skp.dimension
 
-    def zero_value(self):
-        return GroupValue((0,) * self.dimension)
-
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp.values!r})"
 
@@ -49,35 +46,33 @@ def monomial_value(exps, skp):
     return total
 
 
-def _valued_expansion(f, valuation):
-    """The adic expansion of f and the value of each of its monomials.
+def _integer_value(exps, betas, start):
+    """start + sum e * beta over an exponent map, with each beta an integer
+    vector over the table's common denominator (``SkpTable.integer_betas``).
+    Integer vectors compare as tuples in the order of their GroupValues,
+    since the common denominator is positive."""
+    total = list(start)
+    for idx, e in exps.items():
+        for k, c in enumerate(betas[idx]):
+            total[k] += e * c
+    return tuple(total)
 
-    Each beta is an integer vector over the table's common denominator, so
-    a monomial's value is an integer sum; one GroupValue is built per
-    distinct sum.
-    """
+
+def _valued_expansion(f, valuation):
+    """The adic expansion of f and the value of each of its monomials, as
+    integer vectors (``_integer_value``)."""
     skp = valuation.skp
     expansion = adic_expand(f, skp, valuation.alpha)
     if not len(expansion):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
-    betas, denom = skp.integer_betas
-    values = {}
-    out = []
-    for m in expansion:
-        total = [0] * skp.dimension
-        for idx, e in m.exps.items():
-            for k, c in enumerate(betas[idx]):
-                total[k] += e * c
-        total = tuple(total)
-        if total not in values:
-            values[total] = GroupValue(tuple(Fraction(c, denom) for c in total))
-        out.append(values[total])
-    return expansion, out
+    betas, _ = skp.integer_betas
+    origin = (0,) * skp.dimension
+    return expansion, [_integer_value(m.exps, betas, origin) for m in expansion]
 
 
 def value_of(f, valuation):
     """The valuation of a nonzero polynomial via its adic expansion."""
-    return min(_valued_expansion(f, valuation)[1])
+    return valuation.skp.group_value(min(_valued_expansion(f, valuation)[1]))
 
 
 def value_of_fraction(num, den, valuation):
@@ -124,22 +119,24 @@ def value_via_euclidean(f, valuation):
     """The valuation computed through row-by-row Euclidean expansions."""
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
-    return _euclid_value(f, valuation, valuation.skp.nvars - 1)
+    skp = valuation.skp
+    return skp.group_value(_euclid_value(f, valuation, skp.nvars - 1))
 
 
 def _euclid_value(f, valuation, top):
+    """The value of f on rows 0..top as an integer vector (``_integer_value``)."""
     skp = valuation.skp
     if top < 0 or f.total_degree() == 0:
-        return valuation.zero_value()
+        return (0,) * skp.dimension
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
         if f.deg_in(top) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return _euclid_value(f, valuation, top - 1)
+    betas, _ = skp.integer_betas
     best = None
     for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top):
-        part = _euclid_value(coeff, valuation, top - 1)
-        for j, e in exps.items():
-            part = part + skp.entries[(top, j)].beta.scale(e)
+        lower = _euclid_value(coeff, valuation, top - 1)
+        part = _integer_value({(top, j): e for j, e in exps.items()}, betas, lower)
         if best is None or part < best:
             best = part
     return best
@@ -228,7 +225,7 @@ def graded_normal_form(f, valuation, unconstrained_rows=()):
 
     common_J = None
     torus = {}
-    zero = skp.field.zero
+    reduce = skp.field.reduce
     for mono in inf_form:
         exps = dict(mono.exps)
         coeff = mono.coeff
@@ -262,8 +259,8 @@ def graded_normal_form(f, valuation, unconstrained_rows=()):
         elif common_J != exps:
             raise AssertionError("normal-form base exponent differs")
         key = tuple(tdeg[i] for i in A)
-        cur = torus.get(key, zero) + coeff
-        if cur == zero:
+        cur = reduce(torus.get(key, 0) + coeff)
+        if not cur:
             torus.pop(key, None)
         else:
             torus[key] = cur

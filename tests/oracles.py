@@ -4,9 +4,10 @@ These deliberately avoid the library's computation paths: the index scan
 walks r = 1, 2, ... with a plain lattice-membership solve, representations
 are found by exhaustive search over the coefficient box, semigroup
 balls come from nested coefficient loops, the adic expansion has a
-reference loop that rescans the whole working set before every rewrite, and
+reference loop that rescans the whole working set before every rewrite,
 division in one variable has a reference that multiplies and subtracts whole
-polynomials at every step.
+polynomials at every step, and the Euclidean value has a reference that sums
+GroupValues of Fractions instead of integer vectors.
 """
 
 import itertools
@@ -14,9 +15,9 @@ from fractions import Fraction
 from math import gcd, inf
 
 from skpval.errors import NotMonicError
-from skpval.expansion import AdicExpansion, AdicMonomial, vdeg
+from skpval.expansion import AdicExpansion, AdicMonomial, euclidean_expand, vdeg
 from skpval.intlattice import solve_combination
-from skpval.ordgroup import as_group_value, is_finite_index
+from skpval.ordgroup import GroupValue, as_group_value, is_finite_index
 from skpval.poly import MultiPoly
 from skpval.skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
@@ -138,7 +139,7 @@ def rescan_adic_expand(f, skp, alpha=None):
     def add(work, key, coeff):
         if cutoff is not None and u_order(key, skp.entries, orders) > cutoff:
             return
-        cur = work.get(key, zero) + coeff
+        cur = skp.field.reduce(work.get(key, zero) + coeff)
         if cur == zero:
             work.pop(key, None)
         else:
@@ -253,3 +254,23 @@ def long_euclidean_expand(f, skp, j=None, row=None):
     items = [(dict(key), cpoly) for key, cpoly in rec(f, j).items()]
     items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
     return items
+
+
+def group_euclid_value(f, valuation, top):
+    """The value of f on rows 0..top through Euclidean expansions, each piece
+    summed as a GroupValue (``part + beta.scale(e)``) and compared as one."""
+    skp = valuation.skp
+    if top < 0 or f.total_degree() == 0:
+        return GroupValue((0,) * valuation.dimension)
+    if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
+        if f.deg_in(top) > 0:
+            raise ValueError(f"X{top} appears but row {top} is not usable")
+        return group_euclid_value(f, valuation, top - 1)
+    best = None
+    for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top):
+        part = group_euclid_value(coeff, valuation, top - 1)
+        for j, e in exps.items():
+            part = part + skp.entries[(top, j)].beta.scale(e)
+        if best is None or part < best:
+            best = part
+    return best

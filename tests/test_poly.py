@@ -243,7 +243,7 @@ def to_sympy(f, symbols):
 
     total = sympy.Integer(0)
     for e, c in f.terms.items():
-        c = c if f.field == QQ else Fraction(c.v)
+        c = c if f.field == QQ else Fraction(c)
         term = sympy.Rational(c.numerator, c.denominator)
         for x, k in zip(symbols, e):
             term *= x**k
@@ -278,6 +278,58 @@ def test_monic_divide_matches_sympy(field):
         q, r = monic_divide(f, g, i)
         for ours, theirs in ((q, sq), (r, sr)):
             assert sympy.Poly(to_sympy(ours, symbols) - theirs, *symbols, **opts).is_zero
+
+
+def assert_same_as_sympy(ours, theirs, symbols, field):
+    """ours equals the rational expression theirs, read in ``field``: over
+    GF(p) every coefficient of the difference has a numerator divisible by p
+    (the denominators drawn are below p)."""
+    import sympy
+
+    diff = sympy.Poly(to_sympy(ours, symbols) - theirs, *symbols, domain="QQ")
+    modulus = 0 if field == QQ else field.p
+    assert all(c.p % modulus == 0 if modulus else c == 0 for c in diff.coeffs())
+
+
+def random_text(rng, depth):
+    """Polynomial text over X0..X2 with rationals, powers, unary minus and
+    nested parentheses."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(
+            ["X0", "X1", "X2", str(rng.randint(0, 9)), f"{rng.randint(1, 9)}/{rng.randint(1, 6)}"]
+        )
+    a, b = random_text(rng, depth - 1), random_text(rng, depth - 1)
+    form = rng.choice(["({}) + {}", "{} - ({})", "({}) * ({})", "-({}) * {}", "({})^{}"])
+    if form == "({})^{}":
+        return form.format(a, rng.randint(0, 3))
+    return form.format(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_ring_operations_match_sympy(field):
+    """+, -, * and ** agree with sympy's arithmetic over QQ, read in the field."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x0:3")
+    rng = random.Random(4321)
+    for _ in range(40):
+        f = random_polynomial(rng, 3, 4, field).scale(Fraction(rng.randint(1, 5), rng.randint(1, 6)))
+        g = random_polynomial(rng, 3, 4, field)
+        k = rng.randint(0, 4)
+        sf, sg = to_sympy(f, symbols), to_sympy(g, symbols)
+        for ours, theirs in ((f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg), (f**k, sf**k)):
+            assert_same_as_sympy(ours, theirs, symbols, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_parse_poly_matches_sympy(field):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x0:3")
+    names = {f"X{i}": x for i, x in enumerate(symbols)}
+    rng = random.Random(8765)
+    for _ in range(60):
+        text = random_text(rng, 4)
+        theirs = sympy.sympify(text.replace("^", "**"), locals=names)
+        assert_same_as_sympy(P(text, 3, field), theirs, symbols, field)
 
 
 class TestPrimality:

@@ -1,0 +1,113 @@
+"""Hypothesis properties of the valuation on the tables of tests/data.
+
+Every ``skp`` problem in tests/data is loaded as the CLI loads it, and the
+plane-curve table once more over GF(7).  Polynomials are drawn with small
+total degree and with coefficients that are integers or, over Q, fractions
+with small denominators.  Example counts are capped to keep tier-1 quick.
+
+The valuation axioms are checked on the tables without a truncation cutoff.
+Under a cutoff the adic expansion drops monomials of high U-order, so a
+value may be too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1)
+by the adic route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
+``truncation_valid: false``.  That table is checked by the expansion
+property, which holds under any cutoff.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from skpval import MultiPoly, SkpValuation, adic_expand, value_of, value_via_euclidean
+from skpval.fields import QQ
+from skpval.jsonio import build_from_problem
+
+DATA = Path(__file__).parent / "data"
+
+# problem file, field override, largest total degree drawn
+TABLES = {
+    "remark_diffskp": ("remark_diffskp.json", None, 5),
+    "swapped_diffskp": ("swapped_diffskp.json", None, 5),
+    "example2": ("example2.json", None, 5),
+    "example1_tail": ("example1_tail.json", None, 2),
+    "remark_diffskp_gf7": ("remark_diffskp.json", {"prime": 7}, 5),
+}
+
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def valuations():
+    out = {}
+    for name, (filename, field, degree) in TABLES.items():
+        data = json.loads((DATA / filename).read_text())
+        if field is not None:
+            data["field"] = field
+        out[name] = (SkpValuation(build_from_problem(data)), degree)
+    return out
+
+
+@st.composite
+def polynomials(draw, nvars, field, degree):
+    """A nonzero polynomial of total degree at most ``degree``."""
+    exps = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars).filter(
+        lambda e: sum(e) <= degree
+    )
+    if field == QQ:
+        coeffs = st.builds(
+            Fraction, st.integers(-5, 5).filter(bool), st.sampled_from((1, 1, 2, 3))
+        )
+    else:
+        coeffs = st.integers(1, field.p - 1)
+    terms = draw(st.dictionaries(exps.map(tuple), coeffs, min_size=1, max_size=4))
+    return MultiPoly(nvars, terms, field)
+
+
+def draw_poly(data, valuation, degree):
+    skp = valuation.skp
+    return data.draw(polynomials(skp.nvars, skp.field, degree))
+
+
+# the tables whose values are exact: no truncation cutoff
+EXACT_TABLES = [name for name in TABLES if name != "example1_tail"]
+
+
+@pytest.mark.parametrize("name", EXACT_TABLES)
+class TestValuationAxioms:
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_product_adds_values(self, valuations, name, data):
+        v, degree = valuations[name]
+        half = max(degree // 2, 1)
+        f, g = draw_poly(data, v, half), draw_poly(data, v, half)
+        assert value_of(f * g, v) == value_of(f, v) + value_of(g, v)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_sum_is_at_least_the_minimum(self, valuations, name, data):
+        v, degree = valuations[name]
+        f, g = draw_poly(data, v, degree), draw_poly(data, v, degree)
+        if (f + g).is_zero():
+            return
+        vf, vg, vs = value_of(f, v), value_of(g, v), value_of(f + g, v)
+        assert vs >= min(vf, vg)
+        if vf != vg:
+            assert vs == min(vf, vg)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_adic_and_euclidean_routes_agree(self, valuations, name, data):
+        v, degree = valuations[name]
+        f = draw_poly(data, v, degree)
+        assert value_of(f, v) == value_via_euclidean(f, v)
+
+
+@pytest.mark.parametrize("name", TABLES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_expansion_evaluates_back(valuations, name, data):
+    v, degree = valuations[name]
+    f = draw_poly(data, v, degree)
+    assert adic_expand(f, v.skp).evaluate() == f.truncate(v.skp.cutoff)

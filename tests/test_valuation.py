@@ -22,6 +22,8 @@ from skpval.expansion import vp
 from skpval.realize import random_polynomial
 from skpval.valuation import value_report
 
+from oracles import group_euclid_value
+
 
 def P(text, nvars=2):
     return parse_poly(text, nvars)
@@ -100,6 +102,29 @@ class TestEuclideanAgreement:
             for _ in range(70):
                 f = random_polynomial(rng, skp.nvars, 5)
                 assert value_of(f, v) == value_via_euclidean(f, v)
+
+
+class TestEuclideanValueOracle:
+    """value_via_euclidean, summing integer vectors, equals the reference
+    that sums GroupValues (tests/oracles.py)."""
+
+    def test_integer_betas_give_back_every_beta(self, key_tables):
+        for skp in key_tables:
+            betas, _ = skp.integer_betas
+            for idx in skp.order:
+                assert skp.group_value(betas[idx]).coords == skp.entries[idx].beta.coords
+
+    def test_random_polynomials(self, key_tables):
+        rng = random.Random(83)
+        for skp in key_tables:
+            polys = 25 if skp.nvars == 2 else 10
+            # the full vector and the top row cut at its second entry
+            for alpha in (skp.full_alpha(), skp.full_alpha()[:-1] + (2,)):
+                v = SkpValuation(skp, alpha)
+                for _ in range(polys):
+                    f = random_polynomial(rng, skp.nvars, 6, skp.field)
+                    want = group_euclid_value(f, v, skp.nvars - 1)
+                    assert value_via_euclidean(f, v).coords == want.coords
 
 
 class TestRestriction:
