@@ -89,10 +89,10 @@ def abhyankar_check(report, num_vars):
 def inductive_invariants(skp, declared_infinite_rows=()):
     """Row-by-row accumulation of the invariants of a built table.
 
-    r.rk grows when a row-final value leaves the Q-span of everything
-    earlier; rk when the span achieves a new isolated level; the torus
-    count (= tr.deg) collects rows not declared infinite whose final entry
-    has finite index.
+    r.rk is the number of entries of infinite index so far (each leaves the
+    Q-span of everything earlier); rk grows when the span achieves a new
+    isolated level; the torus count (= tr.deg) collects rows not declared
+    infinite whose final entry has finite index.
     """
     declared = set(declared_infinite_rows)
     seen = []
@@ -107,8 +107,9 @@ def inductive_invariants(skp, declared_infinite_rows=()):
                 {"row": i, "r_rk": prev_rrk, "rk": prev_rk, "torus": False}
             )
             continue
-        seen.extend(skp.entries[(i, j)].beta for j in range(1, length + 1))
-        rrk = rational_rank(seen)
+        row = [skp.entries[(i, j)] for j in range(1, length + 1)]
+        seen.extend(e.beta for e in row)
+        rrk = prev_rrk + sum(1 for e in row if not is_finite_index(e.n))
         rk = len(span_levels(seen))
         in_a = (
             i not in declared

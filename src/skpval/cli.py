@@ -1,6 +1,6 @@
 """skpval command line: parse a JSON problem file, dispatch, emit a report.
 
-Exit codes: 0 success, 1 domain validation failure, 2 malformed input.
+Exit codes: 0 success, 1 domain failure or internal fault, 2 malformed input.
 Reports are byte-deterministic for identical inputs and tool version.
 """
 
@@ -14,8 +14,7 @@ from . import __version__
 from .classify import abhyankar_check, classify_table1
 from .errors import SchemaError, SkpvalError
 from . import jsonio
-from .poly import parse_poly
-from .realize import realize, verify_realization
+from .realize import CORRECTED, LITERAL, realize, verify_realization
 from .skp import minimal_pseudo_skp
 from .valuation import (
     SkpValuation,
@@ -76,14 +75,14 @@ def cmd_expand(args):
     data, digest = _read_problem(args.file)
     skp = jsonio.build_from_problem(data)
     alpha = jsonio.load_alpha(args.alpha, skp)
-    f = parse_poly(args.poly, skp.nvars, skp.field)
+    f = jsonio.load_poly(args.poly, skp)
     expansion = adic_expand(f, skp, alpha)
     return 0, digest, {"expansion": expansion.to_json()}
 
 
 def cmd_eval(args):
     valuation, digest = _load_valuation(args)
-    f = parse_poly(args.poly, valuation.skp.nvars, valuation.skp.field)
+    f = jsonio.load_poly(args.poly, valuation.skp)
     value, trunc_ok = value_report(f, valuation)
     payload = {"value": value.to_json(), "value_str": str(value)}
     if trunc_ok is not None:
@@ -93,7 +92,7 @@ def cmd_eval(args):
 
 def cmd_initial(args):
     valuation, digest = _load_valuation(args)
-    f = parse_poly(args.poly, valuation.skp.nvars, valuation.skp.field)
+    f = jsonio.load_poly(args.poly, valuation.skp)
     form = initial_form(f, valuation)
     return 0, digest, {"initial_form": form.to_json()}
 
@@ -101,13 +100,16 @@ def cmd_initial(args):
 def cmd_delta(args):
     data, digest = _read_problem(args.skp)
     skp = jsonio.build_from_problem(data)
-    f = parse_poly(args.poly, skp.nvars, skp.field)
+    f = jsonio.load_poly(args.poly, skp)
+    length = skp.row_length(skp.nvars - 1)
+    if not 1 <= args.j <= length:
+        raise SchemaError(f"--j {args.j} outside the top row 1..{length}")
     return 0, digest, {"delta": delta_of(f, skp, args.j)}
 
 
 def cmd_normal_form(args):
     valuation, digest = _load_valuation(args)
-    f = parse_poly(args.poly, valuation.skp.nvars, valuation.skp.field)
+    f = jsonio.load_poly(args.poly, valuation.skp)
     nf = graded_normal_form(f, valuation)
     return 0, digest, {"normal_form": nf.to_json(valuation.skp.field)}
 
@@ -125,7 +127,7 @@ def cmd_classify(args):
     from .classify import inductive_invariants
 
     skp = jsonio.build_from_problem(data)
-    declared = data.get("declared_infinite_rows") or ()
+    declared = jsonio.load_declared_rows(data, skp.nvars)
     report = inductive_invariants(skp, declared)
     payload = report.to_json()
     payload["abhyankar"] = abhyankar_check(report, skp.nvars)
@@ -138,7 +140,9 @@ def cmd_realize(args):
             jsonio.load_int(getattr(args, key), "--" + key.replace("_", "-"), nonnegative=True)
     data, digest = _read_problem(args.file)
     spec = jsonio.load_semigroup_spec(data)
-    mode = args.mode or data.get("mode", "corrected")
+    mode = args.mode or data.get("mode", CORRECTED)
+    if mode not in (LITERAL, CORRECTED):
+        raise SchemaError(f"unknown mode {mode!r}")
     thetas = jsonio.load_thetas(data, spec.field)
     result = realize(spec, mode, thetas)
     payload = {
@@ -252,11 +256,6 @@ def run_command(argv):
             diagnostic["validation"] = exc.report.to_json()
         report["diagnostics"].append(diagnostic)
         code = 1
-    except ValueError as exc:
-        # bad argument values (cutoff vectors, positions) count as malformed input
-        report["status"] = "error"
-        report["diagnostics"].append({"kind": "value", "message": str(exc)})
-        code = 2
     except Exception as exc:  # never crash: surface as a diagnostic
         report["status"] = "error"
         report["diagnostics"].append(

@@ -1,10 +1,11 @@
 """Exact integer-lattice linear algebra.
 
 Row-style echelon reduction over the integers with a unimodular transform,
-used for lattice membership, solving t = sum c_i v_i over Z, and left-kernel
-computation.  Matrices are lists of lists of Python ints; sizes here are
-tiny (a handful of rows, single-digit dimensions), so no attempt is made to
-control coefficient growth beyond plain Euclidean reduction.
+which the group arithmetic reads index, relation and pivot columns from,
+plus solving t = sum c_i v_i over Z.  Matrices are lists of lists of
+Python ints; sizes here are tiny (a handful of rows, single-digit
+dimensions), so no attempt is made to control coefficient growth beyond
+plain Euclidean reduction.
 """
 
 
@@ -48,14 +49,6 @@ def row_echelon(rows):
     return H, U
 
 
-def left_kernel(rows):
-    """Basis (list of int vectors x) of {x : x @ rows == 0}."""
-    if not rows:
-        return []
-    H, U = row_echelon(rows)
-    return [U[i] for i in range(len(rows)) if all(a == 0 for a in H[i])]
-
-
 def solve_combination(rows, target):
     """Integer coefficients c with sum c_i rows[i] == target, or None.
 
@@ -81,14 +74,6 @@ def solve_combination(rows, target):
     if any(a != 0 for a in t):
         return None
     return coeffs
-
-
-def rank(rows):
-    """Rank of an integer matrix."""
-    if not rows:
-        return 0
-    H, _ = row_echelon(rows)
-    return sum(1 for h in H if any(a != 0 for a in h))
 
 
 def pivot_columns(rows):

@@ -11,8 +11,9 @@ from .classify import PseudoSkpArithmetic, RowArithmetic
 from .errors import SchemaError
 from .fields import QQ, field_from_spec, field_to_spec
 from .ordgroup import GroupValue, format_index
+from .poly import parse_poly
 from .realize import SemigroupSpec
-from .skp import LimitTail, build_skp
+from .skp import LimitTail, build_skp, normalize_alpha, validate_acceptable
 from .valtable import compute_relations
 
 
@@ -139,16 +140,34 @@ def build_from_problem(data):
     return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
 
 
-def load_alpha(data, skp):
-    if data is None:
+def load_alpha(text, skp):
+    """The --alpha flag ("1,3") as an acceptable vector of the table, or None."""
+    if text is None:
         return None
-    if isinstance(data, str):
-        data = [int(a) for a in data.split(",")]
-    _require(isinstance(data, list), f"bad acceptable vector {data!r}")
     try:
-        return tuple(int(a) for a in data)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad acceptable vector {data!r}") from exc
+        alpha = normalize_alpha(skp, [int(a) for a in text.split(",")])
+    except ValueError as exc:
+        raise SchemaError(f"bad acceptable vector {text!r}: {exc}") from exc
+    _require(validate_acceptable(skp, alpha), f"{text!r} is not an acceptable vector")
+    return alpha
+
+
+def load_poly(text, skp):
+    """Polynomial text over the table's ring, using only variables whose row
+    has key polynomials."""
+    f = parse_poly(text, skp.nvars, skp.field)
+    for i in f.support_variables():
+        _require(skp.row_length(i) > 0, f"X{i} appears but row {i} is empty")
+    return f
+
+
+def load_declared_rows(data, nvars):
+    """The optional "declared_infinite_rows" array: row numbers 0..nvars-1."""
+    rows = data.get("declared_infinite_rows") or []
+    _require(isinstance(rows, list), "\"declared_infinite_rows\" must be an array")
+    rows = [load_int(i, "declared infinite row") for i in rows]
+    _require(all(0 <= i < nvars for i in rows), f"declared rows {rows} outside 0..{nvars-1}")
+    return rows
 
 
 def dump_skp(skp):
@@ -192,11 +211,13 @@ def load_arithmetic(data):
         _require(isinstance(rd, dict), "each arithmetic row must be an object")
         infinite = bool(rd.get("infinite", False))
         final = rd.get("final")
+        _require(infinite or final is not None, "a finite row needs its final value")
         rows.append(
             RowArithmetic(infinite, load_group_value(final) if final is not None else None)
         )
     beta01 = data.get("beta01")
     declared = data.get("declared")
+    _require(declared is None or isinstance(declared, dict), "\"declared\" must be an object")
     try:
         return PseudoSkpArithmetic(
             beta01=load_group_value(beta01) if beta01 is not None else None,

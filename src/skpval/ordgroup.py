@@ -8,7 +8,11 @@ module provides the arithmetic a well-ordered generator sequence needs:
   generated by ``previous`` (INFINITY when no multiple lands there),
 * ``canonical_representation(n, g, previous)`` -- the unique representation
   n*g = sum m_j gamma_j with 0 <= m_j < n_j at positions of finite index,
-* ``rational_rank`` and ``isolated_level`` for the numerical invariants.
+* ``analyze_chain(values)`` -- both at every position of a sequence, one
+  integer echelon per position; a prefix's rational rank is its number of
+  infinite indices,
+* ``rational_rank``, ``span_levels`` and ``isolated_level`` for the
+  numerical invariants.
 
 All computations are exact: values are scaled to a common denominator and
 handed to the integer-lattice solver.
@@ -146,6 +150,30 @@ def _integer_rows(values):
     return [[int(c * denom) for c in v.coords] for v in values], denom
 
 
+def _lattice_step(prefix, target):
+    """(n, raw): the least n >= 1 with n*target in the Z-span of the integer
+    rows ``prefix``, and integer coefficients with sum raw_k prefix_k ==
+    n*target; (INFINITY, None) when target is outside the Q-span.
+
+    Echelons the prefix once and writes the target over the nonzero echelon
+    rows, a basis of the span, by back-substitution: n is the lcm of the
+    coefficients' denominators, built up pivot by pivot, and raw is read
+    through the transform U.
+    """
+    n, t, raw = 1, list(target), [0] * len(prefix)
+    H, U = intlattice.row_echelon(prefix) if prefix else ([], [])
+    for h, u in zip(H, U):
+        piv = next((c for c, a in enumerate(h) if a), None)
+        if piv is None:
+            break
+        g = h[piv] // gcd(t[piv], h[piv])
+        n, t, raw = n * g, [g * a for a in t], [g * a for a in raw]
+        q = t[piv] // h[piv]
+        t = [a - q * b for a, b in zip(t, h)]
+        raw = [a + q * b for a, b in zip(raw, u)]
+    return (INFINITY, None) if any(t) else (n, raw)
+
+
 def subgroup_index(gamma, previous):
     """Least r >= 1 with r*gamma in the group generated by ``previous``.
 
@@ -154,18 +182,8 @@ def subgroup_index(gamma, previous):
     """
     gamma = as_group_value(gamma)
     previous = [as_group_value(v, gamma.dim) for v in previous]
-    if gamma.is_zero():
-        return 1
-    if not previous:
-        return INFINITY
-    rows, _ = _integer_rows([gamma] + previous)
-    kernel = intlattice.left_kernel(rows)
-    n0 = 0
-    for vec in kernel:
-        n0 = gcd(n0, vec[0])
-    if n0 == 0:
-        return INFINITY
-    return n0
+    rows, _ = _integer_rows(previous + [gamma])
+    return _lattice_step(rows[:-1], rows[-1])[0]
 
 
 class Representation:
@@ -207,8 +225,8 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
 
     Coefficients satisfy 0 <= m_j < n_j at positions of finite index and are
     free integers at positions of infinite index.  ``ns`` and ``relations``
-    describe the earlier entries; when omitted they are recomputed by chaining
-    ``subgroup_index`` / ``canonical_representation`` along the prefix.
+    describe the earlier entries; when omitted they are recomputed with
+    ``analyze_chain`` over the prefix.
 
     Raises NotInGroupError when n*gamma is outside the generated group.
     """
@@ -218,32 +236,32 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
         chain = analyze_chain(previous)
         ns = [e.n for e in chain]
         relations = [e.relation for e in chain]
-
-    target = gamma.scale(n)
-    if target.is_zero():
-        return Representation({})
-    rows, denom = _integer_rows(previous + [target])
-    sol = intlattice.solve_combination(rows[:-1], rows[-1])
-    if sol is None:
+    rows, _ = _integer_rows(previous + [gamma.scale(n)])
+    index, raw = _lattice_step(rows[:-1], rows[-1])
+    if index != 1:
         raise NotInGroupError(f"{n}*{gamma} is not in the generated group")
+    return _canonical(raw, rows[-1], rows[:-1], ns, relations)
 
-    # descending Euclidean reduction: fold the excess at the greatest index
-    # with finite n into strictly earlier positions via its stored relation
-    p = list(sol)
+
+def _canonical(raw, target, prefix, ns, relations):
+    """The canonical form of a raw relation target = sum raw_k prefix_k on
+    integer rows, checked on those rows.
+
+    Descending Euclidean reduction: fold the excess at the greatest position
+    with finite n into strictly earlier positions via its stored relation.
+    """
+    p = list(raw)
     for j in range(len(p) - 1, -1, -1):
         nj = ns[j]
-        if not is_finite_index(nj):
+        if not is_finite_index(nj) or 0 <= p[j] < nj:
             continue
-        if 0 <= p[j] < nj:
-            continue
-        q, r = divmod(p[j], nj)
-        p[j] = r
+        q, p[j] = divmod(p[j], nj)
         for j2, m in relations[j].coeffs.items():
             p[j2] += q * m
-    rep = Representation({j: m for j, m in enumerate(p)})
-    if not (rep.evaluate(previous) == target if previous else target.is_zero()):
-        raise AssertionError(f"representation {rep} does not evaluate to {target}")
-    return rep
+    total = [sum(m * row[k] for m, row in zip(p, prefix)) for k in range(len(target))]
+    if total != list(target):
+        raise AssertionError(f"representation {p} does not evaluate to {target}")
+    return Representation(dict(enumerate(p)))
 
 
 class ChainEntry:
@@ -264,34 +282,35 @@ class ChainEntry:
 def analyze_chain(values):
     """Index and canonical relation of every prefix position.
 
-    Position j gets n_j = subgroup_index over values[:j]; when n_j is finite
-    the canonical representation of n_j*values[j] is attached, otherwise an
-    empty relation.
+    Position j gets n_j, the subgroup index of values[j] over values[:j],
+    and when n_j is finite the canonical representation of n_j*values[j],
+    otherwise an empty relation.  The family is scaled to integer rows once;
+    each position takes one lattice step.
     """
     values = [as_group_value(v) for v in values]
-    entries = []
-    ns = []
-    relations = []
-    for j, v in enumerate(values):
-        n = subgroup_index(v, values[:j])
-        if is_finite_index(n):
-            rel = canonical_representation(n, v, values[:j], ns=ns, relations=relations)
-        else:
-            rel = Representation({})
+    for v in values[1:]:
+        values[0]._check_dim(v)
+    rows, _ = _integer_rows(values)
+    entries, ns, relations = [], [], []
+    for j, (v, row) in enumerate(zip(values, rows)):
+        n, raw = _lattice_step(rows[:j], row)
+        rel = Representation({})
+        if raw is not None:
+            rel = _canonical(raw, [n * a for a in row], rows[:j], ns, relations)
         entries.append(ChainEntry(v, n, rel))
         ns.append(n)
         relations.append(rel)
     return entries
 
 
+def _pivot_columns(values):
+    rows, _ = _integer_rows([as_group_value(v) for v in values])
+    return intlattice.pivot_columns(rows)
+
+
 def rational_rank(values):
     """Dimension of the Q-span of the given values."""
-    values = [as_group_value(v) for v in values]
-    values = [v for v in values if not v.is_zero()]
-    if not values:
-        return 0
-    rows, _ = _integer_rows(values)
-    return intlattice.rank(rows)
+    return len(_pivot_columns(values))
 
 
 def span_levels(values):
@@ -302,12 +321,7 @@ def span_levels(values):
     exactly at the levels r - c over its pivot columns c.
     """
     values = [as_group_value(v) for v in values]
-    values = [v for v in values if not v.is_zero()]
-    if not values:
-        return frozenset()
-    r = values[0].dim
-    rows, _ = _integer_rows(values)
-    return frozenset(r - c for c in intlattice.pivot_columns(rows))
+    return frozenset(values[0].dim - c for c in _pivot_columns(values))
 
 
 def isolated_level(v):

@@ -19,15 +19,10 @@ import random
 
 from .errors import InvalidTableError, VerificationFailedError
 from .fields import QQ
-from .ordgroup import (
-    as_group_value,
-    is_finite_index,
-    analyze_chain,
-    rational_rank,
-)
+from .ordgroup import analyze_chain, as_group_value, is_finite_index
 from .poly import MultiPoly
 from .skp import build_skp
-from .valtable import compute_relations, enumerate_semigroup, validate_table
+from .valtable import enumerate_semigroup, table_from_chain, validate_table
 from .valuation import SkpValuation, value_of
 
 LITERAL = "literal"
@@ -67,7 +62,11 @@ class SemigroupSpec:
 
 
 class GeneratorAnalysis:
-    """Per-generator indices, relations, and hypothesis checks."""
+    """Per-generator indices, relations, and hypothesis checks.
+
+    The rational rank is read off the chain: it is the number of infinite
+    indices, one for each generator outside the Q-span of the earlier ones.
+    """
 
     def __init__(self, spec):
         gens = spec.generators
@@ -87,7 +86,7 @@ class GeneratorAnalysis:
             ball = enumerate_semigroup(gens[:j], spec.minimality_bound)
             self.minimal.append(g not in ball)
         self.minimality_bound = spec.minimality_bound
-        self.rational_rank = rational_rank(gens)
+        self.rational_rank = sum(1 for n in self.ns if not is_finite_index(n))
 
     @property
     def all_positive(self):
@@ -166,11 +165,9 @@ def reindex(spec, mode):
     blocks = []
     if mode == LITERAL:
         for p, n in enumerate(ns):
-            if not is_finite_index(n):
+            if not blocks or not is_finite_index(n):
                 blocks.append([])
             blocks[-1].append(p)
-        row_of_block = [b + 1 for b in range(len(blocks))]
-        num_rows = len(blocks) + 1
     else:
         current = []
         for p, n in enumerate(ns):
@@ -180,19 +177,18 @@ def reindex(spec, mode):
                 current = []
         if current:
             blocks.append(current)
-        row_of_block = list(range(len(blocks)))
-        num_rows = len(blocks)
 
-    raw_rows = [[] for _ in range(num_rows)]
-    for b, block in enumerate(blocks):
-        for p in block:
-            raw_rows[row_of_block[b]].append(spec.generators[p])
+    # literal mode leaves row 0 empty; the blocks are consecutive and fill
+    # the rows in order, so the table read row by row is the generator order
+    first_row = 1 if mode == LITERAL else 0
+    row_of_block = [first_row + b for b in range(len(blocks))]
+    row_lengths = [0] * first_row + [len(block) for block in blocks]
 
     assignment = BlockAssignment(mode, blocks, row_of_block)
     limit_labels = {}
     for t, pos in enumerate(spec.limit_labels, start=1):
         limit_labels[assignment.table_index(pos - 1)] = t
-    table = compute_relations(raw_rows, limit_labels=limit_labels)
+    table = table_from_chain(analysis.chain, row_lengths, limit_labels)
     validation = validate_table(table)
     return ReindexResult(assignment, table, validation, analysis)
 
@@ -360,19 +356,13 @@ class RankJumpReport:
 
 def rank_jump_check(spec):
     """At limit labels and infinite-index positions the rational rank of the
-    generator prefix must grow by exactly one."""
-    gens = spec.generators
-    ns = [e.n for e in analyze_chain(gens)]
+    generator prefix must grow by exactly one.  It grows by one exactly at
+    the positions of infinite index, and stays put elsewhere."""
     labeled = set(spec.limit_labels)
     checks = []
-    for pos in range(1, len(gens) + 1):
-        reasons = []
-        if pos in labeled:
-            reasons.append("limit-label")
-        if not is_finite_index(ns[pos - 1]):
-            reasons.append("n=inf")
-        if not reasons:
-            continue
-        jump = rational_rank(gens[:pos]) - rational_rank(gens[: pos - 1])
-        checks.append((pos, "+".join(reasons), jump == 1))
+    for pos, entry in enumerate(analyze_chain(spec.generators), start=1):
+        jump = not is_finite_index(entry.n)
+        reasons = ["limit-label"] * (pos in labeled) + ["n=inf"] * jump
+        if reasons:
+            checks.append((pos, "+".join(reasons), jump))
     return RankJumpReport(checks)

@@ -77,35 +77,33 @@ def compute_relations(raw_rows, dimension=None, limit_labels=None):
     """
     if not raw_rows or all(len(r) == 0 for r in raw_rows):
         raise ValueError("table needs at least one value")
-    rows = []
-    for row in raw_rows:
-        rows.append([as_group_value(v) for v in row])
-    dims = {v.dim for row in rows for v in row}
-    if len(dims) > 1:
-        raise ordgroup.DimensionMismatchError(f"mixed dimensions {sorted(dims)}")
-    dim = dims.pop()
+    chain = ordgroup.analyze_chain([v for row in raw_rows for v in row])
+    dim = chain[0].value.dim
     if dimension is not None and dimension != dim:
         raise ordgroup.DimensionMismatchError(
             f"declared dimension {dimension} but values have dimension {dim}"
         )
+    return table_from_chain(chain, [len(row) for row in raw_rows], limit_labels)
 
-    index_order = [
-        (i, j + 1) for i, row in enumerate(rows) for j in range(len(row))
-    ]
-    flat_values = [rows[i][j - 1] for (i, j) in index_order]
-    chain = ordgroup.analyze_chain(flat_values)
 
+def table_from_chain(chain, row_lengths, limit_labels=None):
+    """The table whose entries, read row by row, are the analyzed chain.
+
+    Row i takes the next ``row_lengths[i]`` chain entries, so the table's
+    lex order on (i, j) is the chain order and every relation position maps
+    to the index of that entry.
+    """
+    index_order = [(i, j) for i, ln in enumerate(row_lengths) for j in range(1, ln + 1)]
     limit_labels = {tuple(k): v for k, v in (limit_labels or {}).items()}
+    rows = [[] for _ in row_lengths]
     entries = {}
-    for pos, index in enumerate(index_order):
-        ce = chain[pos]
-        relation = {
-            index_order[p]: m for p, m in ce.relation.coeffs.items()
-        }
+    for index, ce in zip(index_order, chain):
+        rows[index[0]].append(ce.value)
+        relation = {index_order[p]: m for p, m in ce.relation.coeffs.items()}
         entries[index] = TableEntry(
             index, ce.value, ce.n, relation, limit_labels.get(index)
         )
-    return ValueTable(dim, rows, entries, limit_labels)
+    return ValueTable(chain[0].value.dim, rows, entries, limit_labels)
 
 
 class ValidationCheck:
@@ -180,10 +178,12 @@ def validate_table(table):
     must satisfy beta_{i,j+1} > n_{i,j} * beta_{i,j} when n_{i,j} is finite;
     limit-labeled entries must dominate their materialized predecessors in
     the row (flagged "truncated-limit" since the tail is not materialized);
-    and the canonical relation must have no negative coefficients (S^c empty)
-    for the table to be a sequence of values.
+    and for the table to be a sequence of values every value must be > 0
+    and its canonical relation must have no negative coefficients (S^c
+    empty).
     """
     checks = []
+    zero = GroupValue((0,) * table.dimension)
     for index in table.order:
         entry = table.entries[index]
         i, j = index
@@ -223,17 +223,14 @@ def validate_table(table):
                     "predecessors only",
                 )
             )
-        ok = not entry.s_neg
-        checks.append(
-            ValidationCheck(
-                index,
-                "positive",
-                ok,
-                ""
-                if ok
-                else "negative coefficients at "
-                + ", ".join(f"{a},{b}" for a, b in sorted(entry.s_neg)),
+        problems = [] if entry.beta > zero else [f"beta = {entry.beta} is not > 0"]
+        if entry.s_neg:
+            problems.append(
+                "negative coefficients at "
+                + ", ".join(f"{a},{b}" for a, b in sorted(entry.s_neg))
             )
+        checks.append(
+            ValidationCheck(index, "positive", not problems, "; ".join(problems))
         )
     return ValidationReport(checks)
 

@@ -17,7 +17,7 @@ from .expansion import (
     euclidean_expand,
     vp,
 )
-from .ordgroup import GroupValue, is_finite_index
+from .ordgroup import is_finite_index
 from .skp import entry_orders, normalize_alpha, validate_acceptable
 
 
@@ -36,14 +36,6 @@ class SkpValuation:
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp.values!r})"
-
-
-def monomial_value(exps, skp):
-    """sum e * beta over the exponent map."""
-    total = GroupValue((0,) * skp.dimension)
-    for idx, e in exps.items():
-        total = total + skp.entries[idx].beta.scale(e)
-    return total
 
 
 def _integer_value(exps, betas, start):
@@ -192,25 +184,24 @@ class GradedNormalForm:
         return f"GradedNormalForm(J={self.J}, A={self.A}, p={self.torus})"
 
 
-def graded_normal_form(f, valuation, unconstrained_rows=()):
+def graded_normal_form(f, valuation):
     """Unique homogeneous decomposition in(f) = p(T) * U^J.
 
-    Rows whose final entry has infinite index, and rows listed in
-    ``unconstrained_rows`` (declared-infinite tails), keep a free row-final
-    exponent instead of contributing a torus variable.  Extraction runs from
-    the highest row down, descending positions within a row.
+    Rows whose final entry has infinite index keep a free row-final exponent
+    instead of contributing a torus variable.  Extraction runs from the
+    highest row down, descending positions within a row.
     """
     skp = valuation.skp
     alpha = valuation.alpha
     inf_form = initial_form(f, valuation)
-    value = monomial_value(inf_form.monomials[0].exps, skp)
+    betas, _ = skp.integer_betas
+    origin = (0,) * skp.dimension
+    value = _integer_value(inf_form.monomials[0].exps, betas, origin)
 
     A = tuple(
         i
         for i in range(skp.nvars)
-        if alpha[i] >= 1
-        and i not in set(unconstrained_rows)
-        and is_finite_index(skp.entries[(i, alpha[i])].n)
+        if alpha[i] >= 1 and is_finite_index(skp.entries[(i, alpha[i])].n)
     )
     a_set = set(A)
 
@@ -252,7 +243,7 @@ def graded_normal_form(f, valuation, unconstrained_rows=()):
             for idx2, m in entry.relation.items():
                 if q * m:
                     exps[idx2] = exps.get(idx2, 0) + q * m
-        if monomial_value(exps, skp) != value:
+        if _integer_value(exps, betas, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:
             common_J = exps
@@ -264,7 +255,7 @@ def graded_normal_form(f, valuation, unconstrained_rows=()):
             torus.pop(key, None)
         else:
             torus[key] = cur
-    return GradedNormalForm(common_J or {}, torus, A, value)
+    return GradedNormalForm(common_J or {}, torus, A, skp.group_value(value))
 
 
 class StabilizationProfile:

@@ -6,18 +6,28 @@ are found by exhaustive search over the coefficient box, semigroup
 balls come from nested coefficient loops, the adic expansion has a
 reference loop that rescans the whole working set before every rewrite,
 division in one variable has a reference that multiplies and subtracts whole
-polynomials at every step, and the Euclidean value has a reference that sums
-GroupValues of Fractions instead of integer vectors.
+polynomials at every step, the Euclidean value has a reference that sums
+GroupValues of Fractions instead of integer vectors, and the index and
+canonical relation of a generator chain have a reference that takes a left
+kernel and a second solve at every position.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd, inf
 
-from skpval.errors import NotMonicError
+from skpval.errors import NotInGroupError, NotMonicError
 from skpval.expansion import AdicExpansion, AdicMonomial, euclidean_expand, vdeg
-from skpval.intlattice import solve_combination
-from skpval.ordgroup import GroupValue, as_group_value, is_finite_index
+from skpval.intlattice import row_echelon, solve_combination
+from skpval.ordgroup import (
+    INFINITY,
+    ChainEntry,
+    GroupValue,
+    Representation,
+    _integer_rows,
+    as_group_value,
+    is_finite_index,
+)
 from skpval.poly import MultiPoly
 from skpval.skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
 
@@ -274,3 +284,106 @@ def group_euclid_value(f, valuation, top):
         if best is None or part < best:
             best = part
     return best
+
+
+# -- reference index and relation arithmetic: subgroup_index through a left
+# kernel, canonical_representation through a second integer solve, and
+# analyze_chain chaining the two at every position.  The library does all
+# three with one echelon of the prefix per position.
+
+
+def left_kernel(rows):
+    """Basis (list of int vectors x) of {x : x @ rows == 0}."""
+    if not rows:
+        return []
+    H, U = row_echelon(rows)
+    return [U[i] for i in range(len(rows)) if all(a == 0 for a in H[i])]
+
+
+def subgroup_index(gamma, previous):
+    """Least r >= 1 with r*gamma in the group generated by ``previous``.
+
+    Returns INFINITY when no positive multiple lands in the group; in
+    particular for a nonzero gamma over an empty family.
+    """
+    gamma = as_group_value(gamma)
+    previous = [as_group_value(v, gamma.dim) for v in previous]
+    if gamma.is_zero():
+        return 1
+    if not previous:
+        return INFINITY
+    rows, _ = _integer_rows([gamma] + previous)
+    kernel = left_kernel(rows)
+    n0 = 0
+    for vec in kernel:
+        n0 = gcd(n0, vec[0])
+    if n0 == 0:
+        return INFINITY
+    return n0
+
+
+def canonical_representation(n, gamma, previous, ns=None, relations=None):
+    """The unique representation of n*gamma over ``previous``.
+
+    Coefficients satisfy 0 <= m_j < n_j at positions of finite index and are
+    free integers at positions of infinite index.  ``ns`` and ``relations``
+    describe the earlier entries; when omitted they are recomputed by chaining
+    ``subgroup_index`` / ``canonical_representation`` along the prefix.
+
+    Raises NotInGroupError when n*gamma is outside the generated group.
+    """
+    gamma = as_group_value(gamma)
+    previous = [as_group_value(v, gamma.dim) for v in previous]
+    if ns is None or relations is None:
+        chain = analyze_chain(previous)
+        ns = [e.n for e in chain]
+        relations = [e.relation for e in chain]
+
+    target = gamma.scale(n)
+    if target.is_zero():
+        return Representation({})
+    rows, denom = _integer_rows(previous + [target])
+    sol = solve_combination(rows[:-1], rows[-1])
+    if sol is None:
+        raise NotInGroupError(f"{n}*{gamma} is not in the generated group")
+
+    # descending Euclidean reduction: fold the excess at the greatest index
+    # with finite n into strictly earlier positions via its stored relation
+    p = list(sol)
+    for j in range(len(p) - 1, -1, -1):
+        nj = ns[j]
+        if not is_finite_index(nj):
+            continue
+        if 0 <= p[j] < nj:
+            continue
+        q, r = divmod(p[j], nj)
+        p[j] = r
+        for j2, m in relations[j].coeffs.items():
+            p[j2] += q * m
+    rep = Representation({j: m for j, m in enumerate(p)})
+    if not (rep.evaluate(previous) == target if previous else target.is_zero()):
+        raise AssertionError(f"representation {rep} does not evaluate to {target}")
+    return rep
+
+
+def analyze_chain(values):
+    """Index and canonical relation of every prefix position.
+
+    Position j gets n_j = subgroup_index over values[:j]; when n_j is finite
+    the canonical representation of n_j*values[j] is attached, otherwise an
+    empty relation.
+    """
+    values = [as_group_value(v) for v in values]
+    entries = []
+    ns = []
+    relations = []
+    for j, v in enumerate(values):
+        n = subgroup_index(v, values[:j])
+        if is_finite_index(n):
+            rel = canonical_representation(n, v, values[:j], ns=ns, relations=relations)
+        else:
+            rel = Representation({})
+        entries.append(ChainEntry(v, n, rel))
+        ns.append(n)
+        relations.append(rel)
+    return entries

@@ -239,7 +239,7 @@ class TestReportShape:
             "--poly", "X1", "--alpha", "9,9",
         )
         assert code == 2
-        assert report["diagnostics"][0]["kind"] == "value"
+        assert report["diagnostics"][0]["kind"] == "schema"
 
     def test_bad_delta_cutoff(self, capsys):
         code, report = run(
@@ -415,3 +415,130 @@ class TestPrimeFields:
     @pytest.mark.parametrize("p", [3317044064679887385961981, 10**30 + 57])
     def test_prime_beyond_the_exact_range_is_malformed_input(self, tmp_path, capsys, p):
         assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))
+
+
+def write_problem(tmp_path, data):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+# the relation of entry (2,1) uses (1,2), so (1,1,2) is not an acceptable vector
+RELATION_ACROSS_ROWS = {
+    "kind": "skp", "values": {"rows": [["1"], ["1/2", "4/3"], ["11/6", "2"]]}
+}
+# X0 has no key polynomials
+EMPTY_ROW_0 = {"kind": "skp", "values": {"rows": [[], ["2"], ["3", "7"]]}}
+ZERO_VALUE = {"kind": "skp", "values": {"rows": [[["2"]], [["0"], ["9"]]]}}
+
+
+def assert_invalid_table(capsys, *argv):
+    code, report = run(capsys, *argv)
+    assert code == 1
+    assert report["status"] == "invalid"
+    assert [d["kind"] for d in report["diagnostics"]] == ["InvalidTable"]
+    return report
+
+
+class TestInputFaults:
+    """Faults in flags and problem files exit 2 with kind schema, tables
+    that break a condition exit 1, and nothing here is reported as internal."""
+
+    @pytest.mark.parametrize(
+        "alpha", ["a,b,c", "1.5,2,2", "1,2", "1,2,2,1", "1,9,2", "0,2,2", "1,1,2"],
+        ids=["letters", "fraction", "short", "long", "beyond-row", "zero", "unacceptable"],
+    )
+    def test_alpha(self, tmp_path, capsys, alpha):
+        path = write_problem(tmp_path, RELATION_ACROSS_ROWS)
+        for command in ("eval", "initial", "normal-form"):
+            assert_schema_error(capsys, command, "--skp", path, "--poly", "X1", "--alpha", alpha)
+        assert_schema_error(capsys, "expand", path, "--poly", "X1", "--alpha", alpha)
+
+    def test_acceptable_alpha_still_evaluates(self, tmp_path, capsys):
+        path = write_problem(tmp_path, RELATION_ACROSS_ROWS)
+        code, report = run(capsys, "eval", "--skp", path, "--poly", "X1", "--alpha", "1,2,2")
+        assert code == 0
+        assert report["result"]["value"] == ["1/2"]
+
+    @pytest.mark.parametrize("j", [0, 4, -1])
+    def test_delta_cutoff_outside_the_top_row(self, capsys, j):
+        assert_schema_error(
+            capsys, "delta", "--skp", DATA / "remark_diffskp.json", "--poly", "X1", "--j", j
+        )
+
+    @pytest.mark.parametrize("mode", ["bogus", 1, ["literal"]])
+    def test_unknown_mode_in_the_problem_file(self, tmp_path, capsys, mode):
+        path = problem_with(tmp_path, "free_pair.json", lambda d: d.update(mode=mode))
+        assert_schema_error(capsys, "realize", path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--skp"],
+            ["initial", "--skp"],
+            ["normal-form", "--skp"],
+            ["delta", "--j", "1", "--skp"],
+            ["expand"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_variable_of_an_empty_row(self, tmp_path, capsys, argv):
+        path = write_problem(tmp_path, EMPTY_ROW_0)
+        assert_schema_error(capsys, *argv, path, "--poly", "X0 + X1")
+        code, _ = run(capsys, *argv, path, "--poly", "X1 + X2")
+        assert code == 0
+
+    @pytest.mark.parametrize("declared", [5, [[1]], [9], [-1], [True], "1"])
+    def test_declared_infinite_rows(self, tmp_path, capsys, declared):
+        path = problem_with(
+            tmp_path, "remark_diffskp.json", lambda d: d.update(declared_infinite_rows=declared)
+        )
+        assert_schema_error(capsys, "classify", path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda a: a.update(declared=5),
+            lambda a: a.update(declared=["in_q1"]),
+            lambda a: a["rows"][0].pop("final"),
+        ],
+        ids=["declared-number", "declared-array", "finite-row-without-final"],
+    )
+    def test_arithmetic(self, tmp_path, capsys, edit):
+        path = problem_with(tmp_path, "classify_vii.json", lambda d: edit(d["arithmetic"]))
+        assert_schema_error(capsys, "classify", path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["build"], ["classify"], ["eval", "--poly", "X0", "--skp"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_value_fails_positive(self, tmp_path, capsys, argv):
+        report = assert_invalid_table(capsys, *argv, write_problem(tmp_path, ZERO_VALUE))
+        failed = [c for c in report["diagnostics"][0]["validation"]["checks"] if not c["ok"]]
+        assert [(c["index"], c["check"]) for c in failed] == [("1,1", "positive")]
+
+    def test_zero_value_validates_as_invalid(self, tmp_path, capsys):
+        code, report = run(capsys, "validate", write_problem(tmp_path, ZERO_VALUE))
+        assert code == 1
+        assert not report["result"]["validation"]["sequence_of_values"]
+
+    @pytest.mark.parametrize("mode", ["literal", "corrected"])
+    def test_realize_zero_generator(self, tmp_path, capsys, mode):
+        path = write_problem(tmp_path, {"kind": "realize", "generators": [["0"], ["1"]]})
+        assert_invalid_table(capsys, "realize", "--mode", mode, path)
+
+
+def test_unexpected_value_error_is_internal(monkeypatch, capsys):
+    import skpval.cli
+
+    def fail(table):
+        raise ValueError("not an input fault")
+
+    monkeypatch.setattr(skpval.cli, "validate_table", fail)
+    code, report = run(capsys, "validate", DATA / "example2.json")
+    assert code == 1
+    assert report["status"] == "error"
+    assert report["diagnostics"] == [
+        {"kind": "internal", "message": "ValueError: not an input fault"}
+    ]

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skpval import (
     DimensionMismatchError,
@@ -17,6 +17,7 @@ from skpval import (
 )
 from skpval.ordgroup import analyze_chain, span_levels
 
+import oracles
 from oracles import representation_box_search, scan_subgroup_index
 
 
@@ -161,6 +162,47 @@ class TestCanonicalRepresentation:
             n = chain[j].n
             if n != inf:
                 assert 0 <= m < n
+
+
+# families of dimension 1-3 with small rational entries, zeros and negatives
+families = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+            min_size=dim,
+            max_size=dim,
+        ).map(GroupValue),
+        max_size=6,
+    )
+)
+
+
+class TestChainAgainstReference:
+    """One lattice step per position against the reference in oracles.py,
+    which takes a left kernel and a second solve at every position."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(families)
+    def test_indices_relations_and_rational_rank(self, family):
+        got = analyze_chain(family)
+        want = oracles.analyze_chain(family)
+        assert [(e.n, e.relation.coeffs) for e in got] == [
+            (e.n, e.relation.coeffs) for e in want
+        ]
+        for k in range(len(family) + 1):
+            infinite = sum(1 for e in got[:k] if e.n == inf)
+            assert infinite == rational_rank(family[:k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(families.filter(bool), st.integers(1, 3))
+    def test_single_position(self, family, multiple):
+        *previous, gamma = family
+        n = subgroup_index(gamma, previous)
+        assert n == oracles.subgroup_index(gamma, previous)
+        if n != inf:
+            got = canonical_representation(multiple * n, gamma, previous)
+            want = oracles.canonical_representation(multiple * n, gamma, previous)
+            assert got.coeffs == want.coeffs
 
 
 class TestRationalRank:

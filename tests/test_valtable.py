@@ -94,6 +94,17 @@ class TestValidateTable:
         assert not report.is_sequence_of_values
         assert [c.index for c in report.failures_of("positive")] == [(2, 1)]
 
+    def test_value_not_above_zero_fails_positive(self):
+        report = validate_table(compute_relations([[0], [1]]))
+        assert [(c.index, c.detail) for c in report.failures_of("positive")] == [
+            ((0, 1), "beta = 0 is not > 0")
+        ]
+        report = validate_table(compute_relations([[(0, 1)], [(0, -1)]]))
+        assert [(c.index, c.detail) for c in report.failures_of("positive")] == [
+            ((1, 1), "beta = (0, -1) is not > 0; negative coefficients at 0,1")
+        ]
+        assert not report.is_sequence_of_values
+
     def test_limit_monotone(self, example1_table):
         report = validate_table(example1_table)
         assert report.ok
