@@ -4,7 +4,8 @@ An adic expansion rewrites a polynomial as a sum of monomials in the key
 polynomials where every exponent at a non-final position (i, j), j < alpha_i,
 stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
-positions form an n = 1 chain, by the collapsed sum across the chain.  The
+positions form an n = 1 chain, by the collapsed sum across the chain; one
+call reads its bounds and rules from ``skp.rewrite_rules``.  The
 result is unique; the strategy here is deterministic: the monomial with the
 smallest Vdeg (lexicographic per-variable degree vector), ties broken by
 its sorted exponent key, is processed first, and within it the violating
@@ -17,7 +18,8 @@ The Euclidean expansion of the top row is computed by iterated monic
 division by the largest applicable key polynomial; it coincides with
 grouping the adic expansion by top-row exponents.  One call splits the input
 and each divisor by X_top-degree once (``MultiPoly.split``) and divides in
-split form; only the final coefficients become polynomials again.
+split form; each final coefficient has X_top-degree 0, and its terms become
+the coefficient polynomial as they are.
 """
 
 import heapq
@@ -25,7 +27,7 @@ import heapq
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
-from .skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
+from .skp import normalize_alpha, rewrite_rules, u_order
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -54,9 +56,8 @@ class AdicMonomial:
 
 
 def vdeg(exps, skp):
-    """Per-variable degree vector of a U-monomial: sum of e * d per row."""
-    if isinstance(exps, AdicMonomial):
-        exps = exps.exps
+    """Per-variable degree vector of a U-monomial's exponent map: sum of
+    e * d per row."""
     out = [0] * skp.nvars
     for (i, j), e in exps.items():
         out[i] += e * skp.entries[(i, j)].d
@@ -64,9 +65,7 @@ def vdeg(exps, skp):
 
 
 def vp(exps, skp, alpha=None):
-    """Row-final exponents, top row first."""
-    if isinstance(exps, AdicMonomial):
-        exps = exps.exps
+    """Row-final exponents of an exponent map, top row first."""
     alpha = normalize_alpha(skp, alpha)
     return tuple(
         exps.get((i, alpha[i]), 0) if alpha[i] else 0
@@ -75,13 +74,7 @@ def vp(exps, skp, alpha=None):
 
 
 def vdeg_vp(monomial, skp, alpha=None):
-    return vdeg(monomial, skp), vp(monomial, skp, alpha)
-
-
-def monomial_sort_key(exps, skp):
-    if isinstance(exps, AdicMonomial):
-        exps = exps.exps
-    return (vdeg(exps, skp), tuple(sorted(exps.items())))
+    return vdeg(monomial.exps, skp), vp(monomial.exps, skp, alpha)
 
 
 class AdicExpansion:
@@ -90,7 +83,7 @@ class AdicExpansion:
     def __init__(self, skp, alpha, monomials):
         self.skp = skp
         self.alpha = alpha
-        self.monomials = sorted(monomials, key=lambda m: monomial_sort_key(m, skp))
+        self.monomials = sorted(monomials, key=lambda m: (vdeg(m.exps, skp), m.key()))
 
     def __iter__(self):
         return iter(self.monomials)
@@ -139,13 +132,8 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     reduce = skp.field.reduce
     cutoff = skp.cutoff
     # a key polynomial the cutoff truncated to 0 refuses the expansion here
-    orders = entry_orders(skp)
-    # the exponent bound n at every position kept below its index
-    bounds = {
-        (i, j): entry.n
-        for (i, j), entry in skp.entries.items()
-        if j < alpha[i] and is_finite_index(entry.n)
-    }
+    u_order(((idx, 1) for idx in skp.order), skp.entries)
+    rules = rewrite_rules(skp, alpha)
     degrees = {index: entry.d for index, entry in skp.entries.items()}
     nvars = skp.nvars
 
@@ -157,7 +145,7 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     heap = []
 
     def add(key, coeff):
-        if cutoff is not None and u_order(key, skp.entries, orders) > cutoff:
+        if cutoff is not None and u_order(key, skp.entries) > cutoff:
             return
         cur = work.get(key)
         if cur is not None:
@@ -174,7 +162,7 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
         deg = [0] * nvars
         for idx, e in key:
             deg[idx[0]] += e * degrees[idx]
-            if idx in bounds and e >= bounds[idx]:
+            if idx in rules and e >= rules[idx][0]:
                 index = idx  # keys are sorted, so the last one is the greatest
         if index is not None:
             heapq.heappush(heap, (tuple(deg), key, index))
@@ -192,11 +180,11 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             raise IterationCapError(f"exceeded {max_rewrites} rewrites")
 
         coeff = work.pop(target)
+        n, nxt, terms = rules[index]
         base = dict(target)
-        base[index] -= bounds[index]
+        base[index] -= n
         if base[index] == 0:
             del base[index]
-        nxt, terms = _collapsed_rewrite(skp, alpha, index)
 
         branch = dict(base)
         branch[nxt] = branch.get(nxt, 0) + 1
@@ -220,6 +208,7 @@ def exponent_from_vdeg(v, skp, alpha=None):
     alpha = normalize_alpha(skp, alpha)
     if len(v) != skp.nvars:
         raise ValueError(f"degree vector needs {skp.nvars} components")
+    rules = rewrite_rules(skp, alpha)
     exps = {}
     for i, target in enumerate(v):
         rem = int(target)
@@ -231,7 +220,7 @@ def exponent_from_vdeg(v, skp, alpha=None):
             entry = skp.entries[(i, j)]
             a = rem // entry.d
             if a:
-                if j < alpha[i] and is_finite_index(entry.n) and a >= entry.n:
+                if (i, j) in rules and a >= entry.n:
                     raise UnrealizableError(
                         f"degree {target} at X{i} needs exponent {a} >= "
                         f"n = {entry.n} at position {j}"
@@ -271,7 +260,9 @@ def euclidean_expand(f, skp, j=None, row=None):
             j2 for j2 in range(1, jmax + 1) if skp.entries[(top, j2)].d <= dg
         ]
         if not applicable:
-            return {(): g}
+            leaf = MultiPoly.zero(f.nvars, f.field)
+            leaf.terms = g[0]  # X_top-degree 0: the split is {0: terms}
+            return {(): leaf}
         j0 = max(applicable)
         if j0 not in divisors:
             divisors[j0] = split_divisor(f, skp.entries[(top, j0)].poly, top)
@@ -302,6 +293,6 @@ def euclidean_expand(f, skp, j=None, row=None):
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    items = [(dict(k), MultiPoly.join(g, top, f.nvars, f.field)) for k, g in result.items()]
+    items = [(dict(key), leaf) for key, leaf in result.items()]
     items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
     return items

@@ -76,14 +76,24 @@ def load_table(data):
     for r in rows:
         _require(isinstance(r, list), "each table row must be an array")
     dim = data.get("dimension")
+    if dim is None:  # the first value's, so a value of another dimension is refused
+        dim = load_group_value(next(v for row in rows for v in row)).dim
     raw_rows = [[load_group_value(v, dim) for v in row] for row in rows]
     labels = data.get("limit_labels") or {}
     _require(isinstance(labels, dict), "\"limit_labels\" must be an object")
     labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}
     try:
-        return compute_relations(raw_rows, dimension=dim, limit_labels=labels)
+        table = compute_relations(raw_rows, dimension=dim, limit_labels=labels)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    _require_indices(labels, table.entries, "a limit label")
+    return table
+
+
+def _require_indices(indices, known, what):
+    """Refuse, as malformed input, any of the (i, j) ``indices`` outside ``known``."""
+    for i, j in indices:
+        _require((i, j) in known, f"no table index {i},{j} for {what}")
 
 
 def dump_table(table):
@@ -136,6 +146,14 @@ def build_from_problem(data):
     field = field_from_spec(data.get("field"))
     thetas = load_thetas(data, field)
     tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
+    _require_indices(thetas, table.entries, "a theta")
+    for tail in tails:
+        at = (tail.row, tail.at)
+        _require_indices([at], table.entries, "a limit tail")
+        # a tail is unrolled from the entries built before its own
+        earlier = [index for index in table.entries if index < at]
+        what = f"a limit tail exponent before {at[0]},{at[1]}"
+        _require_indices(tail.exponents, earlier, what)
     cutoff = load_cutoff(data.get("cutoff"))
     return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
 
@@ -240,9 +258,10 @@ def load_semigroup_spec(data):
     }
     labels = data.get("limit_labels") or []
     _require(isinstance(labels, list), "\"limit_labels\" must be an array")
+    dim = load_group_value(gens[0]).dim
     try:
         return SemigroupSpec(
-            [load_group_value(g) for g in gens],
+            [load_group_value(g, dim) for g in gens],
             limit_labels=[load_int(p, "limit label") for p in labels],
             field=field_from_spec(data.get("field")),
             **bounds,

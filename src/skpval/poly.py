@@ -226,10 +226,10 @@ def order_of(f):
 def split_divisor(f, g, i):
     """(lower X_i-coefficients, X_i-degree) of g, a divisor of f monic in X_i."""
     f._check(g)
-    if not g.is_monic_in(i):
-        raise NotMonicError(f"divisor is not monic in X{i}")
     groups = g.split(i)
-    dg = max(groups)
+    dg = max(groups, default=-1)
+    if groups.get(dg) != {(0,) * g.nvars: g.field.one}:
+        raise NotMonicError(f"divisor is not monic in X{i}")
     return [(k, part) for k, part in groups.items() if k < dg], dg
 
 

@@ -7,9 +7,9 @@ Row i starts with U_{i,1} = X_i.  Each successor is the binomial
 where m is the canonical relation of entry (i, j-1).  Limit-labeled entries
 may instead be produced by unrolling a declared tail recurrence under a
 truncation cutoff.  Every non-final entry also records its rewrite data
-(U^n = U_next + sum theta_t U^{m_t}), which is what the expansion engine
-consumes; for a freshly built table that is a single summand, for a reduced
-table the collapsed chain.
+(U^n = U_next + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives
+the rules of one expansion; for a freshly built table that is a single
+summand, for a reduced table the collapsed chain.
 """
 
 import functools
@@ -20,6 +20,7 @@ from .errors import (
     NoCutoffError,
     NonStabilizingError,
     ThetaZeroError,
+    ZeroPolyError,
 )
 from .fields import QQ
 from .ordgroup import GroupValue, _integer_rows, is_finite_index
@@ -30,7 +31,8 @@ DEFAULT_LIMIT_CUTOFF = 32
 
 
 class SkpEntry:
-    """One key polynomial with its bookkeeping."""
+    """One key polynomial with its bookkeeping; ``order`` is the order of
+    ``poly``, None when the cutoff truncated it to 0."""
 
     __slots__ = (
         "index",
@@ -39,6 +41,7 @@ class SkpEntry:
         "relation",
         "d",
         "poly",
+        "order",
         "theta",
         "rewrite_next",
         "rewrite_terms",
@@ -54,6 +57,7 @@ class SkpEntry:
         self.relation = dict(relation)
         self.d = d
         self.poly = poly
+        self.order = None if poly.is_zero() else poly.order()
         self.theta = theta
         self.rewrite_next = None
         self.rewrite_terms = None
@@ -129,28 +133,19 @@ def key_product(entries, exps, nvars, field, cutoff):
     return out
 
 
-def u_order(exps, entries, orders):
+def u_order(exps, entries):
     """Total-degree order of prod U^e, i.e. sum e * ord U, over the
-    ``(index, e)`` items of an exponent map.
-
-    ``orders`` holds the entry orders of one caller's run and gains each
-    order on first use.  A key polynomial the cutoff truncated to 0 has no
+    ``(index, e)`` items of an exponent map, read from the stored
+    ``SkpEntry.order``.  A key polynomial the cutoff truncated to 0 has no
     order and raises ZeroPolyError.
     """
     total = 0
     for idx, e in exps:
-        if idx not in orders:
-            orders[idx] = entries[idx].poly.order()
-        total += e * orders[idx]
+        order = entries[idx].order
+        if order is None:
+            raise ZeroPolyError("order of the zero polynomial")
+        total += e * order
     return total
-
-
-def entry_orders(skp):
-    """The order of every key polynomial of a table, as ``u_order`` keeps
-    them; raises ZeroPolyError when the cutoff truncated one to 0."""
-    orders = {}
-    u_order(((idx, 1) for idx in skp.order), skp.entries, orders)
-    return orders
 
 
 class SkpTable:
@@ -236,11 +231,10 @@ def unroll_limit(entries, tail, cutoff, field):
     if tail.depth <= 0:
         return UnrollResult(acc, UnrollReport(False, 0, cutoff), [])
 
-    orders = {}
     summands = []
     for k in range(tail.depth + 1):
         m = tail.exponent_map(k)
-        if u_order(m.items(), entries, orders) > cutoff:
+        if u_order(m.items(), entries) > cutoff:
             break
         if k == tail.depth:
             raise NonStabilizingError(
@@ -338,21 +332,28 @@ def _check_entry_shape(entry, nvars, cutoff):
             raise AssertionError(entry)
 
 
-def _collapsed_rewrite(skp, alpha, index):
-    """Rewrite data for U_{i,j}^{n}: (next index, summand terms).
+def rewrite_rules(skp, alpha):
+    """What an expansion under the cutoff vector ``alpha`` may rewrite.
 
-    Walks forward across n = 1 positions strictly below the cutoff so the
-    dropped chain never appears in the output.
+    Maps every position (i, j) with j < alpha_i and finite n to
+    (n, next index, summands): U_{i,j}^{n} = U_next + sum theta * U^{m}
+    over the (theta, m) summands.  Where the next positions below the cutoff
+    form an n = 1 chain, the rule collapses it, so the dropped chain never
+    appears in an expansion.  Positions are taken in descending order, so
+    each chain is walked once: a rule extends the rule after it.
     """
-    i, _ = index
-    entry = skp.entries[index]
-    terms = list(entry.rewrite_terms)
-    nxt = entry.rewrite_next
-    while nxt[1] < alpha[i] and skp.entries[nxt].n == 1:
-        nxt_entry = skp.entries[nxt]
-        terms.extend(nxt_entry.rewrite_terms)
-        nxt = nxt_entry.rewrite_next
-    return nxt, terms
+    rules = {}
+    for index in reversed(skp.order):
+        i, j = index
+        entry = skp.entries[index]
+        if j >= alpha[i] or not is_finite_index(entry.n):
+            continue
+        nxt, terms = entry.rewrite_next, entry.rewrite_terms
+        if nxt[1] < alpha[i] and skp.entries[nxt].n == 1:
+            _, nxt, rest = rules[nxt]
+            terms = terms + rest
+        rules[index] = (entry.n, nxt, terms)
+    return rules
 
 
 def minimal_pseudo_skp(skp):
@@ -404,12 +405,12 @@ def minimal_pseudo_skp(skp):
         new_entries[new_index] = entry
 
     # collapse rewrite chains over the dropped positions: under the full
-    # cutoff the walk stops exactly at the next kept entry
-    alpha = skp.full_alpha()
+    # cutoff a rule ends exactly at the next kept entry
+    rules = rewrite_rules(skp, skp.full_alpha())
     for index in kept:
         if skp.is_row_final(index):
             continue
-        nxt, terms = _collapsed_rewrite(skp, alpha, index)
+        _, nxt, terms = rules[index]
         entry = new_entries[remap[index]]
         entry.rewrite_next = remap[nxt]
         entry.rewrite_terms = [
@@ -439,16 +440,13 @@ def normalize_alpha(skp, alpha=None):
 def validate_acceptable(skp, alpha):
     """Relation closure of a cutoff vector.
 
-    The expansion rewrites U_{i,j}^{n} only for j strictly below the cutoff,
-    so exactly those relations must stay inside the cutoff.  The full vector
-    and (1, ..., 1) always pass.
+    The expansion rewrites U_{i,j}^{n} only at the positions of
+    ``rewrite_rules``, so exactly their relations must stay inside the
+    cutoff.  The full vector and (1, ..., 1) always pass.
     """
     alpha = normalize_alpha(skp, alpha)
-    for index in skp.order:
-        i, j = index
-        if j >= alpha[i]:
-            continue
-        for (i2, j2) in skp.entries[index].relation:
-            if j2 > alpha[i2]:
-                return False
-    return True
+    return all(
+        j2 <= alpha[i2]
+        for index in rewrite_rules(skp, alpha)
+        for i2, j2 in skp.entries[index].relation
+    )

@@ -18,7 +18,7 @@ from .expansion import (
     vp,
 )
 from .ordgroup import is_finite_index
-from .skp import entry_orders, normalize_alpha, validate_acceptable
+from .skp import normalize_alpha, validate_acceptable
 
 
 class SkpValuation:
@@ -84,8 +84,8 @@ def value_report(f, valuation):
     if skp.cutoff is None:
         return val, None
     ratios = [
-        skp.entries[idx].beta.scale(Fraction(1, max(order, 1)))
-        for idx, order in entry_orders(skp).items()
+        entry.beta.scale(Fraction(1, max(entry.order, 1)))
+        for entry in skp.entries.values()
     ]
     threshold = min(ratios).scale(skp.cutoff + 1)
     return val, val <= threshold
@@ -101,7 +101,7 @@ def initial_form(f, valuation):
     skp = valuation.skp
     low = min(values)
     kept = [m for m, v in zip(expansion.monomials, values) if v == low]
-    vps = [vp(m, skp, valuation.alpha) for m in kept]
+    vps = [vp(m.exps, skp, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")
     return AdicExpansion(skp, valuation.alpha, kept)
@@ -188,8 +188,12 @@ def graded_normal_form(f, valuation):
     """Unique homogeneous decomposition in(f) = p(T) * U^J.
 
     Rows whose final entry has infinite index keep a free row-final exponent
-    instead of contributing a torus variable.  Extraction runs from the
-    highest row down, descending positions within a row.
+    instead of contributing a torus variable.  Each monomial of the initial
+    form is reduced in one pass over the table positions, descending: an
+    exponent e >= n at a position of finite index n keeps e mod n and passes
+    (e div n) times the position's relation on.  A relation reaches only
+    earlier positions, so one pass leaves every exponent below its finite
+    index; a reduction at a row's cutoff position counts toward T_i.
     """
     skp = valuation.skp
     alpha = valuation.alpha
@@ -203,16 +207,6 @@ def graded_normal_form(f, valuation):
         for i in range(skp.nvars)
         if alpha[i] >= 1 and is_finite_index(skp.entries[(i, alpha[i])].n)
     )
-    a_set = set(A)
-
-    def bound_at(index):
-        i, j = index
-        entry = skp.entries[index]
-        if j < alpha[i]:
-            return entry.n if is_finite_index(entry.n) else None
-        if i in a_set:
-            return entry.n
-        return None
 
     common_J = None
     torus = {}
@@ -221,28 +215,22 @@ def graded_normal_form(f, valuation):
         exps = dict(mono.exps)
         coeff = mono.coeff
         tdeg = {i: 0 for i in A}
-        while True:
-            target = None
-            for idx, e in exps.items():
-                b = bound_at(idx)
-                if b is not None and e >= b:
-                    if target is None or idx > target:
-                        target = idx
-            if target is None:
-                break
-            i, j = target
-            entry = skp.entries[target]
-            q, r = divmod(exps[target], entry.n)
+        for index in reversed(skp.order):
+            entry = skp.entries[index]
+            e = exps.get(index, 0)
+            if e < entry.n:  # always so at a position of infinite index
+                continue
+            q, r = divmod(e, entry.n)
             if r:
-                exps[target] = r
+                exps[index] = r
             else:
-                del exps[target]
+                del exps[index]
             coeff = coeff * entry.theta ** q
-            if j == alpha[i] and i in a_set:
+            i, j = index
+            if j == alpha[i]:
                 tdeg[i] += q
             for idx2, m in entry.relation.items():
-                if q * m:
-                    exps[idx2] = exps.get(idx2, 0) + q * m
+                exps[idx2] = exps.get(idx2, 0) + q * m
         if _integer_value(exps, betas, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:

@@ -7,16 +7,19 @@ balls come from nested coefficient loops, the adic expansion has a
 reference loop that rescans the whole working set before every rewrite,
 division in one variable has a reference that multiplies and subtracts whole
 polynomials at every step, the Euclidean value has a reference that sums
-GroupValues of Fractions instead of integer vectors, and the index and
+GroupValues of Fractions instead of integer vectors, the index and
 canonical relation of a generator chain have a reference that takes a left
-kernel and a second solve at every position.
+kernel and a second solve at every position, the initial form has a
+reference that values the rescanned expansion monomial by monomial in
+GroupValues, and the graded normal form has a reference that rescans each
+monomial for its greatest position over its bound before every reduction.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd, inf
 
-from skpval.errors import NotInGroupError, NotMonicError
+from skpval.errors import NotInGroupError, NotMonicError, ZeroPolyError
 from skpval.expansion import AdicExpansion, AdicMonomial, euclidean_expand, vdeg
 from skpval.intlattice import row_echelon, solve_combination
 from skpval.ordgroup import (
@@ -29,7 +32,8 @@ from skpval.ordgroup import (
     is_finite_index,
 )
 from skpval.poly import MultiPoly
-from skpval.skp import _collapsed_rewrite, entry_orders, normalize_alpha, u_order
+from skpval.skp import normalize_alpha, rewrite_rules, u_order
+from skpval.valuation import GradedNormalForm, _integer_value, initial_form
 
 
 def _int_rows(values):
@@ -144,10 +148,12 @@ def rescan_adic_expand(f, skp, alpha=None):
     alpha = normalize_alpha(skp, alpha)
     zero = skp.field.zero
     cutoff = skp.cutoff
-    orders = entry_orders(skp)
+    # a key polynomial the cutoff truncated to 0 refuses the expansion
+    u_order(((idx, 1) for idx in skp.order), skp.entries)
+    rules = rewrite_rules(skp, alpha)
 
     def add(work, key, coeff):
-        if cutoff is not None and u_order(key, skp.entries, orders) > cutoff:
+        if cutoff is not None and u_order(key, skp.entries) > cutoff:
             return
         cur = skp.field.reduce(work.get(key, zero) + coeff)
         if cur == zero:
@@ -182,7 +188,7 @@ def rescan_adic_expand(f, skp, alpha=None):
         base[index] -= skp.entries[index].n
         if base[index] == 0:
             del base[index]
-        nxt, terms = _collapsed_rewrite(skp, alpha, index)
+        _, nxt, terms = rules[index]
         for theta, mmap in [(skp.field.one, {nxt: 1})] + list(terms):
             branch = dict(base)
             for idx, e in mmap.items():
@@ -190,6 +196,25 @@ def rescan_adic_expand(f, skp, alpha=None):
             add(work, tuple(sorted(branch.items())), coeff * theta)
     monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
     return AdicExpansion(skp, alpha, monomials), rewrites
+
+
+def rescan_initial_form(f, valuation):
+    """The monomials of least value in ``rescan_adic_expand``'s expansion,
+    each valued as a sum of GroupValues."""
+    skp = valuation.skp
+    expansion, _ = rescan_adic_expand(f, skp, valuation.alpha)
+    if not len(expansion):
+        raise ZeroPolyError("no monomials survived (truncated to zero)")
+    zero = GroupValue((0,) * skp.dimension)
+    values = []
+    for m in expansion:
+        total = zero
+        for idx, e in m.exps.items():
+            total = total + skp.entries[idx].beta.scale(e)
+        values.append(total)
+    low = min(values)
+    kept = [m for m, v in zip(expansion, values) if v == low]
+    return AdicExpansion(skp, valuation.alpha, kept)
 
 
 def coefficient_of(f, i, k):
@@ -284,6 +309,84 @@ def group_euclid_value(f, valuation, top):
         if best is None or part < best:
             best = part
     return best
+
+
+# -- reference graded normal form: the rescan loop the library replaced by
+# one descending pass over the table positions.
+
+
+def rescan_graded_normal_form(f, valuation):
+    """Unique homogeneous decomposition in(f) = p(T) * U^J.
+
+    Rows whose final entry has infinite index keep a free row-final exponent
+    instead of contributing a torus variable.  Extraction runs from the
+    highest row down, descending positions within a row.
+    """
+    skp = valuation.skp
+    alpha = valuation.alpha
+    inf_form = initial_form(f, valuation)
+    betas, _ = skp.integer_betas
+    origin = (0,) * skp.dimension
+    value = _integer_value(inf_form.monomials[0].exps, betas, origin)
+
+    A = tuple(
+        i
+        for i in range(skp.nvars)
+        if alpha[i] >= 1 and is_finite_index(skp.entries[(i, alpha[i])].n)
+    )
+    a_set = set(A)
+
+    def bound_of(index):
+        i, j = index
+        entry = skp.entries[index]
+        if j < alpha[i]:
+            return entry.n if is_finite_index(entry.n) else None
+        if i in a_set:
+            return entry.n
+        return None
+
+    common_J = None
+    torus = {}
+    reduce = skp.field.reduce
+    for mono in inf_form:
+        exps = dict(mono.exps)
+        coeff = mono.coeff
+        tdeg = {i: 0 for i in A}
+        while True:
+            target = None
+            for idx, e in exps.items():
+                b = bound_of(idx)
+                if b is not None and e >= b:
+                    if target is None or idx > target:
+                        target = idx
+            if target is None:
+                break
+            i, j = target
+            entry = skp.entries[target]
+            q, r = divmod(exps[target], entry.n)
+            if r:
+                exps[target] = r
+            else:
+                del exps[target]
+            coeff = coeff * entry.theta ** q
+            if j == alpha[i] and i in a_set:
+                tdeg[i] += q
+            for idx2, m in entry.relation.items():
+                if q * m:
+                    exps[idx2] = exps.get(idx2, 0) + q * m
+        if _integer_value(exps, betas, origin) != value:
+            raise AssertionError("normal-form monomial changed value")
+        if common_J is None:
+            common_J = exps
+        elif common_J != exps:
+            raise AssertionError("normal-form base exponent differs")
+        key = tuple(tdeg[i] for i in A)
+        cur = reduce(torus.get(key, 0) + coeff)
+        if not cur:
+            torus.pop(key, None)
+        else:
+            torus[key] = cur
+    return GradedNormalForm(common_J or {}, torus, A, skp.group_value(value))
 
 
 # -- reference index and relation arithmetic: subgroup_index through a left

@@ -528,6 +528,58 @@ class TestInputFaults:
         path = write_problem(tmp_path, {"kind": "realize", "generators": [["0"], ["1"]]})
         assert_invalid_table(capsys, "realize", "--mode", mode, path)
 
+    @pytest.mark.parametrize(
+        "name, edit, argv",
+        [
+            (
+                "remark_diffskp.json",
+                lambda d: d["values"].update(limit_labels={"5,5": 1}),
+                ["eval", "--poly", "X1^40", "--skp"],
+            ),
+            ("remark_diffskp.json", lambda d: d.update(thetas={"9,9": "2"}), ["build"]),
+            ("example1_tail.json", lambda d: d["limit_tails"][0].update(row=9), ["build"]),
+            (
+                "example1_tail.json",
+                lambda d: d["limit_tails"][0]["exponents"].update({"9,9": [1, 1]}),
+                ["build"],
+            ),
+            (
+                "example1_tail.json",
+                lambda d: d["limit_tails"][0]["exponents"].update({"2,2": [1, 1]}),
+                ["build"],
+            ),
+        ],
+        ids=["label", "theta", "tail-row", "tail-exponent", "tail-exponent-not-earlier"],
+    )
+    def test_stray_table_index(self, tmp_path, capsys, name, edit, argv):
+        assert_schema_error(capsys, *argv, problem_with(tmp_path, name, edit))
+
+    def test_table_without_the_stray_label(self, capsys):
+        code, report = run(
+            capsys, "eval", "--skp", DATA / "remark_diffskp.json", "--poly", "X1^40"
+        )
+        assert code == 0
+        assert report["result"]["value"] == ["120"]
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("validate", {"rows": [["2"], [["3", "1"]]]}),
+            ("realize", {"generators": [["1"], ["1", "2"]]}),
+        ],
+    )
+    def test_mixed_dimensions(self, tmp_path, capsys, command, data):
+        assert_schema_error(capsys, command, write_problem(tmp_path, data))
+
+    def test_mixed_dimensions_in_the_library(self):
+        from skpval import DimensionMismatchError, GroupValue, SemigroupSpec
+        from skpval import analyze_generators, compute_relations
+
+        with pytest.raises(DimensionMismatchError):
+            compute_relations([[GroupValue((2,))], [GroupValue((3, 1))]])
+        with pytest.raises(DimensionMismatchError):
+            analyze_generators(SemigroupSpec([GroupValue((1,)), GroupValue((1, 2))]))
+
 
 def test_unexpected_value_error_is_internal(monkeypatch, capsys):
     import skpval.cli

@@ -13,6 +13,7 @@ from skpval import (
     NoCutoffError,
     NonStabilizingError,
     ThetaZeroError,
+    ZeroPolyError,
     build_skp,
     compute_relations,
     minimal_pseudo_skp,
@@ -21,6 +22,7 @@ from skpval import (
     validate_acceptable,
 )
 from skpval.jsonio import build_from_problem
+from skpval.skp import u_order
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,6 +120,26 @@ class TestTruncatedSuccessors:
                 assert entry.poly == expected.truncate(skp.cutoff), (i, j)
 
 
+class TestEntryOrders:
+    @pytest.mark.parametrize("cutoff", [None, 0, 1, 2, 3, 5, 8])
+    def test_none_exactly_for_a_zero_polynomial(self, diffskp_table, example1, cutoff):
+        skp = build_skp(diffskp_table, cutoff=cutoff)
+        with open(DATA / "example1_tail.json") as fh:
+            tail_skp = build_from_problem(json.load(fh))
+        for table in (skp, minimal_pseudo_skp(skp), example1, tail_skp):
+            for entry in table.entries.values():
+                assert (entry.order is None) == entry.poly.is_zero()
+                if entry.order is not None:
+                    assert entry.order == entry.poly.order()
+
+    def test_u_order_refuses_a_zero_polynomial(self, diffskp_table):
+        skp = build_skp(diffskp_table, cutoff=1)
+        assert skp.entries[(1, 2)].order is None
+        assert u_order([((0, 1), 2), ((1, 1), 1)], skp.entries) == 3
+        with pytest.raises(ZeroPolyError, match="^order of the zero polynomial$"):
+            u_order([((0, 1), 1), ((1, 2), 1)], skp.entries)
+
+
 class TestUnrollLimit:
     def tail_table(self):
         rows = [[GroupValue((0, 0, 1))], [GroupValue((0, 1, 0))], [GroupValue((0, 2, 1))]]
@@ -188,7 +210,7 @@ class TestMinimalPseudo:
         final = example1.row_length(2)
         assert reduced.entries[(2, 2)].poly == example1.entries[(2, final)].poly
 
-    def test_collapsed_rewrite_chain(self, diffskp):
+    def test_rewrite_chain_collapses(self, diffskp):
         reduced = minimal_pseudo_skp(diffskp)
         entry = reduced.entries[(1, 1)]
         assert entry.rewrite_next == (1, 2)

@@ -1,5 +1,8 @@
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,11 +21,20 @@ from skpval import (
     value_of,
     value_via_euclidean,
 )
+from skpval import adic_expand, jsonio, realize, validate_acceptable
 from skpval.expansion import vp
 from skpval.realize import random_polynomial
 from skpval.valuation import value_report
 
-from oracles import group_euclid_value
+from conftest import example1_rows
+from oracles import (
+    group_euclid_value,
+    rescan_adic_expand,
+    rescan_graded_normal_form,
+    rescan_initial_form,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def P(text, nvars=2):
@@ -190,7 +202,7 @@ class TestInitialForm:
         for _ in range(60):
             f = random_polynomial(rng, 2, 6)
             form = initial_form(f, v)
-            vps = [vp(m, diffskp, v.alpha) for m in form]
+            vps = [vp(m.exps, diffskp, v.alpha) for m in form]
             assert len(set(vps)) == len(vps)
 
     def test_single_monomial_keeps_top_final_exponent(self, diffskp):
@@ -315,3 +327,90 @@ class TestPrimeField:
         # 3*X0^3 vanishes mod 3, so only the later monomials survive
         f = parse_poly("X1^2 + 2*X0^3", 2, F3)
         assert value_of(f, v) == gv(9)
+
+
+def _problem(name, **changes):
+    data = json.loads((DATA / name).read_text())
+    data.update(changes)
+    return data
+
+
+def _reference_tables():
+    """The skp tables of tests/data and ``example1`` with their minimal
+    reduced tables, the diffskp table under cutoffs 1 (a key polynomial
+    truncates to 0) and 2 (some inputs truncate to 0), and the table
+    realizing 4, 6, 13 over Q and over GF(7)."""
+    tables = {}
+    for name in ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail"):
+        skp = jsonio.build_from_problem(_problem(f"{name}.json"))
+        tables[name] = skp
+        tables[f"{name}-minimal"] = minimal_pseudo_skp(skp)
+    for cutoff in (1, 2):
+        tables[f"remark_diffskp-cutoff-{cutoff}"] = jsonio.build_from_problem(
+            _problem("remark_diffskp.json", cutoff=cutoff)
+        )
+    for label, field in (("Q", None), ("GF7", {"prime": 7})):
+        spec = jsonio.load_semigroup_spec(_problem("gamma_4_6_13.json", field=field))
+        tables[f"realized-gamma_4_6_13-{label}"] = realize(spec).valuation.skp
+    rows, labels = example1_rows()
+    example1 = build_skp(compute_relations(rows, limit_labels=labels))
+    tables["example1"] = example1
+    tables["example1-minimal"] = minimal_pseudo_skp(example1)
+    return tables
+
+
+REFERENCE_TABLES = _reference_tables()
+POLYS_PER_VECTOR = 8
+
+
+def _acceptable_vectors(skp):
+    ranges = [range(1, n + 1) if n else range(1) for n in skp.full_alpha()]
+    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
+
+
+def _outcome(compute):
+    """The JSON of a result, or the ZeroPolyError it raised."""
+    try:
+        return compute()
+    except ZeroPolyError as exc:
+        return ("ZeroPolyError", str(exc))
+
+
+class TestAgainstRescanReference:
+    """The expansion, initial form and graded normal form equal the rescan
+    references on every acceptable vector, ZeroPolyError messages included."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+    def test_every_acceptable_vector(self, name):
+        skp = REFERENCE_TABLES[name]
+        rng = random.Random(sum(map(ord, name)))
+        degree = 8 if skp.nvars < 3 else 4
+        for alpha in _acceptable_vectors(skp):
+            v = SkpValuation(skp, alpha)
+            rows = [i for i in range(skp.nvars) if alpha[i]]
+            for k in range(POLYS_PER_VECTOR):
+                f = random_polynomial(rng, skp.nvars, degree, skp.field, rows)
+                if k % 2:
+                    # powers at the cutoff positions make the normal form
+                    # reduce there and carry into earlier positions
+                    powers = {(i, alpha[i]): rng.randint(1, 3) for i in rows}
+                    power = skp.monomial_poly(powers)
+                    f = power + f if k % 4 == 3 else power
+                if f.is_zero():  # the cutoff truncated the power to 0
+                    continue
+                pairs = [
+                    (
+                        lambda: adic_expand(f, skp, alpha).to_json(),
+                        lambda: rescan_adic_expand(f, skp, alpha)[0].to_json(),
+                    ),
+                    (
+                        lambda: initial_form(f, v).to_json(),
+                        lambda: rescan_initial_form(f, v).to_json(),
+                    ),
+                    (
+                        lambda: graded_normal_form(f, v).to_json(skp.field),
+                        lambda: rescan_graded_normal_form(f, v).to_json(skp.field),
+                    ),
+                ]
+                for got, want in pairs:
+                    assert _outcome(got) == _outcome(want), (alpha, str(f))
