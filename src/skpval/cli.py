@@ -145,6 +145,7 @@ def cmd_realize(args):
         raise SchemaError(f"unknown mode {mode!r}")
     thetas = jsonio.load_thetas(data, spec.field)
     result = realize(spec, mode, thetas)
+    jsonio.require_indices(thetas, result.table.entries, "a theta")
     payload = {
         "mode": mode,
         "blocks": result.blocks.to_json(),

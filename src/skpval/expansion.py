@@ -5,14 +5,17 @@ polynomials where every exponent at a non-final position (i, j), j < alpha_i,
 stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
 positions form an n = 1 chain, by the collapsed sum across the chain; one
-call reads its bounds and rules from ``skp.rewrite_rules``.  The
-result is unique; the strategy here is deterministic: the monomial with the
-smallest Vdeg (lexicographic per-variable degree vector), ties broken by
-its sorted exponent key, is processed first, and within it the violating
-index with the greatest lex position.  A priority queue keyed by
-(Vdeg, key) holds the violating monomials, so each rewrite pops its target
-instead of rescanning the working set; the order, and so the rewrite count
-under ``max_rewrites``, is that of the scan.
+call reads its bounds and rules from ``skp.rewrite_rules``.  Each monomial
+has one fixed rule, at its greatest violating index, and the cutoff drops a
+monomial by its exponents alone, so the expansion is unique.  One loop pops
+monomials from a priority queue keyed by (weight, sorted exponent key); the
+order fixes only the rewrite count under ``max_rewrites``.  ``adic_expand``
+weighs by Vdeg (per-variable degree vector).  ``least_value_part`` weighs by
+value and stops at the first value class that survives once its violating
+monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
+theta * U^m (equal), so no later rewrite reaches a lower class.
+``value_rules`` checks that once per rule set (a declared limit tail may
+break it, and the loop then runs to the end).
 
 The Euclidean expansion of the top row is computed by iterated monic
 division by the largest applicable key polynomial; it coincides with
@@ -22,12 +25,13 @@ split form; each final coefficient has X_top-degree 0, and its terms become
 the coefficient polynomial as they are.
 """
 
+import collections
 import heapq
 
 from .errors import IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
-from .skp import normalize_alpha, rewrite_rules, u_order
+from .skp import normalize_alpha, rewrite_rules, u_order, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -114,17 +118,34 @@ class AdicExpansion:
         return " + ".join(repr(m) for m in self.monomials) or "0"
 
 
-def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
-    """The unique adic expansion of a nonzero polynomial.
+# One expansion's ``rewrite_rules``, zero weight and index weights (``weigh``).
+RuleSet = collections.namedtuple("RuleSet", "rules origin weights stop_early")
 
-    Raises IterationCapError if the rewrite budget is exhausted (diagnostic
-    guard; polynomial inputs over finite tables are expected to terminate).
-    """
+
+def value_rules(skp, alpha=None):
+    """The RuleSet of ``least_value_part``: values over
+    ``SkpTable.integer_betas`` (tuples compare as their GroupValues do, the
+    common denominator being positive), and whether no rule branch has a
+    lower value than the power U^n it replaces."""
+    rules = rewrite_rules(skp, normalize_alpha(skp, alpha))
+    betas = skp.integer_betas[0]
+    weights = {idx: [(k, c) for k, c in enumerate(betas[idx]) if c] for idx in betas}
+    origin = (0,) * skp.dimension
+    stop_early = all(
+        weigh(mmap.items(), weights, origin) >= weigh([(index, n)], weights, origin)
+        for index, (n, nxt, terms) in rules.items()
+        for mmap in [{nxt: 1}] + [m for _, m in terms]
+    )
+    return RuleSet(rules, origin, weights, stop_early)
+
+
+def _rewrite(f, skp, alpha, rule_set, max_rewrites):
+    """The working set (key -> coefficient) the loop ends with, and the
+    weight of every key it held."""
     if f.is_zero():
         raise ZeroPolyError("cannot expand the zero polynomial")
     if f.nvars != skp.nvars or f.field != skp.field:
         raise ValueError("polynomial ring does not match the table")
-    alpha = normalize_alpha(skp, alpha)
     for i in f.support_variables():
         if alpha[i] == 0:
             raise ValueError(f"X{i} appears but row {i} has no key polynomials")
@@ -133,15 +154,13 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     cutoff = skp.cutoff
     # a key polynomial the cutoff truncated to 0 refuses the expansion here
     u_order(((idx, 1) for idx in skp.order), skp.entries)
-    rules = rewrite_rules(skp, alpha)
-    degrees = {index: entry.d for index, entry in skp.entries.items()}
-    nvars = skp.nvars
+    rules, origin, weights, stop_early = rule_set
 
-    # Every violating key in ``work`` has an entry (Vdeg, key, greatest
-    # violating index) in ``heap``; an entry whose key has left ``work`` is
-    # stale and skipped.  Popping the least entry therefore picks the same
-    # monomial as scanning ``work`` for the least (Vdeg, key).
+    # Each violating key in ``work`` has an entry (weight, key, greatest
+    # violating index) in ``heap``, with ``stop_early`` every other key too
+    # (index None); an entry whose key has left ``work`` is skipped.
     work = {}
+    weight = {}
     heap = []
 
     def add(key, coeff):
@@ -159,21 +178,30 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             return
         work[key] = coeff
         index = None
-        deg = [0] * nvars
         for idx, e in key:
-            deg[idx[0]] += e * degrees[idx]
             if idx in rules and e >= rules[idx][0]:
                 index = idx  # keys are sorted, so the last one is the greatest
-        if index is not None:
-            heapq.heappush(heap, (tuple(deg), key, index))
+        w = weight.get(key)
+        if w is None:
+            w = weight[key] = weigh(key, weights, origin)
+        if index is not None or stop_early:
+            heapq.heappush(heap, (w, key, index))
 
     for exps, c in f.terms.items():
         add(tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
 
     rewrites = 0
+    settled, current = [], None  # the popped keys of this weight that need no rewrite
     while heap:
-        _, target, index = heapq.heappop(heap)
+        w, target, index = heapq.heappop(heap)
         if target not in work:
+            continue
+        if w != current:
+            if stop_early and any(key in work for key in settled):
+                break
+            settled, current = [], w
+        if index is None:
+            settled.append(target)
             continue
         rewrites += 1
         if rewrites > max_rewrites:
@@ -194,9 +222,32 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
             for idx, e in mmap.items():
                 branch[idx] = branch.get(idx, 0) + e
             add(tuple(sorted(branch.items())), reduce(coeff * theta))
+    return work, weight
 
-    monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
-    return AdicExpansion(skp, alpha, monomials)
+
+def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
+    """The unique adic expansion of a nonzero polynomial.
+
+    Raises IterationCapError if the rewrite budget is exhausted (diagnostic
+    guard; polynomial inputs over finite tables are expected to terminate).
+    """
+    alpha = normalize_alpha(skp, alpha)
+    degrees = {index: [(index[0], entry.d)] for index, entry in skp.entries.items()}
+    rule_set = RuleSet(rewrite_rules(skp, alpha), (0,) * skp.nvars, degrees, False)
+    work, _ = _rewrite(f, skp, alpha, rule_set, max_rewrites)
+    return AdicExpansion(skp, alpha, [AdicMonomial(c, dict(k)) for k, c in work.items()])
+
+
+def least_value_part(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP, rule_set=None):
+    """The least value over f's adic expansion, an integer vector over
+    ``SkpTable.integer_betas``, and its monomials; ``rule_set`` defaults to
+    ``value_rules(skp, alpha)``."""
+    alpha = normalize_alpha(skp, alpha)
+    work, value = _rewrite(f, skp, alpha, rule_set or value_rules(skp, alpha), max_rewrites)
+    if not work:
+        raise ZeroPolyError("no monomials survived (truncated to zero)")
+    low = min(value[key] for key in work)
+    return low, [AdicMonomial(c, dict(k)) for k, c in work.items() if value[k] == low]
 
 
 def exponent_from_vdeg(v, skp, alpha=None):

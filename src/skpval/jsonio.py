@@ -86,11 +86,11 @@ def load_table(data):
         table = compute_relations(raw_rows, dimension=dim, limit_labels=labels)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    _require_indices(labels, table.entries, "a limit label")
+    require_indices(labels, table.entries, "a limit label")
     return table
 
 
-def _require_indices(indices, known, what):
+def require_indices(indices, known, what):
     """Refuse, as malformed input, any of the (i, j) ``indices`` outside ``known``."""
     for i, j in indices:
         _require((i, j) in known, f"no table index {i},{j} for {what}")
@@ -146,14 +146,14 @@ def build_from_problem(data):
     field = field_from_spec(data.get("field"))
     thetas = load_thetas(data, field)
     tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
-    _require_indices(thetas, table.entries, "a theta")
+    require_indices(thetas, table.entries, "a theta")
     for tail in tails:
         at = (tail.row, tail.at)
-        _require_indices([at], table.entries, "a limit tail")
+        require_indices([at], table.entries, "a limit tail")
         # a tail is unrolled from the entries built before its own
         earlier = [index for index in table.entries if index < at]
         what = f"a limit tail exponent before {at[0]},{at[1]}"
-        _require_indices(tail.exponents, earlier, what)
+        require_indices(tail.exponents, earlier, what)
     cutoff = load_cutoff(data.get("cutoff"))
     return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
 

@@ -148,6 +148,17 @@ def u_order(exps, entries):
     return total
 
 
+def weigh(items, weights, start):
+    """start + sum e * weights[index] over the ``(index, e)`` items of an
+    exponent map, each weight an integer vector given by its nonzero
+    (position, coordinate) pairs."""
+    w = list(start)
+    for idx, e in items:
+        for k, c in weights[idx]:
+            w[k] += e * c
+    return tuple(w)
+
+
 class SkpTable:
     """Key polynomials over a value table, plus degrees and rewrite data."""
 
@@ -437,16 +448,16 @@ def normalize_alpha(skp, alpha=None):
     return alpha
 
 
-def validate_acceptable(skp, alpha):
+def validate_acceptable(skp, alpha, rules=None):
     """Relation closure of a cutoff vector.
 
     The expansion rewrites U_{i,j}^{n} only at the positions of
-    ``rewrite_rules``, so exactly their relations must stay inside the
-    cutoff.  The full vector and (1, ..., 1) always pass.
+    ``rewrite_rules`` (given or derived), so exactly their relations must
+    stay inside the cutoff.  The full vector and (1, ..., 1) always pass.
     """
     alpha = normalize_alpha(skp, alpha)
     return all(
         j2 <= alpha[i2]
-        for index in rewrite_rules(skp, alpha)
+        for index in (rewrite_rules(skp, alpha) if rules is None else rules)
         for i2, j2 in skp.entries[index].relation
     )

@@ -1,11 +1,12 @@
 """Valuations attached to a table of key polynomials.
 
 The value of a monomial prod U_{i,j}^{e} is sum e * beta_{i,j}; the value of
-a polynomial is the minimum over the monomials of its adic expansion.  The
-same number can be computed through Euclidean expansions row by row, which
-the tests use as an independent route.  Initial forms, the top-row delta
-invariant, graded normal forms, and cutoff stabilization profiles all build
-on the expansion.
+a polynomial is the minimum over the monomials of its adic expansion, which
+``expansion.least_value_part`` finds without expanding past the least value
+class.  The same number can be computed through Euclidean expansions row by
+row, which the tests use as an independent route.  Initial forms, the
+top-row delta invariant, graded normal forms, and cutoff stabilization
+profiles all build on the least value part.
 """
 
 from fractions import Fraction
@@ -13,12 +14,13 @@ from fractions import Fraction
 from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
-    adic_expand,
     euclidean_expand,
+    least_value_part,
+    value_rules,
     vp,
 )
 from .ordgroup import is_finite_index
-from .skp import normalize_alpha, validate_acceptable
+from .skp import normalize_alpha, validate_acceptable, weigh
 
 
 class SkpValuation:
@@ -27,7 +29,8 @@ class SkpValuation:
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
-        if not validate_acceptable(skp, self.alpha):
+        self.rule_set = value_rules(skp, self.alpha)
+        if not validate_acceptable(skp, self.alpha, self.rule_set.rules):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
 
     @property
@@ -38,33 +41,10 @@ class SkpValuation:
         return f"SkpValuation(alpha={self.alpha}, {self.skp.values!r})"
 
 
-def _integer_value(exps, betas, start):
-    """start + sum e * beta over an exponent map, with each beta an integer
-    vector over the table's common denominator (``SkpTable.integer_betas``).
-    Integer vectors compare as tuples in the order of their GroupValues,
-    since the common denominator is positive."""
-    total = list(start)
-    for idx, e in exps.items():
-        for k, c in enumerate(betas[idx]):
-            total[k] += e * c
-    return tuple(total)
-
-
-def _valued_expansion(f, valuation):
-    """The adic expansion of f and the value of each of its monomials, as
-    integer vectors (``_integer_value``)."""
-    skp = valuation.skp
-    expansion = adic_expand(f, skp, valuation.alpha)
-    if not len(expansion):
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
-    betas, _ = skp.integer_betas
-    origin = (0,) * skp.dimension
-    return expansion, [_integer_value(m.exps, betas, origin) for m in expansion]
-
-
 def value_of(f, valuation):
-    """The valuation of a nonzero polynomial via its adic expansion."""
-    return valuation.skp.group_value(min(_valued_expansion(f, valuation)[1]))
+    """The valuation of a nonzero polynomial: the least value of its adic expansion."""
+    low, _ = least_value_part(f, valuation.skp, valuation.alpha, rule_set=valuation.rule_set)
+    return valuation.skp.group_value(low)
 
 
 def value_of_fraction(num, den, valuation):
@@ -97,10 +77,8 @@ def initial_form(f, valuation):
     The row-final exponent tuples of the result are pairwise distinct; this
     is checked on every call.
     """
-    expansion, values = _valued_expansion(f, valuation)
     skp = valuation.skp
-    low = min(values)
-    kept = [m for m, v in zip(expansion.monomials, values) if v == low]
+    _, kept = least_value_part(f, skp, valuation.alpha, rule_set=valuation.rule_set)
     vps = [vp(m.exps, skp, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")
@@ -116,7 +94,7 @@ def value_via_euclidean(f, valuation):
 
 
 def _euclid_value(f, valuation, top):
-    """The value of f on rows 0..top as an integer vector (``_integer_value``)."""
+    """The value of f on rows 0..top as an integer vector (``skp.weigh``)."""
     skp = valuation.skp
     if top < 0 or f.total_degree() == 0:
         return (0,) * skp.dimension
@@ -124,11 +102,11 @@ def _euclid_value(f, valuation, top):
         if f.deg_in(top) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return _euclid_value(f, valuation, top - 1)
-    betas, _ = skp.integer_betas
+    weights = valuation.rule_set.weights
     best = None
     for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top):
         lower = _euclid_value(coeff, valuation, top - 1)
-        part = _integer_value({(top, j): e for j, e in exps.items()}, betas, lower)
+        part = weigh((((top, j), e) for j, e in exps.items()), weights, lower)
         if best is None or part < best:
             best = part
     return best
@@ -198,9 +176,8 @@ def graded_normal_form(f, valuation):
     skp = valuation.skp
     alpha = valuation.alpha
     inf_form = initial_form(f, valuation)
-    betas, _ = skp.integer_betas
-    origin = (0,) * skp.dimension
-    value = _integer_value(inf_form.monomials[0].exps, betas, origin)
+    _, origin, weights, _ = valuation.rule_set
+    value = weigh(inf_form.monomials[0].exps.items(), weights, origin)
 
     A = tuple(
         i
@@ -231,7 +208,7 @@ def graded_normal_form(f, valuation):
                 tdeg[i] += q
             for idx2, m in entry.relation.items():
                 exps[idx2] = exps.get(idx2, 0) + q * m
-        if _integer_value(exps, betas, origin) != value:
+        if weigh(exps.items(), weights, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:
             common_J = exps

@@ -11,8 +11,10 @@ GroupValues of Fractions instead of integer vectors, the index and
 canonical relation of a generator chain have a reference that takes a left
 kernel and a second solve at every position, the initial form has a
 reference that values the rescanned expansion monomial by monomial in
-GroupValues, and the graded normal form has a reference that rescans each
-monomial for its greatest position over its bound before every reduction.
+GroupValues, the least value part has a reference that takes the minimum
+over a complete adic expansion, and the graded normal form has a reference
+that rescans each monomial for its greatest position over its bound before
+every reduction.
 """
 
 import itertools
@@ -20,7 +22,13 @@ from fractions import Fraction
 from math import gcd, inf
 
 from skpval.errors import NotInGroupError, NotMonicError, ZeroPolyError
-from skpval.expansion import AdicExpansion, AdicMonomial, euclidean_expand, vdeg
+from skpval.expansion import (
+    AdicExpansion,
+    AdicMonomial,
+    adic_expand,
+    euclidean_expand,
+    vdeg,
+)
 from skpval.intlattice import row_echelon, solve_combination
 from skpval.ordgroup import (
     INFINITY,
@@ -33,7 +41,7 @@ from skpval.ordgroup import (
 )
 from skpval.poly import MultiPoly
 from skpval.skp import normalize_alpha, rewrite_rules, u_order
-from skpval.valuation import GradedNormalForm, _integer_value, initial_form
+from skpval.valuation import GradedNormalForm, initial_form
 
 
 def _int_rows(values):
@@ -215,6 +223,31 @@ def rescan_initial_form(f, valuation):
     low = min(values)
     kept = [m for m, v in zip(expansion, values) if v == low]
     return AdicExpansion(skp, valuation.alpha, kept)
+
+
+def _integer_value(exps, betas, start):
+    """start + sum e * beta over an exponent map, each beta a dense integer
+    vector of ``SkpTable.integer_betas``."""
+    total = list(start)
+    for idx, e in exps.items():
+        for k, c in enumerate(betas[idx]):
+            total[k] += e * c
+    return tuple(total)
+
+
+def full_least_part(f, skp, alpha=None):
+    """The least value over the complete ``adic_expand`` of f, as an integer
+    vector over ``SkpTable.integer_betas``, and the monomials of that value:
+    the route ``least_value_part`` replaced, which expands everything and
+    then throws away all but the minimum."""
+    expansion = adic_expand(f, skp, alpha)
+    if not len(expansion):
+        raise ZeroPolyError("no monomials survived (truncated to zero)")
+    betas, _ = skp.integer_betas
+    origin = (0,) * skp.dimension
+    values = [_integer_value(m.exps, betas, origin) for m in expansion]
+    low = min(values)
+    return low, [m for m, v in zip(expansion, values) if v == low]
 
 
 def coefficient_of(f, i, k):

@@ -548,11 +548,37 @@ class TestInputFaults:
                 lambda d: d["limit_tails"][0]["exponents"].update({"2,2": [1, 1]}),
                 ["build"],
             ),
+            ("gamma_4_6_13.json", lambda d: d.update(thetas={"9,9": "2"}), ["realize"]),
         ],
-        ids=["label", "theta", "tail-row", "tail-exponent", "tail-exponent-not-earlier"],
+        ids=[
+            "label",
+            "theta",
+            "tail-row",
+            "tail-exponent",
+            "tail-exponent-not-earlier",
+            "realize-theta",
+        ],
     )
     def test_stray_table_index(self, tmp_path, capsys, name, edit, argv):
         assert_schema_error(capsys, *argv, problem_with(tmp_path, name, edit))
+
+    def test_realize_theta_outside_the_realized_table(self, tmp_path, capsys):
+        path = problem_with(tmp_path, "gamma_4_6_13.json", lambda d: d.update(thetas={"9,9": "2"}))
+        _, report = run(capsys, "realize", path)
+        assert report["diagnostics"][0]["message"] == "no table index 9,9 for a theta"
+        # a theta on an entry of the realized table is taken
+        path = problem_with(tmp_path, "gamma_4_6_13.json", lambda d: d.update(thetas={"1,1": "2"}))
+        code, report = run(capsys, "realize", path)
+        assert code == 0
+        assert report["status"] == "ok"
+
+    def test_library_realize_ignores_a_stray_theta(self):
+        from skpval import jsonio, realize
+
+        spec = jsonio.load_semigroup_spec(json.loads((DATA / "gamma_4_6_13.json").read_text()))
+        plain = realize(spec).valuation.skp
+        stray = realize(spec, thetas={(9, 9): 2}).valuation.skp
+        assert jsonio.dump_skp(stray) == jsonio.dump_skp(plain)
 
     def test_table_without_the_stray_label(self, capsys):
         code, report = run(

@@ -1,0 +1,197 @@
+"""The value-ordered expansion against the full one.
+
+``least_value_part`` rewrites in value order and stops at the first value
+class that survives; ``full_least_part`` in tests/oracles.py expands
+everything and takes the minimum.  Every function built on the least value
+must give exactly what it gives on the full route.
+"""
+
+import itertools
+import json
+import random
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+import skpval.valuation
+from skpval import (
+    IterationCapError,
+    SkpValuation,
+    ZeroPolyError,
+    adic_expand,
+    build_skp,
+    compute_relations,
+    delta_of,
+    graded_normal_form,
+    initial_form,
+    jsonio,
+    minimal_pseudo_skp,
+    parse_poly,
+    validate_acceptable,
+    value_of,
+)
+from skpval.expansion import AdicExpansion, least_value_part, value_rules
+from skpval.realize import random_polynomial
+
+from conftest import example1_rows
+from oracles import full_least_part
+
+DATA = Path(__file__).parent / "data"
+POLYS_PER_VECTOR = 12
+
+
+def _problem(name, **changes):
+    data = json.loads((DATA / name).read_text())
+    data.update(changes)
+    return data
+
+
+def _tables():
+    """The skp tables of tests/data and their minimal tables over Q and
+    GF(7), the ``example1`` fixture, and the diffskp table under cutoffs
+    1, 2, 3, 5 and 8."""
+    tables = {}
+    for name in ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail"):
+        for label, field in (("Q", None), ("GF7", {"prime": 7})):
+            skp = jsonio.build_from_problem(_problem(f"{name}.json", field=field))
+            tables[f"{name}-{label}"] = skp
+            tables[f"{name}-{label}-minimal"] = minimal_pseudo_skp(skp)
+    rows, labels = example1_rows()
+    tables["example1"] = build_skp(compute_relations(rows, limit_labels=labels))
+    for cutoff in (1, 2, 3, 5, 8):
+        tables[f"remark_diffskp-cutoff-{cutoff}"] = jsonio.build_from_problem(
+            _problem("remark_diffskp.json", cutoff=cutoff)
+        )
+    return tables
+
+
+TABLES = _tables()
+
+
+def _acceptable_vectors(skp):
+    ranges = [range(1, n + 1) if n else range(1) for n in skp.full_alpha()]
+    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
+
+
+def _outcome(compute):
+    """The result, or the ZeroPolyError it raised."""
+    try:
+        return compute()
+    except ZeroPolyError as exc:
+        return ("ZeroPolyError", str(exc))
+
+
+def _full_route():
+    """Every function of ``skpval.valuation`` on the full expansion."""
+    return mock.patch.object(
+        skpval.valuation,
+        "least_value_part",
+        lambda f, skp, alpha, rule_set: full_least_part(f, skp, alpha),
+    )
+
+
+def _results(f, valuation):
+    skp, alpha = valuation.skp, valuation.alpha
+    computations = [
+        lambda: value_of(f, valuation).to_json(),
+        lambda: initial_form(f, valuation).to_json(),
+        lambda: graded_normal_form(f, valuation).to_json(skp.field),
+    ]
+    if alpha[-1]:
+        computations.append(lambda: delta_of(f, skp, alpha[-1]))
+    return [_outcome(compute) for compute in computations]
+
+
+def _part_json(part, skp, alpha):
+    low, monomials = part
+    return low, AdicExpansion(skp, alpha, monomials).to_json()
+
+
+def _polynomials(rng, skp, alpha):
+    """Random polynomials, powers of key polynomials and their sums."""
+    rows = [i for i in range(skp.nvars) if alpha[i]]
+    degree = 8 if skp.nvars < 3 else 4
+    for k in range(POLYS_PER_VECTOR):
+        f = random_polynomial(rng, skp.nvars, degree, skp.field, rows)
+        if k % 2:
+            index = rng.choice([idx for idx in skp.order if idx[0] in rows])
+            power = skp.entries[index].poly ** rng.randint(1, 3)
+            f = power + f if k % 4 == 3 else power
+        yield f
+
+
+class TestAgainstFullExpansion:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_every_acceptable_vector(self, name):
+        skp = TABLES[name]
+        rng = random.Random(sum(map(ord, name)))
+        for alpha in _acceptable_vectors(skp):
+            v = SkpValuation(skp, alpha)
+            for f in _polynomials(rng, skp, alpha):
+                if f.is_zero():  # a key polynomial the cutoff truncated to 0
+                    continue
+                got = _outcome(lambda: _part_json(least_value_part(f, skp, alpha), skp, alpha))
+                want = _outcome(lambda: _part_json(full_least_part(f, skp, alpha), skp, alpha))
+                assert got == want, (alpha, str(f))
+                results = _results(f, v)
+                with _full_route():
+                    assert results == _results(f, v), (alpha, str(f))
+
+    def test_every_built_table_stops_early(self):
+        for name, skp in TABLES.items():
+            for alpha in _acceptable_vectors(skp):
+                assert value_rules(skp, alpha).stop_early, (name, alpha)
+
+
+def _value_lowering_tail():
+    """example1_tail.json with tail summands X0^(1+k): each has a lower
+    value than the power U_{2,1} it replaces, (0, 2, 1)."""
+    data = _problem("example1_tail.json")
+    data["limit_tails"][0]["exponents"] = {"0,1": [1, 1]}
+    return jsonio.build_from_problem(data)
+
+
+class TestValueLoweringRule:
+    def test_the_guard_refuses_the_early_stop(self):
+        skp = _value_lowering_tail()
+        rule_set = value_rules(skp)
+        assert not rule_set.stop_early
+        n, _, terms = rule_set.rules[(2, 1)]
+        betas, _ = skp.integer_betas
+        power = tuple(n * c for c in betas[(2, 1)])
+        assert any(m == {(0, 1): 1} for _, m in terms)
+        assert tuple(betas[(0, 1)]) < power
+
+    def test_value_of_is_the_full_minimum(self):
+        skp = _value_lowering_tail()
+        v = SkpValuation(skp)
+        forced = v.rule_set._replace(stop_early=True)
+        rng = random.Random(300)
+        differ = 0
+        for _ in range(300):
+            f = random_polynomial(rng, skp.nvars, 4, skp.field)
+            want = _outcome(lambda: skp.group_value(full_least_part(f, skp)[0]))
+            assert _outcome(lambda: value_of(f, v)) == want, str(f)
+            early = _outcome(lambda: skp.group_value(least_value_part(f, skp, rule_set=forced)[0]))
+            differ += early != want
+        # the guard is what keeps these right
+        assert differ > 0
+
+
+class TestEarlyStop:
+    """The value-ordered loop stops early under the same rewrite cap as
+    ``adic_expand``, so a silent fall back to the full expansion fails."""
+
+    @pytest.mark.parametrize("text, least, full", [("(X0+X1)^10", 0, 225), ("X1^8", 4, 44)])
+    def test_pinned_rewrite_counts(self, diffskp, text, least, full):
+        f = parse_poly(text, 2)
+        part = least_value_part(f, diffskp, max_rewrites=least)
+        assert _part_json(part, diffskp, None) == _part_json(
+            full_least_part(f, diffskp), diffskp, None
+        )
+        adic_expand(f, diffskp, max_rewrites=full)
+        for cap, expand in ((least, least_value_part), (full, adic_expand)):
+            if cap:
+                with pytest.raises(IterationCapError):
+                    expand(f, diffskp, max_rewrites=cap - 1)
