@@ -30,8 +30,8 @@ from .ordgroup import (
     Representation,
     canonical_representation,
     isolated_level,
-    lex_compare,
     rational_rank,
+    semigroup_witness,
     subgroup_index,
 )
 from .valtable import (
@@ -40,7 +40,7 @@ from .valtable import (
     enumerate_semigroup,
     validate_table,
 )
-from .poly import MultiPoly, monic_divide, order_of, parse_poly
+from .poly import MultiPoly, monic_divide, parse_poly
 from .skp import (
     LimitTail,
     SkpTable,

@@ -253,7 +253,7 @@ def load_semigroup_spec(data):
     # absent bounds keep SemigroupSpec's own defaults
     bounds = {
         key: load_int(data[key], key, nonnegative=True)
-        for key in ("coeff_bound", "degree_bound", "samples", "minimality_bound")
+        for key in ("coeff_bound", "degree_bound", "samples")
         if key in data
     }
     labels = data.get("limit_labels") or []

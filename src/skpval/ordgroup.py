@@ -11,6 +11,8 @@ module provides the arithmetic a well-ordered generator sequence needs:
 * ``analyze_chain(values)`` -- both at every position of a sequence, one
   integer echelon per position; a prefix's rational rank is its number of
   infinite indices,
+* ``semigroup_witness(g, chain)`` -- exact membership in the semigroup the
+  chain generates, read from g's canonical representation,
 * ``rational_rank``, ``span_levels`` and ``isolated_level`` for the
   numerical invariants.
 
@@ -127,18 +129,6 @@ def as_group_value(x, dim=None):
     if dim is not None and v.dim != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.dim}")
     return v
-
-
-def lex_compare(a, b):
-    """-1, 0, or 1 as a <, ==, > b in the lexicographic order."""
-    a = as_group_value(a)
-    b = as_group_value(b)
-    a._check_dim(b)
-    if a.coords < b.coords:
-        return -1
-    if a.coords > b.coords:
-        return 1
-    return 0
 
 
 def _integer_rows(values):
@@ -301,6 +291,28 @@ def analyze_chain(values):
         ns.append(n)
         relations.append(rel)
     return entries
+
+
+def semigroup_witness(gamma, chain):
+    """Coefficients of gamma as a nonnegative combination of the chain's
+    values, or None when gamma's canonical representation has a negative
+    coefficient or gamma is outside the generated group.
+
+    Exact when every relation in ``chain`` (from ``analyze_chain``) is
+    nonnegative: a nonnegative combination reduces to the unique canonical
+    one by folding n_j*gamma_j into its relation, which creates no negative
+    coefficient.
+    """
+    values = [e.value for e in chain]
+    try:
+        rep = canonical_representation(
+            1, gamma, values, ns=[e.n for e in chain],
+            relations=[e.relation for e in chain],
+        )
+    except NotInGroupError:
+        return None
+    witness = tuple(rep.coeffs.get(j, 0) for j in range(len(chain)))
+    return None if any(m < 0 for m in witness) else witness
 
 
 def _pivot_columns(values):

@@ -211,17 +211,6 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({poly_to_str(self)})"
 
-    def to_json(self):
-        return {
-            ",".join(str(a) for a in e): self.field.format(c)
-            for e, c in self.sorted_terms()
-        }
-
-
-def order_of(f):
-    """Minimum total degree of a nonzero polynomial."""
-    return f.order()
-
 
 def split_divisor(f, g, i):
     """(lower X_i-coefficients, X_i-degree) of g, a divisor of f monic in X_i."""
@@ -424,11 +413,3 @@ def parse_poly(text, nvars, field=QQ):
     if not tokens:
         raise PolyParseError("empty polynomial text")
     return _Parser(tokens, nvars, field).parse()
-
-
-def poly_from_json(data, nvars, field=QQ):
-    terms = {}
-    for key, cs in data.items():
-        exps = tuple(int(a) for a in key.split(","))
-        terms[exps] = field.of(cs)
-    return MultiPoly(nvars, terms, field)

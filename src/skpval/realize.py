@@ -2,8 +2,9 @@
 
 The pipeline: analyze the generators (indices, positivity, growth,
 minimality), re-index them into a value table, build the key polynomials,
-and verify by brute force that the value semigroup of the polynomial ring
-matches the input.
+and verify that the value semigroup of the polynomial ring matches the
+input: a ball of it is attained by explicit key-polynomial products, and
+sampled values are checked for exact membership.
 
 Two re-indexing modes exist.  LITERAL opens a new block at every rationally
 independent generator and maps the blocks to rows 1..B, leaving row 0 empty
@@ -19,7 +20,7 @@ import random
 
 from .errors import InvalidTableError, VerificationFailedError
 from .fields import QQ
-from .ordgroup import analyze_chain, as_group_value, is_finite_index
+from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
 from .skp import build_skp
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
@@ -31,11 +32,12 @@ CORRECTED = "corrected"
 DEFAULT_COEFF_BOUND = 4
 DEFAULT_DEGREE_BOUND = 8
 DEFAULT_SAMPLES = 200
-DEFAULT_MINIMALITY_BOUND = 8
 
 
 class SemigroupSpec:
-    """A prescribed semigroup: ordered generators plus verification knobs."""
+    """A prescribed semigroup: ordered generators plus the bounds of its
+    verification (the attainment ball's coefficient sum, the sampled
+    polynomials' degree and their number)."""
 
     def __init__(
         self,
@@ -45,7 +47,6 @@ class SemigroupSpec:
         coeff_bound=DEFAULT_COEFF_BOUND,
         degree_bound=DEFAULT_DEGREE_BOUND,
         samples=DEFAULT_SAMPLES,
-        minimality_bound=DEFAULT_MINIMALITY_BOUND,
     ):
         self.generators = [as_group_value(g) for g in generators]
         if not self.generators:
@@ -58,7 +59,6 @@ class SemigroupSpec:
         self.coeff_bound = coeff_bound
         self.degree_bound = degree_bound
         self.samples = samples
-        self.minimality_bound = minimality_bound
 
 
 class GeneratorAnalysis:
@@ -66,6 +66,12 @@ class GeneratorAnalysis:
 
     The rational rank is read off the chain: it is the number of infinite
     indices, one for each generator outside the Q-span of the earlier ones.
+
+    ``minimal[j]`` says whether gamma_j is outside the semigroup of the
+    earlier generators.  Outside their group (n_j != 1) it is; inside
+    (n_j == 1) its canonical relation decides, exactly while every earlier
+    relation is nonnegative (``semigroup_witness``).  A negative relation
+    after an earlier negative one leaves it undecided: None.
     """
 
     def __init__(self, spec):
@@ -82,10 +88,13 @@ class GeneratorAnalysis:
             else:
                 self.increasing.append(True)
         self.minimal = []
-        for j, g in enumerate(gens):
-            ball = enumerate_semigroup(gens[:j], spec.minimality_bound)
-            self.minimal.append(g not in ball)
-        self.minimality_bound = spec.minimality_bound
+        for j, n in enumerate(self.ns):
+            if n != 1:
+                self.minimal.append(True)
+            elif self.positive[j]:
+                self.minimal.append(False)
+            else:
+                self.minimal.append(True if all(self.positive[:j]) else None)
         self.rational_rank = sum(1 for n in self.ns if not is_finite_index(n))
 
     @property
@@ -110,7 +119,6 @@ class GeneratorAnalysis:
             "positive": self.positive,
             "increasing": self.increasing,
             "minimal": self.minimal,
-            "minimality_bound": self.minimality_bound,
             "rational_rank": self.rational_rank,
             "ok": self.ok,
         }
@@ -203,7 +211,13 @@ class RealizationResult:
 
 
 def realize(spec, mode=CORRECTED, thetas=None):
-    """Build the valuation; raises InvalidTableError with diagnostics."""
+    """Build the valuation; raises InvalidTableError with diagnostics.
+
+    The re-indexed table must be a sequence of values, so every canonical
+    relation of an accepted input is nonnegative and the analysis's
+    ``minimal`` flags are all decided.  A non-minimal generator does not
+    stop the build; the analysis reports it (``ok`` false).
+    """
     res = reindex(spec, mode)
     if not res.validation.is_sequence_of_values:
         failures = "; ".join(repr(c) for c in res.validation.failures)
@@ -232,11 +246,10 @@ def realize(spec, mode=CORRECTED, thetas=None):
 
 
 class VerificationVerdict:
-    def __init__(self, passed, attainment, containment_checked, threshold, seed):
+    def __init__(self, passed, attainment, containment_checked, seed):
         self.passed = passed
         self.attainment = attainment
         self.containment_checked = containment_checked
-        self.threshold = threshold
         self.seed = seed
 
     def to_json(self):
@@ -251,7 +264,6 @@ class VerificationVerdict:
                 for g, w, s in self.attainment
             ],
             "containment_checked": self.containment_checked,
-            "window_threshold": self.threshold.to_json(),
             "seed": self.seed,
         }
 
@@ -288,13 +300,14 @@ def verify_realization(
     samples=None,
     seed=0,
 ):
-    """Brute-force check that the value semigroup matches the input.
+    """Check that the value semigroup matches the input.
 
     Attainment: every semigroup element within the coefficient window is the
     value of an explicit product of key polynomials, expanded to raw
     monomial form and re-valued through the adic expansion.  Containment:
-    random polynomials take values inside the window or beyond its
-    completeness threshold (K+1 times the smallest generator).
+    the value of every random polynomial is in the semigroup, decided
+    exactly by ``semigroup_witness`` (exact because ``realize`` accepts only
+    generators whose canonical relations are nonnegative).
 
     Raises VerificationFailedError with the offending element.
     """
@@ -304,7 +317,7 @@ def verify_realization(
     skp = valuation.skp
     gens = spec.generators
 
-    ball = enumerate_semigroup(gens, coeff_bound, with_witnesses=True)
+    ball = enumerate_semigroup(gens, coeff_bound)
     attainment = []
     for gamma, witness in ball:
         exps = {}
@@ -319,21 +332,23 @@ def verify_realization(
             )
         attainment.append((gamma, witness, str(witness_poly)))
 
-    window = {g.coords for g, _ in ball}
-    threshold = min(gens).scale(coeff_bound + 1)
+    # membership witnesses by value, seeded with the ball's
+    witnesses = {g.coords: w for g, w in ball}
+    chain = analyze_chain(gens)
     used_vars = [i for i in range(skp.nvars) if skp.row_length(i) > 0]
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
         f = random_polynomial(rng, skp.nvars, degree_bound, skp.field, used_vars)
         val = value_of(f, valuation)
-        if val.coords not in window and not val >= threshold:
+        if val.coords not in witnesses:
+            witnesses[val.coords] = semigroup_witness(val, chain)
+        if witnesses[val.coords] is None:
             raise VerificationFailedError(
-                f"value {val} of {f} escapes the semigroup window",
-                offending=val,
+                f"value {val} of {f} is not in the semigroup", offending=val
             )
         checked += 1
-    return VerificationVerdict(True, attainment, checked, threshold, seed)
+    return VerificationVerdict(True, attainment, checked, seed)
 
 
 class RankJumpReport:

@@ -56,9 +56,6 @@ class ValueTable:
         i, j = index
         return j == len(self.rows[i])
 
-    def all_values(self):
-        return [self.entries[k].beta for k in self.order]
-
     def __repr__(self):
         rows = "; ".join(
             "(" + ", ".join(str(b) for b in row) + ")" for row in self.rows
@@ -235,46 +232,25 @@ def validate_table(table):
     return ValidationReport(checks)
 
 
-def _semigroup_sums(values, coeff_bound):
-    """All sums a_1 v_1 + ... with a_i >= 0 and sum a_i <= coeff_bound.
-
-    Yields (value, witness) pairs; the witness is the tuple of coefficients
-    of the first combination found for that value.
+def enumerate_semigroup(values, coeff_bound):
+    """Semigroup ball: all sums a_1 v_1 + ... with a_i >= 0 and
+    sum a_i <= coeff_bound, as (value, coefficient tuple) pairs sorted by
+    value, one witness per distinct value (the first combination found).
     """
+    values = [as_group_value(v) for v in values]
     if not values:
-        return {}
-    dim = values[0].dim
-    zero = GroupValue((0,) * dim)
+        return []
     found = {}
 
     def rec(pos, budget, acc, witness):
         if pos == len(values):
-            key = acc.coords
-            if key not in found:
-                found[key] = (acc, tuple(witness))
+            if acc.coords not in found:
+                found[acc.coords] = (acc, tuple(witness))
             return
         for a in range(budget + 1):
             witness.append(a)
             rec(pos + 1, budget - a, acc + values[pos].scale(a), witness)
             witness.pop()
 
-    rec(0, coeff_bound, zero, [])
-    return found
-
-
-def enumerate_semigroup(table_or_values, coeff_bound, with_witnesses=False):
-    """Semigroup ball: all bounded nonnegative combinations, sorted.
-
-    Accepts a ValueTable or a plain list of values.  With
-    ``with_witnesses=True`` returns a list of (value, coefficient tuple)
-    pairs instead, one witness per distinct value.
-    """
-    if isinstance(table_or_values, ValueTable):
-        values = table_or_values.all_values()
-    else:
-        values = [as_group_value(v) for v in table_or_values]
-    found = _semigroup_sums(values, coeff_bound)
-    ordered = sorted(found.values(), key=lambda vw: vw[0].coords)
-    if with_witnesses:
-        return ordered
-    return [v for v, _ in ordered]
+    rec(0, coeff_bound, GroupValue((0,) * values[0].dim), [])
+    return sorted(found.values(), key=lambda vw: vw[0].coords)

@@ -47,11 +47,6 @@ def value_of(f, valuation):
     return valuation.skp.group_value(low)
 
 
-def value_of_fraction(num, den, valuation):
-    """Extension to quotients: value(num) - value(den)."""
-    return value_of(num, valuation) - value_of(den, valuation)
-
-
 def value_report(f, valuation):
     """Value plus a conservativeness flag under a cutoff.
 

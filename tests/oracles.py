@@ -14,7 +14,9 @@ reference that values the rescanned expansion monomial by monomial in
 GroupValues, the least value part has a reference that takes the minimum
 over a complete adic expansion, and the graded normal form has a reference
 that rescans each monomial for its greatest position over its bound before
-every reduction.
+every reduction.  Membership in the semigroup of positive generators has an
+exact reference that never reads a canonical representation: a coin-problem
+table at rank 1 and, above it, every count of the leading-level generators.
 """
 
 import itertools
@@ -523,3 +525,66 @@ def analyze_chain(values):
         ns.append(n)
         relations.append(rel)
     return entries
+
+
+# -- exact semigroup membership for positive generators, with no lattice
+# arithmetic: a reachability table over the integers at rank 1, and above
+# it every count of the generators at the leading coordinate.
+
+
+def _coin_member(target, gens):
+    """target in the semigroup of positive rationals ``gens``, by a
+    reachability table after scaling everything to integers."""
+    denom = 1
+    for c in [target] + list(gens):
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    t = target * denom
+    if t < 0 or t.denominator != 1:
+        return False
+    coins = [int(c * denom) for c in gens]
+    t = int(t)
+    reach = [True] + [False] * t
+    for k in range(1, t + 1):
+        reach[k] = any(c <= k and reach[k - c] for c in coins)
+    return reach[t]
+
+
+def semigroup_member(gamma, gens):
+    """gamma in the semigroup of the lex-positive ``gens``, exactly.
+
+    Only the generators with a nonzero leading coordinate contribute there,
+    each at most leading(gamma)/leading(g) times; every count that matches
+    gamma's leading coordinate leaves a remainder to decide one level down
+    over the generators whose leading coordinate is 0.
+    """
+    gamma = as_group_value(gamma)
+    gens = [as_group_value(g, gamma.dim) for g in gens]
+    if gamma.dim == 1:
+        return _coin_member(gamma.coords[0], [g.coords[0] for g in gens])
+    lead = [g for g in gens if g.coords[0] != 0]
+    rest = [GroupValue(g.coords[1:]) for g in gens if g.coords[0] == 0]
+    top = gamma.coords[0]
+    if top < 0:
+        return False
+    for counts in itertools.product(*[range(int(top / g.coords[0]) + 1) for g in lead]):
+        if sum(c * g.coords[0] for c, g in zip(counts, lead)) != top:
+            continue
+        below = [gamma.coords[k] - sum(c * g.coords[k] for c, g in zip(counts, lead))
+                 for k in range(1, gamma.dim)]
+        if semigroup_member(GroupValue(below), rest):
+            return True
+    return False
+
+
+def positive_chain(rng, dim, size):
+    """``size`` random lex-positive values of dimension 1 or 2 with small
+    numerators and denominators, in random order."""
+    out = []
+    while len(out) < size:
+        if dim == 1:
+            out.append(GroupValue(Fraction(rng.randint(1, 14), rng.choice((1, 1, 2, 3)))))
+            continue
+        v = GroupValue((rng.randint(0, 2), Fraction(rng.randint(-3, 4), rng.choice((1, 2)))))
+        if v > GroupValue((0, 0)):
+            out.append(v)
+    return out

@@ -57,7 +57,8 @@ class TestInductive:
         # the enumerated semigroup ball is exactly the set of values of
         # bounded products of key polynomials
         v = SkpValuation(diffskp)
-        ball = enumerate_semigroup(diffskp.values, 3, with_witnesses=True)
+        betas = [diffskp.entries[k].beta for k in diffskp.order]
+        ball = enumerate_semigroup(betas, 3)
         attained = set()
         for gamma, witness in ball:
             exps = dict(zip(diffskp.order, witness))

@@ -200,6 +200,16 @@ class TestRealize:
         assert code == 0
         assert report["result"]["realization"]["verification"]["passed"]
 
+    def test_non_minimal_generator_reported(self, tmp_path, capsys):
+        path = tmp_path / "one_ten.json"
+        path.write_text(json.dumps({"kind": "realize", "generators": [["1"], ["10"]]}))
+        code, report = run(capsys, "realize", path)
+        assert code == 0
+        analysis = report["result"]["realization"]["analysis"]
+        assert analysis["minimal"] == [True, False]
+        assert analysis["ok"] is False
+        assert "minimality_bound" not in analysis
+
 
 class TestReportShape:
     def test_deterministic_bytes(self, capsys):
@@ -255,6 +265,19 @@ class TestReportShape:
         )
         assert report["seed"] == 7
         assert report["result"]["realization"]["verification"]["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--skp", "skp.json"], ["validate", "--no-such-flag", "t.json"]],
+        ids=["missing-poly", "unknown-flag"],
+    )
+    def test_usage_error_exits_2_without_a_report(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_command(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: skpval")
 
     def test_jobs_environment_is_ignored(self, monkeypatch, capsys):
         monkeypatch.setenv("SKPVAL_JOBS", "abc")
@@ -337,15 +360,30 @@ class TestProblemIntegers:
             ("samples", -1),
             ("coeff_bound", True),
             ("degree_bound", "6"),
-            ("minimality_bound", None),
             ("limit_labels", "1"),
             ("limit_labels", [1.5]),
             ("limit_labels", [True]),
+        ],
+        # fixed ids, so that a row keeps its name when another is removed
+        ids=[
+            "samples-2.5", "samples--1", "coeff_bound-True", "degree_bound-6",
+            "limit_labels-1", "limit_labels-value6", "limit_labels-value7",
         ],
     )
     def test_semigroup_spec_integers(self, tmp_path, capsys, key, value):
         path = problem_with(tmp_path, "free_pair.json", lambda d: d.update({key: value}))
         assert_schema_error(capsys, "verify", path)
+
+    @pytest.mark.parametrize("value", [12, None, "x"])
+    def test_leftover_minimality_bound_is_ignored(self, tmp_path, capsys, value):
+        # minimality is decided exactly, so the old bound no longer exists
+        _, want = run(capsys, "verify", DATA / "free_pair.json")
+        path = problem_with(
+            tmp_path, "free_pair.json", lambda d: d.update(minimality_bound=value)
+        )
+        code, got = run(capsys, "verify", path)
+        assert code == 0
+        assert got["result"] == want["result"]
 
     def test_integral_numbers_are_integers(self, tmp_path, capsys):
         _, want = run(capsys, "verify", DATA / "free_pair.json")

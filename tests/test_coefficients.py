@@ -23,7 +23,6 @@ from skpval import (
     parse_poly,
 )
 from skpval.fields import QQ
-from skpval.poly import poly_from_json
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
 
@@ -77,7 +76,6 @@ def test_ring_operations(field):
 def test_parse_json_and_construction(field):
     f, g = inputs(field)
     assert_field_form(poly_coeffs(f, g), field)
-    assert_field_form(poly_from_json(f.to_json(), 2, field).terms.values(), field)
     h = MultiPoly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 9}, field)
     assert_field_form(h.terms.values(), field)
 

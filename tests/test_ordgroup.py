@@ -11,14 +11,19 @@ from skpval import (
     NotInGroupError,
     canonical_representation,
     isolated_level,
-    lex_compare,
     rational_rank,
+    semigroup_witness,
     subgroup_index,
 )
 from skpval.ordgroup import analyze_chain, span_levels
 
 import oracles
-from oracles import representation_box_search, scan_subgroup_index
+from oracles import (
+    positive_chain,
+    representation_box_search,
+    scan_subgroup_index,
+    semigroup_member,
+)
 
 
 def gv(*coords):
@@ -27,15 +32,16 @@ def gv(*coords):
 
 class TestLexCompare:
     def test_first_coordinate_dominates(self):
-        assert lex_compare(gv(1, 0, 0), gv(0, 1, 0)) == 1
-        assert lex_compare(gv(0, 5), gv(1, 0)) == -1
+        assert gv(1, 0, 0) > gv(0, 1, 0)
+        assert gv(0, 5) < gv(1, 0)
 
     def test_equal(self):
-        assert lex_compare(gv(2, 3), gv(2, 3)) == 0
+        assert gv(2, 3) == gv(2, 3)
+        assert not gv(2, 3) < gv(2, 3) and not gv(2, 3) > gv(2, 3)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            lex_compare(gv(1), gv(1, 2))
+            gv(1) < gv(1, 2)
 
     @given(
         st.lists(st.fractions(max_denominator=20), min_size=3, max_size=3),
@@ -44,9 +50,10 @@ class TestLexCompare:
     )
     def test_total_order_compatible_with_addition(self, a, b, c):
         a, b, c = gv(*a), gv(*b), gv(*c)
-        assert lex_compare(a, b) == -lex_compare(b, a)
-        if lex_compare(a, b) <= 0 and lex_compare(b, c) <= 0:
-            assert lex_compare(a, c) <= 0
+        assert (a < b) == (b > a) and (a == b) == (b == a)
+        assert sum([a < b, a == b, a > b]) == 1
+        if a <= b and b <= c:
+            assert a <= c
         if a < b:
             assert a + c < b + c
 
@@ -203,6 +210,45 @@ class TestChainAgainstReference:
             got = canonical_representation(multiple * n, gamma, previous)
             want = oracles.canonical_representation(multiple * n, gamma, previous)
             assert got.coeffs == want.coeffs
+
+
+class TestSemigroupWitness:
+    def test_gaps_of_four_ten_twenty_one(self):
+        chain = analyze_chain([gv(4), gv(10), gv(21)])
+        assert semigroup_witness(gv(23), chain) is None
+        assert semigroup_witness(gv(27), chain) is None
+        assert semigroup_witness(gv(25), chain) == (1, 0, 1)
+        assert semigroup_witness(gv(0), chain) == (0, 0, 0)
+
+    def test_outside_the_group(self):
+        assert semigroup_witness(gv(5), analyze_chain([gv(4), gv(6)])) is None
+        assert semigroup_witness(gv(0, 1), analyze_chain([gv(1, 0)])) is None
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_exact_oracle(self, dim):
+        # a witness always sums to gamma; with nonnegative relations it
+        # exists exactly for the members
+        rng = random.Random(20 + dim)
+        exact = 0
+        for _ in range(40):
+            gens = positive_chain(rng, dim, rng.randint(1, 5))
+            chain = analyze_chain(gens)
+            nonnegative = all(m > 0 for e in chain for m in e.relation.coeffs.values())
+            exact += nonnegative
+            for _ in range(30):
+                if dim == 1:
+                    gamma = gv(Fraction(rng.randint(0, 40), rng.choice((1, 2, 3))))
+                else:
+                    second = Fraction(rng.randint(-6, 8), rng.choice((1, 2)))
+                    gamma = gv(rng.randint(0, 3), second)
+                witness = semigroup_witness(gamma, chain)
+                if witness is not None:
+                    assert min(witness) >= 0
+                    total = sum((g.scale(m) for g, m in zip(gens, witness)), gv(*[0] * dim))
+                    assert total == gamma
+                if nonnegative:
+                    assert (witness is not None) == semigroup_member(gamma, gens)
+        assert exact >= 10
 
 
 class TestRationalRank:

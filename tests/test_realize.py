@@ -1,3 +1,6 @@
+import random
+import time
+from fractions import Fraction
 from math import inf
 
 import pytest
@@ -17,6 +20,8 @@ from skpval import (
     verify_realization,
 )
 from skpval.poly import parse_poly
+
+from oracles import positive_chain, semigroup_member
 
 
 def gv(*coords):
@@ -50,6 +55,46 @@ class TestAnalyze:
     def test_increasing_failure(self):
         a = analyze_generators(spec(4, 6, 11))
         assert a.increasing == [True, False]
+
+    def test_multiple_of_an_earlier_generator(self):
+        # n = 1 and the relation 10 = 10*1 is nonnegative: it is the witness
+        a = analyze_generators(spec(1, 10))
+        assert a.minimal == [True, False]
+        assert not a.ok
+
+    def test_undecided_after_a_negative_relation(self):
+        # 1 = -3*3 + 2*5 is outside <3, 5>; 7 = 7*1 is in <3, 5, 1>, but
+        # its canonical form -1*3 + 2*5 cannot tell after that negative relation
+        a = analyze_generators(spec(3, 5, 1, 7))
+        assert a.minimal == [True, True, True, None]
+        assert not a.ok
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_minimal_matches_exact_oracle(self, dim):
+        rng = random.Random(30 + dim)
+        decided = 0
+        for _ in range(150):
+            gens = positive_chain(rng, dim, rng.randint(1, 5))
+            a = analyze_generators(SemigroupSpec(gens))
+            for j, flag in enumerate(a.minimal):
+                if flag is None:
+                    assert not all(a.positive[:j])
+                    continue
+                decided += 1
+                assert flag == (not semigroup_member(gens[j], gens[:j]))
+        assert decided >= 300
+
+    def test_doubling_chain(self):
+        # gamma_1 = 1, gamma_{k+1} = 2 gamma_k + 2^-k, twelve generators
+        gens = [gv(1)]
+        for k in range(1, 12):
+            gens.append(gens[-1].scale(2) + gv(Fraction(1, 2 ** k)))
+        start = time.perf_counter()
+        a = analyze_generators(SemigroupSpec(gens))
+        assert time.perf_counter() - start < 0.5
+        assert a.ns == [inf] + [2] * 11
+        assert a.minimal == [True] * 12
+        assert a.ok
 
 
 class TestReindex:
@@ -185,3 +230,18 @@ class TestVerificationFailure:
                 coeff_bound=2, degree_bound=4, samples=10, seed=3,
             )
         assert exc.value.offending is not None
+
+    def test_sample_outside_the_semigroup(self):
+        from skpval import VerificationFailedError
+
+        # the valuation of (2, 3) takes the value 3, which is not in <2, 5>;
+        # with an attainment ball of {0} only the containment check sees it
+        result = realize(spec(2, 3), CORRECTED)
+        wrong = spec(2, 5)
+        with pytest.raises(VerificationFailedError) as exc:
+            verify_realization(
+                result.valuation, wrong, result.blocks,
+                coeff_bound=0, degree_bound=4, samples=40, seed=3,
+            )
+        assert "is not in the semigroup" in str(exc.value)
+        assert not semigroup_member(exc.value.offending, wrong.generators)

@@ -121,7 +121,7 @@ class TestValidateTable:
 class TestEnumerateSemigroup:
     def test_against_brute_force(self):
         values = [gv(4), gv(6), gv(13)]
-        got = [v.coords for v in enumerate_semigroup(values, 3)]
+        got = [v.coords for v, _ in enumerate_semigroup(values, 3)]
         assert got == brute_semigroup(values, 3)
         # frozen from the oracle above
         assert [c[0] for c in got] == [
@@ -129,19 +129,21 @@ class TestEnumerateSemigroup:
         ]
 
     def test_single_generator(self):
-        assert [v.coords[0] for v in enumerate_semigroup([gv(1)], 2)] == [0, 1, 2]
+        got = enumerate_semigroup([gv(1)], 2)
+        assert got == [(gv(0), (0,)), (gv(1), (1,)), (gv(2), (2,))]
 
     def test_vector_generators(self):
         got = enumerate_semigroup([gv(1, 0), gv(0, 1)], 1)
-        assert [v.coords for v in got] == [(0, 0), (0, 1), (1, 0)]
+        assert [v.coords for v, _ in got] == [(0, 0), (0, 1), (1, 0)]
 
     def test_from_table(self, diffskp_table):
-        got = [v.coords for v in enumerate_semigroup(diffskp_table, 2)]
+        values = [diffskp_table.entries[k].beta for k in diffskp_table.order]
+        got = [v.coords for v, _ in enumerate_semigroup(values, 2)]
         assert got == brute_semigroup([gv(2), gv(3), gv(9), gv(10)], 2)
 
     def test_closed_under_addition_within_bound(self):
         values = [gv(4), gv(6), gv(13)]
-        ball = enumerate_semigroup(values, 4, with_witnesses=True)
+        ball = enumerate_semigroup(values, 4)
         members = {v.coords for v, _ in ball}
         for v1, w1 in ball:
             for v2, w2 in ball:

@@ -83,11 +83,6 @@ class TestValueOf:
                     if vf != vg:
                         assert vs == min(vf, vg)
 
-    def test_quotient_extension(self, vdiff):
-        from skpval.valuation import value_of_fraction
-
-        assert value_of_fraction(P("X1^2"), P("X0"), vdiff) == gv(4)
-
     def test_truncation_validity_flag(self):
         t = compute_relations([[2], [3, 9, 10]])
         skp = build_skp(t, cutoff=12)
