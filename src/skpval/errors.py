@@ -50,7 +50,8 @@ class UnrealizableError(SkpvalError):
 
 
 class HypothesisViolatedError(SkpvalError):
-    """Classifier input violates the standing hypothesis on the first value."""
+    """Input violates a standing hypothesis: the classifier's on the first
+    value, or verification's that every generator relation is nonnegative."""
 
 
 class VerificationFailedError(SkpvalError):

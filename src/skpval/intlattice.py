@@ -1,8 +1,8 @@
 """Exact integer-lattice linear algebra.
 
 Row-style echelon reduction over the integers with a unimodular transform,
-which the group arithmetic reads index, relation and pivot columns from,
-plus solving t = sum c_i v_i over Z.  Matrices are lists of lists of
+which the group arithmetic reads its basis, index and relations from, plus
+solving t = sum c_i v_i over Z.  Matrices are lists of lists of
 Python ints; sizes here are tiny (a handful of rows, single-digit
 dimensions), so no attempt is made to control coefficient growth beyond
 plain Euclidean reduction.
@@ -75,15 +75,3 @@ def solve_combination(rows, target):
         return None
     return coeffs
 
-
-def pivot_columns(rows):
-    """Pivot column indices of the echelon form (left to right)."""
-    if not rows:
-        return []
-    H, _ = row_echelon(rows)
-    cols = []
-    for h in H:
-        piv = next((c for c, a in enumerate(h) if a != 0), None)
-        if piv is not None:
-            cols.append(piv)
-    return sorted(cols)

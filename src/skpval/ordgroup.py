@@ -4,20 +4,19 @@ A :class:`GroupValue` is an immutable vector of exact rationals compared
 lexicographically (first coordinate most significant).  On top of that this
 module provides the arithmetic a well-ordered generator sequence needs:
 
-* ``subgroup_index(g, previous)`` -- the least r >= 1 with r*g in the group
-  generated by ``previous`` (INFINITY when no multiple lands there),
-* ``canonical_representation(n, g, previous)`` -- the unique representation
-  n*g = sum m_j gamma_j with 0 <= m_j < n_j at positions of finite index,
-* ``analyze_chain(values)`` -- both at every position of a sequence, one
-  integer echelon per position; a prefix's rational rank is its number of
-  infinite indices,
+* ``analyze_chain(values)`` -- the index n_j of every position over the
+  earlier values (INFINITY outside their Q-span) and its canonical relation,
+  from two integer echelons of the family whatever its length; the chain
+  keeps the rows, their common denominator and their echelon,
+* ``subgroup_index(g, previous)`` and ``canonical_representation(n, g,
+  previous)`` -- the unique n*g = sum m_j gamma_j with 0 <= m_j < n_j at
+  positions of finite index -- read from such a chain,
 * ``semigroup_witness(g, chain)`` -- exact membership in the semigroup the
-  chain generates, read from g's canonical representation,
-* ``rational_rank``, ``span_levels`` and ``isolated_level`` for the
-  numerical invariants.
+  chain generates, solved against its stored echelon by back-substitution,
+* ``rational_rank`` and ``span_levels``, read from the same analysis, and
+  ``isolated_level`` for the numerical invariants.
 
-All computations are exact: values are scaled to a common denominator and
-handed to the integer-lattice solver.
+All computations are exact.
 """
 
 from fractions import Fraction
@@ -140,22 +139,19 @@ def _integer_rows(values):
     return [[int(c * denom) for c in v.coords] for v in values], denom
 
 
-def _lattice_step(prefix, target):
-    """(n, raw): the least n >= 1 with n*target in the Z-span of the integer
-    rows ``prefix``, and integer coefficients with sum raw_k prefix_k ==
-    n*target; (INFINITY, None) when target is outside the Q-span.
+def _pivot(row):
+    """Column of the first nonzero entry of an integer row, None for zero."""
+    return next((c for c, a in enumerate(row) if a), None)
 
-    Echelons the prefix once and writes the target over the nonzero echelon
-    rows, a basis of the span, by back-substitution: n is the lcm of the
-    coefficients' denominators, built up pivot by pivot, and raw is read
-    through the transform U.
-    """
-    n, t, raw = 1, list(target), [0] * len(prefix)
-    H, U = intlattice.row_echelon(prefix) if prefix else ([], [])
-    for h, u in zip(H, U):
-        piv = next((c for c, a in enumerate(h) if a), None)
-        if piv is None:
-            break
+
+def _back_substitute(basis, target, m):
+    """(n, raw): the least n >= 1 with n*target in the Z-span of ``basis``
+    (nonzero echelon rows of m rows, as (pivot, row, transform row)) and
+    coefficients over the m rows with sum raw_k rows_k == n*target;
+    (INFINITY, None) outside the Q-span.  n is the lcm of the coefficients'
+    denominators, built up pivot by pivot."""
+    n, t, raw = 1, list(target), [0] * m
+    for piv, h, u in basis:
         g = h[piv] // gcd(t[piv], h[piv])
         n, t, raw = n * g, [g * a for a in t], [g * a for a in raw]
         q = t[piv] // h[piv]
@@ -170,10 +166,7 @@ def subgroup_index(gamma, previous):
     Returns INFINITY when no positive multiple lands in the group; in
     particular for a nonzero gamma over an empty family.
     """
-    gamma = as_group_value(gamma)
-    previous = [as_group_value(v, gamma.dim) for v in previous]
-    rows, _ = _integer_rows(previous + [gamma])
-    return _lattice_step(rows[:-1], rows[-1])[0]
+    return analyze_chain([*previous, gamma])[-1].n
 
 
 class Representation:
@@ -210,45 +203,38 @@ class Representation:
         return "Representation({" + inner + "})"
 
 
-def canonical_representation(n, gamma, previous, ns=None, relations=None):
+def canonical_representation(n, gamma, previous):
     """The unique representation of n*gamma over ``previous``.
 
     Coefficients satisfy 0 <= m_j < n_j at positions of finite index and are
-    free integers at positions of infinite index.  ``ns`` and ``relations``
-    describe the earlier entries; when omitted they are recomputed with
-    ``analyze_chain`` over the prefix.
+    free integers at positions of infinite index.
 
     Raises NotInGroupError when n*gamma is outside the generated group.
     """
     gamma = as_group_value(gamma)
-    previous = [as_group_value(v, gamma.dim) for v in previous]
-    if ns is None or relations is None:
-        chain = analyze_chain(previous)
-        ns = [e.n for e in chain]
-        relations = [e.relation for e in chain]
-    rows, _ = _integer_rows(previous + [gamma.scale(n)])
-    index, raw = _lattice_step(rows[:-1], rows[-1])
-    if index != 1:
+    rep = _represent(gamma.scale(n), analyze_chain(previous))
+    if rep is None:
         raise NotInGroupError(f"{n}*{gamma} is not in the generated group")
-    return _canonical(raw, rows[-1], rows[:-1], ns, relations)
+    return rep
 
 
-def _canonical(raw, target, prefix, ns, relations):
-    """The canonical form of a raw relation target = sum raw_k prefix_k on
-    integer rows, checked on those rows.
+def _canonical(raw, target, rows, entries):
+    """The canonical form of a raw relation target = sum raw_k rows_k on
+    integer rows, checked on those rows; ``entries`` are the chain entries
+    of the rows' positions.
 
     Descending Euclidean reduction: fold the excess at the greatest position
     with finite n into strictly earlier positions via its stored relation.
     """
     p = list(raw)
     for j in range(len(p) - 1, -1, -1):
-        nj = ns[j]
+        nj = entries[j].n
         if not is_finite_index(nj) or 0 <= p[j] < nj:
             continue
         q, p[j] = divmod(p[j], nj)
-        for j2, m in relations[j].coeffs.items():
+        for j2, m in entries[j].relation.coeffs.items():
             p[j2] += q * m
-    total = [sum(m * row[k] for m, row in zip(p, prefix)) for k in range(len(target))]
+    total = [sum(m * row[k] for m, row in zip(p, rows)) for k in range(len(target))]
     if total != list(target):
         raise AssertionError(f"representation {p} does not evaluate to {target}")
     return Representation(dict(enumerate(p)))
@@ -269,28 +255,58 @@ class ChainEntry:
         return f"ChainEntry({self.value}, n={n}, rel={self.relation})"
 
 
-def analyze_chain(values):
-    """Index and canonical relation of every prefix position.
+class Chain(list):
+    """The ChainEntry list of an analyzed family, keeping the lattice it was
+    read from: ``rows``, the values times their common denominator
+    ``denom``, and ``basis``, the nonzero rows of the rows' echelon as
+    (pivot column, row, transform row)."""
 
-    Position j gets n_j, the subgroup index of values[j] over values[:j],
-    and when n_j is finite the canonical representation of n_j*values[j],
-    otherwise an empty relation.  The family is scaled to integer rows once;
-    each position takes one lattice step.
+
+def analyze_chain(values):
+    """Index n_j of values[j] over values[:j] at every position, and when
+    n_j is finite the canonical representation of n_j*values[j], otherwise
+    an empty relation.
+
+    Two echelons, whatever the length.  The first, of the integer rows, is
+    the basis later values are solved against; through the transform its
+    zero rows give a basis of the relations sum x_k rows_k = 0.  The second
+    echelons those by last position, so the relations ending at or before j
+    are spanned by its rows that do: the row ending at j holds n_j > 0 at j
+    and minus a raw relation before it, and none ends at j iff n_j = INFINITY.
     """
     values = [as_group_value(v) for v in values]
     for v in values[1:]:
         values[0]._check_dim(v)
-    rows, _ = _integer_rows(values)
-    entries, ns, relations = [], [], []
+    rows, denom = _integer_rows(values)
+    H, U = intlattice.row_echelon(rows)
+    kernel = [u[::-1] for h, u in zip(H, U) if not any(h)]
+    last = len(values) - 1
+    ending = {last - _pivot(x): x[::-1] for x in intlattice.row_echelon(kernel)[0]}
+    chain = Chain()
+    chain.rows, chain.denom = rows, denom
+    chain.basis = [(_pivot(h), h, u) for h, u in zip(H, U) if any(h)]
     for j, (v, row) in enumerate(zip(values, rows)):
-        n, raw = _lattice_step(rows[:j], row)
-        rel = Representation({})
-        if raw is not None:
-            rel = _canonical(raw, [n * a for a in row], rows[:j], ns, relations)
-        entries.append(ChainEntry(v, n, rel))
-        ns.append(n)
-        relations.append(rel)
-    return entries
+        n, rel = INFINITY, Representation({})
+        if j in ending:
+            n = ending[j][j]
+            raw = [-a for a in ending[j][:j]]
+            rel = _canonical(raw, [n * a for a in row], rows[:j], chain)
+        chain.append(ChainEntry(v, n, rel))
+    return chain
+
+
+def _represent(gamma, chain):
+    """The canonical representation of gamma over the chain's values, solved
+    against its stored echelon, or None outside the group they generate
+    (a value off the chain's denominator grid is outside it)."""
+    if chain:
+        gamma._check_dim(chain[0].value)
+    target = [c * chain.denom for c in gamma.coords]
+    if any(c.denominator != 1 for c in target):
+        return None
+    target = [int(c) for c in target]
+    n, raw = _back_substitute(chain.basis, target, len(chain))
+    return _canonical(raw, target, chain.rows, chain) if n == 1 else None
 
 
 def semigroup_witness(gamma, chain):
@@ -303,26 +319,16 @@ def semigroup_witness(gamma, chain):
     one by folding n_j*gamma_j into its relation, which creates no negative
     coefficient.
     """
-    values = [e.value for e in chain]
-    try:
-        rep = canonical_representation(
-            1, gamma, values, ns=[e.n for e in chain],
-            relations=[e.relation for e in chain],
-        )
-    except NotInGroupError:
+    rep = _represent(as_group_value(gamma), chain)
+    if rep is None:
         return None
     witness = tuple(rep.coeffs.get(j, 0) for j in range(len(chain)))
     return None if any(m < 0 for m in witness) else witness
 
 
-def _pivot_columns(values):
-    rows, _ = _integer_rows([as_group_value(v) for v in values])
-    return intlattice.pivot_columns(rows)
-
-
 def rational_rank(values):
     """Dimension of the Q-span of the given values."""
-    return len(_pivot_columns(values))
+    return len(analyze_chain(values).basis)
 
 
 def span_levels(values):
@@ -330,10 +336,10 @@ def span_levels(values):
 
     For the lexicographic order on Q^r the isolated subgroups are
     Delta_k = {first r-k coordinates zero}; the span meets a new Delta_k
-    exactly at the levels r - c over its pivot columns c.
+    exactly at the levels r - c over the pivot columns c of its echelon.
     """
-    values = [as_group_value(v) for v in values]
-    return frozenset(values[0].dim - c for c in _pivot_columns(values))
+    chain = analyze_chain(values)
+    return frozenset(chain[0].value.dim - piv for piv, _, _ in chain.basis)
 
 
 def isolated_level(v):

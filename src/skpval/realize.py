@@ -18,7 +18,7 @@ generator (always independent) then sits alone in row 0.
 
 import random
 
-from .errors import InvalidTableError, VerificationFailedError
+from .errors import HypothesisViolatedError, InvalidTableError, VerificationFailedError
 from .fields import QQ
 from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
@@ -78,8 +78,7 @@ class GeneratorAnalysis:
         gens = spec.generators
         self.chain = analyze_chain(gens)
         self.ns = [e.n for e in self.chain]
-        self.positive = [e.relation.is_positive or not e.relation.coeffs
-                         for e in self.chain]
+        self.positive = [e.relation.is_positive for e in self.chain]
         self.increasing = []
         for j in range(len(gens) - 1):
             n = self.ns[j]
@@ -306,16 +305,22 @@ def verify_realization(
     value of an explicit product of key polynomials, expanded to raw
     monomial form and re-valued through the adic expansion.  Containment:
     the value of every random polynomial is in the semigroup, decided
-    exactly by ``semigroup_witness`` (exact because ``realize`` accepts only
-    generators whose canonical relations are nonnegative).
+    exactly by ``semigroup_witness`` over nonnegative generator relations.
 
-    Raises VerificationFailedError with the offending element.
+    Raises HypothesisViolatedError at the first negative relation and
+    VerificationFailedError with the offending element.
     """
     coeff_bound = spec.coeff_bound if coeff_bound is None else coeff_bound
     degree_bound = spec.degree_bound if degree_bound is None else degree_bound
     samples = spec.samples if samples is None else samples
     skp = valuation.skp
     gens = spec.generators
+    chain = analyze_chain(gens)
+    for pos, entry in enumerate(chain, start=1):
+        if not entry.relation.is_positive:
+            raise HypothesisViolatedError(
+                f"generator {pos} has a negative relation {entry.relation}"
+            )
 
     ball = enumerate_semigroup(gens, coeff_bound)
     attainment = []
@@ -334,7 +339,6 @@ def verify_realization(
 
     # membership witnesses by value, seeded with the ball's
     witnesses = {g.coords: w for g, w in ball}
-    chain = analyze_chain(gens)
     used_vars = [i for i in range(skp.nvars) if skp.row_length(i) > 0]
     rng = random.Random(seed)
     checked = 0

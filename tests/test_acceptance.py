@@ -274,9 +274,7 @@ def test_criterion_11():
             continue
         chain = analyze_chain(gens)
         ns = [e.n for e in chain]
-        rep = canonical_representation(
-            1, member, gens, ns=ns, relations=[e.relation for e in chain]
-        )
+        rep = canonical_representation(1, member, gens)
         bound = max([10] + [abs(m) + 3 for m in rep.coeffs.values()])
         if box_size(ns, bound) > 50_000:
             # keep the exhaustive walk tractable; the instance is replaced

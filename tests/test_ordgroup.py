@@ -15,6 +15,7 @@ from skpval import (
     semigroup_witness,
     subgroup_index,
 )
+from skpval import intlattice
 from skpval.ordgroup import analyze_chain, span_levels
 
 import oracles
@@ -124,6 +125,14 @@ class TestCanonicalRepresentation:
         with pytest.raises(NotInGroupError):
             canonical_representation(1, gv(0, 1), [gv(1, 0)])
 
+    def test_off_the_denominator_grid(self):
+        with pytest.raises(NotInGroupError):
+            canonical_representation(1, gv(Fraction(1, 3)), [gv(Fraction(1, 2))])
+
+    def test_wrong_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            canonical_representation(1, gv(5, 1), [gv(2), gv(3)])
+
     def test_evaluates_back(self):
         rng = random.Random(3)
         for _ in range(40):
@@ -163,8 +172,7 @@ class TestCanonicalRepresentation:
         # coefficients at finite-index positions stay inside [0, n)
         prev = [gv(2), gv(3), gv(9)]
         chain = analyze_chain(prev)
-        rep = canonical_representation(1, gv(10), prev, ns=[e.n for e in chain],
-                                       relations=[e.relation for e in chain])
+        rep = canonical_representation(1, gv(10), prev)
         for j, m in rep.coeffs.items():
             n = chain[j].n
             if n != inf:
@@ -224,6 +232,19 @@ class TestSemigroupWitness:
         assert semigroup_witness(gv(5), analyze_chain([gv(4), gv(6)])) is None
         assert semigroup_witness(gv(0, 1), analyze_chain([gv(1, 0)])) is None
 
+    def test_off_the_denominator_grid(self):
+        chain = analyze_chain([gv(2), gv(3)])
+        assert semigroup_witness(gv(Fraction(1, 2)), chain) is None
+
+    def test_empty_chain(self):
+        chain = analyze_chain([])
+        assert semigroup_witness(gv(0), chain) == ()
+        assert semigroup_witness(gv(5), chain) is None
+
+    def test_wrong_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            semigroup_witness(gv(5, 1), analyze_chain([gv(2), gv(3)]))
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_exact_oracle(self, dim):
         # a witness always sums to gamma; with nonnegative relations it
@@ -249,6 +270,39 @@ class TestSemigroupWitness:
                 if nonnegative:
                     assert (witness is not None) == semigroup_member(gamma, gens)
         assert exact >= 10
+
+
+class TestEchelonCount:
+    """The chain is echeloned a fixed number of times, whatever its length,
+    and values are solved against the stored echelon."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        row_echelon = intlattice.row_echelon
+
+        def counting(rows):
+            count[0] += 1
+            return row_echelon(rows)
+
+        monkeypatch.setattr(intlattice, "row_echelon", counting)
+        return count
+
+    def test_doubling_chain(self, calls):
+        # gamma_1 = 1, gamma_{k+1} = 2 gamma_k + 2^-k, twelve generators
+        gens = [gv(1)]
+        for k in range(1, 12):
+            gens.append(gens[-1].scale(2) + gv(Fraction(1, 2 ** k)))
+        chain = analyze_chain(gens)
+        assert calls[0] <= 2
+        assert [e.n for e in chain] == [inf] + [2] * 11
+
+    def test_witness_makes_no_echelon(self, calls):
+        chain = analyze_chain([gv(4), gv(10), gv(21)])
+        before = calls[0]
+        for k in range(60):
+            semigroup_witness(gv(k), chain)
+        assert calls[0] == before
 
 
 class TestRationalRank:

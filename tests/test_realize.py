@@ -8,6 +8,7 @@ import pytest
 from skpval import (
     CORRECTED,
     GroupValue,
+    HypothesisViolatedError,
     InvalidTableError,
     LITERAL,
     SemigroupSpec,
@@ -19,6 +20,7 @@ from skpval import (
     value_of,
     verify_realization,
 )
+from skpval import intlattice
 from skpval.poly import parse_poly
 
 from oracles import positive_chain, semigroup_member
@@ -200,6 +202,34 @@ class TestVerify:
             samples=40, seed=2,
         )
         assert verdict.passed
+
+    def test_echelon_count_does_not_grow_with_samples(self, monkeypatch):
+        s = spec(4, 6, 13)
+        result = realize(s, CORRECTED)
+        row_echelon = intlattice.row_echelon
+
+        def calls(samples):
+            count = [0]
+
+            def counting(rows):
+                count[0] += 1
+                return row_echelon(rows)
+
+            monkeypatch.setattr(intlattice, "row_echelon", counting)
+            verify_realization(result.valuation, s, result.blocks, samples=samples)
+            return count[0]
+
+        assert calls(20) == calls(200)
+
+    def test_negative_relation_refused(self):
+        # (5, 3, 2) generates the semigroup of (2, 3), but 2 = -2*5 + 4*3 is a
+        # negative relation, over which membership cannot be read
+        result = realize(spec(2, 3), CORRECTED)
+        with pytest.raises(HypothesisViolatedError, match="generator 3 "):
+            verify_realization(
+                result.valuation, spec(5, 3, 2), result.blocks,
+                coeff_bound=0, samples=20,
+            )
 
 
 class TestRankJump:
