@@ -22,7 +22,9 @@ division by the largest applicable key polynomial; it coincides with
 grouping the adic expansion by top-row exponents.  One call splits the input
 and each divisor by X_top-degree once (``MultiPoly.split``) and divides in
 split form; each final coefficient has X_top-degree 0, and its terms become
-the coefficient polynomial as they are.
+the coefficient polynomial as they are.  The row's first key polynomial is
+X_top itself, so the expansion in it needs no division: the coefficient of
+X_top^t is the split's part of degree t.
 """
 
 import collections
@@ -318,18 +320,23 @@ def euclidean_expand(f, skp, j=None, row=None):
         if j0 not in divisors:
             divisors[j0] = split_divisor(f, skp.entries[(top, j0)].poly, top)
         lower, d0 = divisors[j0]
-        coeffs = {}
-        cur = g
-        t = 0
-        while cur:
-            if max(cur) < d0:
-                coeffs[t] = cur
-                break
-            q, r = divide_split(cur, lower, d0, f.field)
-            if r:
-                coeffs[t] = r
-            cur = q
-            t += 1
+        if not lower and d0 == 1:
+            # U = X_top, every row's first key polynomial: the coefficient
+            # of U^t is the split's part of degree t, with no division
+            coeffs = {t: {0: part} for t, part in g.items()}
+        else:
+            coeffs = {}
+            cur = g
+            t = 0
+            while cur:
+                if max(cur) < d0:
+                    coeffs[t] = cur
+                    break
+                q, r = divide_split(cur, lower, d0, f.field)
+                if r:
+                    coeffs[t] = r
+                cur = q
+                t += 1
         out = {}
         for t, ct in coeffs.items():
             for subkey, cpoly in rec(ct, j0 - 1).items():

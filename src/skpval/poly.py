@@ -146,6 +146,11 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
+    def is_constant(self):
+        """True for zero and the constants."""
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
+
     # -- degrees -----------------------------------------------------------
 
     def deg_in(self, i):

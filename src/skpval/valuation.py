@@ -3,13 +3,18 @@
 The value of a monomial prod U_{i,j}^{e} is sum e * beta_{i,j}; the value of
 a polynomial is the minimum over the monomials of its adic expansion, which
 ``expansion.least_value_part`` finds without expanding past the least value
-class.  The same number can be computed through Euclidean expansions row by
-row, which the tests use as an independent route.  Initial forms, the
-top-row delta invariant, graded normal forms, and cutoff stabilization
-profiles all build on the least value part.
+class.  The same number is computed independently, with no rewrite rule, by
+``value_via_euclidean``: row by row, nu(sum a_t U^t) = min_t (nu(a_t) +
+nu(U^t)) over the top row's Euclidean expansion, the coefficients a_t valued
+on the rows below.  Every beta is > 0 (``SkpValuation`` refuses a table where
+one is not), so nu(a_t) >= 0: the pieces are taken in the order of
+nu(U^t), and the first whose nu(U^t) reaches the best sum so far ends the
+row.  Initial forms, the top-row delta invariant, graded normal forms, and
+cutoff stabilization profiles all build on the least value part.
 """
 
 from fractions import Fraction
+from operator import add, itemgetter
 
 from .errors import ZeroPolyError
 from .expansion import (
@@ -30,6 +35,9 @@ class SkpValuation:
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
         self.rule_set = value_rules(skp, self.alpha)
+        for index, beta in skp.integer_betas[0].items():
+            if tuple(beta) <= self.rule_set.origin:
+                raise ValueError(f"beta at {index} is not positive")
         if not validate_acceptable(skp, self.alpha, self.rule_set.rules):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
 
@@ -89,19 +97,28 @@ def value_via_euclidean(f, valuation):
 
 
 def _euclid_value(f, valuation, top):
-    """The value of f on rows 0..top as an integer vector (``skp.weigh``)."""
+    """The value of f on rows 0..top as an integer vector (``skp.weigh``),
+    the row's Euclidean pieces taken in the order of nu(U^t)."""
     skp = valuation.skp
-    if top < 0 or f.total_degree() == 0:
-        return (0,) * skp.dimension
+    if top < 0 or f.is_constant():
+        return valuation.rule_set.origin
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
         if f.deg_in(top) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return _euclid_value(f, valuation, top - 1)
-    weights = valuation.rule_set.weights
+    _, origin, weights, _ = valuation.rule_set
+    pieces = sorted(
+        (
+            (weigh((((top, j), e) for j, e in exps.items()), weights, origin), coeff)
+            for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top)
+        ),
+        key=itemgetter(0),
+    )
     best = None
-    for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top):
-        lower = _euclid_value(coeff, valuation, top - 1)
-        part = weigh((((top, j), e) for j, e in exps.items()), weights, lower)
+    for weight, coeff in pieces:
+        if best is not None and weight >= best:
+            break  # nu(coeff) >= 0, so neither this piece nor a later one wins
+        part = tuple(map(add, weight, _euclid_value(coeff, valuation, top - 1)))
         if best is None or part < best:
             best = part
     return best

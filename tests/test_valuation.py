@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from skpval import (
     GroupValue,
+    NotMonicError,
     SkpValuation,
     ZeroPolyError,
     build_skp,
@@ -21,9 +23,10 @@ from skpval import (
     value_of,
     value_via_euclidean,
 )
-from skpval import adic_expand, jsonio, realize, validate_acceptable
-from skpval.expansion import vp
+from skpval import adic_expand, expansion, jsonio, realize, validate_acceptable, valuation
+from skpval.expansion import euclidean_expand, vp
 from skpval.realize import random_polynomial
+from skpval.skp import SkpTable
 from skpval.valuation import value_report
 
 from conftest import example1_rows
@@ -132,6 +135,54 @@ class TestEuclideanValueOracle:
                     f = random_polynomial(rng, skp.nvars, 6, skp.field)
                     want = group_euclid_value(f, v, skp.nvars - 1)
                     assert value_via_euclidean(f, v).coords == want.coords
+
+
+class TestEuclideanWork:
+    """The Euclidean route values a piece's coefficient only while the
+    piece's key-polynomial part can still win, and reads an expansion in
+    U_{i,1} = X_i off the degree split, so a silent return to the exhaustive
+    loop or to dividing by X_i fails."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"divisions": 0, "coefficients": 0}
+        divide_split = expansion.divide_split
+        euclid_value = valuation._euclid_value
+
+        def counted_division(*args):
+            counts["divisions"] += 1
+            return divide_split(*args)
+
+        def counted_value(f, v, top):
+            # on two rows, top 0 values the coefficient of a top-row piece
+            counts["coefficients"] += top == 0
+            return euclid_value(f, v, top)
+
+        monkeypatch.setattr(expansion, "divide_split", counted_division)
+        monkeypatch.setattr(valuation, "_euclid_value", counted_value)
+        return counts
+
+    @pytest.mark.parametrize(
+        "text, value, pieces, coefficients, divisions",
+        [("X0^5 + 3*X0^2", 4, 1, 1, 0), ("(X0+X1)^6", 12, 7, 3, 3)],
+    )
+    def test_pinned_work(self, diffskp, counts, text, value, pieces, coefficients, divisions):
+        f = P(text)
+        v = SkpValuation(diffskp)
+        assert len(euclidean_expand(f, diffskp, row=1)) == pieces
+        counts["divisions"] = 0
+        assert value_via_euclidean(f, v) == gv(value)
+        assert counts == {"divisions": divisions, "coefficients": coefficients}
+
+    @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
+    def test_nonpositive_beta_refused(self, diffskp, index, beta):
+        # only a table built without validation can carry one
+        entries = dict(diffskp.entries)
+        entries[index] = copy.copy(entries[index])
+        entries[index].beta = gv(beta)
+        table = SkpTable(diffskp.values, entries, diffskp.field, diffskp.cutoff)
+        with pytest.raises(ValueError, match=rf"beta at \({index[0]}, {index[1]}\) is not positive"):
+            SkpValuation(table)
 
 
 class TestRestriction:
@@ -364,16 +415,18 @@ def _acceptable_vectors(skp):
 
 
 def _outcome(compute):
-    """The JSON of a result, or the ZeroPolyError it raised."""
+    """The JSON of a result, or the ZeroPolyError it raised (NotMonicError
+    on the Euclidean route, where the cutoff truncated a divisor)."""
     try:
         return compute()
-    except ZeroPolyError as exc:
-        return ("ZeroPolyError", str(exc))
+    except (ZeroPolyError, NotMonicError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 class TestAgainstRescanReference:
     """The expansion, initial form and graded normal form equal the rescan
-    references on every acceptable vector, ZeroPolyError messages included."""
+    references, and the Euclidean value the exhaustive one, on every
+    acceptable vector, ZeroPolyError messages included."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
     def test_every_acceptable_vector(self, name):
@@ -405,6 +458,10 @@ class TestAgainstRescanReference:
                     (
                         lambda: graded_normal_form(f, v).to_json(skp.field),
                         lambda: rescan_graded_normal_form(f, v).to_json(skp.field),
+                    ),
+                    (
+                        lambda: value_via_euclidean(f, v).to_json(),
+                        lambda: group_euclid_value(f, v, skp.nvars - 1).to_json(),
                     ),
                 ]
                 for got, want in pairs:
