@@ -17,14 +17,17 @@ theta * U^m (equal), so no later rewrite reaches a lower class.
 ``value_rules`` checks that once per rule set (a declared limit tail may
 break it, and the loop then runs to the end).
 
-The Euclidean expansion of the top row is computed by iterated monic
-division by the largest applicable key polynomial; it coincides with
-grouping the adic expansion by top-row exponents.  One call splits the input
-and each divisor by X_top-degree once (``MultiPoly.split``) and divides in
-split form; each final coefficient has X_top-degree 0, and its terms become
-the coefficient polynomial as they are.  The row's first key polynomial is
-X_top itself, so the expansion in it needs no division: the coefficient of
-X_top^t is the split's part of degree t.
+The Euclidean expansion of a row is computed by iterated monic division by
+the largest applicable key polynomial; it coincides with grouping the adic
+expansion by the row's exponents.  One depth-first walk,
+``euclidean_pieces``, splits the input and each divisor by X_row-degree once
+(``MultiPoly.split``), divides in split form, and yields each piece as soon
+as its coefficient has X_row-degree 0.  Before it divides out a further
+power of a key polynomial it asks its caller whether that key prefix can
+still matter, so the value route divides only while a piece can still win
+and ``euclidean_expand`` collects every piece.  The row's first key
+polynomial is X_row itself, so the expansion in it needs no division: the
+coefficient of X_row^t is the split's part of degree t.
 """
 
 import collections
@@ -285,14 +288,58 @@ def exponent_from_vdeg(v, skp, alpha=None):
     return exps
 
 
+def euclidean_pieces(f, skp, j, row, keep):
+    """The pieces (key, coefficient polynomial) of f's Euclidean expansion in
+    row ``row`` with cutoff ``j``, one depth-first walk with the exponent at
+    each position ascending.  A key is the tuple of (position, exponent)
+    pairs with a nonzero exponent, positions ascending.  Before the walk
+    divides out a power t >= 1 it asks ``keep(key)`` of the key so far; a
+    False ends that position's loop, larger powers included.  f is nonzero.
+    """
+    divisors = {}
+
+    def walk(g, jmax, prefix):
+        dg = max(g)
+        applicable = [
+            j2 for j2 in range(1, jmax + 1) if skp.entries[(row, j2)].d <= dg
+        ]
+        if not applicable:
+            leaf = MultiPoly.zero(f.nvars, f.field)
+            leaf.terms = g[0]  # X_row-degree 0: the split is {0: terms}
+            yield prefix, leaf
+            return
+        j0 = max(applicable)
+        if j0 not in divisors:
+            divisors[j0] = split_divisor(f, skp.entries[(row, j0)].poly, row)
+        lower, d0 = divisors[j0]
+        cur, t = g, 0
+        while cur:
+            key = ((j0, t),) + prefix if t else prefix
+            if t and not keep(key):
+                return  # every larger power weighs more
+            if not lower and d0 == 1:
+                # U = X_row, every row's first key polynomial: the coefficient
+                # of U^t is the split's part of degree t, with no division
+                part = cur.pop(t, None)
+                ct = {0: part} if part else None
+            elif max(cur) < d0:
+                ct, cur = cur, None
+            else:
+                cur, ct = divide_split(cur, lower, d0, f.field)
+            if ct:
+                yield from walk(ct, j0 - 1, key)
+            t += 1
+
+    return walk(f.split(row), j, ())
+
+
 def euclidean_expand(f, skp, j=None, row=None):
     """Euclidean expansion of a row by iterated monic division.
 
     Returns a list of (exponent map over the row's positions, coefficient
     polynomial with zero degree in the row's variable), sorted by exponent
-    map.  Exponents at positions before the cutoff ``j`` stay below their n.
-    ``row`` defaults to the top row; the recursive Euclidean value path
-    passes the lower rows in turn.
+    map: every piece of ``euclidean_pieces``.  Exponents at positions before
+    the cutoff ``j`` stay below their n.  ``row`` defaults to the top row.
     """
     top = skp.nvars - 1 if row is None else row
     length = skp.row_length(top)
@@ -304,47 +351,7 @@ def euclidean_expand(f, skp, j=None, row=None):
         raise ValueError(f"cutoff {j} outside 1..{length}")
     if f.is_zero():
         return []
-
-    divisors = {}
-
-    def rec(g, jmax):
-        dg = max(g)
-        applicable = [
-            j2 for j2 in range(1, jmax + 1) if skp.entries[(top, j2)].d <= dg
-        ]
-        if not applicable:
-            leaf = MultiPoly.zero(f.nvars, f.field)
-            leaf.terms = g[0]  # X_top-degree 0: the split is {0: terms}
-            return {(): leaf}
-        j0 = max(applicable)
-        if j0 not in divisors:
-            divisors[j0] = split_divisor(f, skp.entries[(top, j0)].poly, top)
-        lower, d0 = divisors[j0]
-        if not lower and d0 == 1:
-            # U = X_top, every row's first key polynomial: the coefficient
-            # of U^t is the split's part of degree t, with no division
-            coeffs = {t: {0: part} for t, part in g.items()}
-        else:
-            coeffs = {}
-            cur = g
-            t = 0
-            while cur:
-                if max(cur) < d0:
-                    coeffs[t] = cur
-                    break
-                q, r = divide_split(cur, lower, d0, f.field)
-                if r:
-                    coeffs[t] = r
-                cur = q
-                t += 1
-        out = {}
-        for t, ct in coeffs.items():
-            for subkey, cpoly in rec(ct, j0 - 1).items():
-                key = subkey + ((j0, t),) if t else subkey
-                out[key] = cpoly
-        return out
-
-    result = rec(f.split(top), j)
+    result = dict(euclidean_pieces(f, skp, j, top, lambda key: True))
     # positions strictly before the cutoff stay below their index
     for key in result:
         for (pos, t) in key:

@@ -7,19 +7,22 @@ class.  The same number is computed independently, with no rewrite rule, by
 ``value_via_euclidean``: row by row, nu(sum a_t U^t) = min_t (nu(a_t) +
 nu(U^t)) over the top row's Euclidean expansion, the coefficients a_t valued
 on the rows below.  Every beta is > 0 (``SkpValuation`` refuses a table where
-one is not), so nu(a_t) >= 0: the pieces are taken in the order of
-nu(U^t), and the first whose nu(U^t) reaches the best sum so far ends the
-row.  Initial forms, the top-row delta invariant, graded normal forms, and
-cutoff stabilization profiles all build on the least value part.
+one is not), so nu(a_t) >= 0: the walk of ``expansion.euclidean_pieces``
+divides out a further power of a key polynomial only while its key prefix
+weighs less than the best sum so far, and a prefix that fails ends that
+position's powers.  ``SkpValuation`` also refuses a table whose cutoff
+truncated a key polynomial to 0, so both routes refuse it alike.  Initial
+forms, the top-row delta invariant, graded normal forms, and cutoff
+stabilization profiles all build on the least value part.
 """
 
 from fractions import Fraction
-from operator import add, itemgetter
+from operator import add
 
 from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
-    euclidean_expand,
+    euclidean_pieces,
     least_value_part,
     value_rules,
     vp,
@@ -34,6 +37,9 @@ class SkpValuation:
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
+        for i, j in skp.order:
+            if skp.entries[(i, j)].order is None:
+                raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
         self.rule_set = value_rules(skp, self.alpha)
         for index, beta in skp.integer_betas[0].items():
             if tuple(beta) <= self.rule_set.origin:
@@ -60,7 +66,8 @@ def value_report(f, valuation):
 
     A dropped monomial has total U-order above the cutoff N, hence value at
     least (N+1) times the smallest beta-per-order ratio; the computed value
-    is trustworthy exactly when it does not exceed that threshold.
+    is trustworthy when it is below that threshold (at the threshold a
+    dropped monomial can cancel it).
     """
     val = value_of(f, valuation)
     skp = valuation.skp
@@ -71,7 +78,7 @@ def value_report(f, valuation):
         for entry in skp.entries.values()
     ]
     threshold = min(ratios).scale(skp.cutoff + 1)
-    return val, val <= threshold
+    return val, val < threshold
 
 
 def initial_form(f, valuation):
@@ -98,7 +105,7 @@ def value_via_euclidean(f, valuation):
 
 def _euclid_value(f, valuation, top):
     """The value of f on rows 0..top as an integer vector (``skp.weigh``),
-    the row's Euclidean pieces taken in the order of nu(U^t)."""
+    the row's Euclidean walk pruned by the best sum so far."""
     skp = valuation.skp
     if top < 0 or f.is_constant():
         return valuation.rule_set.origin
@@ -107,18 +114,17 @@ def _euclid_value(f, valuation, top):
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return _euclid_value(f, valuation, top - 1)
     _, origin, weights, _ = valuation.rule_set
-    pieces = sorted(
-        (
-            (weigh((((top, j), e) for j, e in exps.items()), weights, origin), coeff)
-            for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top)
-        ),
-        key=itemgetter(0),
-    )
     best = None
-    for weight, coeff in pieces:
-        if best is not None and weight >= best:
-            break  # nu(coeff) >= 0, so neither this piece nor a later one wins
-        part = tuple(map(add, weight, _euclid_value(coeff, valuation, top - 1)))
+
+    def weight(key):
+        return weigh((((top, j), e) for j, e in key), weights, origin)
+
+    def keep(key):
+        # nu(coefficient) >= 0, so a key that reaches the best sum cannot win
+        return best is None or weight(key) < best
+
+    for key, coeff in euclidean_pieces(f, skp, valuation.alpha[top], top, keep):
+        part = tuple(map(add, weight(key), _euclid_value(coeff, valuation, top - 1)))
         if best is None or part < best:
             best = part
     return best

@@ -6,8 +6,9 @@ are found by exhaustive search over the coefficient box, semigroup
 balls come from nested coefficient loops, the adic expansion has a
 reference loop that rescans the whole working set before every rewrite,
 division in one variable has a reference that multiplies and subtracts whole
-polynomials at every step, the Euclidean value has a reference that sums
-GroupValues of Fractions instead of integer vectors, the index and
+polynomials at every step, the Euclidean value has a reference that values
+every piece of that division's expansion and sums GroupValues of Fractions
+instead of integer vectors, the index and
 canonical relation of a generator chain have a reference that takes a left
 kernel and a second solve at every position, the initial form has a
 reference that values the rescanned expansion monomial by monomial in
@@ -28,7 +29,6 @@ from skpval.expansion import (
     AdicExpansion,
     AdicMonomial,
     adic_expand,
-    euclidean_expand,
     vdeg,
 )
 from skpval.intlattice import row_echelon, solve_combination
@@ -327,8 +327,9 @@ def long_euclidean_expand(f, skp, j=None, row=None):
 
 
 def group_euclid_value(f, valuation, top):
-    """The value of f on rows 0..top through Euclidean expansions, each piece
-    summed as a GroupValue (``part + beta.scale(e)``) and compared as one."""
+    """The value of f on rows 0..top through every piece of the Euclidean
+    expansions of ``long_euclidean_expand``, each summed as a GroupValue
+    (``part + beta.scale(e)``) and compared as one."""
     skp = valuation.skp
     if top < 0 or f.total_degree() == 0:
         return GroupValue((0,) * valuation.dimension)
@@ -337,7 +338,7 @@ def group_euclid_value(f, valuation, top):
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return group_euclid_value(f, valuation, top - 1)
     best = None
-    for exps, coeff in euclidean_expand(f, skp, valuation.alpha[top], row=top):
+    for exps, coeff in long_euclidean_expand(f, skp, valuation.alpha[top], row=top):
         part = group_euclid_value(coeff, valuation, top - 1)
         for j, e in exps.items():
             part = part + skp.entries[(top, j)].beta.scale(e)

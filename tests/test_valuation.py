@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 import random
@@ -9,7 +10,6 @@ import pytest
 
 from skpval import (
     GroupValue,
-    NotMonicError,
     SkpValuation,
     ZeroPolyError,
     build_skp,
@@ -93,6 +93,21 @@ class TestValueOf:
         val, ok = value_report(P("X1^2"), v)
         assert val == gv(6) and ok is True
 
+    def test_value_at_the_drop_bound_is_not_exact(self):
+        # at cutoff 2 the dropped X1^3 (value 9) cancels X0^2 (value 6, the
+        # bound 3 * min beta/ord): the computed 6 is not the value 9
+        skp = jsonio.build_from_problem(_problem("swapped_diffskp.json", cutoff=2))
+        val, ok = value_report(P("X0^2 - X1^3"), SkpValuation(skp))
+        assert val == gv(6) and ok is False
+
+    @pytest.mark.parametrize("route", [value_of, value_via_euclidean])
+    def test_truncated_key_polynomial_refused(self, route):
+        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: both routes refuse alike
+        skp = jsonio.build_from_problem(_problem("remark_diffskp.json", cutoff=1))
+        for alpha in _acceptable_vectors(skp):
+            with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
+                route(P("X1"), SkpValuation(skp, alpha))
+
 
 class TestEuclideanAgreement:
     def test_golden_examples(self, vdiff):
@@ -138,10 +153,10 @@ class TestEuclideanValueOracle:
 
 
 class TestEuclideanWork:
-    """The Euclidean route values a piece's coefficient only while the
-    piece's key-polynomial part can still win, and reads an expansion in
-    U_{i,1} = X_i off the degree split, so a silent return to the exhaustive
-    loop or to dividing by X_i fails."""
+    """The Euclidean route divides out a power of a key polynomial, and
+    values a piece's coefficient, only while the key-polynomial part can
+    still win, and reads an expansion in U_{i,1} = X_i off the degree split,
+    so a silent return to the whole expansion or to dividing by X_i fails."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -164,7 +179,7 @@ class TestEuclideanWork:
 
     @pytest.mark.parametrize(
         "text, value, pieces, coefficients, divisions",
-        [("X0^5 + 3*X0^2", 4, 1, 1, 0), ("(X0+X1)^6", 12, 7, 3, 3)],
+        [("X0^5 + 3*X0^2", 4, 1, 1, 0), ("(X0+X1)^6", 12, 7, 3, 2)],
     )
     def test_pinned_work(self, diffskp, counts, text, value, pieces, coefficients, divisions):
         f = P(text)
@@ -173,6 +188,13 @@ class TestEuclideanWork:
         counts["divisions"] = 0
         assert value_via_euclidean(f, v) == gv(value)
         assert counts == {"divisions": divisions, "coefficients": coefficients}
+
+    def test_walk_stops_dividing(self, example1, counts):
+        # X0*X1 values (0, 1, 1) at once, so no power U_{2,j}^t, t >= 1, can
+        # win: one division reads the remainder, the whole expansion takes 4
+        f = parse_poly("X2^4 + X0*X1", 3)
+        assert value_via_euclidean(f, SkpValuation(example1)) == gv(0, 1, 1)
+        assert counts["divisions"] == 1
 
     @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
     def test_nonpositive_beta_refused(self, diffskp, index, beta):
@@ -415,11 +437,10 @@ def _acceptable_vectors(skp):
 
 
 def _outcome(compute):
-    """The JSON of a result, or the ZeroPolyError it raised (NotMonicError
-    on the Euclidean route, where the cutoff truncated a divisor)."""
+    """The JSON of a result, or the ZeroPolyError it raised."""
     try:
         return compute()
-    except (ZeroPolyError, NotMonicError) as exc:
+    except ZeroPolyError as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -434,7 +455,9 @@ class TestAgainstRescanReference:
         rng = random.Random(sum(map(ord, name)))
         degree = 8 if skp.nvars < 3 else 4
         for alpha in _acceptable_vectors(skp):
-            v = SkpValuation(skp, alpha)
+            # built inside each computation, so a table SkpValuation refuses
+            # gives the same ZeroPolyError on both sides
+            v = functools.partial(SkpValuation, skp, alpha)
             rows = [i for i in range(skp.nvars) if alpha[i]]
             for k in range(POLYS_PER_VECTOR):
                 f = random_polynomial(rng, skp.nvars, degree, skp.field, rows)
@@ -452,16 +475,16 @@ class TestAgainstRescanReference:
                         lambda: rescan_adic_expand(f, skp, alpha)[0].to_json(),
                     ),
                     (
-                        lambda: initial_form(f, v).to_json(),
-                        lambda: rescan_initial_form(f, v).to_json(),
+                        lambda: initial_form(f, v()).to_json(),
+                        lambda: rescan_initial_form(f, v()).to_json(),
                     ),
                     (
-                        lambda: graded_normal_form(f, v).to_json(skp.field),
-                        lambda: rescan_graded_normal_form(f, v).to_json(skp.field),
+                        lambda: graded_normal_form(f, v()).to_json(skp.field),
+                        lambda: rescan_graded_normal_form(f, v()).to_json(skp.field),
                     ),
                     (
-                        lambda: value_via_euclidean(f, v).to_json(),
-                        lambda: group_euclid_value(f, v, skp.nvars - 1).to_json(),
+                        lambda: value_via_euclidean(f, v()).to_json(),
+                        lambda: group_euclid_value(f, v(), skp.nvars - 1).to_json(),
                     ),
                 ]
                 for got, want in pairs:
