@@ -46,10 +46,13 @@ def _read_problem(path):
 
 
 def _load_valuation(args):
+    """The valuation, the --poly polynomial and the input digest; flag faults
+    (exit 2) come before a table the valuation refuses (exit 1)."""
     data, digest = _read_problem(args.skp)
     skp = jsonio.build_from_problem(data)
     alpha = jsonio.load_alpha(getattr(args, "alpha", None), skp)
-    return SkpValuation(skp, alpha), digest
+    f = jsonio.load_poly(args.poly, skp)
+    return SkpValuation(skp, alpha), f, digest
 
 
 def cmd_validate(args):
@@ -81,8 +84,7 @@ def cmd_expand(args):
 
 
 def cmd_eval(args):
-    valuation, digest = _load_valuation(args)
-    f = jsonio.load_poly(args.poly, valuation.skp)
+    valuation, f, digest = _load_valuation(args)
     value, trunc_ok = value_report(f, valuation)
     payload = {"value": value.to_json(), "value_str": str(value)}
     if trunc_ok is not None:
@@ -91,8 +93,7 @@ def cmd_eval(args):
 
 
 def cmd_initial(args):
-    valuation, digest = _load_valuation(args)
-    f = jsonio.load_poly(args.poly, valuation.skp)
+    valuation, f, digest = _load_valuation(args)
     form = initial_form(f, valuation)
     return 0, digest, {"initial_form": form.to_json()}
 
@@ -108,8 +109,7 @@ def cmd_delta(args):
 
 
 def cmd_normal_form(args):
-    valuation, digest = _load_valuation(args)
-    f = jsonio.load_poly(args.poly, valuation.skp)
+    valuation, f, digest = _load_valuation(args)
     nf = graded_normal_form(f, valuation)
     return 0, digest, {"normal_form": nf.to_json(valuation.skp.field)}
 

@@ -43,6 +43,21 @@ class TestEval:
         assert report["status"] == "error"
         assert report["diagnostics"]
 
+    def test_truncated_key_polynomial(self, capsys, tmp_path):
+        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: the table is refused by
+        # name (exit 1), but a bad --poly is still reported first (exit 2)
+        problem = json.loads((DATA / "remark_diffskp.json").read_text())
+        path = tmp_path / "cutoff_1.json"
+        path.write_text(json.dumps(dict(problem, cutoff=1)))
+        code, report = run(capsys, "eval", "--skp", path, "--poly", "X1")
+        assert code == 1
+        assert report["diagnostics"] == [
+            {"kind": "ZeroPoly", "message": "key polynomial U_{1,2} is 0 under cutoff 1"}
+        ]
+        code, report = run(capsys, "eval", "--skp", path, "--poly", "X9+")
+        assert code == 2
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
     def test_deep_nesting_is_malformed_input(self, capsys):
         code, report = run(
             capsys, "eval", "--skp", DATA / "remark_diffskp.json",
