@@ -3,7 +3,10 @@ transcendence-degree bookkeeping, plus the three-row lookup table.
 
 Rank is the number of isolated levels achieved by the Q-span of the values
 (the convex-subgroup count of the value group inside Q^r under lex order);
-rational rank is the dimension of that span.  The transcendence degree is
+rational rank is the dimension of that span.  Inside Q^r under lex order the
+two agree: the levels a span reaches are the pivot columns of its echelon,
+one per dimension, so rk is read from the running r.rk count, the number of
+entries of infinite index.  The transcendence degree is
 the number of torus variables: rows not declared infinite whose row-final
 entry has a finite index.  Declared-infinite tails are input flags a finite
 tool cannot observe, so conclusions that depend on them are conditional on
@@ -18,12 +21,7 @@ lexicographic order, where the smallest isolated subgroup is a copy of Q).
 """
 
 from .errors import HypothesisViolatedError
-from .ordgroup import (
-    isolated_level,
-    is_finite_index,
-    rational_rank,
-    span_levels,
-)
+from .ordgroup import isolated_level, is_finite_index, rational_rank
 
 
 class InvariantReport:
@@ -90,27 +88,23 @@ def inductive_invariants(skp, declared_infinite_rows=()):
     """Row-by-row accumulation of the invariants of a built table.
 
     r.rk is the number of entries of infinite index so far (each leaves the
-    Q-span of everything earlier); rk grows when the span achieves a new
-    isolated level; the torus count (= tr.deg) collects rows not declared
-    infinite whose final entry has finite index.
+    Q-span of everything earlier), and rk equals it (module docstring); the
+    torus count (= tr.deg) collects rows not declared infinite whose final
+    entry has finite index.
     """
     declared = set(declared_infinite_rows)
-    seen = []
     per_row = []
     prev_rrk = 0
-    prev_rk = 0
     torus_rows = []
     for i in range(skp.nvars):
         length = skp.row_length(i)
         if length == 0:
             per_row.append(
-                {"row": i, "r_rk": prev_rrk, "rk": prev_rk, "torus": False}
+                {"row": i, "r_rk": prev_rrk, "rk": prev_rrk, "torus": False}
             )
             continue
         row = [skp.entries[(i, j)] for j in range(1, length + 1)]
-        seen.extend(e.beta for e in row)
         rrk = prev_rrk + sum(1 for e in row if not is_finite_index(e.n))
-        rk = len(span_levels(seen))
         in_a = (
             i not in declared
             and is_finite_index(skp.entries[(i, length)].n)
@@ -121,13 +115,13 @@ def inductive_invariants(skp, declared_infinite_rows=()):
             {
                 "row": i,
                 "r_rk": rrk,
-                "rk": rk,
+                "rk": rrk,
                 "r_rk_step": rrk - prev_rrk,
-                "rk_step": rk - prev_rk,
+                "rk_step": rrk - prev_rrk,
                 "torus": in_a,
             }
         )
-        prev_rrk, prev_rk = rrk, rk
+        prev_rrk = rrk
     notes = []
     if declared:
         notes.append(
@@ -136,7 +130,7 @@ def inductive_invariants(skp, declared_infinite_rows=()):
             + " being declared infinite"
         )
     return InvariantReport(
-        prev_rk,
+        prev_rrk,
         prev_rrk,
         len(torus_rows),
         per_row=per_row,

@@ -11,8 +11,9 @@ import json
 import sys
 
 from . import __version__
-from .classify import abhyankar_check, classify_table1
+from .classify import abhyankar_check, classify_table1, inductive_invariants
 from .errors import SchemaError, SkpvalError
+from .expansion import adic_expand
 from . import jsonio
 from .realize import CORRECTED, LITERAL, realize, verify_realization
 from .skp import minimal_pseudo_skp
@@ -73,8 +74,6 @@ def cmd_build(args):
 
 
 def cmd_expand(args):
-    from .expansion import adic_expand
-
     data, digest = _read_problem(args.file)
     skp = jsonio.build_from_problem(data)
     alpha = jsonio.load_alpha(args.alpha, skp)
@@ -124,8 +123,6 @@ def cmd_classify(args):
             abhyankar_check(report, 3) if report.status != "UNCLASSIFIED" else None
         )
         return 0, digest, {"classification": payload}
-    from .classify import inductive_invariants
-
     skp = jsonio.build_from_problem(data)
     declared = jsonio.load_declared_rows(data, skp.nvars)
     report = inductive_invariants(skp, declared)

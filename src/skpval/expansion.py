@@ -14,8 +14,9 @@ weighs by Vdeg (per-variable degree vector).  ``least_value_part`` weighs by
 value and stops at the first value class that survives once its violating
 monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
 theta * U^m (equal), so no later rewrite reaches a lower class.
-``value_rules`` checks that once per rule set (a declared limit tail may
-break it, and the loop then runs to the end).
+``value_rules`` refuses a table where a rule has a lower branch, which
+defines no valuation, so the value loop always stops early; it is built
+once per ``SkpValuation``, which ``least_value_part`` reads.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -33,10 +34,10 @@ coefficient of X_row^t is the split's part of degree t.
 import collections
 import heapq
 
-from .errors import IterationCapError, UnrealizableError, ZeroPolyError
+from .errors import InvalidTableError, IterationCapError, UnrealizableError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
-from .skp import normalize_alpha, rewrite_rules, u_order, weigh
+from .skp import check_key_polynomials, normalize_alpha, rewrite_rules, u_order, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -123,25 +124,36 @@ class AdicExpansion:
         return " + ".join(repr(m) for m in self.monomials) or "0"
 
 
-# One expansion's ``rewrite_rules``, zero weight and index weights (``weigh``).
+# One expansion's ``rewrite_rules``, zero weight and index weights (``weigh``),
+# and whether the loop stops at the first weight class that survives.
 RuleSet = collections.namedtuple("RuleSet", "rules origin weights stop_early")
 
 
-def value_rules(skp, alpha=None):
-    """The RuleSet of ``least_value_part``: values over
-    ``SkpTable.integer_betas`` (tuples compare as their GroupValues do, the
-    common denominator being positive), and whether no rule branch has a
-    lower value than the power U^n it replaces."""
-    rules = rewrite_rules(skp, normalize_alpha(skp, alpha))
+def value_rules(skp, alpha):
+    """The RuleSet of ``least_value_part`` under a normalized cutoff vector:
+    values over ``SkpTable.integer_betas`` (tuples compare as their
+    GroupValues do, the common denominator being positive).
+
+    The early stop needs every beta > 0 (else ValueError) and no rule branch
+    of lower value than the power U^n it replaces (else InvalidTableError
+    naming the first such U): such a rule defines no valuation.
+    """
+    rules = rewrite_rules(skp, alpha)
     betas = skp.integer_betas[0]
     weights = {idx: [(k, c) for k, c in enumerate(betas[idx]) if c] for idx in betas}
     origin = (0,) * skp.dimension
-    stop_early = all(
-        weigh(mmap.items(), weights, origin) >= weigh([(index, n)], weights, origin)
-        for index, (n, nxt, terms) in rules.items()
-        for mmap in [{nxt: 1}] + [m for _, m in terms]
-    )
-    return RuleSet(rules, origin, weights, stop_early)
+    for index, beta in betas.items():
+        if tuple(beta) <= origin:
+            raise ValueError(f"beta at {index} is not positive")
+    for (i, j), (n, nxt, terms) in sorted(rules.items()):
+        power = weigh([((i, j), n)], weights, origin)
+        for mmap in [{nxt: 1}] + [m for _, m in terms]:
+            if weigh(mmap.items(), weights, origin) < power:
+                raise InvalidTableError(
+                    f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
+                    "the table defines no valuation"
+                )
+    return RuleSet(rules, origin, weights, True)
 
 
 def _rewrite(f, skp, alpha, rule_set, max_rewrites):
@@ -157,12 +169,10 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
 
     reduce = skp.field.reduce
     cutoff = skp.cutoff
-    # a key polynomial the cutoff truncated to 0 refuses the expansion here
-    u_order(((idx, 1) for idx in skp.order), skp.entries)
     rules, origin, weights, stop_early = rule_set
 
     # Each violating key in ``work`` has an entry (weight, key, greatest
-    # violating index) in ``heap``, with ``stop_early`` every other key too
+    # violating index) in ``heap``, in the value loop every other key too
     # (index None); an entry whose key has left ``work`` is skipped.
     work = {}
     weight = {}
@@ -237,18 +247,19 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     guard; polynomial inputs over finite tables are expected to terminate).
     """
     alpha = normalize_alpha(skp, alpha)
+    check_key_polynomials(skp)
     degrees = {index: [(index[0], entry.d)] for index, entry in skp.entries.items()}
     rule_set = RuleSet(rewrite_rules(skp, alpha), (0,) * skp.nvars, degrees, False)
     work, _ = _rewrite(f, skp, alpha, rule_set, max_rewrites)
     return AdicExpansion(skp, alpha, [AdicMonomial(c, dict(k)) for k, c in work.items()])
 
 
-def least_value_part(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP, rule_set=None):
+def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
     """The least value over f's adic expansion, an integer vector over
-    ``SkpTable.integer_betas``, and its monomials; ``rule_set`` defaults to
-    ``value_rules(skp, alpha)``."""
-    alpha = normalize_alpha(skp, alpha)
-    work, value = _rewrite(f, skp, alpha, rule_set or value_rules(skp, alpha), max_rewrites)
+    ``SkpTable.integer_betas``, and its monomials, under the table, cutoff
+    vector and rules of an ``SkpValuation``."""
+    skp = valuation.skp
+    work, value = _rewrite(f, skp, valuation.alpha, valuation.rule_set, max_rewrites)
     if not work:
         raise ZeroPolyError("no monomials survived (truncated to zero)")
     low = min(value[key] for key in work)

@@ -13,8 +13,8 @@ module provides the arithmetic a well-ordered generator sequence needs:
   positions of finite index -- read from such a chain,
 * ``semigroup_witness(g, chain)`` -- exact membership in the semigroup the
   chain generates, solved against its stored echelon by back-substitution,
-* ``rational_rank`` and ``span_levels``, read from the same analysis, and
-  ``isolated_level`` for the numerical invariants.
+* ``rational_rank``, read from the same analysis, and ``isolated_level``
+  for the numerical invariants.
 
 All computations are exact.
 """
@@ -329,17 +329,6 @@ def semigroup_witness(gamma, chain):
 def rational_rank(values):
     """Dimension of the Q-span of the given values."""
     return len(analyze_chain(values).basis)
-
-
-def span_levels(values):
-    """Isolated levels achieved by the Q-span of the values.
-
-    For the lexicographic order on Q^r the isolated subgroups are
-    Delta_k = {first r-k coordinates zero}; the span meets a new Delta_k
-    exactly at the levels r - c over the pivot columns c of its echelon.
-    """
-    chain = analyze_chain(values)
-    return frozenset(chain[0].value.dim - piv for piv, _, _ in chain.basis)
 
 
 def isolated_level(v):

@@ -18,6 +18,7 @@ generator (always independent) then sits alone in row 0.
 
 import random
 
+from .classify import inductive_invariants
 from .errors import HypothesisViolatedError, InvalidTableError, VerificationFailedError
 from .fields import QQ
 from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
@@ -228,8 +229,6 @@ def realize(spec, mode=CORRECTED, thetas=None):
     valuation = SkpValuation(skp)
     num_vars = sum(1 for i in range(skp.nvars) if skp.row_length(i) > 0)
     r_rk = res.analysis.rational_rank
-    from .classify import inductive_invariants
-
     invariants = inductive_invariants(skp)
     # zero-dimensionality is backed by the equality case r.rk = dim R; when
     # the mode spends more variables than the rational rank the claim is
@@ -267,14 +266,14 @@ class VerificationVerdict:
         }
 
 
-def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None, max_terms=5):
-    """A random nonzero polynomial with small integer coefficients, each in
-    the field's form (``field.of``)."""
+def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
+    """A random nonzero polynomial of up to 5 terms with small integer
+    coefficients, each in the field's form (``field.of``)."""
     if variables is None:
         variables = list(range(nvars))
     while True:
         terms = {}
-        for _ in range(rng.randint(1, max_terms)):
+        for _ in range(rng.randint(1, 5)):
             while True:
                 exps = [0] * nvars
                 for v in variables:

@@ -6,10 +6,11 @@ Row i starts with U_{i,1} = X_i.  Each successor is the binomial
 
 where m is the canonical relation of entry (i, j-1).  Limit-labeled entries
 may instead be produced by unrolling a declared tail recurrence under a
-truncation cutoff.  Every non-final entry also records its rewrite data
-(U^n = U_next + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives
-the rules of one expansion; for a freshly built table that is a single
-summand, for a reduced table the collapsed chain.
+truncation cutoff, which only chooses more summands: ``successor`` builds
+both.  Every non-final entry also records its summands (U_{i,j}^n =
+U_{i,j+1} + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives the
+rules of one expansion; for a freshly built table that is a single summand,
+for a reduced table the collapsed chain.
 """
 
 import functools
@@ -43,7 +44,6 @@ class SkpEntry:
         "poly",
         "order",
         "theta",
-        "rewrite_next",
         "rewrite_terms",
         "limit_label",
         "truncated_limit",
@@ -59,7 +59,6 @@ class SkpEntry:
         self.poly = poly
         self.order = None if poly.is_zero() else poly.order()
         self.theta = theta
-        self.rewrite_next = None
         self.rewrite_terms = None
         self.limit_label = None
         self.truncated_limit = False
@@ -133,6 +132,18 @@ def key_product(entries, exps, nvars, field, cutoff):
     return out
 
 
+def successor(entries, start, n, summands, cutoff):
+    """U_start^n - sum theta * prod U^m over the (theta, m) summands, each
+    step truncated: the one formula every successor key polynomial is built
+    by."""
+    poly = start.poly
+    out = (poly ** n).truncate(cutoff)
+    for theta, m in summands:
+        term = key_product(entries, m, poly.nvars, poly.field, cutoff)
+        out = (out - theta * term).truncate(cutoff)
+    return out
+
+
 def u_order(exps, entries):
     """Total-degree order of prod U^e, i.e. sum e * ord U, over the
     ``(index, e)`` items of an exponent map, read from the stored
@@ -146,6 +157,13 @@ def u_order(exps, entries):
             raise ZeroPolyError("order of the zero polynomial")
         total += e * order
     return total
+
+
+def check_key_polynomials(skp):
+    """Refuse a table whose cutoff truncated a key polynomial to 0."""
+    for i, j in skp.order:
+        if skp.entries[(i, j)].order is None:
+            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
 
 
 def weigh(items, weights, start):
@@ -236,14 +254,11 @@ def unroll_limit(entries, tail, cutoff, field):
         raise NoCutoffError("limit unrolling requires a truncation cutoff")
 
     start = entries[(tail.row, tail.at - 1)]
-    n_start = start.n if is_finite_index(start.n) else 1
-    acc = (start.poly ** n_start).truncate(cutoff)
     theta = field.of(tail.theta)
-    if tail.depth <= 0:
-        return UnrollResult(acc, UnrollReport(False, 0, cutoff), [])
-
     summands = []
-    for k in range(tail.depth + 1):
+    # depth 0 takes no summand; past it the loop ends only at a summand
+    # above the cutoff, so the report says stabilized
+    for k in range(tail.depth + 1 if tail.depth > 0 else 0):
         m = tail.exponent_map(k)
         if u_order(m.items(), entries) > cutoff:
             break
@@ -251,11 +266,11 @@ def unroll_limit(entries, tail, cutoff, field):
             raise NonStabilizingError(
                 f"summand order still <= {cutoff} after {tail.depth} terms"
             )
-        term = key_product(entries, m, start.poly.nvars, field, cutoff)
-        acc = (acc - theta * term).truncate(cutoff)
         summands.append((theta, m))
-    # past depth 0 the loop ends only at a summand above the cutoff
-    return UnrollResult(acc, UnrollReport(True, len(summands), cutoff), summands)
+    n_start = start.n if is_finite_index(start.n) else 1
+    poly = successor(entries, start, n_start, summands, cutoff)
+    report = UnrollReport(tail.depth > 0, len(summands), cutoff)
+    return UnrollResult(poly, report, summands)
 
 
 def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
@@ -297,27 +312,19 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
             entry = SkpEntry(index, ventry.beta, ventry.n, ventry.relation, 1, poly, theta)
         else:
             prev = entries[(i, j - 1)]
-            d = prev.n * prev.d
             if index in tails:
-                tail = tails[index]
-                unrolled = unroll_limit(entries, tail, cutoff, field)
-                prev.rewrite_next = index
-                prev.rewrite_terms = unrolled.summands
-                entry = SkpEntry(
-                    index, ventry.beta, ventry.n, ventry.relation, d,
-                    unrolled.poly, theta,
-                )
-                entry.unroll_report = unrolled.report
+                unrolled = unroll_limit(entries, tails[index], cutoff, field)
+                prev.rewrite_terms, poly = unrolled.summands, unrolled.poly
             else:
-                um = key_product(entries, prev.relation, nvars, field, cutoff)
-                poly = (prev.poly ** prev.n - prev.theta * um).truncate(cutoff)
-                prev.rewrite_next = index
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
-                entry = SkpEntry(
-                    index, ventry.beta, ventry.n, ventry.relation, d, poly, theta
-                )
-                if ventry.limit_label is not None:
-                    entry.truncated_limit = True
+                poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)
+            entry = SkpEntry(
+                index, ventry.beta, ventry.n, ventry.relation, prev.n * prev.d, poly, theta
+            )
+            if index in tails:
+                entry.unroll_report = unrolled.report
+            elif ventry.limit_label is not None:
+                entry.truncated_limit = True
         entry.limit_label = ventry.limit_label
         entries[index] = entry
         _check_entry_shape(entry, nvars, cutoff)
@@ -359,8 +366,8 @@ def rewrite_rules(skp, alpha):
         entry = skp.entries[index]
         if j >= alpha[i] or not is_finite_index(entry.n):
             continue
-        nxt, terms = entry.rewrite_next, entry.rewrite_terms
-        if nxt[1] < alpha[i] and skp.entries[nxt].n == 1:
+        nxt, terms = (i, j + 1), entry.rewrite_terms
+        if j + 1 < alpha[i] and skp.entries[nxt].n == 1:
             _, nxt, rest = rules[nxt]
             terms = terms + rest
         rules[index] = (entry.n, nxt, terms)
@@ -422,8 +429,10 @@ def minimal_pseudo_skp(skp):
         if skp.is_row_final(index):
             continue
         _, nxt, terms = rules[index]
-        entry = new_entries[remap[index]]
-        entry.rewrite_next = remap[nxt]
+        i, j = remap[index]
+        if remap[nxt] != (i, j + 1):
+            raise AssertionError((index, nxt))
+        entry = new_entries[(i, j)]
         entry.rewrite_terms = [
             (theta, {remap[k]: m for k, m in mmap.items()}) for theta, mmap in terms
         ]

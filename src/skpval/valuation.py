@@ -6,14 +6,15 @@ a polynomial is the minimum over the monomials of its adic expansion, which
 class.  The same number is computed independently, with no rewrite rule, by
 ``value_via_euclidean``: row by row, nu(sum a_t U^t) = min_t (nu(a_t) +
 nu(U^t)) over the top row's Euclidean expansion, the coefficients a_t valued
-on the rows below.  Every beta is > 0 (``SkpValuation`` refuses a table where
-one is not), so nu(a_t) >= 0: the walk of ``expansion.euclidean_pieces``
-divides out a further power of a key polynomial only while its key prefix
-weighs less than the best sum so far, and a prefix that fails ends that
-position's powers.  ``SkpValuation`` also refuses a table whose cutoff
-truncated a key polynomial to 0, so both routes refuse it alike.  Initial
-forms, the top-row delta invariant, graded normal forms, and cutoff
-stabilization profiles all build on the least value part.
+on the rows below.  ``SkpValuation`` is the one gate both routes trust: it
+refuses a table whose cutoff truncated a key polynomial to 0, a beta that is
+not > 0, and a rule U^n = U_next + sum theta * U^m with a branch of lower
+value than U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
+``expansion.euclidean_pieces`` divides out a further power of a key
+polynomial only while its key prefix weighs less than the best sum so far,
+and a prefix that fails ends that position's powers.  Initial forms, the
+top-row delta invariant, graded normal forms, and cutoff stabilization
+profiles all build on the least value part.
 """
 
 from fractions import Fraction
@@ -28,22 +29,18 @@ from .expansion import (
     vp,
 )
 from .ordgroup import is_finite_index
-from .skp import normalize_alpha, validate_acceptable, weigh
+from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, weigh
 
 
 class SkpValuation:
-    """A table of key polynomials together with an acceptable cutoff vector."""
+    """A table of key polynomials together with an acceptable cutoff vector,
+    and the ``value_rules`` both value routes read."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
-        for i, j in skp.order:
-            if skp.entries[(i, j)].order is None:
-                raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
+        check_key_polynomials(skp)
         self.rule_set = value_rules(skp, self.alpha)
-        for index, beta in skp.integer_betas[0].items():
-            if tuple(beta) <= self.rule_set.origin:
-                raise ValueError(f"beta at {index} is not positive")
         if not validate_acceptable(skp, self.alpha, self.rule_set.rules):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
 
@@ -57,7 +54,7 @@ class SkpValuation:
 
 def value_of(f, valuation):
     """The valuation of a nonzero polynomial: the least value of its adic expansion."""
-    low, _ = least_value_part(f, valuation.skp, valuation.alpha, rule_set=valuation.rule_set)
+    low, _ = least_value_part(f, valuation)
     return valuation.skp.group_value(low)
 
 
@@ -88,7 +85,7 @@ def initial_form(f, valuation):
     is checked on every call.
     """
     skp = valuation.skp
-    _, kept = least_value_part(f, skp, valuation.alpha, rule_set=valuation.rule_set)
+    _, kept = least_value_part(f, valuation)
     vps = [vp(m.exps, skp, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")

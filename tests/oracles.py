@@ -158,8 +158,9 @@ def rescan_adic_expand(f, skp, alpha=None):
     alpha = normalize_alpha(skp, alpha)
     zero = skp.field.zero
     cutoff = skp.cutoff
-    # a key polynomial the cutoff truncated to 0 refuses the expansion
-    u_order(((idx, 1) for idx in skp.order), skp.entries)
+    for i, j in skp.order:
+        if skp.entries[(i, j)].poly.is_zero():
+            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {cutoff}")
     rules = rewrite_rules(skp, alpha)
 
     def add(work, key, coeff):

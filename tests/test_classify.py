@@ -1,8 +1,14 @@
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from skpval import (
     GroupValue,
     HypothesisViolatedError,
+    InvalidTableError,
     PseudoSkpArithmetic,
     RowArithmetic,
     SkpValuation,
@@ -12,9 +18,12 @@ from skpval import (
     compute_relations,
     enumerate_semigroup,
     inductive_invariants,
+    jsonio,
     value_of,
 )
 from skpval.classify import InvariantReport
+
+DATA = Path(__file__).parent / "data"
 
 
 def gv(*coords):
@@ -109,6 +118,57 @@ DECLARED_CASES = [
         (1, 2, 0),
     ),
 ]
+
+
+def span_leading_positions(values):
+    """The distinct leading positions of the Q-span of the values (the
+    isolated levels it reaches), by Fraction elimination."""
+    basis = {}  # leading position -> row
+    for v in values:
+        row = [Fraction(c) for c in v.coords]
+        for pos in sorted(basis):
+            if row[pos]:
+                factor = row[pos] / basis[pos][pos]
+                row = [a - factor * b for a, b in zip(row, basis[pos])]
+        lead = next((pos for pos, c in enumerate(row) if c), None)
+        if lead is not None:
+            basis[lead] = row
+    return len(basis)
+
+
+def assert_rk_counts_leading_positions(skp):
+    per_row = inductive_invariants(skp).per_row
+    for i in range(skp.nvars):
+        prefix = [skp.entries[idx].beta for idx in skp.order if idx[0] <= i]
+        assert per_row[i]["rk"] == span_leading_positions(prefix), (i, prefix)
+
+
+class TestRank:
+    @pytest.mark.parametrize(
+        "name", ["remark_diffskp", "swapped_diffskp", "example2", "example1_tail"]
+    )
+    def test_per_row_rk_on_the_data_tables(self, name):
+        problem = json.loads((DATA / f"{name}.json").read_text())
+        assert_rk_counts_leading_positions(jsonio.build_from_problem(problem))
+
+    def test_per_row_rk_on_random_families(self, example1, free2):
+        for skp in (example1, free2):
+            assert_rk_counts_leading_positions(skp)
+        rng = random.Random(11)
+        built = 0
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            rows = [
+                [gv(*(rng.randint(0, 2) for _ in range(dim)))]
+                for _ in range(rng.randint(1, 4))
+            ]
+            try:
+                skp = build_skp(compute_relations(rows))
+            except InvalidTableError:  # a value not > 0 or a negative relation
+                continue
+            assert_rk_counts_leading_positions(skp)
+            built += 1
+        assert built > 50
 
 
 class TestTable1:

@@ -17,6 +17,7 @@ import pytest
 
 import skpval.valuation
 from skpval import (
+    InvalidTableError,
     IterationCapError,
     SkpValuation,
     ZeroPolyError,
@@ -32,8 +33,10 @@ from skpval import (
     validate_acceptable,
     value_of,
 )
+from skpval.cli import run_command
 from skpval.expansion import AdicExpansion, least_value_part, value_rules
 from skpval.realize import random_polynomial
+from skpval.skp import rewrite_rules
 
 from conftest import example1_rows
 from oracles import full_least_part
@@ -88,7 +91,7 @@ def _full_route():
     return mock.patch.object(
         skpval.valuation,
         "least_value_part",
-        lambda f, skp, alpha, rule_set: full_least_part(f, skp, alpha),
+        lambda f, valuation: full_least_part(f, valuation.skp, valuation.alpha),
     )
 
 
@@ -133,7 +136,9 @@ class TestAgainstFullExpansion:
             for f in _polynomials(rng, skp, alpha):
                 if f.is_zero():  # a key polynomial the cutoff truncated to 0
                     continue
-                got = _outcome(lambda: _part_json(least_value_part(f, skp, alpha), skp, alpha))
+                got = _outcome(
+                    lambda: _part_json(least_value_part(f, SkpValuation(skp, alpha)), skp, alpha)
+                )
                 want = _outcome(lambda: _part_json(full_least_part(f, skp, alpha), skp, alpha))
                 assert got == want, (alpha, str(f))
                 results = _results(f, skp, alpha)
@@ -141,9 +146,15 @@ class TestAgainstFullExpansion:
                     assert results == _results(f, skp, alpha), (alpha, str(f))
 
     def test_every_built_table_stops_early(self):
+        # no rule of a built table has a branch of lower value: the valuation
+        # accepts every acceptable vector (on the table whose cutoff truncated
+        # U_{1,2} to 0, which it refuses for that, the rule check runs alone)
         for name, skp in TABLES.items():
             for alpha in _acceptable_vectors(skp):
-                assert value_rules(skp, alpha).stop_early, (name, alpha)
+                if name == "remark_diffskp-cutoff-1":
+                    value_rules(skp, alpha)
+                else:
+                    SkpValuation(skp, alpha)
 
 
 def _value_lowering_tail():
@@ -151,34 +162,34 @@ def _value_lowering_tail():
     value than the power U_{2,1} it replaces, (0, 2, 1)."""
     data = _problem("example1_tail.json")
     data["limit_tails"][0]["exponents"] = {"0,1": [1, 1]}
-    return jsonio.build_from_problem(data)
+    return data
 
 
 class TestValueLoweringRule:
-    def test_the_guard_refuses_the_early_stop(self):
-        skp = _value_lowering_tail()
-        rule_set = value_rules(skp)
-        assert not rule_set.stop_early
-        n, _, terms = rule_set.rules[(2, 1)]
+    def test_the_valuation_refuses_it_by_name(self):
+        skp = jsonio.build_from_problem(_value_lowering_tail())
+        n, _, terms = rewrite_rules(skp, skp.full_alpha())[(2, 1)]
         betas, _ = skp.integer_betas
         power = tuple(n * c for c in betas[(2, 1)])
         assert any(m == {(0, 1): 1} for _, m in terms)
         assert tuple(betas[(0, 1)]) < power
+        with pytest.raises(InvalidTableError, match=r"^U_\{2,1\}\^1 rewrites to a branch of lower value"):
+            SkpValuation(skp)
 
-    def test_value_of_is_the_full_minimum(self):
-        skp = _value_lowering_tail()
-        v = SkpValuation(skp)
-        forced = v.rule_set._replace(stop_early=True)
-        rng = random.Random(300)
-        differ = 0
-        for _ in range(300):
-            f = random_polynomial(rng, skp.nvars, 4, skp.field)
-            want = _outcome(lambda: skp.group_value(full_least_part(f, skp)[0]))
-            assert _outcome(lambda: value_of(f, v)) == want, str(f)
-            early = _outcome(lambda: skp.group_value(least_value_part(f, skp, rule_set=forced)[0]))
-            differ += early != want
-        # the guard is what keeps these right
-        assert differ > 0
+    def test_value_commands_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "lowering.json"
+        path.write_text(json.dumps(_value_lowering_tail()))
+        poly = ["--skp", str(path), "--poly", "X2"]
+        for argv in (["eval"] + poly, ["initial"] + poly, ["normal-form"] + poly,
+                     ["delta"] + poly + ["--j", "2"]):
+            assert run_command(argv) == 1, argv
+            diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+            assert [d["kind"] for d in diagnostics] == ["InvalidTable"], argv
+            assert "U_{2,1}" in diagnostics[0]["message"]
+        for argv in (["build", str(path)], ["expand", str(path), "--poly", "X2"],
+                     ["classify", str(path)]):
+            assert run_command(argv) == 0, argv
+            capsys.readouterr()
 
 
 class TestEarlyStop:
@@ -188,12 +199,13 @@ class TestEarlyStop:
     @pytest.mark.parametrize("text, least, full", [("(X0+X1)^10", 0, 225), ("X1^8", 4, 44)])
     def test_pinned_rewrite_counts(self, diffskp, text, least, full):
         f = parse_poly(text, 2)
-        part = least_value_part(f, diffskp, max_rewrites=least)
+        valuation = SkpValuation(diffskp)
+        part = least_value_part(f, valuation, max_rewrites=least)
         assert _part_json(part, diffskp, None) == _part_json(
             full_least_part(f, diffskp), diffskp, None
         )
         adic_expand(f, diffskp, max_rewrites=full)
-        for cap, expand in ((least, least_value_part), (full, adic_expand)):
+        for cap, expand, table in ((least, least_value_part, valuation), (full, adic_expand, diffskp)):
             if cap:
                 with pytest.raises(IterationCapError):
-                    expand(f, diffskp, max_rewrites=cap - 1)
+                    expand(f, table, max_rewrites=cap - 1)

@@ -16,7 +16,7 @@ from skpval import (
     subgroup_index,
 )
 from skpval import intlattice
-from skpval.ordgroup import analyze_chain, span_levels
+from skpval.ordgroup import analyze_chain
 
 import oracles
 from oracles import (
@@ -323,9 +323,3 @@ class TestIsolatedLevel:
     )
     def test_levels(self, coords, level):
         assert isolated_level(gv(*coords)) == level
-
-    def test_span_levels_counts_infill(self):
-        # (1,0) alone achieves level 2 only; adding (0,1) fills level 1
-        assert span_levels([gv(1, 0)]) == {2}
-        assert span_levels([gv(1, 0), gv(0, 1)]) == {1, 2}
-        assert span_levels([gv(1, 1), gv(1, 0)]) == {1, 2}

@@ -22,7 +22,7 @@ from skpval import (
     validate_acceptable,
 )
 from skpval.jsonio import build_from_problem
-from skpval.skp import u_order
+from skpval.skp import rewrite_rules, u_order
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,7 +213,7 @@ class TestMinimalPseudo:
     def test_rewrite_chain_collapses(self, diffskp):
         reduced = minimal_pseudo_skp(diffskp)
         entry = reduced.entries[(1, 1)]
-        assert entry.rewrite_next == (1, 2)
+        assert rewrite_rules(reduced, reduced.full_alpha())[(1, 1)][1] == (1, 2)
         # U11^2 = U12' + theta*X0^3 + theta*X0^3*U11 across the dropped chain
         assert entry.rewrite_terms == [
             (Fraction(1), {(0, 1): 3}),

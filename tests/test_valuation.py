@@ -62,6 +62,21 @@ class TestValueOf:
                 entry = skp.entries[idx]
                 assert value_of(entry.poly, v) == entry.beta
 
+    @pytest.mark.parametrize("route", [value_of, value_via_euclidean])
+    def test_key_polynomials_of_accepted_tables(self, example1, route):
+        # what the valuation's rule check guarantees: both routes value each
+        # key polynomial at its beta (remark_diffskp at cutoffs 2 and 3 gives
+        # U_{1,2} 10, not 9, on both: a cutoff fault, ROADMAP item 8)
+        tables = [example1, jsonio.build_from_problem(_problem("example1_tail.json"))]
+        for name in ("remark_diffskp", "swapped_diffskp", "example2"):
+            for field in (None, {"prime": 7}):
+                skp = jsonio.build_from_problem(_problem(f"{name}.json", field=field))
+                tables += [skp, minimal_pseudo_skp(skp)]
+        for skp in tables:
+            v = SkpValuation(skp)
+            for idx in skp.order:
+                assert route(skp.entries[idx].poly, v) == skp.entries[idx].beta, idx
+
     def test_golden_cusp_values(self, vdiff):
         assert value_of(P("X1^2 - X0^3"), vdiff) == gv(9)
         assert value_of(P("X1^2"), vdiff) == gv(6)
