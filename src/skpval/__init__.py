@@ -19,7 +19,6 @@ from .errors import (
     SchemaError,
     SkpvalError,
     ThetaZeroError,
-    UnrealizableError,
     VerificationFailedError,
     ZeroPolyError,
 )
@@ -54,8 +53,6 @@ from .expansion import (
     AdicMonomial,
     adic_expand,
     euclidean_expand,
-    exponent_from_vdeg,
-    vdeg_vp,
 )
 from .valuation import (
     GradedNormalForm,
@@ -63,7 +60,6 @@ from .valuation import (
     delta_of,
     graded_normal_form,
     initial_form,
-    stabilization_profile,
     value_of,
     value_via_euclidean,
 )
@@ -78,9 +74,8 @@ from .classify import (
 from .realize import (
     CORRECTED,
     LITERAL,
+    GeneratorAnalysis,
     SemigroupSpec,
-    analyze_generators,
-    rank_jump_check,
     realize,
     reindex,
     verify_realization,

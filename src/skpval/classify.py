@@ -49,10 +49,6 @@ class InvariantReport:
         self.status = status
         self.notes = list(notes)
 
-    @property
-    def triple(self):
-        return (self.rk, self.r_rk, self.tr_deg)
-
     def to_json(self):
         return {
             "rk": self.rk,
@@ -169,18 +165,6 @@ class PseudoSkpArithmetic:
             raise ValueError("the lookup table covers exactly rows 1 and 2")
         if self.declared is None and self.beta01 is None:
             raise ValueError("need either values or declared predicates")
-
-    @classmethod
-    def from_skp(cls, skp, declared_infinite_rows=()):
-        if skp.nvars != 3:
-            raise ValueError("the lookup table needs exactly three rows")
-        declared = set(declared_infinite_rows)
-        rows = []
-        for i in (1, 2):
-            length = skp.row_length(i)
-            final = skp.entries[(i, length)].beta if length else None
-            rows.append(RowArithmetic(i in declared, final))
-        return cls(beta01=skp.entries[(0, 1)].beta, rows=rows)
 
     def predicates(self):
         if self.declared is not None:

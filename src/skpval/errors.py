@@ -45,10 +45,6 @@ class IterationCapError(SkpvalError):
     """Rewrite loop exceeded its iteration budget (diagnostic guard)."""
 
 
-class UnrealizableError(SkpvalError):
-    """No adic-form exponent map realizes the requested degree vector."""
-
-
 class HypothesisViolatedError(SkpvalError):
     """Input violates a standing hypothesis: the classifier's on the first
     value, or verification's that every generator relation is nonnegative."""

@@ -34,7 +34,7 @@ coefficient of X_row^t is the split's part of degree t.
 import collections
 import heapq
 
-from .errors import InvalidTableError, IterationCapError, UnrealizableError, ZeroPolyError
+from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
 from .skp import check_key_polynomials, normalize_alpha, rewrite_rules, u_order, weigh
@@ -81,10 +81,6 @@ def vp(exps, skp, alpha=None):
         exps.get((i, alpha[i]), 0) if alpha[i] else 0
         for i in range(skp.nvars - 1, -1, -1)
     )
-
-
-def vdeg_vp(monomial, skp, alpha=None):
-    return vdeg(monomial.exps, skp), vp(monomial.exps, skp, alpha)
 
 
 class AdicExpansion:
@@ -264,39 +260,6 @@ def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
     low = min(value[key] for key in work)
     return low, [AdicMonomial(c, dict(k)) for k, c in work.items() if value[k] == low]
-
-
-def exponent_from_vdeg(v, skp, alpha=None):
-    """The unique adic-form exponent map with the given degree vector.
-
-    Greedy division by the row degrees, descending positions; ties between
-    equal degrees resolve to the highest position.
-    """
-    alpha = normalize_alpha(skp, alpha)
-    if len(v) != skp.nvars:
-        raise ValueError(f"degree vector needs {skp.nvars} components")
-    rules = rewrite_rules(skp, alpha)
-    exps = {}
-    for i, target in enumerate(v):
-        rem = int(target)
-        if rem < 0:
-            raise UnrealizableError(f"negative degree at X{i}")
-        if rem and alpha[i] == 0:
-            raise UnrealizableError(f"X{i} degree {rem} but row {i} is empty")
-        for j in range(alpha[i], 0, -1):
-            entry = skp.entries[(i, j)]
-            a = rem // entry.d
-            if a:
-                if (i, j) in rules and a >= entry.n:
-                    raise UnrealizableError(
-                        f"degree {target} at X{i} needs exponent {a} >= "
-                        f"n = {entry.n} at position {j}"
-                    )
-                exps[(i, j)] = a
-                rem -= a * entry.d
-        if rem:
-            raise UnrealizableError(f"degree {target} at X{i} not realizable")
-    return exps
 
 
 def euclidean_pieces(f, skp, j, row, keep):

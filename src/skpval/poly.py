@@ -59,10 +59,6 @@ class MultiPoly:
         exps[i] = 1
         return cls(nvars, {tuple(exps): field.of(1)}, field)
 
-    @classmethod
-    def monomial(cls, exps, c, nvars, field=QQ):
-        return cls(nvars, {tuple(exps): field.of(c)}, field)
-
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other):
@@ -158,11 +154,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(e[i] for e in self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def order(self):
         """Minimum total degree over the terms."""

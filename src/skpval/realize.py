@@ -124,10 +124,6 @@ class GeneratorAnalysis:
         }
 
 
-def analyze_generators(spec):
-    return GeneratorAnalysis(spec)
-
-
 class BlockAssignment:
     """Partition of generator positions into consecutive blocks.
 
@@ -167,7 +163,7 @@ def reindex(spec, mode):
     """Partition the generators into blocks and emit the induced table."""
     if mode not in (LITERAL, CORRECTED):
         raise ValueError(f"unknown mode {mode!r}")
-    analysis = analyze_generators(spec)
+    analysis = GeneratorAnalysis(spec)
     ns = analysis.ns
 
     blocks = []
@@ -352,35 +348,3 @@ def verify_realization(
             )
         checked += 1
     return VerificationVerdict(True, attainment, checked, seed)
-
-
-class RankJumpReport:
-    def __init__(self, checks):
-        self.checks = checks
-
-    @property
-    def passed(self):
-        return all(ok for _, _, ok in self.checks)
-
-    def to_json(self):
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"position": p, "reason": why, "ok": ok}
-                for p, why, ok in self.checks
-            ],
-        }
-
-
-def rank_jump_check(spec):
-    """At limit labels and infinite-index positions the rational rank of the
-    generator prefix must grow by exactly one.  It grows by one exactly at
-    the positions of infinite index, and stays put elsewhere."""
-    labeled = set(spec.limit_labels)
-    checks = []
-    for pos, entry in enumerate(analyze_chain(spec.generators), start=1):
-        jump = not is_finite_index(entry.n)
-        reasons = ["limit-label"] * (pos in labeled) + ["n=inf"] * jump
-        if reasons:
-            checks.append((pos, "+".join(reasons), jump))
-    return RankJumpReport(checks)

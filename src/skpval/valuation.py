@@ -13,8 +13,8 @@ value than U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
 ``expansion.euclidean_pieces`` divides out a further power of a key
 polynomial only while its key prefix weighs less than the best sum so far,
 and a prefix that fails ends that position's powers.  Initial forms, the
-top-row delta invariant, graded normal forms, and cutoff stabilization
-profiles all build on the least value part.
+top-row delta invariant and graded normal forms all build on the least
+value part.
 """
 
 from fractions import Fraction
@@ -127,20 +127,14 @@ def _euclid_value(f, valuation, top):
     return best
 
 
-def _top_row_cut(skp, j):
-    """The valuation with full lower rows and the top row cut at ``j``."""
-    alpha = list(skp.full_alpha())
-    alpha[-1] = j
-    return SkpValuation(skp, tuple(alpha))
-
-
 def delta_of(f, skp, j):
     """Max exponent of the top-row cutoff entry over initial-form monomials.
 
     The context is the acceptable vector with full lower rows and the top
     row cut at ``j``.
     """
-    inf_form = initial_form(f, _top_row_cut(skp, j))
+    alpha = skp.full_alpha()[:-1] + (j,)
+    inf_form = initial_form(f, SkpValuation(skp, alpha))
     return max(m.exponent((skp.nvars - 1, j)) for m in inf_form)
 
 
@@ -236,39 +230,3 @@ def graded_normal_form(f, valuation):
         else:
             torus[key] = cur
     return GradedNormalForm(common_J or {}, torus, A, skp.group_value(value))
-
-
-class StabilizationProfile:
-    """Values of f under increasing top-row cutoffs."""
-
-    __slots__ = ("cutoffs", "values", "stable_from")
-
-    def __init__(self, cutoffs, values):
-        self.cutoffs = tuple(cutoffs)
-        self.values = list(values)
-        self.stable_from = None
-        for k in range(len(values)):
-            if all(v == values[k] for v in values[k:]):
-                self.stable_from = k
-                break
-
-    def to_json(self):
-        return {
-            "cutoffs": list(self.cutoffs),
-            "values": [v.to_json() for v in self.values],
-            "stable_from": self.stable_from,
-        }
-
-    def __repr__(self):
-        vals = ", ".join(str(v) for v in self.values)
-        return f"StabilizationProfile([{vals}], stable_from={self.stable_from})"
-
-
-def stabilization_profile(f, skp, cutoffs):
-    """Value of f at each top-row cutoff, plus the first stable index."""
-    top = skp.nvars - 1
-    cutoffs = sorted(int(j) for j in cutoffs)
-    if cutoffs and not 1 <= cutoffs[0] <= cutoffs[-1] <= skp.row_length(top):
-        raise ValueError("cutoffs outside the built row")
-    values = [value_of(f, _top_row_cut(skp, j)) for j in cutoffs]
-    return StabilizationProfile(cutoffs, values)

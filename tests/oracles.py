@@ -31,7 +31,7 @@ from skpval.expansion import (
     adic_expand,
     vdeg,
 )
-from skpval.intlattice import row_echelon, solve_combination
+from skpval.intlattice import row_echelon
 from skpval.ordgroup import (
     INFINITY,
     ChainEntry,
@@ -44,6 +44,32 @@ from skpval.ordgroup import (
 from skpval.poly import MultiPoly
 from skpval.skp import normalize_alpha, rewrite_rules, u_order
 from skpval.valuation import GradedNormalForm, initial_form
+
+
+def solve_combination(rows, target):
+    """Integer coefficients c with sum c_i rows[i] == target, or None, by
+    back-substitution through the echelon's transform.  ``rows`` may be
+    empty, in which case only the zero target is solvable."""
+    if all(a == 0 for a in target):
+        return [0] * len(rows)
+    if not rows:
+        return None
+    H, U = row_echelon(rows)
+    t = list(target)
+    coeffs = [0] * len(rows)
+    for i, h in enumerate(H):
+        piv = next((c for c, a in enumerate(h) if a != 0), None)
+        if piv is None:
+            break
+        if t[piv] % h[piv] != 0:
+            return None
+        q = t[piv] // h[piv]
+        if q:
+            t = [a - q * b for a, b in zip(t, h)]
+            coeffs = [a + q * b for a, b in zip(coeffs, U[i])]
+    if any(a != 0 for a in t):
+        return None
+    return coeffs
 
 
 def _int_rows(values):
@@ -332,7 +358,7 @@ def group_euclid_value(f, valuation, top):
     expansions of ``long_euclidean_expand``, each summed as a GroupValue
     (``part + beta.scale(e)``) and compared as one."""
     skp = valuation.skp
-    if top < 0 or f.total_degree() == 0:
+    if top < 0 or f.is_constant():
         return GroupValue((0,) * valuation.dimension)
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
         if f.deg_in(top) > 0:

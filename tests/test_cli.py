@@ -652,12 +652,12 @@ class TestInputFaults:
 
     def test_mixed_dimensions_in_the_library(self):
         from skpval import DimensionMismatchError, GroupValue, SemigroupSpec
-        from skpval import analyze_generators, compute_relations
+        from skpval import GeneratorAnalysis, compute_relations
 
         with pytest.raises(DimensionMismatchError):
             compute_relations([[GroupValue((2,))], [GroupValue((3, 1))]])
         with pytest.raises(DimensionMismatchError):
-            analyze_generators(SemigroupSpec([GroupValue((1,)), GroupValue((1, 2))]))
+            GeneratorAnalysis(SemigroupSpec([GroupValue((1,)), GroupValue((1, 2))]))
 
 
 def test_unexpected_value_error_is_internal(monkeypatch, capsys):

@@ -11,12 +11,10 @@ from skpval import (
     adic_expand,
     build_skp,
     euclidean_expand,
-    exponent_from_vdeg,
     minimal_pseudo_skp,
     parse_poly,
-    vdeg_vp,
 )
-from skpval.expansion import AdicMonomial, vdeg
+from skpval.expansion import vdeg, vp
 from skpval.realize import random_polynomial
 
 from oracles import long_euclidean_expand, rescan_adic_expand
@@ -135,47 +133,18 @@ class TestRewriteOrder:
 
 class TestVdegVp:
     def test_mixed_monomial(self, diffskp):
-        m = AdicMonomial(1, {(0, 1): 3, (1, 1): 1, (1, 2): 1})
-        d, p = vdeg_vp(m, diffskp)
-        assert d == (3, 3)
-        assert p == (0, 3)  # row-final exponents, top row first
+        exps = {(0, 1): 3, (1, 1): 1, (1, 2): 1}
+        assert vdeg(exps, diffskp) == (3, 3)
+        assert vp(exps, diffskp) == (0, 3)  # row-final exponents, top row first
 
     def test_constant(self, diffskp):
-        assert vdeg_vp(AdicMonomial(1, {}), diffskp) == ((0, 0), (0, 0))
+        assert vdeg({}, diffskp) == (0, 0)
+        assert vp({}, diffskp) == (0, 0)
 
     def test_final_squared(self, diffskp):
-        m = AdicMonomial(1, {(1, 3): 2})
-        d, p = vdeg_vp(m, diffskp)
-        assert d == (0, 4)
-        assert p == (2, 0)
-
-
-class TestExponentFromVdeg:
-    def test_tie_resolves_to_highest_position(self, diffskp):
-        got = exponent_from_vdeg((3, 3), diffskp, (1, 3))
-        assert got == {(0, 1): 3, (1, 3): 1, (1, 1): 1}
-
-    def test_zero_vector(self, diffskp):
-        assert exponent_from_vdeg((0, 0), diffskp) == {}
-
-    def test_roundtrip_random_adic_maps(self, diffskp, example2):
-        rng = random.Random(3)
-        for skp in (diffskp, example2):
-            alpha = skp.full_alpha()
-            for _ in range(100):
-                exps = {}
-                for i in range(skp.nvars):
-                    for j in range(1, alpha[i] + 1):
-                        n = skp.entries[(i, j)].n
-                        hi = 4 if j == alpha[i] else int(n) - 1
-                        e = rng.randint(0, hi)
-                        if e and (j == alpha[i] or e < n):
-                            exps[(i, j)] = e
-                # skip maps that are not adic-normal: ties give exponent 0
-                # at the lower of equal-degree positions
-                target = vdeg(exps, skp)
-                got = exponent_from_vdeg(target, skp, alpha)
-                assert vdeg(got, skp) == target
+        exps = {(1, 3): 2}
+        assert vdeg(exps, diffskp) == (0, 4)
+        assert vp(exps, diffskp) == (2, 0)
 
 
 class TestEuclidean:
@@ -300,13 +269,6 @@ class TestGuards:
 
         with pytest.raises(IterationCapError):
             adic_expand(P("X1^8"), diffskp, max_rewrites=1)
-
-    def test_unrealizable_degree_on_empty_row(self):
-        from skpval import UnrealizableError, build_skp, compute_relations
-
-        skp = build_skp(compute_relations([[], [(1, 0)], [(0, 1)]]))
-        with pytest.raises(UnrealizableError):
-            exponent_from_vdeg((1, 0, 0), skp)
 
     def test_rewrite_degree_measure(self, diffskp, example2):
         # the successor branch keeps the row degree, every relation branch

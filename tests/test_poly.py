@@ -118,10 +118,10 @@ class TestMonicDivide:
         for _ in range(500):
             f = random_poly(rng, 2, 8)
             dg = rng.randint(1, 3)
-            g = MultiPoly.monomial((0, dg), 1, 2)
+            g = MultiPoly(2, {(0, dg): 1})
             for _ in range(rng.randint(0, 4)):
                 exps = (rng.randint(0, 4), rng.randint(0, dg - 1))
-                g = g + MultiPoly.monomial(exps, Fraction(rng.randint(-4, 4)), 2)
+                g = g + MultiPoly(2, {exps: Fraction(rng.randint(-4, 4))})
             assert g.is_monic_in(1)
             q, r = monic_divide(f, g, 1)
             assert q * g + r == f
@@ -177,11 +177,11 @@ def random_monic(rng, nvars, i, field):
     dg = rng.randint(1, 3)
     exps = [0] * nvars
     exps[i] = dg
-    g = MultiPoly.monomial(exps, 1, nvars, field)
+    g = MultiPoly(nvars, {tuple(exps): 1}, field)
     for _ in range(rng.randint(0, 4)):
         exps = [rng.randint(0, 4) for _ in range(nvars)]
         exps[i] = rng.randint(0, dg - 1)
-        g = g + MultiPoly.monomial(exps, rng.randint(-4, 4), nvars, field)
+        g = g + MultiPoly(nvars, {tuple(exps): rng.randint(-4, 4)}, field)
     return g
 
 
@@ -194,10 +194,10 @@ class TestDivisionOracle:
         for _ in range(500):
             f = random_poly(rng, 2, 8)
             dg = rng.randint(1, 3)
-            g = MultiPoly.monomial((0, dg), 1, 2)
+            g = MultiPoly(2, {(0, dg): 1})
             for _ in range(rng.randint(0, 4)):
                 exps = (rng.randint(0, 4), rng.randint(0, dg - 1))
-                g = g + MultiPoly.monomial(exps, Fraction(rng.randint(-4, 4)), 2)
+                g = g + MultiPoly(2, {exps: Fraction(rng.randint(-4, 4))})
             assert_divides_like_oracle(f, g, 1)
 
     @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])

@@ -11,9 +11,8 @@ from skpval import (
     HypothesisViolatedError,
     InvalidTableError,
     LITERAL,
+    GeneratorAnalysis,
     SemigroupSpec,
-    analyze_generators,
-    rank_jump_check,
     rational_rank,
     realize,
     reindex,
@@ -36,7 +35,7 @@ def spec(*gens, **kw):
 
 class TestAnalyze:
     def test_three_numbers(self):
-        a = analyze_generators(spec(4, 6, 13))
+        a = GeneratorAnalysis(spec(4, 6, 13))
         assert a.ns == [inf, 2, 2]
         assert a.all_positive and a.all_increasing and a.all_minimal
         assert a.rational_rank == 1
@@ -45,29 +44,29 @@ class TestAnalyze:
         assert a.chain[2].relation.coeffs == {0: 5, 1: 1}
 
     def test_free_pair(self):
-        a = analyze_generators(spec((1, 0), (0, 1)))
+        a = GeneratorAnalysis(spec((1, 0), (0, 1)))
         assert a.ns == [inf, inf]
         assert a.all_minimal and a.rational_rank == 2
 
     def test_minimality_failure(self):
-        a = analyze_generators(spec((1, 0), (0, 1), (1, 1)))
+        a = GeneratorAnalysis(spec((1, 0), (0, 1), (1, 1)))
         assert a.minimal == [True, True, False]
         assert not a.ok
 
     def test_increasing_failure(self):
-        a = analyze_generators(spec(4, 6, 11))
+        a = GeneratorAnalysis(spec(4, 6, 11))
         assert a.increasing == [True, False]
 
     def test_multiple_of_an_earlier_generator(self):
         # n = 1 and the relation 10 = 10*1 is nonnegative: it is the witness
-        a = analyze_generators(spec(1, 10))
+        a = GeneratorAnalysis(spec(1, 10))
         assert a.minimal == [True, False]
         assert not a.ok
 
     def test_undecided_after_a_negative_relation(self):
         # 1 = -3*3 + 2*5 is outside <3, 5>; 7 = 7*1 is in <3, 5, 1>, but
         # its canonical form -1*3 + 2*5 cannot tell after that negative relation
-        a = analyze_generators(spec(3, 5, 1, 7))
+        a = GeneratorAnalysis(spec(3, 5, 1, 7))
         assert a.minimal == [True, True, True, None]
         assert not a.ok
 
@@ -77,7 +76,7 @@ class TestAnalyze:
         decided = 0
         for _ in range(150):
             gens = positive_chain(rng, dim, rng.randint(1, 5))
-            a = analyze_generators(SemigroupSpec(gens))
+            a = GeneratorAnalysis(SemigroupSpec(gens))
             for j, flag in enumerate(a.minimal):
                 if flag is None:
                     assert not all(a.positive[:j])
@@ -92,7 +91,7 @@ class TestAnalyze:
         for k in range(1, 12):
             gens.append(gens[-1].scale(2) + gv(Fraction(1, 2 ** k)))
         start = time.perf_counter()
-        a = analyze_generators(SemigroupSpec(gens))
+        a = GeneratorAnalysis(SemigroupSpec(gens))
         assert time.perf_counter() - start < 0.5
         assert a.ns == [inf] + [2] * 11
         assert a.minimal == [True] * 12
@@ -123,7 +122,7 @@ class TestReindex:
         # structural invariant of the corrected mode
         for gens in [(4, 6, 13), ((1, 0), (0, 1)), ((2, 0), (3, 0), (0, 1))]:
             res = reindex(spec(*gens), CORRECTED)
-            ns = analyze_generators(spec(*gens)).ns
+            ns = GeneratorAnalysis(spec(*gens)).ns
             for block in res.blocks.blocks:
                 for p in block[:-1]:
                     assert ns[p] != inf
@@ -230,21 +229,6 @@ class TestVerify:
                 result.valuation, spec(5, 3, 2), result.blocks,
                 coeff_bound=0, samples=20,
             )
-
-
-class TestRankJump:
-    def test_free_pair_with_label(self):
-        report = rank_jump_check(spec((1, 0), (0, 1), limit_labels=[2]))
-        assert report.passed
-
-    def test_three_numbers(self):
-        report = rank_jump_check(spec(4, 6, 13))
-        assert report.passed
-        assert [p for p, _, _ in report.checks] == [1]
-
-    def test_label_on_dependent_generator_fails(self):
-        report = rank_jump_check(spec(4, 6, 13, limit_labels=[3]))
-        assert not report.passed
 
 
 class TestVerificationFailure:

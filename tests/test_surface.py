@@ -1,0 +1,71 @@
+"""The library defines nothing that only tests call.
+
+Every top-level function and class of ``src/skpval``, and every method of
+those classes, must be referenced by name from some library module other
+than ``__init__`` (its own module counts).  A function or class is
+referenced by a name (``f(...)``) or an attribute (``module.f``), a method
+by an attribute alone (``x.f``), so a local variable that shares a
+method's name does not count.  Matching is by name, so a method is covered
+by any ``.name`` in the library.  Dunder methods are called by the language
+and are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import skpval
+
+SRC = Path(skpval.__file__).resolve().parent
+
+# Names kept without a library caller, each for a stated reason.
+ALLOWED = {
+    "euclidean_expand": "the benchmark tracer wraps it by name",
+    "monic_divide": "the benchmark tracer wraps it by name",
+    "value_via_euclidean": "the benchmark's euclid_values workload and the public API",
+    "GF": "the public API for prime fields",
+    "subgroup_index": "the paper's index, checked against the oracles",
+    "canonical_representation": "the paper's canonical representation, checked against the oracles",
+    "AdicExpansion.evaluate": "the round-trip checks multiply an expansion back out",
+    "Representation.evaluate": "the round-trip checks sum a representation back up",
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name, is a method) of each top-level def and
+    class, and of each method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name, True
+
+
+def _unreferenced():
+    trees = [
+        ast.parse(p.read_text(), filename=str(p))
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    names = attributes | {n.id for n in nodes if isinstance(n, ast.Name)}
+    return sorted(
+        qualified
+        for tree in trees
+        for qualified, name, method in _definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in (attributes if method else names)
+    )
+
+
+def test_every_definition_has_a_library_caller():
+    missing = [q for q in _unreferenced() if q not in ALLOWED]
+    assert missing == [], f"defined but called only from outside the library: {missing}"
+
+
+def test_allowlist_is_current():
+    # an allowlisted name that gained a library caller, or was deleted,
+    # leaves the list
+    assert sorted(ALLOWED) == [q for q in _unreferenced() if q in ALLOWED]
