@@ -130,18 +130,6 @@ def GF(p):
     return PrimeField(p)
 
 
-def field_from_spec(spec):
-    """Field from its JSON form: "Q" or {"prime": p}."""
-    if spec is None or spec == "Q":
-        return QQ
-    if isinstance(spec, dict) and "prime" in spec:
-        try:
-            return PrimeField(int(spec["prime"]))
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad field spec {spec!r}") from exc
-    raise SchemaError(f"bad field spec {spec!r}")
-
-
 def field_to_spec(field):
     if field == QQ:
         return "Q"

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .classify import PseudoSkpArithmetic, RowArithmetic
 from .errors import SchemaError
-from .fields import QQ, field_from_spec, field_to_spec
+from .fields import QQ, PrimeField, field_to_spec
 from .ordgroup import GroupValue, format_index
 from .poly import parse_poly
 from .realize import SemigroupSpec
@@ -45,6 +45,18 @@ def load_int(data, what, nonnegative=False):
         integral and not (nonnegative and data < 0), f"bad {what} {data!r} (want {want})"
     )
     return int(data)
+
+
+def load_field(data):
+    """The field from its JSON form: "Q" (the default) or {"prime": p},
+    p an integer by ``load_int``'s rule."""
+    if data is None or data == "Q":
+        return QQ
+    _require(isinstance(data, dict) and "prime" in data, f"bad field spec {data!r}")
+    try:
+        return PrimeField(load_int(data["prime"], "prime"))
+    except ValueError as exc:
+        raise SchemaError(f"bad field spec {data!r}") from exc
 
 
 def load_group_value(data, dim=None):
@@ -143,7 +155,7 @@ def load_cutoff(data):
 def build_from_problem(data):
     """Build the key polynomials of an skp/valuation problem."""
     table = load_table(data.get("values", data))
-    field = field_from_spec(data.get("field"))
+    field = load_field(data.get("field"))
     thetas = load_thetas(data, field)
     tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
     require_indices(thetas, table.entries, "a theta")
@@ -207,7 +219,7 @@ def dump_skp(skp):
         if e.truncated_limit:
             entries[key]["truncated_limit"] = True
         if e.unroll_report is not None:
-            entries[key]["unroll"] = e.unroll_report.to_json()
+            entries[key]["unroll"] = e.unroll_report
     out = {
         "field": field_to_spec(skp.field),
         "entries": entries,
@@ -263,7 +275,7 @@ def load_semigroup_spec(data):
         return SemigroupSpec(
             [load_group_value(g, dim) for g in gens],
             limit_labels=[load_int(p, "limit label") for p in labels],
-            field=field_from_spec(data.get("field")),
+            field=load_field(data.get("field")),
             **bounds,
         )
     except ValueError as exc:

@@ -11,6 +11,9 @@ both.  Every non-final entry also records its summands (U_{i,j}^n =
 U_{i,j+1} + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives the
 rules of one expansion; for a freshly built table that is a single summand,
 for a reduced table the collapsed chain.
+
+The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
+``TableEntry`` of its position: beta, n, relation and S^c are kept once.
 """
 
 import functools
@@ -26,70 +29,40 @@ from .errors import (
 from .fields import QQ
 from .ordgroup import GroupValue, _integer_rows, is_finite_index
 from .poly import MultiPoly
-from .valtable import ValueTable, compute_relations, validate_table
+from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
 DEFAULT_LIMIT_CUTOFF = 32
 
 
-class SkpEntry:
-    """One key polynomial with its bookkeeping; ``order`` is the order of
-    ``poly``, None when the cutoff truncated it to 0."""
+class SkpEntry(TableEntry):
+    """The table entry ``ventry`` with its key polynomial and bookkeeping;
+    ``order`` is the order of ``poly``, None when the cutoff truncated it
+    to 0; ``unroll_report`` is an unrolled tail's JSON report."""
 
     __slots__ = (
-        "index",
-        "beta",
-        "n",
-        "relation",
         "d",
         "poly",
         "order",
         "theta",
         "rewrite_terms",
-        "limit_label",
         "truncated_limit",
         "unroll_report",
     )
 
-    def __init__(self, index, beta, n, relation, d, poly, theta):
-        self.index = index
-        self.beta = beta
-        self.n = n
-        self.relation = dict(relation)
+    def __init__(self, ventry, d, poly, theta):
+        super().__init__(
+            ventry.index, ventry.beta, ventry.n, ventry.relation, ventry.limit_label
+        )
         self.d = d
         self.poly = poly
         self.order = None if poly.is_zero() else poly.order()
         self.theta = theta
         self.rewrite_terms = None
-        self.limit_label = None
         self.truncated_limit = False
         self.unroll_report = None
 
     def __repr__(self):
         return f"SkpEntry({self.index}, d={self.d}, U={self.poly})"
-
-
-class UnrollReport:
-    """Outcome of accumulating a declared tail under a cutoff."""
-
-    __slots__ = ("stabilized", "summands_used", "cutoff")
-
-    def __init__(self, stabilized, summands_used, cutoff):
-        self.stabilized = stabilized
-        self.summands_used = summands_used
-        self.cutoff = cutoff
-
-    def to_json(self):
-        return {
-            "stabilized": self.stabilized,
-            "summands_used": self.summands_used,
-            "cutoff": self.cutoff,
-        }
-
-    def __repr__(self):
-        return (
-            f"UnrollReport(stabilized={self.stabilized}, "
-            f"summands_used={self.summands_used}, cutoff={self.cutoff})"
-        )
 
 
 class LimitTail:
@@ -177,29 +150,14 @@ def weigh(items, weights, start):
     return tuple(w)
 
 
-class SkpTable:
-    """Key polynomials over a value table, plus degrees and rewrite data."""
+class SkpTable(ValueTable):
+    """The value table ``table`` with its SkpEntry ``entries``: key
+    polynomials over ``field`` under the total-degree ``cutoff``."""
 
-    def __init__(self, values, entries, field, cutoff):
-        self.values = values
-        self.entries = entries
+    def __init__(self, table, entries, field, cutoff):
+        super().__init__(table.dimension, table.rows, entries, table.limit_labels)
         self.field = field
         self.cutoff = cutoff
-        self.nvars = values.num_rows
-        self.order = sorted(entries)
-
-    @property
-    def dimension(self):
-        return self.values.dimension
-
-    def row_length(self, i):
-        return self.values.row_length(i)
-
-    def full_alpha(self):
-        return self.values.row_lengths()
-
-    def is_row_final(self, index):
-        return self.values.is_row_final(index)
 
     @functools.cached_property
     def integer_betas(self):
@@ -217,9 +175,6 @@ class SkpTable:
         """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
         return key_product(self.entries, exps, self.nvars, self.field, self.cutoff)
 
-    def __repr__(self):
-        return f"SkpTable({self.values!r})"
-
 
 def _as_theta_map(thetas, field):
     out = {}
@@ -231,24 +186,15 @@ def _as_theta_map(thetas, field):
     return out
 
 
-class UnrollResult:
-    """Polynomial, stabilization report, and the summands consumed."""
-
-    __slots__ = ("poly", "report", "summands")
-
-    def __init__(self, poly, report, summands):
-        self.poly = poly
-        self.report = report
-        self.summands = summands
-
-
 def unroll_limit(entries, tail, cutoff, field):
     """Accumulate a declared tail until summand orders pass the cutoff.
 
     ``entries`` maps table indices to the SkpEntry objects built so far.
-    Returns an UnrollResult.  Requires a cutoff; raises NonStabilizingError
-    when the depth is exhausted with summands still at or below the cutoff.
-    Depth 0 (or less) returns the start power unchanged.
+    Returns the polynomial, the (theta, m) summands consumed and the JSON
+    report (``stabilized``, ``summands_used``, ``cutoff``).  Requires a
+    cutoff; raises NonStabilizingError when the depth is exhausted with
+    summands still at or below the cutoff.  Depth 0 (or less) returns the
+    start power unchanged.
     """
     if cutoff is None:
         raise NoCutoffError("limit unrolling requires a truncation cutoff")
@@ -269,8 +215,12 @@ def unroll_limit(entries, tail, cutoff, field):
         summands.append((theta, m))
     n_start = start.n if is_finite_index(start.n) else 1
     poly = successor(entries, start, n_start, summands, cutoff)
-    report = UnrollReport(tail.depth > 0, len(summands), cutoff)
-    return UnrollResult(poly, report, summands)
+    report = {
+        "stabilized": tail.depth > 0,
+        "summands_used": len(summands),
+        "cutoff": cutoff,
+    }
+    return poly, summands, report
 
 
 def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
@@ -287,8 +237,6 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
     """
     if cutoff is not None and cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    if not isinstance(table, ValueTable):
-        table = compute_relations(table)
     report = validate_table(table)
     if not report.is_sequence_of_values:
         raise InvalidTableError(
@@ -300,34 +248,31 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
     tails = {(t.row, t.at): t for t in (limit_tails or [])}
     if cutoff is None and (tails or table.limit_labels):
         cutoff = DEFAULT_LIMIT_CUTOFF
-    nvars = table.num_rows
 
     entries = {}
-    for index in sorted(table.entries):
+    for index in table.order:
         i, j = index
         ventry = table.entries[index]
         theta = theta_map.get(index, field.one)
         if j == 1:
-            poly = MultiPoly.variable(i, nvars, field)
-            entry = SkpEntry(index, ventry.beta, ventry.n, ventry.relation, 1, poly, theta)
+            poly = MultiPoly.variable(i, table.nvars, field)
+            entry = SkpEntry(ventry, 1, poly, theta)
         else:
             prev = entries[(i, j - 1)]
             if index in tails:
-                unrolled = unroll_limit(entries, tails[index], cutoff, field)
-                prev.rewrite_terms, poly = unrolled.summands, unrolled.poly
+                poly, prev.rewrite_terms, unrolled = unroll_limit(
+                    entries, tails[index], cutoff, field
+                )
             else:
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
                 poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)
-            entry = SkpEntry(
-                index, ventry.beta, ventry.n, ventry.relation, prev.n * prev.d, poly, theta
-            )
+            entry = SkpEntry(ventry, prev.n * prev.d, poly, theta)
             if index in tails:
-                entry.unroll_report = unrolled.report
+                entry.unroll_report = unrolled
             elif ventry.limit_label is not None:
                 entry.truncated_limit = True
-        entry.limit_label = ventry.limit_label
         entries[index] = entry
-        _check_entry_shape(entry, nvars, cutoff)
+        _check_entry_shape(entry, table.nvars, cutoff)
 
     return SkpTable(table, entries, field, cutoff)
 
@@ -382,7 +327,6 @@ def minimal_pseudo_skp(skp):
     across the dropped chains so expansions over the reduced table agree
     with the original.
     """
-    table = skp.values
     kept = []
     for index in skp.order:
         i, j = index
@@ -391,7 +335,7 @@ def minimal_pseudo_skp(skp):
             kept.append(index)
 
     remap = {}
-    new_rows = [[] for _ in range(table.num_rows)]
+    new_rows = [[] for _ in range(skp.nvars)]
     for index in kept:
         i, j = index
         new_rows[i].append(skp.entries[index].beta)
@@ -399,7 +343,7 @@ def minimal_pseudo_skp(skp):
 
     limit_labels = {
         remap[idx]: lab
-        for idx, lab in table.limit_labels.items()
+        for idx, lab in skp.limit_labels.items()
         if idx in remap
     }
     new_table = compute_relations(new_rows, limit_labels=limit_labels)
@@ -415,16 +359,13 @@ def minimal_pseudo_skp(skp):
             raise AssertionError((index, ventry.n, old.n))
         if ventry.relation != {remap[k]: m for k, m in old.relation.items()}:
             raise AssertionError(index)
-        entry = SkpEntry(
-            new_index, old.beta, old.n, ventry.relation, old.d, old.poly, old.theta
-        )
-        entry.limit_label = old.limit_label
+        entry = SkpEntry(ventry, old.d, old.poly, old.theta)
         entry.truncated_limit = old.truncated_limit
         new_entries[new_index] = entry
 
     # collapse rewrite chains over the dropped positions: under the full
     # cutoff a rule ends exactly at the next kept entry
-    rules = rewrite_rules(skp, skp.full_alpha())
+    rules = rewrite_rules(skp, skp.row_lengths())
     for index in kept:
         if skp.is_row_final(index):
             continue
@@ -442,7 +383,7 @@ def minimal_pseudo_skp(skp):
 
 def normalize_alpha(skp, alpha=None):
     """Resolve an acceptable-vector argument; None means the full table."""
-    lengths = skp.full_alpha()
+    lengths = skp.row_lengths()
     if alpha is None:
         return lengths
     alpha = tuple(int(a) for a in alpha)
@@ -457,16 +398,16 @@ def normalize_alpha(skp, alpha=None):
     return alpha
 
 
-def validate_acceptable(skp, alpha, rules=None):
+def validate_acceptable(skp, alpha):
     """Relation closure of a cutoff vector.
 
     The expansion rewrites U_{i,j}^{n} only at the positions of
-    ``rewrite_rules`` (given or derived), so exactly their relations must
-    stay inside the cutoff.  The full vector and (1, ..., 1) always pass.
+    ``rewrite_rules``, so exactly their relations must stay inside the
+    cutoff.  The full vector and (1, ..., 1) always pass.
     """
     alpha = normalize_alpha(skp, alpha)
     return all(
         j2 <= alpha[i2]
-        for index in (rewrite_rules(skp, alpha) if rules is None else rules)
+        for index in rewrite_rules(skp, alpha)
         for i2, j2 in skp.entries[index].relation
     )

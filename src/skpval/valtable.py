@@ -3,7 +3,9 @@
 Entries are indexed by (i, j): variable row i >= 0 and 1-based position j,
 ordered lexicographically.  ``compute_relations`` annotates every entry with
 its subgroup index n_{i,j}, its canonical relation over strictly earlier
-entries, and the positive/negative supports S and S^c.  ``validate_table``
+entries, and its negative support S^c.  ``TableEntry`` and ``ValueTable``
+are the one record per position and per table: ``skp.SkpEntry`` and
+``skp.SkpTable`` extend them with the key polynomials.  ``validate_table``
 checks the growth, interior-finiteness, limit-monotonicity, and positivity
 conditions and accumulates the outcome into a report instead of raising.
 """
@@ -15,7 +17,7 @@ from .ordgroup import GroupValue, as_group_value, is_finite_index
 class TableEntry:
     """One value beta_{i,j} with its derived data."""
 
-    __slots__ = ("index", "beta", "n", "relation", "s_pos", "s_neg", "limit_label")
+    __slots__ = ("index", "beta", "n", "relation", "s_neg", "limit_label")
 
     def __init__(self, index, beta, n, relation, limit_label=None):
         self.index = index
@@ -23,7 +25,6 @@ class TableEntry:
         self.n = n
         # relation maps earlier TableIndex -> nonzero integer coefficient
         self.relation = dict(relation)
-        self.s_pos = frozenset(k for k, m in self.relation.items() if m > 0)
         self.s_neg = frozenset(k for k, m in self.relation.items() if m < 0)
         self.limit_label = limit_label
 
@@ -33,7 +34,8 @@ class TableEntry:
 
 
 class ValueTable:
-    """Rows of values with per-entry indices, relations, and supports."""
+    """Rows of values with per-entry indices, relations, and supports;
+    ``nvars`` is the number of rows, one per variable."""
 
     def __init__(self, dimension, rows, entries, limit_labels):
         self.dimension = dimension
@@ -41,10 +43,7 @@ class ValueTable:
         self.entries = entries                # TableIndex -> TableEntry
         self.limit_labels = dict(limit_labels)
         self.order = sorted(entries)          # lex order on (i, j)
-
-    @property
-    def num_rows(self):
-        return len(self.rows)
+        self.nvars = len(rows)
 
     def row_length(self, i):
         return len(self.rows[i])

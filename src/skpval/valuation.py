@@ -41,7 +41,7 @@ class SkpValuation:
         self.alpha = normalize_alpha(skp, alpha)
         check_key_polynomials(skp)
         self.rule_set = value_rules(skp, self.alpha)
-        if not validate_acceptable(skp, self.alpha, self.rule_set.rules):
+        if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
 
     @property
@@ -49,7 +49,7 @@ class SkpValuation:
         return self.skp.dimension
 
     def __repr__(self):
-        return f"SkpValuation(alpha={self.alpha}, {self.skp.values!r})"
+        return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"
 
 
 def value_of(f, valuation):
@@ -133,7 +133,7 @@ def delta_of(f, skp, j):
     The context is the acceptable vector with full lower rows and the top
     row cut at ``j``.
     """
-    alpha = skp.full_alpha()[:-1] + (j,)
+    alpha = skp.row_lengths()[:-1] + (j,)
     inf_form = initial_form(f, SkpValuation(skp, alpha))
     return max(m.exponent((skp.nvars - 1, j)) for m in inf_form)
 

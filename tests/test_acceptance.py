@@ -108,13 +108,13 @@ def test_criterion_3():
         compute_relations([[1], [Fraction(1, 2), Fraction(4, 3)]])
     )
     assert skp.entries[(1, 2)].poly == P("X1^2 - X0")
-    assert skp.values.entries[(1, 1)].n == 2
+    assert skp.entries[(1, 1)].n == 2
     full = build_skp(
         compute_relations([[1], [Fraction(1, 2), Fraction(4, 3), Fraction(21, 5)]])
     )
     assert full.entries[(1, 3)].poly == full.entries[(1, 2)].poly ** 3 - P("X0^4")
-    assert full.values.entries[(1, 2)].n == 3
-    assert full.values.entries[(1, 2)].relation == {(0, 1): 4}
+    assert full.entries[(1, 2)].n == 3
+    assert full.entries[(1, 2)].relation == {(0, 1): 4}
 
 
 def _axiom_samples():

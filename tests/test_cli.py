@@ -469,6 +469,12 @@ class TestPrimeFields:
     def test_prime_beyond_the_exact_range_is_malformed_input(self, tmp_path, capsys, p):
         assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))
 
+    @pytest.mark.parametrize("p", [7.9, "7"])
+    def test_non_integer_prime_is_malformed_input(self, tmp_path, capsys, p):
+        # int() reads both as 7; a field is read by the integer rule of every
+        # other problem integer
+        assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))
+
 
 def write_problem(tmp_path, data):
     path = tmp_path / "problem.json"

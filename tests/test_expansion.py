@@ -72,7 +72,7 @@ class TestAdicExpand:
     def test_adic_form_bounds(self, diffskp, example2, example1):
         rng = random.Random(77)
         for skp in (diffskp, example2, example1):
-            alpha = skp.full_alpha()
+            alpha = skp.row_lengths()
             for _ in range(25):
                 f = random_polynomial(rng, skp.nvars, 4)
                 for m in adic_expand(f, skp):
@@ -119,7 +119,7 @@ class TestRewriteOrder:
         rng = random.Random(31)
         for skp, degree, polys in ((diffskp, 8, 40), (example2, 8, 40), (example1, 5, 20)):
             # the full table and the top row cut at its second entry
-            alphas = (skp.full_alpha(), skp.full_alpha()[:-1] + (2,))
+            alphas = (skp.row_lengths(), skp.row_lengths()[:-1] + (2,))
             for _ in range(polys):
                 f = random_polynomial(rng, skp.nvars, degree)
                 for alpha in alphas:
@@ -184,7 +184,7 @@ class TestEuclidean:
         for skp in (diffskp, example2):
             top = skp.nvars - 1
             for j in (2, skp.row_length(top)):
-                alpha = list(skp.full_alpha())
+                alpha = list(skp.row_lengths())
                 alpha[top] = j
                 for _ in range(100):
                     f = random_polynomial(rng, skp.nvars, 6)
@@ -276,7 +276,7 @@ class TestGuards:
         from skpval.skp import rewrite_rules
 
         for skp in (diffskp, example2):
-            alpha = skp.full_alpha()
+            alpha = skp.row_lengths()
             for (i, j) in skp.order:
                 if j >= alpha[i]:
                     continue

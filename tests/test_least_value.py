@@ -74,7 +74,7 @@ TABLES = _tables()
 
 
 def _acceptable_vectors(skp):
-    ranges = [range(1, n + 1) if n else range(1) for n in skp.full_alpha()]
+    ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
     return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
 
 
@@ -168,7 +168,7 @@ def _value_lowering_tail():
 class TestValueLoweringRule:
     def test_the_valuation_refuses_it_by_name(self):
         skp = jsonio.build_from_problem(_value_lowering_tail())
-        n, _, terms = rewrite_rules(skp, skp.full_alpha())[(2, 1)]
+        n, _, terms = rewrite_rules(skp, skp.row_lengths())[(2, 1)]
         betas, _ = skp.integer_betas
         power = tuple(n * c for c in betas[(2, 1)])
         assert any(m == {(0, 1): 1} for _, m in terms)

@@ -8,6 +8,10 @@ by an attribute alone (``x.f``), so a local variable that shares a
 method's name does not count.  Matching is by name, so a method is covered
 by any ``.name`` in the library.  Dunder methods are called by the language
 and are not checked.
+
+Stored attributes likewise: every ``__slots__`` name of a library class, and
+every ``self.x = ...`` in its ``__init__``, must be read as ``.x`` somewhere
+in the library.
 """
 
 import ast
@@ -29,6 +33,11 @@ ALLOWED = {
     "Representation.evaluate": "the round-trip checks sum a representation back up",
 }
 
+# Stored attributes kept without a library reader, each for a stated reason.
+ALLOWED_STORED = {
+    "VerificationFailedError.offending": "the counterexample, an error payload for callers",
+}
+
 
 def _definitions(tree):
     """(qualified name, bare name, is a method) of each top-level def and
@@ -42,12 +51,52 @@ def _definitions(tree):
                     yield f"{node.name}.{item.name}", item.name, True
 
 
-def _unreferenced():
-    trees = [
+def _stored(tree):
+    """(qualified name, bare name) of each ``__slots__`` name and each
+    ``self.x = ...`` in ``__init__`` of the top-level classes."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+            ):
+                for name in ast.literal_eval(item.value):
+                    yield f"{cls.name}.{name}", name
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for node in ast.walk(item):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        yield f"{cls.name}.{node.attr}", node.attr
+
+
+def _library_trees():
+    return [
         ast.parse(p.read_text(), filename=str(p))
         for p in sorted(SRC.glob("*.py"))
         if p.name != "__init__.py"
     ]
+
+
+def _unread():
+    trees = _library_trees()
+    read = {
+        n.attr
+        for tree in trees
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        {qualified for tree in trees for qualified, name in _stored(tree) if name not in read}
+    )
+
+
+def _unreferenced():
+    trees = _library_trees()
     nodes = [node for tree in trees for node in ast.walk(tree)]
     attributes = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     names = attributes | {n.id for n in nodes if isinstance(n, ast.Name)}
@@ -69,3 +118,12 @@ def test_allowlist_is_current():
     # an allowlisted name that gained a library caller, or was deleted,
     # leaves the list
     assert sorted(ALLOWED) == [q for q in _unreferenced() if q in ALLOWED]
+
+
+def test_every_stored_attribute_is_read():
+    unread = [q for q in _unread() if q not in ALLOWED_STORED]
+    assert unread == [], f"stored but never read in the library: {unread}"
+
+
+def test_stored_allowlist_is_current():
+    assert sorted(ALLOWED_STORED) == [q for q in _unread() if q in ALLOWED_STORED]

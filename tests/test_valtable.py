@@ -26,7 +26,6 @@ class TestComputeRelations:
         # 10 = 5*2 is the unique representation with the (1,1) coefficient
         # below 2 and the (1,2) coefficient below 1
         assert t.entries[(1, 3)].relation == {(0, 1): 5}
-        assert t.entries[(1, 1)].s_pos == {(0, 1)}
         assert not t.entries[(1, 1)].s_neg
 
     def test_half_over_one(self):

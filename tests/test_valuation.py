@@ -158,7 +158,7 @@ class TestEuclideanValueOracle:
         for skp in key_tables:
             polys = 25 if skp.nvars == 2 else 10
             # the full vector and the top row cut at its second entry
-            for alpha in (skp.full_alpha(), skp.full_alpha()[:-1] + (2,)):
+            for alpha in (skp.row_lengths(), skp.row_lengths()[:-1] + (2,)):
                 v = SkpValuation(skp, alpha)
                 for _ in range(polys):
                     f = random_polynomial(rng, skp.nvars, 6, skp.field)
@@ -216,7 +216,7 @@ class TestEuclideanWork:
         entries = dict(diffskp.entries)
         entries[index] = copy.copy(entries[index])
         entries[index].beta = gv(beta)
-        table = SkpTable(diffskp.values, entries, diffskp.field, diffskp.cutoff)
+        table = SkpTable(diffskp, entries, diffskp.field, diffskp.cutoff)
         with pytest.raises(ValueError, match=rf"beta at \({index[0]}, {index[1]}\) is not positive"):
             SkpValuation(table)
 
@@ -227,7 +227,7 @@ class TestRestriction:
         # the sub-table alone
         rng = random.Random(19)
         for skp in (diffskp, example1):
-            sub_rows = skp.values.rows[:-1]
+            sub_rows = skp.rows[:-1]
             sub = build_skp(compute_relations(sub_rows))
             vfull = SkpValuation(skp)
             vsub = SkpValuation(sub)
@@ -448,7 +448,7 @@ POLYS_PER_VECTOR = 8
 
 
 def _acceptable_vectors(skp):
-    ranges = [range(1, n + 1) if n else range(1) for n in skp.full_alpha()]
+    ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
     return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
 
 
