@@ -10,13 +10,16 @@ has one fixed rule, at its greatest violating index, and the cutoff drops a
 monomial by its exponents alone, so the expansion is unique.  One loop pops
 monomials from a priority queue keyed by (weight, sorted exponent key); the
 order fixes only the rewrite count under ``max_rewrites``.  ``adic_expand``
-weighs by Vdeg (per-variable degree vector).  ``least_value_part`` weighs by
+weighs by Vdeg (per-variable degree vector).  The value loop weighs by
 value and stops at the first value class that survives once its violating
 monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
 theta * U^m (equal), so no later rewrite reaches a lower class.
-``value_rules`` refuses a table where a rule has a lower branch, which
-defines no valuation, so the value loop always stops early; it is built
-once per ``SkpValuation``, which ``least_value_part`` reads.
+``least_value`` is its value-only entry: the least value as an integer
+vector, with no monomial built; ``least_value_part`` also returns the
+monomials of that value, for initial forms.  ``value_rules`` refuses a
+table where a rule has a lower branch, which defines no valuation, so the
+value loop always stops early; it is built once per ``SkpValuation``, which
+both entries read.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -126,7 +129,7 @@ RuleSet = collections.namedtuple("RuleSet", "rules origin weights stop_early")
 
 
 def value_rules(skp, alpha):
-    """The RuleSet of ``least_value_part`` under a normalized cutoff vector:
+    """The RuleSet of the value loop under a normalized cutoff vector:
     values over ``SkpTable.integer_betas`` (tuples compare as their
     GroupValues do, the common denominator being positive).
 
@@ -250,15 +253,27 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     return AdicExpansion(skp, alpha, [AdicMonomial(c, dict(k)) for k, c in work.items()])
 
 
-def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
-    """The least value over f's adic expansion, an integer vector over
-    ``SkpTable.integer_betas``, and its monomials, under the table, cutoff
-    vector and rules of an ``SkpValuation``."""
-    skp = valuation.skp
-    work, value = _rewrite(f, skp, valuation.alpha, valuation.rule_set, max_rewrites)
+def _least(f, valuation, max_rewrites):
+    """The value loop's working set, the weight of every key it held, and
+    the least weight of a surviving key."""
+    work, value = _rewrite(
+        f, valuation.skp, valuation.alpha, valuation.rule_set, max_rewrites
+    )
     if not work:
         raise ZeroPolyError("no monomials survived (truncated to zero)")
-    low = min(value[key] for key in work)
+    return work, value, min(value[key] for key in work)
+
+
+def least_value(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+    """The least value over f's adic expansion, an integer vector over
+    ``SkpTable.integer_betas``, under the table, cutoff vector and rules of
+    an ``SkpValuation``; no monomial is built."""
+    return _least(f, valuation, max_rewrites)[2]
+
+
+def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+    """``least_value`` and the monomials of f's adic expansion that have it."""
+    work, value, low = _least(f, valuation, max_rewrites)
     return low, [AdicMonomial(c, dict(k)) for k, c in work.items() if value[k] == low]
 
 

@@ -35,7 +35,9 @@ class GroupValue:
     """An element of Q^r under the lexicographic order.
 
     Instances are immutable; addition and integer/rational scaling are
-    componentwise and exact.  Comparisons require equal dimension.
+    componentwise and exact.  Comparisons require equal dimension.  Every
+    coordinate is a ``Fraction``: one of exactly that type is kept as it
+    is, anything else is coerced.
     """
 
     __slots__ = ("coords",)
@@ -43,7 +45,11 @@ class GroupValue:
     def __init__(self, coords):
         if isinstance(coords, (int, Fraction, str)):
             coords = (coords,)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        object.__setattr__(
+            self,
+            "coords",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in coords),
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupValue is immutable")
@@ -137,6 +143,20 @@ def _integer_rows(values):
         for c in v.coords:
             denom = denom * c.denominator // gcd(denom, c.denominator)
     return [[int(c * denom) for c in v.coords] for v in values], denom
+
+
+def _integer_row(value, denom):
+    """value times ``denom`` as a tuple of ints, or None when a coordinate
+    is off the grid of that denominator."""
+    row = [c * denom for c in value.coords]
+    if any(c.denominator != 1 for c in row):
+        return None
+    return tuple(int(c) for c in row)
+
+
+def _from_integer_row(row, denom):
+    """The GroupValue of an integer row over the denominator ``denom``."""
+    return GroupValue(tuple(Fraction(c, denom) for c in row))
 
 
 def _pivot(row):
@@ -301,10 +321,9 @@ def _represent(gamma, chain):
     (a value off the chain's denominator grid is outside it)."""
     if chain:
         gamma._check_dim(chain[0].value)
-    target = [c * chain.denom for c in gamma.coords]
-    if any(c.denominator != 1 for c in target):
+    target = _integer_row(gamma, chain.denom)
+    if target is None:
         return None
-    target = [int(c) for c in target]
     n, raw = _back_substitute(chain.basis, target, len(chain))
     return _canonical(raw, target, chain.rows, chain) if n == 1 else None
 

@@ -21,11 +21,18 @@ import random
 from .classify import inductive_invariants
 from .errors import HypothesisViolatedError, InvalidTableError, VerificationFailedError
 from .fields import QQ
-from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
+from .expansion import least_value
+from .ordgroup import (
+    _integer_row,
+    analyze_chain,
+    as_group_value,
+    is_finite_index,
+    semigroup_witness,
+)
 from .poly import MultiPoly
 from .skp import build_skp
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
-from .valuation import SkpValuation, value_of
+from .valuation import SkpValuation
 
 LITERAL = "literal"
 CORRECTED = "corrected"
@@ -301,9 +308,12 @@ def verify_realization(
     monomial form and re-valued through the adic expansion.  Containment:
     the value of every random polynomial is in the semigroup, decided
     exactly by ``semigroup_witness`` over nonnegative generator relations.
+    Values are compared as integer vectors over ``SkpTable.integer_betas``
+    (``expansion.least_value``); a ball element off that grid is no value
+    of the table and fails.
 
     Raises HypothesisViolatedError at the first negative relation and
-    VerificationFailedError with the offending element.
+    VerificationFailedError with the offending element, a GroupValue.
     """
     coeff_bound = spec.coeff_bound if coeff_bound is None else coeff_bound
     degree_bound = spec.degree_bound if degree_bound is None else degree_bound
@@ -317,32 +327,41 @@ def verify_realization(
                 f"generator {pos} has a negative relation {entry.relation}"
             )
 
+    denom = skp.integer_betas[1]
     ball = enumerate_semigroup(gens, coeff_bound)
     attainment = []
+    witnesses = {}  # membership witnesses by value, seeded with the ball's
     for gamma, witness in ball:
+        vector = _integer_row(gamma, denom)
+        if vector is None:
+            raise VerificationFailedError(
+                f"{gamma} is off the table's value grid (denominator {denom})",
+                offending=gamma,
+            )
         exps = {}
         for p, a in enumerate(witness):
             if a:
                 exps[assignment.table_index(p)] = a
         witness_poly = skp.monomial_poly(exps)
-        got = value_of(witness_poly, valuation) if not witness_poly.is_zero() else None
-        if got != gamma:
+        got = None if witness_poly.is_zero() else least_value(witness_poly, valuation)
+        if got != vector:
+            shown = None if got is None else skp.group_value(got)
             raise VerificationFailedError(
-                f"witness for {gamma} evaluates to {got}", offending=gamma
+                f"witness for {gamma} evaluates to {shown}", offending=gamma
             )
         attainment.append((gamma, witness, str(witness_poly)))
+        witnesses[vector] = witness
 
-    # membership witnesses by value, seeded with the ball's
-    witnesses = {g.coords: w for g, w in ball}
     used_vars = [i for i in range(skp.nvars) if skp.row_length(i) > 0]
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
         f = random_polynomial(rng, skp.nvars, degree_bound, skp.field, used_vars)
-        val = value_of(f, valuation)
-        if val.coords not in witnesses:
-            witnesses[val.coords] = semigroup_witness(val, chain)
-        if witnesses[val.coords] is None:
+        vector = least_value(f, valuation)
+        if vector not in witnesses:
+            witnesses[vector] = semigroup_witness(skp.group_value(vector), chain)
+        if witnesses[vector] is None:
+            val = skp.group_value(vector)
             raise VerificationFailedError(
                 f"value {val} of {f} is not in the semigroup", offending=val
             )

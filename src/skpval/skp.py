@@ -17,7 +17,6 @@ The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
 """
 
 import functools
-from fractions import Fraction
 
 from .errors import (
     InvalidTableError,
@@ -27,7 +26,7 @@ from .errors import (
     ZeroPolyError,
 )
 from .fields import QQ
-from .ordgroup import GroupValue, _integer_rows, is_finite_index
+from .ordgroup import _from_integer_row, _integer_rows, is_finite_index
 from .poly import MultiPoly
 from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
@@ -168,8 +167,7 @@ class SkpTable(ValueTable):
     def group_value(self, vector):
         """The GroupValue of an integer vector over the common denominator
         of ``integer_betas``."""
-        denom = self.integer_betas[1]
-        return GroupValue(tuple(Fraction(c, denom) for c in vector))
+        return _from_integer_row(vector, self.integer_betas[1])
 
     def monomial_poly(self, exps):
         """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
@@ -361,6 +359,7 @@ def minimal_pseudo_skp(skp):
             raise AssertionError(index)
         entry = SkpEntry(ventry, old.d, old.poly, old.theta)
         entry.truncated_limit = old.truncated_limit
+        entry.unroll_report = old.unroll_report
         new_entries[new_index] = entry
 
     # collapse rewrite chains over the dropped positions: under the full

@@ -10,6 +10,8 @@ checks the growth, interior-finiteness, limit-monotonicity, and positivity
 conditions and accumulates the outcome into a report instead of raising.
 """
 
+from operator import add
+
 from . import ordgroup
 from .ordgroup import GroupValue, as_group_value, is_finite_index
 
@@ -235,21 +237,32 @@ def enumerate_semigroup(values, coeff_bound):
     """Semigroup ball: all sums a_1 v_1 + ... with a_i >= 0 and
     sum a_i <= coeff_bound, as (value, coefficient tuple) pairs sorted by
     value, one witness per distinct value (the first combination found).
+
+    The sums run over the values' integer rows (``ordgroup._integer_rows``),
+    which order and compare as the values do; one GroupValue is built per
+    distinct value, at the end.
     """
     values = [as_group_value(v) for v in values]
     if not values:
         return []
+    for v in values[1:]:
+        values[0]._check_dim(v)
+    rows, denom = ordgroup._integer_rows(values)
     found = {}
 
     def rec(pos, budget, acc, witness):
-        if pos == len(values):
-            if acc.coords not in found:
-                found[acc.coords] = (acc, tuple(witness))
+        if pos == len(rows):
+            if acc not in found:
+                found[acc] = tuple(witness)
             return
+        row = rows[pos]
         for a in range(budget + 1):
             witness.append(a)
-            rec(pos + 1, budget - a, acc + values[pos].scale(a), witness)
+            rec(pos + 1, budget - a, acc, witness)
             witness.pop()
+            acc = tuple(map(add, acc, row))
 
-    rec(0, coeff_bound, GroupValue((0,) * values[0].dim), [])
-    return sorted(found.values(), key=lambda vw: vw[0].coords)
+    rec(0, coeff_bound, (0,) * values[0].dim, [])
+    return [
+        (ordgroup._from_integer_row(vec, denom), found[vec]) for vec in sorted(found)
+    ]

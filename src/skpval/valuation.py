@@ -2,14 +2,16 @@
 
 The value of a monomial prod U_{i,j}^{e} is sum e * beta_{i,j}; the value of
 a polynomial is the minimum over the monomials of its adic expansion, which
-``expansion.least_value_part`` finds without expanding past the least value
-class.  The same number is computed independently, with no rewrite rule, by
-``value_via_euclidean``: row by row, nu(sum a_t U^t) = min_t (nu(a_t) +
-nu(U^t)) over the top row's Euclidean expansion, the coefficients a_t valued
-on the rows below.  ``SkpValuation`` is the one gate both routes trust: it
-refuses a table whose cutoff truncated a key polynomial to 0, a beta that is
-not > 0, and a rule U^n = U_next + sum theta * U^m with a branch of lower
-value than U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
+the value-only entry ``expansion.least_value`` finds as an integer vector,
+without expanding past the least value class or building a monomial;
+``value_of`` turns it into a ``GroupValue``.  The same number is computed
+independently, with no rewrite rule, by ``value_via_euclidean``: row by
+row, nu(sum a_t U^t) = min_t (nu(a_t) + nu(U^t)) over the top row's
+Euclidean expansion, the coefficients a_t valued on the rows below.
+``SkpValuation`` is the one gate both routes trust: it refuses a table
+whose cutoff truncated a key polynomial to 0, a beta that is not > 0, and
+a rule U^n = U_next + sum theta * U^m with a branch of lower value than
+U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
 ``expansion.euclidean_pieces`` divides out a further power of a key
 polynomial only while its key prefix weighs less than the best sum so far,
 and a prefix that fails ends that position's powers.  Initial forms, the
@@ -24,6 +26,7 @@ from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
     euclidean_pieces,
+    least_value,
     least_value_part,
     value_rules,
     vp,
@@ -54,8 +57,7 @@ class SkpValuation:
 
 def value_of(f, valuation):
     """The valuation of a nonzero polynomial: the least value of its adic expansion."""
-    low, _ = least_value_part(f, valuation)
-    return valuation.skp.group_value(low)
+    return valuation.skp.group_value(least_value(f, valuation))
 
 
 def value_report(f, valuation):

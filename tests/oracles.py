@@ -3,7 +3,8 @@
 These deliberately avoid the library's computation paths: the index scan
 walks r = 1, 2, ... with a plain lattice-membership solve, representations
 are found by exhaustive search over the coefficient box, semigroup
-balls come from nested coefficient loops, the adic expansion has a
+balls come from nested coefficient loops and, with their witnesses, from a
+recursion that sums GroupValues instead of integer rows, the adic expansion has a
 reference loop that rescans the whole working set before every rewrite,
 division in one variable has a reference that multiplies and subtracts whole
 polynomials at every step, the Euclidean value has a reference that values
@@ -161,6 +162,29 @@ def brute_semigroup(values, bound):
     if not values:
         out.add(zero.coords)
     return sorted(out)
+
+
+def group_enumerate_semigroup(values, coeff_bound):
+    """The semigroup ball as ``valtable.enumerate_semigroup`` returns it,
+    summed in GroupValues: the same recursion, coefficient of the first
+    value outermost, keeping the first witness found for each value."""
+    values = [as_group_value(v) for v in values]
+    if not values:
+        return []
+    found = {}
+
+    def rec(pos, budget, acc, witness):
+        if pos == len(values):
+            if acc.coords not in found:
+                found[acc.coords] = (acc, tuple(witness))
+            return
+        for a in range(budget + 1):
+            witness.append(a)
+            rec(pos + 1, budget - a, acc + values[pos].scale(a), witness)
+            witness.pop()
+
+    rec(0, coeff_bound, GroupValue((0,) * values[0].dim), [])
+    return sorted(found.values(), key=lambda vw: vw[0].coords)
 
 
 def swap_variables(f, perm):

@@ -59,6 +59,36 @@ class TestLexCompare:
             assert a + c < b + c
 
 
+class TestCoordinates:
+    """Every coordinate is exactly a Fraction, however the value was made."""
+
+    class Half(Fraction):
+        pass
+
+    @pytest.mark.parametrize(
+        "coords, want",
+        [
+            (3, (Fraction(3),)),
+            ("-7/2", (Fraction(-7, 2),)),
+            (Fraction(5, 3), (Fraction(5, 3),)),
+            ((1, "2/3", Fraction(-1, 4)), (Fraction(1), Fraction(2, 3), Fraction(-1, 4))),
+            ((True, Half(1, 2)), (Fraction(1), Fraction(1, 2))),
+        ],
+        ids=["int", "str", "Fraction", "mixed", "bool-and-subclass"],
+    )
+    def test_construction(self, coords, want):
+        v = GroupValue(coords)
+        assert v.coords == want
+        assert all(type(c) is Fraction for c in v.coords)
+
+    def test_arithmetic(self):
+        a, b = gv(1, "1/2", Fraction(2, 3)), gv(-4, 0, "5/6")
+        for v in (a + b, a - b, -a, a.scale(3), a.scale("2/5"), a.scale(Fraction(1, 7)), 2 * b):
+            assert all(type(c) is Fraction for c in v.coords), v
+        assert (a + b).coords == (Fraction(-3), Fraction(1, 2), Fraction(3, 2))
+        assert a.scale("2/5").coords == (Fraction(2, 5), Fraction(1, 5), Fraction(4, 15))
+
+
 class TestSubgroupIndex:
     def test_doubling(self):
         assert subgroup_index(gv(3), [gv(2)]) == 2

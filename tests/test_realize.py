@@ -259,3 +259,43 @@ class TestVerificationFailure:
             )
         assert "is not in the semigroup" in str(exc.value)
         assert not semigroup_member(exc.value.offending, wrong.generators)
+
+    @staticmethod
+    def _failure(built, checked, **bounds):
+        from skpval import VerificationFailedError
+
+        result = realize(built, CORRECTED)
+        with pytest.raises(VerificationFailedError) as exc:
+            verify_realization(result.valuation, checked, result.blocks, **bounds)
+        offending = exc.value.offending
+        assert isinstance(offending, GroupValue)
+        return offending, str(exc.value)
+
+    def test_generator_not_the_tables(self):
+        # 14 is first found as the third generator alone, whose key
+        # polynomial has the value 13
+        offending, message = self._failure(spec(4, 6, 13), spec(4, 6, 14))
+        assert offending == gv(14)
+        assert message == "witness for 14 evaluates to 13"
+
+    def test_generator_off_the_table_grid(self):
+        # 13/2 is no value of a table over the integers: it fails, and is
+        # never rounded onto the grid
+        offending, message = self._failure(spec(4, 6, 13), spec(4, 6, Fraction(13, 2)))
+        assert offending == gv(Fraction(13, 2))
+        assert message == "13/2 is off the table's value grid (denominator 1)"
+
+    def test_rank_two_value_off_the_grid(self):
+        offending, message = self._failure(
+            spec((1, 0), (0, 1)), spec((1, 0), (0, Fraction(1, 3))), coeff_bound=2
+        )
+        assert offending == gv(0, Fraction(1, 3))
+        assert "(0, 1/3)" in message
+
+    def test_sample_offending_is_a_group_value(self):
+        # a sample's value is kept as an integer vector until it fails
+        offending, message = self._failure(
+            spec(2, 3), spec(2, 5), coeff_bound=0, degree_bound=4, samples=40, seed=3
+        )
+        assert offending == gv(3)
+        assert message.startswith("value 3 of ")

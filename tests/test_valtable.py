@@ -4,13 +4,14 @@ from math import inf
 import pytest
 
 from skpval import (
+    DimensionMismatchError,
     GroupValue,
     compute_relations,
     enumerate_semigroup,
     validate_table,
 )
 
-from oracles import brute_semigroup
+from oracles import brute_semigroup, group_enumerate_semigroup
 
 
 def gv(*coords):
@@ -148,3 +149,32 @@ class TestEnumerateSemigroup:
             for v2, w2 in ball:
                 if sum(w1) + sum(w2) <= 4:
                     assert (v1 + v2).coords in members
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [gv(4), gv(6), gv(13)],
+            [gv(2), gv(3), gv(9), gv(10)],
+            [gv(Fraction(3, 2)), gv(Fraction(5, 3)), gv(7)],
+            [gv(1, 0), gv(0, 1)],
+            [gv(1, 0), gv(0, 1), gv(1, 1), gv(2, Fraction(1, 2))],
+            [gv(Fraction(1, 2), Fraction(3, 2)), gv(Fraction(1, 3), 0), gv(0, 1)],
+            [gv(0, 1), gv(Fraction(1, 3), 0), gv(Fraction(1, 2), Fraction(3, 2))],
+        ],
+        ids=["rank1", "rank1-table", "rank1-mixed", "rank2", "rank2-dependent",
+             "rank2-mixed", "rank2-mixed-reversed"],
+    )
+    @pytest.mark.parametrize("bound", range(5))
+    def test_integer_rows_match_group_value_recursion(self, values, bound):
+        # values, their order and the first-found witness of each value
+        got = enumerate_semigroup(values, bound)
+        want = group_enumerate_semigroup(values, bound)
+        assert [(v.coords, w) for v, w in got] == [(v.coords, w) for v, w in want]
+        assert all(type(c) is Fraction for v, _ in got for c in v.coords)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            enumerate_semigroup([gv(1), gv(1, 0)], 2)
+
+    def test_no_values(self):
+        assert enumerate_semigroup([], 3) == []
