@@ -6,6 +6,7 @@ everything and takes the minimum.  Every function built on the least value
 must give exactly what it gives on the full route.
 """
 
+import contextlib
 import functools
 import itertools
 import json
@@ -86,13 +87,17 @@ def _outcome(compute):
         return ("ZeroPolyError", str(exc))
 
 
+@contextlib.contextmanager
 def _full_route():
-    """Every function of ``skpval.valuation`` on the full expansion."""
-    return mock.patch.object(
-        skpval.valuation,
-        "least_value_part",
-        lambda f, valuation: full_least_part(f, valuation.skp, valuation.alpha),
-    )
+    """Every function of ``skpval.valuation`` on the full expansion: both
+    entries of the value loop, the value-only one that ``value_of`` calls
+    and the one with monomials that the forms call."""
+    def part(f, valuation):
+        return full_least_part(f, valuation.skp, valuation.alpha)
+
+    with mock.patch.object(skpval.valuation, "least_value_part", part), \
+            mock.patch.object(skpval.valuation, "least_value", lambda f, v: part(f, v)[0]):
+        yield
 
 
 def _results(f, skp, alpha):

@@ -1,16 +1,19 @@
 """Hypothesis properties of the valuation on the tables of tests/data.
 
 Every ``skp`` problem in tests/data is loaded as the CLI loads it, and the
-plane-curve table once more over GF(7).  Polynomials are drawn with small
-total degree and with coefficients that are integers or, over Q, fractions
-with small denominators.  Example counts are capped to keep tier-1 quick.
+tables without a cutoff once more over GF(7).  Polynomials are drawn with
+small total degree and with coefficients that are integers or, over Q,
+fractions with small denominators.  Example counts are capped to keep
+tier-1 quick.
 
-The valuation axioms are checked on the tables without a truncation cutoff.
-Under a cutoff the adic expansion drops monomials of high U-order, so a
-value may be too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1)
-by the adic route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
-``truncation_valid: false``.  That table is checked by the expansion
-property, which holds under any cutoff.
+The valuation axioms and the agreement of the adic and Euclidean routes are
+checked on the tables whose values are exact for the degrees drawn.  Under a
+cutoff the adic expansion drops monomials of high U-order, so a value may be
+too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1) by the adic
+route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
+``truncation_valid: false`` (pinned below).  That table is checked by the
+expansion property, which holds under any cutoff, and at cutoff 16, deep
+enough for polynomials of degree 2, with the exact tables.
 """
 
 import json
@@ -20,19 +23,33 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skpval import MultiPoly, SkpValuation, adic_expand, value_of, value_via_euclidean
+from skpval import (
+    GroupValue,
+    MultiPoly,
+    SkpValuation,
+    adic_expand,
+    parse_poly,
+    value_of,
+    value_via_euclidean,
+)
 from skpval.fields import QQ
 from skpval.jsonio import build_from_problem
 
 DATA = Path(__file__).parent / "data"
 
-# problem file, field override, largest total degree drawn
+GF7 = {"field": {"prime": 7}}
+
+# problem file, changes to the problem, largest total degree drawn
 TABLES = {
-    "remark_diffskp": ("remark_diffskp.json", None, 5),
-    "swapped_diffskp": ("swapped_diffskp.json", None, 5),
-    "example2": ("example2.json", None, 5),
-    "example1_tail": ("example1_tail.json", None, 2),
-    "remark_diffskp_gf7": ("remark_diffskp.json", {"prime": 7}, 5),
+    "remark_diffskp": ("remark_diffskp.json", {}, 5),
+    "swapped_diffskp": ("swapped_diffskp.json", {}, 5),
+    "example2": ("example2.json", {}, 5),
+    "example1_tail": ("example1_tail.json", {}, 2),
+    "remark_diffskp_gf7": ("remark_diffskp.json", GF7, 5),
+    "swapped_diffskp_gf7": ("swapped_diffskp.json", GF7, 5),
+    "example2_gf7": ("example2.json", GF7, 5),
+    "example1_tail_cutoff16": ("example1_tail.json", {"cutoff": 16}, 2),
+    "example1_tail_cutoff16_gf7": ("example1_tail.json", {"cutoff": 16, **GF7}, 2),
 }
 
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
@@ -41,10 +58,9 @@ PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 @pytest.fixture(scope="module")
 def valuations():
     out = {}
-    for name, (filename, field, degree) in TABLES.items():
+    for name, (filename, changes, degree) in TABLES.items():
         data = json.loads((DATA / filename).read_text())
-        if field is not None:
-            data["field"] = field
+        data.update(changes)
         out[name] = (SkpValuation(build_from_problem(data)), degree)
     return out
 
@@ -70,8 +86,16 @@ def draw_poly(data, valuation, degree):
     return data.draw(polynomials(skp.nvars, skp.field, degree))
 
 
-# the tables whose values are exact: no truncation cutoff
+# the tables whose values are exact: no truncation cutoff, or one deep
+# enough for the degrees drawn
 EXACT_TABLES = [name for name in TABLES if name != "example1_tail"]
+
+
+def test_example1_tail_routes_disagree_at_its_declared_cutoff(valuations):
+    v, _ = valuations["example1_tail"]
+    f = parse_poly("X2^2", 3)
+    assert value_of(f, v) == GroupValue((0, 5, 1))
+    assert value_via_euclidean(f, v) == GroupValue((0, 4, 2))
 
 
 @pytest.mark.parametrize("name", EXACT_TABLES)
