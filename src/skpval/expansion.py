@@ -15,11 +15,11 @@ value and stops at the first value class that survives once its violating
 monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
 theta * U^m (equal), so no later rewrite reaches a lower class.
 ``least_value`` is its value-only entry: the least value as an integer
-vector, with no monomial built; ``least_value_part`` also returns the
-monomials of that value, for initial forms.  ``value_rules`` refuses a
-table where a rule has a lower branch, which defines no valuation, so the
-value loop always stops early; it is built once per ``SkpValuation``, which
-both entries read.
+row of the table's analyzed ``chain``, with no monomial built;
+``least_value_part`` also returns the monomials of that value, for initial
+forms.  ``value_rules`` refuses a table where a rule has a lower branch,
+which defines no valuation, so the value loop always stops early; it is
+built once per ``SkpValuation``, which both entries read.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -130,20 +130,20 @@ RuleSet = collections.namedtuple("RuleSet", "rules origin weights stop_early")
 
 def value_rules(skp, alpha):
     """The RuleSet of the value loop under a normalized cutoff vector:
-    values over ``SkpTable.integer_betas`` (tuples compare as their
-    GroupValues do, the common denominator being positive).
+    values as integer rows of the table's ``chain`` (tuples compare as
+    their GroupValues do, the common denominator being positive).
 
     The early stop needs every beta > 0 (else ValueError) and no rule branch
     of lower value than the power U^n it replaces (else InvalidTableError
     naming the first such U): such a rule defines no valuation.
     """
     rules = rewrite_rules(skp, alpha)
-    betas = skp.integer_betas[0]
-    weights = {idx: [(k, c) for k, c in enumerate(betas[idx]) if c] for idx in betas}
     origin = (0,) * skp.dimension
-    for index, beta in betas.items():
-        if tuple(beta) <= origin:
+    weights = {}
+    for index, beta in zip(skp.order, skp.chain.rows):
+        if beta <= origin:
             raise ValueError(f"beta at {index} is not positive")
+        weights[index] = [(k, c) for k, c in enumerate(beta) if c]
     for (i, j), (n, nxt, terms) in sorted(rules.items()):
         power = weigh([((i, j), n)], weights, origin)
         for mmap in [{nxt: 1}] + [m for _, m in terms]:
@@ -265,9 +265,9 @@ def _least(f, valuation, max_rewrites):
 
 
 def least_value(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
-    """The least value over f's adic expansion, an integer vector over
-    ``SkpTable.integer_betas``, under the table, cutoff vector and rules of
-    an ``SkpValuation``; no monomial is built."""
+    """The least value over f's adic expansion, an integer row of the
+    table's ``chain``, under the table, cutoff vector and rules of an
+    ``SkpValuation``; no monomial is built."""
     return _least(f, valuation, max_rewrites)[2]
 
 

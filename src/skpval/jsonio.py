@@ -129,9 +129,11 @@ _TAIL_OPTIONS = (
 def load_limit_tail(data):
     _require(isinstance(data, dict), "limit tail must be an object")
     try:
+        exponents = data["exponents"]
+        _require(isinstance(exponents, dict), "limit tail \"exponents\" must be an object")
         exponents = {
             load_index_key(k): tuple(load_int(x, "tail exponent") for x in (a, b))
-            for k, (a, b) in data["exponents"].items()
+            for k, (a, b) in exponents.items()
         }
         # absent keys keep LimitTail's own defaults
         optional = {k: load(data[k]) for k, load in _TAIL_OPTIONS if k in data}
@@ -157,7 +159,9 @@ def build_from_problem(data):
     table = load_table(data.get("values", data))
     field = load_field(data.get("field"))
     thetas = load_thetas(data, field)
-    tails = [load_limit_tail(t) for t in data.get("limit_tails") or []]
+    tails = data.get("limit_tails")
+    _require(tails is None or isinstance(tails, list), "\"limit_tails\" must be an array")
+    tails = [load_limit_tail(t) for t in tails or []]
     require_indices(thetas, table.entries, "a theta")
     for tail in tails:
         at = (tail.row, tail.at)

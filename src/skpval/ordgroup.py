@@ -7,7 +7,8 @@ module provides the arithmetic a well-ordered generator sequence needs:
 * ``analyze_chain(values)`` -- the index n_j of every position over the
   earlier values (INFINITY outside their Q-span) and its canonical relation,
   from two integer echelons of the family whatever its length; the chain
-  keeps the rows, their common denominator and their echelon,
+  keeps the rows, their common denominator and their echelon, and is the
+  one integer value encoding (``Chain.row`` and ``Chain.value``),
 * ``subgroup_index(g, previous)`` and ``canonical_representation(n, g,
   previous)`` -- the unique n*g = sum m_j gamma_j with 0 <= m_j < n_j at
   positions of finite index -- read from such a chain,
@@ -20,7 +21,7 @@ All computations are exact.
 """
 
 from fractions import Fraction
-from math import gcd, inf as INFINITY
+from math import gcd, inf as INFINITY, lcm
 
 from . import intlattice
 from .errors import DimensionMismatchError, NotInGroupError
@@ -134,29 +135,6 @@ def as_group_value(x, dim=None):
     if dim is not None and v.dim != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.dim}")
     return v
-
-
-def _integer_rows(values):
-    """Scale a family of GroupValues to integer rows by the common denominator."""
-    denom = 1
-    for v in values:
-        for c in v.coords:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [[int(c * denom) for c in v.coords] for v in values], denom
-
-
-def _integer_row(value, denom):
-    """value times ``denom`` as a tuple of ints, or None when a coordinate
-    is off the grid of that denominator."""
-    row = [c * denom for c in value.coords]
-    if any(c.denominator != 1 for c in row):
-        return None
-    return tuple(int(c) for c in row)
-
-
-def _from_integer_row(row, denom):
-    """The GroupValue of an integer row over the denominator ``denom``."""
-    return GroupValue(tuple(Fraction(c, denom) for c in row))
 
 
 def _pivot(row):
@@ -279,7 +257,21 @@ class Chain(list):
     """The ChainEntry list of an analyzed family, keeping the lattice it was
     read from: ``rows``, the values times their common denominator
     ``denom``, and ``basis``, the nonzero rows of the rows' echelon as
-    (pivot column, row, transform row)."""
+    (pivot column, row, transform row).  ``row`` and ``value`` convert
+    between a GroupValue and its integer row on that grid; integer rows
+    order and compare as their values do."""
+
+    def row(self, value):
+        """value times ``denom`` as a tuple of ints, or None when a
+        coordinate is off the grid of that denominator."""
+        row = [c * self.denom for c in value.coords]
+        if any(c.denominator != 1 for c in row):
+            return None
+        return tuple(c.numerator for c in row)
+
+    def value(self, row):
+        """The GroupValue of an integer row over ``denom``."""
+        return GroupValue(tuple(Fraction(c, self.denom) for c in row))
 
 
 def analyze_chain(values):
@@ -297,13 +289,13 @@ def analyze_chain(values):
     values = [as_group_value(v) for v in values]
     for v in values[1:]:
         values[0]._check_dim(v)
-    rows, denom = _integer_rows(values)
+    chain = Chain()
+    chain.denom = lcm(*(c.denominator for v in values for c in v.coords))
+    chain.rows = rows = [chain.row(v) for v in values]
     H, U = intlattice.row_echelon(rows)
     kernel = [u[::-1] for h, u in zip(H, U) if not any(h)]
     last = len(values) - 1
     ending = {last - _pivot(x): x[::-1] for x in intlattice.row_echelon(kernel)[0]}
-    chain = Chain()
-    chain.rows, chain.denom = rows, denom
     chain.basis = [(_pivot(h), h, u) for h, u in zip(H, U) if any(h)]
     for j, (v, row) in enumerate(zip(values, rows)):
         n, rel = INFINITY, Representation({})
@@ -321,7 +313,7 @@ def _represent(gamma, chain):
     (a value off the chain's denominator grid is outside it)."""
     if chain:
         gamma._check_dim(chain[0].value)
-    target = _integer_row(gamma, chain.denom)
+    target = chain.row(gamma)
     if target is None:
         return None
     n, raw = _back_substitute(chain.basis, target, len(chain))

@@ -16,19 +16,14 @@ generators are block-final, and maps blocks to rows 0..B-1; the first
 generator (always independent) then sits alone in row 0.
 """
 
+import functools
 import random
 
 from .classify import inductive_invariants
 from .errors import HypothesisViolatedError, InvalidTableError, VerificationFailedError
 from .fields import QQ
 from .expansion import least_value
-from .ordgroup import (
-    _integer_row,
-    analyze_chain,
-    as_group_value,
-    is_finite_index,
-    semigroup_witness,
-)
+from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
 from .skp import build_skp
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
@@ -45,7 +40,8 @@ DEFAULT_SAMPLES = 200
 class SemigroupSpec:
     """A prescribed semigroup: ordered generators plus the bounds of its
     verification (the attainment ball's coefficient sum, the sampled
-    polynomials' degree and their number)."""
+    polynomials' degree and their number).  ``chain`` is the generators'
+    analysis, made once."""
 
     def __init__(
         self,
@@ -68,6 +64,10 @@ class SemigroupSpec:
         self.degree_bound = degree_bound
         self.samples = samples
 
+    @functools.cached_property
+    def chain(self):
+        return analyze_chain(self.generators)
+
 
 class GeneratorAnalysis:
     """Per-generator indices, relations, and hypothesis checks.
@@ -84,7 +84,7 @@ class GeneratorAnalysis:
 
     def __init__(self, spec):
         gens = spec.generators
-        self.chain = analyze_chain(gens)
+        self.chain = spec.chain
         self.ns = [e.n for e in self.chain]
         self.positive = [e.relation.is_positive for e in self.chain]
         self.increasing = []
@@ -271,7 +271,7 @@ class VerificationVerdict:
 
 def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
     """A random nonzero polynomial of up to 5 terms with small integer
-    coefficients, each in the field's form (``field.of``)."""
+    coefficients."""
     if variables is None:
         variables = list(range(nvars))
     while True:
@@ -286,7 +286,7 @@ def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
             c = rng.randint(-5, 5)
             if c == 0:
                 c = 1
-            terms[tuple(exps)] = field.of(c)
+            terms[tuple(exps)] = c
         f = MultiPoly(nvars, terms, field)
         if not f.is_zero():
             return f
@@ -308,9 +308,10 @@ def verify_realization(
     monomial form and re-valued through the adic expansion.  Containment:
     the value of every random polynomial is in the semigroup, decided
     exactly by ``semigroup_witness`` over nonnegative generator relations.
-    Values are compared as integer vectors over ``SkpTable.integer_betas``
-    (``expansion.least_value``); a ball element off that grid is no value
-    of the table and fails.
+    Values are compared as integer rows of the table's ``chain``
+    (``expansion.least_value``), the ball's mapped from the spec's chain by
+    ``chain.value`` and ``chain.row``; a ball element off the table's grid
+    is no value of the table and fails.
 
     Raises HypothesisViolatedError at the first negative relation and
     VerificationFailedError with the offending element, a GroupValue.
@@ -319,23 +320,21 @@ def verify_realization(
     degree_bound = spec.degree_bound if degree_bound is None else degree_bound
     samples = spec.samples if samples is None else samples
     skp = valuation.skp
-    gens = spec.generators
-    chain = analyze_chain(gens)
+    chain = spec.chain
     for pos, entry in enumerate(chain, start=1):
         if not entry.relation.is_positive:
             raise HypothesisViolatedError(
                 f"generator {pos} has a negative relation {entry.relation}"
             )
 
-    denom = skp.integer_betas[1]
-    ball = enumerate_semigroup(gens, coeff_bound)
     attainment = []
-    witnesses = {}  # membership witnesses by value, seeded with the ball's
-    for gamma, witness in ball:
-        vector = _integer_row(gamma, denom)
+    witnesses = {}  # membership witnesses by table row, seeded with the ball's
+    for row, witness in enumerate_semigroup(chain, coeff_bound):
+        gamma = chain.value(row)
+        vector = skp.chain.row(gamma)
         if vector is None:
             raise VerificationFailedError(
-                f"{gamma} is off the table's value grid (denominator {denom})",
+                f"{gamma} is off the table's value grid (denominator {skp.chain.denom})",
                 offending=gamma,
             )
         exps = {}
@@ -345,7 +344,7 @@ def verify_realization(
         witness_poly = skp.monomial_poly(exps)
         got = None if witness_poly.is_zero() else least_value(witness_poly, valuation)
         if got != vector:
-            shown = None if got is None else skp.group_value(got)
+            shown = None if got is None else skp.chain.value(got)
             raise VerificationFailedError(
                 f"witness for {gamma} evaluates to {shown}", offending=gamma
             )
@@ -359,9 +358,9 @@ def verify_realization(
         f = random_polynomial(rng, skp.nvars, degree_bound, skp.field, used_vars)
         vector = least_value(f, valuation)
         if vector not in witnesses:
-            witnesses[vector] = semigroup_witness(skp.group_value(vector), chain)
+            witnesses[vector] = semigroup_witness(skp.chain.value(vector), chain)
         if witnesses[vector] is None:
-            val = skp.group_value(vector)
+            val = skp.chain.value(vector)
             raise VerificationFailedError(
                 f"value {val} of {f} is not in the semigroup", offending=val
             )

@@ -13,10 +13,9 @@ rules of one expansion; for a freshly built table that is a single summand,
 for a reduced table the collapsed chain.
 
 The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
-``TableEntry`` of its position: beta, n, relation and S^c are kept once.
+``TableEntry`` of its position: beta, n, relation and S^c are kept once,
+and the betas' integer rows once, in the table's analyzed ``chain``.
 """
-
-import functools
 
 from .errors import (
     InvalidTableError,
@@ -26,7 +25,7 @@ from .errors import (
     ZeroPolyError,
 )
 from .fields import QQ
-from .ordgroup import _from_integer_row, _integer_rows, is_finite_index
+from .ordgroup import is_finite_index
 from .poly import MultiPoly
 from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
@@ -154,20 +153,9 @@ class SkpTable(ValueTable):
     polynomials over ``field`` under the total-degree ``cutoff``."""
 
     def __init__(self, table, entries, field, cutoff):
-        super().__init__(table.dimension, table.rows, entries, table.limit_labels)
+        super().__init__(table.chain, table.rows, entries, table.limit_labels)
         self.field = field
         self.cutoff = cutoff
-
-    @functools.cached_property
-    def integer_betas(self):
-        """(index -> beta as an integer vector, common denominator)."""
-        rows, denom = _integer_rows([self.entries[idx].beta for idx in self.order])
-        return dict(zip(self.order, rows)), denom
-
-    def group_value(self, vector):
-        """The GroupValue of an integer vector over the common denominator
-        of ``integer_betas``."""
-        return _from_integer_row(vector, self.integer_betas[1])
 
     def monomial_poly(self, exps):
         """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
@@ -190,15 +178,18 @@ def unroll_limit(entries, tail, cutoff, field):
     ``entries`` maps table indices to the SkpEntry objects built so far.
     Returns the polynomial, the (theta, m) summands consumed and the JSON
     report (``stabilized``, ``summands_used``, ``cutoff``).  Requires a
-    cutoff; raises NonStabilizingError when the depth is exhausted with
-    summands still at or below the cutoff.  Depth 0 (or less) returns the
-    start power unchanged.
+    cutoff and a nonzero theta (else ThetaZeroError); raises
+    NonStabilizingError when the depth is exhausted with summands still at
+    or below the cutoff.  Depth 0 (or less) returns the start power
+    unchanged.
     """
     if cutoff is None:
         raise NoCutoffError("limit unrolling requires a truncation cutoff")
 
     start = entries[(tail.row, tail.at - 1)]
     theta = field.of(tail.theta)
+    if theta == field.zero:
+        raise ThetaZeroError(f"limit tail theta at {tail.row},{tail.at} is zero")
     summands = []
     # depth 0 takes no summand; past it the loop ends only at a summand
     # above the cutoff, so the report says stabilized

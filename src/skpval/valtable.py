@@ -13,7 +13,7 @@ conditions and accumulates the outcome into a report instead of raising.
 from operator import add
 
 from . import ordgroup
-from .ordgroup import GroupValue, as_group_value, is_finite_index
+from .ordgroup import GroupValue, is_finite_index
 
 
 class TableEntry:
@@ -37,10 +37,13 @@ class TableEntry:
 
 class ValueTable:
     """Rows of values with per-entry indices, relations, and supports;
-    ``nvars`` is the number of rows, one per variable."""
+    ``nvars`` is the number of rows, one per variable.  ``chain`` is the
+    analyzed chain of the values in table order: ``chain.rows[k]`` is the
+    integer row of the entry at ``order[k]``."""
 
-    def __init__(self, dimension, rows, entries, limit_labels):
-        self.dimension = dimension
+    def __init__(self, chain, rows, entries, limit_labels):
+        self.chain = chain
+        self.dimension = chain[0].value.dim
         self.rows = rows                      # list of lists of GroupValue
         self.entries = entries                # TableIndex -> TableEntry
         self.limit_labels = dict(limit_labels)
@@ -101,7 +104,7 @@ def table_from_chain(chain, row_lengths, limit_labels=None):
         entries[index] = TableEntry(
             index, ce.value, ce.n, relation, limit_labels.get(index)
         )
-    return ValueTable(chain[0].value.dim, rows, entries, limit_labels)
+    return ValueTable(chain, rows, entries, limit_labels)
 
 
 class ValidationCheck:
@@ -233,21 +236,16 @@ def validate_table(table):
     return ValidationReport(checks)
 
 
-def enumerate_semigroup(values, coeff_bound):
-    """Semigroup ball: all sums a_1 v_1 + ... with a_i >= 0 and
-    sum a_i <= coeff_bound, as (value, coefficient tuple) pairs sorted by
-    value, one witness per distinct value (the first combination found).
-
-    The sums run over the values' integer rows (``ordgroup._integer_rows``),
-    which order and compare as the values do; one GroupValue is built per
-    distinct value, at the end.
+def enumerate_semigroup(chain, coeff_bound):
+    """Semigroup ball of an analyzed chain's values: all sums a_1 v_1 + ...
+    with a_i >= 0 and sum a_i <= coeff_bound, as (integer row, coefficient
+    tuple) pairs sorted by row, one witness per distinct value (the first
+    combination found).  The sums run over ``chain.rows``, which order and
+    compare as the values do; ``chain.value`` gives back a value.
     """
-    values = [as_group_value(v) for v in values]
-    if not values:
+    rows = chain.rows
+    if not rows:
         return []
-    for v in values[1:]:
-        values[0]._check_dim(v)
-    rows, denom = ordgroup._integer_rows(values)
     found = {}
 
     def rec(pos, budget, acc, witness):
@@ -262,7 +260,5 @@ def enumerate_semigroup(values, coeff_bound):
             witness.pop()
             acc = tuple(map(add, acc, row))
 
-    rec(0, coeff_bound, (0,) * values[0].dim, [])
-    return [
-        (ordgroup._from_integer_row(vec, denom), found[vec]) for vec in sorted(found)
-    ]
+    rec(0, coeff_bound, (0,) * len(rows[0]), [])
+    return sorted(found.items())

@@ -2,9 +2,10 @@
 
 The value of a monomial prod U_{i,j}^{e} is sum e * beta_{i,j}; the value of
 a polynomial is the minimum over the monomials of its adic expansion, which
-the value-only entry ``expansion.least_value`` finds as an integer vector,
-without expanding past the least value class or building a monomial;
-``value_of`` turns it into a ``GroupValue``.  The same number is computed
+the value-only entry ``expansion.least_value`` finds as an integer row of
+the table's analyzed chain, without expanding past the least value class
+or building a monomial; ``value_of`` turns it into a ``GroupValue`` by
+``skp.chain.value``.  The same number is computed
 independently, with no rewrite rule, by ``value_via_euclidean``: row by
 row, nu(sum a_t U^t) = min_t (nu(a_t) + nu(U^t)) over the top row's
 Euclidean expansion, the coefficients a_t valued on the rows below.
@@ -57,7 +58,7 @@ class SkpValuation:
 
 def value_of(f, valuation):
     """The valuation of a nonzero polynomial: the least value of its adic expansion."""
-    return valuation.skp.group_value(least_value(f, valuation))
+    return valuation.skp.chain.value(least_value(f, valuation))
 
 
 def value_report(f, valuation):
@@ -99,7 +100,7 @@ def value_via_euclidean(f, valuation):
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
-    return skp.group_value(_euclid_value(f, valuation, skp.nvars - 1))
+    return skp.chain.value(_euclid_value(f, valuation, skp.nvars - 1))
 
 
 def _euclid_value(f, valuation, top):
@@ -231,4 +232,4 @@ def graded_normal_form(f, valuation):
             torus.pop(key, None)
         else:
             torus[key] = cur
-    return GradedNormalForm(common_J or {}, torus, A, skp.group_value(value))
+    return GradedNormalForm(common_J or {}, torus, A, skp.chain.value(value))

@@ -38,7 +38,6 @@ from skpval.ordgroup import (
     ChainEntry,
     GroupValue,
     Representation,
-    _integer_rows,
     as_group_value,
     is_finite_index,
 )
@@ -73,17 +72,26 @@ def solve_combination(rows, target):
     return coeffs
 
 
-def _int_rows(values):
+def _integer_rows(values):
+    """Scale a family of GroupValues to integer rows by the common
+    denominator: (rows, denominator)."""
     denom = 1
     for v in values:
         for c in v.coords:
             denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [[int(c * denom) for c in v.coords] for v in values]
+    return [[int(c * denom) for c in v.coords] for v in values], denom
+
+
+def _integer_betas(skp):
+    """(index -> beta as an integer row, common denominator), scaled here
+    from the entries' betas, not read from the table's chain."""
+    rows, denom = _integer_rows([skp.entries[idx].beta for idx in skp.order])
+    return dict(zip(skp.order, rows)), denom
 
 
 def lattice_member(target, basis):
     """target in the Z-span of basis, by an integer solve."""
-    rows = _int_rows([as_group_value(v) for v in basis] + [as_group_value(target)])
+    rows, _ = _integer_rows([as_group_value(v) for v in basis] + [as_group_value(target)])
     return solve_combination(rows[:-1], rows[-1]) is not None
 
 
@@ -124,7 +132,7 @@ def representation_box_search(n, gamma, previous, ns, int_bound=10):
     """
     gamma = as_group_value(gamma)
     previous = [as_group_value(v) for v in previous]
-    rows = _int_rows([gamma] + previous)
+    rows, _ = _integer_rows([gamma] + previous)
     target = tuple(c * n for c in rows[0])
     vecs = rows[1:]
     ranges = box_ranges(ns, int_bound)
@@ -280,7 +288,7 @@ def rescan_initial_form(f, valuation):
 
 def _integer_value(exps, betas, start):
     """start + sum e * beta over an exponent map, each beta a dense integer
-    vector of ``SkpTable.integer_betas``."""
+    row of ``_integer_betas``."""
     total = list(start)
     for idx, e in exps.items():
         for k, c in enumerate(betas[idx]):
@@ -290,13 +298,13 @@ def _integer_value(exps, betas, start):
 
 def full_least_part(f, skp, alpha=None):
     """The least value over the complete ``adic_expand`` of f, as an integer
-    vector over ``SkpTable.integer_betas``, and the monomials of that value:
+    row of ``_integer_betas``, and the monomials of that value:
     the route ``least_value_part`` replaced, which expands everything and
     then throws away all but the minimum."""
     expansion = adic_expand(f, skp, alpha)
     if not len(expansion):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
-    betas, _ = skp.integer_betas
+    betas, _ = _integer_betas(skp)
     origin = (0,) * skp.dimension
     values = [_integer_value(m.exps, betas, origin) for m in expansion]
     low = min(values)
@@ -412,7 +420,7 @@ def rescan_graded_normal_form(f, valuation):
     skp = valuation.skp
     alpha = valuation.alpha
     inf_form = initial_form(f, valuation)
-    betas, _ = skp.integer_betas
+    betas, denom = _integer_betas(skp)
     origin = (0,) * skp.dimension
     value = _integer_value(inf_form.monomials[0].exps, betas, origin)
 
@@ -473,7 +481,8 @@ def rescan_graded_normal_form(f, valuation):
             torus.pop(key, None)
         else:
             torus[key] = cur
-    return GradedNormalForm(common_J or {}, torus, A, skp.group_value(value))
+    value = GroupValue(tuple(Fraction(c, denom) for c in value))
+    return GradedNormalForm(common_J or {}, torus, A, value)
 
 
 # -- reference index and relation arithmetic: subgroup_index through a left

@@ -66,15 +66,16 @@ class TestInductive:
         # the enumerated semigroup ball is exactly the set of values of
         # bounded products of key polynomials
         v = SkpValuation(diffskp)
-        betas = [diffskp.entries[k].beta for k in diffskp.order]
-        ball = enumerate_semigroup(betas, 3)
+        chain = diffskp.chain
+        ball = enumerate_semigroup(chain, 3)
         attained = set()
-        for gamma, witness in ball:
+        for row, witness in ball:
+            gamma = chain.value(row)
             exps = dict(zip(diffskp.order, witness))
             poly = diffskp.monomial_poly(exps)
             assert value_of(poly, v) == gamma
             attained.add(gamma.coords)
-        assert attained == {g.coords for g, _ in ball}
+        assert attained == {chain.value(row).coords for row, _ in ball}
 
 
 CONCRETE_CASES = [

@@ -420,10 +420,18 @@ class TestProblemIntegers:
             lambda d: d["limit_tails"][0].update(row=True),
             lambda d: d["limit_tails"][0].update(at=2.5),
             lambda d: d["limit_tails"][0].update(exponents={"0,1": [1.5, 1]}),
+            lambda d: d.update(limit_tails=True),
+            lambda d: d.update(limit_tails=False),
+            lambda d: d.update(limit_tails=1),
+            lambda d: d.update(limit_tails=1.5),
+            lambda d: d["limit_tails"][0].update(exponents=[["0,1", [1, 1]]]),
+            lambda d: d["limit_tails"][0].update(exponents="0,1"),
         ],
         ids=[
             "label-float", "label-bool", "labels-array", "depth-float",
             "depth-bool", "row-bool", "at-float", "exponent-float",
+            "tails-bool", "tails-false", "tails-int", "tails-float", "exponents-array",
+            "exponents-string",
         ],
     )
     def test_table_and_tail_integers(self, tmp_path, capsys, edit):
@@ -474,6 +482,28 @@ class TestPrimeFields:
         # int() reads both as 7; a field is read by the integer rule of every
         # other problem integer
         assert_schema_error(capsys, "build", swapped_with(tmp_path, field={"prime": p}))
+
+
+class TestZeroTailTheta:
+    """A limit tail's theta that is 0 in the field is refused like a zero
+    entry of "thetas": exit 1, kind ThetaZero, on every command that builds."""
+
+    @pytest.mark.parametrize(
+        "field, theta", [("Q", "0"), ({"prime": 7}, "7")], ids=["Q", "GF7"]
+    )
+    def test_refused(self, tmp_path, capsys, field, theta):
+        def edit(data):
+            data["field"] = field
+            data["limit_tails"][0]["theta"] = theta
+
+        path = problem_with(tmp_path, "example1_tail.json", edit)
+        for argv in (["build", path], ["eval", "--skp", path, "--poly", "X2"]):
+            code, report = run(capsys, *argv)
+            assert code == 1, argv
+            assert report["status"] == "invalid"
+            assert report["diagnostics"] == [
+                {"kind": "ThetaZero", "message": "limit tail theta at 2,2 is zero"}
+            ]
 
 
 def write_problem(tmp_path, data):

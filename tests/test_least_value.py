@@ -174,7 +174,7 @@ class TestValueLoweringRule:
     def test_the_valuation_refuses_it_by_name(self):
         skp = jsonio.build_from_problem(_value_lowering_tail())
         n, _, terms = rewrite_rules(skp, skp.row_lengths())[(2, 1)]
-        betas, _ = skp.integer_betas
+        betas = dict(zip(skp.order, skp.chain.rows))
         power = tuple(n * c for c in betas[(2, 1)])
         assert any(m == {(0, 1): 1} for _, m in terms)
         assert tuple(betas[(0, 1)]) < power

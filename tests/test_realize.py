@@ -220,6 +220,24 @@ class TestVerify:
 
         assert calls(20) == calls(200)
 
+    def test_one_lattice_per_spec(self, monkeypatch):
+        # the table keeps the spec's one analysis, and verification reads
+        # it instead of echeloning the generators again
+        s = spec(4, 6, 13)
+        result = realize(s, CORRECTED)
+        assert result.valuation.skp.chain is s.chain
+        assert result.analysis.chain is s.chain
+        count = [0]
+        row_echelon = intlattice.row_echelon
+
+        def counting(rows):
+            count[0] += 1
+            return row_echelon(rows)
+
+        monkeypatch.setattr(intlattice, "row_echelon", counting)
+        verify_realization(result.valuation, s, result.blocks, samples=20)
+        assert count == [0]
+
     def test_negative_relation_refused(self):
         # (5, 3, 2) generates the semigroup of (2, 3), but 2 = -2*5 + 4*3 is a
         # negative relation, over which membership cannot be read

@@ -12,6 +12,10 @@ and are not checked.
 Stored attributes likewise: every ``__slots__`` name of a library class, and
 every ``self.x = ...`` in its ``__init__``, must be read as ``.x`` somewhere
 in the library.
+
+A ``_``-prefixed module-level name is private to its module: no other
+library module imports it (``from .ordgroup import _x``) or reads it
+(``ordgroup._x``).
 """
 
 import ast
@@ -127,3 +131,51 @@ def test_every_stored_attribute_is_read():
 
 def test_stored_allowlist_is_current():
     assert sorted(ALLOWED_STORED) == [q for q in _unread() if q in ALLOWED_STORED]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _library_module(node):
+    """The library module an ``ImportFrom`` reads from, None for another
+    package or for the package itself (``from . import x``)."""
+    name = node.module or ""
+    if node.level == 0:
+        if not name.startswith("skpval."):
+            return None
+        name = name[len("skpval."):]
+    return name or None
+
+
+def _private_reaches():
+    """(importing module, "source._name") of each private name that a
+    library module imports from, or reads off, another library module."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}  # local name -> the library module it is bound to
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = _library_module(node)
+            for alias in node.names:
+                if source is not None and _is_private(alias.name):
+                    out.append((path.stem, f"{source}.{alias.name}"))
+                if source is None and (node.level or node.module == "skpval"):
+                    if alias.name in modules:
+                        imported[alias.asname or alias.name] = alias.name
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+                and _is_private(node.attr)
+            ):
+                out.append((path.stem, f"{imported[node.value.id]}.{node.attr}"))
+    return sorted(set(out))
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    assert _private_reaches() == []

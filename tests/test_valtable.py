@@ -10,12 +10,20 @@ from skpval import (
     enumerate_semigroup,
     validate_table,
 )
+from skpval.ordgroup import analyze_chain
 
 from oracles import brute_semigroup, group_enumerate_semigroup
 
 
 def gv(*coords):
     return GroupValue(coords)
+
+
+def ball(values, coeff_bound):
+    """``enumerate_semigroup`` over the values' chain, each integer row
+    mapped back to its value by ``chain.value``."""
+    chain = analyze_chain(values)
+    return [(chain.value(row), w) for row, w in enumerate_semigroup(chain, coeff_bound)]
 
 
 class TestComputeRelations:
@@ -121,7 +129,7 @@ class TestValidateTable:
 class TestEnumerateSemigroup:
     def test_against_brute_force(self):
         values = [gv(4), gv(6), gv(13)]
-        got = [v.coords for v, _ in enumerate_semigroup(values, 3)]
+        got = [v.coords for v, _ in ball(values, 3)]
         assert got == brute_semigroup(values, 3)
         # frozen from the oracle above
         assert [c[0] for c in got] == [
@@ -129,24 +137,24 @@ class TestEnumerateSemigroup:
         ]
 
     def test_single_generator(self):
-        got = enumerate_semigroup([gv(1)], 2)
+        got = ball([gv(1)], 2)
         assert got == [(gv(0), (0,)), (gv(1), (1,)), (gv(2), (2,))]
 
     def test_vector_generators(self):
-        got = enumerate_semigroup([gv(1, 0), gv(0, 1)], 1)
+        got = ball([gv(1, 0), gv(0, 1)], 1)
         assert [v.coords for v, _ in got] == [(0, 0), (0, 1), (1, 0)]
 
     def test_from_table(self, diffskp_table):
         values = [diffskp_table.entries[k].beta for k in diffskp_table.order]
-        got = [v.coords for v, _ in enumerate_semigroup(values, 2)]
+        got = [v.coords for v, _ in ball(values, 2)]
         assert got == brute_semigroup([gv(2), gv(3), gv(9), gv(10)], 2)
 
     def test_closed_under_addition_within_bound(self):
         values = [gv(4), gv(6), gv(13)]
-        ball = enumerate_semigroup(values, 4)
-        members = {v.coords for v, _ in ball}
-        for v1, w1 in ball:
-            for v2, w2 in ball:
+        got = ball(values, 4)
+        members = {v.coords for v, _ in got}
+        for v1, w1 in got:
+            for v2, w2 in got:
                 if sum(w1) + sum(w2) <= 4:
                     assert (v1 + v2).coords in members
 
@@ -167,14 +175,14 @@ class TestEnumerateSemigroup:
     @pytest.mark.parametrize("bound", range(5))
     def test_integer_rows_match_group_value_recursion(self, values, bound):
         # values, their order and the first-found witness of each value
-        got = enumerate_semigroup(values, bound)
+        got = ball(values, bound)
         want = group_enumerate_semigroup(values, bound)
         assert [(v.coords, w) for v, w in got] == [(v.coords, w) for v, w in want]
         assert all(type(c) is Fraction for v, _ in got for c in v.coords)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            enumerate_semigroup([gv(1), gv(1, 0)], 2)
+            ball([gv(1), gv(1, 0)], 2)
 
     def test_no_values(self):
-        assert enumerate_semigroup([], 3) == []
+        assert enumerate_semigroup(analyze_chain([]), 3) == []

@@ -1,4 +1,3 @@
-import copy
 import functools
 import itertools
 import json
@@ -24,8 +23,10 @@ from skpval import (
 )
 from skpval import adic_expand, expansion, jsonio, realize, validate_acceptable, valuation
 from skpval.expansion import euclidean_expand, vp
+from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
 from skpval.skp import SkpTable
+from skpval.valtable import table_from_chain
 from skpval.valuation import value_report
 
 from conftest import example1_rows
@@ -147,11 +148,11 @@ class TestEuclideanValueOracle:
     """value_via_euclidean, summing integer vectors, equals the reference
     that sums GroupValues (tests/oracles.py)."""
 
-    def test_integer_betas_give_back_every_beta(self, key_tables):
+    def test_chain_rows_give_back_every_beta(self, key_tables):
         for skp in key_tables:
-            betas, _ = skp.integer_betas
-            for idx in skp.order:
-                assert skp.group_value(betas[idx]).coords == skp.entries[idx].beta.coords
+            for idx, row in zip(skp.order, skp.chain.rows):
+                assert skp.chain.value(row).coords == skp.entries[idx].beta.coords
+                assert skp.chain.row(skp.entries[idx].beta) == row
 
     def test_random_polynomials(self, key_tables):
         rng = random.Random(83)
@@ -212,11 +213,11 @@ class TestEuclideanWork:
 
     @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
     def test_nonpositive_beta_refused(self, diffskp, index, beta):
-        # only a table built without validation can carry one
-        entries = dict(diffskp.entries)
-        entries[index] = copy.copy(entries[index])
-        entries[index].beta = gv(beta)
-        table = SkpTable(diffskp, entries, diffskp.field, diffskp.cutoff)
+        # only a table built without validation can carry one; the gate
+        # reads the betas from the table's chain
+        betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
+        values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
+        table = SkpTable(values, diffskp.entries, diffskp.field, diffskp.cutoff)
         with pytest.raises(ValueError, match=rf"beta at \({index[0]}, {index[1]}\) is not positive"):
             SkpValuation(table)
 
