@@ -162,9 +162,16 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
         raise ZeroPolyError("cannot expand the zero polynomial")
     if f.nvars != skp.nvars or f.field != skp.field:
         raise ValueError("polynomial ring does not match the table")
-    for i in f.support_variables():
-        if alpha[i] == 0:
-            raise ValueError(f"X{i} appears but row {i} has no key polynomials")
+    # each term X^e as the key of U_{i,1}^{e_i}, i ascending, so already
+    # sorted; no term may use a row without key polynomials
+    empty = [i for i, a in enumerate(alpha) if not a]
+    keys = []
+    for exps in f.terms:
+        for i in empty:
+            if exps[i]:
+                bad = min(v for v in f.support_variables() if not alpha[v])
+                raise ValueError(f"X{bad} appears but row {bad} has no key polynomials")
+        keys.append(tuple([((i, 1), e) for i, e in enumerate(exps) if e]))
 
     reduce = skp.field.reduce
     cutoff = skp.cutoff
@@ -201,8 +208,8 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
         if index is not None or stop_early:
             heapq.heappush(heap, (w, key, index))
 
-    for exps, c in f.terms.items():
-        add(tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
+    for key, c in zip(keys, f.terms.values()):
+        add(key, c)
 
     rewrites = 0
     settled, current = [], None  # the popped keys of this weight that need no rewrite

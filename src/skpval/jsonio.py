@@ -22,6 +22,16 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _optional(data, key, kind, what):
+    """An optional field of type ``kind`` (dict or list): a missing key or
+    null reads as empty, any other value of another type is refused."""
+    value = data.get(key)
+    if value is None:
+        return kind()
+    _require(isinstance(value, kind), f"\"{key}\" must be {what}")
+    return value
+
+
 def load_rational(data):
     if isinstance(data, bool):
         raise SchemaError(f"bad rational {data!r}")
@@ -91,8 +101,7 @@ def load_table(data):
     if dim is None:  # the first value's, so a value of another dimension is refused
         dim = load_group_value(next(v for row in rows for v in row)).dim
     raw_rows = [[load_group_value(v, dim) for v in row] for row in rows]
-    labels = data.get("limit_labels") or {}
-    _require(isinstance(labels, dict), "\"limit_labels\" must be an object")
+    labels = _optional(data, "limit_labels", dict, "an object")
     labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}
     try:
         table = compute_relations(raw_rows, dimension=dim, limit_labels=labels)
@@ -159,9 +168,8 @@ def build_from_problem(data):
     table = load_table(data.get("values", data))
     field = load_field(data.get("field"))
     thetas = load_thetas(data, field)
-    tails = data.get("limit_tails")
-    _require(tails is None or isinstance(tails, list), "\"limit_tails\" must be an array")
-    tails = [load_limit_tail(t) for t in tails or []]
+    tails = _optional(data, "limit_tails", list, "an array")
+    tails = [load_limit_tail(t) for t in tails]
     require_indices(thetas, table.entries, "a theta")
     for tail in tails:
         at = (tail.row, tail.at)
@@ -197,8 +205,7 @@ def load_poly(text, skp):
 
 def load_declared_rows(data, nvars):
     """The optional "declared_infinite_rows" array: row numbers 0..nvars-1."""
-    rows = data.get("declared_infinite_rows") or []
-    _require(isinstance(rows, list), "\"declared_infinite_rows\" must be an array")
+    rows = _optional(data, "declared_infinite_rows", list, "an array")
     rows = [load_int(i, "declared infinite row") for i in rows]
     _require(all(0 <= i < nvars for i in rows), f"declared rows {rows} outside 0..{nvars-1}")
     return rows
@@ -272,8 +279,7 @@ def load_semigroup_spec(data):
         for key in ("coeff_bound", "degree_bound", "samples")
         if key in data
     }
-    labels = data.get("limit_labels") or []
-    _require(isinstance(labels, list), "\"limit_labels\" must be an array")
+    labels = _optional(data, "limit_labels", list, "an array")
     dim = load_group_value(gens[0]).dim
     try:
         return SemigroupSpec(
@@ -288,6 +294,5 @@ def load_semigroup_spec(data):
 
 def load_thetas(data, field):
     """The optional "thetas" object as a map from table index to field element."""
-    thetas = data.get("thetas") or {}
-    _require(isinstance(thetas, dict), "\"thetas\" must be an object")
+    thetas = _optional(data, "thetas", dict, "an object")
     return {load_index_key(k): field.of(load_rational(v)) for k, v in thetas.items()}

@@ -3,8 +3,9 @@
 The pipeline: analyze the generators (indices, positivity, growth,
 minimality), re-index them into a value table, build the key polynomials,
 and verify that the value semigroup of the polynomial ring matches the
-input: a ball of it is attained by explicit key-polynomial products, and
-sampled values are checked for exact membership.
+input: a ball of it is attained by explicit key-polynomial products, each
+built from a smaller one by one factor, and the values of seeded random
+polynomials are checked for exact membership.
 
 Two re-indexing modes exist.  LITERAL opens a new block at every rationally
 independent generator and maps the blocks to rows 1..B, leaving row 0 empty
@@ -25,7 +26,7 @@ from .fields import QQ
 from .expansion import least_value
 from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
-from .skp import build_skp
+from .skp import build_skp, times_key
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
 from .valuation import SkpValuation
 
@@ -35,6 +36,14 @@ CORRECTED = "corrected"
 DEFAULT_COEFF_BOUND = 4
 DEFAULT_DEGREE_BOUND = 8
 DEFAULT_SAMPLES = 200
+
+
+def _bound(name, value):
+    """A verification bound, refused with ValueError unless it is a
+    nonnegative int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, not {value!r}")
+    return value
 
 
 class SemigroupSpec:
@@ -60,9 +69,9 @@ class SemigroupSpec:
             if not 1 <= p <= len(self.generators):
                 raise ValueError(f"limit label {p} outside the generator range")
         self.field = field
-        self.coeff_bound = coeff_bound
-        self.degree_bound = degree_bound
-        self.samples = samples
+        self.coeff_bound = _bound("coeff_bound", coeff_bound)
+        self.degree_bound = _bound("degree_bound", degree_bound)
+        self.samples = _bound("samples", samples)
 
     @functools.cached_property
     def chain(self):
@@ -271,25 +280,61 @@ class VerificationVerdict:
 
 def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
     """A random nonzero polynomial of up to 5 terms with small integer
-    coefficients."""
+    coefficients, over the given ``variables`` (default all).
+
+    Each bounded integer r in [0, n) is drawn by rejection on
+    ``rng.getrandbits(n.bit_length())``, redrawn while r >= n: the draw
+    ``randint`` makes, so a seed gives the polynomials it gave through
+    ``randint`` and leaves ``rng`` in the same state.
+    """
+    if max_degree < 0:
+        raise ValueError(f"max_degree {max_degree} is negative")
     if variables is None:
-        variables = list(range(nvars))
+        variables = range(nvars)
+    bits = rng.getrandbits
+    span = max_degree + 1  # exponents in [0, span)
+    k = span.bit_length()
+    reduce = field.reduce
     while True:
         terms = {}
-        for _ in range(rng.randint(1, 5)):
+        count = bits(3)  # randint(1, 5): 1 + [0, 5)
+        while count >= 5:
+            count = bits(3)
+        for _ in range(count + 1):
             while True:
                 exps = [0] * nvars
                 for v in variables:
-                    exps[v] = rng.randint(0, max_degree)
+                    e = bits(k)
+                    while e >= span:
+                        e = bits(k)
+                    exps[v] = e
                 if sum(exps) <= max_degree:
                     break
-            c = rng.randint(-5, 5)
-            if c == 0:
-                c = 1
-            terms[tuple(exps)] = c
-        f = MultiPoly(nvars, terms, field)
-        if not f.is_zero():
+            c = bits(4)  # randint(-5, 5): -5 + [0, 11)
+            while c >= 11:
+                c = bits(4)
+            terms[tuple(exps)] = c - 5 or 1
+        f = MultiPoly.zero(nvars, field)
+        f.terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
+        if f.terms:
             return f
+
+
+def _witness_product(products, witness, keys, cutoff):
+    """The product of ``keys[p] ** witness[p]``, truncated at the cutoff, from
+    ``products`` (witness -> product, holding the zero witness).  Each product
+    not yet there is one ``times_key`` step from the witness with its last
+    nonzero coefficient lowered by one; the missing ones are built upward by
+    a loop, and stored."""
+    steps = []
+    while witness not in products:
+        p = max(i for i, a in enumerate(witness) if a)
+        steps.append((witness, p))
+        witness = witness[:p] + (witness[p] - 1,) + witness[p + 1:]
+    out = products[witness]
+    for witness, p in reversed(steps):
+        out = products[witness] = times_key(out, keys[p], 1, cutoff)
+    return out
 
 
 def verify_realization(
@@ -305,7 +350,11 @@ def verify_realization(
 
     Attainment: every semigroup element within the coefficient window is the
     value of an explicit product of key polynomials, expanded to raw
-    monomial form and re-valued through the adic expansion.  Containment:
+    monomial form and re-valued through the adic expansion.  Each product
+    is its witness's smaller product times one key polynomial, truncated
+    at the table's cutoff (``skp.times_key``, the step of ``key_product``;
+    truncating by total degree commutes with multiplication), so it equals
+    ``skp.monomial_poly`` of the witness.  Containment:
     the value of every random polynomial is in the semigroup, decided
     exactly by ``semigroup_witness`` over nonnegative generator relations.
     Values are compared as integer rows of the table's ``chain``
@@ -313,12 +362,20 @@ def verify_realization(
     ``chain.value`` and ``chain.row``; a ball element off the table's grid
     is no value of the table and fails.
 
-    Raises HypothesisViolatedError at the first negative relation and
-    VerificationFailedError with the offending element, a GroupValue.
+    The bounds default to the spec's; an override must be a nonnegative int
+    (else ValueError).  Raises HypothesisViolatedError at the first negative
+    relation and VerificationFailedError with the offending element, a
+    GroupValue.
     """
-    coeff_bound = spec.coeff_bound if coeff_bound is None else coeff_bound
-    degree_bound = spec.degree_bound if degree_bound is None else degree_bound
-    samples = spec.samples if samples is None else samples
+    if coeff_bound is None:
+        coeff_bound = spec.coeff_bound
+    if degree_bound is None:
+        degree_bound = spec.degree_bound
+    if samples is None:
+        samples = spec.samples
+    _bound("coeff_bound", coeff_bound)
+    _bound("degree_bound", degree_bound)
+    _bound("samples", samples)
     skp = valuation.skp
     chain = spec.chain
     for pos, entry in enumerate(chain, start=1):
@@ -329,6 +386,8 @@ def verify_realization(
 
     attainment = []
     witnesses = {}  # membership witnesses by table row, seeded with the ball's
+    keys = [skp.entries[assignment.table_index(p)].poly for p in range(len(chain))]
+    products = {(0,) * len(chain): MultiPoly.one(skp.nvars, skp.field)}
     for row, witness in enumerate_semigroup(chain, coeff_bound):
         gamma = chain.value(row)
         vector = skp.chain.row(gamma)
@@ -337,11 +396,7 @@ def verify_realization(
                 f"{gamma} is off the table's value grid (denominator {skp.chain.denom})",
                 offending=gamma,
             )
-        exps = {}
-        for p, a in enumerate(witness):
-            if a:
-                exps[assignment.table_index(p)] = a
-        witness_poly = skp.monomial_poly(exps)
+        witness_poly = _witness_product(products, witness, keys, skp.cutoff)
         got = None if witness_poly.is_zero() else least_value(witness_poly, valuation)
         if got != vector:
             shown = None if got is None else skp.chain.value(got)

@@ -90,6 +90,12 @@ class LimitTail:
         }
 
 
+def times_key(out, poly, e, cutoff):
+    """``out * poly^e`` truncated at the cutoff: the step every product of
+    key polynomials is multiplied out by."""
+    return (out * (poly if e == 1 else poly ** e)).truncate(cutoff)
+
+
 def key_product(entries, exps, nvars, field, cutoff):
     """prod U_{idx}^{e} over ``entries``, truncated after each factor.
 
@@ -99,7 +105,7 @@ def key_product(entries, exps, nvars, field, cutoff):
     out = MultiPoly.one(nvars, field)
     for idx, e in sorted(exps.items()):
         if e:
-            out = (out * entries[idx].poly ** e).truncate(cutoff)
+            out = times_key(out, entries[idx].poly, e, cutoff)
     return out
 
 

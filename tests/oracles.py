@@ -16,7 +16,8 @@ reference that values the rescanned expansion monomial by monomial in
 GroupValues, the least value part has a reference that takes the minimum
 over a complete adic expansion, and the graded normal form has a reference
 that rescans each monomial for its greatest position over its bound before
-every reduction.  Membership in the semigroup of positive generators has an
+every reduction.  Random polynomials have a reference drawn by
+``randint``.  Membership in the semigroup of positive generators has an
 exact reference that never reads a canonical representation: a coin-problem
 table at rank 1 and, above it, every count of the leading-level generators.
 """
@@ -32,6 +33,7 @@ from skpval.expansion import (
     adic_expand,
     vdeg,
 )
+from skpval.fields import QQ
 from skpval.intlattice import row_echelon
 from skpval.ordgroup import (
     INFINITY,
@@ -649,3 +651,26 @@ def positive_chain(rng, dim, size):
         if v > GroupValue((0, 0)):
             out.append(v)
     return out
+
+
+def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
+    """A random nonzero polynomial of up to 5 terms with small integer
+    coefficients."""
+    if variables is None:
+        variables = list(range(nvars))
+    while True:
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            while True:
+                exps = [0] * nvars
+                for v in variables:
+                    exps[v] = rng.randint(0, max_degree)
+                if sum(exps) <= max_degree:
+                    break
+            c = rng.randint(-5, 5)
+            if c == 0:
+                c = 1
+            terms[tuple(exps)] = c
+        f = MultiPoly(nvars, terms, field)
+        if not f.is_zero():
+            return f

@@ -378,11 +378,15 @@ class TestProblemIntegers:
             ("limit_labels", "1"),
             ("limit_labels", [1.5]),
             ("limit_labels", [True]),
+            ("limit_labels", 0),
+            ("limit_labels", False),
+            ("limit_labels", ""),
         ],
         # fixed ids, so that a row keeps its name when another is removed
         ids=[
             "samples-2.5", "samples--1", "coeff_bound-True", "degree_bound-6",
             "limit_labels-1", "limit_labels-value6", "limit_labels-value7",
+            "limit_labels-0", "limit_labels-false", "limit_labels-empty-string",
         ],
     )
     def test_semigroup_spec_integers(self, tmp_path, capsys, key, value):
@@ -426,17 +430,46 @@ class TestProblemIntegers:
             lambda d: d.update(limit_tails=1.5),
             lambda d: d["limit_tails"][0].update(exponents=[["0,1", [1, 1]]]),
             lambda d: d["limit_tails"][0].update(exponents="0,1"),
+            lambda d: d["values"].update(limit_labels=False),
+            lambda d: d.update(thetas=False),
+            lambda d: d.update(thetas=0),
+            lambda d: d.update(thetas=""),
         ],
         ids=[
             "label-float", "label-bool", "labels-array", "depth-float",
             "depth-bool", "row-bool", "at-float", "exponent-float",
             "tails-bool", "tails-false", "tails-int", "tails-float", "exponents-array",
-            "exponents-string",
+            "exponents-string", "labels-false", "thetas-false", "thetas-zero",
+            "thetas-empty-string",
         ],
     )
     def test_table_and_tail_integers(self, tmp_path, capsys, edit):
         path = problem_with(tmp_path, "example1_tail.json", edit)
         assert_schema_error(capsys, "build", path)
+
+    @pytest.mark.parametrize(
+        "command, name, key",
+        [
+            ("build", "swapped_diffskp.json", "thetas"),
+            ("build", "example1_tail.json", "limit_tails"),
+            ("build", "example1_tail.json", "values.limit_labels"),
+            ("verify", "free_pair.json", "limit_labels"),
+            ("classify", "remark_diffskp.json", "declared_infinite_rows"),
+        ],
+    )
+    def test_null_optional_field_is_absent(self, tmp_path, capsys, command, name, key):
+        *outer, key = key.split(".")
+
+        def target(data):
+            return data[outer[0]] if outer else data
+
+        absent = problem_with(tmp_path, name, lambda d: target(d).pop(key, None))
+        code, want = run(capsys, command, absent)
+        assert code == 0
+        null = problem_with(tmp_path, name, lambda d: target(d).update({key: None}))
+        code, got = run(capsys, command, null)
+        assert code == 0
+        assert got["result"] == want["result"]
 
 
 class TestCommandLineBounds:
@@ -577,7 +610,7 @@ class TestInputFaults:
         code, _ = run(capsys, *argv, path, "--poly", "X1 + X2")
         assert code == 0
 
-    @pytest.mark.parametrize("declared", [5, [[1]], [9], [-1], [True], "1"])
+    @pytest.mark.parametrize("declared", [5, [[1]], [9], [-1], [True], "1", 0, False, ""])
     def test_declared_infinite_rows(self, tmp_path, capsys, declared):
         path = problem_with(
             tmp_path, "remark_diffskp.json", lambda d: d.update(declared_infinite_rows=declared)

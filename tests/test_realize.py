@@ -20,8 +20,11 @@ from skpval import (
     verify_realization,
 )
 from skpval import intlattice
+from skpval.fields import GF, QQ
 from skpval.poly import parse_poly
+from skpval.realize import random_polynomial
 
+import oracles
 from oracles import positive_chain, semigroup_member
 
 
@@ -238,6 +241,34 @@ class TestVerify:
         verify_realization(result.valuation, s, result.blocks, samples=20)
         assert count == [0]
 
+    @pytest.mark.parametrize(
+        "gens, labels",
+        [((4, 6, 13), ()), (((1, 0), (0, 1), (Fraction(1, 2), Fraction(3, 2))), (3,))],
+        ids=["4,6,13", "limit-label-cutoff"],
+    )
+    def test_witness_products_are_the_monomial_products(self, gens, labels):
+        # each product is built from a smaller one by one factor; it must be
+        # the product key_product multiplies out, cutoff included
+        s = spec(*gens, limit_labels=labels)
+        result = realize(s, CORRECTED)
+        skp = result.valuation.skp
+        assert (skp.cutoff is not None) == bool(labels)
+        verdict = verify_realization(result.valuation, s, result.blocks, samples=0)
+        assert len(verdict.attainment) > 20
+        for _, witness, poly in verdict.attainment:
+            exps = {result.blocks.table_index(p): a for p, a in enumerate(witness) if a}
+            assert poly == str(skp.monomial_poly(exps))
+
+    def test_ball_deeper_than_the_recursion_limit(self):
+        s = spec(1)
+        result = realize(s, CORRECTED)
+        verdict = verify_realization(
+            result.valuation, s, result.blocks, coeff_bound=1500, samples=0
+        )
+        assert verdict.passed
+        assert len(verdict.attainment) == 1501
+        assert verdict.attainment[-1][2] == "X0^1500"
+
     def test_negative_relation_refused(self):
         # (5, 3, 2) generates the semigroup of (2, 3), but 2 = -2*5 + 4*3 is a
         # negative relation, over which membership cannot be read
@@ -317,3 +348,63 @@ class TestVerificationFailure:
         )
         assert offending == gv(3)
         assert message.startswith("value 3 of ")
+
+
+class TestBounds:
+    """Verification bounds are nonnegative ints, in the spec and in the
+    overrides of ``verify_realization``; anything else is a named
+    ValueError, never an empty pass or a raw TypeError."""
+
+    CASES = [
+        ("coeff_bound", -1),
+        ("samples", -3),
+        ("samples", 2.5),
+        ("degree_bound", -1),
+        ("degree_bound", "8"),
+        ("coeff_bound", True),
+    ]
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_spec_refuses(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            spec(4, 6, 13, **{key: value})
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_override_refuses(self, key, value):
+        s = spec(4, 6, 13)
+        result = realize(s, CORRECTED)
+        with pytest.raises(ValueError, match=key):
+            verify_realization(result.valuation, s, result.blocks, **{key: value})
+
+    def test_zero_bounds_pass(self):
+        s = spec(4, 6, 13, coeff_bound=0, degree_bound=0, samples=0)
+        result = realize(s, CORRECTED)
+        verdict = verify_realization(result.valuation, s, result.blocks)
+        assert verdict.passed
+        assert len(verdict.attainment) == 1 and verdict.containment_checked == 0
+
+    def test_negative_degree_refused(self):
+        with pytest.raises(ValueError, match="max_degree"):
+            random_polynomial(random.Random(0), 2, -1)
+
+
+class TestRandomPolynomial:
+    def test_the_randint_stream(self):
+        # the getrandbits draw must give randint's polynomials and leave the
+        # generator where randint leaves it; GF(2) zeroes many coefficient
+        # draws, so whole polynomials are redrawn
+        fields = [QQ, GF(2), GF(3), GF(7)]
+        draws = 0
+        for seed in range(600):
+            rng = random.Random(seed)
+            ref = random.Random(seed)
+            field = fields[seed % 4]
+            for nvars in range(1, 5):
+                for max_degree in range(11):
+                    for variables in (None, list(range(0, nvars, 2))):
+                        want = oracles.random_polynomial(ref, nvars, max_degree, field, variables)
+                        got = random_polynomial(rng, nvars, max_degree, field, variables)
+                        assert got == want, (seed, nvars, max_degree, variables)
+                        draws += 1
+            assert rng.random() == ref.random()
+        assert draws >= 50_000
