@@ -26,7 +26,6 @@ from .fields import GF, QQ
 from .ordgroup import (
     GroupValue,
     INFINITY,
-    Representation,
     canonical_representation,
     isolated_level,
     rational_rank,

@@ -142,12 +142,13 @@ def cmd_realize(args):
         raise SchemaError(f"unknown mode {mode!r}")
     thetas = jsonio.load_thetas(data, spec.field)
     result = realize(spec, mode, thetas)
-    jsonio.require_indices(thetas, result.table.entries, "a theta")
+    table = result.valuation.skp
+    jsonio.require_indices(thetas, table.entries, "a theta")
     payload = {
         "mode": mode,
         "blocks": result.blocks.to_json(),
         "analysis": result.analysis.to_json(),
-        "table": jsonio.dump_table(result.table),
+        "table": jsonio.dump_table(table),
         "report": result.report,
     }
     if args.verify:

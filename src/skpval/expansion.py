@@ -89,9 +89,8 @@ def vp(exps, skp, alpha=None):
 class AdicExpansion:
     """A finite sum of adic-form monomials over a fixed table and cutoff."""
 
-    def __init__(self, skp, alpha, monomials):
+    def __init__(self, skp, monomials):
         self.skp = skp
-        self.alpha = alpha
         self.monomials = sorted(monomials, key=lambda m: (vdeg(m.exps, skp), m.key()))
 
     def __iter__(self):
@@ -257,7 +256,7 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     degrees = {index: [(index[0], entry.d)] for index, entry in skp.entries.items()}
     rule_set = RuleSet(rewrite_rules(skp, alpha), (0,) * skp.nvars, degrees, False)
     work, _ = _rewrite(f, skp, alpha, rule_set, max_rewrites)
-    return AdicExpansion(skp, alpha, [AdicMonomial(c, dict(k)) for k, c in work.items()])
+    return AdicExpansion(skp, [AdicMonomial(c, dict(k)) for k, c in work.items()])
 
 
 def _least(f, valuation, max_rewrites):
@@ -271,11 +270,11 @@ def _least(f, valuation, max_rewrites):
     return work, value, min(value[key] for key in work)
 
 
-def least_value(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+def least_value(f, valuation):
     """The least value over f's adic expansion, an integer row of the
     table's ``chain``, under the table, cutoff vector and rules of an
     ``SkpValuation``; no monomial is built."""
-    return _least(f, valuation, max_rewrites)[2]
+    return _least(f, valuation, DEFAULT_REWRITE_CAP)[2]
 
 
 def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):

@@ -104,7 +104,7 @@ def load_table(data):
     labels = _optional(data, "limit_labels", dict, "an object")
     labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}
     try:
-        table = compute_relations(raw_rows, dimension=dim, limit_labels=labels)
+        table = compute_relations(raw_rows, limit_labels=labels)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     require_indices(labels, table.entries, "a limit label")
@@ -174,6 +174,12 @@ def build_from_problem(data):
     for tail in tails:
         at = (tail.row, tail.at)
         require_indices([at], table.entries, "a limit tail")
+        # the predecessor's rewrite takes the tail's theta
+        _require(
+            (tail.row, tail.at - 1) not in thetas,
+            f"a theta at {tail.row},{tail.at - 1}, whose theta the limit tail "
+            f"at {at[0]},{at[1]} gives",
+        )
         # a tail is unrolled from the entries built before its own
         earlier = [index for index in table.entries if index < at]
         what = f"a limit tail exponent before {at[0]},{at[1]}"
@@ -240,31 +246,55 @@ def dump_skp(skp):
     return out
 
 
+_LEVELS = ("level0", "level1", "level2")
+_MEMBERSHIPS = ("in_q1", "in_q2", "span1_in_02", "span2_in_01")
+
+
+def _load_declared(declared):
+    """The "declared" predicates: each level a nonnegative integer or null,
+    each membership predicate a bool or null; other names are refused."""
+    _require(isinstance(declared, dict), "\"declared\" must be an object")
+    out = {}
+    for key, value in declared.items():
+        if key in _LEVELS:
+            out[key] = None if value is None else load_int(value, key, nonnegative=True)
+        else:
+            _require(key in _MEMBERSHIPS, f"unknown declared predicate {key!r}")
+            _require(value is None or isinstance(value, bool), f"{key!r} must be a bool or null")
+            out[key] = value
+    return out
+
+
 def load_arithmetic(data):
+    """The three-row lookup input: "beta01" and each row's "final", values
+    of one dimension, each row's "infinite" a bool, and "declared"."""
     _require(isinstance(data, dict), "arithmetic must be an object")
     rows_data = data.get("rows")
     _require(
         isinstance(rows_data, list) and len(rows_data) == 2,
         "arithmetic needs exactly two rows (rows 1 and 2)",
     )
+    beta01 = data.get("beta01")
+    dim = None
+    if beta01 is not None:
+        beta01 = load_group_value(beta01)
+        dim = beta01.dim
     rows = []
     for rd in rows_data:
         _require(isinstance(rd, dict), "each arithmetic row must be an object")
-        infinite = bool(rd.get("infinite", False))
+        infinite = rd.get("infinite", False)
+        _require(isinstance(infinite, bool), f"\"infinite\" must be a bool, not {infinite!r}")
         final = rd.get("final")
         _require(infinite or final is not None, "a finite row needs its final value")
-        rows.append(
-            RowArithmetic(infinite, load_group_value(final) if final is not None else None)
-        )
-    beta01 = data.get("beta01")
+        if final is not None:
+            final = load_group_value(final, dim)
+            dim = final.dim
+        rows.append(RowArithmetic(infinite, final))
     declared = data.get("declared")
-    _require(declared is None or isinstance(declared, dict), "\"declared\" must be an object")
+    if declared is not None:
+        declared = _load_declared(declared)
     try:
-        return PseudoSkpArithmetic(
-            beta01=load_group_value(beta01) if beta01 is not None else None,
-            rows=rows,
-            declared=declared,
-        )
+        return PseudoSkpArithmetic(beta01, rows, declared)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -5,13 +5,17 @@ lexicographically (first coordinate most significant).  On top of that this
 module provides the arithmetic a well-ordered generator sequence needs:
 
 * ``analyze_chain(values)`` -- the index n_j of every position over the
-  earlier values (INFINITY outside their Q-span) and its canonical relation,
-  from two integer echelons of the family whatever its length; the chain
+  earlier values (INFINITY outside their Q-span) and its canonical relation
+  n_j*gamma_j = sum m*gamma, a plain ``{position: nonzero int}`` map, from
+  two integer echelons of the family whatever its length; the chain
   keeps the rows, their common denominator and their echelon, and is the
   one integer value encoding (``Chain.row`` and ``Chain.value``),
 * ``subgroup_index(g, previous)`` and ``canonical_representation(n, g,
   previous)`` -- the unique n*g = sum m_j gamma_j with 0 <= m_j < n_j at
-  positions of finite index -- read from such a chain,
+  positions of finite index, as such a map -- read from such a chain,
+* ``fold_relations(p, entries)`` -- the one descending reduction by the
+  relations, which makes a representation canonical and with which the
+  graded normal form of ``valuation`` reduces its monomials,
 * ``semigroup_witness(g, chain)`` -- exact membership in the semigroup the
   chain generates, solved against its stored echelon by back-substitution,
 * ``rational_rank``, read from the same analysis, and ``isolated_level``
@@ -86,9 +90,6 @@ class GroupValue:
         return self.scale(k)
 
     __rmul__ = __mul__
-
-    def is_zero(self):
-        return all(a == 0 for a in self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, GroupValue):
@@ -167,42 +168,9 @@ def subgroup_index(gamma, previous):
     return analyze_chain([*previous, gamma])[-1].n
 
 
-class Representation:
-    """Coefficients m_j of a representation n*gamma = sum m_j gamma_j.
-
-    Stored sparsely as position -> nonzero integer.  ``is_positive`` records
-    whether every coefficient is a natural number.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = {j: int(m) for j, m in dict(coeffs).items() if m != 0}
-
-    @property
-    def is_positive(self):
-        return all(m > 0 for m in self.coeffs.values())
-
-    def evaluate(self, previous):
-        """Reconstruct sum m_j * previous[j] as a GroupValue."""
-        if not previous:
-            raise ValueError("cannot evaluate over an empty family")
-        dim = as_group_value(previous[0]).dim
-        total = GroupValue((0,) * dim)
-        for j, m in self.coeffs.items():
-            total = total + as_group_value(previous[j]).scale(m)
-        return total
-
-    def __eq__(self, other):
-        return isinstance(other, Representation) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        inner = ", ".join(f"{j}: {m}" for j, m in sorted(self.coeffs.items()))
-        return "Representation({" + inner + "})"
-
-
 def canonical_representation(n, gamma, previous):
-    """The unique representation of n*gamma over ``previous``.
+    """The unique representation of n*gamma over ``previous``, as the map
+    {position: nonzero coefficient}.
 
     Coefficients satisfy 0 <= m_j < n_j at positions of finite index and are
     free integers at positions of infinite index.
@@ -216,30 +184,43 @@ def canonical_representation(n, gamma, previous):
     return rep
 
 
-def _canonical(raw, target, rows, entries):
-    """The canonical form of a raw relation target = sum raw_k rows_k on
-    integer rows, checked on those rows; ``entries`` are the chain entries
-    of the rows' positions.
-
-    Descending Euclidean reduction: fold the excess at the greatest position
-    with finite n into strictly earlier positions via its stored relation.
+def fold_relations(p, entries):
+    """Descending Euclidean reduction of the coefficient list ``p``, in
+    place: from the greatest position down, the excess of p[j] over
+    [0, n_j) at a position of finite index is folded into strictly earlier
+    positions by the position's relation n_j*gamma_j = sum m*gamma (a
+    ``{position: m}`` map); ``entries`` has the ``n`` and ``relation`` of
+    every position of ``p``.  Returns the quotient taken at each position,
+    0 where none was.
     """
-    p = list(raw)
+    quotients = [0] * len(p)
     for j in range(len(p) - 1, -1, -1):
         nj = entries[j].n
         if not is_finite_index(nj) or 0 <= p[j] < nj:
             continue
-        q, p[j] = divmod(p[j], nj)
-        for j2, m in entries[j].relation.coeffs.items():
-            p[j2] += q * m
+        quotients[j], p[j] = divmod(p[j], nj)
+        for j2, m in entries[j].relation.items():
+            p[j2] += quotients[j] * m
+    return quotients
+
+
+def _canonical(raw, target, rows, entries):
+    """The canonical form {position: nonzero coefficient} of a raw relation
+    target = sum raw_k rows_k on integer rows, by ``fold_relations`` over
+    ``entries``, the chain entries of the rows' positions; checked on those
+    rows."""
+    p = list(raw)
+    fold_relations(p, entries)
     total = [sum(m * row[k] for m, row in zip(p, rows)) for k in range(len(target))]
     if total != list(target):
         raise AssertionError(f"representation {p} does not evaluate to {target}")
-    return Representation(dict(enumerate(p)))
+    return {j: m for j, m in enumerate(p) if m}
 
 
 class ChainEntry:
-    """Per-position data of an analyzed generator sequence."""
+    """Per-position data of an analyzed generator sequence; ``relation`` is
+    the canonical relation {earlier position: nonzero int}, empty at a
+    position of infinite index."""
 
     __slots__ = ("value", "n", "relation")
 
@@ -298,7 +279,7 @@ def analyze_chain(values):
     ending = {last - _pivot(x): x[::-1] for x in intlattice.row_echelon(kernel)[0]}
     chain.basis = [(_pivot(h), h, u) for h, u in zip(H, U) if any(h)]
     for j, (v, row) in enumerate(zip(values, rows)):
-        n, rel = INFINITY, Representation({})
+        n, rel = INFINITY, {}
         if j in ending:
             n = ending[j][j]
             raw = [-a for a in ending[j][:j]]
@@ -333,7 +314,7 @@ def semigroup_witness(gamma, chain):
     rep = _represent(as_group_value(gamma), chain)
     if rep is None:
         return None
-    witness = tuple(rep.coeffs.get(j, 0) for j in range(len(chain)))
+    witness = tuple(rep.get(j, 0) for j in range(len(chain)))
     return None if any(m < 0 for m in witness) else witness
 
 

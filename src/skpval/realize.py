@@ -95,7 +95,7 @@ class GeneratorAnalysis:
         gens = spec.generators
         self.chain = spec.chain
         self.ns = [e.n for e in self.chain]
-        self.positive = [e.relation.is_positive for e in self.chain]
+        self.positive = [all(m > 0 for m in e.relation.values()) for e in self.chain]
         self.increasing = []
         for j in range(len(gens) - 1):
             n = self.ns[j]
@@ -214,9 +214,8 @@ def reindex(spec, mode):
 
 
 class RealizationResult:
-    def __init__(self, valuation, table, blocks, analysis, report):
+    def __init__(self, valuation, blocks, analysis, report):
         self.valuation = valuation
-        self.table = table
         self.blocks = blocks
         self.analysis = analysis
         self.report = report
@@ -252,7 +251,7 @@ def realize(spec, mode=CORRECTED, thetas=None):
         "abhyankar_equality": r_rk == num_vars,
         "zero_dimensional_backed": r_rk == num_vars,
     }
-    return RealizationResult(valuation, res.table, res.blocks, res.analysis, report)
+    return RealizationResult(valuation, res.blocks, res.analysis, report)
 
 
 class VerificationVerdict:
@@ -379,7 +378,7 @@ def verify_realization(
     skp = valuation.skp
     chain = spec.chain
     for pos, entry in enumerate(chain, start=1):
-        if not entry.relation.is_positive:
+        if any(m < 0 for m in entry.relation.values()):
             raise HypothesisViolatedError(
                 f"generator {pos} has a negative relation {entry.relation}"
             )

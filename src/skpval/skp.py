@@ -222,7 +222,8 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
     """Build the key polynomials of a validated value table.
 
     ``thetas`` maps an entry index (i, j) to the nonzero scale used when
-    constructing the next entry of the row (default 1 everywhere).
+    constructing the next entry of the row (default 1 everywhere); the
+    predecessor of a tail's entry takes the tail's theta instead.
     ``cutoff`` is a nonnegative total degree above which terms are dropped;
     None means no cutoff, except that a table with limit labels or tails
     gets DEFAULT_LIMIT_CUTOFF.  ``limit_tails`` is a list of LimitTail
@@ -258,6 +259,7 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
                 poly, prev.rewrite_terms, unrolled = unroll_limit(
                     entries, tails[index], cutoff, field
                 )
+                prev.theta = field.of(tails[index].theta)
             else:
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
                 poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)

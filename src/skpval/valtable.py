@@ -67,23 +67,19 @@ class ValueTable:
         return f"ValueTable[{rows}]"
 
 
-def compute_relations(raw_rows, dimension=None, limit_labels=None):
+def compute_relations(raw_rows, limit_labels=None):
     """Annotate raw rows of values with n, relation, S, and S^c per entry.
 
     ``raw_rows`` is a list (one item per row i = 0, 1, ...) of sequences of
-    values; scalars are accepted for dimension-1 problems.  Rows may be empty
-    (structural problems are reported by ``validate_table``, not here).
+    values of one dimension; scalars are accepted for dimension-1 problems.
+    Rows may be empty (structural problems are reported by
+    ``validate_table``, not here).
     ``limit_labels`` maps (i, j) to the ordinal block count the entry stands
     for in an unrolled table.
     """
     if not raw_rows or all(len(r) == 0 for r in raw_rows):
         raise ValueError("table needs at least one value")
     chain = ordgroup.analyze_chain([v for row in raw_rows for v in row])
-    dim = chain[0].value.dim
-    if dimension is not None and dimension != dim:
-        raise ordgroup.DimensionMismatchError(
-            f"declared dimension {dimension} but values have dimension {dim}"
-        )
     return table_from_chain(chain, [len(row) for row in raw_rows], limit_labels)
 
 
@@ -91,8 +87,8 @@ def table_from_chain(chain, row_lengths, limit_labels=None):
     """The table whose entries, read row by row, are the analyzed chain.
 
     Row i takes the next ``row_lengths[i]`` chain entries, so the table's
-    lex order on (i, j) is the chain order and every relation position maps
-    to the index of that entry.
+    lex order on (i, j) is the chain order and every position of a chain
+    relation maps to the index of that entry.
     """
     index_order = [(i, j) for i, ln in enumerate(row_lengths) for j in range(1, ln + 1)]
     limit_labels = {tuple(k): v for k, v in (limit_labels or {}).items()}
@@ -100,7 +96,7 @@ def table_from_chain(chain, row_lengths, limit_labels=None):
     entries = {}
     for index, ce in zip(index_order, chain):
         rows[index[0]].append(ce.value)
-        relation = {index_order[p]: m for p, m in ce.relation.coeffs.items()}
+        relation = {index_order[p]: m for p, m in ce.relation.items()}
         entries[index] = TableEntry(
             index, ce.value, ce.n, relation, limit_labels.get(index)
         )

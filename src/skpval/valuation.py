@@ -17,10 +17,13 @@ U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
 polynomial only while its key prefix weighs less than the best sum so far,
 and a prefix that fails ends that position's powers.  Initial forms, the
 top-row delta invariant and graded normal forms all build on the least
-value part.
+value part; a graded normal form reduces each initial-form monomial by the
+table's relations through ``ordgroup.fold_relations``, the reduction that
+makes a representation canonical.
 """
 
 from fractions import Fraction
+from math import prod
 from operator import add
 
 from .errors import ZeroPolyError
@@ -32,7 +35,7 @@ from .expansion import (
     value_rules,
     vp,
 )
-from .ordgroup import is_finite_index
+from .ordgroup import fold_relations, is_finite_index
 from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, weigh
 
 
@@ -47,10 +50,6 @@ class SkpValuation:
         self.rule_set = value_rules(skp, self.alpha)
         if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
-
-    @property
-    def dimension(self):
-        return self.skp.dimension
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"
@@ -92,7 +91,7 @@ def initial_form(f, valuation):
     vps = [vp(m.exps, skp, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")
-    return AdicExpansion(skp, valuation.alpha, kept)
+    return AdicExpansion(skp, kept)
 
 
 def value_via_euclidean(f, valuation):
@@ -179,11 +178,12 @@ def graded_normal_form(f, valuation):
 
     Rows whose final entry has infinite index keep a free row-final exponent
     instead of contributing a torus variable.  Each monomial of the initial
-    form is reduced in one pass over the table positions, descending: an
-    exponent e >= n at a position of finite index n keeps e mod n and passes
-    (e div n) times the position's relation on.  A relation reaches only
-    earlier positions, so one pass leaves every exponent below its finite
-    index; a reduction at a row's cutoff position counts toward T_i.
+    form is reduced by ``ordgroup.fold_relations`` over the table positions
+    and the table's analyzed chain: an exponent e >= n at a position of
+    finite index n keeps e mod n and passes (e div n) times the position's
+    relation on to earlier positions.  A quotient q taken at a position
+    multiplies the coefficient by the position's theta^q and, at a row's
+    cutoff position, counts q toward T_i.
     """
     skp = valuation.skp
     alpha = valuation.alpha
@@ -196,37 +196,24 @@ def graded_normal_form(f, valuation):
         for i in range(skp.nvars)
         if alpha[i] >= 1 and is_finite_index(skp.entries[(i, alpha[i])].n)
     )
+    torus_positions = [skp.order.index((i, alpha[i])) for i in A]
+    thetas = [skp.entries[index].theta for index in skp.order]
 
     common_J = None
     torus = {}
     reduce = skp.field.reduce
     for mono in inf_form:
-        exps = dict(mono.exps)
-        coeff = mono.coeff
-        tdeg = {i: 0 for i in A}
-        for index in reversed(skp.order):
-            entry = skp.entries[index]
-            e = exps.get(index, 0)
-            if e < entry.n:  # always so at a position of infinite index
-                continue
-            q, r = divmod(e, entry.n)
-            if r:
-                exps[index] = r
-            else:
-                del exps[index]
-            coeff = coeff * entry.theta ** q
-            i, j = index
-            if j == alpha[i]:
-                tdeg[i] += q
-            for idx2, m in entry.relation.items():
-                exps[idx2] = exps.get(idx2, 0) + q * m
+        p = [mono.exps.get(index, 0) for index in skp.order]
+        quotients = fold_relations(p, skp.chain)
+        coeff = mono.coeff * prod(t ** q for t, q in zip(thetas, quotients))
+        exps = {index: e for index, e in zip(skp.order, p) if e}
         if weigh(exps.items(), weights, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:
             common_J = exps
         elif common_J != exps:
             raise AssertionError("normal-form base exponent differs")
-        key = tuple(tdeg[i] for i in A)
+        key = tuple(quotients[k] for k in torus_positions)
         cur = reduce(torus.get(key, 0) + coeff)
         if not cur:
             torus.pop(key, None)

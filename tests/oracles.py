@@ -39,7 +39,6 @@ from skpval.ordgroup import (
     INFINITY,
     ChainEntry,
     GroupValue,
-    Representation,
     as_group_value,
     is_finite_index,
 )
@@ -266,7 +265,7 @@ def rescan_adic_expand(f, skp, alpha=None):
                 branch[idx] = branch.get(idx, 0) + e
             add(work, tuple(sorted(branch.items())), coeff * theta)
     monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
-    return AdicExpansion(skp, alpha, monomials), rewrites
+    return AdicExpansion(skp, monomials), rewrites
 
 
 def rescan_initial_form(f, valuation):
@@ -285,7 +284,7 @@ def rescan_initial_form(f, valuation):
         values.append(total)
     low = min(values)
     kept = [m for m, v in zip(expansion, values) if v == low]
-    return AdicExpansion(skp, valuation.alpha, kept)
+    return AdicExpansion(skp, kept)
 
 
 def _integer_value(exps, betas, start):
@@ -393,7 +392,7 @@ def group_euclid_value(f, valuation, top):
     (``part + beta.scale(e)``) and compared as one."""
     skp = valuation.skp
     if top < 0 or f.is_constant():
-        return GroupValue((0,) * valuation.dimension)
+        return GroupValue((0,) * valuation.skp.dimension)
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
         if f.deg_in(top) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
@@ -509,7 +508,7 @@ def subgroup_index(gamma, previous):
     """
     gamma = as_group_value(gamma)
     previous = [as_group_value(v, gamma.dim) for v in previous]
-    if gamma.is_zero():
+    if not any(gamma.coords):
         return 1
     if not previous:
         return INFINITY
@@ -521,6 +520,16 @@ def subgroup_index(gamma, previous):
     if n0 == 0:
         return INFINITY
     return n0
+
+
+def evaluate(rep, previous):
+    """sum m_j * previous[j] over a representation {j: m_j}, as a GroupValue."""
+    if not previous:
+        raise ValueError("cannot evaluate over an empty family")
+    total = GroupValue((0,) * as_group_value(previous[0]).dim)
+    for j, m in rep.items():
+        total = total + as_group_value(previous[j]).scale(m)
+    return total
 
 
 def canonical_representation(n, gamma, previous, ns=None, relations=None):
@@ -541,8 +550,8 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
         relations = [e.relation for e in chain]
 
     target = gamma.scale(n)
-    if target.is_zero():
-        return Representation({})
+    if not any(target.coords):
+        return {}
     rows, denom = _integer_rows(previous + [target])
     sol = solve_combination(rows[:-1], rows[-1])
     if sol is None:
@@ -559,10 +568,10 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
             continue
         q, r = divmod(p[j], nj)
         p[j] = r
-        for j2, m in relations[j].coeffs.items():
+        for j2, m in relations[j].items():
             p[j2] += q * m
-    rep = Representation({j: m for j, m in enumerate(p)})
-    if not (rep.evaluate(previous) == target if previous else target.is_zero()):
+    rep = {j: m for j, m in enumerate(p) if m}
+    if not (evaluate(rep, previous) == target if previous else not any(target.coords)):
         raise AssertionError(f"representation {rep} does not evaluate to {target}")
     return rep
 
@@ -583,7 +592,7 @@ def analyze_chain(values):
         if is_finite_index(n):
             rel = canonical_representation(n, v, values[:j], ns=ns, relations=relations)
         else:
-            rel = Representation({})
+            rel = {}
         entries.append(ChainEntry(v, n, rel))
         ns.append(n)
         relations.append(rel)

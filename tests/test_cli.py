@@ -545,6 +545,45 @@ def write_problem(tmp_path, data):
     return path
 
 
+# U_{1,2} = U_{1,1}^2 - sum_k 5 * U_{0,1}^{3+k}: the rewrite of U_{1,1}^2 is by 5
+TAIL_THETA_5 = {
+    "kind": "skp",
+    "values": {"rows": [["2"], ["3", "10", "21"]], "limit_labels": {"1,2": 1}},
+    "limit_tails": [{"row": 1, "at": 2, "exponents": {"0,1": [3, 1]}, "theta": "5"}],
+    "cutoff": 40,
+}
+
+
+class TestTailTheta:
+    """The predecessor of a tail's entry rewrites by the tail's theta, so the
+    graded normal form reduces by that theta, as the initial form does."""
+
+    @pytest.mark.parametrize("field", ["Q", {"prime": 7}], ids=["Q", "GF7"])
+    def test_normal_form_reduces_by_the_tail_theta(self, tmp_path, capsys, field):
+        from skpval import jsonio
+
+        data = dict(TAIL_THETA_5, field=field)
+        path = write_problem(tmp_path, data)
+        code, report = run(capsys, "initial", "--skp", path, "--poly", "X1^2")
+        assert code == 0
+        assert report["result"]["initial_form"] == [{"coeff": "5", "exponents": {"0,1": 3}}]
+        # U11*U13: U13 gives T_1 and leaves U11^2 = 5 * U01^3 + (higher)
+        poly = jsonio.build_from_problem(data).monomial_poly({(1, 1): 1, (1, 3): 1})
+        code, report = run(capsys, "normal-form", "--skp", path, "--poly", str(poly))
+        assert code == 0
+        assert report["result"]["normal_form"] == {
+            "J": {"0,1": 12}, "torus_rows": [1], "p": {"1": "5"}, "value": ["24"]
+        }
+
+    def test_theta_at_the_predecessor_is_malformed_input(self, tmp_path, capsys):
+        path = write_problem(tmp_path, dict(TAIL_THETA_5, thetas={"1,1": "2"}))
+        assert_schema_error(capsys, "build", path)
+        # a theta elsewhere in the row is still taken
+        path = write_problem(tmp_path, dict(TAIL_THETA_5, thetas={"1,2": "2"}))
+        code, _ = run(capsys, "build", path)
+        assert code == 0
+
+
 # the relation of entry (2,1) uses (1,2), so (1,1,2) is not an acceptable vector
 RELATION_ACROSS_ROWS = {
     "kind": "skp", "values": {"rows": [["1"], ["1/2", "4/3"], ["11/6", "2"]]}
@@ -623,12 +662,55 @@ class TestInputFaults:
             lambda a: a.update(declared=5),
             lambda a: a.update(declared=["in_q1"]),
             lambda a: a["rows"][0].pop("final"),
+            lambda a: a["rows"][0].update(infinite="false"),
+            lambda a: a["rows"][1].update(infinite=0),
+            lambda a: a.update(declared={"in_q1": "no"}),
+            lambda a: a.update(declared={"span2_in_01": 1}),
+            lambda a: a.update(declared={"level0": True}),
+            lambda a: a.update(declared={"in_qq2": True}),
+            lambda a: a.update(declared={"level1": "3"}),
+            lambda a: a.update(declared={"level2": -1}),
+            lambda a: a.update(declared={"level0": [1]}),
+            lambda a: a.update(beta01=["0", "1"]),
+            lambda a: a["rows"][1].update(final=["1"]),
         ],
-        ids=["declared-number", "declared-array", "finite-row-without-final"],
+        ids=[
+            "declared-number",
+            "declared-array",
+            "finite-row-without-final",
+            "infinite-string",
+            "infinite-number",
+            "membership-string",
+            "membership-number",
+            "level-bool",
+            "unknown-predicate",
+            "level-string",
+            "level-negative",
+            "level-array",
+            "beta01-dimension",
+            "final-dimension",
+        ],
     )
     def test_arithmetic(self, tmp_path, capsys, edit):
         path = problem_with(tmp_path, "classify_vii.json", lambda d: edit(d["arithmetic"]))
         assert_schema_error(capsys, "classify", path)
+
+    def test_arithmetic_level_zero_is_a_domain_failure(self, tmp_path, capsys):
+        def edit(d):
+            d["arithmetic"]["declared"] = {"level0": 0}
+
+        code, report = run(capsys, "classify", problem_with(tmp_path, "classify_vii.json", edit))
+        assert code == 1
+        assert [d["kind"] for d in report["diagnostics"]] == ["HypothesisViolated"]
+
+    def test_well_typed_declared_predicates(self, tmp_path, capsys):
+        def edit(d):
+            d["arithmetic"]["rows"][0]["infinite"] = True
+            d["arithmetic"]["declared"] = {"level1": None, "level2": 2.0, "in_q2": False}
+
+        code, report = run(capsys, "classify", problem_with(tmp_path, "classify_vii.json", edit))
+        assert code == 0
+        assert report["result"]["classification"]["table1_row"] == "VIII_1"
 
     @pytest.mark.parametrize(
         "argv",

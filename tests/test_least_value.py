@@ -114,9 +114,9 @@ def _results(f, skp, alpha):
     return [_outcome(compute) for compute in computations]
 
 
-def _part_json(part, skp, alpha):
+def _part_json(part, skp):
     low, monomials = part
-    return low, AdicExpansion(skp, alpha, monomials).to_json()
+    return low, AdicExpansion(skp, monomials).to_json()
 
 
 def _polynomials(rng, skp, alpha):
@@ -142,9 +142,9 @@ class TestAgainstFullExpansion:
                 if f.is_zero():  # a key polynomial the cutoff truncated to 0
                     continue
                 got = _outcome(
-                    lambda: _part_json(least_value_part(f, SkpValuation(skp, alpha)), skp, alpha)
+                    lambda: _part_json(least_value_part(f, SkpValuation(skp, alpha)), skp)
                 )
-                want = _outcome(lambda: _part_json(full_least_part(f, skp, alpha), skp, alpha))
+                want = _outcome(lambda: _part_json(full_least_part(f, skp, alpha), skp))
                 assert got == want, (alpha, str(f))
                 results = _results(f, skp, alpha)
                 with _full_route():
@@ -206,9 +206,8 @@ class TestEarlyStop:
         f = parse_poly(text, 2)
         valuation = SkpValuation(diffskp)
         part = least_value_part(f, valuation, max_rewrites=least)
-        assert _part_json(part, diffskp, None) == _part_json(
-            full_least_part(f, diffskp), diffskp, None
-        )
+        want = full_least_part(f, diffskp)
+        assert _part_json(part, diffskp) == _part_json(want, diffskp)
         adic_expand(f, diffskp, max_rewrites=full)
         for cap, expand, table in ((least, least_value_part, valuation), (full, adic_expand, diffskp)):
             if cap:

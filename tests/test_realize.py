@@ -43,8 +43,8 @@ class TestAnalyze:
         assert a.all_positive and a.all_increasing and a.all_minimal
         assert a.rational_rank == 1
         # 12 = 3*4 and 26 = 5*4 + 6 behind the positivity flags
-        assert a.chain[1].relation.coeffs == {0: 3}
-        assert a.chain[2].relation.coeffs == {0: 5, 1: 1}
+        assert a.chain[1].relation == {0: 3}
+        assert a.chain[2].relation == {0: 5, 1: 1}
 
     def test_free_pair(self):
         a = GeneratorAnalysis(spec((1, 0), (0, 1)))
