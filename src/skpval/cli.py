@@ -220,7 +220,8 @@ def make_parser():
         p = sub.add_parser(name, help=f"{name} a semigroup from its generators")
         p.add_argument("file")
         p.add_argument("--mode", choices=("literal", "corrected"))
-        p.add_argument("--verify", action="store_true")
+        if name == "realize":
+            p.add_argument("--verify", action="store_true")
         p.add_argument("--coeff-bound", type=int, dest="coeff_bound")
         p.add_argument("--degree-bound", type=int, dest="degree_bound")
         p.add_argument("--samples", type=int)

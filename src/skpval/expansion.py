@@ -40,7 +40,14 @@ import heapq
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
-from .skp import check_key_polynomials, normalize_alpha, rewrite_rules, u_order, weigh
+from .skp import (
+    check_key_polynomials,
+    key_product,
+    normalize_alpha,
+    rewrite_rules,
+    u_order,
+    weigh,
+)
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -100,11 +107,14 @@ class AdicExpansion:
         return len(self.monomials)
 
     def evaluate(self):
-        """Multiply the expansion back out (cutoff applied)."""
-        out = MultiPoly.zero(self.skp.nvars, self.skp.field)
+        """Multiply the expansion back out through one ``key_product`` store."""
+        skp = self.skp
+        out = MultiPoly.zero(skp.nvars, skp.field)
+        products = {(): MultiPoly.one(skp.nvars, skp.field)}
         for m in self.monomials:
-            out = out + self.skp.monomial_poly(m.exps).scale(m.coeff)
-        return out.truncate(self.skp.cutoff)
+            term = key_product(skp.entries, products, m.key(), skp.cutoff)
+            out = out + term.scale(m.coeff)
+        return out
 
     def to_json(self):
         field = self.skp.field

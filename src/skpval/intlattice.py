@@ -4,10 +4,9 @@ Row-style echelon reduction over the integers with a unimodular transform,
 which the group arithmetic reads its basis, index and relations from.
 Matrices are lists of lists of Python ints.  The reduction is plain
 Euclidean, with no control of coefficient growth, so the transform's
-entries grow with the number of rows: the basis transform rows that
-``ordgroup.analyze_chain`` keeps for the doubling chain
-gamma_{k+1} = 2 gamma_k + 2^-k reach 38, 257 and 1056 digits at 12, 30 and
-60 generators (ROADMAP item 12).
+entries grow with the number of rows: for the doubling chain
+gamma_{k+1} = 2 gamma_k + 2^-k they reach 1056 digits at 60 generators
+(ROADMAP item 12), 19 once ``ordgroup.analyze_chain`` folds them.
 """
 
 

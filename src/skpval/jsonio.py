@@ -100,6 +100,9 @@ def load_table(data):
     dim = data.get("dimension")
     if dim is None:  # the first value's, so a value of another dimension is refused
         dim = load_group_value(next(v for row in rows for v in row)).dim
+    else:
+        dim = load_int(dim, "dimension")
+        _require(dim > 0, f"bad dimension {dim} (want a positive integer)")
     raw_rows = [[load_group_value(v, dim) for v in row] for row in rows]
     labels = _optional(data, "limit_labels", dict, "an object")
     labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}

@@ -266,6 +266,8 @@ def analyze_chain(values):
     echelons those by last position, so the relations ending at or before j
     are spanned by its rows that do: the row ending at j holds n_j > 0 at j
     and minus a raw relation before it, and none ends at j iff n_j = INFINITY.
+    The basis keeps each transform row folded by ``fold_relations``, which
+    keeps its sum and leaves its entries small.
     """
     values = [as_group_value(v) for v in values]
     for v in values[1:]:
@@ -285,6 +287,8 @@ def analyze_chain(values):
             raw = [-a for a in ending[j][:j]]
             rel = _canonical(raw, [n * a for a in row], rows[:j], chain)
         chain.append(ChainEntry(v, n, rel))
+    for _, _, u in chain.basis:
+        fold_relations(u, chain)
     return chain
 
 

@@ -17,6 +17,7 @@ generators are block-final, and maps blocks to rows 0..B-1; the first
 generator (always independent) then sits alone in row 0.
 """
 
+import collections
 import functools
 import random
 
@@ -26,7 +27,7 @@ from .fields import QQ
 from .expansion import least_value
 from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
-from .skp import build_skp, times_key
+from .skp import build_skp, key_product
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
 from .valuation import SkpValuation
 
@@ -167,12 +168,9 @@ class BlockAssignment:
         }
 
 
-class ReindexResult:
-    def __init__(self, blocks, table, validation, analysis):
-        self.blocks = blocks
-        self.table = table
-        self.validation = validation
-        self.analysis = analysis
+ReindexResult = collections.namedtuple(
+    "ReindexResult", "blocks table validation analysis"
+)
 
 
 def reindex(spec, mode):
@@ -213,12 +211,9 @@ def reindex(spec, mode):
     return ReindexResult(assignment, table, validation, analysis)
 
 
-class RealizationResult:
-    def __init__(self, valuation, blocks, analysis, report):
-        self.valuation = valuation
-        self.blocks = blocks
-        self.analysis = analysis
-        self.report = report
+RealizationResult = collections.namedtuple(
+    "RealizationResult", "valuation blocks analysis report"
+)
 
 
 def realize(spec, mode=CORRECTED, thetas=None):
@@ -319,23 +314,6 @@ def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
             return f
 
 
-def _witness_product(products, witness, keys, cutoff):
-    """The product of ``keys[p] ** witness[p]``, truncated at the cutoff, from
-    ``products`` (witness -> product, holding the zero witness).  Each product
-    not yet there is one ``times_key`` step from the witness with its last
-    nonzero coefficient lowered by one; the missing ones are built upward by
-    a loop, and stored."""
-    steps = []
-    while witness not in products:
-        p = max(i for i, a in enumerate(witness) if a)
-        steps.append((witness, p))
-        witness = witness[:p] + (witness[p] - 1,) + witness[p + 1:]
-    out = products[witness]
-    for witness, p in reversed(steps):
-        out = products[witness] = times_key(out, keys[p], 1, cutoff)
-    return out
-
-
 def verify_realization(
     valuation,
     spec,
@@ -350,16 +328,14 @@ def verify_realization(
     Attainment: every semigroup element within the coefficient window is the
     value of an explicit product of key polynomials, expanded to raw
     monomial form and re-valued through the adic expansion.  Each product
-    is its witness's smaller product times one key polynomial, truncated
-    at the table's cutoff (``skp.times_key``, the step of ``key_product``;
-    truncating by total degree commutes with multiplication), so it equals
-    ``skp.monomial_poly`` of the witness.  Containment:
-    the value of every random polynomial is in the semigroup, decided
-    exactly by ``semigroup_witness`` over nonnegative generator relations.
-    Values are compared as integer rows of the table's ``chain``
-    (``expansion.least_value``), the ball's mapped from the spec's chain by
-    ``chain.value`` and ``chain.row``; a ball element off the table's grid
-    is no value of the table and fails.
+    comes from ``skp.key_product`` through one store for the whole call, its
+    key read from the witness: a smaller stored product times one key
+    polynomial, truncated at the table's cutoff.  Containment: the value of
+    every random polynomial is in the semigroup, decided exactly by
+    ``semigroup_witness`` over nonnegative generator relations.  Values are
+    compared as integer rows of the table's ``chain`` (``least_value``), the
+    ball's mapped from the spec's chain by ``chain.value`` and ``chain.row``;
+    a ball element off the table's grid is no value of the table and fails.
 
     The bounds default to the spec's; an override must be a nonnegative int
     (else ValueError).  Raises HypothesisViolatedError at the first negative
@@ -385,8 +361,9 @@ def verify_realization(
 
     attainment = []
     witnesses = {}  # membership witnesses by table row, seeded with the ball's
-    keys = [skp.entries[assignment.table_index(p)].poly for p in range(len(chain))]
-    products = {(0,) * len(chain): MultiPoly.one(skp.nvars, skp.field)}
+    # positions ascending are table indices ascending: a witness's key is sorted
+    indices = [assignment.table_index(p) for p in range(len(chain))]
+    products = {(): MultiPoly.one(skp.nvars, skp.field)}
     for row, witness in enumerate_semigroup(chain, coeff_bound):
         gamma = chain.value(row)
         vector = skp.chain.row(gamma)
@@ -395,7 +372,8 @@ def verify_realization(
                 f"{gamma} is off the table's value grid (denominator {skp.chain.denom})",
                 offending=gamma,
             )
-        witness_poly = _witness_product(products, witness, keys, skp.cutoff)
+        key = tuple([(indices[p], a) for p, a in enumerate(witness) if a])
+        witness_poly = key_product(skp.entries, products, key, skp.cutoff)
         got = None if witness_poly.is_zero() else least_value(witness_poly, valuation)
         if got != vector:
             shown = None if got is None else skp.chain.value(got)

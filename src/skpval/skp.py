@@ -21,6 +21,7 @@ from .errors import (
     InvalidTableError,
     NoCutoffError,
     NonStabilizingError,
+    SchemaError,
     ThetaZeroError,
     ZeroPolyError,
 )
@@ -82,41 +83,36 @@ class LimitTail:
         self.theta = theta
         self.depth = depth
 
-    def exponent_map(self, k):
-        return {
-            idx: a + b * k
-            for idx, (a, b) in self.exponents.items()
-            if a + b * k != 0
-        }
 
-
-def times_key(out, poly, e, cutoff):
-    """``out * poly^e`` truncated at the cutoff: the step every product of
-    key polynomials is multiplied out by."""
-    return (out * (poly if e == 1 else poly ** e)).truncate(cutoff)
-
-
-def key_product(entries, exps, nvars, field, cutoff):
-    """prod U_{idx}^{e} over ``entries``, truncated after each factor.
-
-    Truncating by total degree commutes with multiplication, so this equals
-    truncating the full product once.
-    """
-    out = MultiPoly.one(nvars, field)
-    for idx, e in sorted(exps.items()):
-        if e:
-            out = times_key(out, entries[idx].poly, e, cutoff)
+def key_product(entries, products, key, cutoff):
+    """prod U^e over the sorted ``((i, j), e)`` items of ``key``, truncated at
+    the cutoff, from the caller's store ``products`` (key -> product, holding
+    ``()`` mapped to 1): the one routine that multiplies out key polynomials.
+    A missing product is the key with its greatest factor's exponent lowered
+    by one, times that factor's polynomial, truncated (truncation commutes
+    with multiplication); missing ones are built upward by a loop and stored.
+    An exponent below 1 raises ValueError."""
+    steps = []
+    while key not in products:
+        idx, e = key[-1]
+        if e < 1:
+            raise ValueError(f"exponent {e} of U_{{{idx[0]},{idx[1]}}} is below 1")
+        steps.append((key, idx))
+        key = key[:-1] + ((idx, e - 1),) if e > 1 else key[:-1]
+    out = products[key]
+    for key, idx in reversed(steps):
+        out = products[key] = (out * entries[idx].poly).truncate(cutoff)
     return out
 
 
 def successor(entries, start, n, summands, cutoff):
-    """U_start^n - sum theta * prod U^m over the (theta, m) summands, each
-    step truncated: the one formula every successor key polynomial is built
-    by."""
-    poly = start.poly
-    out = (poly ** n).truncate(cutoff)
+    """U_start^n - sum theta * prod U^m over the (theta, m) summands, all from
+    one ``key_product`` store, each step truncated: the one formula every
+    successor key polynomial is built by."""
+    products = {(): MultiPoly.one(start.poly.nvars, start.poly.field)}
+    out = key_product(entries, products, ((start.index, n),), cutoff)
     for theta, m in summands:
-        term = key_product(entries, m, poly.nvars, poly.field, cutoff)
+        term = key_product(entries, products, tuple(sorted(m.items())), cutoff)
         out = (out - theta * term).truncate(cutoff)
     return out
 
@@ -164,8 +160,10 @@ class SkpTable(ValueTable):
         self.cutoff = cutoff
 
     def monomial_poly(self, exps):
-        """Evaluate prod U_{i,j}^{e} as a polynomial (cutoff applied)."""
-        return key_product(self.entries, exps, self.nvars, self.field, self.cutoff)
+        """prod U_{i,j}^{e} by ``key_product`` through a fresh store."""
+        products = {(): MultiPoly.one(self.nvars, self.field)}
+        key = tuple(sorted((idx, e) for idx, e in exps.items() if e))
+        return key_product(self.entries, products, key, self.cutoff)
 
 
 def _as_theta_map(thetas, field):
@@ -186,7 +184,8 @@ def unroll_limit(entries, tail, cutoff, field):
     report (``stabilized``, ``summands_used``, ``cutoff``).  Requires a
     cutoff and a nonzero theta (else ThetaZeroError); raises
     NonStabilizingError when the depth is exhausted with summands still at
-    or below the cutoff.  Depth 0 (or less) returns the start power
+    or below the cutoff, and SchemaError when a summand it would use has a
+    negative exponent.  Depth 0 (or less) returns the start power
     unchanged.
     """
     if cutoff is None:
@@ -200,13 +199,19 @@ def unroll_limit(entries, tail, cutoff, field):
     # depth 0 takes no summand; past it the loop ends only at a summand
     # above the cutoff, so the report says stabilized
     for k in range(tail.depth + 1 if tail.depth > 0 else 0):
-        m = tail.exponent_map(k)
+        m = {idx: a + b * k for idx, (a, b) in tail.exponents.items() if a + b * k}
         if u_order(m.items(), entries) > cutoff:
             break
         if k == tail.depth:
             raise NonStabilizingError(
                 f"summand order still <= {cutoff} after {tail.depth} terms"
             )
+        for (i, j), e in sorted(m.items()):
+            if e < 0:
+                raise SchemaError(
+                    f"limit tail at {tail.row},{tail.at}: summand k={k} has "
+                    f"exponent {e} at {i},{j}"
+                )
         summands.append((theta, m))
     n_start = start.n if is_finite_index(start.n) else 1
     poly = successor(entries, start, n_start, summands, cutoff)
@@ -255,6 +260,7 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
             entry = SkpEntry(ventry, 1, poly, theta)
         else:
             prev = entries[(i, j - 1)]
+            unrolled = None
             if index in tails:
                 poly, prev.rewrite_terms, unrolled = unroll_limit(
                     entries, tails[index], cutoff, field
@@ -264,10 +270,8 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
                 prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
                 poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)
             entry = SkpEntry(ventry, prev.n * prev.d, poly, theta)
-            if index in tails:
-                entry.unroll_report = unrolled
-            elif ventry.limit_label is not None:
-                entry.truncated_limit = True
+            entry.unroll_report = unrolled
+            entry.truncated_limit = unrolled is None and ventry.limit_label is not None
         entries[index] = entry
         _check_entry_shape(entry, table.nvars, cutoff)
 

@@ -16,10 +16,12 @@ reference that values the rescanned expansion monomial by monomial in
 GroupValues, the least value part has a reference that takes the minimum
 over a complete adic expansion, and the graded normal form has a reference
 that rescans each monomial for its greatest position over its bound before
-every reduction.  Random polynomials have a reference drawn by
-``randint``.  Membership in the semigroup of positive generators has an
-exact reference that never reads a canonical representation: a coin-problem
-table at rank 1 and, above it, every count of the leading-level generators.
+every reduction.  Products of key polynomials have a reference that
+raises each factor to its power by ``**`` and truncates once, at the end.
+Random polynomials have a reference drawn by ``randint``.  Membership in
+the semigroup of positive generators has an exact reference that never
+reads a canonical representation: a coin-problem table at rank 1 and,
+above it, every count of the leading-level generators.
 """
 
 import itertools
@@ -310,6 +312,16 @@ def full_least_part(f, skp, alpha=None):
     values = [_integer_value(m.exps, betas, origin) for m in expansion]
     low = min(values)
     return low, [m for m, v in zip(expansion, values) if v == low]
+
+
+def multiplied_out(entries, key, cutoff):
+    """prod U^e over the ``((i, j), e)`` items of ``key``: each factor raised
+    by ``**``, multiplied in order, and the product truncated once."""
+    some = next(iter(entries.values())).poly
+    out = MultiPoly.one(some.nvars, some.field)
+    for index, e in key:
+        out = out * entries[index].poly ** e
+    return out.truncate(cutoff)
 
 
 def coefficient_of(f, i, k):

@@ -94,6 +94,22 @@ class TestValidate:
         checks = report["result"]["validation"]["checks"]
         assert any(c["check"] == "increasing" and not c["ok"] for c in checks)
 
+    @pytest.mark.parametrize(
+        "dimension", [True, "1", 0, -1, 1.5],
+        ids=["bool", "string", "zero", "negative", "float"],
+    )
+    def test_dimension_is_a_positive_integer(self, tmp_path, capsys, dimension):
+        data = {"rows": [["2"], ["3", "7"]], "dimension": dimension}
+        code, report = run(capsys, "validate", write_problem(tmp_path, data))
+        assert code == 2
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+        assert report["diagnostics"][0]["message"].startswith("bad dimension ")
+
+    def test_integral_dimension(self, tmp_path, capsys):
+        data = {"rows": [["2"], ["3", "7"]], "dimension": 1.0}
+        code, report = run(capsys, "validate", write_problem(tmp_path, data))
+        assert code == 0
+
     def test_missing_file(self, capsys):
         code, report = run(capsys, "validate", DATA / "nope.json")
         assert code == 2
@@ -214,6 +230,24 @@ class TestRealize:
         )
         assert code == 0
         assert report["result"]["realization"]["verification"]["passed"]
+
+    def test_verify_has_no_verify_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["verify", "--verify", str(DATA / "free_pair.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: skpval")
+        assert "unrecognized arguments: --verify" in captured.err
+
+    def test_realize_verify_is_the_verify_command(self, capsys):
+        argv = ["--samples", "20", DATA / "free_pair.json"]
+        code, realized = run(capsys, "realize", "--verify", *argv)
+        assert code == 0
+        _, verified = run(capsys, "verify", *argv)
+        assert realized["result"] == verified["result"]
+        _, plain = run(capsys, "realize", *argv)
+        assert "verification" not in plain["result"]["realization"]
 
     def test_non_minimal_generator_reported(self, tmp_path, capsys):
         path = tmp_path / "one_ten.json"
@@ -537,6 +571,49 @@ class TestZeroTailTheta:
             assert report["diagnostics"] == [
                 {"kind": "ThetaZero", "message": "limit tail theta at 2,2 is zero"}
             ]
+
+
+class TestTailExponents:
+    """A tail summand used with a negative exponent is malformed input,
+    refused naming the tail and the unroll counter k; a tail that stops
+    above the cutoff before an exponent turns negative still builds."""
+
+    def test_negative_exponent_in_a_used_summand(self, tmp_path, capsys):
+        def edit(data):
+            data["limit_tails"][0]["exponents"] = {"0,1": [-1, 0], "1,1": [2, 1]}
+
+        path = problem_with(tmp_path, "example1_tail.json", edit)
+        for argv in (["build", path], ["eval", "--skp", path, "--poly", "X2"]):
+            code, report = run(capsys, *argv)
+            assert code == 2, argv
+            assert report["diagnostics"] == [
+                {
+                    "kind": "schema",
+                    "message": "limit tail at 2,2: summand k=0 has exponent -1 at 0,1",
+                }
+            ]
+
+    def test_negative_exponent_at_a_later_summand(self, tmp_path, capsys):
+        def edit(data):
+            data["cutoff"] = 8
+            data["limit_tails"][0]["exponents"] = {"0,1": [3, -1], "1,1": [0, 2]}
+
+        path = problem_with(tmp_path, "example1_tail.json", edit)
+        code, report = run(capsys, "build", path)
+        assert code == 2
+        assert report["diagnostics"][0]["message"] == (
+            "limit tail at 2,2: summand k=4 has exponent -1 at 0,1"
+        )
+
+    def test_stops_before_the_exponent_turns_negative(self, tmp_path, capsys):
+        def edit(data):
+            data["limit_tails"][0]["exponents"] = {"0,1": [3, -1], "1,1": [0, 2]}
+
+        path = problem_with(tmp_path, "example1_tail.json", edit)
+        code, report = run(capsys, "build", path)
+        assert code == 0
+        unroll = report["result"]["skp"]["entries"]["2,2"]["unroll"]
+        assert unroll == {"cutoff": 5, "stabilized": True, "summands_used": 3}
 
 
 def write_problem(tmp_path, data):

@@ -324,6 +324,24 @@ class TestEchelonCount:
         assert calls[0] <= 2
         assert [e.n for e in chain] == [inf] + [2] * 11
 
+    def test_doubling_chain_transform_stays_small(self):
+        # sixty generators: unfolded, the kept transform rows reach 1056 digits
+        gens = [gv(1)]
+        for k in range(1, 60):
+            gens.append(gens[-1].scale(2) + gv(Fraction(1, 2 ** k)))
+        chain = analyze_chain(gens)
+        for _, h, u in chain.basis:
+            assert max(len(str(abs(a))) for a in u) < 40
+            total = [sum(a * row[c] for a, row in zip(u, chain.rows)) for c in range(len(h))]
+            assert total == list(h)
+        rng = random.Random(11)
+        for _ in range(20):
+            coeffs = {j: rng.randint(0, 3) for j in rng.sample(range(60), 5)}
+            target = oracles.evaluate(coeffs, gens)
+            witness = semigroup_witness(target, chain)
+            assert witness is not None
+            assert oracles.evaluate(dict(enumerate(witness)), gens) == target
+
     def test_witness_makes_no_echelon(self, calls):
         chain = analyze_chain([gv(4), gv(10), gv(21)])
         before = calls[0]

@@ -21,7 +21,7 @@ from skpval import (
 )
 from skpval import intlattice
 from skpval.fields import GF, QQ
-from skpval.poly import parse_poly
+from skpval.poly import MultiPoly, parse_poly
 from skpval.realize import random_polynomial
 
 import oracles
@@ -248,7 +248,7 @@ class TestVerify:
     )
     def test_witness_products_are_the_monomial_products(self, gens, labels):
         # each product is built from a smaller one by one factor; it must be
-        # the product key_product multiplies out, cutoff included
+        # the product multiplied out by powers and truncated once
         s = spec(*gens, limit_labels=labels)
         result = realize(s, CORRECTED)
         skp = result.valuation.skp
@@ -256,8 +256,31 @@ class TestVerify:
         verdict = verify_realization(result.valuation, s, result.blocks, samples=0)
         assert len(verdict.attainment) > 20
         for _, witness, poly in verdict.attainment:
-            exps = {result.blocks.table_index(p): a for p, a in enumerate(witness) if a}
-            assert poly == str(skp.monomial_poly(exps))
+            key = [(result.blocks.table_index(p), a) for p, a in enumerate(witness) if a]
+            assert poly == str(oracles.multiplied_out(skp.entries, key, skp.cutoff))
+
+    def test_one_multiplication_per_stored_product(self, monkeypatch):
+        s = spec(4, 6, 13)
+        result = realize(s, CORRECTED)
+        calls = [0]
+        mul = MultiPoly.__mul__
+
+        def counting(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", counting)
+        verdict = verify_realization(result.valuation, s, result.blocks, samples=0)
+        # the store holds every witness of the ball and each one it is built
+        # from: the witness with its last nonzero coefficient lowered by one
+        stored = set()
+        for _, witness, _ in verdict.attainment:
+            w = list(witness)
+            while any(w) and tuple(w) not in stored:
+                stored.add(tuple(w))
+                w[max(p for p, a in enumerate(w) if a)] -= 1
+        assert len(stored) > 20
+        assert calls == [len(stored)]
 
     def test_ball_deeper_than_the_recursion_limit(self):
         s = spec(1)

@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import random
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -22,7 +24,10 @@ from skpval import (
     validate_acceptable,
 )
 from skpval.jsonio import build_from_problem
-from skpval.skp import rewrite_rules, u_order
+from skpval.poly import MultiPoly
+from skpval.skp import key_product, rewrite_rules, u_order
+
+import oracles
 
 DATA = Path(__file__).parent / "data"
 
@@ -118,6 +123,55 @@ class TestTruncatedSuccessors:
                 for theta, mmap in prev.rewrite_terms:
                     expected = expected - theta * skp.monomial_poly(mmap)
                 assert entry.poly == expected.truncate(skp.cutoff), (i, j)
+
+
+SKP_FILES = (
+    "example1_tail.json", "example2.json", "remark_diffskp.json", "swapped_diffskp.json"
+)
+
+
+def problem_table(name, **changes):
+    with open(DATA / name) as fh:
+        return build_from_problem(dict(json.load(fh), **changes))
+
+
+class TestKeyProduct:
+    @pytest.mark.parametrize(
+        "name, changes",
+        [(name, {}) for name in SKP_FILES]
+        + [("remark_diffskp.json", {"cutoff": c}) for c in range(4)]
+        + [("swapped_diffskp.json", {"field": {"prime": 7}})],
+        ids=[*SKP_FILES, *(f"remark-cutoff-{c}" for c in range(4)), "swapped-gf7"],
+    )
+    def test_every_key_up_to_three_through_one_store(self, name, changes):
+        # the keys are asked for in a seeded order, so a product is built
+        # from whatever smaller one the store already holds
+        skp = problem_table(name, **changes)
+        keys = [
+            tuple(sorted(collections.Counter(combo).items()))
+            for t in range(4)
+            for combo in itertools.combinations_with_replacement(skp.order, t)
+        ]
+        random.Random(len(keys)).shuffle(keys)
+        products = {(): MultiPoly.one(skp.nvars, skp.field)}
+        for key in keys:
+            want = oracles.multiplied_out(skp.entries, key, skp.cutoff)
+            assert key_product(skp.entries, products, key, skp.cutoff) == want, key
+        assert set(products) == set(keys)
+
+    @pytest.mark.parametrize(
+        "key",
+        [(((0, 1), 0),), (((0, 1), -1),), (((0, 1), 1), ((1, 1), 0)), (((1, 2), -2),)],
+    )
+    def test_exponent_below_one_refused(self, diffskp, key):
+        products = {(): MultiPoly.one(diffskp.nvars, diffskp.field)}
+        with pytest.raises(ValueError, match="below 1"):
+            key_product(diffskp.entries, products, key, diffskp.cutoff)
+
+    def test_monomial_poly_skips_zero_and_refuses_negative_exponents(self, diffskp):
+        assert diffskp.monomial_poly({(0, 1): 1, (1, 1): 0}) == P("X0")
+        with pytest.raises(ValueError, match="below 1"):
+            diffskp.monomial_poly({(0, 1): 1, (1, 2): -1})
 
 
 class TestEntryOrders:
