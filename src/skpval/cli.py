@@ -41,6 +41,8 @@ def _read_problem(path):
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply to read") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return data, _digest(raw)
@@ -264,10 +266,16 @@ def run_command(argv):
         code = 1
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return code
+        except OSError as exc:  # a flag fault: the report goes to stdout
+            report = {key: report[key] for key in ("tool", "version", "command", "seed")}
+            message = f"cannot write --out {args.out}: {exc}"
+            report.update(status="error", diagnostics=[{"kind": "schema", "message": message}])
+            text, code = json.dumps(report, sort_keys=True, indent=2) + "\n", 2
+    sys.stdout.write(text)
     return code
 
 

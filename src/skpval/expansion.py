@@ -7,10 +7,11 @@ either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
 positions form an n = 1 chain, by the collapsed sum across the chain; one
 call reads its bounds and rules from ``skp.rewrite_rules``.  Each monomial
 has one fixed rule, at its greatest violating index, and the cutoff drops a
-monomial by its exponents alone, so the expansion is unique.  One loop pops
-monomials from a priority queue keyed by (weight, sorted exponent key); the
-order fixes only the rewrite count under ``max_rewrites``.  ``adic_expand``
-weighs by Vdeg (per-variable degree vector).  The value loop weighs by
+monomial by its exponents alone, so the expansion is unique.  A monomial
+is a coefficient and a key of ``skp``.  One loop pops monomials from a
+priority queue keyed by (weight, key); the order fixes only the rewrite
+count under ``max_rewrites``.  ``adic_expand`` weighs by Vdeg (per-variable
+degree vector, ``SkpTable.degree_weights``).  The value loop weighs by
 value and stops at the first value class that survives once its violating
 monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
 theta * U^m (equal), so no later rewrite reaches a lower class.
@@ -25,23 +26,26 @@ The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
 expansion by the row's exponents.  One depth-first walk,
 ``euclidean_pieces``, splits the input and each divisor by X_row-degree once
-(``MultiPoly.split``), divides in split form, and yields each piece as soon
-as its coefficient has X_row-degree 0.  Before it divides out a further
-power of a key polynomial it asks its caller whether that key prefix can
-still matter, so the value route divides only while a piece can still win
-and ``euclidean_expand`` collects every piece.  The row's first key
-polynomial is X_row itself, so the expansion in it needs no division: the
-coefficient of X_row^t is the split's part of degree t.
+(``MultiPoly.split``), divides in split form, and yields each piece, a key
+and its coefficient, as soon as the coefficient has X_row-degree 0.  Before
+it divides out a further power of a key polynomial it asks its caller
+whether that key prefix can still matter, so the value route divides only
+while a piece can still win and ``euclidean_expand`` collects every piece.
+The row's first key polynomial is X_row itself, so the expansion in it
+needs no division: the coefficient of X_row^t is the split's part of
+degree t.
 """
 
 import collections
 import heapq
+from operator import itemgetter
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
 from .poly import MultiPoly, divide_split, split_divisor
 from .skp import (
     check_key_polynomials,
+    key_mul,
     key_product,
     normalize_alpha,
     rewrite_rules,
@@ -53,52 +57,39 @@ DEFAULT_REWRITE_CAP = 1_000_000
 
 
 class AdicMonomial:
-    """A scalar times a product of key polynomials."""
+    """A scalar times the product of key polynomials of a key."""
 
-    __slots__ = ("coeff", "exps")
+    __slots__ = ("coeff", "key")
 
-    def __init__(self, coeff, exps):
+    def __init__(self, coeff, key):
         self.coeff = coeff
-        self.exps = {k: int(e) for k, e in dict(exps).items() if e}
-
-    def key(self):
-        return tuple(sorted(self.exps.items()))
-
-    def exponent(self, index):
-        return self.exps.get(index, 0)
+        self.key = key
 
     def __repr__(self):
         inner = "*".join(
-            f"U[{i},{j}]^{e}" if e > 1 else f"U[{i},{j}]"
-            for (i, j), e in sorted(self.exps.items())
+            f"U[{i},{j}]^{e}" if e > 1 else f"U[{i},{j}]" for (i, j), e in self.key
         )
         return f"AdicMonomial({self.coeff}{'*' + inner if inner else ''})"
 
 
-def vdeg(exps, skp):
-    """Per-variable degree vector of a U-monomial's exponent map: sum of
-    e * d per row."""
-    out = [0] * skp.nvars
-    for (i, j), e in exps.items():
-        out[i] += e * skp.entries[(i, j)].d
-    return tuple(out)
-
-
-def vp(exps, skp, alpha=None):
-    """Row-final exponents of an exponent map, top row first."""
+def vp(key, skp, alpha=None):
+    """Row-final exponents of a key, top row first."""
     alpha = normalize_alpha(skp, alpha)
-    return tuple(
-        exps.get((i, alpha[i]), 0) if alpha[i] else 0
-        for i in range(skp.nvars - 1, -1, -1)
-    )
+    out = [0] * skp.nvars
+    for (i, j), e in key:
+        if j == alpha[i]:
+            out[i] = e
+    return tuple(reversed(out))
 
 
 class AdicExpansion:
-    """A finite sum of adic-form monomials over a fixed table and cutoff."""
+    """A finite sum of adic-form monomials over a fixed table and cutoff,
+    in (Vdeg, key) order."""
 
     def __init__(self, skp, monomials):
         self.skp = skp
-        self.monomials = sorted(monomials, key=lambda m: (vdeg(m.exps, skp), m.key()))
+        w, zero = skp.degree_weights, (0,) * skp.nvars
+        self.monomials = sorted(monomials, key=lambda m: (weigh(m.key, w, zero), m.key))
 
     def __iter__(self):
         return iter(self.monomials)
@@ -112,7 +103,7 @@ class AdicExpansion:
         out = MultiPoly.zero(skp.nvars, skp.field)
         products = {(): MultiPoly.one(skp.nvars, skp.field)}
         for m in self.monomials:
-            term = key_product(skp.entries, products, m.key(), skp.cutoff)
+            term = key_product(skp.entries, products, m.key, skp.cutoff)
             out = out + term.scale(m.coeff)
         return out
 
@@ -121,9 +112,7 @@ class AdicExpansion:
         return [
             {
                 "coeff": field.format(m.coeff),
-                "exponents": {
-                    f"{i},{j}": e for (i, j), e in sorted(m.exps.items())
-                },
+                "exponents": {f"{i},{j}": e for (i, j), e in m.key},
             }
             for m in self.monomials
         ]
@@ -154,9 +143,9 @@ def value_rules(skp, alpha):
             raise ValueError(f"beta at {index} is not positive")
         weights[index] = [(k, c) for k, c in enumerate(beta) if c]
     for (i, j), (n, nxt, terms) in sorted(rules.items()):
-        power = weigh([((i, j), n)], weights, origin)
-        for mmap in [{nxt: 1}] + [m for _, m in terms]:
-            if weigh(mmap.items(), weights, origin) < power:
+        power = weigh((((i, j), n),), weights, origin)
+        for m in [((nxt, 1),)] + [m for _, m in terms]:
+            if weigh(m, weights, origin) < power:
                 raise InvalidTableError(
                     f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
                     "the table defines no valuation"
@@ -173,22 +162,18 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
         raise ValueError("polynomial ring does not match the table")
     # each term X^e as the key of U_{i,1}^{e_i}, i ascending, so already
     # sorted; no term may use a row without key polynomials
-    empty = [i for i, a in enumerate(alpha) if not a]
-    keys = []
-    for exps in f.terms:
-        for i in empty:
-            if exps[i]:
-                bad = min(v for v in f.support_variables() if not alpha[v])
-                raise ValueError(f"X{bad} appears but row {bad} has no key polynomials")
-        keys.append(tuple([((i, 1), e) for i, e in enumerate(exps) if e]))
+    bad = [i for i, a in enumerate(alpha) if not a and any(e[i] for e in f.terms)]
+    if bad:
+        raise ValueError(f"X{bad[0]} appears but row {bad[0]} has no key polynomials")
+    keys = [tuple([((i, 1), e) for i, e in enumerate(exps) if e]) for exps in f.terms]
 
     reduce = skp.field.reduce
     cutoff = skp.cutoff
     rules, origin, weights, stop_early = rule_set
 
-    # Each violating key in ``work`` has an entry (weight, key, greatest
-    # violating index) in ``heap``, in the value loop every other key too
-    # (index None); an entry whose key has left ``work`` is skipped.
+    # Each violating key in ``work`` has an entry (weight, key, position of its
+    # greatest violating index) in ``heap``, in the value loop every other key
+    # too (position None); an entry whose key has left ``work`` is skipped.
     work = {}
     weight = {}
     heap = []
@@ -207,15 +192,15 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
         if not coeff:
             return
         work[key] = coeff
-        index = None
-        for idx, e in key:
+        at = None
+        for k, (idx, e) in enumerate(key):
             if idx in rules and e >= rules[idx][0]:
-                index = idx  # keys are sorted, so the last one is the greatest
+                at = k  # keys are sorted, so the last one is the greatest
         w = weight.get(key)
         if w is None:
             w = weight[key] = weigh(key, weights, origin)
-        if index is not None or stop_early:
-            heapq.heappush(heap, (w, key, index))
+        if at is not None or stop_early:
+            heapq.heappush(heap, (w, key, at))
 
     for key, c in zip(keys, f.terms.values()):
         add(key, c)
@@ -223,14 +208,14 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
     rewrites = 0
     settled, current = [], None  # the popped keys of this weight that need no rewrite
     while heap:
-        w, target, index = heapq.heappop(heap)
+        w, target, at = heapq.heappop(heap)
         if target not in work:
             continue
         if w != current:
             if stop_early and any(key in work for key in settled):
                 break
             settled, current = [], w
-        if index is None:
+        if at is None:
             settled.append(target)
             continue
         rewrites += 1
@@ -238,20 +223,13 @@ def _rewrite(f, skp, alpha, rule_set, max_rewrites):
             raise IterationCapError(f"exceeded {max_rewrites} rewrites")
 
         coeff = work.pop(target)
+        index, e = target[at]
         n, nxt, terms = rules[index]
-        base = dict(target)
-        base[index] -= n
-        if base[index] == 0:
-            del base[index]
-
-        branch = dict(base)
-        branch[nxt] = branch.get(nxt, 0) + 1
-        add(tuple(sorted(branch.items())), coeff)
-        for theta, mmap in terms:
-            branch = dict(base)
-            for idx, e in mmap.items():
-                branch[idx] = branch.get(idx, 0) + e
-            add(tuple(sorted(branch.items())), reduce(coeff * theta))
+        rest = ((index, e - n),) if e > n else ()
+        base = target[:at] + rest + target[at + 1:]
+        add(key_mul(base, ((nxt, 1),)), coeff)
+        for theta, m in terms:
+            add(key_mul(base, m), reduce(coeff * theta))
     return work, weight
 
 
@@ -263,10 +241,10 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     """
     alpha = normalize_alpha(skp, alpha)
     check_key_polynomials(skp)
-    degrees = {index: [(index[0], entry.d)] for index, entry in skp.entries.items()}
-    rule_set = RuleSet(rewrite_rules(skp, alpha), (0,) * skp.nvars, degrees, False)
+    rules = rewrite_rules(skp, alpha)
+    rule_set = RuleSet(rules, (0,) * skp.nvars, skp.degree_weights, False)
     work, _ = _rewrite(f, skp, alpha, rule_set, max_rewrites)
-    return AdicExpansion(skp, [AdicMonomial(c, dict(k)) for k, c in work.items()])
+    return AdicExpansion(skp, [AdicMonomial(c, k) for k, c in work.items()])
 
 
 def _least(f, valuation, max_rewrites):
@@ -290,16 +268,15 @@ def least_value(f, valuation):
 def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
     """``least_value`` and the monomials of f's adic expansion that have it."""
     work, value, low = _least(f, valuation, max_rewrites)
-    return low, [AdicMonomial(c, dict(k)) for k, c in work.items() if value[k] == low]
+    return low, [AdicMonomial(c, k) for k, c in work.items() if value[k] == low]
 
 
 def euclidean_pieces(f, skp, j, row, keep):
     """The pieces (key, coefficient polynomial) of f's Euclidean expansion in
     row ``row`` with cutoff ``j``, one depth-first walk with the exponent at
-    each position ascending.  A key is the tuple of (position, exponent)
-    pairs with a nonzero exponent, positions ascending.  Before the walk
-    divides out a power t >= 1 it asks ``keep(key)`` of the key so far; a
-    False ends that position's loop, larger powers included.  f is nonzero.
+    each position ascending.  Before the walk divides out a power t >= 1 it
+    asks ``keep(key)`` of the key so far; a False ends that position's loop,
+    larger powers included.  f is nonzero.
     """
     divisors = {}
 
@@ -319,7 +296,7 @@ def euclidean_pieces(f, skp, j, row, keep):
         lower, d0 = divisors[j0]
         cur, t = g, 0
         while cur:
-            key = ((j0, t),) + prefix if t else prefix
+            key = (((row, j0), t),) + prefix if t else prefix
             if t and not keep(key):
                 return  # every larger power weighs more
             if not lower and d0 == 1:
@@ -327,8 +304,6 @@ def euclidean_pieces(f, skp, j, row, keep):
                 # of U^t is the split's part of degree t, with no division
                 part = cur.pop(t, None)
                 ct = {0: part} if part else None
-            elif max(cur) < d0:
-                ct, cur = cur, None
             else:
                 cur, ct = divide_split(cur, lower, d0, f.field)
             if ct:
@@ -341,9 +316,9 @@ def euclidean_pieces(f, skp, j, row, keep):
 def euclidean_expand(f, skp, j=None, row=None):
     """Euclidean expansion of a row by iterated monic division.
 
-    Returns a list of (exponent map over the row's positions, coefficient
-    polynomial with zero degree in the row's variable), sorted by exponent
-    map: every piece of ``euclidean_pieces``.  Exponents at positions before
+    Returns a list of ({position: exponent} map over the row, coefficient
+    polynomial with zero degree in the row's variable), sorted by key:
+    every piece of ``euclidean_pieces``.  Exponents at positions before
     the cutoff ``j`` stay below their n.  ``row`` defaults to the top row.
     """
     top = skp.nvars - 1 if row is None else row
@@ -356,13 +331,11 @@ def euclidean_expand(f, skp, j=None, row=None):
         raise ValueError(f"cutoff {j} outside 1..{length}")
     if f.is_zero():
         return []
-    result = dict(euclidean_pieces(f, skp, j, top, lambda key: True))
+    pieces = sorted(euclidean_pieces(f, skp, j, top, lambda _: True), key=itemgetter(0))
     # positions strictly before the cutoff stay below their index
-    for key in result:
-        for (pos, t) in key:
+    for key, _ in pieces:
+        for (_, pos), t in key:
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    items = [(dict(key), leaf) for key, leaf in result.items()]
-    items.sort(key=lambda kc: tuple(sorted(kc[0].items())))
-    return items
+    return [({pos: t for (_, pos), t in key}, leaf) for key, leaf in pieces]

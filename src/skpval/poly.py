@@ -136,9 +136,6 @@ class MultiPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def is_zero(self):
         return not self.terms
 

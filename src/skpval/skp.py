@@ -12,10 +12,17 @@ U_{i,j+1} + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives the
 rules of one expansion; for a freshly built table that is a single summand,
 for a reduced table the collapsed chain.
 
+A product prod U_{i,j}^e has one form in the library, its key: the tuple
+of ``((i, j), e)`` pairs with e > 0, indices ascending.  Summands are keys,
+and so are expansion monomials and Euclidean pieces; an exponent map is
+read or written only at a public edge, such as ``SkpTable.monomial_poly``.
+
 The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
 ``TableEntry`` of its position: beta, n, relation and S^c are kept once,
 and the betas' integer rows once, in the table's analyzed ``chain``.
 """
+
+from bisect import bisect_left
 
 from .errors import (
     InvalidTableError,
@@ -105,26 +112,36 @@ def key_product(entries, products, key, cutoff):
     return out
 
 
+def key_mul(key, factors):
+    """The key of the product of two keys: exponents at a shared index add."""
+    out = list(key)
+    for idx, e in factors:
+        k = bisect_left(out, (idx,))  # (idx,) sorts before every (idx, e)
+        if k < len(out) and out[k][0] == idx:
+            out[k] = (idx, out[k][1] + e)
+        else:
+            out.insert(k, (idx, e))
+    return tuple(out)
+
+
 def successor(entries, start, n, summands, cutoff):
-    """U_start^n - sum theta * prod U^m over the (theta, m) summands, all from
-    one ``key_product`` store, each step truncated: the one formula every
-    successor key polynomial is built by."""
+    """U_start^n - sum theta * prod U^m over the (theta, key m) summands, all
+    from one ``key_product`` store, each step truncated: the one formula
+    every successor key polynomial is built by."""
     products = {(): MultiPoly.one(start.poly.nvars, start.poly.field)}
     out = key_product(entries, products, ((start.index, n),), cutoff)
     for theta, m in summands:
-        term = key_product(entries, products, tuple(sorted(m.items())), cutoff)
-        out = (out - theta * term).truncate(cutoff)
+        out = (out - theta * key_product(entries, products, m, cutoff)).truncate(cutoff)
     return out
 
 
-def u_order(exps, entries):
-    """Total-degree order of prod U^e, i.e. sum e * ord U, over the
-    ``(index, e)`` items of an exponent map, read from the stored
-    ``SkpEntry.order``.  A key polynomial the cutoff truncated to 0 has no
-    order and raises ZeroPolyError.
+def u_order(key, entries):
+    """Total-degree order of prod U^e, i.e. sum e * ord U, over a key, read
+    from the stored ``SkpEntry.order``.  A key polynomial the cutoff
+    truncated to 0 has no order and raises ZeroPolyError.
     """
     total = 0
-    for idx, e in exps:
+    for idx, e in key:
         order = entries[idx].order
         if order is None:
             raise ZeroPolyError("order of the zero polynomial")
@@ -139,12 +156,11 @@ def check_key_polynomials(skp):
             raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
 
 
-def weigh(items, weights, start):
-    """start + sum e * weights[index] over the ``(index, e)`` items of an
-    exponent map, each weight an integer vector given by its nonzero
-    (position, coordinate) pairs."""
+def weigh(key, weights, start):
+    """start + sum e * weights[index] over a key, each weight an integer
+    vector given by its nonzero (position, coordinate) pairs."""
     w = list(start)
-    for idx, e in items:
+    for idx, e in key:
         for k, c in weights[idx]:
             w[k] += e * c
     return tuple(w)
@@ -152,12 +168,14 @@ def weigh(items, weights, start):
 
 class SkpTable(ValueTable):
     """The value table ``table`` with its SkpEntry ``entries``: key
-    polynomials over ``field`` under the total-degree ``cutoff``."""
+    polynomials over ``field`` under the total-degree ``cutoff``, and the
+    ``weigh`` weights of Vdeg, the degree vector (U_{i,j} has d in X_i)."""
 
     def __init__(self, table, entries, field, cutoff):
         super().__init__(table.chain, table.rows, entries, table.limit_labels)
         self.field = field
         self.cutoff = cutoff
+        self.degree_weights = {idx: [(idx[0], e.d)] for idx, e in entries.items()}
 
     def monomial_poly(self, exps):
         """prod U_{i,j}^{e} by ``key_product`` through a fresh store."""
@@ -180,7 +198,7 @@ def unroll_limit(entries, tail, cutoff, field):
     """Accumulate a declared tail until summand orders pass the cutoff.
 
     ``entries`` maps table indices to the SkpEntry objects built so far.
-    Returns the polynomial, the (theta, m) summands consumed and the JSON
+    Returns the polynomial, the (theta, key m) summands consumed and the JSON
     report (``stabilized``, ``summands_used``, ``cutoff``).  Requires a
     cutoff and a nonzero theta (else ThetaZeroError); raises
     NonStabilizingError when the depth is exhausted with summands still at
@@ -196,17 +214,18 @@ def unroll_limit(entries, tail, cutoff, field):
     if theta == field.zero:
         raise ThetaZeroError(f"limit tail theta at {tail.row},{tail.at} is zero")
     summands = []
+    affine = sorted(tail.exponents.items())
     # depth 0 takes no summand; past it the loop ends only at a summand
     # above the cutoff, so the report says stabilized
     for k in range(tail.depth + 1 if tail.depth > 0 else 0):
-        m = {idx: a + b * k for idx, (a, b) in tail.exponents.items() if a + b * k}
-        if u_order(m.items(), entries) > cutoff:
+        m = tuple((idx, a + b * k) for idx, (a, b) in affine if a + b * k)
+        if u_order(m, entries) > cutoff:
             break
         if k == tail.depth:
             raise NonStabilizingError(
                 f"summand order still <= {cutoff} after {tail.depth} terms"
             )
-        for (i, j), e in sorted(m.items()):
+        for (i, j), e in m:
             if e < 0:
                 raise SchemaError(
                     f"limit tail at {tail.row},{tail.at}: summand k={k} has "
@@ -267,7 +286,7 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
                 )
                 prev.theta = field.of(tails[index].theta)
             else:
-                prev.rewrite_terms = [(prev.theta, dict(prev.relation))]
+                prev.rewrite_terms = [(prev.theta, tuple(sorted(prev.relation.items())))]
                 poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)
             entry = SkpEntry(ventry, prev.n * prev.d, poly, theta)
             entry.unroll_report = unrolled
@@ -301,7 +320,7 @@ def rewrite_rules(skp, alpha):
 
     Maps every position (i, j) with j < alpha_i and finite n to
     (n, next index, summands): U_{i,j}^{n} = U_next + sum theta * U^{m}
-    over the (theta, m) summands.  Where the next positions below the cutoff
+    over the (theta, key m) summands.  Where the next positions below the cutoff
     form an n = 1 chain, the rule collapses it, so the dropped chain never
     appears in an expansion.  Positions are taken in descending order, so
     each chain is walked once: a rule extends the rule after it.
@@ -376,8 +395,9 @@ def minimal_pseudo_skp(skp):
         if remap[nxt] != (i, j + 1):
             raise AssertionError((index, nxt))
         entry = new_entries[(i, j)]
+        # the remap keeps each row's order, so a remapped key stays sorted
         entry.rewrite_terms = [
-            (theta, {remap[k]: m for k, m in mmap.items()}) for theta, mmap in terms
+            (theta, tuple((remap[idx], e) for idx, e in m)) for theta, m in terms
         ]
 
     return SkpTable(new_table, new_entries, skp.field, skp.cutoff)

@@ -88,7 +88,7 @@ def initial_form(f, valuation):
     """
     skp = valuation.skp
     _, kept = least_value_part(f, valuation)
-    vps = [vp(m.exps, skp, valuation.alpha) for m in kept]
+    vps = [vp(m.key, skp, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")
     return AdicExpansion(skp, kept)
@@ -115,15 +115,13 @@ def _euclid_value(f, valuation, top):
     _, origin, weights, _ = valuation.rule_set
     best = None
 
-    def weight(key):
-        return weigh((((top, j), e) for j, e in key), weights, origin)
-
     def keep(key):
         # nu(coefficient) >= 0, so a key that reaches the best sum cannot win
-        return best is None or weight(key) < best
+        return best is None or weigh(key, weights, origin) < best
 
     for key, coeff in euclidean_pieces(f, skp, valuation.alpha[top], top, keep):
-        part = tuple(map(add, weight(key), _euclid_value(coeff, valuation, top - 1)))
+        lower = _euclid_value(coeff, valuation, top - 1)
+        part = tuple(map(add, weigh(key, weights, origin), lower))
         if best is None or part < best:
             best = part
     return best
@@ -135,9 +133,8 @@ def delta_of(f, skp, j):
     The context is the acceptable vector with full lower rows and the top
     row cut at ``j``.
     """
-    alpha = skp.row_lengths()[:-1] + (j,)
-    inf_form = initial_form(f, SkpValuation(skp, alpha))
-    return max(m.exponent((skp.nvars - 1, j)) for m in inf_form)
+    valuation = SkpValuation(skp, skp.row_lengths()[:-1] + (j,))
+    return max(vp(m.key, skp, valuation.alpha)[0] for m in initial_form(f, valuation))
 
 
 class GradedNormalForm:
@@ -189,7 +186,7 @@ def graded_normal_form(f, valuation):
     alpha = valuation.alpha
     inf_form = initial_form(f, valuation)
     _, origin, weights, _ = valuation.rule_set
-    value = weigh(inf_form.monomials[0].exps.items(), weights, origin)
+    value = weigh(inf_form.monomials[0].key, weights, origin)
 
     A = tuple(
         i
@@ -203,15 +200,17 @@ def graded_normal_form(f, valuation):
     torus = {}
     reduce = skp.field.reduce
     for mono in inf_form:
-        p = [mono.exps.get(index, 0) for index in skp.order]
+        p = [0] * len(skp.order)
+        for index, e in mono.key:
+            p[skp.order.index(index)] = e
         quotients = fold_relations(p, skp.chain)
         coeff = mono.coeff * prod(t ** q for t, q in zip(thetas, quotients))
-        exps = {index: e for index, e in zip(skp.order, p) if e}
-        if weigh(exps.items(), weights, origin) != value:
+        J = tuple((index, e) for index, e in zip(skp.order, p) if e)
+        if weigh(J, weights, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:
-            common_J = exps
-        elif common_J != exps:
+            common_J = J
+        elif common_J != J:
             raise AssertionError("normal-form base exponent differs")
         key = tuple(quotients[k] for k in torus_positions)
         cur = reduce(torus.get(key, 0) + coeff)
@@ -219,4 +218,4 @@ def graded_normal_form(f, valuation):
             torus.pop(key, None)
         else:
             torus[key] = cur
-    return GradedNormalForm(common_J or {}, torus, A, skp.chain.value(value))
+    return GradedNormalForm(common_J, torus, A, skp.chain.value(value))

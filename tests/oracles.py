@@ -5,7 +5,8 @@ walks r = 1, 2, ... with a plain lattice-membership solve, representations
 are found by exhaustive search over the coefficient box, semigroup
 balls come from nested coefficient loops and, with their witnesses, from a
 recursion that sums GroupValues instead of integer rows, the adic expansion has a
-reference loop that rescans the whole working set before every rewrite,
+reference loop that rescans the whole working set before every rewrite
+and computes its own Vdeg,
 division in one variable has a reference that multiplies and subtracts whole
 polynomials at every step, the Euclidean value has a reference that values
 every piece of that division's expansion and sums GroupValues of Fractions
@@ -29,12 +30,7 @@ from fractions import Fraction
 from math import gcd, inf
 
 from skpval.errors import NotInGroupError, NotMonicError, ZeroPolyError
-from skpval.expansion import (
-    AdicExpansion,
-    AdicMonomial,
-    adic_expand,
-    vdeg,
-)
+from skpval.expansion import AdicExpansion, AdicMonomial, adic_expand
 from skpval.fields import QQ
 from skpval.intlattice import row_echelon
 from skpval.ordgroup import (
@@ -209,6 +205,14 @@ def swap_variables(f, perm):
     return MultiPoly(f.nvars, terms, f.field)
 
 
+def _vdeg(key, skp):
+    """Per-variable degree vector of a key: sum of e * d per row."""
+    out = [0] * skp.nvars
+    for (i, j), e in key:
+        out[i] += e * skp.entries[(i, j)].d
+    return tuple(out)
+
+
 def rescan_adic_expand(f, skp, alpha=None):
     """Adic expansion by rescanning the working set before every rewrite.
 
@@ -248,7 +252,7 @@ def rescan_adic_expand(f, skp, alpha=None):
     rewrites = 0
     while True:
         candidates = [
-            (vdeg(dict(key), skp), key) for key in work if violations(key)
+            (_vdeg(key, skp), key) for key in work if violations(key)
         ]
         if not candidates:
             break
@@ -261,12 +265,12 @@ def rescan_adic_expand(f, skp, alpha=None):
         if base[index] == 0:
             del base[index]
         _, nxt, terms = rules[index]
-        for theta, mmap in [(skp.field.one, {nxt: 1})] + list(terms):
+        for theta, m in [(skp.field.one, ((nxt, 1),))] + list(terms):
             branch = dict(base)
-            for idx, e in mmap.items():
+            for idx, e in m:
                 branch[idx] = branch.get(idx, 0) + e
             add(work, tuple(sorted(branch.items())), coeff * theta)
-    monomials = [AdicMonomial(c, dict(key)) for key, c in work.items()]
+    monomials = [AdicMonomial(c, key) for key, c in work.items()]
     return AdicExpansion(skp, monomials), rewrites
 
 
@@ -281,7 +285,7 @@ def rescan_initial_form(f, valuation):
     values = []
     for m in expansion:
         total = zero
-        for idx, e in m.exps.items():
+        for idx, e in m.key:
             total = total + skp.entries[idx].beta.scale(e)
         values.append(total)
     low = min(values)
@@ -309,7 +313,7 @@ def full_least_part(f, skp, alpha=None):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
     betas, _ = _integer_betas(skp)
     origin = (0,) * skp.dimension
-    values = [_integer_value(m.exps, betas, origin) for m in expansion]
+    values = [_integer_value(dict(m.key), betas, origin) for m in expansion]
     low = min(values)
     return low, [m for m, v in zip(expansion, values) if v == low]
 
@@ -435,7 +439,7 @@ def rescan_graded_normal_form(f, valuation):
     inf_form = initial_form(f, valuation)
     betas, denom = _integer_betas(skp)
     origin = (0,) * skp.dimension
-    value = _integer_value(inf_form.monomials[0].exps, betas, origin)
+    value = _integer_value(dict(inf_form.monomials[0].key), betas, origin)
 
     A = tuple(
         i
@@ -457,7 +461,7 @@ def rescan_graded_normal_form(f, valuation):
     torus = {}
     reduce = skp.field.reduce
     for mono in inf_form:
-        exps = dict(mono.exps)
+        exps = dict(mono.key)
         coeff = mono.coeff
         tdeg = {i: 0 for i in A}
         while True:

@@ -149,17 +149,15 @@ def test_criterion_5():
             expansion = adic_expand(f, skp)
             assert expansion.evaluate() == f
             again = adic_expand(expansion.evaluate(), skp)
-            assert {m.key() for m in expansion} == {m.key() for m in again}
-            assert {m.key(): m.coeff for m in expansion} == {
-                m.key(): m.coeff for m in again
+            assert {m.key for m in expansion} == {m.key for m in again}
+            assert {m.key: m.coeff for m in expansion} == {
+                m.key: m.coeff for m in again
             }
             # Euclidean route = adic expansion grouped by top-row exponents
             grouped = {}
             for m in expansion:
-                key = tuple(
-                    sorted((pos, e) for (i, pos), e in m.exps.items() if i == top)
-                )
-                lower = {idx: e for idx, e in m.exps.items() if idx[0] != top}
+                key = tuple((pos, e) for (i, pos), e in m.key if i == top)
+                lower = {idx: e for idx, e in m.key if idx[0] != top}
                 part = skp.monomial_poly(lower).scale(m.coeff)
                 grouped[key] = grouped.get(key, MultiPoly.zero(skp.nvars)) + part
             grouped = {k: c for k, c in grouped.items() if not c.is_zero()}

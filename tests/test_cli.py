@@ -110,6 +110,15 @@ class TestValidate:
         code, report = run(capsys, "validate", write_problem(tmp_path, data))
         assert code == 0
 
+    def test_deeply_nested_file_is_malformed_input(self, tmp_path, capsys):
+        # the nesting sits under a key nothing reads
+        path = tmp_path / "deep.json"
+        path.write_text('{"rows": [["2"]], "x": ' + "[" * 2000 + "]" * 2000 + "}")
+        code, report = run(capsys, "validate", path)
+        assert code == 2
+        assert report["status"] == "error"
+        assert [d["kind"] for d in report["diagnostics"]] == ["schema"]
+
     def test_missing_file(self, capsys):
         code, report = run(capsys, "validate", DATA / "nope.json")
         assert code == 2
@@ -282,6 +291,19 @@ class TestReportShape:
         )
         assert code == 0
         assert json.loads(out.read_text())["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "target", ["missing/report.json", "."], ids=["missing-directory", "directory"]
+    )
+    def test_out_path_that_cannot_be_written(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        code, report = run(capsys, "--out", out, "validate", DATA / "example2.json")
+        assert code == 2
+        assert report["status"] == "error"
+        assert "result" not in report
+        [diagnostic] = report["diagnostics"]
+        assert diagnostic["kind"] == "schema"
+        assert str(out) in diagnostic["message"]
 
     def test_module_entry_point(self):
         proc = subprocess.run(

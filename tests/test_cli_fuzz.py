@@ -1,0 +1,138 @@
+"""A seeded fuzz test of the command line's exit contract.
+
+Every ``tests/data`` problem is mutated (keys dropped, values retyped, table
+indices moved out of range, integers made extreme, arrays nested deeply)
+and run through every command, and ``--poly``, ``--alpha`` and ``--j`` take
+strings drawn from a token pool.  Whatever the input, a command prints one
+JSON object, exits 0, 1 or 2, and reports no ``internal`` diagnostic.
+
+The verification bounds, a tail's ``depth``, the ``cutoff`` and every table
+value and generator stay small (``SMALL``): no work budget caps them yet.
+A large bound only makes a correct run slow, and a large value becomes an
+exponent of a key polynomial, which ``skp.key_product`` builds one factor
+at a time.
+"""
+
+import io
+import json
+import random
+import re
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from skpval.cli import run_command
+
+DATA = Path(__file__).parent / "data"
+PROBLEMS = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
+
+SEED = 20231
+CASES = 3000
+
+SMALL = {"coeff_bound", "degree_bound", "samples", "depth", "cutoff", "rows", "generators"}
+VALUE_COMMANDS = ("eval", "initial", "normal-form", "delta")
+EXTREME = [10**30, -(10**30), 2**63, 2**61 - 1, -1, 0]
+RETYPED = [None, True, False, 1.5, -2.5, "x", "", "inf", "1/0", [], {}, [[]], {"a": 1}]
+INDICES = ["9,9", "0,0", "-1,1", "1,-1", "a,b", "1", "", "0,1,2", "1e3,1"]
+
+# ``--poly`` is a few tokens; a large number only ever follows "+", so no
+# exponent is large
+POLY_TOKENS = [
+    "X0", "X1", "X2", "X3", "X10", "X", "x", "(", ")", "+", "-", "*", "^", "^2",
+    "^3", "0", "1", "2", "7", "1/2", "-3/4", "1/0", " ", "+100000000000000000000",
+]
+ALPHAS = [
+    "1,1", "1,2", "1,3", "1,1,1", "1,1,2", "1", "", "0,0", "-1,2", "9,9", "a,b",
+    "1.5,2", " 1 , 2 ", "1,,2", "100000000000000000000,1",
+]
+JS = ["1", "2", "3", "0", "-1", "99", "100000000000000000000"]
+
+COMMANDS = [
+    ["validate"], ["build"], ["build", "--minimal"], ["classify"], ["realize"],
+    ["verify"], ["realize", "--verify", "--samples=3"], ["expand"],
+    ["eval"], ["initial"], ["normal-form"], ["delta"],
+]
+
+
+def _nested(depth):
+    """A stand-in for ``depth`` nested arrays, which ``_text`` writes out:
+    the json module cannot encode or copy a tree that deep."""
+    return f"<nest {depth}>"
+
+
+def _text(data):
+    return re.sub(
+        r'"<nest (\d+)>"',
+        lambda m: "[" * int(m[1]) + '"2"' + "]" * int(m[1]),
+        json.dumps(data),
+    )
+
+
+def _nodes(data, path=()):
+    """Every (path, value) in a JSON tree, the root included."""
+    yield path, data
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        for key, value in items:
+            yield from _nodes(value, path + (key,))
+
+
+def _mutate(rng, data):
+    """``data`` changed at one random node."""
+    data = json.loads(json.dumps(data))
+    nodes = list(_nodes(data))
+    path, _ = rng.choice(nodes[1:]) if len(nodes) > 1 else nodes[0]
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    last = path[-1] if path else None
+    kind = rng.randrange(6)
+    if kind == 0 and path:
+        del parent[last]
+    elif kind == 1 and path:
+        parent[last] = rng.choice(RETYPED)
+    elif kind == 2 and path:
+        small = SMALL.intersection(path)
+        parent[last] = rng.choice([0, 1, 2, -1, 1.0] if small else EXTREME)
+    elif kind == 3 and isinstance(parent, dict) and path:
+        parent[rng.choice(INDICES)] = parent.pop(last)
+    elif kind == 4 and path:
+        parent[last] = _nested(rng.choice([3, 50, 900, 2000]))
+    elif isinstance(data, dict):
+        data["x"] = _nested(rng.choice([10, 1100, 2000]))
+    return data
+
+
+def _flags(rng, command):
+    name = command[0]
+    if name in VALUE_COMMANDS or name == "expand":
+        poly = "".join(rng.choice(POLY_TOKENS) for _ in range(rng.randint(1, 6)))
+        command = command + [f"--poly={poly}"]
+        if name == "delta":
+            command.append(f"--j={rng.choice(JS)}")
+        elif rng.random() < 0.5:
+            command.append(f"--alpha={rng.choice(ALPHAS)}")
+    return command
+
+
+def _cases():
+    rng = random.Random(SEED)
+    for _ in range(CASES):
+        data = rng.choice(PROBLEMS)
+        for _ in range(rng.randint(0, 2)):
+            data = _mutate(rng, data)
+        yield data, _flags(rng, list(rng.choice(COMMANDS)))
+
+
+def test_exit_contract_on_mutated_problems(tmp_path):
+    path = tmp_path / "problem.json"
+    for data, command in _cases():
+        path.write_text(_text(data))
+        argv = command + (["--skp"] if command[0] in VALUE_COMMANDS else []) + [str(path)]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = run_command(argv)
+        case = f"{argv} on {json.dumps(data)[:300]}"
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict), case
+        assert code in (0, 1, 2), case
+        assert all(d["kind"] != "internal" for d in report["diagnostics"]), (case, report)

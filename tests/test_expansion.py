@@ -14,8 +14,9 @@ from skpval import (
     minimal_pseudo_skp,
     parse_poly,
 )
-from skpval.expansion import vdeg, vp
+from skpval.expansion import vp
 from skpval.realize import random_polynomial
+from skpval.skp import weigh
 
 from oracles import long_euclidean_expand, rescan_adic_expand
 
@@ -25,7 +26,12 @@ def P(text, nvars=2):
 
 
 def exp_map(expansion):
-    return {m.key(): m.coeff for m in expansion}
+    return {m.key: m.coeff for m in expansion}
+
+
+def vdeg(key, skp):
+    """Vdeg as adic_expand weighs it."""
+    return weigh(key, skp.degree_weights, (0,) * skp.nvars)
 
 
 class TestAdicExpand:
@@ -43,7 +49,7 @@ class TestAdicExpand:
             (((0, 1), 3), ((1, 1), 1)): Fraction(1),
             (((0, 1), 3),): Fraction(1),
         }
-        assert all((1, 2) not in m.exps for m in e)
+        assert all((1, 2) not in dict(m.key) for m in e)
 
     def test_monomial_already_adic(self, diffskp):
         e = adic_expand(P("X0^4"), diffskp)
@@ -76,7 +82,7 @@ class TestAdicExpand:
             for _ in range(25):
                 f = random_polynomial(rng, skp.nvars, 4)
                 for m in adic_expand(f, skp):
-                    for (i, j), e in m.exps.items():
+                    for (i, j), e in m.key:
                         if j < alpha[i]:
                             assert e < skp.entries[(i, j)].n
 
@@ -96,9 +102,9 @@ class TestAdicExpand:
         for _ in range(30):
             f = random_polynomial(rng, 2, 6)
             mons = adic_expand(f, diffskp).monomials
-            keys = [(vdeg(m.exps, diffskp), m.key()) for m in mons]
+            keys = [(vdeg(m.key, diffskp), m.key) for m in mons]
             assert len(set(keys)) == len(keys)
-            degs = [vdeg(m.exps, diffskp) for m in mons]
+            degs = [vdeg(m.key, diffskp) for m in mons]
             assert len(set(degs)) == len(degs)
 
 
@@ -133,18 +139,18 @@ class TestRewriteOrder:
 
 class TestVdegVp:
     def test_mixed_monomial(self, diffskp):
-        exps = {(0, 1): 3, (1, 1): 1, (1, 2): 1}
-        assert vdeg(exps, diffskp) == (3, 3)
-        assert vp(exps, diffskp) == (0, 3)  # row-final exponents, top row first
+        key = (((0, 1), 3), ((1, 1), 1), ((1, 2), 1))
+        assert vdeg(key, diffskp) == (3, 3)
+        assert vp(key, diffskp) == (0, 3)  # row-final exponents, top row first
 
     def test_constant(self, diffskp):
-        assert vdeg({}, diffskp) == (0, 0)
-        assert vp({}, diffskp) == (0, 0)
+        assert vdeg((), diffskp) == (0, 0)
+        assert vp((), diffskp) == (0, 0)
 
     def test_final_squared(self, diffskp):
-        exps = {(1, 3): 2}
-        assert vdeg(exps, diffskp) == (0, 4)
-        assert vp(exps, diffskp) == (2, 0)
+        key = (((1, 3), 2),)
+        assert vdeg(key, diffskp) == (0, 4)
+        assert vp(key, diffskp) == (2, 0)
 
 
 class TestEuclidean:
@@ -190,16 +196,8 @@ class TestEuclidean:
                     f = random_polynomial(rng, skp.nvars, 6)
                     grouped = {}
                     for m in adic_expand(f, skp, tuple(alpha)):
-                        key = tuple(
-                            sorted(
-                                (pos, e)
-                                for (i, pos), e in m.exps.items()
-                                if i == top
-                            )
-                        )
-                        lower = {
-                            idx: e for idx, e in m.exps.items() if idx[0] != top
-                        }
+                        key = tuple((pos, e) for (i, pos), e in m.key if i == top)
+                        lower = {idx: e for idx, e in m.key if idx[0] != top}
                         part = skp.monomial_poly(lower).scale(m.coeff)
                         grouped[key] = grouped.get(key, MultiPoly.zero(skp.nvars)) + part
                     grouped = {k: v for k, v in grouped.items() if not v.is_zero()}
@@ -283,10 +281,8 @@ class TestGuards:
                 _, nxt, terms = rewrite_rules(skp, alpha)[(i, j)]
                 n = skp.entries[(i, j)].n
                 assert skp.entries[nxt].d == n * skp.entries[(i, j)].d
-                for _, mmap in terms:
+                for _, m in terms:
                     same_row = sum(
-                        e * skp.entries[idx].d
-                        for idx, e in mmap.items()
-                        if idx[0] == i
+                        e * skp.entries[idx].d for idx, e in m if idx[0] == i
                     )
                     assert same_row < n * skp.entries[(i, j)].d

@@ -176,7 +176,7 @@ class TestValueLoweringRule:
         n, _, terms = rewrite_rules(skp, skp.row_lengths())[(2, 1)]
         betas = dict(zip(skp.order, skp.chain.rows))
         power = tuple(n * c for c in betas[(2, 1)])
-        assert any(m == {(0, 1): 1} for _, m in terms)
+        assert any(m == (((0, 1), 1),) for _, m in terms)
         assert tuple(betas[(0, 1)]) < power
         with pytest.raises(InvalidTableError, match=r"^U_\{2,1\}\^1 rewrites to a branch of lower value"):
             SkpValuation(skp)

@@ -16,6 +16,7 @@ expansion property, which holds under any cutoff, and at cutoff 16, deep
 enough for polynomials of degree 2, with the exact tables.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -68,16 +69,17 @@ def valuations():
 @st.composite
 def polynomials(draw, nvars, field, degree):
     """A nonzero polynomial of total degree at most ``degree``."""
-    exps = st.lists(st.integers(0, degree), min_size=nvars, max_size=nvars).filter(
-        lambda e: sum(e) <= degree
-    )
+    # sampled from the exponent vectors of that degree, not filtered down to
+    # them: with three variables most draws would be rejected
+    vectors = itertools.product(range(degree + 1), repeat=nvars)
+    exps = st.sampled_from([e for e in vectors if sum(e) <= degree])
     if field == QQ:
         coeffs = st.builds(
             Fraction, st.integers(-5, 5).filter(bool), st.sampled_from((1, 1, 2, 3))
         )
     else:
         coeffs = st.integers(1, field.p - 1)
-    terms = draw(st.dictionaries(exps.map(tuple), coeffs, min_size=1, max_size=4))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
     return MultiPoly(nvars, terms, field)
 
 

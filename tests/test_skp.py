@@ -120,8 +120,8 @@ class TestTruncatedSuccessors:
                     continue
                 prev = skp.entries[(i, j - 1)]
                 expected = prev.poly ** prev.n
-                for theta, mmap in prev.rewrite_terms:
-                    expected = expected - theta * skp.monomial_poly(mmap)
+                for theta, m in prev.rewrite_terms:
+                    expected = expected - theta * skp.monomial_poly(dict(m))
                 assert entry.poly == expected.truncate(skp.cutoff), (i, j)
 
 
@@ -272,8 +272,8 @@ class TestMinimalPseudo:
         assert rewrite_rules(reduced, reduced.row_lengths())[(1, 1)][1] == (1, 2)
         # U11^2 = U12' + theta*X0^3 + theta*X0^3*U11 across the dropped chain
         assert entry.rewrite_terms == [
-            (Fraction(1), {(0, 1): 3}),
-            (Fraction(1), {(0, 1): 3, (1, 1): 1}),
+            (Fraction(1), (((0, 1), 3),)),
+            (Fraction(1), (((0, 1), 3), ((1, 1), 1))),
         ]
 
 
