@@ -25,15 +25,28 @@ built once per ``SkpValuation``, which both entries read.
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
 expansion by the row's exponents.  One depth-first walk,
-``euclidean_pieces``, splits the input and each divisor by X_row-degree once
-(``MultiPoly.split``), divides in split form, and yields each piece, a key
-and its coefficient, as soon as the coefficient has X_row-degree 0.  Before
-it divides out a further power of a key polynomial it asks its caller
-whether that key prefix can still matter, so the value route divides only
-while a piece can still win and ``euclidean_expand`` collects every piece.
+``euclidean_pieces``, runs on monomials packed into one int each
+(``poly.pack``): it splits the input by X_row-degree once, divides in split
+form by the key polynomials' divisor splits (``DivisorSplits``, each packed
+once per width), and yields each piece, a key and its packed coefficient,
+as soon as the coefficient has X_row-degree 0.  Before it divides out a
+further power of a key polynomial it asks its caller whether that key
+prefix can still matter, so the value route divides only while a piece can
+still win and ``euclidean_expand`` collects every piece and unpacks it.
 The row's first key polynomial is X_row itself, so the expansion in it
 needs no division: the coefficient of X_row^t is the split's part of
 degree t.
+
+The packing width follows the proof in ``poly``, row by row
+(``division_bounds``).  Let W_r be the largest ``poly.division_factor`` of
+row r's key polynomials.  A walk in row r keeps
+phi_r(a) = sum_{v != r} a_v + W_r * a_r of every monomial it forms at or
+below its largest value on the input, at most W_r * T for an input of total
+degree T; so every exponent in the walk is at most W_r * T, and so is the
+total degree of each piece's coefficient, which has X_r-degree 0.  Valuing
+the coefficients on the rows below repeats the argument, so on all rows
+every exponent is at most totdeg(f) * prod W_r.  The width holds the larger
+of that bound and the key polynomials' own largest exponent.
 """
 
 import collections
@@ -42,7 +55,16 @@ from operator import itemgetter
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
-from .poly import MultiPoly, divide_split, split_divisor
+from .poly import (
+    MultiPoly,
+    divide_split,
+    division_factor,
+    exponent_width,
+    pack,
+    split,
+    split_divisor,
+    unpack,
+)
 from .skp import (
     check_key_polynomials,
     key_mul,
@@ -271,46 +293,69 @@ def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
     return low, [AdicMonomial(c, k) for k, c in work.items() if value[k] == low]
 
 
-def euclidean_pieces(f, skp, j, row, keep):
-    """The pieces (key, coefficient polynomial) of f's Euclidean expansion in
-    row ``row`` with cutoff ``j``, one depth-first walk with the exponent at
-    each position ascending.  Before the walk divides out a power t >= 1 it
-    asks ``keep(key)`` of the key so far; a False ends that position's loop,
-    larger powers included.  f is nonzero.
+class DivisorSplits(dict):
+    """Index (row, j) -> ``poly.split_divisor`` of U_{row,j} packed at
+    ``width``, each made on first use."""
+
+    def __init__(self, skp, width):
+        super().__init__()
+        self.skp = skp
+        self.width = width
+
+    def __missing__(self, index):
+        out = self[index] = split_divisor(self.skp.entries[index].poly, index[0], self.width)
+        return out
+
+
+def division_bounds(skp):
+    """(W_r for each row r, the largest exponent of a key polynomial): the
+    bounds of the packing width (module docstring)."""
+    factors = [1] * skp.nvars
+    for (i, _), entry in skp.entries.items():
+        factors[i] = max(factors[i], division_factor(entry.poly, i))
+    polys = [entry.poly for entry in skp.entries.values()]
+    return factors, max((max(e) for g in polys for e in g.terms), default=0)
+
+
+def euclidean_pieces(terms, splits, j, row, keep):
+    """The pieces (key, packed coefficient terms) of the Euclidean expansion
+    in row ``row`` with cutoff ``j`` of the nonzero polynomial with packed
+    ``terms``, at the width of ``splits``; one depth-first walk with the
+    exponent at each position ascending.  Before the walk divides out a
+    power t >= 1 it asks ``keep(key)`` of the key so far; a False ends that
+    position's loop, larger powers included.
     """
-    divisors = {}
+    entries, field = splits.skp.entries, splits.skp.field
 
     def walk(g, jmax, prefix):
         dg = max(g)
-        applicable = [
-            j2 for j2 in range(1, jmax + 1) if skp.entries[(row, j2)].d <= dg
-        ]
+        applicable = [j2 for j2 in range(1, jmax + 1) if entries[(row, j2)].d <= dg]
         if not applicable:
-            leaf = MultiPoly.zero(f.nvars, f.field)
-            leaf.terms = g[0]  # X_row-degree 0: the split is {0: terms}
-            yield prefix, leaf
+            yield prefix, g[0]  # X_row-degree 0: the split is {0: terms}
             return
         j0 = max(applicable)
-        if j0 not in divisors:
-            divisors[j0] = split_divisor(f, skp.entries[(row, j0)].poly, row)
-        lower, d0 = divisors[j0]
+        lower, d0 = splits[(row, j0)]
+        if not lower and d0 == 1:
+            # U = X_row, every row's first key polynomial: the coefficient of
+            # U^t is the split's part of degree t, with no division, and
+            # only the degrees present are visited
+            for t in sorted(g):
+                key = (((row, j0), t),) + prefix if t else prefix
+                if t and not keep(key):
+                    return  # every larger power weighs more
+                yield from walk({0: g[t]}, j0 - 1, key)
+            return
         cur, t = g, 0
         while cur:
             key = (((row, j0), t),) + prefix if t else prefix
             if t and not keep(key):
-                return  # every larger power weighs more
-            if not lower and d0 == 1:
-                # U = X_row, every row's first key polynomial: the coefficient
-                # of U^t is the split's part of degree t, with no division
-                part = cur.pop(t, None)
-                ct = {0: part} if part else None
-            else:
-                cur, ct = divide_split(cur, lower, d0, f.field)
+                return
+            cur, ct = divide_split(cur, lower, d0, field)
             if ct:
                 yield from walk(ct, j0 - 1, key)
             t += 1
 
-    return walk(f.split(row), j, ())
+    return walk(split(terms, row, splits.width), j, ())
 
 
 def euclidean_expand(f, skp, j=None, row=None):
@@ -321,21 +366,34 @@ def euclidean_expand(f, skp, j=None, row=None):
     every piece of ``euclidean_pieces``.  Exponents at positions before
     the cutoff ``j`` stay below their n.  ``row`` defaults to the top row.
     """
-    top = skp.nvars - 1 if row is None else row
+    if f.nvars != skp.nvars or f.field != skp.field:
+        raise ValueError("polynomial ring does not match the table")
+    if row is None:
+        top = skp.nvars - 1
+    elif type(row) is int and 0 <= row < skp.nvars:
+        top = row
+    else:
+        raise ValueError(f"row {row!r} is not a row of the table")
     length = skp.row_length(top)
     if length == 0:
         raise ValueError(f"row {top} has no key polynomials")
     if j is None:
         j = length
-    if not 1 <= j <= length:
-        raise ValueError(f"cutoff {j} outside 1..{length}")
+    if type(j) is not int or not 1 <= j <= length:
+        raise ValueError(f"cutoff {j!r} outside 1..{length}")
     if f.is_zero():
         return []
-    pieces = sorted(euclidean_pieces(f, skp, j, top, lambda _: True), key=itemgetter(0))
+    factors, largest = division_bounds(skp)
+    splits = DivisorSplits(skp, exponent_width(max(f.degree() * factors[top], largest)))
+    terms = pack(f, splits.width)
+    pieces = sorted(euclidean_pieces(terms, splits, j, top, lambda _: True), key=itemgetter(0))
     # positions strictly before the cutoff stay below their index
     for key, _ in pieces:
         for (_, pos), t in key:
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    return [({pos: t for (_, pos), t in key}, leaf) for key, leaf in pieces]
+    return [
+        ({pos: t for (_, pos), t in key}, unpack(leaf, splits.width, f.nvars, f.field))
+        for key, leaf in pieces
+    ]

@@ -9,8 +9,26 @@ already carry.
 
 The one nontrivial algorithm is division with remainder in X_i by a divisor
 monic in X_i, which keeps quotient and remainder in the same ring.  It runs
-on X_i-degree splits (``MultiPoly.split``, ``divide_split``): each step is one
-scaled subtraction per lower X_i-coefficient of the divisor.
+on X_i-degree splits of packed monomials (``pack``, ``split``,
+``divide_split``): the exponent vector e is coded as the one int
+sum e_v << (w*v) at a width of w bits per variable, so the product of two
+monomials is the sum of their codes, and each step is one scaled
+subtraction per lower X_i-coefficient of the divisor.
+
+The width is proven, not guessed.  The sum of two codes is the code of the
+product as long as no exponent of the product reaches 2^w.  Let g be monic
+in X_i of X_i-degree dg and W >= 1 with |e| <= W * (dg - k) for every lower
+term X^e * X_i^k of g, |e| the total degree of the variables other than X_i
+(``division_factor``).  Weigh a monomial X^a by
+phi(a) = sum_{v != i} a_v + W * a_i.  A division step sends a lead term of
+X_i-degree D >= dg to a quotient term of X_i-degree D - dg (phi drops by
+W * dg) and to the terms X^(a+e) * X_i^(D-dg+k), whose phi is
+phi(a) + |e| - W * (dg - k) <= phi(a).  So every monomial a division forms,
+in quotient and remainder alike, has phi at most the largest phi on the
+dividend f, which is at most W * totdeg(f), and each of its exponents is at
+most its phi.  A width that holds max(W * totdeg(f), the largest exponent
+of g) therefore holds every exponent the division forms
+(``exponent_width``); ``expansion`` repeats the argument row by row.
 """
 
 import re
@@ -139,11 +157,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        """True for zero and the constants."""
-        terms = self.terms
-        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
-
     # -- degrees -----------------------------------------------------------
 
     def deg_in(self, i):
@@ -158,25 +171,15 @@ class MultiPoly:
             raise ZeroPolyError("order of the zero polynomial")
         return min(sum(e) for e in self.terms)
 
-    def split(self, i):
-        """{k: terms of the coefficient of X_i^k}, their X_i-exponent set to 0."""
-        out = {}
-        for e, c in self.terms.items():
-            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1 :]] = c
-        return out
-
-    @classmethod
-    def join(cls, groups, i, nvars, field=QQ):
-        """The polynomial whose X_i-degree split is ``groups``."""
-        out = cls.zero(nvars, field)
-        for k, part in groups.items():
-            out.terms.update((e[:i] + (k,) + e[i + 1 :], c) for e, c in part.items())
-        return out
+    def degree(self):
+        """Maximum total degree over the terms; 0 for the zero polynomial."""
+        return max(map(sum, self.terms), default=0)
 
     def is_monic_in(self, i):
         """True when the leading X_i-coefficient is the constant 1."""
-        groups = self.split(i)
-        return bool(groups) and groups[max(groups)] == {(0,) * self.nvars: self.field.one}
+        d = self.deg_in(i)
+        lead = [(e, c) for e, c in self.terms.items() if e[i] == d]
+        return lead == [((0,) * i + (d,) + (0,) * (self.nvars - i - 1), self.field.one)]
 
     def truncate(self, cutoff):
         """Drop all terms of total degree above the cutoff."""
@@ -205,19 +208,66 @@ class MultiPoly:
         return f"MultiPoly({poly_to_str(self)})"
 
 
-def split_divisor(f, g, i):
-    """(lower X_i-coefficients, X_i-degree) of g, a divisor of f monic in X_i."""
-    f._check(g)
-    groups = g.split(i)
+def exponent_width(bound):
+    """Bits per variable of packed monomials whose exponents are at most bound."""
+    return max(1, bound.bit_length())
+
+
+def division_factor(g, i):
+    """The least W >= 1 with |e| <= W * (dg - k) over the lower terms
+    X^e * X_i^k of g, dg its X_i-degree and |e| the total degree of the
+    other variables: the factor of the width proof in the module docstring."""
+    dg = g.deg_in(i)
+    # -(-|e| // (dg - k)) is the ceiling of |e| / (dg - k)
+    return max([-((e[i] - sum(e)) // (dg - e[i])) for e in g.terms if e[i] < dg] + [1])
+
+
+def pack(f, w):
+    """f's terms keyed by packed monomial, w bits per variable."""
+    shifts = range(0, w * f.nvars, w)
+    return {sum([e << s for e, s in zip(exps, shifts)]): c for exps, c in f.terms.items()}
+
+
+def unpack(terms, w, nvars, field):
+    """The polynomial of packed terms, w bits per variable."""
+    mask = (1 << w) - 1
+    shifts = range(0, w * nvars, w)
+    out = MultiPoly.zero(nvars, field)
+    out.terms = {tuple([e >> s & mask for s in shifts]): c for e, c in terms.items()}
+    return out
+
+
+def split(terms, i, w):
+    """{k: packed terms of the coefficient of X_i^k, their X_i-exponent 0}."""
+    shift, mask = w * i, (1 << w) - 1
+    out = {}
+    for e, c in terms.items():
+        k = e >> shift & mask
+        out.setdefault(k, {})[e - (k << shift)] = c
+    return out
+
+
+def join(groups, i, w, nvars, field):
+    """The polynomial whose packed X_i-degree split is ``groups``."""
+    shift = w * i
+    terms = {e + (k << shift): c for k, part in groups.items() for e, c in part.items()}
+    return unpack(terms, w, nvars, field)
+
+
+def split_divisor(g, i, w):
+    """(lower X_i-coefficients, X_i-degree) of g, a divisor monic in X_i,
+    packed at width w."""
+    groups = split(pack(g, w), i, w)
     dg = max(groups, default=-1)
-    if groups.get(dg) != {(0,) * g.nvars: g.field.one}:
+    if groups.get(dg) != {0: g.field.one}:
         raise NotMonicError(f"divisor is not monic in X{i}")
     return [(k, part) for k, part in groups.items() if k < dg], dg
 
 
 def divide_split(rem, lower, dg, field):
     """The splits (q, rem) of f = q*g + rem, deg_{X_i} rem < dg, from the
-    split of f (consumed) and the divisor as ``split_divisor`` gives it."""
+    packed split of f (consumed) and the divisor as ``split_divisor`` gives
+    it, both at one width that holds every exponent the division forms."""
     reduce = field.reduce
     q = {}
     for d in range(max(rem, default=-1), dg - 1, -1):
@@ -229,7 +279,7 @@ def divide_split(rem, lower, dg, field):
             target = rem.setdefault(d - dg + k, {})
             for e1, c1 in lead.items():
                 for e2, c2 in part.items():
-                    e = tuple(map(add, e1, e2))
+                    e = e1 + e2
                     c = reduce(target.get(e, 0) - c1 * c2)
                     if c:
                         target[e] = c
@@ -247,11 +297,16 @@ def monic_divide(f, g, i):
 
     Returns (q, rem) with f = q*g + rem exactly and deg_{X_i}(rem) <
     deg_{X_i}(g).  Since g is monic in X_i no coefficient division happens,
-    so quotient and remainder stay in the same ring.
+    so quotient and remainder stay in the same ring.  f and g are packed at
+    the width that holds max(W * totdeg(f), the largest exponent of g),
+    W = ``division_factor(g, i)``, and q and rem unpacked.
     """
-    lower, dg = split_divisor(f, g, i)
-    q, rem = divide_split(f.split(i), lower, dg, f.field)
-    return tuple(MultiPoly.join(part, i, f.nvars, f.field) for part in (q, rem))
+    f._check(g)
+    largest = max(map(max, g.terms), default=0)
+    w = exponent_width(max(division_factor(g, i) * f.degree(), largest))
+    lower, dg = split_divisor(g, i, w)
+    q, rem = divide_split(split(pack(f, w), i, w), lower, dg, f.field)
+    return join(q, i, w, f.nvars, f.field), join(rem, i, w, f.nvars, f.field)
 
 
 # -- text form ---------------------------------------------------------------

@@ -95,15 +95,27 @@ def key_product(entries, products, key, cutoff):
     """prod U^e over the sorted ``((i, j), e)`` items of ``key``, truncated at
     the cutoff, from the caller's store ``products`` (key -> product, holding
     ``()`` mapped to 1): the one routine that multiplies out key polynomials.
-    A missing product is the key with its greatest factor's exponent lowered
-    by one, times that factor's polynomial, truncated (truncation commutes
-    with multiplication); missing ones are built upward by a loop and stored.
-    An exponent below 1 raises ValueError."""
+    Under a cutoff, a key whose order sum e * ord U passes it, or that has a
+    factor truncated to 0, is 0 at once: orders add in a polynomial ring over
+    a field.  Any other missing product is the key with its greatest
+    factor's exponent lowered by one, times that factor's polynomial,
+    truncated (truncation commutes with multiplication); missing ones are
+    built upward by a loop and stored.  An exponent below 1 raises
+    ValueError."""
+    if key in products:
+        return products[key]
+    for (i, j), e in key:
+        if e < 1:
+            raise ValueError(f"exponent {e} of U_{{{i},{j}}} is below 1")
+    if cutoff is not None:
+        orders = [entries[idx].order for idx, _ in key]
+        if None in orders or sum(e * o for (_, e), o in zip(key, orders)) > cutoff:
+            one = products[()]
+            out = products[key] = MultiPoly.zero(one.nvars, one.field)
+            return out
     steps = []
     while key not in products:
         idx, e = key[-1]
-        if e < 1:
-            raise ValueError(f"exponent {e} of U_{{{idx[0]},{idx[1]}}} is below 1")
         steps.append((key, idx))
         key = key[:-1] + ((idx, e - 1),) if e > 1 else key[:-1]
     out = products[key]
@@ -292,12 +304,12 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
             entry.unroll_report = unrolled
             entry.truncated_limit = unrolled is None and ventry.limit_label is not None
         entries[index] = entry
-        _check_entry_shape(entry, table.nvars, cutoff)
+        _check_entry_shape(entry, cutoff)
 
     return SkpTable(table, entries, field, cutoff)
 
 
-def _check_entry_shape(entry, nvars, cutoff):
+def _check_entry_shape(entry, cutoff):
     i, _ = entry.index
     poly = entry.poly
     # support: U_{i,j} involves only X_0..X_i
@@ -310,9 +322,8 @@ def _check_entry_shape(entry, nvars, cutoff):
         raise AssertionError(entry)
     if not poly.is_monic_in(i):
         raise AssertionError(entry)
-    for k, coeff in poly.split(i).items():
-        if k < entry.d and (0,) * nvars in coeff:
-            raise AssertionError(entry)
+    if any(e[i] < entry.d and sum(e) == e[i] for e in poly.terms):
+        raise AssertionError(entry)
 
 
 def rewrite_rules(skp, alpha):

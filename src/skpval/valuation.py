@@ -24,11 +24,12 @@ makes a representation canonical.
 
 from fractions import Fraction
 from math import prod
-from operator import add
 
 from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
+    DivisorSplits,
+    division_bounds,
     euclidean_pieces,
     least_value,
     least_value_part,
@@ -36,12 +37,14 @@ from .expansion import (
     vp,
 )
 from .ordgroup import fold_relations, is_finite_index
+from .poly import exponent_width, pack, split
 from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, weigh
 
 
 class SkpValuation:
     """A table of key polynomials together with an acceptable cutoff vector,
-    and the ``value_rules`` both value routes read."""
+    the ``value_rules`` both value routes read, and the Euclidean route's
+    width bounds and ``DivisorSplits`` (width -> splits), made on first use."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
@@ -50,6 +53,21 @@ class SkpValuation:
         self.rule_set = value_rules(skp, self.alpha)
         if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
+        self.bounds = None
+        self.splits = {}
+
+    def divisor_splits(self, degree):
+        """The ``DivisorSplits`` at the width that holds every exponent of
+        the Euclidean walk, on all rows, of a polynomial of total degree
+        ``degree``: degree * prod W_r and the key polynomials' own."""
+        if self.bounds is None:
+            self.bounds = division_bounds(self.skp)
+        factors, largest = self.bounds
+        width = exponent_width(max(degree * prod(factors), largest))
+        splits = self.splits.get(width)
+        if splits is None:
+            splits = self.splits[width] = DivisorSplits(self.skp, width)
+        return splits
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"
@@ -99,19 +117,25 @@ def value_via_euclidean(f, valuation):
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
-    return skp.chain.value(_euclid_value(f, valuation, skp.nvars - 1))
+    if f.nvars != skp.nvars or f.field != skp.field:
+        raise ValueError("polynomial ring does not match the table")
+    splits = valuation.divisor_splits(f.degree())
+    walk = (valuation, splits)
+    return skp.chain.value(_euclid_value(pack(f, splits.width), walk, skp.nvars - 1))
 
 
-def _euclid_value(f, valuation, top):
-    """The value of f on rows 0..top as an integer vector (``skp.weigh``),
-    the row's Euclidean walk pruned by the best sum so far."""
-    skp = valuation.skp
-    if top < 0 or f.is_constant():
+def _euclid_value(terms, walk, top):
+    """The value on rows 0..top, an integer vector (``skp.weigh``), of the
+    nonzero polynomial with packed ``terms``; ``walk`` is the valuation and
+    its ``DivisorSplits`` at the terms' width.  The row's Euclidean walk is
+    pruned by the best sum so far."""
+    valuation, splits = walk
+    if top < 0 or terms.keys() <= {0}:
         return valuation.rule_set.origin
-    if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
-        if f.deg_in(top) > 0:
+    if valuation.skp.row_length(top) == 0 or valuation.alpha[top] == 0:
+        if max(split(terms, top, splits.width)) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
-        return _euclid_value(f, valuation, top - 1)
+        return _euclid_value(terms, walk, top - 1)
     _, origin, weights, _ = valuation.rule_set
     best = None
 
@@ -119,9 +143,8 @@ def _euclid_value(f, valuation, top):
         # nu(coefficient) >= 0, so a key that reaches the best sum cannot win
         return best is None or weigh(key, weights, origin) < best
 
-    for key, coeff in euclidean_pieces(f, skp, valuation.alpha[top], top, keep):
-        lower = _euclid_value(coeff, valuation, top - 1)
-        part = tuple(map(add, weigh(key, weights, origin), lower))
+    for key, coeff in euclidean_pieces(terms, splits, valuation.alpha[top], top, keep):
+        part = weigh(key, weights, _euclid_value(coeff, walk, top - 1))
         if best is None or part < best:
             best = part
     return best

@@ -379,18 +379,24 @@ def long_euclidean_expand(f, skp, j=None, row=None):
             return {(): g}
         j0 = max(applicable)
         divisor = skp.entries[(top, j0)].poly
-        coeffs = {}
-        cur = g
-        t = 0
-        while not cur.is_zero():
-            if cur.deg_in(top) < skp.entries[(top, j0)].d:
-                coeffs[t] = cur
-                break
-            q, r = long_divide(cur, divisor, top)
-            if not r.is_zero():
-                coeffs[t] = r
-            cur = q
-            t += 1
+        if divisor == MultiPoly.variable(top, g.nvars, g.field):
+            # in powers of X_top the coefficients are read off directly:
+            # dividing once per power would take as many steps as the
+            # largest exponent
+            coeffs = {t: coefficient_of(g, top, t) for t in {e[top] for e in g.terms}}
+        else:
+            coeffs = {}
+            cur = g
+            t = 0
+            while not cur.is_zero():
+                if cur.deg_in(top) < skp.entries[(top, j0)].d:
+                    coeffs[t] = cur
+                    break
+                q, r = long_divide(cur, divisor, top)
+                if not r.is_zero():
+                    coeffs[t] = r
+                cur = q
+                t += 1
         out = {}
         for t, ct in coeffs.items():
             for subkey, cpoly in rec(ct, j0 - 1).items():
@@ -407,7 +413,7 @@ def group_euclid_value(f, valuation, top):
     expansions of ``long_euclidean_expand``, each summed as a GroupValue
     (``part + beta.scale(e)``) and compared as one."""
     skp = valuation.skp
-    if top < 0 or f.is_constant():
+    if top < 0 or f.degree() == 0:
         return GroupValue((0,) * valuation.skp.dimension)
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
         if f.deg_in(top) > 0:

@@ -314,6 +314,28 @@ class TestReportShape:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["status"] == "ok"
 
+    def test_huge_relation_exponent_under_a_cutoff_builds(self, tmp_path):
+        # the relation of U_{2,1} holds U_{0,1}^(10**30); under cutoff 5 every
+        # product that holds it is 0, so the build ends at once.  The child
+        # caps its own address space, so a build that lowers the exponent one
+        # step at a time fails fast instead of filling memory.
+        with open(DATA / "example1_tail.json") as fh:
+            problem = json.load(fh)
+        problem["values"]["rows"][2][0] = ["0", "2", str(10**30)]
+        del problem["limit_tails"]
+        path = tmp_path / "huge_relation.json"
+        path.write_text(json.dumps(problem))
+        child = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from skpval.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "build", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["status"] == "ok"
+
     def test_bad_alpha_is_malformed_input(self, capsys):
         code, report = run(
             capsys, "eval", "--skp", DATA / "remark_diffskp.json",

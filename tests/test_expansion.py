@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from skpval import (
+    GF,
     IterationCapError,
     MultiPoly,
     NotMonicError,
@@ -259,6 +261,23 @@ class TestEuclideanOracle:
         skp = build_skp(diffskp_table, cutoff=1)
         with pytest.raises(NotMonicError):
             euclidean_expand(P("X1^2"), skp, 2)
+
+
+class TestEuclideanEntryChecks:
+    @pytest.mark.parametrize("row", [2, 5, -1, True, False, 1.0, "1"])
+    def test_row_outside_the_table(self, diffskp, row):
+        with pytest.raises(ValueError, match=re.escape(f"row {row!r} is not a row")):
+            euclidean_expand(P("X1^3 + X0"), diffskp, row=row)
+
+    @pytest.mark.parametrize("j", [0, 4, True, 1.5, "1"])
+    def test_cutoff_outside_the_row(self, diffskp, j):
+        with pytest.raises(ValueError, match=re.escape(f"cutoff {j!r} outside 1..3")):
+            euclidean_expand(P("X1^3 + X0"), diffskp, j=j)
+
+    def test_ring_refused(self, diffskp):
+        for f in (parse_poly("X0", 3), parse_poly("X1", 2, GF(7))):
+            with pytest.raises(ValueError, match="^polynomial ring does not match the table$"):
+                euclidean_expand(f, diffskp)
 
 
 class TestGuards:

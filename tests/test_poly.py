@@ -14,6 +14,7 @@ from skpval import (
     parse_poly,
 )
 from skpval.fields import QQ
+from skpval.poly import division_factor, exponent_width
 from skpval.realize import random_polynomial
 
 from oracles import long_divide
@@ -230,6 +231,58 @@ class TestDivisionOracle:
             monic_divide(f, P("X1", nvars=3), 1)
         with pytest.raises(ValueError):
             monic_divide(f, P("X1", field=GF(7)), 1)
+
+
+def near_word(rng, nvars, i, bits, field):
+    """A monomial whose exponents off X_i are 0 or within 8 of 2^bits."""
+    exps = [0] * nvars
+    for v in range(nvars):
+        if v != i and rng.random() < 0.7:
+            exps[v] = 2**bits + rng.randint(-8, 8)
+    return MultiPoly(nvars, {tuple(exps): 1}, field)
+
+
+class TestPackedDivision:
+    """monic_divide packs its monomials at the width of the bound in the
+    poly module docstring: no fixed word size, and no wider than needed."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_exponents_near_a_word(self, field, bits):
+        rng = random.Random(bits)
+        for _ in range(30):
+            nvars = rng.choice((2, 3))
+            i = rng.randrange(nvars)
+            g = random_monic(rng, nvars, i, field)
+            if rng.random() < 0.5:
+                # a lower divisor term near the word multiplies W by about 2^bits
+                xi = MultiPoly.variable(i, nvars, field)
+                g = g + xi ** rng.randrange(g.deg_in(i)) * near_word(rng, nvars, i, bits, field)
+            f = random_polynomial(rng, nvars, 4, field) * near_word(rng, nvars, i, bits, field)
+            f = f + random_polynomial(rng, nvars, 4, field)
+            assert_divides_like_oracle(f, g, i)
+            assert_divides_like_oracle(f * g + f, g, i)
+
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_remainder_at_the_bound(self, bits):
+        # X1^4 by X1 - X0^W leaves X0^(4W) = W * totdeg(f), a power of two,
+        # so the width is the least that holds it
+        f = P("X1^4")
+        g = MultiPoly(2, {(0, 1): 1, (2 ** (bits - 2), 0): -1})
+        assert division_factor(g, 1) * f.degree() == 2**bits
+        assert exponent_width(2**bits) == bits + 1
+        q, r = monic_divide(f, g, 1)
+        assert r == MultiPoly(2, {(2**bits, 0): 1})
+        assert q * g + r == f
+        assert_divides_like_oracle(f, g, 1)
+
+    def test_division_factor(self):
+        # ceil(|e| / (dg - k)) over the lower terms X^e * X_i^k, at least 1
+        assert division_factor(P("X1^2 - X0^3"), 1) == 2
+        assert division_factor(P("X1^3 - X0^5*X1 - X0"), 1) == 3
+        assert division_factor(P("X1^2 + X0*X1"), 1) == 1
+        assert division_factor(P("X1"), 1) == 1
+        assert division_factor(MultiPoly.zero(2), 1) == 1
 
 
 def to_sympy(f, symbols):

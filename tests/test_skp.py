@@ -168,6 +168,25 @@ class TestKeyProduct:
         with pytest.raises(ValueError, match="below 1"):
             key_product(diffskp.entries, products, key, diffskp.cutoff)
 
+    def test_product_past_the_cutoff_is_zero_at_once(self, diffskp_table):
+        # sum e * ord U above the cutoff, or a factor truncated to 0, gives 0
+        # without lowering an exponent of 10**30 one step at a time
+        class Store(dict):
+            lookups = 0
+
+            def __contains__(self, key):
+                Store.lookups += 1
+                assert Store.lookups < 100, "the store was searched step by step"
+                return super().__contains__(key)
+
+        skp = build_skp(diffskp_table, cutoff=1)
+        assert skp.entries[(1, 2)].order is None
+        for key in [(((0, 1), 10**30),), (((0, 1), 1), ((1, 2), 1)), (((1, 1), 2),)]:
+            products = Store({(): MultiPoly.one(skp.nvars, skp.field)})
+            assert key_product(skp.entries, products, key, skp.cutoff).is_zero()
+            assert products[key].is_zero()
+        assert key_product(skp.entries, products, (((1, 1), 1),), 1) == P("X1")
+
     def test_monomial_poly_skips_zero_and_refuses_negative_exponents(self, diffskp):
         assert diffskp.monomial_poly({(0, 1): 1, (1, 1): 0}) == P("X0")
         with pytest.raises(ValueError, match="below 1"):

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from skpval import (
+    GF,
     GroupValue,
+    MultiPoly,
     SkpValuation,
     ZeroPolyError,
     build_skp,
@@ -167,6 +169,47 @@ class TestEuclideanValueOracle:
                     assert value_via_euclidean(f, v).coords == want.coords
 
 
+class TestEuclideanWideExponents:
+    """The routes agree with the reference past any machine word: the
+    Euclidean walk packs at the width its bound needs."""
+
+    def test_plane_curve(self, diffskp):
+        v = SkpValuation(diffskp)
+        for text in (
+            f"X0^{2**64 + 1}*X1^3 + X1^2",
+            f"X0^{2**64}*(X1^2 - X0^3)^2 + X0^{2**65}*X1",
+            f"(X1^2 - X0^3)*X0^{2**70} + X1^4*X0^{2**70 - 3}",
+        ):
+            f = P(text)
+            want = group_euclid_value(f, v, 1)
+            assert value_of(f, v) == value_via_euclidean(f, v) == want, text
+
+    def test_random_polynomials(self, diffskp, example1):
+        rng = random.Random(64)
+        for skp in (diffskp, example1):
+            v = SkpValuation(skp)
+            for _ in range(6):
+                exps = [2**64 + rng.randint(-3, 3) for _ in range(skp.nvars - 1)] + [0]
+                big = MultiPoly(skp.nvars, {tuple(exps): 1})
+                f = random_polynomial(rng, skp.nvars, 4) * big
+                f = f + random_polynomial(rng, skp.nvars, 4)
+                want = group_euclid_value(f, v, skp.nvars - 1)
+                assert value_of(f, v) == value_via_euclidean(f, v) == want
+
+
+class TestEuclideanEntryChecks:
+    @pytest.mark.parametrize(
+        "f",
+        [parse_poly("X0", 1), parse_poly("1", 1), parse_poly("X0", 3), parse_poly("X0", 2, GF(7))],
+        ids=["one-var", "one-var-constant", "three-vars", "gf7"],
+    )
+    def test_ring_refused_as_value_of_refuses_it(self, diffskp, f):
+        v = SkpValuation(diffskp)
+        for route in (value_of, value_via_euclidean):
+            with pytest.raises(ValueError, match="^polynomial ring does not match the table$"):
+                route(f, v)
+
+
 class TestEuclideanWork:
     """The Euclidean route divides out a power of a key polynomial, and
     values a piece's coefficient, only while the key-polynomial part can
@@ -297,7 +340,7 @@ class TestInitialForm:
         for e11, e12, e13, e01 in itertools.product(range(4), repeat=4):
             exps = {(1, 1): e11, (1, 2): e12, (1, 3): e13, (0, 1): e01}
             f = diffskp.monomial_poly(exps)
-            if f.is_constant():
+            if f.degree() == 0:
                 continue
             form = initial_form(f, v)
             assert len(form) == 1
