@@ -4,23 +4,22 @@ An adic expansion rewrites a polynomial as a sum of monomials in the key
 polynomials where every exponent at a non-final position (i, j), j < alpha_i,
 stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
-positions form an n = 1 chain, by the collapsed sum across the chain; one
-call reads its bounds and rules from ``skp.rewrite_rules``.  Each monomial
-has one fixed rule, at its greatest violating index, and the cutoff drops a
-monomial by its exponents alone, so the expansion is unique.  A monomial
-is a coefficient and a key of ``skp``.  One loop pops monomials from a
-priority queue keyed by (weight, key); the order fixes only the rewrite
-count under ``max_rewrites``.  ``adic_expand`` weighs by Vdeg (per-variable
-degree vector, ``SkpTable.degree_weights``).  The value loop weighs by
-value and stops at the first value class that survives once its violating
-monomials are rewritten: U^n (value n * beta) becomes U_next (greater) and
-theta * U^m (equal), so no later rewrite reaches a lower class.
-``least_value`` is its value-only entry: the least value as an integer
-row of the table's analyzed ``chain``, with no monomial built;
-``least_value_part`` also returns the monomials of that value, for initial
-forms.  ``value_rules`` refuses a table where a rule has a lower branch,
-which defines no valuation, so the value loop always stops early; it is
-built once per ``SkpValuation``, which both entries read.
+positions form an n = 1 chain, by the collapsed sum across the chain
+(``skp.rewrite_rules``).  Each monomial is rewritten at its greatest
+violating index, and the cutoff drops a monomial by its exponents alone, so
+the expansion is unique.  One loop, ``_rewrite``, pops monomials from a
+priority queue by weight; the order fixes only the rewrite count under
+``max_rewrites``.  There a key is dense, the exponent tuple over
+``skp.order``, and a ``RuleSet`` holds each rule branch's exponent, weight
+and order deltas, so a rewrite adds tuples; sparse keys appear only at the
+boundary (``AdicMonomial``) and as the tie key of ``adic_expand``, which
+weighs by Vdeg (``SkpTable.degree_weights``) with a RuleSet per call.  The
+value loop weighs by value and stops at the first value class that survives
+once its violating monomials are rewritten: U^n becomes U_next (greater)
+and theta * U^m (equal), so no later rewrite reaches a lower class.
+``least_value`` returns that class as an integer row of the table's
+``chain``, with no monomial built, and ``least_value_part`` its monomials
+too; both read the ``value_rules`` made once per ``SkpValuation``.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -49,9 +48,9 @@ every exponent is at most totdeg(f) * prod W_r.  The width holds the larger
 of that bound and the key polynomials' own largest exponent.
 """
 
-import collections
-import heapq
-from operator import itemgetter
+from heapq import heappop, heappush
+from math import inf
+from operator import add, itemgetter
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
@@ -65,15 +64,7 @@ from .poly import (
     split_divisor,
     unpack,
 )
-from .skp import (
-    check_key_polynomials,
-    key_mul,
-    key_product,
-    normalize_alpha,
-    rewrite_rules,
-    u_order,
-    weigh,
-)
+from .skp import check_key_polynomials, key_product, normalize_alpha, rewrite_rules, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -143,116 +134,149 @@ class AdicExpansion:
         return " + ".join(repr(m) for m in self.monomials) or "0"
 
 
-# One expansion's ``rewrite_rules``, zero weight and index weights (``weigh``),
-# and whether the loop stops at the first weight class that survives.
-RuleSet = collections.namedtuple("RuleSet", "rules origin weights stop_early")
+class RuleSet(dict):
+    """``rewrite_rules`` under a normalized cutoff vector, on dense keys:
+    ``branches`` maps each rule position to the branches of U^n there, theta
+    (None for U_next) and the exponent, weight and order deltas (order inf
+    for a factor the cutoff truncated to 0, so a rule at one drops every
+    branch), and ``scans`` to the (position, n) pairs, greatest first, where
+    a branch can violate (None: every rule position).  As a dict it maps the
+    exponents e of a term X^e to the (dense key, weight, order) of
+    prod U_{i,1}^{e_i}, made on first use.  ``weights`` and ``origin`` weigh
+    sparse keys.  With ``stop_early`` (the value loop) a branch of lower
+    weight than its power raises InvalidTableError naming the first such U."""
+
+    def __init__(self, skp, alpha, weights, origin, stop_early):
+        super().__init__()
+        self.skp, self.alpha, self.weights, self.origin = skp, alpha, weights, origin
+        self.stop_early = stop_early
+        position = {index: p for p, index in enumerate(skp.order)}
+        orders = {idx: inf if e.order is None else e.order for idx, e in skp.entries.items()}
+        violable = []  # (rule position, n), the greatest first
+        self.branches = {}
+        for (i, j), (n, nxt, terms) in sorted(rewrite_rules(skp, alpha).items()):
+            p = position[(i, j)]
+            violable.insert(0, (p, n))
+            out = self.branches[p] = []
+            for theta, m in [(None, ((nxt, 1),))] + terms:
+                signed = (((i, j), -n),) + m  # the branch over U^n
+                dkey, dorder = [0] * len(position), 0
+                for idx, e in signed:
+                    dkey[position[idx]] += e
+                    dorder += e * orders[idx]
+                dweight = weigh(signed, weights, origin)
+                if stop_early and dweight < origin:
+                    raise InvalidTableError(
+                        f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
+                        "the table defines no valuation"
+                    )
+                out.append((theta, tuple(dkey), dweight, dorder if orders[(i, j)] < inf else inf))
+        # branches violate only at or below their rule, or where they raise an exponent
+        self.scans = {None: violable}
+        for p, out in self.branches.items():
+            self.scans[p] = [(q, n) for q, n in violable if q <= p or any(b[1][q] for b in out)]
+
+    def __missing__(self, exps):
+        key = tuple([exps[i] if j == 1 else 0 for i, j in self.skp.order])
+        w = weigh(sparse_key(key, self.skp), self.weights, self.origin)
+        out = self[exps] = (key, w, sum(exps))
+        return out
 
 
 def value_rules(skp, alpha):
-    """The RuleSet of the value loop under a normalized cutoff vector:
-    values as integer rows of the table's ``chain`` (tuples compare as
-    their GroupValues do, the common denominator being positive).
-
-    The early stop needs every beta > 0 (else ValueError) and no rule branch
-    of lower value than the power U^n it replaces (else InvalidTableError
-    naming the first such U): such a rule defines no valuation.
-    """
-    rules = rewrite_rules(skp, alpha)
+    """The value loop's RuleSet under a normalized cutoff vector: values are
+    integer rows of the table's ``chain``, which compare as their GroupValues
+    (the common denominator is positive).  A beta <= 0 raises ValueError."""
     origin = (0,) * skp.dimension
     weights = {}
     for index, beta in zip(skp.order, skp.chain.rows):
         if beta <= origin:
             raise ValueError(f"beta at {index} is not positive")
         weights[index] = [(k, c) for k, c in enumerate(beta) if c]
-    for (i, j), (n, nxt, terms) in sorted(rules.items()):
-        power = weigh((((i, j), n),), weights, origin)
-        for m in [((nxt, 1),)] + [m for _, m in terms]:
-            if weigh(m, weights, origin) < power:
-                raise InvalidTableError(
-                    f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
-                    "the table defines no valuation"
-                )
-    return RuleSet(rules, origin, weights, True)
+    return RuleSet(skp, alpha, weights, origin, True)
 
 
-def _rewrite(f, skp, alpha, rule_set, max_rewrites):
-    """The working set (key -> coefficient) the loop ends with, and the
-    weight of every key it held."""
+def sparse_key(key, skp):
+    """The sparse key ((i, j), e) of a dense one."""
+    return tuple([(index, e) for index, e in zip(skp.order, key) if e])
+
+
+def _rewrite(f, rules, max_rewrites):
+    """The loop over a RuleSet: the working set (dense key -> coefficient)
+    it ends with or, in the value loop, the keys in it of the least weight
+    of a surviving key, and that weight."""
+    skp, scans, branches, stop_early = rules.skp, rules.scans, rules.branches, rules.stop_early
     if f.is_zero():
         raise ZeroPolyError("cannot expand the zero polynomial")
     if f.nvars != skp.nvars or f.field != skp.field:
         raise ValueError("polynomial ring does not match the table")
-    # each term X^e as the key of U_{i,1}^{e_i}, i ascending, so already
-    # sorted; no term may use a row without key polynomials
-    bad = [i for i, a in enumerate(alpha) if not a and any(e[i] for e in f.terms)]
+    bad = [i for i, a in enumerate(rules.alpha) if not a and any(e[i] for e in f.terms)]
     if bad:
         raise ValueError(f"X{bad[0]} appears but row {bad[0]} has no key polynomials")
-    keys = [tuple([((i, 1), e) for i, e in enumerate(exps) if e]) for exps in f.terms]
 
     reduce = skp.field.reduce
-    cutoff = skp.cutoff
-    rules, origin, weights, stop_early = rule_set
+    limit = inf if skp.cutoff is None else skp.cutoff
 
-    # Each violating key in ``work`` has an entry (weight, key, position of its
-    # greatest violating index) in ``heap``, in the value loop every other key
-    # too (position None); an entry whose key has left ``work`` is skipped.
+    # Each violating key in ``work`` has an entry (weight, tie key, key,
+    # order, greatest violating position) in ``heap``, in the value loop
+    # every other key too (position None); an entry whose key has left
+    # ``work`` is skipped.  Ties go by the dense key in the value loop, by
+    # the sparse key (the rescanning reference's order) in adic_expand.
+    # ``pending`` holds the (key, weight - w, order, coefficient) items to
+    # add: the terms of f (w the origin), then the branches of the popped key.
     work = {}
-    weight = {}
     heap = []
-
-    def add(key, coeff):
-        if cutoff is not None and u_order(key, skp.entries) > cutoff:
-            return
-        cur = work.get(key)
-        if cur is not None:
-            cur = reduce(cur + coeff)
-            if not cur:
-                del work[key]
-            else:
-                work[key] = cur
-            return
-        if not coeff:
-            return
-        work[key] = coeff
-        at = None
-        for k, (idx, e) in enumerate(key):
-            if idx in rules and e >= rules[idx][0]:
-                at = k  # keys are sorted, so the last one is the greatest
-        w = weight.get(key)
-        if w is None:
-            w = weight[key] = weigh(key, weights, origin)
-        if at is not None or stop_early:
-            heapq.heappush(heap, (w, key, at))
-
-    for key, c in zip(keys, f.terms.values()):
-        add(key, c)
-
+    w, scan = rules.origin, scans[None]
+    pending = [rules[exps] + (c,) for exps, c in f.terms.items()]
     rewrites = 0
     settled, current = [], None  # the popped keys of this weight that need no rewrite
-    while heap:
-        w, target, at = heapq.heappop(heap)
-        if target not in work:
-            continue
-        if w != current:
-            if stop_early and any(key in work for key in settled):
-                break
-            settled, current = [], w
-        if at is None:
-            settled.append(target)
-            continue
-        rewrites += 1
-        if rewrites > max_rewrites:
-            raise IterationCapError(f"exceeded {max_rewrites} rewrites")
-
-        coeff = work.pop(target)
-        index, e = target[at]
-        n, nxt, terms = rules[index]
-        rest = ((index, e - n),) if e > n else ()
-        base = target[:at] + rest + target[at + 1:]
-        add(key_mul(base, ((nxt, 1),)), coeff)
-        for theta, m in terms:
-            add(key_mul(base, m), reduce(coeff * theta))
-    return work, weight
+    while pending:
+        for key, dweight, order, coeff in pending:
+            if order > limit:
+                continue
+            cur = work.get(key)
+            if cur is None:  # coefficients and thetas are nonzero in a field
+                work[key] = coeff
+                for at, n in scan:  # the greatest violating position, if any
+                    if key[at] >= n:
+                        break
+                else:
+                    at = None
+                if at is not None or stop_early:
+                    tie = key if stop_early else sparse_key(key, skp)
+                    heappush(heap, (tuple(map(add, w, dweight)), tie, key, order, at))
+            elif cur := reduce(cur + coeff):
+                work[key] = cur
+            else:
+                del work[key]
+        pending = ()
+        while heap:
+            w, _, key, order, at = heappop(heap)
+            if key not in work:
+                continue
+            if w != current:
+                if stop_early and not work.keys().isdisjoint(settled):
+                    break
+                settled, current = [], w
+            if at is None:
+                settled.append(key)
+                continue
+            rewrites += 1
+            if rewrites > max_rewrites:
+                raise IterationCapError(f"exceeded {max_rewrites} rewrites")
+            coeff, scan = work.pop(key), scans[at]
+            pending = [
+                (tuple(map(add, key, dkey)), dweight, order + dorder,
+                 coeff if theta is None else reduce(coeff * theta))
+                for theta, dkey, dweight, dorder in branches[at]
+            ]
+            break
+    if not stop_early:
+        return work, None
+    part = {key: work[key] for key in settled if key in work}
+    if not part:
+        raise ZeroPolyError("no monomials survived (truncated to zero)")
+    return part, current
 
 
 def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
@@ -263,34 +287,22 @@ def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
     """
     alpha = normalize_alpha(skp, alpha)
     check_key_polynomials(skp)
-    rules = rewrite_rules(skp, alpha)
-    rule_set = RuleSet(rules, (0,) * skp.nvars, skp.degree_weights, False)
-    work, _ = _rewrite(f, skp, alpha, rule_set, max_rewrites)
-    return AdicExpansion(skp, [AdicMonomial(c, k) for k, c in work.items()])
-
-
-def _least(f, valuation, max_rewrites):
-    """The value loop's working set, the weight of every key it held, and
-    the least weight of a surviving key."""
-    work, value = _rewrite(
-        f, valuation.skp, valuation.alpha, valuation.rule_set, max_rewrites
-    )
-    if not work:
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
-    return work, value, min(value[key] for key in work)
+    rules = RuleSet(skp, alpha, skp.degree_weights, (0,) * skp.nvars, False)
+    work, _ = _rewrite(f, rules, max_rewrites)
+    return AdicExpansion(skp, [AdicMonomial(c, sparse_key(k, skp)) for k, c in work.items()])
 
 
 def least_value(f, valuation):
     """The least value over f's adic expansion, an integer row of the
     table's ``chain``, under the table, cutoff vector and rules of an
     ``SkpValuation``; no monomial is built."""
-    return _least(f, valuation, DEFAULT_REWRITE_CAP)[2]
+    return _rewrite(f, valuation.rule_set, DEFAULT_REWRITE_CAP)[1]
 
 
 def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
     """``least_value`` and the monomials of f's adic expansion that have it."""
-    work, value, low = _least(f, valuation, max_rewrites)
-    return low, [AdicMonomial(c, k) for k, c in work.items() if value[k] == low]
+    part, low = _rewrite(f, valuation.rule_set, max_rewrites)
+    return low, [AdicMonomial(c, sparse_key(k, valuation.skp)) for k, c in part.items()]
 
 
 class DivisorSplits(dict):

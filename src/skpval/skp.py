@@ -12,17 +12,15 @@ U_{i,j+1} + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives the
 rules of one expansion; for a freshly built table that is a single summand,
 for a reduced table the collapsed chain.
 
-A product prod U_{i,j}^e has one form in the library, its key: the tuple
-of ``((i, j), e)`` pairs with e > 0, indices ascending.  Summands are keys,
-and so are expansion monomials and Euclidean pieces; an exponent map is
-read or written only at a public edge, such as ``SkpTable.monomial_poly``.
+A product prod U_{i,j}^e has one form outside the adic rewrite loop (which
+keys by dense exponent tuples), its key: the tuple of ``((i, j), e)`` pairs
+with e > 0, indices ascending.  Summands, expansion monomials and Euclidean
+pieces are keys; an exponent map is read or written only at a public edge.
 
 The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
 ``TableEntry`` of its position: beta, n, relation and S^c are kept once,
 and the betas' integer rows once, in the table's analyzed ``chain``.
 """
-
-from bisect import bisect_left
 
 from .errors import (
     InvalidTableError,
@@ -122,18 +120,6 @@ def key_product(entries, products, key, cutoff):
     for key, idx in reversed(steps):
         out = products[key] = (out * entries[idx].poly).truncate(cutoff)
     return out
-
-
-def key_mul(key, factors):
-    """The key of the product of two keys: exponents at a shared index add."""
-    out = list(key)
-    for idx, e in factors:
-        k = bisect_left(out, (idx,))  # (idx,) sorts before every (idx, e)
-        if k < len(out) and out[k][0] == idx:
-            out[k] = (idx, out[k][1] + e)
-        else:
-            out.insert(k, (idx, e))
-    return tuple(out)
 
 
 def successor(entries, start, n, summands, cutoff):
@@ -415,14 +401,16 @@ def minimal_pseudo_skp(skp):
 
 
 def normalize_alpha(skp, alpha=None):
-    """Resolve an acceptable-vector argument; None means the full table."""
+    """Resolve an acceptable vector of int components; None means the full table."""
     lengths = skp.row_lengths()
     if alpha is None:
         return lengths
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(alpha)
     if len(alpha) != len(lengths):
         raise ValueError(f"alpha needs {len(lengths)} components")
     for a, ln in zip(alpha, lengths):
+        if type(a) is not int:
+            raise ValueError(f"cutoff component {a!r} is not an int")
         if ln == 0:
             if a != 0:
                 raise ValueError("nonzero cutoff on an empty row")

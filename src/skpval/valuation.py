@@ -136,7 +136,7 @@ def _euclid_value(terms, walk, top):
         if max(split(terms, top, splits.width)) > 0:
             raise ValueError(f"X{top} appears but row {top} is not usable")
         return _euclid_value(terms, walk, top - 1)
-    _, origin, weights, _ = valuation.rule_set
+    origin, weights = valuation.rule_set.origin, valuation.rule_set.weights
     best = None
 
     def keep(key):
@@ -208,7 +208,7 @@ def graded_normal_form(f, valuation):
     skp = valuation.skp
     alpha = valuation.alpha
     inf_form = initial_form(f, valuation)
-    _, origin, weights, _ = valuation.rule_set
+    origin, weights = valuation.rule_set.origin, valuation.rule_set.weights
     value = weigh(inf_form.monomials[0].key, weights, origin)
 
     A = tuple(

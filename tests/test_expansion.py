@@ -16,7 +16,7 @@ from skpval import (
     minimal_pseudo_skp,
     parse_poly,
 )
-from skpval.expansion import vp
+from skpval.expansion import sparse_key, vp
 from skpval.realize import random_polynomial
 from skpval.skp import weigh
 
@@ -137,6 +137,38 @@ class TestRewriteOrder:
                     if rewrites:
                         with pytest.raises(IterationCapError):
                             adic_expand(f, skp, alpha, max_rewrites=rewrites - 1)
+
+
+class TestSparseKey:
+    """Inside the rewrite loop a key is dense, its exponent tuple over
+    ``skp.order``; ``sparse_key`` turns it into the ((i, j), e) key that
+    expansions report and that adic_expand's heap breaks Vdeg ties by."""
+
+    def test_random_pairs_convert_and_order_as_sparse_keys(self, example1):
+        rng = random.Random(47)
+        order = example1.order
+
+        def reference(key):
+            return tuple(sorted((idx, e) for idx, e in dict(zip(order, key)).items() if e))
+
+        for _ in range(3000):
+            a = [rng.choice((0, 0, 0, 1, 2, 5)) for _ in order]
+            b = list(a)
+            # b shares a prefix with a, then differs at one position or
+            # loses its tail
+            k = rng.randrange(len(order))
+            if rng.random() < 0.5:
+                b[k] = rng.choice((0, 0, 1, 2, 5))
+            else:
+                b[k:] = [0] * (len(order) - k)
+            if rng.random() < 0.5:
+                a, b = b, a
+            sa, sb = sparse_key(a, example1), sparse_key(b, example1)
+            assert (sa, sb) == (reference(a), reference(b))
+            assert (sa < sb) == (reference(a) < reference(b)), (a, b)
+
+    def test_zero_key(self, diffskp):
+        assert sparse_key((0, 0, 0, 0), diffskp) == ()
 
 
 class TestVdegVp:

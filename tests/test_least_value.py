@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -18,8 +19,10 @@ import pytest
 
 import skpval.valuation
 from skpval import (
+    GF,
     InvalidTableError,
     IterationCapError,
+    SemigroupSpec,
     SkpValuation,
     ZeroPolyError,
     adic_expand,
@@ -33,14 +36,15 @@ from skpval import (
     parse_poly,
     validate_acceptable,
     value_of,
+    value_via_euclidean,
 )
 from skpval.cli import run_command
-from skpval.expansion import AdicExpansion, least_value_part, value_rules
-from skpval.realize import random_polynomial
+from skpval.expansion import AdicExpansion, least_value, least_value_part, value_rules
+from skpval.realize import random_polynomial, realize
 from skpval.skp import rewrite_rules
 
 from conftest import example1_rows
-from oracles import full_least_part
+from oracles import full_least_part, rescan_initial_form
 
 DATA = Path(__file__).parent / "data"
 POLYS_PER_VECTOR = 12
@@ -160,6 +164,71 @@ class TestAgainstFullExpansion:
                     value_rules(skp, alpha)
                 else:
                     SkpValuation(skp, alpha)
+
+
+def _doubling_chain(k):
+    """The generators 1, 5/2, 21/4, ...: gamma_{k+1} = 2 gamma_k + 2^-k."""
+    gens = [Fraction(1)]
+    while len(gens) < k:
+        gens.append(2 * gens[-1] + Fraction(1, 2 ** len(gens)))
+    return [[g] for g in gens]
+
+
+def _cross_check_tables():
+    """The exact tables of tests/data (no cutoff; the realize problems
+    realized), example1_tail.json at cutoff 16, where the adic and
+    Euclidean routes agree, a realized 5-generator doubling chain and
+    (4, 6, 13) realized over GF(2) and GF(3)."""
+    tables = {
+        name: jsonio.build_from_problem(_problem(f"{name}.json"))
+        for name in ("remark_diffskp", "swapped_diffskp", "example2")
+    }
+    for name in ("gamma_4_6_13", "free_pair"):
+        spec = jsonio.load_semigroup_spec(_problem(f"{name}.json"))
+        tables[name] = realize(spec).valuation.skp
+    tables["example1_tail-cutoff-16"] = jsonio.build_from_problem(
+        _problem("example1_tail.json", cutoff=16)
+    )
+    tables["doubling-5"] = realize(SemigroupSpec(_doubling_chain(5))).valuation.skp
+    for p in (2, 3):
+        spec = SemigroupSpec([[4], [6], [13]], field=GF(p))
+        tables[f"gamma_4_6_13-GF{p}"] = realize(spec).valuation.skp
+    return tables
+
+
+CROSS_CHECK_TABLES = _cross_check_tables()
+CROSS_CHECK_ROUNDS = 5  # of POLYS_PER_VECTOR polynomials each: about 1.5 s in all
+
+
+class TestDenseLoopCrossCheck:
+    """The value loop on dense keys against three routes that share none
+    of it: the complete ``adic_expand`` with its minimum taken afterwards,
+    the rescanning reference's initial form, and ``value_via_euclidean``."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_TABLES))
+    def test_least_value_and_part(self, name):
+        skp = CROSS_CHECK_TABLES[name]
+        valuation = SkpValuation(skp)
+        rng = random.Random(sum(map(ord, name)) + 1)
+        checked = 0
+        polynomials = [
+            f for _ in range(CROSS_CHECK_ROUNDS) for f in _polynomials(rng, skp, skp.row_lengths())
+        ]
+        for f in polynomials:
+            if f.is_zero():
+                continue
+            part = _outcome(lambda: _part_json(least_value_part(f, valuation), skp))
+            assert part == _outcome(lambda: _part_json(full_least_part(f, skp), skp)), str(f)
+            if part[0] == "ZeroPolyError":
+                with pytest.raises(ZeroPolyError):
+                    least_value(f, valuation)
+                continue
+            low, monomials = part
+            assert least_value(f, valuation) == low
+            assert monomials == rescan_initial_form(f, valuation).to_json(), str(f)
+            assert skp.chain.value(low) == value_via_euclidean(f, valuation), str(f)
+            checked += 1
+        assert checked >= len(polynomials) // 2
 
 
 def _value_lowering_tail():

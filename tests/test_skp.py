@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from math import inf
 from pathlib import Path
@@ -14,8 +15,10 @@ from skpval import (
     LimitTail,
     NoCutoffError,
     NonStabilizingError,
+    SkpValuation,
     ThetaZeroError,
     ZeroPolyError,
+    adic_expand,
     build_skp,
     compute_relations,
     minimal_pseudo_skp,
@@ -318,6 +321,22 @@ class TestAcceptableVectors:
         assert not validate_acceptable(skp, (1, 1, 2))
         # with row 2 cut at its first entry that relation is out of scope
         assert validate_acceptable(skp, (1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "alpha, named",
+        [((1.9, 3), "1.9"), ((1, 2.7), "2.7"), ((True, 3), "True"), (("1", 3), "'1'")],
+    )
+    def test_component_that_is_not_an_int_is_refused(self, diffskp, alpha, named):
+        # each component is taken as given: 1.9 is not read as 1, nor True
+        # or "1" as 1, by the valuation, the expansion or the closure check
+        message = rf"^cutoff component {re.escape(named)} is not an int$"
+        for call in (
+            lambda: SkpValuation(diffskp, alpha),
+            lambda: adic_expand(P("X1^2"), diffskp, alpha),
+            lambda: validate_acceptable(diffskp, alpha),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestDegreeInequality:
