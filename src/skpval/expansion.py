@@ -19,22 +19,22 @@ once its violating monomials are rewritten: U^n becomes U_next (greater)
 and theta * U^m (equal), so no later rewrite reaches a lower class.
 ``least_value`` returns that class as an integer row of the table's
 ``chain``, with no monomial built, and ``least_value_part`` its monomials
-too; both read the ``value_rules`` made once per ``SkpValuation``.
+too; both read the ``value_rules`` made once per ``SkpValuation``.  Its
+ties go by the dense key, and its rewrite count rests on that order: an
+equal-weight branch theta * U^m lowers the exponent at its rule's position
+and raises only earlier ones, so it sorts after its parent.  Every parent
+of a key in its class pops first, and the key is rewritten once per class.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
-expansion by the row's exponents.  One depth-first walk,
-``euclidean_pieces``, runs on monomials packed into one int each
-(``poly.pack``): it splits the input by X_row-degree once, divides in split
-form by the key polynomials' divisor splits (``DivisorSplits``, each packed
-once per width), and yields each piece, a key and its packed coefficient,
-as soon as the coefficient has X_row-degree 0.  Before it divides out a
-further power of a key polynomial it asks its caller whether that key
-prefix can still matter, so the value route divides only while a piece can
-still win and ``euclidean_expand`` collects every piece and unpacks it.
-The row's first key polynomial is X_row itself, so the expansion in it
-needs no division: the coefficient of X_row^t is the split's part of
-degree t.
+expansion by the row's exponents.  One plain recursive walk,
+``euclidean_walk``, divides packed monomials (``poly.pack``), split by
+X_row-degree, by the key polynomials' ``DivisorSplits``, and carries the
+key's weight, raised by beta per power divided out.  It hands each piece (a
+coefficient of X_row-degree 0) and its weight to its caller, and divides
+only while the weight is below the least sum the caller returned: the value
+route values each coefficient on the row below, and under unit weights
+(``euclidean_expand``) a weight is the key.
 
 The packing width follows the proof in ``poly``, row by row
 (``division_bounds``).  Let W_r be the largest ``poly.division_factor`` of
@@ -50,7 +50,7 @@ of that bound and the key polynomials' own largest exponent.
 
 from heapq import heappop, heappush
 from math import inf
-from operator import add, itemgetter
+from operator import add
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import is_finite_index
@@ -325,49 +325,49 @@ def division_bounds(skp):
     factors = [1] * skp.nvars
     for (i, _), entry in skp.entries.items():
         factors[i] = max(factors[i], division_factor(entry.poly, i))
-    polys = [entry.poly for entry in skp.entries.values()]
-    return factors, max((max(e) for g in polys for e in g.terms), default=0)
+    return factors, max((max(e) for x in skp.entries.values() for e in x.poly.terms), default=0)
 
 
-def euclidean_pieces(terms, splits, j, row, keep):
-    """The pieces (key, packed coefficient terms) of the Euclidean expansion
-    in row ``row`` with cutoff ``j`` of the nonzero polynomial with packed
-    ``terms``, at the width of ``splits``; one depth-first walk with the
-    exponent at each position ascending.  Before the walk divides out a
-    power t >= 1 it asks ``keep(key)`` of the key so far; a False ends that
-    position's loop, larger powers included.
+def euclidean_walk(g, splits, steps, row, j, w, piece):
+    """The least sum ``piece`` returns over the Euclidean expansion in row
+    ``row`` with cutoff ``j`` of the nonzero polynomial with packed
+    X_row-degree split ``g`` (consumed) at the width of ``splits``, the
+    exponent at each position ascending; ``steps[j']`` is (d, beta) of
+    U_{row,j'}.  Each piece goes to ``piece(w + sum t * beta over its key,
+    packed coefficient, row)``, which returns a sum, or None throughout to
+    bound nothing; a further power is divided out only below the least sum.
     """
-    entries, field = splits.skp.entries, splits.skp.field
+    field = splits.skp.field
 
-    def walk(g, jmax, prefix):
+    def walk(g, j0, w, best):
         dg = max(g)
-        applicable = [j2 for j2 in range(1, jmax + 1) if entries[(row, j2)].d <= dg]
-        if not applicable:
-            yield prefix, g[0]  # X_row-degree 0: the split is {0: terms}
-            return
-        j0 = max(applicable)
+        while j0 and steps[j0][0] > dg:
+            j0 -= 1
+        if not j0:
+            part = piece(w, g[0], row)  # X_row-degree 0: the split is {0: terms}
+            return part if best is None or part < best else best
+        beta = steps[j0][1]
         lower, d0 = splits[(row, j0)]
         if not lower and d0 == 1:
             # U = X_row, every row's first key polynomial: the coefficient of
-            # U^t is the split's part of degree t, with no division, and
-            # only the degrees present are visited
+            # U^t is the split's part of degree t, read with no division
             for t in sorted(g):
-                key = (((row, j0), t),) + prefix if t else prefix
-                if t and not keep(key):
-                    return  # every larger power weighs more
-                yield from walk({0: g[t]}, j0 - 1, key)
-            return
-        cur, t = g, 0
-        while cur:
-            key = (((row, j0), t),) + prefix if t else prefix
-            if t and not keep(key):
-                return
-            cur, ct = divide_split(cur, lower, d0, field)
+                wt = tuple([a + t * b for a, b in zip(w, beta)]) if t else w
+                if t and best is not None and wt >= best:
+                    break  # every larger power weighs more
+                part = piece(wt, g[t], row)
+                best = part if best is None or part < best else best
+            return best
+        while g:
+            g, ct = divide_split(g, lower, d0, field)
             if ct:
-                yield from walk(ct, j0 - 1, key)
-            t += 1
+                best = walk(ct, j0 - 1, w, best)
+            w = tuple(map(add, w, beta))  # the weight of the next power's key
+            if best is not None and w >= best:
+                break
+        return best
 
-    return walk(split(terms, row, splits.width), j, ())
+    return walk(g, j, w, None)
 
 
 def euclidean_expand(f, skp, j=None, row=None):
@@ -375,7 +375,7 @@ def euclidean_expand(f, skp, j=None, row=None):
 
     Returns a list of ({position: exponent} map over the row, coefficient
     polynomial with zero degree in the row's variable), sorted by key:
-    every piece of ``euclidean_pieces``.  Exponents at positions before
+    every piece of ``euclidean_walk``.  Exponents at positions before
     the cutoff ``j`` stay below their n.  ``row`` defaults to the top row.
     """
     if f.nvars != skp.nvars or f.field != skp.field:
@@ -397,15 +397,18 @@ def euclidean_expand(f, skp, j=None, row=None):
         return []
     factors, largest = division_bounds(skp)
     splits = DivisorSplits(skp, exponent_width(max(f.degree() * factors[top], largest)))
-    terms = pack(f, splits.width)
-    pieces = sorted(euclidean_pieces(terms, splits, j, top, lambda _: True), key=itemgetter(0))
+    # under unit weights the weight of a key is its exponent vector over 1..j
+    units = [None] + [
+        (skp.entries[(top, p)].d, (0,) * (p - 1) + (1,) + (0,) * (j - p)) for p in range(1, j + 1)
+    ]
+    pieces = []
+    g = split(pack(f, splits.width), top, splits.width)
+    euclidean_walk(g, splits, units, top, j, (0,) * j, lambda w, c, _: pieces.append((w, c)))
+    keys = sorted((tuple([(p, t) for p, t in enumerate(w, 1) if t]), c) for w, c in pieces)
     # positions strictly before the cutoff stay below their index
-    for key, _ in pieces:
-        for (_, pos), t in key:
+    for key, _ in keys:
+        for pos, t in key:
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    return [
-        ({pos: t for (_, pos), t in key}, unpack(leaf, splits.width, f.nvars, f.field))
-        for key, leaf in pieces
-    ]
+    return [(dict(key), unpack(leaf, splits.width, f.nvars, f.field)) for key, leaf in keys]

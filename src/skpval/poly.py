@@ -275,12 +275,14 @@ def divide_split(rem, lower, dg, field):
         if lead is None:
             continue
         q[d - dg] = lead
+        lead = lead.items()
         for k, part in lower:
             target = rem.setdefault(d - dg + k, {})
-            for e1, c1 in lead.items():
-                for e2, c2 in part.items():
+            get = target.get
+            for e2, c2 in part.items():
+                for e1, c1 in lead:
                     e = e1 + e2
-                    c = reduce(target.get(e, 0) - c1 * c2)
+                    c = reduce(get(e, 0) - c1 * c2)
                     if c:
                         target[e] = c
                     else:

@@ -5,24 +5,22 @@ a polynomial is the minimum over the monomials of its adic expansion, which
 the value-only entry ``expansion.least_value`` finds as an integer row of
 the table's analyzed chain, without expanding past the least value class
 or building a monomial; ``value_of`` turns it into a ``GroupValue`` by
-``skp.chain.value``.  The same number is computed
-independently, with no rewrite rule, by ``value_via_euclidean``: row by
-row, nu(sum a_t U^t) = min_t (nu(a_t) + nu(U^t)) over the top row's
-Euclidean expansion, the coefficients a_t valued on the rows below.
-``SkpValuation`` is the one gate both routes trust: it refuses a table
-whose cutoff truncated a key polynomial to 0, a beta that is not > 0, and
-a rule U^n = U_next + sum theta * U^m with a branch of lower value than
-U^n.  As every beta is > 0, nu(a_t) >= 0: the walk of
-``expansion.euclidean_pieces`` divides out a further power of a key
-polynomial only while its key prefix weighs less than the best sum so far,
-and a prefix that fails ends that position's powers.  Initial forms, the
-top-row delta invariant and graded normal forms all build on the least
-value part; a graded normal form reduces each initial-form monomial by the
-table's relations through ``ordgroup.fold_relations``, the reduction that
-makes a representation canonical.
+``skp.chain.value``.  The same number is computed independently, with no
+rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
++ nu(U^t)) over the top row's Euclidean expansion, each a_t valued on the
+row below by an ``expansion.euclidean_walk`` that starts at its key's
+weight.  ``SkpValuation`` is the one gate both routes trust: it refuses a
+table whose cutoff truncated a key polynomial to 0, a beta that is not > 0
+(so nu(a_t) >= 0, which the walk's bound rests on), and a rule U^n =
+U_next + sum theta * U^m with a branch of lower value than U^n.  Initial
+forms, the top-row delta invariant and graded normal forms all build on
+the least value part; a graded normal form reduces each initial-form
+monomial by the table's relations through ``ordgroup.fold_relations``, the
+reduction that makes a representation canonical.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .errors import ZeroPolyError
@@ -30,7 +28,7 @@ from .expansion import (
     AdicExpansion,
     DivisorSplits,
     division_bounds,
-    euclidean_pieces,
+    euclidean_walk,
     least_value,
     least_value_part,
     value_rules,
@@ -42,9 +40,10 @@ from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, we
 
 
 class SkpValuation:
-    """A table of key polynomials together with an acceptable cutoff vector,
-    the ``value_rules`` both value routes read, and the Euclidean route's
-    width bounds and ``DivisorSplits`` (width -> splits), made on first use."""
+    """A table of key polynomials with an acceptable cutoff vector, the
+    ``value_rules`` both value routes read, and the Euclidean route's
+    ``steps``, width bounds and ``DivisorSplits`` (width -> splits), each
+    made on first use."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
@@ -55,6 +54,15 @@ class SkpValuation:
             raise ValueError(f"{self.alpha} is not an acceptable vector")
         self.bounds = None
         self.splits = {}
+
+    @cached_property
+    def steps(self):
+        """Per row i, the (d, beta row) of U_{i,j} at index j, 1 <= j <= alpha_i."""
+        betas, skp = dict(zip(self.skp.order, self.skp.chain.rows)), self.skp
+        return [
+            [None] + [(skp.entries[(i, j)].d, betas[(i, j)]) for j in range(1, a + 1)]
+            for i, a in enumerate(self.alpha)
+        ]
 
     def divisor_splits(self, degree):
         """The ``DivisorSplits`` at the width that holds every exponent of
@@ -113,41 +121,28 @@ def initial_form(f, valuation):
 
 
 def value_via_euclidean(f, valuation):
-    """The valuation computed through row-by-row Euclidean expansions."""
+    """The valuation computed through row-by-row Euclidean expansions, the
+    coefficients of each row's pieces valued on the row below."""
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
     if f.nvars != skp.nvars or f.field != skp.field:
         raise ValueError("polynomial ring does not match the table")
     splits = valuation.divisor_splits(f.degree())
-    walk = (valuation, splits)
-    return skp.chain.value(_euclid_value(pack(f, splits.width), walk, skp.nvars - 1))
+    steps, alpha, width = valuation.steps, valuation.alpha, splits.width
 
+    def value(w, terms, row):
+        # w plus the value on rows below ``row`` of the packed ``terms``
+        while row and (len(terms) > 1 or 0 not in terms):
+            row -= 1
+            g = split(terms, row, width)
+            if alpha[row]:
+                return euclidean_walk(g, splits, steps[row], row, alpha[row], w, value)
+            if max(g) > 0:
+                raise ValueError(f"X{row} appears but row {row} is not usable")
+        return w
 
-def _euclid_value(terms, walk, top):
-    """The value on rows 0..top, an integer vector (``skp.weigh``), of the
-    nonzero polynomial with packed ``terms``; ``walk`` is the valuation and
-    its ``DivisorSplits`` at the terms' width.  The row's Euclidean walk is
-    pruned by the best sum so far."""
-    valuation, splits = walk
-    if top < 0 or terms.keys() <= {0}:
-        return valuation.rule_set.origin
-    if valuation.skp.row_length(top) == 0 or valuation.alpha[top] == 0:
-        if max(split(terms, top, splits.width)) > 0:
-            raise ValueError(f"X{top} appears but row {top} is not usable")
-        return _euclid_value(terms, walk, top - 1)
-    origin, weights = valuation.rule_set.origin, valuation.rule_set.weights
-    best = None
-
-    def keep(key):
-        # nu(coefficient) >= 0, so a key that reaches the best sum cannot win
-        return best is None or weigh(key, weights, origin) < best
-
-    for key, coeff in euclidean_pieces(terms, splits, valuation.alpha[top], top, keep):
-        part = weigh(key, weights, _euclid_value(coeff, walk, top - 1))
-        if best is None or part < best:
-            best = part
-    return best
+    return skp.chain.value(value(valuation.rule_set.origin, pack(f, width), skp.nvars))
 
 
 def delta_of(f, skp, j):

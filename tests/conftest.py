@@ -1,3 +1,4 @@
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from skpval import GF, GroupValue, build_skp, compute_relations
+from skpval import GF, GroupValue, MultiPoly, SemigroupSpec, build_skp, compute_relations
+from skpval.realize import realize
+from skpval.skp import key_product
+from skpval.valtable import enumerate_semigroup
 
 
 @pytest.fixture(scope="session")
@@ -80,3 +84,30 @@ def key_tables(diffskp, example2, example1, diffskp_table, example2_table, examp
         for table in (diffskp_table, example2_table, example1_table)
     ]
     return [diffskp, example2, example1] + gf7
+
+
+def doubling_chain(k):
+    """The generators 1, 5/2, 21/4, ...: gamma_{k+1} = 2 gamma_k + 2^-k."""
+    gens = [Fraction(1)]
+    while len(gens) < k:
+        gens.append(2 * gens[-1] + Fraction(1, 2 ** len(gens)))
+    return tuple((g,) for g in gens)
+
+
+@functools.lru_cache(maxsize=None)
+def attainment_products(generators):
+    """The valuation that ``realize`` builds for a tuple of generators
+    (corrected mode, default thetas) and its attainment products as
+    ``verify_realization`` makes them: (gamma, witness, product) over the
+    default coefficient ball, each product from one ``key_product`` store."""
+    spec = SemigroupSpec(generators)
+    result = realize(spec)
+    skp = result.valuation.skp
+    indices = [result.blocks.table_index(p) for p in range(len(generators))]
+    store = {(): MultiPoly.one(skp.nvars, skp.field)}
+    products = []
+    for row, witness in enumerate_semigroup(spec.chain, spec.coeff_bound):
+        key = tuple([(indices[p], a) for p, a in enumerate(witness) if a])
+        product = key_product(skp.entries, store, key, skp.cutoff)
+        products.append((spec.chain.value(row), witness, product))
+    return result.valuation, products

@@ -19,10 +19,12 @@ over a complete adic expansion, and the graded normal form has a reference
 that rescans each monomial for its greatest position over its bound before
 every reduction.  Products of key polynomials have a reference that
 raises each factor to its power by ``**`` and truncates once, at the end.
-Random polynomials have a reference drawn by ``randint``.  Membership in
-the semigroup of positive generators has an exact reference that never
-reads a canonical representation: a coin-problem table at rank 1 and,
-above it, every count of the leading-level generators.
+Random polynomials have a reference drawn by ``randint``.  Planted
+expansions need no reference at all: a sum of adic monomials multiplied
+out by that product reference has itself as its adic expansion.
+Membership in the semigroup of positive generators has an exact reference
+that never reads a canonical representation: a coin-problem table at rank
+1 and, above it, every count of the leading-level generators.
 """
 
 import itertools
@@ -326,6 +328,32 @@ def multiplied_out(entries, key, cutoff):
     for index, e in key:
         out = out * entries[index].poly ** e
     return out.truncate(cutoff)
+
+
+def planted_expansion(rng, skp, size=4, final=2):
+    """A polynomial built from ``size`` distinct adic monomials of an exact
+    table, and those monomials as {sorted key: coefficient}.  The adic
+    expansion is unique, so ``adic_expand`` must give back exactly them.
+    An exponent at a non-final position of finite index n is below n, any
+    other at most ``final``; position j of a row of length L is used with
+    probability j / (L + 1), so the least value often carries the greatest
+    key polynomials.  Each product comes from ``multiplied_out``."""
+    lengths = skp.row_lengths()
+    planted = {}
+    while len(planted) < size:
+        key = []
+        for i, j in skp.order:
+            n = skp.entries[(i, j)].n
+            bound = n if j < lengths[i] and is_finite_index(n) else final + 1
+            if bound > 1 and rng.random() < j / (lengths[i] + 1):
+                key.append(((i, j), rng.randrange(1, bound)))
+        c = skp.field.of(rng.choice((1, -1, 2, -2, 3, -3)))
+        if c:
+            planted.setdefault(tuple(key), c)
+    f = MultiPoly.zero(skp.nvars, skp.field)
+    for key, c in planted.items():
+        f = f + multiplied_out(skp.entries, key, skp.cutoff).scale(c)
+    return f, planted
 
 
 def coefficient_of(f, i, k):

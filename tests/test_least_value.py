@@ -11,7 +11,6 @@ import functools
 import itertools
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -20,6 +19,7 @@ import pytest
 import skpval.valuation
 from skpval import (
     GF,
+    GroupValue,
     InvalidTableError,
     IterationCapError,
     SemigroupSpec,
@@ -43,8 +43,8 @@ from skpval.expansion import AdicExpansion, least_value, least_value_part, value
 from skpval.realize import random_polynomial, realize
 from skpval.skp import rewrite_rules
 
-from conftest import example1_rows
-from oracles import full_least_part, rescan_initial_form
+from conftest import attainment_products, doubling_chain, example1_rows
+from oracles import full_least_part, planted_expansion, rescan_initial_form
 
 DATA = Path(__file__).parent / "data"
 POLYS_PER_VECTOR = 12
@@ -166,14 +166,6 @@ class TestAgainstFullExpansion:
                     SkpValuation(skp, alpha)
 
 
-def _doubling_chain(k):
-    """The generators 1, 5/2, 21/4, ...: gamma_{k+1} = 2 gamma_k + 2^-k."""
-    gens = [Fraction(1)]
-    while len(gens) < k:
-        gens.append(2 * gens[-1] + Fraction(1, 2 ** len(gens)))
-    return [[g] for g in gens]
-
-
 def _cross_check_tables():
     """The exact tables of tests/data (no cutoff; the realize problems
     realized), example1_tail.json at cutoff 16, where the adic and
@@ -189,7 +181,7 @@ def _cross_check_tables():
     tables["example1_tail-cutoff-16"] = jsonio.build_from_problem(
         _problem("example1_tail.json", cutoff=16)
     )
-    tables["doubling-5"] = realize(SemigroupSpec(_doubling_chain(5))).valuation.skp
+    tables["doubling-5"] = realize(SemigroupSpec(doubling_chain(5))).valuation.skp
     for p in (2, 3):
         spec = SemigroupSpec([[4], [6], [13]], field=GF(p))
         tables[f"gamma_4_6_13-GF{p}"] = realize(spec).valuation.skp
@@ -282,3 +274,63 @@ class TestEarlyStop:
             if cap:
                 with pytest.raises(IterationCapError):
                     expand(f, table, max_rewrites=cap - 1)
+
+
+PLANTED_PER_TABLE = 40
+
+
+class TestPlantedExpansions:
+    """Polynomials built as sums of adic monomials: ``adic_expand`` returns
+    the planted monomials, and the value loop and the Euclidean route both
+    give min sum e * beta over them, summed here as GroupValues, on every
+    exact table of the cross-check."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, skp in CROSS_CHECK_TABLES.items() if skp.cutoff is None)
+    )
+    def test_planted_expansion_is_recovered(self, name):
+        skp = CROSS_CHECK_TABLES[name]
+        valuation = SkpValuation(skp)
+        rng = random.Random(sum(map(ord, name)) + 7)
+        zero = GroupValue((0,) * skp.dimension)
+        for _ in range(PLANTED_PER_TABLE):
+            f, planted = planted_expansion(rng, skp)
+            assert {m.key: m.coeff for m in adic_expand(f, skp)} == planted, str(f)
+            values = {
+                key: sum((skp.entries[index].beta.scale(e) for index, e in key), zero)
+                for key in planted
+            }
+            low = min(values.values())
+            assert skp.chain.value(least_value(f, valuation)) == low, str(f)
+            row, part = least_value_part(f, valuation)
+            assert skp.chain.value(row) == low
+            assert {m.key: m.coeff for m in part} == {
+                key: c for key, c in planted.items() if values[key] == low
+            }
+            assert value_via_euclidean(f, valuation) == low, str(f)
+
+
+class TestRewriteCount:
+    """The value loop's rewrite count on the costliest attainment products
+    of the realized 6-generator doubling chain, pinned two ways through
+    ``max_rewrites``.  The count rests on the heap popping every parent
+    before its equal-weight children (``expansion``); a key or tie order
+    that breaks this rewrites a key more than once in a class and fails."""
+
+    @pytest.mark.parametrize(
+        "witness, rewrites",
+        [
+            ((0, 0, 0, 0, 0, 4), 6789),
+            ((0, 0, 0, 0, 1, 3), 4519),
+            ((0, 0, 0, 1, 0, 3), 3655),
+            ((0, 0, 1, 0, 0, 3), 3229),
+            ((1, 0, 0, 0, 0, 3), 2887),
+        ],
+    )
+    def test_costliest_products(self, witness, rewrites):
+        valuation, products = attainment_products(doubling_chain(6))
+        [(gamma, f)] = [(gamma, f) for gamma, w, f in products if w == witness]
+        row, _ = least_value_part(f, valuation, max_rewrites=rewrites)
+        assert valuation.skp.chain.value(row) == gamma
+        with pytest.raises(IterationCapError):
+            least_value_part(f, valuation, max_rewrites=rewrites - 1)

@@ -31,7 +31,7 @@ from skpval.skp import SkpTable
 from skpval.valtable import table_from_chain
 from skpval.valuation import value_report
 
-from conftest import example1_rows
+from conftest import attainment_products, doubling_chain, example1_rows
 from oracles import (
     group_euclid_value,
     rescan_adic_expand,
@@ -220,19 +220,22 @@ class TestEuclideanWork:
     def counts(self, monkeypatch):
         counts = {"divisions": 0, "coefficients": 0}
         divide_split = expansion.divide_split
-        euclid_value = valuation._euclid_value
+        euclidean_walk = valuation.euclidean_walk
 
         def counted_division(*args):
             counts["divisions"] += 1
             return divide_split(*args)
 
-        def counted_value(f, v, top):
-            # on two rows, top 0 values the coefficient of a top-row piece
-            counts["coefficients"] += top == 0
-            return euclid_value(f, v, top)
+        def counted_walk(g, splits, steps, row, j, w, piece):
+            def counted_piece(w, terms, row):
+                # the coefficient of a row-1 piece is valued on row 0
+                counts["coefficients"] += row == 1
+                return piece(w, terms, row)
+
+            return euclidean_walk(g, splits, steps, row, j, w, counted_piece)
 
         monkeypatch.setattr(expansion, "divide_split", counted_division)
-        monkeypatch.setattr(valuation, "_euclid_value", counted_value)
+        monkeypatch.setattr(valuation, "euclidean_walk", counted_walk)
         return counts
 
     @pytest.mark.parametrize(
@@ -253,6 +256,23 @@ class TestEuclideanWork:
         f = parse_poly("X2^4 + X0*X1", 3)
         assert value_via_euclidean(f, SkpValuation(example1)) == gv(0, 1, 1)
         assert counts["divisions"] == 1
+
+    @pytest.mark.parametrize(
+        "generators, size, divisions, coefficients",
+        [
+            (doubling_chain(6), 210, 981, 305),
+            (((8,), (12,), (26,), (53,)), 65, 197, 90),
+            (((1, 0), (0, 1), (Fraction(1, 2), Fraction(3, 2))), 34, 0, 29),
+        ],
+    )
+    def test_realized_attainment_work(self, counts, generators, size, divisions, coefficients):
+        # every attainment product of a realized table values to its gamma;
+        # the divisions and the coefficients valued on row 0 are pinned
+        v, products = attainment_products(generators)
+        assert len(products) == size
+        for gamma, _, f in products:
+            assert value_via_euclidean(f, v) == gamma
+        assert counts == {"divisions": divisions, "coefficients": coefficients}
 
     @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
     def test_nonpositive_beta_refused(self, diffskp, index, beta):
