@@ -48,12 +48,12 @@ def _read_problem(path):
     return data, _digest(raw)
 
 
-def _load_valuation(args):
-    """The valuation, the --poly polynomial and the input digest; flag faults
-    (exit 2) come before a table the valuation refuses (exit 1)."""
-    data, digest = _read_problem(args.skp)
+def _load_valuation(path, args):
+    """The valuation of the file at ``path``, --poly and the input digest;
+    flag faults (exit 2) come before a table the valuation refuses (exit 1)."""
+    data, digest = _read_problem(path)
     skp = jsonio.build_from_problem(data)
-    alpha = jsonio.load_alpha(getattr(args, "alpha", None), skp)
+    alpha = jsonio.load_alpha(args.alpha, skp)
     f = jsonio.load_poly(args.poly, skp)
     return SkpValuation(skp, alpha), f, digest
 
@@ -76,16 +76,12 @@ def cmd_build(args):
 
 
 def cmd_expand(args):
-    data, digest = _read_problem(args.file)
-    skp = jsonio.build_from_problem(data)
-    alpha = jsonio.load_alpha(args.alpha, skp)
-    f = jsonio.load_poly(args.poly, skp)
-    expansion = adic_expand(f, skp, alpha)
-    return 0, digest, {"expansion": expansion.to_json()}
+    valuation, f, digest = _load_valuation(args.file, args)
+    return 0, digest, {"expansion": adic_expand(f, valuation).to_json()}
 
 
 def cmd_eval(args):
-    valuation, f, digest = _load_valuation(args)
+    valuation, f, digest = _load_valuation(args.skp, args)
     value, trunc_ok = value_report(f, valuation)
     payload = {"value": value.to_json(), "value_str": str(value)}
     if trunc_ok is not None:
@@ -94,7 +90,7 @@ def cmd_eval(args):
 
 
 def cmd_initial(args):
-    valuation, f, digest = _load_valuation(args)
+    valuation, f, digest = _load_valuation(args.skp, args)
     form = initial_form(f, valuation)
     return 0, digest, {"initial_form": form.to_json()}
 
@@ -106,11 +102,12 @@ def cmd_delta(args):
     length = skp.row_length(skp.nvars - 1)
     if not 1 <= args.j <= length:
         raise SchemaError(f"--j {args.j} outside the top row 1..{length}")
-    return 0, digest, {"delta": delta_of(f, skp, args.j)}
+    valuation = SkpValuation(skp, skp.row_lengths()[:-1] + (args.j,))
+    return 0, digest, {"delta": delta_of(f, valuation)}
 
 
 def cmd_normal_form(args):
-    valuation, f, digest = _load_valuation(args)
+    valuation, f, digest = _load_valuation(args.skp, args)
     nf = graded_normal_form(f, valuation)
     return 0, digest, {"normal_form": nf.to_json(valuation.skp.field)}
 

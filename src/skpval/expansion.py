@@ -13,17 +13,18 @@ priority queue by weight; the order fixes only the rewrite count under
 ``skp.order``, and a ``RuleSet`` holds each rule branch's exponent, weight
 and order deltas, so a rewrite adds tuples; sparse keys appear only at the
 boundary (``AdicMonomial``) and as the tie key of ``adic_expand``, which
-weighs by Vdeg (``SkpTable.degree_weights``) with a RuleSet per call.  The
-value loop weighs by value and stops at the first value class that survives
-once its violating monomials are rewritten: U^n becomes U_next (greater)
-and theta * U^m (equal), so no later rewrite reaches a lower class.
-``least_value`` returns that class as an integer row of the table's
-``chain``, with no monomial built, and ``least_value_part`` its monomials
-too; both read the ``value_rules`` made once per ``SkpValuation``.  Its
-ties go by the dense key, and its rewrite count rests on that order: an
-equal-weight branch theta * U^m lowers the exponent at its rule's position
-and raises only earlier ones, so it sorts after its parent.  Every parent
-of a key in its class pops first, and the key is rewritten once per class.
+weighs by Vdeg (``SkpTable.degree_weights``).  Both loops read a RuleSet
+and its term lifts made once per ``SkpValuation``, the context of every
+entry.  The value loop weighs by value and stops at the first value class
+that survives once its violating monomials are rewritten: U^n becomes
+U_next (greater) and theta * U^m (equal), so no later rewrite reaches a
+lower class.  ``least_value`` returns that class as an integer row of the
+table's ``chain``, with no monomial built, and ``least_value_part`` its
+monomials too.  Its ties go by the dense key, and its rewrite count rests
+on that order: an equal-weight branch theta * U^m lowers the exponent at
+its rule's position and raises only earlier ones, so it sorts after its
+parent.  Every parent of a key in its class pops first, and the key is
+rewritten once per class.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -58,13 +59,12 @@ from .poly import (
     MultiPoly,
     divide_split,
     division_factor,
-    exponent_width,
     pack,
     split,
     split_divisor,
     unpack,
 )
-from .skp import check_key_polynomials, key_product, normalize_alpha, rewrite_rules, weigh
+from .skp import key_product, rewrite_rules, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -85,10 +85,10 @@ class AdicMonomial:
         return f"AdicMonomial({self.coeff}{'*' + inner if inner else ''})"
 
 
-def vp(key, skp, alpha=None):
-    """Row-final exponents of a key, top row first."""
-    alpha = normalize_alpha(skp, alpha)
-    out = [0] * skp.nvars
+def vp(key, alpha):
+    """Row-final exponents of a key under a normalized cutoff vector, top
+    row first."""
+    out = [0] * len(alpha)
     for (i, j), e in key:
         if j == alpha[i]:
             out[i] = e
@@ -279,16 +279,15 @@ def _rewrite(f, rules, max_rewrites):
     return part, current
 
 
-def adic_expand(f, skp, alpha=None, max_rewrites=DEFAULT_REWRITE_CAP):
-    """The unique adic expansion of a nonzero polynomial.
+def adic_expand(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+    """The unique adic expansion of a nonzero polynomial under the table and
+    cutoff vector of an ``SkpValuation``.
 
     Raises IterationCapError if the rewrite budget is exhausted (diagnostic
     guard; polynomial inputs over finite tables are expected to terminate).
     """
-    alpha = normalize_alpha(skp, alpha)
-    check_key_polynomials(skp)
-    rules = RuleSet(skp, alpha, skp.degree_weights, (0,) * skp.nvars, False)
-    work, _ = _rewrite(f, rules, max_rewrites)
+    skp = valuation.skp
+    work, _ = _rewrite(f, valuation.expand_rules, max_rewrites)
     return AdicExpansion(skp, [AdicMonomial(c, sparse_key(k, skp)) for k, c in work.items()])
 
 
@@ -370,33 +369,31 @@ def euclidean_walk(g, splits, steps, row, j, w, piece):
     return walk(g, j, w, None)
 
 
-def euclidean_expand(f, skp, j=None, row=None):
+def euclidean_expand(f, valuation, j=None, row=None):
     """Euclidean expansion of a row by iterated monic division.
 
     Returns a list of ({position: exponent} map over the row, coefficient
     polynomial with zero degree in the row's variable), sorted by key:
     every piece of ``euclidean_walk``.  Exponents at positions before
-    the cutoff ``j`` stay below their n.  ``row`` defaults to the top row.
+    the cutoff ``j`` stay below their n.  ``row`` defaults to the top row,
+    ``j`` to the context's cutoff in it.
     """
+    skp = valuation.skp
     if f.nvars != skp.nvars or f.field != skp.field:
         raise ValueError("polynomial ring does not match the table")
-    if row is None:
-        top = skp.nvars - 1
-    elif type(row) is int and 0 <= row < skp.nvars:
-        top = row
-    else:
+    top = skp.nvars - 1 if row is None else row
+    if type(top) is not int or not 0 <= top < skp.nvars:
         raise ValueError(f"row {row!r} is not a row of the table")
     length = skp.row_length(top)
     if length == 0:
         raise ValueError(f"row {top} has no key polynomials")
     if j is None:
-        j = length
+        j = valuation.alpha[top]
     if type(j) is not int or not 1 <= j <= length:
         raise ValueError(f"cutoff {j!r} outside 1..{length}")
     if f.is_zero():
         return []
-    factors, largest = division_bounds(skp)
-    splits = DivisorSplits(skp, exponent_width(max(f.degree() * factors[top], largest)))
+    splits = valuation.divisor_splits(f.degree())
     # under unit weights the weight of a key is its exponent vector over 1..j
     units = [None] + [
         (skp.entries[(top, p)].d, (0,) * (p - 1) + (1,) + (0,) * (j - p)) for p in range(1, j + 1)

@@ -9,10 +9,11 @@ or building a monomial; ``value_of`` turns it into a ``GroupValue`` by
 rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
 + nu(U^t)) over the top row's Euclidean expansion, each a_t valued on the
 row below by an ``expansion.euclidean_walk`` that starts at its key's
-weight.  ``SkpValuation`` is the one gate both routes trust: it refuses a
-table whose cutoff truncated a key polynomial to 0, a beta that is not > 0
-(so nu(a_t) >= 0, which the walk's bound rests on), and a rule U^n =
-U_next + sum theta * U^m with a branch of lower value than U^n.  Initial
+weight.  ``SkpValuation``, the context of every entry, is the one gate
+both routes trust: built, it refuses a table whose cutoff truncated a key
+polynomial to 0; its value rules, which both routes touch first, a beta
+that is not > 0 (so nu(a_t) >= 0, which the walk's bound rests on) and a
+rule U^n = U_next + sum theta * U^m with a branch of lower value.  Initial
 forms, the top-row delta invariant and graded normal forms all build on
 the least value part; a graded normal form reduces each initial-form
 monomial by the table's relations through ``ordgroup.fold_relations``, the
@@ -27,6 +28,7 @@ from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
     DivisorSplits,
+    RuleSet,
     division_bounds,
     euclidean_walk,
     least_value,
@@ -40,20 +42,28 @@ from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, we
 
 
 class SkpValuation:
-    """A table of key polynomials with an acceptable cutoff vector, the
-    ``value_rules`` both value routes read, and the Euclidean route's
-    ``steps``, width bounds and ``DivisorSplits`` (width -> splits), each
-    made on first use."""
+    """A table of key polynomials with an acceptable cutoff vector, both
+    checked once; the value loop's ``rule_set`` (whose first use refuses a
+    beta <= 0 or a value-lowering rule), ``adic_expand``'s ``expand_rules``
+    and the Euclidean route's ``steps``, width bounds and ``DivisorSplits``
+    (width -> splits) are each made on first use."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
         check_key_polynomials(skp)
-        self.rule_set = value_rules(skp, self.alpha)
         if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
         self.bounds = None
         self.splits = {}
+
+    @cached_property
+    def rule_set(self):
+        return value_rules(self.skp, self.alpha)
+
+    @cached_property
+    def expand_rules(self):
+        return RuleSet(self.skp, self.alpha, self.skp.degree_weights, (0,) * self.skp.nvars, False)
 
     @cached_property
     def steps(self):
@@ -112,17 +122,17 @@ def initial_form(f, valuation):
     The row-final exponent tuples of the result are pairwise distinct; this
     is checked on every call.
     """
-    skp = valuation.skp
     _, kept = least_value_part(f, valuation)
-    vps = [vp(m.key, skp, valuation.alpha) for m in kept]
+    vps = [vp(m.key, valuation.alpha) for m in kept]
     if len(set(vps)) != len(vps):
         raise AssertionError("initial-form power vectors collide")
-    return AdicExpansion(skp, kept)
+    return AdicExpansion(valuation.skp, kept)
 
 
 def value_via_euclidean(f, valuation):
     """The valuation computed through row-by-row Euclidean expansions, the
     coefficients of each row's pieces valued on the row below."""
+    origin = valuation.rule_set.origin  # the value gate, before any work
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
@@ -142,17 +152,13 @@ def value_via_euclidean(f, valuation):
                 raise ValueError(f"X{row} appears but row {row} is not usable")
         return w
 
-    return skp.chain.value(value(valuation.rule_set.origin, pack(f, width), skp.nvars))
+    return skp.chain.value(value(origin, pack(f, width), skp.nvars))
 
 
-def delta_of(f, skp, j):
-    """Max exponent of the top-row cutoff entry over initial-form monomials.
-
-    The context is the acceptable vector with full lower rows and the top
-    row cut at ``j``.
-    """
-    valuation = SkpValuation(skp, skp.row_lengths()[:-1] + (j,))
-    return max(vp(m.key, skp, valuation.alpha)[0] for m in initial_form(f, valuation))
+def delta_of(f, valuation):
+    """Max exponent of the top-row cutoff entry, U_{top,j} with j the
+    context's ``alpha[-1]``, over initial-form monomials."""
+    return max(vp(m.key, valuation.alpha)[0] for m in initial_form(f, valuation))
 
 
 class GradedNormalForm:

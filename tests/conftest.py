@@ -1,4 +1,5 @@
 import functools
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -7,10 +8,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from skpval import GF, GroupValue, MultiPoly, SemigroupSpec, build_skp, compute_relations
+from skpval import (
+    GF,
+    GroupValue,
+    MultiPoly,
+    SemigroupSpec,
+    SkpValuation,
+    build_skp,
+    compute_relations,
+    delta_of,
+    initial_form,
+    validate_acceptable,
+    value_of,
+    value_via_euclidean,
+)
 from skpval.realize import realize
 from skpval.skp import key_product
 from skpval.valtable import enumerate_semigroup
+
+# the entries that value a polynomial, each touching the value gate first
+VALUE_ENTRIES = (value_of, value_via_euclidean, initial_form, delta_of)
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +38,11 @@ def diffskp_table():
 @pytest.fixture(scope="session")
 def diffskp(diffskp_table):
     return build_skp(diffskp_table)
+
+
+@pytest.fixture(scope="session")
+def vdiff(diffskp):
+    return SkpValuation(diffskp)
 
 
 @pytest.fixture(scope="session")
@@ -111,3 +133,15 @@ def attainment_products(generators):
         product = key_product(skp.entries, store, key, skp.cutoff)
         products.append((spec.chain.value(row), witness, product))
     return result.valuation, products
+
+
+def top_cut(skp, j):
+    """The context of ``skp`` with its lower rows in full and the top row
+    cut at ``j``."""
+    return SkpValuation(skp, skp.row_lengths()[:-1] + (j,))
+
+
+def acceptable_vectors(skp):
+    """Every acceptable cutoff vector of ``skp``."""
+    ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
+    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]

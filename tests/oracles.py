@@ -305,12 +305,13 @@ def _integer_value(exps, betas, start):
     return tuple(total)
 
 
-def full_least_part(f, skp, alpha=None):
-    """The least value over the complete ``adic_expand`` of f, as an integer
-    row of ``_integer_betas``, and the monomials of that value:
-    the route ``least_value_part`` replaced, which expands everything and
-    then throws away all but the minimum."""
-    expansion = adic_expand(f, skp, alpha)
+def full_least_part(f, valuation):
+    """The least value over the complete ``adic_expand`` of f in the context
+    ``valuation``, as an integer row of ``_integer_betas``, and the
+    monomials of that value: the route ``least_value_part`` replaced, which
+    expands everything and then throws away all but the minimum."""
+    skp = valuation.skp
+    expansion = adic_expand(f, valuation)
     if not len(expansion):
         raise ZeroPolyError("no monomials survived (truncated to zero)")
     betas, _ = _integer_betas(skp)

@@ -9,9 +9,11 @@ from skpval import (
     IterationCapError,
     MultiPoly,
     NotMonicError,
+    SkpValuation,
     ZeroPolyError,
     adic_expand,
     build_skp,
+    compute_relations,
     euclidean_expand,
     minimal_pseudo_skp,
     parse_poly,
@@ -20,6 +22,7 @@ from skpval.expansion import sparse_key, vp
 from skpval.realize import random_polynomial
 from skpval.skp import weigh
 
+from conftest import top_cut
 from oracles import long_euclidean_expand, rescan_adic_expand
 
 
@@ -38,14 +41,14 @@ def vdeg(key, skp):
 
 class TestAdicExpand:
     def test_square_at_middle_cutoff(self, diffskp):
-        e = adic_expand(P("X1^2"), diffskp, (1, 2))
+        e = adic_expand(P("X1^2"), SkpValuation(diffskp, (1, 2)))
         assert exp_map(e) == {
             (((1, 2), 1),): Fraction(1),
             (((0, 1), 3),): Fraction(1),
         }
 
     def test_square_at_full_cutoff_skips_n_one_entry(self, diffskp):
-        e = adic_expand(P("X1^2"), diffskp, (1, 3))
+        e = adic_expand(P("X1^2"), SkpValuation(diffskp, (1, 3)))
         assert exp_map(e) == {
             (((1, 3), 1),): Fraction(1),
             (((0, 1), 3), ((1, 1), 1)): Fraction(1),
@@ -53,57 +56,59 @@ class TestAdicExpand:
         }
         assert all((1, 2) not in dict(m.key) for m in e)
 
-    def test_monomial_already_adic(self, diffskp):
-        e = adic_expand(P("X0^4"), diffskp)
+    def test_monomial_already_adic(self, vdiff):
+        e = adic_expand(P("X0^4"), vdiff)
         assert exp_map(e) == {(((0, 1), 4),): Fraction(1)}
 
-    def test_zero_rejected(self, diffskp):
+    def test_zero_rejected(self, vdiff):
         with pytest.raises(ZeroPolyError):
-            adic_expand(MultiPoly.zero(2), diffskp)
+            adic_expand(MultiPoly.zero(2), vdiff)
 
     def test_reconstruction_random(self, diffskp, example2):
         rng = random.Random(101)
         for skp in (diffskp, example2):
+            v = SkpValuation(skp)
             for _ in range(60):
                 f = random_polynomial(rng, 2, 6)
-                e = adic_expand(f, skp)
+                e = adic_expand(f, v)
                 assert e.evaluate() == f
 
-    def test_idempotent(self, diffskp):
+    def test_idempotent(self, vdiff):
         rng = random.Random(55)
         for _ in range(40):
             f = random_polynomial(rng, 2, 6)
-            e = adic_expand(f, diffskp)
-            again = adic_expand(e.evaluate(), diffskp)
+            e = adic_expand(f, vdiff)
+            again = adic_expand(e.evaluate(), vdiff)
             assert exp_map(e) == exp_map(again)
 
     def test_adic_form_bounds(self, diffskp, example2, example1):
         rng = random.Random(77)
         for skp in (diffskp, example2, example1):
             alpha = skp.row_lengths()
+            v = SkpValuation(skp)
             for _ in range(25):
                 f = random_polynomial(rng, skp.nvars, 4)
-                for m in adic_expand(f, skp):
+                for m in adic_expand(f, v):
                     for (i, j), e in m.key:
                         if j < alpha[i]:
                             assert e < skp.entries[(i, j)].n
 
     def test_agrees_on_reduced_table(self, diffskp):
         # expansions over the minimal reduced table reproduce the input
-        reduced = minimal_pseudo_skp(diffskp)
+        reduced = SkpValuation(minimal_pseudo_skp(diffskp))
         rng = random.Random(9)
         for _ in range(40):
             f = random_polynomial(rng, 2, 6)
             e = adic_expand(f, reduced)
             assert e.evaluate() == f
 
-    def test_well_order_comparator(self, diffskp):
+    def test_well_order_comparator(self, diffskp, vdiff):
         # distinct adic monomials have distinct Vdeg, so the comparator is a
         # total order on every expansion
         rng = random.Random(13)
         for _ in range(30):
             f = random_polynomial(rng, 2, 6)
-            mons = adic_expand(f, diffskp).monomials
+            mons = adic_expand(f, vdiff).monomials
             keys = [(vdeg(m.key, diffskp), m.key) for m in mons]
             assert len(set(keys)) == len(keys)
             degs = [vdeg(m.key, diffskp) for m in mons]
@@ -114,11 +119,11 @@ class TestRewriteOrder:
     """The priority queue rewrites in the order of the rescanning loop."""
 
     @pytest.mark.parametrize("k, rewrites", [(6, 33), (10, 225)])
-    def test_pinned_rewrite_counts(self, diffskp, k, rewrites):
+    def test_pinned_rewrite_counts(self, diffskp, vdiff, k, rewrites):
         f = P(f"(X0+X1)^{k}")
-        expansion = adic_expand(f, diffskp, max_rewrites=rewrites)
+        expansion = adic_expand(f, vdiff, max_rewrites=rewrites)
         with pytest.raises(IterationCapError):
-            adic_expand(f, diffskp, max_rewrites=rewrites - 1)
+            adic_expand(f, vdiff, max_rewrites=rewrites - 1)
         reference, count = rescan_adic_expand(f, diffskp)
         assert count == rewrites
         assert expansion.to_json() == reference.to_json()
@@ -127,16 +132,16 @@ class TestRewriteOrder:
         rng = random.Random(31)
         for skp, degree, polys in ((diffskp, 8, 40), (example2, 8, 40), (example1, 5, 20)):
             # the full table and the top row cut at its second entry
-            alphas = (skp.row_lengths(), skp.row_lengths()[:-1] + (2,))
+            contexts = [SkpValuation(skp), top_cut(skp, 2)]
             for _ in range(polys):
                 f = random_polynomial(rng, skp.nvars, degree)
-                for alpha in alphas:
-                    reference, rewrites = rescan_adic_expand(f, skp, alpha)
-                    got = adic_expand(f, skp, alpha, max_rewrites=rewrites)
+                for v in contexts:
+                    reference, rewrites = rescan_adic_expand(f, skp, v.alpha)
+                    got = adic_expand(f, v, max_rewrites=rewrites)
                     assert got.to_json() == reference.to_json()
                     if rewrites:
                         with pytest.raises(IterationCapError):
-                            adic_expand(f, skp, alpha, max_rewrites=rewrites - 1)
+                            adic_expand(f, v, max_rewrites=rewrites - 1)
 
 
 class TestSparseKey:
@@ -175,29 +180,29 @@ class TestVdegVp:
     def test_mixed_monomial(self, diffskp):
         key = (((0, 1), 3), ((1, 1), 1), ((1, 2), 1))
         assert vdeg(key, diffskp) == (3, 3)
-        assert vp(key, diffskp) == (0, 3)  # row-final exponents, top row first
+        assert vp(key, diffskp.row_lengths()) == (0, 3)  # row-final exponents, top row first
 
     def test_constant(self, diffskp):
         assert vdeg((), diffskp) == (0, 0)
-        assert vp((), diffskp) == (0, 0)
+        assert vp((), diffskp.row_lengths()) == (0, 0)
 
     def test_final_squared(self, diffskp):
         key = (((1, 3), 2),)
         assert vdeg(key, diffskp) == (0, 4)
-        assert vp(key, diffskp) == (2, 0)
+        assert vp(key, diffskp.row_lengths()) == (2, 0)
 
 
 class TestEuclidean:
-    def test_worked_example(self, diffskp):
-        got = euclidean_expand(P("X1^3 + X0*X1"), diffskp, 2)
+    def test_worked_example(self, vdiff):
+        got = euclidean_expand(P("X1^3 + X0*X1"), vdiff, 2)
         want = {
             ((1, 1),): P("X0^3 + X0"),
             ((1, 1), (2, 1)): P("1"),
         }
         assert {tuple(sorted(k.items())): c for k, c in got} == want
 
-    def test_low_degree_single_term(self, diffskp):
-        got = euclidean_expand(P("X0^7 + X1"), diffskp, 2)
+    def test_low_degree_single_term(self, vdiff):
+        got = euclidean_expand(P("X0^7 + X1"), vdiff, 2)
         assert {tuple(sorted(k.items())): c for k, c in got} == {
             (): P("X0^7"),
             ((1, 1),): P("1"),
@@ -206,11 +211,12 @@ class TestEuclidean:
     def test_multiply_back(self, diffskp, example2):
         rng = random.Random(21)
         for skp in (diffskp, example2):
+            v = SkpValuation(skp)
             for j in range(1, skp.row_length(1) + 1):
                 for _ in range(40):
                     f = random_polynomial(rng, 2, 6)
                     total = MultiPoly.zero(2)
-                    for exps, coeff in euclidean_expand(f, skp, j):
+                    for exps, coeff in euclidean_expand(f, v, j):
                         term = coeff
                         for pos, e in exps.items():
                             term = term * skp.entries[(1, pos)].poly ** e
@@ -224,12 +230,11 @@ class TestEuclidean:
         for skp in (diffskp, example2):
             top = skp.nvars - 1
             for j in (2, skp.row_length(top)):
-                alpha = list(skp.row_lengths())
-                alpha[top] = j
+                v = top_cut(skp, j)
                 for _ in range(100):
                     f = random_polynomial(rng, skp.nvars, 6)
                     grouped = {}
-                    for m in adic_expand(f, skp, tuple(alpha)):
+                    for m in adic_expand(f, v):
                         key = tuple((pos, e) for (i, pos), e in m.key if i == top)
                         lower = {idx: e for idx, e in m.key if idx[0] != top}
                         part = skp.monomial_poly(lower).scale(m.coeff)
@@ -237,7 +242,7 @@ class TestEuclidean:
                     grouped = {k: v for k, v in grouped.items() if not v.is_zero()}
                     eucl = {
                         tuple(sorted(exps.items())): coeff
-                        for exps, coeff in euclidean_expand(f, skp, j)
+                        for exps, coeff in euclidean_expand(f, v)
                     }
                     assert grouped == eucl
 
@@ -250,14 +255,14 @@ def exact_expansion(items):
     ]
 
 
-def assert_expands_like_oracle(f, skp, j, row):
+def assert_expands_like_oracle(f, valuation, j, row):
     try:
-        want = long_euclidean_expand(f, skp, j, row)
+        want = long_euclidean_expand(f, valuation.skp, j, row)
     except NotMonicError:
         with pytest.raises(NotMonicError):
-            euclidean_expand(f, skp, j, row)
+            euclidean_expand(f, valuation, j, row)
         return
-    assert exact_expansion(euclidean_expand(f, skp, j, row)) == exact_expansion(want)
+    assert exact_expansion(euclidean_expand(f, valuation, j, row)) == exact_expansion(want)
 
 
 class TestEuclideanOracle:
@@ -267,57 +272,61 @@ class TestEuclideanOracle:
     def test_every_row_and_cutoff(self, key_tables):
         rng = random.Random(61)
         for skp in key_tables:
+            v = SkpValuation(skp)
             # example1's fourteen top-row cutoffs get fewer inputs each
             polys = 6 if skp.nvars == 2 else 2
             for row in range(skp.nvars):
                 for j in range(1, skp.row_length(row) + 1):
                     for _ in range(polys):
                         f = random_polynomial(rng, skp.nvars, 6, skp.field)
-                        assert_expands_like_oracle(f, skp, j, row)
+                        assert_expands_like_oracle(f, v, j, row)
                         # a dividend of high degree in the row's variable
                         g = skp.entries[(row, j)].poly ** 2 * f + f
-                        assert_expands_like_oracle(g, skp, j, row)
+                        assert_expands_like_oracle(g, v, j, row)
 
     def test_truncated_divisors(self, diffskp_table):
-        # at cutoff 1 the key polynomial X1^2 - X0^3 truncates to 0, which is
-        # not monic; at cutoff 2 it truncates to X1^2
+        # at cutoff 2 the key polynomial X1^2 - X0^3 truncates to X1^2
         rng = random.Random(67)
-        for cutoff in (1, 2, 3):
-            skp = build_skp(diffskp_table, cutoff=cutoff)
-            for j in range(1, skp.row_length(1) + 1):
+        for cutoff in (2, 3):
+            v = SkpValuation(build_skp(diffskp_table, cutoff=cutoff))
+            for j in range(1, v.skp.row_length(1) + 1):
                 for _ in range(10):
                     f = random_polynomial(rng, 2, 6)
-                    assert_expands_like_oracle(f, skp, j, 1)
+                    assert_expands_like_oracle(f, v, j, 1)
 
     def test_truncated_divisor_is_refused(self, diffskp_table):
-        skp = build_skp(diffskp_table, cutoff=1)
+        # at cutoff 1 X1^2 - X0^3 truncates to 0: no context holds the table;
+        # swapped, at cutoff 2 X1^3 - X0^2 truncates to -X0^2, not monic in X1
+        with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
+            SkpValuation(build_skp(diffskp_table, cutoff=1))
+        swapped = build_skp(compute_relations([[3], [2, 9, 10]]), thetas={(1, 2): -1}, cutoff=2)
         with pytest.raises(NotMonicError):
-            euclidean_expand(P("X1^2"), skp, 2)
+            long_euclidean_expand(P("X1^3"), swapped, 2)
+        with pytest.raises(NotMonicError):
+            euclidean_expand(P("X1^3"), SkpValuation(swapped), 2)
 
 
 class TestEuclideanEntryChecks:
     @pytest.mark.parametrize("row", [2, 5, -1, True, False, 1.0, "1"])
-    def test_row_outside_the_table(self, diffskp, row):
+    def test_row_outside_the_table(self, vdiff, row):
         with pytest.raises(ValueError, match=re.escape(f"row {row!r} is not a row")):
-            euclidean_expand(P("X1^3 + X0"), diffskp, row=row)
+            euclidean_expand(P("X1^3 + X0"), vdiff, row=row)
 
     @pytest.mark.parametrize("j", [0, 4, True, 1.5, "1"])
-    def test_cutoff_outside_the_row(self, diffskp, j):
+    def test_cutoff_outside_the_row(self, vdiff, j):
         with pytest.raises(ValueError, match=re.escape(f"cutoff {j!r} outside 1..3")):
-            euclidean_expand(P("X1^3 + X0"), diffskp, j=j)
+            euclidean_expand(P("X1^3 + X0"), vdiff, j=j)
 
-    def test_ring_refused(self, diffskp):
+    def test_ring_refused(self, vdiff):
         for f in (parse_poly("X0", 3), parse_poly("X1", 2, GF(7))):
             with pytest.raises(ValueError, match="^polynomial ring does not match the table$"):
-                euclidean_expand(f, diffskp)
+                euclidean_expand(f, vdiff)
 
 
 class TestGuards:
-    def test_iteration_cap(self, diffskp):
-        from skpval import IterationCapError
-
+    def test_iteration_cap(self, vdiff):
         with pytest.raises(IterationCapError):
-            adic_expand(P("X1^8"), diffskp, max_rewrites=1)
+            adic_expand(P("X1^8"), vdiff, max_rewrites=1)
 
     def test_rewrite_degree_measure(self, diffskp, example2):
         # the successor branch keeps the row degree, every relation branch

@@ -8,7 +8,6 @@ must give exactly what it gives on the full route.
 
 import contextlib
 import functools
-import itertools
 import json
 import random
 from pathlib import Path
@@ -34,7 +33,6 @@ from skpval import (
     jsonio,
     minimal_pseudo_skp,
     parse_poly,
-    validate_acceptable,
     value_of,
     value_via_euclidean,
 )
@@ -43,7 +41,13 @@ from skpval.expansion import AdicExpansion, least_value, least_value_part, value
 from skpval.realize import random_polynomial, realize
 from skpval.skp import rewrite_rules
 
-from conftest import attainment_products, doubling_chain, example1_rows
+from conftest import (
+    VALUE_ENTRIES,
+    acceptable_vectors,
+    attainment_products,
+    doubling_chain,
+    example1_rows,
+)
 from oracles import full_least_part, planted_expansion, rescan_initial_form
 
 DATA = Path(__file__).parent / "data"
@@ -78,11 +82,6 @@ def _tables():
 TABLES = _tables()
 
 
-def _acceptable_vectors(skp):
-    ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
-    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
-
-
 def _outcome(compute):
     """The result, or the ZeroPolyError it raised."""
     try:
@@ -96,11 +95,11 @@ def _full_route():
     """Every function of ``skpval.valuation`` on the full expansion: both
     entries of the value loop, the value-only one that ``value_of`` calls
     and the one with monomials that the forms call."""
-    def part(f, valuation):
-        return full_least_part(f, valuation.skp, valuation.alpha)
+    def least(f, valuation):
+        return full_least_part(f, valuation)[0]
 
-    with mock.patch.object(skpval.valuation, "least_value_part", part), \
-            mock.patch.object(skpval.valuation, "least_value", lambda f, v: part(f, v)[0]):
+    with mock.patch.object(skpval.valuation, "least_value_part", full_least_part), \
+            mock.patch.object(skpval.valuation, "least_value", least):
         yield
 
 
@@ -114,7 +113,7 @@ def _results(f, skp, alpha):
         lambda: graded_normal_form(f, valuation()).to_json(skp.field),
     ]
     if alpha[-1]:
-        computations.append(lambda: delta_of(f, skp, alpha[-1]))
+        computations.append(lambda: delta_of(f, valuation()))
     return [_outcome(compute) for compute in computations]
 
 
@@ -141,29 +140,32 @@ class TestAgainstFullExpansion:
     def test_every_acceptable_vector(self, name):
         skp = TABLES[name]
         rng = random.Random(sum(map(ord, name)))
-        for alpha in _acceptable_vectors(skp):
+        for alpha in acceptable_vectors(skp):
             for f in _polynomials(rng, skp, alpha):
                 if f.is_zero():  # a key polynomial the cutoff truncated to 0
                     continue
                 got = _outcome(
                     lambda: _part_json(least_value_part(f, SkpValuation(skp, alpha)), skp)
                 )
-                want = _outcome(lambda: _part_json(full_least_part(f, skp, alpha), skp))
+                want = _outcome(
+                    lambda: _part_json(full_least_part(f, SkpValuation(skp, alpha)), skp)
+                )
                 assert got == want, (alpha, str(f))
                 results = _results(f, skp, alpha)
                 with _full_route():
                     assert results == _results(f, skp, alpha), (alpha, str(f))
 
     def test_every_built_table_stops_early(self):
-        # no rule of a built table has a branch of lower value: the valuation
-        # accepts every acceptable vector (on the table whose cutoff truncated
-        # U_{1,2} to 0, which it refuses for that, the rule check runs alone)
+        # no rule of a built table has a branch of lower value: the value
+        # rules build at every acceptable vector (on the table whose cutoff
+        # truncated U_{1,2} to 0, whose context is refused for that, the
+        # rule check runs alone)
         for name, skp in TABLES.items():
-            for alpha in _acceptable_vectors(skp):
+            for alpha in acceptable_vectors(skp):
                 if name == "remark_diffskp-cutoff-1":
                     value_rules(skp, alpha)
                 else:
-                    SkpValuation(skp, alpha)
+                    SkpValuation(skp, alpha).rule_set
 
 
 def _cross_check_tables():
@@ -210,7 +212,7 @@ class TestDenseLoopCrossCheck:
             if f.is_zero():
                 continue
             part = _outcome(lambda: _part_json(least_value_part(f, valuation), skp))
-            assert part == _outcome(lambda: _part_json(full_least_part(f, skp), skp)), str(f)
+            assert part == _outcome(lambda: _part_json(full_least_part(f, valuation), skp)), str(f)
             if part[0] == "ZeroPolyError":
                 with pytest.raises(ZeroPolyError):
                     least_value(f, valuation)
@@ -239,8 +241,13 @@ class TestValueLoweringRule:
         power = tuple(n * c for c in betas[(2, 1)])
         assert any(m == (((0, 1), 1),) for _, m in terms)
         assert tuple(betas[(0, 1)]) < power
-        with pytest.raises(InvalidTableError, match=r"^U_\{2,1\}\^1 rewrites to a branch of lower value"):
-            SkpValuation(skp)
+        # a context holds the table (build, expand and classify run on it):
+        # the gate trips on the first value call
+        adic_expand(parse_poly("X2", 3), SkpValuation(skp))
+        message = r"^U_\{2,1\}\^1 rewrites to a branch of lower value"
+        for entry in VALUE_ENTRIES:
+            with pytest.raises(InvalidTableError, match=message):
+                entry(parse_poly("X2", 3), SkpValuation(skp))
 
     def test_value_commands_exit_1(self, tmp_path, capsys):
         path = tmp_path / "lowering.json"
@@ -267,13 +274,13 @@ class TestEarlyStop:
         f = parse_poly(text, 2)
         valuation = SkpValuation(diffskp)
         part = least_value_part(f, valuation, max_rewrites=least)
-        want = full_least_part(f, diffskp)
+        want = full_least_part(f, valuation)
         assert _part_json(part, diffskp) == _part_json(want, diffskp)
-        adic_expand(f, diffskp, max_rewrites=full)
-        for cap, expand, table in ((least, least_value_part, valuation), (full, adic_expand, diffskp)):
+        adic_expand(f, valuation, max_rewrites=full)
+        for cap, expand in ((least, least_value_part), (full, adic_expand)):
             if cap:
                 with pytest.raises(IterationCapError):
-                    expand(f, table, max_rewrites=cap - 1)
+                    expand(f, valuation, max_rewrites=cap - 1)
 
 
 PLANTED_PER_TABLE = 40
@@ -295,7 +302,7 @@ class TestPlantedExpansions:
         zero = GroupValue((0,) * skp.dimension)
         for _ in range(PLANTED_PER_TABLE):
             f, planted = planted_expansion(rng, skp)
-            assert {m.key: m.coeff for m in adic_expand(f, skp)} == planted, str(f)
+            assert {m.key: m.coeff for m in adic_expand(f, valuation)} == planted, str(f)
             values = {
                 key: sum((skp.entries[index].beta.scale(e) for index, e in key), zero)
                 for key in planted

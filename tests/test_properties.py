@@ -136,4 +136,4 @@ class TestValuationAxioms:
 def test_expansion_evaluates_back(valuations, name, data):
     v, degree = valuations[name]
     f = draw_poly(data, v, degree)
-    assert adic_expand(f, v.skp).evaluate() == f.truncate(v.skp.cutoff)
+    assert adic_expand(f, v).evaluate() == f.truncate(v.skp.cutoff)

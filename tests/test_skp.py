@@ -18,7 +18,6 @@ from skpval import (
     SkpValuation,
     ThetaZeroError,
     ZeroPolyError,
-    adic_expand,
     build_skp,
     compute_relations,
     minimal_pseudo_skp,
@@ -328,11 +327,11 @@ class TestAcceptableVectors:
     )
     def test_component_that_is_not_an_int_is_refused(self, diffskp, alpha, named):
         # each component is taken as given: 1.9 is not read as 1, nor True
-        # or "1" as 1, by the valuation, the expansion or the closure check
+        # or "1" as 1, by the valuation (the context every expansion takes)
+        # or the closure check
         message = rf"^cutoff component {re.escape(named)} is not an int$"
         for call in (
             lambda: SkpValuation(diffskp, alpha),
-            lambda: adic_expand(P("X1^2"), diffskp, alpha),
             lambda: validate_acceptable(diffskp, alpha),
         ):
             with pytest.raises(ValueError, match=message):

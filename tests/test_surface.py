@@ -18,7 +18,8 @@ library module imports it (``from .ordgroup import _x``) or reads it
 (``ordgroup._x``).
 
 Every name the benchmark's tracer wraps (``TRACED`` in ``bench/tracer.py``)
-must still resolve to a callable of the library.
+must still resolve to a callable of the library, and the README's library
+quick tour runs as written.
 """
 
 import ast
@@ -28,7 +29,8 @@ from pathlib import Path
 import skpval
 
 SRC = Path(skpval.__file__).resolve().parent
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 # Names kept without a library caller, each for a stated reason.
 ALLOWED = {
@@ -200,3 +202,15 @@ def test_every_traced_name_resolves():
             missing.append(f"{module}.{path}")
     assert tracer.TRACED
     assert missing == []
+
+
+def test_readme_quick_tour_runs():
+    # the "Library quick tour" block, with the results its comments name
+    section = (ROOT / "README.md").read_text().split("## Library quick tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    tour = {}
+    exec(block, tour)
+    f, v = tour["f"], tour["v"]
+    assert tour["value_of"](f, v) == skpval.GroupValue((9,))
+    expansion = tour["adic_expand"](f, v)
+    assert [m.key for m in expansion] == [(((1, 3), 1),), (((0, 1), 3), ((1, 1), 1))]

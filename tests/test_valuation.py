@@ -1,5 +1,4 @@
 import functools
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -23,7 +22,7 @@ from skpval import (
     value_of,
     value_via_euclidean,
 )
-from skpval import adic_expand, expansion, jsonio, realize, validate_acceptable, valuation
+from skpval import SemigroupSpec, adic_expand, expansion, jsonio, realize, valuation
 from skpval.expansion import euclidean_expand, vp
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
@@ -31,7 +30,14 @@ from skpval.skp import SkpTable
 from skpval.valtable import table_from_chain
 from skpval.valuation import value_report
 
-from conftest import attainment_products, doubling_chain, example1_rows
+from conftest import (
+    VALUE_ENTRIES,
+    acceptable_vectors,
+    attainment_products,
+    doubling_chain,
+    example1_rows,
+    top_cut,
+)
 from oracles import (
     group_euclid_value,
     rescan_adic_expand,
@@ -48,11 +54,6 @@ def P(text, nvars=2):
 
 def gv(*coords):
     return GroupValue(coords)
-
-
-@pytest.fixture(scope="module")
-def vdiff(diffskp):
-    return SkpValuation(diffskp)
 
 
 class TestValueOf:
@@ -121,7 +122,7 @@ class TestValueOf:
     def test_truncated_key_polynomial_refused(self, route):
         # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: both routes refuse alike
         skp = jsonio.build_from_problem(_problem("remark_diffskp.json", cutoff=1))
-        for alpha in _acceptable_vectors(skp):
+        for alpha in acceptable_vectors(skp):
             with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
                 route(P("X1"), SkpValuation(skp, alpha))
 
@@ -245,7 +246,7 @@ class TestEuclideanWork:
     def test_pinned_work(self, diffskp, counts, text, value, pieces, coefficients, divisions):
         f = P(text)
         v = SkpValuation(diffskp)
-        assert len(euclidean_expand(f, diffskp, row=1)) == pieces
+        assert len(euclidean_expand(f, v, row=1)) == pieces
         counts["divisions"] = 0
         assert value_via_euclidean(f, v) == gv(value)
         assert counts == {"divisions": divisions, "coefficients": coefficients}
@@ -281,8 +282,45 @@ class TestEuclideanWork:
         betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
         values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
         table = SkpTable(values, diffskp.entries, diffskp.field, diffskp.cutoff)
-        with pytest.raises(ValueError, match=rf"beta at \({index[0]}, {index[1]}\) is not positive"):
-            SkpValuation(table)
+        # a context holds the table: the gate trips on the first value call
+        message = rf"^beta at \({index[0]}, {index[1]}\) is not positive$"
+        for entry in VALUE_ENTRIES:
+            with pytest.raises(ValueError, match=message):
+                entry(P("X1"), SkpValuation(table))
+
+
+class TestContext:
+    """One ``SkpValuation`` per table and cutoff vector: each object it
+    derives is built once, on first use, and only when used."""
+
+    def test_expansions_share_one_rule_set(self, diffskp, monkeypatch):
+        built, lifted = [], []
+        init, lift = expansion.RuleSet.__init__, expansion.RuleSet.__missing__
+
+        def counted_init(rules, *args):
+            built.append(args)
+            init(rules, *args)
+
+        def counted_lift(rules, exps):
+            lifted.append(exps)
+            return lift(rules, exps)
+
+        monkeypatch.setattr(expansion.RuleSet, "__init__", counted_init)
+        monkeypatch.setattr(expansion.RuleSet, "__missing__", counted_lift)
+        v = SkpValuation(diffskp)
+        f = P("(X0+X1)^6")
+        first = adic_expand(f, v).to_json()
+        assert (len(built), len(lifted)) == (1, len(f.terms))
+        assert adic_expand(f, v).to_json() == first
+        adic_expand(P("X0*X1^5 + 2*X1^6"), v)  # terms of f: their lifts are reused
+        assert (len(built), len(lifted)) == (1, len(f.terms))
+        assert "rule_set" not in vars(v)
+
+    def test_realize_leaves_the_value_rules_unbuilt(self):
+        v = realize(SemigroupSpec([[4], [6], [13]])).valuation
+        assert "rule_set" not in vars(v) and "expand_rules" not in vars(v)
+        assert value_of(parse_poly("X0", v.skp.nvars), v) == gv(4)
+        assert "rule_set" in vars(v)
 
 
 class TestRestriction:
@@ -348,7 +386,7 @@ class TestInitialForm:
         for _ in range(60):
             f = random_polynomial(rng, 2, 6)
             form = initial_form(f, v)
-            vps = [vp(m.key, diffskp, v.alpha) for m in form]
+            vps = [vp(m.key, v.alpha) for m in form]
             assert len(set(vps)) == len(vps)
 
     def test_single_monomial_keeps_top_final_exponent(self, diffskp):
@@ -369,24 +407,23 @@ class TestInitialForm:
 
 class TestDelta:
     def test_distinguished_entry(self, diffskp):
-        assert delta_of(P("X1^2 - X0^3"), diffskp, 2) == 1
+        assert delta_of(P("X1^2 - X0^3"), top_cut(diffskp, 2)) == 1
 
     def test_lower_variable(self, diffskp):
-        assert delta_of(P("X0"), diffskp, 2) == 0
+        assert delta_of(P("X0"), top_cut(diffskp, 2)) == 0
 
     def test_product_with_unit(self, diffskp):
-        assert delta_of(P("(X1^2 - X0^3)^2 * X1"), diffskp, 2) == 2
+        assert delta_of(P("(X1^2 - X0^3)^2 * X1"), top_cut(diffskp, 2)) == 2
 
     def test_additivity(self, diffskp, example2):
         rng = random.Random(17)
         for skp in (diffskp, example2):
             for j in range(1, skp.row_length(1) + 1):
+                v = top_cut(skp, j)
                 for _ in range(40):
                     f = random_polynomial(rng, 2, 4)
                     g = random_polynomial(rng, 2, 4)
-                    assert delta_of(f * g, skp, j) == delta_of(f, skp, j) + delta_of(
-                        g, skp, j
-                    )
+                    assert delta_of(f * g, v) == delta_of(f, v) + delta_of(g, v)
 
 
 class TestGradedNormalForm:
@@ -511,11 +548,6 @@ REFERENCE_TABLES = _reference_tables()
 POLYS_PER_VECTOR = 8
 
 
-def _acceptable_vectors(skp):
-    ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
-    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
-
-
 def _outcome(compute):
     """The JSON of a result, or the ZeroPolyError it raised."""
     try:
@@ -534,7 +566,7 @@ class TestAgainstRescanReference:
         skp = REFERENCE_TABLES[name]
         rng = random.Random(sum(map(ord, name)))
         degree = 8 if skp.nvars < 3 else 4
-        for alpha in _acceptable_vectors(skp):
+        for alpha in acceptable_vectors(skp):
             # built inside each computation, so a table SkpValuation refuses
             # gives the same ZeroPolyError on both sides
             v = functools.partial(SkpValuation, skp, alpha)
@@ -551,7 +583,7 @@ class TestAgainstRescanReference:
                     continue
                 pairs = [
                     (
-                        lambda: adic_expand(f, skp, alpha).to_json(),
+                        lambda: adic_expand(f, v()).to_json(),
                         lambda: rescan_adic_expand(f, skp, alpha)[0].to_json(),
                     ),
                     (
