@@ -376,7 +376,8 @@ def euclidean_expand(f, valuation, j=None, row=None):
     polynomial with zero degree in the row's variable), sorted by key:
     every piece of ``euclidean_walk``.  Exponents at positions before
     the cutoff ``j`` stay below their n.  ``row`` defaults to the top row,
-    ``j`` to the context's cutoff in it.
+    ``j`` to the context's cutoff in it.  No rule set is read, so a key
+    polynomial truncated to 0 is refused (NotMonicError) only as a divisor.
     """
     skp = valuation.skp
     if f.nvars != skp.nvars or f.field != skp.field:

@@ -10,9 +10,9 @@ rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
 + nu(U^t)) over the top row's Euclidean expansion, each a_t valued on the
 row below by an ``expansion.euclidean_walk`` that starts at its key's
 weight.  ``SkpValuation``, the context of every entry, is the one gate
-both routes trust: built, it refuses a table whose cutoff truncated a key
-polynomial to 0; its value rules, which both routes touch first, a beta
-that is not > 0 (so nu(a_t) >= 0, which the walk's bound rests on) and a
+both routes trust: built, it refuses an unacceptable cutoff vector; its
+value rules, touched first by both routes, a key polynomial truncated to
+0, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on) and a
 rule U^n = U_next + sum theta * U^m with a branch of lower value.  Initial
 forms, the top-row delta invariant and graded normal forms all build on
 the least value part; a graded normal form reduces each initial-form
@@ -42,28 +42,32 @@ from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, we
 
 
 class SkpValuation:
-    """A table of key polynomials with an acceptable cutoff vector, both
-    checked once; the value loop's ``rule_set`` (whose first use refuses a
-    beta <= 0 or a value-lowering rule), ``adic_expand``'s ``expand_rules``
-    and the Euclidean route's ``steps``, width bounds and ``DivisorSplits``
-    (width -> splits) are each made on first use."""
+    """A table of key polynomials with an acceptable cutoff vector, checked
+    once, and what it derives on first use: ``rule_set`` and ``adic_expand``'s
+    ``expand_rules`` (each refuses a key polynomial truncated to 0, ``rule_set``
+    then a beta <= 0 or a value-lowering rule), and the Euclidean route's
+    ``steps``, width ``bounds`` and ``DivisorSplits`` (width -> splits)."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
-        check_key_polynomials(skp)
         if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
-        self.bounds = None
         self.splits = {}
 
     @cached_property
     def rule_set(self):
+        check_key_polynomials(self.skp)
         return value_rules(self.skp, self.alpha)
 
     @cached_property
     def expand_rules(self):
+        check_key_polynomials(self.skp)
         return RuleSet(self.skp, self.alpha, self.skp.degree_weights, (0,) * self.skp.nvars, False)
+
+    @cached_property
+    def bounds(self):
+        return division_bounds(self.skp)
 
     @cached_property
     def steps(self):
@@ -78,8 +82,6 @@ class SkpValuation:
         """The ``DivisorSplits`` at the width that holds every exponent of
         the Euclidean walk, on all rows, of a polynomial of total degree
         ``degree``: degree * prod W_r and the key polynomials' own."""
-        if self.bounds is None:
-            self.bounds = division_bounds(self.skp)
         factors, largest = self.bounds
         width = exponent_width(max(degree * prod(factors), largest))
         splits = self.splits.get(width)
@@ -108,10 +110,7 @@ def value_report(f, valuation):
     skp = valuation.skp
     if skp.cutoff is None:
         return val, None
-    ratios = [
-        entry.beta.scale(Fraction(1, max(entry.order, 1)))
-        for entry in skp.entries.values()
-    ]
+    ratios = (entry.beta.scale(Fraction(1, max(entry.order, 1))) for entry in skp.entries.values())
     threshold = min(ratios).scale(skp.cutoff + 1)
     return val, val < threshold
 

@@ -215,6 +215,14 @@ def _vdeg(key, skp):
     return tuple(out)
 
 
+def refuse_zero_keys(skp):
+    """Refuse, by its own scan, a table whose cutoff truncated a key
+    polynomial to 0, with the library's message."""
+    for i, j in skp.order:
+        if skp.entries[(i, j)].poly.is_zero():
+            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
+
+
 def rescan_adic_expand(f, skp, alpha=None):
     """Adic expansion by rescanning the working set before every rewrite.
 
@@ -225,9 +233,7 @@ def rescan_adic_expand(f, skp, alpha=None):
     alpha = normalize_alpha(skp, alpha)
     zero = skp.field.zero
     cutoff = skp.cutoff
-    for i, j in skp.order:
-        if skp.entries[(i, j)].poly.is_zero():
-            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {cutoff}")
+    refuse_zero_keys(skp)
     rules = rewrite_rules(skp, alpha)
 
     def add(work, key, coeff):
@@ -440,8 +446,10 @@ def long_euclidean_expand(f, skp, j=None, row=None):
 def group_euclid_value(f, valuation, top):
     """The value of f on rows 0..top through every piece of the Euclidean
     expansions of ``long_euclidean_expand``, each summed as a GroupValue
-    (``part + beta.scale(e)``) and compared as one."""
+    (``part + beta.scale(e)``) and compared as one.  Like the value routes,
+    it refuses a table whose cutoff truncated a key polynomial to 0."""
     skp = valuation.skp
+    refuse_zero_keys(skp)
     if top < 0 or f.degree() == 0:
         return GroupValue((0,) * valuation.skp.dimension)
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:

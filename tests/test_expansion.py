@@ -17,6 +17,7 @@ from skpval import (
     euclidean_expand,
     minimal_pseudo_skp,
     parse_poly,
+    value_of,
 )
 from skpval.expansion import sparse_key, vp
 from skpval.realize import random_polynomial
@@ -285,20 +286,29 @@ class TestEuclideanOracle:
                         assert_expands_like_oracle(g, v, j, row)
 
     def test_truncated_divisors(self, diffskp_table):
-        # at cutoff 2 the key polynomial X1^2 - X0^3 truncates to X1^2
+        # at cutoff 1 the key polynomial X1^2 - X0^3 truncates to 0, which is
+        # not monic, yet the context holds the table and every expansion that
+        # does not divide by it is computed; at cutoff 2 it truncates to X1^2
         rng = random.Random(67)
-        for cutoff in (2, 3):
+        for cutoff in (1, 2, 3):
             v = SkpValuation(build_skp(diffskp_table, cutoff=cutoff))
-            for j in range(1, v.skp.row_length(1) + 1):
-                for _ in range(10):
-                    f = random_polynomial(rng, 2, 6)
-                    assert_expands_like_oracle(f, v, j, 1)
+            for row in (0, 1):
+                for j in range(1, v.skp.row_length(row) + 1):
+                    for _ in range(10):
+                        f = random_polynomial(rng, 2, 6)
+                        assert_expands_like_oracle(f, v, j, row)
 
     def test_truncated_divisor_is_refused(self, diffskp_table):
-        # at cutoff 1 X1^2 - X0^3 truncates to 0: no context holds the table;
+        # at cutoff 1 X1^2 - X0^3 truncates to 0: dividing by it is refused,
+        # and so are both rule sets of the context, on first use;
         # swapped, at cutoff 2 X1^3 - X0^2 truncates to -X0^2, not monic in X1
-        with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
-            SkpValuation(build_skp(diffskp_table, cutoff=1))
+        v = SkpValuation(build_skp(diffskp_table, cutoff=1))
+        assert [key for key, _ in euclidean_expand(P("X1^2"), v, 1)] == [{1: 2}]
+        with pytest.raises(NotMonicError):
+            euclidean_expand(P("X1^2"), v, 2)
+        for entry in (adic_expand, value_of):
+            with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
+                entry(P("X1"), v)
         swapped = build_skp(compute_relations([[3], [2, 9, 10]]), thetas={(1, 2): -1}, cutoff=2)
         with pytest.raises(NotMonicError):
             long_euclidean_expand(P("X1^3"), swapped, 2)

@@ -158,8 +158,8 @@ class TestAgainstFullExpansion:
     def test_every_built_table_stops_early(self):
         # no rule of a built table has a branch of lower value: the value
         # rules build at every acceptable vector (on the table whose cutoff
-        # truncated U_{1,2} to 0, whose context is refused for that, the
-        # rule check runs alone)
+        # truncated U_{1,2} to 0, whose context's rule_set is refused for
+        # that, the rule check runs alone)
         for name, skp in TABLES.items():
             for alpha in acceptable_vectors(skp):
                 if name == "remark_diffskp-cutoff-1":
