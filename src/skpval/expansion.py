@@ -64,7 +64,7 @@ from .poly import (
     split_divisor,
     unpack,
 )
-from .skp import key_product, rewrite_rules, weigh
+from .skp import rewrite_rules, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 
@@ -111,13 +111,11 @@ class AdicExpansion:
         return len(self.monomials)
 
     def evaluate(self):
-        """Multiply the expansion back out through one ``key_product`` store."""
+        """Multiply the expansion back out from the table's ``products``."""
         skp = self.skp
         out = MultiPoly.zero(skp.nvars, skp.field)
-        products = {(): MultiPoly.one(skp.nvars, skp.field)}
         for m in self.monomials:
-            term = key_product(skp.entries, products, m.key, skp.cutoff)
-            out = out + term.scale(m.coeff)
+            out = out + skp.products[m.key].scale(m.coeff)
         return out
 
     def to_json(self):

@@ -27,7 +27,7 @@ from .fields import QQ
 from .expansion import least_value
 from .ordgroup import analyze_chain, as_group_value, is_finite_index, semigroup_witness
 from .poly import MultiPoly
-from .skp import build_skp, key_product
+from .skp import build_skp
 from .valtable import enumerate_semigroup, table_from_chain, validate_table
 from .valuation import SkpValuation
 
@@ -328,9 +328,9 @@ def verify_realization(
     Attainment: every semigroup element within the coefficient window is the
     value of an explicit product of key polynomials, expanded to raw
     monomial form and re-valued through the adic expansion.  Each product
-    comes from ``skp.key_product`` through one store for the whole call, its
-    key read from the witness: a smaller stored product times one key
-    polynomial, truncated at the table's cutoff.  Containment: the value of
+    comes from the table's ``products``, its key read from the witness: a
+    product the build or an earlier call stored, or a smaller one times one
+    key polynomial, truncated at the table's cutoff.  Containment: the value of
     every random polynomial is in the semigroup, decided exactly by
     ``semigroup_witness`` over nonnegative generator relations.  Values are
     compared as integer rows of the table's ``chain`` (``least_value``), the
@@ -363,7 +363,6 @@ def verify_realization(
     witnesses = {}  # membership witnesses by table row, seeded with the ball's
     # positions ascending are table indices ascending: a witness's key is sorted
     indices = [assignment.table_index(p) for p in range(len(chain))]
-    products = {(): MultiPoly.one(skp.nvars, skp.field)}
     for row, witness in enumerate_semigroup(chain, coeff_bound):
         gamma = chain.value(row)
         vector = skp.chain.row(gamma)
@@ -373,7 +372,7 @@ def verify_realization(
                 offending=gamma,
             )
         key = tuple([(indices[p], a) for p, a in enumerate(witness) if a])
-        witness_poly = key_product(skp.entries, products, key, skp.cutoff)
+        witness_poly = skp.products[key]
         got = None if witness_poly.is_zero() else least_value(witness_poly, valuation)
         if got != vector:
             shown = None if got is None else skp.chain.value(got)

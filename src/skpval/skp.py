@@ -16,6 +16,9 @@ A product prod U_{i,j}^e has one form outside the adic rewrite loop (which
 keys by dense exponent tuples), its key: the tuple of ``((i, j), e)`` pairs
 with e > 0, indices ascending.  Summands, expansion monomials and Euclidean
 pieces are keys; an exponent map is read or written only at a public edge.
+Every product has one owner, the table's ``KeyProducts`` store, made before
+the first successor and kept as long as the table, so evaluation and
+verification reuse the powers and summands the build multiplied out.
 
 The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
 ``TableEntry`` of its position: beta, n, relation and S^c are kept once,
@@ -89,47 +92,49 @@ class LimitTail:
         self.depth = depth
 
 
-def key_product(entries, products, key, cutoff):
-    """prod U^e over the sorted ``((i, j), e)`` items of ``key``, truncated at
-    the cutoff, from the caller's store ``products`` (key -> product, holding
-    ``()`` mapped to 1): the one routine that multiplies out key polynomials.
-    Under a cutoff, a key whose order sum e * ord U passes it, or that has a
-    factor truncated to 0, is 0 at once: orders add in a polynomial ring over
-    a field.  Any other missing product is the key with its greatest
-    factor's exponent lowered by one, times that factor's polynomial,
-    truncated (truncation commutes with multiplication); missing ones are
-    built upward by a loop and stored.  An exponent below 1 raises
-    ValueError."""
-    if key in products:
-        return products[key]
-    for (i, j), e in key:
-        if e < 1:
-            raise ValueError(f"exponent {e} of U_{{{i},{j}}} is below 1")
-    if cutoff is not None:
-        orders = [entries[idx].order for idx, _ in key]
-        if None in orders or sum(e * o for (_, e), o in zip(key, orders)) > cutoff:
-            one = products[()]
-            out = products[key] = MultiPoly.zero(one.nvars, one.field)
-            return out
-    steps = []
-    while key not in products:
-        idx, e = key[-1]
-        steps.append((key, idx))
-        key = key[:-1] + ((idx, e - 1),) if e > 1 else key[:-1]
-    out = products[key]
-    for key, idx in reversed(steps):
-        out = products[key] = (out * entries[idx].poly).truncate(cutoff)
-    return out
+class KeyProducts(dict):
+    """Key -> prod U^e over its sorted ``((i, j), e)`` items, truncated at
+    the cutoff, made on first use: the one store of products of key
+    polynomials, kept by its table as ``SkpTable.products`` and holding
+    ``()`` mapped to 1.  Under a cutoff, a key whose order sum e * ord U
+    passes it, or that has a factor truncated to 0, is 0 at once: orders
+    add in a polynomial ring over a field.  Any other missing product is
+    the key with its greatest factor's exponent lowered by one, times that
+    factor's polynomial, truncated (truncation commutes with
+    multiplication); missing ones are built upward by a loop and stored.
+    An exponent below 1 raises ValueError."""
+
+    def __init__(self, entries, nvars, field, cutoff):
+        super().__init__({(): MultiPoly.one(nvars, field)})
+        self.entries, self.field, self.cutoff = entries, field, cutoff
+
+    def __missing__(self, key):
+        for (i, j), e in key:
+            if e < 1:
+                raise ValueError(f"exponent {e} of U_{{{i},{j}}} is below 1")
+        if self.cutoff is not None:
+            orders = [self.entries[idx].order for idx, _ in key]
+            if None in orders or sum(e * o for (_, e), o in zip(key, orders)) > self.cutoff:
+                out = self[key] = MultiPoly.zero(self[()].nvars, self.field)
+                return out
+        steps = []
+        while key not in self:
+            idx, e = key[-1]
+            steps.append((key, idx))
+            key = key[:-1] + ((idx, e - 1),) if e > 1 else key[:-1]
+        out = self[key]
+        for key, idx in reversed(steps):
+            out = self[key] = (out * self.entries[idx].poly).truncate(self.cutoff)
+        return out
 
 
-def successor(entries, start, n, summands, cutoff):
+def successor(products, start, n, summands):
     """U_start^n - sum theta * prod U^m over the (theta, key m) summands, all
-    from one ``key_product`` store, each step truncated: the one formula
-    every successor key polynomial is built by."""
-    products = {(): MultiPoly.one(start.poly.nvars, start.poly.field)}
-    out = key_product(entries, products, ((start.index, n),), cutoff)
+    from the table's store ``products``, each step truncated: the one
+    formula every successor key polynomial is built by."""
+    out = products[((start.index, n),)]
     for theta, m in summands:
-        out = (out - theta * key_product(entries, products, m, cutoff)).truncate(cutoff)
+        out = (out - theta * products[m]).truncate(products.cutoff)
     return out
 
 
@@ -165,21 +170,18 @@ def weigh(key, weights, start):
 
 
 class SkpTable(ValueTable):
-    """The value table ``table`` with its SkpEntry ``entries``: key
-    polynomials over ``field`` under the total-degree ``cutoff``, and the
-    ``weigh`` weights of Vdeg, the degree vector (U_{i,j} has d in X_i)."""
+    """The value table ``table`` with the SkpEntry ``entries`` of its
+    ``products`` store: key polynomials over ``field`` under the total-degree
+    ``cutoff``, and the ``weigh`` weights of Vdeg (U_{i,j} has d in X_i)."""
 
-    def __init__(self, table, entries, field, cutoff):
-        super().__init__(table.chain, table.rows, entries, table.limit_labels)
-        self.field = field
-        self.cutoff = cutoff
-        self.degree_weights = {idx: [(idx[0], e.d)] for idx, e in entries.items()}
+    def __init__(self, table, products):
+        super().__init__(table.chain, table.rows, products.entries, table.limit_labels)
+        self.products, self.field, self.cutoff = products, products.field, products.cutoff
+        self.degree_weights = {idx: [(idx[0], e.d)] for idx, e in self.entries.items()}
 
     def monomial_poly(self, exps):
-        """prod U_{i,j}^{e} by ``key_product`` through a fresh store."""
-        products = {(): MultiPoly.one(self.nvars, self.field)}
-        key = tuple(sorted((idx, e) for idx, e in exps.items() if e))
-        return key_product(self.entries, products, key, self.cutoff)
+        """prod U_{i,j}^{e} from the table's ``products``."""
+        return self.products[tuple(sorted((idx, e) for idx, e in exps.items() if e))]
 
 
 def _as_theta_map(thetas, field):
@@ -192,18 +194,19 @@ def _as_theta_map(thetas, field):
     return out
 
 
-def unroll_limit(entries, tail, cutoff, field):
+def unroll_limit(products, tail):
     """Accumulate a declared tail until summand orders pass the cutoff.
 
-    ``entries`` maps table indices to the SkpEntry objects built so far.
-    Returns the polynomial, the (theta, key m) summands consumed and the JSON
-    report (``stabilized``, ``summands_used``, ``cutoff``).  Requires a
-    cutoff and a nonzero theta (else ThetaZeroError); raises
-    NonStabilizingError when the depth is exhausted with summands still at
-    or below the cutoff, and SchemaError when a summand it would use has a
-    negative exponent.  Depth 0 (or less) returns the start power
-    unchanged.
+    ``products`` is the table's store, its ``entries`` the SkpEntry objects
+    built so far.  Returns the polynomial, the (theta, key m) summands
+    consumed and the JSON report (``stabilized``, ``summands_used``,
+    ``cutoff``).  Requires a cutoff and a nonzero theta (else
+    ThetaZeroError); raises NonStabilizingError when the depth is exhausted
+    with summands still at or below the cutoff, and SchemaError when a
+    summand it would use has a negative exponent.  Depth 0 (or less)
+    returns the start power unchanged.
     """
+    entries, cutoff, field = products.entries, products.cutoff, products.field
     if cutoff is None:
         raise NoCutoffError("limit unrolling requires a truncation cutoff")
 
@@ -231,7 +234,7 @@ def unroll_limit(entries, tail, cutoff, field):
                 )
         summands.append((theta, m))
     n_start = start.n if is_finite_index(start.n) else 1
-    poly = successor(entries, start, n_start, summands, cutoff)
+    poly = successor(products, start, n_start, summands)
     report = {
         "stabilized": tail.depth > 0,
         "summands_used": len(summands),
@@ -267,7 +270,8 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
     if cutoff is None and (tails or table.limit_labels):
         cutoff = DEFAULT_LIMIT_CUTOFF
 
-    entries = {}
+    products = KeyProducts({}, table.nvars, field, cutoff)
+    entries = products.entries
     for index in table.order:
         i, j = index
         ventry = table.entries[index]
@@ -279,20 +283,19 @@ def build_skp(table, thetas=None, cutoff=None, field=QQ, limit_tails=None):
             prev = entries[(i, j - 1)]
             unrolled = None
             if index in tails:
-                poly, prev.rewrite_terms, unrolled = unroll_limit(
-                    entries, tails[index], cutoff, field
-                )
+                poly, prev.rewrite_terms, unrolled = unroll_limit(products, tails[index])
                 prev.theta = field.of(tails[index].theta)
             else:
                 prev.rewrite_terms = [(prev.theta, tuple(sorted(prev.relation.items())))]
-                poly = successor(entries, prev, prev.n, prev.rewrite_terms, cutoff)
+                poly = successor(products, prev, prev.n, prev.rewrite_terms)
+            products[((index, 1),)] = poly  # truncated already: its own product
             entry = SkpEntry(ventry, prev.n * prev.d, poly, theta)
             entry.unroll_report = unrolled
             entry.truncated_limit = unrolled is None and ventry.limit_label is not None
         entries[index] = entry
         _check_entry_shape(entry, cutoff)
 
-    return SkpTable(table, entries, field, cutoff)
+    return SkpTable(table, products)
 
 
 def _check_entry_shape(entry, cutoff):
@@ -397,7 +400,7 @@ def minimal_pseudo_skp(skp):
             (theta, tuple((remap[idx], e) for idx, e in m)) for theta, m in terms
         ]
 
-    return SkpTable(new_table, new_entries, skp.field, skp.cutoff)
+    return SkpTable(new_table, KeyProducts(new_entries, skp.nvars, skp.field, skp.cutoff))
 
 
 def normalize_alpha(skp, alpha=None):

@@ -11,7 +11,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 from skpval import (
     GF,
     GroupValue,
-    MultiPoly,
     SemigroupSpec,
     SkpValuation,
     build_skp,
@@ -23,7 +22,6 @@ from skpval import (
     value_via_euclidean,
 )
 from skpval.realize import realize
-from skpval.skp import key_product
 from skpval.valtable import enumerate_semigroup
 
 # the entries that value a polynomial, each touching the value gate first
@@ -121,17 +119,15 @@ def attainment_products(generators):
     """The valuation that ``realize`` builds for a tuple of generators
     (corrected mode, default thetas) and its attainment products as
     ``verify_realization`` makes them: (gamma, witness, product) over the
-    default coefficient ball, each product from one ``key_product`` store."""
+    default coefficient ball, each product from the table's ``products``."""
     spec = SemigroupSpec(generators)
     result = realize(spec)
     skp = result.valuation.skp
     indices = [result.blocks.table_index(p) for p in range(len(generators))]
-    store = {(): MultiPoly.one(skp.nvars, skp.field)}
     products = []
     for row, witness in enumerate_semigroup(spec.chain, spec.coeff_bound):
         key = tuple([(indices[p], a) for p, a in enumerate(witness) if a])
-        product = key_product(skp.entries, store, key, skp.cutoff)
-        products.append((spec.chain.value(row), witness, product))
+        products.append((spec.chain.value(row), witness, skp.products[key]))
     return result.valuation, products
 
 

@@ -9,8 +9,8 @@ JSON object, exits 0, 1 or 2, and reports no ``internal`` diagnostic.
 The verification bounds, a tail's ``depth``, the ``cutoff`` and every table
 value and generator stay small (``SMALL``): no work budget caps them yet.
 A large bound only makes a correct run slow, and a large value becomes an
-exponent of a key polynomial, which ``skp.key_product`` builds one factor
-at a time.
+exponent of a key polynomial, which the table's ``skp.KeyProducts`` store
+builds one factor at a time.
 """
 
 import io

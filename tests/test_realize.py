@@ -262,6 +262,7 @@ class TestVerify:
     def test_one_multiplication_per_stored_product(self, monkeypatch):
         s = spec(4, 6, 13)
         result = realize(s, CORRECTED)
+        built = set(result.valuation.skp.products)
         calls = [0]
         mul = MultiPoly.__mul__
 
@@ -271,15 +272,24 @@ class TestVerify:
 
         monkeypatch.setattr(MultiPoly, "__mul__", counting)
         verdict = verify_realization(result.valuation, s, result.blocks, samples=0)
-        # the store holds every witness of the ball and each one it is built
-        # from: the witness with its last nonzero coefficient lowered by one
-        stored = set()
+        # the table's store gains every witness of the ball and each one it
+        # is built from, the witness with its last nonzero coefficient
+        # lowered by one, down to a product the build stored
+        index = result.blocks.table_index
+        stored, reused = set(), set()
         for _, witness, _ in verdict.attainment:
             w = list(witness)
-            while any(w) and tuple(w) not in stored:
+            while any(w) and tuple(w) not in stored | reused:
+                key = tuple((index(p), a) for p, a in enumerate(w) if a)
+                if key in built:
+                    reused.add(tuple(w))
+                    break
                 stored.add(tuple(w))
                 w[max(p for p, a in enumerate(w) if a)] -= 1
-        assert len(stored) > 20
+        assert set(result.valuation.skp.products) - built == {
+            tuple((index(p), a) for p, a in enumerate(w) if a) for w in stored
+        }
+        assert (len(stored), len(reused)) == (25, 5)
         assert calls == [len(stored)]
 
     def test_ball_deeper_than_the_recursion_limit(self):

@@ -26,8 +26,7 @@ from skpval import (
     validate_acceptable,
 )
 from skpval.jsonio import build_from_problem
-from skpval.poly import MultiPoly
-from skpval.skp import key_product, rewrite_rules, u_order
+from skpval.skp import KeyProducts, rewrite_rules, u_order
 
 import oracles
 
@@ -145,9 +144,10 @@ class TestKeyProduct:
         + [("swapped_diffskp.json", {"field": {"prime": 7}})],
         ids=[*SKP_FILES, *(f"remark-cutoff-{c}" for c in range(4)), "swapped-gf7"],
     )
-    def test_every_key_up_to_three_through_one_store(self, name, changes):
+    def test_every_key_up_to_three_through_the_table_store(self, name, changes):
         # the keys are asked for in a seeded order, so a product is built
-        # from whatever smaller one the store already holds
+        # from whatever smaller one the store already holds, the build's
+        # powers and summands among them
         skp = problem_table(name, **changes)
         keys = [
             tuple(sorted(collections.Counter(combo).items()))
@@ -155,39 +155,60 @@ class TestKeyProduct:
             for combo in itertools.combinations_with_replacement(skp.order, t)
         ]
         random.Random(len(keys)).shuffle(keys)
-        products = {(): MultiPoly.one(skp.nvars, skp.field)}
         for key in keys:
             want = oracles.multiplied_out(skp.entries, key, skp.cutoff)
-            assert key_product(skp.entries, products, key, skp.cutoff) == want, key
-        assert set(products) == set(keys)
+            assert skp.products[key] == want, key
+        assert set(keys) <= set(skp.products)
+        for key, product in skp.products.items():
+            assert product == oracles.multiplied_out(skp.entries, key, skp.cutoff), key
+
+    @pytest.mark.parametrize("name", SKP_FILES)
+    @pytest.mark.parametrize("cutoff", ["file", 0, 1, 2, 3])
+    def test_each_successor_is_its_own_product(self, name, cutoff):
+        # the build stores U_{i,j}, j > 1, under its own key; U_{i,1} = X_i
+        # is left to the store, which truncates it under cutoff 0
+        skp = problem_table(name, **({} if cutoff == "file" else {"cutoff": cutoff}))
+        for (i, j), entry in skp.entries.items():
+            product = skp.products[(((i, j), 1),)]
+            if j > 1:
+                assert product is entry.poly
+            else:
+                assert product == entry.poly.truncate(skp.cutoff)
+
+    def test_minimal_pseudo_skp_has_its_own_store(self, diffskp):
+        reduced = minimal_pseudo_skp(diffskp)
+        assert reduced.products is not diffskp.products
+        assert reduced.products.entries is reduced.entries
+        assert reduced.monomial_poly({(1, 2): 1}) == diffskp.entries[(1, 3)].poly
 
     @pytest.mark.parametrize(
         "key",
         [(((0, 1), 0),), (((0, 1), -1),), (((0, 1), 1), ((1, 1), 0)), (((1, 2), -2),)],
     )
     def test_exponent_below_one_refused(self, diffskp, key):
-        products = {(): MultiPoly.one(diffskp.nvars, diffskp.field)}
         with pytest.raises(ValueError, match="below 1"):
-            key_product(diffskp.entries, products, key, diffskp.cutoff)
+            diffskp.products[key]
+        assert key not in diffskp.products
 
-    def test_product_past_the_cutoff_is_zero_at_once(self, diffskp_table):
+    def test_product_past_the_cutoff_is_zero_at_once(self, diffskp_table, monkeypatch):
         # sum e * ord U above the cutoff, or a factor truncated to 0, gives 0
         # without lowering an exponent of 10**30 one step at a time
-        class Store(dict):
-            lookups = 0
+        lookups = [0]
+        contains = KeyProducts.__contains__
 
-            def __contains__(self, key):
-                Store.lookups += 1
-                assert Store.lookups < 100, "the store was searched step by step"
-                return super().__contains__(key)
+        def counting(store, key):
+            lookups[0] += 1
+            assert lookups[0] < 100, "the store was searched step by step"
+            return contains(store, key)
 
         skp = build_skp(diffskp_table, cutoff=1)
         assert skp.entries[(1, 2)].order is None
+        monkeypatch.setattr(KeyProducts, "__contains__", counting)
         for key in [(((0, 1), 10**30),), (((0, 1), 1), ((1, 2), 1)), (((1, 1), 2),)]:
-            products = Store({(): MultiPoly.one(skp.nvars, skp.field)})
-            assert key_product(skp.entries, products, key, skp.cutoff).is_zero()
-            assert products[key].is_zero()
-        assert key_product(skp.entries, products, (((1, 1), 1),), 1) == P("X1")
+            assert skp.products[key].is_zero()
+            assert skp.products.get(key).is_zero()
+        assert skp.products[(((1, 1), 1),)] == P("X1")
+        assert 0 < lookups[0] < 100
 
     def test_monomial_poly_skips_zero_and_refuses_negative_exponents(self, diffskp):
         assert diffskp.monomial_poly({(0, 1): 1, (1, 1): 0}) == P("X0")
@@ -216,14 +237,14 @@ class TestEntryOrders:
 
 
 class TestUnrollLimit:
-    def tail_table(self):
+    def tail_table(self, cutoff=5):
         rows = [[GroupValue((0, 0, 1))], [GroupValue((0, 1, 0))], [GroupValue((0, 2, 1))]]
-        return build_skp(compute_relations(rows))
+        return build_skp(compute_relations(rows), cutoff=cutoff)
 
     def test_block_zero_truncation(self):
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=10)
-        poly, summands, report = unroll_limit(skp.entries, tail, 5, skp.field)
+        poly, summands, report = unroll_limit(skp.products, tail)
         assert poly == parse_poly("X2 - X0*X1^2 - X0^2*X1^2 - X0^3*X1^2", 3)
         assert report["stabilized"]
         assert report["summands_used"] == 3
@@ -232,7 +253,7 @@ class TestUnrollLimit:
     def test_depth_zero_unchanged(self):
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=0)
-        poly, summands, report = unroll_limit(skp.entries, tail, 5, skp.field)
+        poly, summands, report = unroll_limit(skp.products, tail)
         assert poly == parse_poly("X2", 3)
         assert summands == []
         assert not report["stabilized"]
@@ -241,13 +262,13 @@ class TestUnrollLimit:
         skp = self.tail_table()
         tail = LimitTail(2, 2, {(0, 1): (2, 0)}, depth=8)
         with pytest.raises(NonStabilizingError):
-            unroll_limit(skp.entries, tail, 5, skp.field)
+            unroll_limit(skp.products, tail)
 
     def test_requires_cutoff(self):
-        skp = self.tail_table()
+        skp = self.tail_table(cutoff=None)
         tail = LimitTail(2, 2, {(0, 1): (1, 1)}, depth=4)
         with pytest.raises(NoCutoffError):
-            unroll_limit(skp.entries, tail, None, skp.field)
+            unroll_limit(skp.products, tail)
 
     def test_build_with_declared_tail(self):
         rows = [

@@ -26,7 +26,7 @@ from skpval import SemigroupSpec, adic_expand, expansion, jsonio, realize, valua
 from skpval.expansion import euclidean_expand, vp
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
-from skpval.skp import SkpTable
+from skpval.skp import KeyProducts, SkpTable
 from skpval.valtable import table_from_chain
 from skpval.valuation import value_report
 
@@ -281,7 +281,8 @@ class TestEuclideanWork:
         # reads the betas from the table's chain
         betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
         values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
-        table = SkpTable(values, diffskp.entries, diffskp.field, diffskp.cutoff)
+        products = KeyProducts(diffskp.entries, diffskp.nvars, diffskp.field, diffskp.cutoff)
+        table = SkpTable(values, products)
         # a context holds the table: the gate trips on the first value call
         message = rf"^beta at \({index[0]}, {index[1]}\) is not positive$"
         for entry in VALUE_ENTRIES:
