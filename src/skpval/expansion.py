@@ -67,6 +67,7 @@ from .poly import (
 from .skp import rewrite_rules, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
+TOP = (inf,)  # a weight above every weight, a tuple of ints
 
 
 class AdicMonomial:
@@ -331,8 +332,9 @@ def euclidean_walk(g, splits, steps, row, j, w, piece):
     X_row-degree split ``g`` (consumed) at the width of ``splits``, the
     exponent at each position ascending; ``steps[j']`` is (d, beta) of
     U_{row,j'}.  Each piece goes to ``piece(w + sum t * beta over its key,
-    packed coefficient, row)``, which returns a sum, or None throughout to
-    bound nothing; a further power is divided out only below the least sum.
+    packed coefficient, row)``, which returns a sum, or ``TOP`` throughout
+    to bound nothing; a further power is divided out only below the least
+    sum.
     """
     field = splits.skp.field
 
@@ -342,7 +344,7 @@ def euclidean_walk(g, splits, steps, row, j, w, piece):
             j0 -= 1
         if not j0:
             part = piece(w, g[0], row)  # X_row-degree 0: the split is {0: terms}
-            return part if best is None or part < best else best
+            return part if part < best else best
         beta = steps[j0][1]
         lower, d0 = splits[(row, j0)]
         if not lower and d0 == 1:
@@ -350,21 +352,21 @@ def euclidean_walk(g, splits, steps, row, j, w, piece):
             # U^t is the split's part of degree t, read with no division
             for t in sorted(g):
                 wt = tuple([a + t * b for a, b in zip(w, beta)]) if t else w
-                if t and best is not None and wt >= best:
+                if t and wt >= best:
                     break  # every larger power weighs more
                 part = piece(wt, g[t], row)
-                best = part if best is None or part < best else best
+                best = part if part < best else best
             return best
         while g:
             g, ct = divide_split(g, lower, d0, field)
             if ct:
                 best = walk(ct, j0 - 1, w, best)
             w = tuple(map(add, w, beta))  # the weight of the next power's key
-            if best is not None and w >= best:
+            if w >= best:
                 break
         return best
 
-    return walk(g, j, w, None)
+    return walk(g, j, w, TOP)
 
 
 def euclidean_expand(f, valuation, j=None, row=None):
@@ -399,7 +401,12 @@ def euclidean_expand(f, valuation, j=None, row=None):
     ]
     pieces = []
     g = split(pack(f, splits.width), top, splits.width)
-    euclidean_walk(g, splits, units, top, j, (0,) * j, lambda w, c, _: pieces.append((w, c)))
+
+    def collect(w, c, _):
+        pieces.append((w, c))
+        return TOP  # no piece bounds the walk
+
+    euclidean_walk(g, splits, units, top, j, (0,) * j, collect)
     keys = sorted((tuple([(p, t) for p, t in enumerate(w, 1) if t]), c) for w, c in pieces)
     # positions strictly before the cutoff stay below their index
     for key, _ in keys:

@@ -51,8 +51,8 @@ class MultiPoly:
             c = field.of(c)
             if not c:
                 continue
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            exps = tuple(exps)
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             clean[exps] = c
         self.terms = clean

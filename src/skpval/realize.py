@@ -65,10 +65,15 @@ class SemigroupSpec:
         self.generators = [as_group_value(g) for g in generators]
         if not self.generators:
             raise ValueError("need at least one generator")
-        self.limit_labels = sorted(int(p) for p in limit_labels)
-        for p in self.limit_labels:
+        labels = list(limit_labels)
+        for p in labels:
+            if type(p) is not int:
+                raise ValueError(f"limit label {p!r} is not an int")
             if not 1 <= p <= len(self.generators):
                 raise ValueError(f"limit label {p} outside the generator range")
+        self.limit_labels = sorted(set(labels))
+        if len(self.limit_labels) != len(labels):
+            raise ValueError(f"limit labels {labels} repeat a position")
         self.field = field
         self.coeff_bound = _bound("coeff_bound", coeff_bound)
         self.degree_bound = _bound("degree_bound", degree_bound)
@@ -250,8 +255,9 @@ def realize(spec, mode=CORRECTED, thetas=None):
 
 
 class VerificationVerdict:
-    def __init__(self, passed, attainment, containment_checked, seed):
-        self.passed = passed
+    passed = True  # a failed check raises
+
+    def __init__(self, attainment, containment_checked, seed):
         self.attainment = attainment
         self.containment_checked = containment_checked
         self.seed = seed
@@ -396,4 +402,4 @@ def verify_realization(
                 f"value {val} of {f} is not in the semigroup", offending=val
             )
         checked += 1
-    return VerificationVerdict(True, attainment, checked, seed)
+    return VerificationVerdict(attainment, checked, seed)

@@ -83,11 +83,14 @@ class LimitTail:
     __slots__ = ("row", "at", "exponents", "theta", "depth")
 
     def __init__(self, row, at, exponents, theta=1, depth=64):
+        self.exponents = {tuple(k): (a, b) for k, (a, b) in exponents.items()}
+        for x in (row, at, depth, *(x for k, ab in self.exponents.items() for x in k + ab)):
+            if type(x) is not int:
+                raise ValueError(f"limit tail number {x!r} is not an int")
         if at < 2:
             raise ValueError("a tail must target a successor position")
         self.row = row
         self.at = at
-        self.exponents = {tuple(k): (int(a), int(b)) for k, (a, b) in exponents.items()}
         self.theta = theta
         self.depth = depth
 

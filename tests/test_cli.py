@@ -258,6 +258,15 @@ class TestRealize:
         _, plain = run(capsys, "realize", *argv)
         assert "verification" not in plain["result"]["realization"]
 
+    def test_repeated_limit_label_refused(self, tmp_path, capsys):
+        # one generator takes one label: [3, 3] would label position 3 twice
+        path = problem_with(
+            tmp_path, "gamma_4_6_13.json", lambda d: d.update(limit_labels=[3, 3])
+        )
+        assert_schema_error(capsys, "realize", path)
+        code, report = run(capsys, "realize", path)
+        assert "repeat" in report["diagnostics"][0]["message"]
+
     def test_non_minimal_generator_reported(self, tmp_path, capsys):
         path = tmp_path / "one_ten.json"
         path.write_text(json.dumps({"kind": "realize", "generators": [["1"], ["10"]]}))

@@ -62,6 +62,13 @@ class TestArithmetic:
         f = P("X0") - P("X0")
         assert f.is_zero() and f.terms == {}
 
+    @pytest.mark.parametrize("exps", [(1.5, 0), (1.0, 0), (True, 0), (0, "1"), (-1, 0)])
+    def test_exponent_that_is_no_int_refused(self, exps):
+        # an exponent is never truncated: (1.5, 0) is no X0
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            MultiPoly(2, {exps: 1})
+        assert MultiPoly(2, {(1, 0): 1}) == P("X0")
+
 
 class TestOrder:
     def test_min_total_degree(self):

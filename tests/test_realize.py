@@ -416,6 +416,16 @@ class TestBounds:
         assert verdict.passed
         assert len(verdict.attainment) == 1 and verdict.containment_checked == 0
 
+    @pytest.mark.parametrize("labels", [[2.7], [2.0], [True], ["2"]])
+    def test_limit_label_that_is_no_int_refused(self, labels):
+        with pytest.raises(ValueError, match="is not an int"):
+            spec(4, 6, 13, limit_labels=labels)
+
+    def test_repeated_limit_label_refused(self):
+        with pytest.raises(ValueError, match="repeat a position"):
+            spec(4, 6, 13, limit_labels=[3, 3])
+        assert spec(4, 6, 13, limit_labels=[3, 2]).limit_labels == [2, 3]
+
     def test_negative_degree_refused(self):
         with pytest.raises(ValueError, match="max_degree"):
             random_polynomial(random.Random(0), 2, -1)

@@ -144,7 +144,7 @@ class TestKeyProduct:
         + [("swapped_diffskp.json", {"field": {"prime": 7}})],
         ids=[*SKP_FILES, *(f"remark-cutoff-{c}" for c in range(4)), "swapped-gf7"],
     )
-    def test_every_key_up_to_three_through_the_table_store(self, name, changes):
+    def test_every_key_up_to_three_through_one_store(self, name, changes):
         # the keys are asked for in a seeded order, so a product is built
         # from whatever smaller one the store already holds, the build's
         # powers and summands among them
@@ -237,6 +237,23 @@ class TestEntryOrders:
 
 
 class TestUnrollLimit:
+    @pytest.mark.parametrize(
+        "args, kw",
+        [
+            ((2, 2, {(0, 1): (1.9, 0.5)}), {}),
+            ((2, 2.5, {}), {}),
+            ((2.0, 2, {}), {}),
+            ((2, 2, {(0.0, 1): (1, 0)}), {}),
+            ((2, 2, {(0, 1): (True, 0)}), {}),
+            ((2, 2, {}), {"depth": 3.5}),
+            ((2, 2, {}), {"depth": False}),
+        ],
+    )
+    def test_tail_number_that_is_no_int_refused(self, args, kw):
+        # a row, position, exponent or depth is never truncated
+        with pytest.raises(ValueError, match="is not an int"):
+            LimitTail(*args, **kw)
+
     def tail_table(self, cutoff=5):
         rows = [[GroupValue((0, 0, 1))], [GroupValue((0, 1, 0))], [GroupValue((0, 2, 1))]]
         return build_skp(compute_relations(rows), cutoff=cutoff)
