@@ -50,11 +50,10 @@ of that bound and the key polynomials' own largest exponent.
 """
 
 from heapq import heappop, heappush
-from math import inf
 from operator import add
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
-from .ordgroup import is_finite_index
+from .ordgroup import INFINITY, is_finite_index
 from .poly import (
     MultiPoly,
     divide_split,
@@ -64,10 +63,10 @@ from .poly import (
     split_divisor,
     unpack,
 )
-from .skp import rewrite_rules, weigh
+from .skp import rewrite_rules, u_order, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
-TOP = (inf,)  # a weight above every weight, a tuple of ints
+TOP = (INFINITY,)  # a weight above every weight, a tuple of ints
 
 
 class AdicMonomial:
@@ -136,10 +135,9 @@ class AdicExpansion:
 class RuleSet(dict):
     """``rewrite_rules`` under a normalized cutoff vector, on dense keys:
     ``branches`` maps each rule position to the branches of U^n there, theta
-    (None for U_next) and the exponent, weight and order deltas (order inf
-    for a factor the cutoff truncated to 0, so a rule at one drops every
-    branch), and ``scans`` to the (position, n) pairs, greatest first, where
-    a branch can violate (None: every rule position).  As a dict it maps the
+    (None for U_next) and the exponent, weight and ``u_order`` deltas, and
+    ``scans`` to the (position, n) pairs, greatest first, where a branch
+    can violate (None: every rule position).  As a dict it maps the
     exponents e of a term X^e to the (dense key, weight, order) of
     prod U_{i,1}^{e_i}, made on first use.  ``weights`` and ``origin`` weigh
     sparse keys.  With ``stop_early`` (the value loop) a branch of lower
@@ -149,27 +147,24 @@ class RuleSet(dict):
         super().__init__()
         self.skp, self.alpha, self.weights, self.origin = skp, alpha, weights, origin
         self.stop_early = stop_early
-        position = {index: p for p, index in enumerate(skp.order)}
-        orders = {idx: inf if e.order is None else e.order for idx, e in skp.entries.items()}
         violable = []  # (rule position, n), the greatest first
         self.branches = {}
         for (i, j), (n, nxt, terms) in sorted(rewrite_rules(skp, alpha).items()):
-            p = position[(i, j)]
+            p = skp.position[(i, j)]
             violable.insert(0, (p, n))
             out = self.branches[p] = []
             for theta, m in [(None, ((nxt, 1),))] + terms:
                 signed = (((i, j), -n),) + m  # the branch over U^n
-                dkey, dorder = [0] * len(position), 0
+                dkey = [0] * len(skp.order)
                 for idx, e in signed:
-                    dkey[position[idx]] += e
-                    dorder += e * orders[idx]
+                    dkey[skp.position[idx]] += e
                 dweight = weigh(signed, weights, origin)
                 if stop_early and dweight < origin:
                     raise InvalidTableError(
                         f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
                         "the table defines no valuation"
                     )
-                out.append((theta, tuple(dkey), dweight, dorder if orders[(i, j)] < inf else inf))
+                out.append((theta, tuple(dkey), dweight, u_order(signed, skp.entries)))
         # branches violate only at or below their rule, or where they raise an exponent
         self.scans = {None: violable}
         for p, out in self.branches.items():
@@ -214,7 +209,7 @@ def _rewrite(f, rules, max_rewrites):
         raise ValueError(f"X{bad[0]} appears but row {bad[0]} has no key polynomials")
 
     reduce = skp.field.reduce
-    limit = inf if skp.cutoff is None else skp.cutoff
+    limit = INFINITY if skp.cutoff is None else skp.cutoff
 
     # Each violating key in ``work`` has an entry (weight, tie key, key,
     # order, greatest violating position) in ``heap``, in the value loop

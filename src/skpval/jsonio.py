@@ -79,10 +79,18 @@ def load_group_value(data, dim=None):
     return v
 
 
+def load_digits(text):
+    """A number written in ASCII digits only: ``int`` would also read a
+    sign, spaces, underscores or another script's digits as some number."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not written in the digits 0-9")
+    return int(text)
+
+
 def load_index_key(key):
     try:
         i, j = key.split(",")
-        return (int(i), int(j))
+        return (load_digits(i), load_digits(j))
     except (ValueError, AttributeError) as exc:
         raise SchemaError(f"bad table index {key!r} (want \"i,j\")") from exc
 
@@ -196,7 +204,7 @@ def load_alpha(text, skp):
     if text is None:
         return None
     try:
-        alpha = normalize_alpha(skp, [int(a) for a in text.split(",")])
+        alpha = normalize_alpha(skp, [load_digits(a) for a in text.split(",")])
     except ValueError as exc:
         raise SchemaError(f"bad acceptable vector {text!r}: {exc}") from exc
     _require(validate_acceptable(skp, alpha), f"{text!r} is not an acceptable vector")

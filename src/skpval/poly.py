@@ -60,8 +60,17 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_reduced(cls, nvars, terms, field=QQ):
+        """The polynomial that keeps ``terms`` as they are: every exponent
+        tuple valid and every coefficient nonzero and in the field's form,
+        as arithmetic makes them (``__init__`` checks outside input)."""
+        out = cls.__new__(cls)
+        out.nvars, out.field, out.terms = nvars, field, terms
+        return out
+
+    @classmethod
     def zero(cls, nvars, field=QQ):
-        return cls(nvars, {}, field)
+        return cls.from_reduced(nvars, {}, field)
 
     @classmethod
     def constant(cls, c, nvars, field=QQ):
@@ -95,15 +104,12 @@ class MultiPoly:
                 terms.pop(e, None)
             else:
                 terms[e] = c
-        out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = terms
-        return out
+        return MultiPoly.from_reduced(self.nvars, terms, self.field)
 
     def __neg__(self):
         reduce = self.field.reduce
-        out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = {e: reduce(-c) for e, c in self.terms.items()}
-        return out
+        terms = {e: reduce(-c) for e, c in self.terms.items()}
+        return MultiPoly.from_reduced(self.nvars, terms, self.field)
 
     def __sub__(self, other):
         return self + (-other)
@@ -118,9 +124,8 @@ class MultiPoly:
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         reduce = self.field.reduce
-        out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
-        return out
+        terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
+        return MultiPoly.from_reduced(self.nvars, terms, self.field)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -128,10 +133,8 @@ class MultiPoly:
     def scale(self, c):
         c = self.field.of(c)
         reduce = self.field.reduce
-        out = MultiPoly.zero(self.nvars, self.field)
-        if c:
-            out.terms = {e: reduce(c * v) for e, v in self.terms.items()}
-        return out
+        terms = {e: reduce(c * v) for e, v in self.terms.items()} if c else {}
+        return MultiPoly.from_reduced(self.nvars, terms, self.field)
 
     def __pow__(self, n):
         if n < 0:
@@ -185,9 +188,8 @@ class MultiPoly:
         """Drop all terms of total degree above the cutoff."""
         if cutoff is None:
             return self
-        out = MultiPoly.zero(self.nvars, self.field)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
-        return out
+        terms = {e: c for e, c in self.terms.items() if sum(e) <= cutoff}
+        return MultiPoly.from_reduced(self.nvars, terms, self.field)
 
     def support_variables(self):
         return {i for e in self.terms for i in range(self.nvars) if e[i] > 0}
@@ -232,9 +234,8 @@ def unpack(terms, w, nvars, field):
     """The polynomial of packed terms, w bits per variable."""
     mask = (1 << w) - 1
     shifts = range(0, w * nvars, w)
-    out = MultiPoly.zero(nvars, field)
-    out.terms = {tuple([e >> s & mask for s in shifts]): c for e, c in terms.items()}
-    return out
+    terms = {tuple([e >> s & mask for s in shifts]): c for e, c in terms.items()}
+    return MultiPoly.from_reduced(nvars, terms, field)
 
 
 def split(terms, i, w):
@@ -344,12 +345,14 @@ def poly_to_str(f):
 # interpreter's recursion limit
 MAX_NESTING = 100
 
+# ASCII digits only: ``\d`` would also read other scripts' digits
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>X\d+)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<var>X[0-9]+)|(?P<op>[-+*^()]))"
 )
 
 
 def _tokenize(text):
+    """The (kind, text) pairs of ``text``, kind "num", "var" or "op"."""
     pos = 0
     tokens = []
     while pos < len(text):
@@ -358,7 +361,7 @@ def _tokenize(text):
             if text[pos:].strip():
                 raise PolyParseError(f"bad character at {text[pos:]!r}")
             break
-        tokens.append(m)
+        tokens.append((m.lastgroup, m[m.lastgroup]))
         pos = m.end()
     return tokens
 
@@ -378,11 +381,7 @@ class _Parser:
     def peek(self):
         if self.pos >= len(self.tokens):
             return None, None
-        m = self.tokens[self.pos]
-        for kind in ("num", "var", "op"):
-            if m.group(kind):
-                return kind, m.group(kind)
-        return None, None
+        return self.tokens[self.pos]
 
     def take(self):
         kind, val = self.peek()

@@ -314,10 +314,9 @@ def random_polynomial(rng, nvars, max_degree, field=QQ, variables=None):
             while c >= 11:
                 c = bits(4)
             terms[tuple(exps)] = c - 5 or 1
-        f = MultiPoly.zero(nvars, field)
-        f.terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
-        if f.terms:
-            return f
+        terms = {e: c for e, c in zip(terms, map(reduce, terms.values())) if c}
+        if terms:
+            return MultiPoly.from_reduced(nvars, terms, field)
 
 
 def verify_realization(

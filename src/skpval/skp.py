@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolyError,
 )
 from .fields import QQ
-from .ordgroup import is_finite_index
+from .ordgroup import INFINITY, is_finite_index
 from .poly import MultiPoly
 from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
@@ -43,8 +43,8 @@ DEFAULT_LIMIT_CUTOFF = 32
 
 class SkpEntry(TableEntry):
     """The table entry ``ventry`` with its key polynomial and bookkeeping;
-    ``order`` is the order of ``poly``, None when the cutoff truncated it
-    to 0; ``unroll_report`` is an unrolled tail's JSON report."""
+    ``order`` is the order of ``poly``, INFINITY when the cutoff truncated
+    it to 0; ``unroll_report`` is an unrolled tail's JSON report."""
 
     __slots__ = (
         "d",
@@ -62,7 +62,7 @@ class SkpEntry(TableEntry):
         )
         self.d = d
         self.poly = poly
-        self.order = None if poly.is_zero() else poly.order()
+        self.order = INFINITY if poly.is_zero() else poly.order()
         self.theta = theta
         self.rewrite_terms = None
         self.truncated_limit = False
@@ -99,12 +99,11 @@ class KeyProducts(dict):
     """Key -> prod U^e over its sorted ``((i, j), e)`` items, truncated at
     the cutoff, made on first use: the one store of products of key
     polynomials, kept by its table as ``SkpTable.products`` and holding
-    ``()`` mapped to 1.  Under a cutoff, a key whose order sum e * ord U
-    passes it, or that has a factor truncated to 0, is 0 at once: orders
-    add in a polynomial ring over a field.  Any other missing product is
-    the key with its greatest factor's exponent lowered by one, times that
-    factor's polynomial, truncated (truncation commutes with
-    multiplication); missing ones are built upward by a loop and stored.
+    ``()`` mapped to 1.  Under a cutoff, a key whose ``u_order`` passes it
+    is 0 at once: orders add in a polynomial ring over a field.  Any other
+    missing product is the key with its greatest factor's exponent lowered
+    by one, times that factor's polynomial, truncated (truncation commutes
+    with multiplication); missing ones are built upward by a loop and stored.
     An exponent below 1 raises ValueError."""
 
     def __init__(self, entries, nvars, field, cutoff):
@@ -115,11 +114,9 @@ class KeyProducts(dict):
         for (i, j), e in key:
             if e < 1:
                 raise ValueError(f"exponent {e} of U_{{{i},{j}}} is below 1")
-        if self.cutoff is not None:
-            orders = [self.entries[idx].order for idx, _ in key]
-            if None in orders or sum(e * o for (_, e), o in zip(key, orders)) > self.cutoff:
-                out = self[key] = MultiPoly.zero(self[()].nvars, self.field)
-                return out
+        if self.cutoff is not None and u_order(key, self.entries) > self.cutoff:
+            out = self[key] = MultiPoly.zero(self[()].nvars, self.field)
+            return out
         steps = []
         while key not in self:
             idx, e = key[-1]
@@ -143,22 +140,16 @@ def successor(products, start, n, summands):
 
 def u_order(key, entries):
     """Total-degree order of prod U^e, i.e. sum e * ord U, over a key, read
-    from the stored ``SkpEntry.order``.  A key polynomial the cutoff
-    truncated to 0 has no order and raises ZeroPolyError.
-    """
-    total = 0
-    for idx, e in key:
-        order = entries[idx].order
-        if order is None:
-            raise ZeroPolyError("order of the zero polynomial")
-        total += e * order
-    return total
+    from the stored ``SkpEntry.order``: the one order sum, INFINITY when a
+    factor is 0 (``RuleSet`` sums its branches, with a negative exponent,
+    only on a table ``check_key_polynomials`` accepted)."""
+    return sum(e * entries[idx].order for idx, e in key)
 
 
 def check_key_polynomials(skp):
     """Refuse a table whose cutoff truncated a key polynomial to 0."""
     for i, j in skp.order:
-        if skp.entries[(i, j)].order is None:
+        if skp.entries[(i, j)].order == INFINITY:
             raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
 
 
@@ -223,7 +214,10 @@ def unroll_limit(products, tail):
     # above the cutoff, so the report says stabilized
     for k in range(tail.depth + 1 if tail.depth > 0 else 0):
         m = tuple((idx, a + b * k) for idx, (a, b) in affine if a + b * k)
-        if u_order(m, entries) > cutoff:
+        order = u_order(m, entries)
+        if order == INFINITY:
+            raise ZeroPolyError("order of the zero polynomial")
+        if order > cutoff:
             break
         if k == tail.depth:
             raise NonStabilizingError(

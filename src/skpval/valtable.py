@@ -39,7 +39,8 @@ class ValueTable:
     """Rows of values with per-entry indices, relations, and supports;
     ``nvars`` is the number of rows, one per variable.  ``chain`` is the
     analyzed chain of the values in table order: ``chain.rows[k]`` is the
-    integer row of the entry at ``order[k]``."""
+    integer row of the entry at ``order[k]``, and ``position`` maps each
+    index to its k."""
 
     def __init__(self, chain, rows, entries, limit_labels):
         self.chain = chain
@@ -48,6 +49,7 @@ class ValueTable:
         self.entries = entries                # TableIndex -> TableEntry
         self.limit_labels = dict(limit_labels)
         self.order = sorted(entries)          # lex order on (i, j)
+        self.position = {index: k for k, index in enumerate(self.order)}
         self.nvars = len(rows)
 
     def row_length(self, i):

@@ -33,6 +33,7 @@ from .expansion import (
     euclidean_walk,
     least_value,
     least_value_part,
+    sparse_key,
     value_rules,
     vp,
 )
@@ -72,9 +73,9 @@ class SkpValuation:
     @cached_property
     def steps(self):
         """Per row i, the (d, beta row) of U_{i,j} at index j, 1 <= j <= alpha_i."""
-        betas, skp = dict(zip(self.skp.order, self.skp.chain.rows)), self.skp
+        skp, rows = self.skp, self.skp.chain.rows
         return [
-            [None] + [(skp.entries[(i, j)].d, betas[(i, j)]) for j in range(1, a + 1)]
+            [None] + [(skp.entries[(i, j)].d, rows[skp.position[(i, j)]]) for j in range(1, a + 1)]
             for i, a in enumerate(self.alpha)
         ]
 
@@ -216,7 +217,7 @@ def graded_normal_form(f, valuation):
         for i in range(skp.nvars)
         if alpha[i] >= 1 and is_finite_index(skp.entries[(i, alpha[i])].n)
     )
-    torus_positions = [skp.order.index((i, alpha[i])) for i in A]
+    torus_positions = [skp.position[(i, alpha[i])] for i in A]
     thetas = [skp.entries[index].theta for index in skp.order]
 
     common_J = None
@@ -225,10 +226,10 @@ def graded_normal_form(f, valuation):
     for mono in inf_form:
         p = [0] * len(skp.order)
         for index, e in mono.key:
-            p[skp.order.index(index)] = e
+            p[skp.position[index]] = e
         quotients = fold_relations(p, skp.chain)
         coeff = mono.coeff * prod(t ** q for t, q in zip(thetas, quotients))
-        J = tuple((index, e) for index, e in zip(skp.order, p) if e)
+        J = sparse_key(p, skp)
         if weigh(J, weights, origin) != value:
             raise AssertionError("normal-form monomial changed value")
         if common_J is None:

@@ -751,6 +751,25 @@ class TestInputFaults:
         assert code == 0
         assert report["result"]["value"] == ["1/2"]
 
+    # int() reads a sign, a space, an underscore or another script's digit
+    # as part of some number, so each would name another index or cutoff
+    @pytest.mark.parametrize("half", ["0_1", " 1", "+1", "1 ", "\u0661"])
+    def test_index_key_in_ascii_digits_only(self, tmp_path, capsys, half):
+        for key in (f"{half},1", f"1,{half}"):
+            path = problem_with(
+                tmp_path, "example1_tail.json", lambda d: d.update(thetas={key: "2"})
+            )
+            assert_schema_error(capsys, "build", path)
+
+    @pytest.mark.parametrize("alpha", ["\u0661,1,1", "+1,1,1", " 1,1,1", "1,1,0_1", "1,2,2 "])
+    def test_alpha_in_ascii_digits_only(self, tmp_path, capsys, alpha):
+        path = write_problem(tmp_path, RELATION_ACROSS_ROWS)
+        assert_schema_error(capsys, "eval", "--skp", path, "--poly", "X1", "--alpha", alpha)
+
+    @pytest.mark.parametrize("poly", ["X\u0661^2", "\u0663*X0"])
+    def test_poly_in_ascii_digits_only(self, capsys, poly):
+        assert_schema_error(capsys, "eval", "--skp", DATA / "remark_diffskp.json", "--poly", poly)
+
     @pytest.mark.parametrize("j", [0, 4, -1])
     def test_delta_cutoff_outside_the_top_row(self, capsys, j):
         assert_schema_error(

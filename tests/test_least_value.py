@@ -21,6 +21,7 @@ from skpval import (
     GroupValue,
     InvalidTableError,
     IterationCapError,
+    MultiPoly,
     SemigroupSpec,
     SkpValuation,
     ZeroPolyError,
@@ -48,7 +49,7 @@ from conftest import (
     doubling_chain,
     example1_rows,
 )
-from oracles import full_least_part, planted_expansion, rescan_initial_form
+from oracles import full_least_part, multiplied_out, planted_expansion, rescan_initial_form
 
 DATA = Path(__file__).parent / "data"
 POLYS_PER_VECTOR = 12
@@ -290,7 +291,9 @@ class TestPlantedExpansions:
     """Polynomials built as sums of adic monomials: ``adic_expand`` returns
     the planted monomials, and the value loop and the Euclidean route both
     give min sum e * beta over them, summed here as GroupValues, on every
-    exact table of the cross-check."""
+    exact table of the cross-check; the initial form is the planted
+    monomials of that value, delta their greatest exponent at the top row's
+    cutoff entry, and the graded normal form has that value."""
 
     @pytest.mark.parametrize(
         "name", sorted(n for n, skp in CROSS_CHECK_TABLES.items() if skp.cutoff is None)
@@ -309,12 +312,32 @@ class TestPlantedExpansions:
             }
             low = min(values.values())
             assert skp.chain.value(least_value(f, valuation)) == low, str(f)
+            least = {key: c for key, c in planted.items() if values[key] == low}
             row, part = least_value_part(f, valuation)
             assert skp.chain.value(row) == low
-            assert {m.key: m.coeff for m in part} == {
-                key: c for key, c in planted.items() if values[key] == low
-            }
+            assert {m.key: m.coeff for m in part} == least
             assert value_via_euclidean(f, valuation) == low, str(f)
+            assert {m.key: m.coeff for m in initial_form(f, valuation)} == least
+            top = (skp.nvars - 1, valuation.alpha[-1])  # the top row's cutoff entry
+            assert delta_of(f, valuation) == max(dict(key).get(top, 0) for key in least)
+            assert graded_normal_form(f, valuation).value == low
+
+    def test_planted_tie_in_the_least_value(self):
+        # random plants almost never tie at their least value; on
+        # remark_diffskp U_{0,1}^5 and U_{1,3} both have value 10 and
+        # U_{1,1} * U_{1,3} has 13, so the initial form keeps the first two
+        # and delta is the greater exponent of the top row's cutoff entry
+        skp = CROSS_CHECK_TABLES["remark_diffskp"]
+        valuation = SkpValuation(skp)
+        planted = {(((0, 1), 5),): 1, (((1, 3), 1),): -2, (((1, 1), 1), ((1, 3), 1)): 3}
+        f = sum(
+            (multiplied_out(skp.entries, key, None).scale(c) for key, c in planted.items()),
+            MultiPoly.zero(skp.nvars, skp.field),
+        )
+        least = {(((0, 1), 5),): 1, (((1, 3), 1),): -2}
+        assert {m.key: m.coeff for m in initial_form(f, valuation)} == least
+        assert delta_of(f, valuation) == 1
+        assert graded_normal_form(f, valuation).value == GroupValue((10,))
 
 
 class TestRewriteCount:

@@ -14,7 +14,7 @@ from skpval import (
     parse_poly,
 )
 from skpval.fields import QQ
-from skpval.poly import division_factor, exponent_width
+from skpval.poly import _tokenize, division_factor, exponent_width
 from skpval.realize import random_polynomial
 
 from oracles import long_divide
@@ -68,6 +68,12 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="bad exponent vector"):
             MultiPoly(2, {exps: 1})
         assert MultiPoly(2, {(1, 0): 1}) == P("X0")
+
+    def test_from_reduced_keeps_the_terms(self):
+        terms = {(1, 0): 2, (0, 2): Fraction(1, 3)}
+        f = MultiPoly.from_reduced(2, terms)
+        assert f.terms is terms
+        assert f == MultiPoly(2, terms) == P("2*X0 + 1/3*X1^2")
 
 
 class TestOrder:
@@ -162,6 +168,18 @@ class TestTextAndJson:
         for bad in ("", "X5", "X0 +", "2**X0", "X0^(2)"):
             with pytest.raises(PolyParseError):
                 P(bad)
+
+    @pytest.mark.parametrize("text", ["X\u0661^2", "\u0663*X0", "X0^\u0662", "X\uff11"])
+    def test_digits_of_other_scripts_refused(self, text):
+        # read as 0-9 they would silently name another variable or number
+        with pytest.raises(PolyParseError, match="^bad character at"):
+            P(text)
+
+    def test_tokens_are_kind_and_text_pairs(self):
+        assert _tokenize(" X1^2 - 3/2*X0") == [
+            ("var", "X1"), ("op", "^"), ("num", "2"), ("op", "-"),
+            ("num", "3/2"), ("op", "*"), ("var", "X0"),
+        ]
 
 
 def exact(p):

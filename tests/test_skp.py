@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from skpval import (
+    INFINITY,
     GroupValue,
     InvalidTableError,
     LimitTail,
@@ -202,7 +203,7 @@ class TestKeyProduct:
             return contains(store, key)
 
         skp = build_skp(diffskp_table, cutoff=1)
-        assert skp.entries[(1, 2)].order is None
+        assert skp.entries[(1, 2)].order == INFINITY
         monkeypatch.setattr(KeyProducts, "__contains__", counting)
         for key in [(((0, 1), 10**30),), (((0, 1), 1), ((1, 2), 1)), (((1, 1), 2),)]:
             assert skp.products[key].is_zero()
@@ -224,16 +225,25 @@ class TestEntryOrders:
             tail_skp = build_from_problem(json.load(fh))
         for table in (skp, minimal_pseudo_skp(skp), example1, tail_skp):
             for entry in table.entries.values():
-                assert (entry.order is None) == entry.poly.is_zero()
-                if entry.order is not None:
+                assert (entry.order == INFINITY) == entry.poly.is_zero()
+                if entry.order != INFINITY:
                     assert entry.order == entry.poly.order()
 
     def test_u_order_refuses_a_zero_polynomial(self, diffskp_table):
         skp = build_skp(diffskp_table, cutoff=1)
-        assert skp.entries[(1, 2)].order is None
+        assert skp.entries[(1, 2)].order == INFINITY
         assert u_order([((0, 1), 2), ((1, 1), 1)], skp.entries) == 3
+        assert u_order([((0, 1), 1), ((1, 2), 1)], skp.entries) == INFINITY
+        # a tail summand holding the zero U_{1,2} is refused, not skipped
+        tail = LimitTail(1, 3, {(0, 1): (1, 0), (1, 2): (1, 0)})
         with pytest.raises(ZeroPolyError, match="^order of the zero polynomial$"):
-            u_order([((0, 1), 1), ((1, 2), 1)], skp.entries)
+            unroll_limit(skp.products, tail)
+
+    @pytest.mark.parametrize("name", SKP_FILES)
+    def test_position_is_the_place_in_the_order(self, name):
+        skp = problem_table(name)
+        for table in (skp, minimal_pseudo_skp(skp)):
+            assert table.position == {idx: table.order.index(idx) for idx in table.order}
 
 
 class TestUnrollLimit:
