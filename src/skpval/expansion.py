@@ -15,10 +15,14 @@ and order deltas, so a rewrite adds tuples; sparse keys appear only at the
 boundary (``AdicMonomial``) and as the tie key of ``adic_expand``, which
 weighs by Vdeg (``SkpTable.degree_weights``).  Both loops read a RuleSet
 and its term lifts made once per ``SkpValuation``, the context of every
-entry.  The value loop weighs by value and stops at the first value class
-that survives once its violating monomials are rewritten: U^n becomes
-U_next (greater) and theta * U^m (equal), so no later rewrite reaches a
-lower class.  ``least_value`` returns that class as an integer row of the
+entry.  What the key polynomials alone determine belongs to the table and
+serves every context on it: the products, the Euclidean ``steps``,
+``bounds`` and divisor splits, and ``check_poly``, which every entry but
+``euclidean_expand`` (its ring check alone) runs on its polynomial.  The
+value loop weighs by value and stops at the first value class that
+survives once its violating monomials are rewritten: U^n becomes U_next
+(greater) and theta * U^m (equal), so no later rewrite reaches a lower
+class.  ``least_value`` returns that class as an integer row of the
 table's ``chain``, with no monomial built, and ``least_value_part`` its
 monomials too.  Its ties go by the dense key, and its rewrite count rests
 on that order: an equal-weight branch theta * U^m lowers the exponent at
@@ -30,7 +34,7 @@ The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
 expansion by the row's exponents.  One plain recursive walk,
 ``euclidean_walk``, divides packed monomials (``poly.pack``), split by
-X_row-degree, by the key polynomials' ``DivisorSplits``, and carries the
+X_row-degree, by the table's ``DivisorSplits`` of its width, and carries the
 key's weight, raised by beta per power divided out.  It hands each piece (a
 coefficient of X_row-degree 0) and its weight to its caller, and divides
 only while the weight is below the least sum the caller returned: the value
@@ -38,7 +42,7 @@ route values each coefficient on the row below, and under unit weights
 (``euclidean_expand``) a weight is the key.
 
 The packing width follows the proof in ``poly``, row by row
-(``division_bounds``).  Let W_r be the largest ``poly.division_factor`` of
+(``SkpTable.bounds``).  Let W_r be the largest ``poly.division_factor`` of
 row r's key polynomials.  A walk in row r keeps
 phi_r(a) = sum_{v != r} a_v + W_r * a_r of every monomial it forms at or
 below its largest value on the input, at most W_r * T for an input of total
@@ -54,15 +58,7 @@ from operator import add
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import INFINITY, is_finite_index
-from .poly import (
-    MultiPoly,
-    divide_split,
-    division_factor,
-    pack,
-    split,
-    split_divisor,
-    unpack,
-)
+from .poly import MultiPoly, divide_split, pack, split, unpack
 from .skp import rewrite_rules, u_order, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
@@ -145,7 +141,7 @@ class RuleSet(dict):
 
     def __init__(self, skp, alpha, weights, origin, stop_early):
         super().__init__()
-        self.skp, self.alpha, self.weights, self.origin = skp, alpha, weights, origin
+        self.skp, self.weights, self.origin = skp, weights, origin
         self.stop_early = stop_early
         violable = []  # (rule position, n), the greatest first
         self.branches = {}
@@ -202,11 +198,7 @@ def _rewrite(f, rules, max_rewrites):
     skp, scans, branches, stop_early = rules.skp, rules.scans, rules.branches, rules.stop_early
     if f.is_zero():
         raise ZeroPolyError("cannot expand the zero polynomial")
-    if f.nvars != skp.nvars or f.field != skp.field:
-        raise ValueError("polynomial ring does not match the table")
-    bad = [i for i, a in enumerate(rules.alpha) if not a and any(e[i] for e in f.terms)]
-    if bad:
-        raise ValueError(f"X{bad[0]} appears but row {bad[0]} has no key polynomials")
+    skp.check_poly(f)
 
     reduce = skp.field.reduce
     limit = INFINITY if skp.cutoff is None else skp.cutoff
@@ -298,29 +290,6 @@ def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
     return low, [AdicMonomial(c, sparse_key(k, valuation.skp)) for k, c in part.items()]
 
 
-class DivisorSplits(dict):
-    """Index (row, j) -> ``poly.split_divisor`` of U_{row,j} packed at
-    ``width``, each made on first use."""
-
-    def __init__(self, skp, width):
-        super().__init__()
-        self.skp = skp
-        self.width = width
-
-    def __missing__(self, index):
-        out = self[index] = split_divisor(self.skp.entries[index].poly, index[0], self.width)
-        return out
-
-
-def division_bounds(skp):
-    """(W_r for each row r, the largest exponent of a key polynomial): the
-    bounds of the packing width (module docstring)."""
-    factors = [1] * skp.nvars
-    for (i, _), entry in skp.entries.items():
-        factors[i] = max(factors[i], division_factor(entry.poly, i))
-    return factors, max((max(e) for x in skp.entries.values() for e in x.poly.terms), default=0)
-
-
 def euclidean_walk(g, splits, steps, row, j, w, piece):
     """The least sum ``piece`` returns over the Euclidean expansion in row
     ``row`` with cutoff ``j`` of the nonzero polynomial with packed
@@ -375,8 +344,7 @@ def euclidean_expand(f, valuation, j=None, row=None):
     polynomial truncated to 0 is refused (NotMonicError) only as a divisor.
     """
     skp = valuation.skp
-    if f.nvars != skp.nvars or f.field != skp.field:
-        raise ValueError("polynomial ring does not match the table")
+    skp.check_ring(f)
     top = skp.nvars - 1 if row is None else row
     if type(top) is not int or not 0 <= top < skp.nvars:
         raise ValueError(f"row {row!r} is not a row of the table")
@@ -389,7 +357,7 @@ def euclidean_expand(f, valuation, j=None, row=None):
         raise ValueError(f"cutoff {j!r} outside 1..{length}")
     if f.is_zero():
         return []
-    splits = valuation.divisor_splits(f.degree())
+    splits = skp.divisor_splits(f.degree())
     # under unit weights the weight of a key is its exponent vector over 1..j
     units = [None] + [
         (skp.entries[(top, p)].d, (0,) * (p - 1) + (1,) + (0,) * (j - p)) for p in range(1, j + 1)

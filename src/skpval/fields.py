@@ -10,9 +10,14 @@ from int, Fraction or string) and ``parse``/``format`` for the string forms
 used in JSON ("p/q" or "p").
 """
 
+import re
 from fractions import Fraction
 
 from .errors import SchemaError
+
+# "p" or "p/q" in ASCII digits, q nonzero: Fraction alone also reads spaces,
+# "+", "_", "1.5", "1e2" and other scripts' digits
+RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 class RationalField:
@@ -39,9 +44,11 @@ class RationalField:
 
     def parse(self, s):
         try:
-            return self.reduce(Fraction(s.strip()))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"bad rational literal {s!r}") from exc
+            if RATIONAL.fullmatch(s):
+                return self.reduce(Fraction(s))
+        except ValueError:  # more digits than int() reads
+            pass
+        raise SchemaError(f"bad rational literal {s!r}")
 
     def format(self, x):
         return str(x)

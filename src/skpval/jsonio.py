@@ -212,11 +212,12 @@ def load_alpha(text, skp):
 
 
 def load_poly(text, skp):
-    """Polynomial text over the table's ring, using only variables whose row
-    has key polynomials."""
+    """Polynomial text that passes the table's ``check_poly``."""
     f = parse_poly(text, skp.nvars, skp.field)
-    for i in f.support_variables():
-        _require(skp.row_length(i) > 0, f"X{i} appears but row {i} is empty")
+    try:
+        skp.check_poly(f)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     return f
 
 

@@ -238,7 +238,7 @@ def realize(spec, mode=CORRECTED, thetas=None):
         )
     skp = build_skp(res.table, thetas=thetas, field=spec.field)
     valuation = SkpValuation(skp)
-    num_vars = sum(1 for i in range(skp.nvars) if skp.row_length(i) > 0)
+    num_vars = skp.nvars - len(skp.empty_rows)
     r_rk = res.analysis.rational_rank
     invariants = inductive_invariants(skp)
     # zero-dimensionality is backed by the equality case r.rk = dim R; when
@@ -387,7 +387,7 @@ def verify_realization(
         attainment.append((gamma, witness, str(witness_poly)))
         witnesses[vector] = witness
 
-    used_vars = [i for i in range(skp.nvars) if skp.row_length(i) > 0]
+    used_vars = [i for i in range(skp.nvars) if i not in skp.empty_rows]
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):

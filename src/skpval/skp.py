@@ -18,12 +18,17 @@ with e > 0, indices ascending.  Summands, expansion monomials and Euclidean
 pieces are keys; an exponent map is read or written only at a public edge.
 Every product has one owner, the table's ``KeyProducts`` store, made before
 the first successor and kept as long as the table, so evaluation and
-verification reuse the powers and summands the build multiplied out.
+verification reuse the powers and summands the build multiplied out.  So
+does the rest of what the key polynomials alone determine, made on first
+use for every ``SkpValuation`` on the table (``SkpTable``).
 
 The built ``SkpTable`` is its ``ValueTable``, and each ``SkpEntry`` the
 ``TableEntry`` of its position: beta, n, relation and S^c are kept once,
 and the betas' integer rows once, in the table's analyzed ``chain``.
 """
+
+from functools import cached_property
+from math import prod
 
 from .errors import (
     InvalidTableError,
@@ -35,7 +40,7 @@ from .errors import (
 )
 from .fields import QQ
 from .ordgroup import INFINITY, is_finite_index
-from .poly import MultiPoly
+from .poly import MultiPoly, division_factor, exponent_width, split_divisor
 from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
 DEFAULT_LIMIT_CUTOFF = 32
@@ -163,19 +168,82 @@ def weigh(key, weights, start):
     return tuple(w)
 
 
+class DivisorSplits(dict):
+    """Index (row, j) -> ``poly.split_divisor`` of U_{row,j} packed at
+    ``width``, each made on first use."""
+
+    def __init__(self, skp, width):
+        super().__init__()
+        self.skp = skp
+        self.width = width
+
+    def __missing__(self, index):
+        out = self[index] = split_divisor(self.skp.entries[index].poly, index[0], self.width)
+        return out
+
+
 class SkpTable(ValueTable):
     """The value table ``table`` with the SkpEntry ``entries`` of its
     ``products`` store: key polynomials over ``field`` under the total-degree
-    ``cutoff``, and the ``weigh`` weights of Vdeg (U_{i,j} has d in X_i)."""
+    ``cutoff``, and the ``weigh`` weights of Vdeg (U_{i,j} has d in X_i).
+    It owns, each made on first use, the Euclidean walk's ``steps``, width
+    ``bounds`` and ``DivisorSplits`` by width (``splits``), and the
+    ``empty_rows`` whose variables ``check_poly`` refuses."""
 
     def __init__(self, table, products):
         super().__init__(table.chain, table.rows, products.entries, table.limit_labels)
         self.products, self.field, self.cutoff = products, products.field, products.cutoff
         self.degree_weights = {idx: [(idx[0], e.d)] for idx, e in self.entries.items()}
+        self.splits = {}
 
     def monomial_poly(self, exps):
         """prod U_{i,j}^{e} from the table's ``products``."""
         return self.products[tuple(sorted((idx, e) for idx, e in exps.items() if e))]
+
+    @cached_property
+    def empty_rows(self):
+        return [i for i, row in enumerate(self.rows) if not row]
+
+    def check_ring(self, f):
+        """Refuse (ValueError) a polynomial outside the table's ring."""
+        if f.nvars != self.nvars or f.field != self.field:
+            raise ValueError("polynomial ring does not match the table")
+
+    def check_poly(self, f):
+        """Refuse (ValueError) a polynomial outside the table's ring or in
+        the variable of an empty row, which no key polynomial holds."""
+        self.check_ring(f)
+        for i in self.empty_rows:
+            if any(e[i] for e in f.terms):
+                raise ValueError(f"X{i} appears but row {i} has no key polynomials")
+
+    @cached_property
+    def steps(self):
+        """Per row i, the (d, beta row) of U_{i,j} at index j >= 1."""
+        out = [[None] for _ in self.rows]
+        for index, beta in zip(self.order, self.chain.rows):  # j ascends in each row
+            out[index[0]].append((self.entries[index].d, beta))
+        return out
+
+    @cached_property
+    def bounds(self):
+        """(W_r for each row r, the largest exponent of a key polynomial):
+        the bounds of the packing width (``expansion``'s module docstring)."""
+        factors = [1] * self.nvars
+        for (i, _), entry in self.entries.items():
+            factors[i] = max(factors[i], division_factor(entry.poly, i))
+        largest = max((max(e) for x in self.entries.values() for e in x.poly.terms), default=0)
+        return factors, largest
+
+    def divisor_splits(self, degree):
+        """The ``DivisorSplits`` at the width that holds every exponent of
+        the Euclidean walk, on all rows, of a polynomial of total degree
+        ``degree``: degree * prod W_r and the key polynomials' own."""
+        factors, largest = self.bounds
+        width = exponent_width(max(degree * prod(factors), largest))
+        if width not in self.splits:
+            self.splits[width] = DivisorSplits(self, width)
+        return self.splits[width]
 
 
 def _as_theta_map(thetas, field):

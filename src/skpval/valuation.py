@@ -13,7 +13,8 @@ weight.  ``SkpValuation``, the context of every entry, is the one gate
 both routes trust: built, it refuses an unacceptable cutoff vector; its
 value rules, touched first by both routes, a key polynomial truncated to
 0, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on) and a
-rule U^n = U_next + sum theta * U^m with a branch of lower value.  Initial
+rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
+then is the polynomial checked, by the table's ``check_poly``.  Initial
 forms, the top-row delta invariant and graded normal forms all build on
 the least value part; a graded normal form reduces each initial-form
 monomial by the table's relations through ``ordgroup.fold_relations``, the
@@ -27,9 +28,7 @@ from math import prod
 from .errors import ZeroPolyError
 from .expansion import (
     AdicExpansion,
-    DivisorSplits,
     RuleSet,
-    division_bounds,
     euclidean_walk,
     least_value,
     least_value_part,
@@ -38,23 +37,24 @@ from .expansion import (
     vp,
 )
 from .ordgroup import fold_relations, is_finite_index
-from .poly import exponent_width, pack, split
+from .poly import pack, split
 from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, weigh
 
 
 class SkpValuation:
     """A table of key polynomials with an acceptable cutoff vector, checked
-    once, and what it derives on first use: ``rule_set`` and ``adic_expand``'s
-    ``expand_rules`` (each refuses a key polynomial truncated to 0, ``rule_set``
-    then a beta <= 0 or a value-lowering rule), and the Euclidean route's
-    ``steps``, width ``bounds`` and ``DivisorSplits`` (width -> splits)."""
+    once, and the two rule sets the vector adds, each made on first use:
+    ``rule_set`` and ``adic_expand``'s ``expand_rules`` (each refuses a key
+    polynomial truncated to 0, ``rule_set`` then a beta <= 0 or a
+    value-lowering rule).  All else an entry reads, the products, the
+    Euclidean route's steps, bounds and divisor splits and the polynomial
+    check, is the table's, shared by every context on it."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
         self.alpha = normalize_alpha(skp, alpha)
         if not validate_acceptable(skp, self.alpha):
             raise ValueError(f"{self.alpha} is not an acceptable vector")
-        self.splits = {}
 
     @cached_property
     def rule_set(self):
@@ -65,30 +65,6 @@ class SkpValuation:
     def expand_rules(self):
         check_key_polynomials(self.skp)
         return RuleSet(self.skp, self.alpha, self.skp.degree_weights, (0,) * self.skp.nvars, False)
-
-    @cached_property
-    def bounds(self):
-        return division_bounds(self.skp)
-
-    @cached_property
-    def steps(self):
-        """Per row i, the (d, beta row) of U_{i,j} at index j, 1 <= j <= alpha_i."""
-        skp, rows = self.skp, self.skp.chain.rows
-        return [
-            [None] + [(skp.entries[(i, j)].d, rows[skp.position[(i, j)]]) for j in range(1, a + 1)]
-            for i, a in enumerate(self.alpha)
-        ]
-
-    def divisor_splits(self, degree):
-        """The ``DivisorSplits`` at the width that holds every exponent of
-        the Euclidean walk, on all rows, of a polynomial of total degree
-        ``degree``: degree * prod W_r and the key polynomials' own."""
-        factors, largest = self.bounds
-        width = exponent_width(max(degree * prod(factors), largest))
-        splits = self.splits.get(width)
-        if splits is None:
-            splits = self.splits[width] = DivisorSplits(self.skp, width)
-        return splits
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"
@@ -136,20 +112,18 @@ def value_via_euclidean(f, valuation):
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
-    if f.nvars != skp.nvars or f.field != skp.field:
-        raise ValueError("polynomial ring does not match the table")
-    splits = valuation.divisor_splits(f.degree())
-    steps, alpha, width = valuation.steps, valuation.alpha, splits.width
+    skp.check_poly(f)
+    splits = skp.divisor_splits(f.degree())
+    steps, alpha, width = skp.steps, valuation.alpha, splits.width
 
     def value(w, terms, row):
-        # w plus the value on rows below ``row`` of the packed ``terms``
+        # w plus the value on rows below ``row`` of the packed ``terms``; an
+        # empty row's variable is in no key polynomial, so in no coefficient
         while row and (len(terms) > 1 or 0 not in terms):
             row -= 1
-            g = split(terms, row, width)
             if alpha[row]:
+                g = split(terms, row, width)
                 return euclidean_walk(g, splits, steps[row], row, alpha[row], w, value)
-            if max(g) > 0:
-                raise ValueError(f"X{row} appears but row {row} is not usable")
         return w
 
     return skp.chain.value(value(origin, pack(f, width), skp.nvars))

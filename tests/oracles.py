@@ -27,6 +27,7 @@ that never reads a canonical representation: a coin-problem table at rank
 1 and, above it, every count of the leading-level generators.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, inf
@@ -337,26 +338,112 @@ def multiplied_out(entries, key, cutoff):
     return out.truncate(cutoff)
 
 
+COEFFICIENTS = (1, -1, 2, -2, 3, -3)
+# ``planted_expansion``'s tie: how often it is tried, the most of a free
+# exponent in ``value_classes`` and in a shift
+TIE_RATE, TIE_BOUND, TIE_SHIFT = 0.5, 12, 3
+
+
+def _adic_bound(skp, index):
+    """The exponent bound n of a non-final position of finite index n, else
+    None: an adic exponent there is below n, elsewhere free."""
+    i, j = index
+    n = skp.entries[index].n
+    return n if j < skp.row_length(i) and is_finite_index(n) else None
+
+
+def _merge(key, shift):
+    """The key of the product of two keys."""
+    exps = dict(key)
+    for idx, e in shift:
+        exps[idx] = exps.get(idx, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _finals(skp, key):
+    """The row-final exponents of a key."""
+    return {idx: e for idx, e in key if skp.is_row_final(idx)}
+
+
+@functools.lru_cache(maxsize=None)
+def value_classes(skp):
+    """Integer value (a row of ``_integer_betas``) -> the adic keys of that
+    value with every free exponent (``_adic_bound`` None) at most
+    ``TIE_BOUND``, enumerated over the whole box."""
+    betas, _ = _integer_betas(skp)
+    ranges = [range(_adic_bound(skp, idx) or TIE_BOUND + 1) for idx in skp.order]
+    out = {}
+    for exps in itertools.product(*ranges):
+        key = tuple((idx, e) for idx, e in zip(skp.order, exps) if e)
+        out.setdefault(_integer_value(dict(key), betas, (0,) * skp.dimension), []).append(key)
+    return out
+
+
+def admits_tie(skp):
+    """Whether some class of ``value_classes`` holds two keys with other
+    row-final exponents, the kind of tie ``_plant_tie`` plants."""
+    for keys in value_classes(skp).values():
+        finals = [_finals(skp, key) for key in keys]
+        if any(x != finals[0] for x in finals):
+            return True
+    return False
+
+
+def _plant_tie(rng, skp, planted):
+    """``planted`` with a tie in its least value where one is found: for the
+    first shift s (a key in the free exponents, each at most ``TIE_SHIFT``,
+    by ascending total) such that ``value_classes`` holds a key of the
+    least value times s with other row-final exponents than every least
+    monomial times s, each monomial times s and one such key; else
+    ``planted`` unchanged."""
+    betas, _ = _integer_betas(skp)
+    origin = (0,) * skp.dimension
+    values = {key: _integer_value(dict(key), betas, origin) for key in planted}
+    least = [key for key in planted if values[key] == min(values.values())]
+    classes = value_classes(skp)
+    free = [idx for idx in skp.order if _adic_bound(skp, idx) is None]
+    for exps in sorted(itertools.product(range(TIE_SHIFT + 1), repeat=len(free)), key=sum):
+        shift = tuple((idx, e) for idx, e in zip(free, exps) if e)
+        taken = [_finals(skp, _merge(key, shift)) for key in least]
+        value = _integer_value(dict(_merge(least[0], shift)), betas, origin)
+        ties = [key for key in classes.get(value, ()) if _finals(skp, key) not in taken]
+        if ties:
+            out = {_merge(key, shift): c for key, c in planted.items()}
+            c = skp.field.zero
+            while not c:
+                c = skp.field.of(rng.choice(COEFFICIENTS))
+            out[rng.choice(ties)] = c
+            return out
+    return planted
+
+
 def planted_expansion(rng, skp, size=4, final=2):
-    """A polynomial built from ``size`` distinct adic monomials of an exact
-    table, and those monomials as {sorted key: coefficient}.  The adic
-    expansion is unique, so ``adic_expand`` must give back exactly them.
-    An exponent at a non-final position of finite index n is below n, any
-    other at most ``final``; position j of a row of length L is used with
-    probability j / (L + 1), so the least value often carries the greatest
-    key polynomials.  Each product comes from ``multiplied_out``."""
-    lengths = skp.row_lengths()
+    """A polynomial built from distinct adic monomials of an exact table,
+    and those monomials as {sorted key: coefficient}.  The adic expansion is
+    unique, so ``adic_expand`` must give back exactly them.
+
+    First ``size`` monomials are drawn: an exponent at a non-final position
+    of finite index n is below n, any other at most ``final``; position j of
+    a row of length L is used with probability j / (L + 1), so the least
+    value often carries the greatest key polynomials.  Then, with
+    probability ``TIE_RATE``, ``_plant_tie`` adds a monomial of the least
+    value where the table admits one: all monomials times a shift s in the
+    free exponents (``_adic_bound`` None), which keeps them adic and in
+    value order, and a key from ``value_classes`` with the least value
+    times s but other row-final exponents.  Each product comes
+    from ``multiplied_out``."""
     planted = {}
     while len(planted) < size:
         key = []
-        for i, j in skp.order:
-            n = skp.entries[(i, j)].n
-            bound = n if j < lengths[i] and is_finite_index(n) else final + 1
-            if bound > 1 and rng.random() < j / (lengths[i] + 1):
-                key.append(((i, j), rng.randrange(1, bound)))
-        c = skp.field.of(rng.choice((1, -1, 2, -2, 3, -3)))
+        for index in skp.order:
+            bound = _adic_bound(skp, index) or final + 1
+            if bound > 1 and rng.random() < index[1] / (skp.row_length(index[0]) + 1):
+                key.append((index, rng.randrange(1, bound)))
+        c = skp.field.of(rng.choice(COEFFICIENTS))
         if c:
             planted.setdefault(tuple(key), c)
+    if rng.random() < TIE_RATE:
+        planted = _plant_tie(rng, skp, planted)
     f = MultiPoly.zero(skp.nvars, skp.field)
     for key, c in planted.items():
         f = f + multiplied_out(skp.entries, key, skp.cutoff).scale(c)

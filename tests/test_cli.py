@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from skpval import GF, QQ, SchemaError
 from skpval.cli import run_command
 
 DATA = Path(__file__).parent / "data"
@@ -765,6 +766,26 @@ class TestInputFaults:
     def test_alpha_in_ascii_digits_only(self, tmp_path, capsys, alpha):
         path = write_problem(tmp_path, RELATION_ACROSS_ROWS)
         assert_schema_error(capsys, "eval", "--skp", path, "--poly", "X1", "--alpha", alpha)
+
+    # Fraction reads each of these as some number: 1, 10, 3/2, 100, 3/2, ...
+    @pytest.mark.parametrize(
+        "literal",
+        ["\u0661", "1_0", "\u0663/\u0662", "1e2", "1.5", "+1", " 1", "1 ", "1/0", "1" * 5000],
+        ids=["arabic-indic", "underscore", "arabic-indic-ratio", "exponent", "decimal",
+             "plus", "leading-space", "trailing-space", "zero-denominator", "too-long"],
+    )
+    def test_rational_literal_in_ascii_digits_only(self, tmp_path, capsys, literal):
+        for field in (QQ, GF(7)):
+            with pytest.raises(SchemaError, match="^bad rational literal"):
+                field.parse(literal)
+
+        def table_value(data):
+            data["values"]["rows"][0][0][2] = literal
+
+        for edit in (table_value, lambda d: d.update(thetas={"1,1": literal})):
+            assert_schema_error(capsys, "build", problem_with(tmp_path, "example1_tail.json", edit))
+        path = write_problem(tmp_path, {"kind": "realize", "generators": [["4"], ["6"], [literal]]})
+        assert_schema_error(capsys, "realize", path)
 
     @pytest.mark.parametrize("poly", ["X\u0661^2", "\u0663*X0"])
     def test_poly_in_ascii_digits_only(self, capsys, poly):

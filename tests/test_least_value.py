@@ -49,7 +49,13 @@ from conftest import (
     doubling_chain,
     example1_rows,
 )
-from oracles import full_least_part, multiplied_out, planted_expansion, rescan_initial_form
+from oracles import (
+    admits_tie,
+    full_least_part,
+    multiplied_out,
+    planted_expansion,
+    rescan_initial_form,
+)
 
 DATA = Path(__file__).parent / "data"
 POLYS_PER_VECTOR = 12
@@ -266,6 +272,50 @@ class TestValueLoweringRule:
             capsys.readouterr()
 
 
+EMPTY_ROW_0 = build_skp(compute_relations([[], [2], [3, 7]]))
+POLY_ENTRIES = (adic_expand, value_of, initial_form, least_value_part, value_via_euclidean)
+
+
+class TestPolynomialCheck:
+    """Every expansion and value entry refuses a polynomial by the table's
+    one check, with one message per fault, after the value rules."""
+
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            (parse_poly("X1", 2), "polynomial ring does not match the table"),
+            (parse_poly("X1 + X2", 3, GF(7)), "polynomial ring does not match the table"),
+            (parse_poly("X0 + X1", 3), "X0 appears but row 0 has no key polynomials"),
+            (parse_poly("X2^3 * X0", 3), "X0 appears but row 0 has no key polynomials"),
+        ],
+        ids=["two-vars", "gf7", "x0-plus-x1", "x0-in-a-product"],
+    )
+    def test_one_message_per_fault(self, f, message):
+        v = SkpValuation(EMPTY_ROW_0)
+        for entry in POLY_ENTRIES:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                entry(f, v)
+        assert value_of(parse_poly("X1 + X2", 3), v) == GroupValue((2,))
+
+    def test_value_rules_refuse_first(self, tmp_path, capsys):
+        # the lowering tail's table with an empty row 3 on top
+        data = _value_lowering_tail()
+        data["values"]["rows"].append([])
+        v = SkpValuation(jsonio.build_from_problem(data))
+        f = parse_poly("X3 + X2", 4)
+        for entry in POLY_ENTRIES:
+            fault = ValueError if entry is adic_expand else InvalidTableError
+            with pytest.raises(fault):
+                entry(f, v)
+        # the command line refuses the polynomial before it builds a context
+        path = tmp_path / "lowering_empty_row.json"
+        path.write_text(json.dumps(data))
+        for poly, code, kind in (("X3 + X2", 2, "schema"), ("X2", 1, "InvalidTable")):
+            assert run_command(["eval", "--skp", str(path), "--poly", poly]) == code
+            diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+            assert [d["kind"] for d in diagnostics] == [kind]
+
+
 class TestEarlyStop:
     """The value-ordered loop stops early under the same rewrite cap as
     ``adic_expand``, so a silent fall back to the full expansion fails."""
@@ -293,7 +343,9 @@ class TestPlantedExpansions:
     give min sum e * beta over them, summed here as GroupValues, on every
     exact table of the cross-check; the initial form is the planted
     monomials of that value, delta their greatest exponent at the top row's
-    cutoff entry, and the graded normal form has that value."""
+    cutoff entry, and the graded normal form has that value.  On every
+    table that ``oracles.admits_tie``, and only there, some plants tie in
+    the least value."""
 
     @pytest.mark.parametrize(
         "name", sorted(n for n, skp in CROSS_CHECK_TABLES.items() if skp.cutoff is None)
@@ -303,6 +355,7 @@ class TestPlantedExpansions:
         valuation = SkpValuation(skp)
         rng = random.Random(sum(map(ord, name)) + 7)
         zero = GroupValue((0,) * skp.dimension)
+        ties = 0
         for _ in range(PLANTED_PER_TABLE):
             f, planted = planted_expansion(rng, skp)
             assert {m.key: m.coeff for m in adic_expand(f, valuation)} == planted, str(f)
@@ -313,6 +366,7 @@ class TestPlantedExpansions:
             low = min(values.values())
             assert skp.chain.value(least_value(f, valuation)) == low, str(f)
             least = {key: c for key, c in planted.items() if values[key] == low}
+            ties += len(least) > 1
             row, part = least_value_part(f, valuation)
             assert skp.chain.value(row) == low
             assert {m.key: m.coeff for m in part} == least
@@ -321,6 +375,7 @@ class TestPlantedExpansions:
             top = (skp.nvars - 1, valuation.alpha[-1])  # the top row's cutoff entry
             assert delta_of(f, valuation) == max(dict(key).get(top, 0) for key in least)
             assert graded_normal_form(f, valuation).value == low
+        assert (ties > 0) == admits_tie(skp), ties
 
     def test_planted_tie_in_the_least_value(self):
         # random plants almost never tie at their least value; on

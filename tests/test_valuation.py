@@ -23,6 +23,7 @@ from skpval import (
     value_via_euclidean,
 )
 from skpval import SemigroupSpec, adic_expand, expansion, jsonio, realize, valuation
+from skpval import skp as skp_module
 from skpval.expansion import euclidean_expand, vp
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
@@ -316,6 +317,39 @@ class TestContext:
         adic_expand(P("X0*X1^5 + 2*X1^6"), v)  # terms of f: their lifts are reused
         assert (len(built), len(lifted)) == (1, len(f.terms))
         assert "rule_set" not in vars(v)
+
+    def test_contexts_share_the_tables_euclidean_stores(self, diffskp_table, monkeypatch):
+        # the steps, bounds and divisor splits are the table's: a second
+        # context on it, with the top row cut, splits no divisor again
+        split_divisor, calls = skp_module.split_divisor, []
+
+        def counted(g, i, width):
+            calls.append((str(g), i, width))
+            return split_divisor(g, i, width)
+
+        monkeypatch.setattr(skp_module, "split_divisor", counted)
+        polys = [P("(X0+X1)^6"), P("X1^7 - 2*X0^4*X1 + X0"), P("X1^2*X0")]
+
+        def run(*contexts):
+            for v in contexts:
+                for f in polys:
+                    value_via_euclidean(f, v)
+                    euclidean_expand(f, v)
+                    euclidean_expand(f, v, j=1)
+
+        skp = build_skp(diffskp_table)
+        full, cut = SkpValuation(skp), top_cut(skp, 2)
+        run(full)
+        after_full = len(calls)
+        run(cut, full, cut)
+        assert len(calls) == len(set(calls))
+        assert sorted({w for _, _, w in calls}) == sorted(skp.splits)
+        # on a table of its own the cut context splits what it shared here
+        added, calls[:] = len(calls) - after_full, []
+        run(top_cut(build_skp(diffskp_table), 2))
+        assert len(calls) > added
+        for v in (full, cut):
+            assert not any(hasattr(v, a) for a in ("splits", "bounds", "steps", "divisor_splits"))
 
     def test_realize_leaves_the_value_rules_unbuilt(self):
         v = realize(SemigroupSpec([[4], [6], [13]])).valuation
