@@ -17,8 +17,8 @@ weighs by Vdeg (``SkpTable.degree_weights``).  Both loops read a RuleSet
 and its term lifts made once per ``SkpValuation``, the context of every
 entry.  What the key polynomials alone determine belongs to the table and
 serves every context on it: the products, the Euclidean ``steps``,
-``bounds`` and divisor splits, and ``check_poly``, which every entry but
-``euclidean_expand`` (its ring check alone) runs on its polynomial.  The
+``bounds`` and divisor splits, and ``check_poly``, which every entry,
+``euclidean_expand`` included, runs on its polynomial.  The
 value loop weighs by value and stops at the first value class that
 survives once its violating monomials are rewritten: U^n becomes U_next
 (greater) and theta * U^m (equal), so no later rewrite reaches a lower
@@ -344,7 +344,7 @@ def euclidean_expand(f, valuation, j=None, row=None):
     polynomial truncated to 0 is refused (NotMonicError) only as a divisor.
     """
     skp = valuation.skp
-    skp.check_ring(f)
+    skp.check_poly(f)
     top = skp.nvars - 1 if row is None else row
     if type(top) is not int or not 0 <= top < skp.nvars:
         raise ValueError(f"row {row!r} is not a row of the table")

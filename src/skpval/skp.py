@@ -204,15 +204,11 @@ class SkpTable(ValueTable):
     def empty_rows(self):
         return [i for i, row in enumerate(self.rows) if not row]
 
-    def check_ring(self, f):
-        """Refuse (ValueError) a polynomial outside the table's ring."""
-        if f.nvars != self.nvars or f.field != self.field:
-            raise ValueError("polynomial ring does not match the table")
-
     def check_poly(self, f):
         """Refuse (ValueError) a polynomial outside the table's ring or in
         the variable of an empty row, which no key polynomial holds."""
-        self.check_ring(f)
+        if f.nvars != self.nvars or f.field != self.field:
+            raise ValueError("polynomial ring does not match the table")
         for i in self.empty_rows:
             if any(e[i] for e in f.terms):
                 raise ValueError(f"X{i} appears but row {i} has no key polynomials")

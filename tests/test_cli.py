@@ -13,7 +13,8 @@ DATA = Path(__file__).parent / "data"
 
 def run(capsys, *argv):
     code = run_command([str(a) for a in argv])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""  # the report is the only output
     return code, json.loads(out)
 
 

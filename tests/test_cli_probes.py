@@ -1,0 +1,88 @@
+"""Probes of the command line's 0/1/2 exit contract, one row each.
+
+A row is (problem, mutation, argv, exit_code, diagnostic, fields):
+- problem: a tests/data file name, or inline JSON as a dict;
+- mutation: {key path: new value} set in a copy of the problem, or None; a
+  key path joins dict keys and list indices with ".";
+- argv: the command line split on spaces, with {} for the problem's path;
+- exit_code: the exit code the command must give;
+- diagnostic: (kind, message fragment) of the report's one diagnostic, or
+  None for none; kind "usage" is an argparse error: no report, the
+  fragment on stderr;
+- fields: {key path into the report's result: expected value}, or None.
+
+Every run but a usage error leaves stderr empty.  A probe that another
+test already checks gets no row.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import doubling_chain
+from skpval.cli import run_command
+
+DATA = Path(__file__).parent / "data"
+GAMMA = {"kind": "realize", "generators": [["4"], ["6"], ["13"]]}
+DOUBLING_6 = {"kind": "realize", "generators": [[str(g)] for (g,) in doubling_chain(6)]}
+
+PROBES = {
+    "alpha-beyond-its-row": ("remark_diffskp.json", None, "eval --skp {} --poly X1 --alpha 1,9",
+                             2, ("schema", "cutoff 9 outside 1..3"), None),
+    "realize-limit-labels-zero": (GAMMA, {"limit_labels": 0}, "realize {}",
+                                  2, ("schema", '"limit_labels" must be an array'), None),
+    "realize-leftover-minimality-bound": (GAMMA, {"minimality_bound": 12}, "realize {}",
+                                          0, None, None),
+    "verify-doubling-chain-6": (DOUBLING_6, None, "verify {}",
+                                0, None, {"realization.verification.passed": True}),
+    "expand-truncated-key-polynomial": ("remark_diffskp.json", {"cutoff": 1}, "expand {} --poly X1",
+                                        1, ("ZeroPoly", "U_{1,2} is 0 under cutoff 1"), None),
+    "classify-infinite-string": ("classify_vii.json", {"arithmetic.rows.0.infinite": "no"},
+                                 "classify {}", 2, ("schema", '"infinite" must be a bool'), None),
+    "poly-arabic-indic-index": ("remark_diffskp.json", None, "eval --skp {} --poly X١",
+                                2, ("schema", "bad character"), None),
+    "theta-at-a-tail-predecessor": ("example1_tail.json", {"thetas": {"2,1": "2"}}, "build {}",
+                                    2, ("schema", "a theta at 2,1"), None),
+    "delta-j-not-an-int": ("remark_diffskp.json", None, "delta --skp {} --poly X1 --j one",
+                           2, ("usage", "invalid int value"), None),
+}
+
+
+def at(data, path):
+    """The container and the key that a dotted key path names in ``data``."""
+    *outer, last = path.split(".")
+    for key in outer:
+        data = data[int(key) if isinstance(data, list) else key]
+    return data, int(last) if isinstance(data, list) else last
+
+
+@pytest.mark.parametrize(
+    "problem, mutation, argv, exit_code, diagnostic, fields", PROBES.values(), ids=list(PROBES)
+)
+def test_probe(tmp_path, capsys, problem, mutation, argv, exit_code, diagnostic, fields):
+    text = (DATA / problem).read_text() if isinstance(problem, str) else json.dumps(problem)
+    problem = json.loads(text)  # a copy: a mutation leaves the row as it is
+    for path, value in (mutation or {}).items():
+        container, key = at(problem, path)
+        container[key] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    try:
+        code = run_command([str(path) if a == "{}" else a for a in argv.split()])
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == exit_code
+    if diagnostic and diagnostic[0] == "usage":
+        assert out == ""
+        assert diagnostic[1] in err
+        return
+    assert err == ""
+    report = json.loads(out)
+    assert [d["kind"] for d in report["diagnostics"]] == ([diagnostic[0]] if diagnostic else [])
+    if diagnostic:
+        assert diagnostic[1] in report["diagnostics"][0]["message"]
+    for path, want in (fields or {}).items():
+        container, key = at(report["result"], path)
+        assert container[key] == want

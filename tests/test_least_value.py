@@ -29,6 +29,7 @@ from skpval import (
     build_skp,
     compute_relations,
     delta_of,
+    euclidean_expand,
     graded_normal_form,
     initial_form,
     jsonio,
@@ -273,7 +274,9 @@ class TestValueLoweringRule:
 
 
 EMPTY_ROW_0 = build_skp(compute_relations([[], [2], [3, 7]]))
-POLY_ENTRIES = (adic_expand, value_of, initial_form, least_value_part, value_via_euclidean)
+POLY_ENTRIES = (
+    adic_expand, euclidean_expand, value_of, initial_form, least_value_part, value_via_euclidean
+)
 
 
 class TestPolynomialCheck:
@@ -304,7 +307,8 @@ class TestPolynomialCheck:
         v = SkpValuation(jsonio.build_from_problem(data))
         f = parse_poly("X3 + X2", 4)
         for entry in POLY_ENTRIES:
-            fault = ValueError if entry is adic_expand else InvalidTableError
+            # neither expansion reads the value rules
+            fault = ValueError if entry in (adic_expand, euclidean_expand) else InvalidTableError
             with pytest.raises(fault):
                 entry(f, v)
         # the command line refuses the polynomial before it builds a context

@@ -304,15 +304,18 @@ class TestUnrollLimit:
             [GroupValue((0, 2, 1)), GroupValue((0, 3, 0))],
         ]
         table = compute_relations(rows, limit_labels={(2, 2): 1})
-        tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=20)
-        skp = build_skp(table, cutoff=5, limit_tails=[tail])
-        assert skp.entries[(2, 2)].poly == parse_poly(
-            "X2 - X0*X1^2 - X0^2*X1^2 - X0^3*X1^2", 3
-        )
-        assert not skp.entries[(2, 2)].truncated_limit
-        assert skp.entries[(2, 2)].unroll_report["stabilized"]
-        # the predecessor's rewrite carries the whole accumulated tail
-        assert len(skp.entries[(2, 1)].rewrite_terms) == 3
+        # at depth 3 the tail stabilises at its last allowed summand, k = 2
+        for depth in (20, 3):
+            tail = LimitTail(2, 2, {(0, 1): (1, 1), (1, 1): (2, 0)}, depth=depth)
+            skp = build_skp(table, cutoff=5, limit_tails=[tail])
+            assert skp.entries[(2, 2)].poly == parse_poly(
+                "X2 - X0*X1^2 - X0^2*X1^2 - X0^3*X1^2", 3
+            )
+            assert not skp.entries[(2, 2)].truncated_limit
+            report = skp.entries[(2, 2)].unroll_report
+            assert report == {"stabilized": True, "summands_used": 3, "cutoff": 5}
+            # the predecessor's rewrite carries the whole accumulated tail
+            assert len(skp.entries[(2, 1)].rewrite_terms) == 3
 
 
 class TestMinimalPseudo:

@@ -242,7 +242,13 @@ class TestEuclideanWork:
 
     @pytest.mark.parametrize(
         "text, value, pieces, coefficients, divisions",
-        [("X0^5 + 3*X0^2", 4, 1, 1, 0), ("(X0+X1)^6", 12, 7, 3, 2)],
+        [
+            ("X0^5 + 3*X0^2", 4, 1, 1, 0),
+            ("(X0+X1)^6", 12, 7, 3, 2),
+            # a tie: the remainder of one division by U_{1,3} values 10, which
+            # U_{1,3} itself weighs, so the walk divides no further
+            ("X1^4 + 4*X0^5", 10, 5, 2, 1),
+        ],
     )
     def test_pinned_work(self, diffskp, counts, text, value, pieces, coefficients, divisions):
         f = P(text)
@@ -265,6 +271,7 @@ class TestEuclideanWork:
             (doubling_chain(6), 210, 981, 305),
             (((8,), (12,), (26,), (53,)), 65, 197, 90),
             (((1, 0), (0, 1), (Fraction(1, 2), Fraction(3, 2))), 34, 0, 29),
+            (doubling_chain(7), 330, 1733, 472),
         ],
     )
     def test_realized_attainment_work(self, counts, generators, size, divisions, coefficients):
