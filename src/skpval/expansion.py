@@ -5,30 +5,29 @@ polynomials where every exponent at a non-final position (i, j), j < alpha_i,
 stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
 positions form an n = 1 chain, by the collapsed sum across the chain
-(``skp.rewrite_rules``).  Each monomial is rewritten at its greatest
-violating index, and the cutoff drops a monomial by its exponents alone, so
-the expansion is unique.  One loop, ``_rewrite``, pops monomials from a
-priority queue by weight; the order fixes only the rewrite count under
-``max_rewrites``.  There a key is dense, the exponent tuple over
-``skp.order``, and a ``RuleSet`` holds each rule branch's exponent, weight
-and order deltas, so a rewrite adds tuples; sparse keys appear only at the
-boundary (``AdicMonomial``) and as the tie key of ``adic_expand``, which
-weighs by Vdeg (``SkpTable.degree_weights``).  Both loops read a RuleSet
-and its term lifts made once per ``SkpValuation``, the context of every
-entry.  What the key polynomials alone determine belongs to the table and
-serves every context on it: the products, the Euclidean ``steps``,
-``bounds`` and divisor splits, and ``check_poly``, which every entry,
-``euclidean_expand`` included, runs on its polynomial.  The
-value loop weighs by value and stops at the first value class that
-survives once its violating monomials are rewritten: U^n becomes U_next
-(greater) and theta * U^m (equal), so no later rewrite reaches a lower
-class.  ``least_value`` returns that class as an integer row of the
-table's ``chain``, with no monomial built, and ``least_value_part`` its
-monomials too.  Its ties go by the dense key, and its rewrite count rests
-on that order: an equal-weight branch theta * U^m lowers the exponent at
-its rule's position and raises only earlier ones, so it sorts after its
-parent.  Every parent of a key in its class pops first, and the key is
-rewritten once per class.
+(``skp.rewrite_rules``).  Each monomial is rewritten at its greatest violating
+index, and the cutoff drops a monomial by its exponents alone, so the
+expansion is unique.  One loop, ``_rewrite``, pops monomials from a priority
+queue in value order, ties by the dense key, the exponent tuple over
+``skp.order``; the order fixes only the work.  Unless the rules refuse the
+table, no branch weighs less than its power: U^n becomes U_next (greater) and
+theta * U^m (no less), and an equal-weight branch lowers the exponent at its
+rule's position and raises only earlier ones, so it sorts after its parent.
+Every parent of a key pops first, and the key is rewritten once, the invariant
+the pinned rewrite counts rest on.  The one ``RuleSet`` of an
+``SkpValuation``, the context of every entry, holds each rule branch's
+exponent, weight and order deltas, so a rewrite adds tuples, and lifts each
+term once; sparse keys appear only at the boundary (``AdicMonomial``).  It
+records, without raising, a beta <= 0 or a branch of lower value: the value
+entries refuse such a table, and ``adic_expand`` expands on it to the end.
+What the key polynomials alone determine belongs to the table and serves every
+context on it: the products, the Euclidean ``steps``, ``bounds`` and divisor
+splits, and ``check_poly``, which every entry, ``euclidean_expand`` included,
+runs on its polynomial.  The value loop stops at the first value class that
+survives once its violating monomials are rewritten, as no later rewrite
+reaches a lower class.  ``least_value`` returns that class as an integer row
+of the table's ``chain``, with no monomial built, and ``least_value_part`` its
+monomials too.
 
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
@@ -129,20 +128,28 @@ class AdicExpansion:
 
 
 class RuleSet(dict):
-    """``rewrite_rules`` under a normalized cutoff vector, on dense keys:
-    ``branches`` maps each rule position to the branches of U^n there, theta
-    (None for U_next) and the exponent, weight and ``u_order`` deltas, and
-    ``scans`` to the (position, n) pairs, greatest first, where a branch
-    can violate (None: every rule position).  As a dict it maps the
-    exponents e of a term X^e to the (dense key, weight, order) of
-    prod U_{i,1}^{e_i}, made on first use.  ``weights`` and ``origin`` weigh
-    sparse keys.  With ``stop_early`` (the value loop) a branch of lower
-    weight than its power raises InvalidTableError naming the first such U."""
+    """``rewrite_rules`` under a normalized cutoff vector, on dense keys,
+    weighed by value: ``branches`` maps each rule position to the branches
+    of U^n there, theta (None for U_next) and the exponent, weight and
+    ``u_order`` deltas, and ``scans`` to the (position, n) pairs, greatest
+    first, where a branch can violate (None: every rule position).  As a
+    dict it maps the exponents e of a term X^e to the (dense key, weight,
+    order) of prod U_{i,1}^{e_i}, made on first use.  ``weights`` and
+    ``origin`` weigh sparse keys by value, an integer row of the table's
+    ``chain`` (it compares as its GroupValue).  ``refusal`` is None or the
+    (exception type, message) of the first beta <= 0 (ValueError), else of
+    the first rule with a branch of lower value than its power
+    (InvalidTableError); only the value entries raise it (``refuse``)."""
 
-    def __init__(self, skp, alpha, weights, origin, stop_early):
+    def __init__(self, skp, alpha):
         super().__init__()
-        self.skp, self.weights, self.origin = skp, weights, origin
-        self.stop_early = stop_early
+        self.skp, self.refusal = skp, None
+        self.origin = origin = (0,) * skp.dimension
+        self.weights = {}
+        for index, beta in zip(skp.order, skp.chain.rows):
+            if beta <= origin and self.refusal is None:
+                self.refusal = (ValueError, f"beta at {index} is not positive")
+            self.weights[index] = [(k, c) for k, c in enumerate(beta) if c]
         violable = []  # (rule position, n), the greatest first
         self.branches = {}
         for (i, j), (n, nxt, terms) in sorted(rewrite_rules(skp, alpha).items()):
@@ -154,12 +161,10 @@ class RuleSet(dict):
                 dkey = [0] * len(skp.order)
                 for idx, e in signed:
                     dkey[skp.position[idx]] += e
-                dweight = weigh(signed, weights, origin)
-                if stop_early and dweight < origin:
-                    raise InvalidTableError(
-                        f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value: "
-                        "the table defines no valuation"
-                    )
+                dweight = weigh(signed, self.weights, origin)
+                if dweight < origin and self.refusal is None:
+                    message = f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value"
+                    self.refusal = (InvalidTableError, message + ": the table defines no valuation")
                 out.append((theta, tuple(dkey), dweight, u_order(signed, skp.entries)))
         # branches violate only at or below their rule, or where they raise an exponent
         self.scans = {None: violable}
@@ -172,18 +177,11 @@ class RuleSet(dict):
         out = self[exps] = (key, w, sum(exps))
         return out
 
-
-def value_rules(skp, alpha):
-    """The value loop's RuleSet under a normalized cutoff vector: values are
-    integer rows of the table's ``chain``, which compare as their GroupValues
-    (the common denominator is positive).  A beta <= 0 raises ValueError."""
-    origin = (0,) * skp.dimension
-    weights = {}
-    for index, beta in zip(skp.order, skp.chain.rows):
-        if beta <= origin:
-            raise ValueError(f"beta at {index} is not positive")
-        weights[index] = [(k, c) for k, c in enumerate(beta) if c]
-    return RuleSet(skp, alpha, weights, origin, True)
+    def refuse(self):
+        """Raise the refusal, if any, as a fresh exception."""
+        if self.refusal is not None:
+            kind, message = self.refusal
+            raise kind(message)
 
 
 def sparse_key(key, skp):
@@ -191,25 +189,29 @@ def sparse_key(key, skp):
     return tuple([(index, e) for index, e in zip(skp.order, key) if e])
 
 
-def _rewrite(f, rules, max_rewrites):
-    """The loop over a RuleSet: the working set (dense key -> coefficient)
-    it ends with or, in the value loop, the keys in it of the least weight
-    of a surviving key, and that weight."""
-    skp, scans, branches, stop_early = rules.skp, rules.scans, rules.branches, rules.stop_early
+def _rewrite(f, rules, stop_early):
+    """The loop over a RuleSet, in value order: the working set (dense key
+    -> coefficient) it ends with or, with ``stop_early`` (the value loop,
+    which first raises the rules' refusal), the keys in it of the least
+    weight of a surviving key, and that weight."""
+    skp, scans, branches = rules.skp, rules.scans, rules.branches
+    if stop_early:
+        rules.refuse()
     if f.is_zero():
         raise ZeroPolyError("cannot expand the zero polynomial")
     skp.check_poly(f)
 
     reduce = skp.field.reduce
     limit = INFINITY if skp.cutoff is None else skp.cutoff
+    cap = DEFAULT_REWRITE_CAP
 
-    # Each violating key in ``work`` has an entry (weight, tie key, key,
-    # order, greatest violating position) in ``heap``, in the value loop
-    # every other key too (position None); an entry whose key has left
-    # ``work`` is skipped.  Ties go by the dense key in the value loop, by
-    # the sparse key (the rescanning reference's order) in adic_expand.
-    # ``pending`` holds the (key, weight - w, order, coefficient) items to
-    # add: the terms of f (w the origin), then the branches of the popped key.
+    # Each violating key in ``work`` has an entry (weight, key, order,
+    # greatest violating position) in ``heap``, in the value loop every
+    # other key too (position None); an entry whose key has left ``work``
+    # is skipped.  Ties go by the dense key, so every parent of a key pops
+    # before it.  ``pending`` holds the (key, weight - w, order, coefficient)
+    # items to add: the terms of f (w the origin), then the branches of the
+    # popped key.
     work = {}
     heap = []
     w, scan = rules.origin, scans[None]
@@ -229,15 +231,14 @@ def _rewrite(f, rules, max_rewrites):
                 else:
                     at = None
                 if at is not None or stop_early:
-                    tie = key if stop_early else sparse_key(key, skp)
-                    heappush(heap, (tuple(map(add, w, dweight)), tie, key, order, at))
+                    heappush(heap, (tuple(map(add, w, dweight)), key, order, at))
             elif cur := reduce(cur + coeff):
                 work[key] = cur
             else:
                 del work[key]
         pending = ()
         while heap:
-            w, _, key, order, at = heappop(heap)
+            w, key, order, at = heappop(heap)
             if key not in work:
                 continue
             if w != current:
@@ -248,8 +249,8 @@ def _rewrite(f, rules, max_rewrites):
                 settled.append(key)
                 continue
             rewrites += 1
-            if rewrites > max_rewrites:
-                raise IterationCapError(f"exceeded {max_rewrites} rewrites")
+            if rewrites > cap:
+                raise IterationCapError(f"exceeded {cap} rewrites")
             coeff, scan = work.pop(key), scans[at]
             pending = [
                 (tuple(map(add, key, dkey)), dweight, order + dorder,
@@ -265,15 +266,17 @@ def _rewrite(f, rules, max_rewrites):
     return part, current
 
 
-def adic_expand(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+def adic_expand(f, valuation):
     """The unique adic expansion of a nonzero polynomial under the table and
-    cutoff vector of an ``SkpValuation``.
+    cutoff vector of an ``SkpValuation``, rewritten in value order to the
+    end; a table whose rules carry a refusal still expands.
 
-    Raises IterationCapError if the rewrite budget is exhausted (diagnostic
-    guard; polynomial inputs over finite tables are expected to terminate).
+    Raises IterationCapError past ``DEFAULT_REWRITE_CAP`` rewrites
+    (diagnostic guard; polynomial inputs over finite tables are expected to
+    terminate).
     """
     skp = valuation.skp
-    work, _ = _rewrite(f, valuation.expand_rules, max_rewrites)
+    work, _ = _rewrite(f, valuation.rule_set, False)
     return AdicExpansion(skp, [AdicMonomial(c, sparse_key(k, skp)) for k, c in work.items()])
 
 
@@ -281,12 +284,12 @@ def least_value(f, valuation):
     """The least value over f's adic expansion, an integer row of the
     table's ``chain``, under the table, cutoff vector and rules of an
     ``SkpValuation``; no monomial is built."""
-    return _rewrite(f, valuation.rule_set, DEFAULT_REWRITE_CAP)[1]
+    return _rewrite(f, valuation.rule_set, True)[1]
 
 
-def least_value_part(f, valuation, max_rewrites=DEFAULT_REWRITE_CAP):
+def least_value_part(f, valuation):
     """``least_value`` and the monomials of f's adic expansion that have it."""
-    part, low = _rewrite(f, valuation.rule_set, max_rewrites)
+    part, low = _rewrite(f, valuation.rule_set, True)
     return low, [AdicMonomial(c, sparse_key(k, valuation.skp)) for k, c in part.items()]
 
 

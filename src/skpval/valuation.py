@@ -11,9 +11,10 @@ rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
 row below by an ``expansion.euclidean_walk`` that starts at its key's
 weight.  ``SkpValuation``, the context of every entry, is the one gate
 both routes trust: built, it refuses an unacceptable cutoff vector; its
-value rules, touched first by both routes, a key polynomial truncated to
-0, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on) and a
-rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
+one rule set, which ``adic_expand`` reads too, a key polynomial truncated
+to 0; and the refusal that rule set records, which both routes raise
+first, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on) or
+a rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
 then is the polynomial checked, by the table's ``check_poly``.  Initial
 forms, the top-row delta invariant and graded normal forms all build on
 the least value part; a graded normal form reduces each initial-form
@@ -33,7 +34,6 @@ from .expansion import (
     least_value,
     least_value_part,
     sparse_key,
-    value_rules,
     vp,
 )
 from .ordgroup import fold_relations, is_finite_index
@@ -43,12 +43,11 @@ from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, we
 
 class SkpValuation:
     """A table of key polynomials with an acceptable cutoff vector, checked
-    once, and the two rule sets the vector adds, each made on first use:
-    ``rule_set`` and ``adic_expand``'s ``expand_rules`` (each refuses a key
-    polynomial truncated to 0, ``rule_set`` then a beta <= 0 or a
-    value-lowering rule).  All else an entry reads, the products, the
-    Euclidean route's steps, bounds and divisor splits and the polynomial
-    check, is the table's, shared by every context on it."""
+    once, and the one ``RuleSet`` the vector adds, ``rule_set``, made on
+    first use: it refuses a key polynomial truncated to 0 and records the
+    refusal only the value entries raise.  All else an entry reads, the
+    products, the Euclidean route's steps, bounds and divisor splits and the
+    polynomial check, is the table's, shared by every context on it."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
@@ -59,12 +58,7 @@ class SkpValuation:
     @cached_property
     def rule_set(self):
         check_key_polynomials(self.skp)
-        return value_rules(self.skp, self.alpha)
-
-    @cached_property
-    def expand_rules(self):
-        check_key_polynomials(self.skp)
-        return RuleSet(self.skp, self.alpha, self.skp.degree_weights, (0,) * self.skp.nvars, False)
+        return RuleSet(self.skp, self.alpha)
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"
@@ -108,7 +102,7 @@ def initial_form(f, valuation):
 def value_via_euclidean(f, valuation):
     """The valuation computed through row-by-row Euclidean expansions, the
     coefficients of each row's pieces valued on the row below."""
-    origin = valuation.rule_set.origin  # the value gate, before any work
+    valuation.rule_set.refuse()  # the value gate, before any work
     if f.is_zero():
         raise ZeroPolyError("value of the zero polynomial")
     skp = valuation.skp
@@ -126,7 +120,7 @@ def value_via_euclidean(f, valuation):
                 return euclidean_walk(g, splits, steps[row], row, alpha[row], w, value)
         return w
 
-    return skp.chain.value(value(origin, pack(f, width), skp.nvars))
+    return skp.chain.value(value(valuation.rule_set.origin, pack(f, width), skp.nvars))
 
 
 def delta_of(f, valuation):

@@ -5,12 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from skpval import (
     GF,
     GroupValue,
+    IterationCapError,
     SemigroupSpec,
     SkpValuation,
     build_skp,
@@ -21,11 +23,31 @@ from skpval import (
     value_of,
     value_via_euclidean,
 )
+from skpval import expansion
 from skpval.realize import realize
 from skpval.valtable import enumerate_semigroup
 
+# every @given test draws the same examples on every run
+settings.register_profile("tier1", derandomize=True)
+settings.load_profile("tier1")
+
 # the entries that value a polynomial, each touching the value gate first
 VALUE_ENTRIES = (value_of, value_via_euclidean, initial_form, delta_of)
+
+
+def at_rewrite_cap(monkeypatch, rewrites, call):
+    """``call()`` with the rewrite cap at ``rewrites``, which the call
+    must need: at one fewer (unless it needs none) it raises
+    IterationCapError.  The cap is restored afterwards."""
+    cap = expansion.DEFAULT_REWRITE_CAP
+    monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", rewrites)
+    out = call()
+    if rewrites:
+        monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", rewrites - 1)
+        with pytest.raises(IterationCapError):
+            call()
+    monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", cap)
+    return out
 
 
 @pytest.fixture(scope="session")

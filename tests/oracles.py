@@ -6,7 +6,7 @@ are found by exhaustive search over the coefficient box, semigroup
 balls come from nested coefficient loops and, with their witnesses, from a
 recursion that sums GroupValues instead of integer rows, the adic expansion has a
 reference loop that rescans the whole working set before every rewrite
-and computes its own Vdeg,
+and sums its own integer values,
 division in one variable has a reference that multiplies and subtracts whole
 polynomials at every step, the Euclidean value has a reference that values
 every piece of that division's expansion and sums GroupValues of Fractions
@@ -208,14 +208,6 @@ def swap_variables(f, perm):
     return MultiPoly(f.nvars, terms, f.field)
 
 
-def _vdeg(key, skp):
-    """Per-variable degree vector of a key: sum of e * d per row."""
-    out = [0] * skp.nvars
-    for (i, j), e in key:
-        out[i] += e * skp.entries[(i, j)].d
-    return tuple(out)
-
-
 def refuse_zero_keys(skp):
     """Refuse, by its own scan, a table whose cutoff truncated a key
     polynomial to 0, with the library's message."""
@@ -227,15 +219,30 @@ def refuse_zero_keys(skp):
 def rescan_adic_expand(f, skp, alpha=None):
     """Adic expansion by rescanning the working set before every rewrite.
 
-    Each step picks the violating monomial with the least (Vdeg, key) and
-    rewrites it at its greatest violating index: the order the library's
-    priority queue must reproduce.  Returns (expansion, rewrite count).
+    Each step picks the violating monomial with the least (value, dense
+    key), the value summed from ``_integer_betas`` and the dense key the
+    exponent tuple over ``skp.order``, and rewrites it at its greatest
+    violating index: the order the library's priority queue must
+    reproduce.  On a table whose betas are positive and whose rules lower
+    no value, no key is rewritten twice, which is asserted.  Returns
+    (expansion, rewrite count).
     """
     alpha = normalize_alpha(skp, alpha)
     zero = skp.field.zero
     cutoff = skp.cutoff
     refuse_zero_keys(skp)
     rules = rewrite_rules(skp, alpha)
+    betas, _ = _integer_betas(skp)
+    origin = (0,) * skp.dimension
+
+    def value(key):
+        return _integer_value(dict(key), betas, origin)
+
+    once = all(tuple(b) > origin for b in betas.values()) and all(
+        value(m) >= value(((index, n),))
+        for index, (n, nxt, terms) in rules.items()
+        for _, m in [(None, ((nxt, 1),))] + list(terms)
+    )
 
     def add(work, key, coeff):
         if cutoff is not None and u_order(key, skp.entries) > cutoff:
@@ -258,14 +265,19 @@ def rescan_adic_expand(f, skp, alpha=None):
     work = {}
     for exps, c in f.terms.items():
         add(work, tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
-    rewrites = 0
+    rewrites, rewritten = 0, set()
     while True:
         candidates = [
-            (_vdeg(key, skp), key) for key in work if violations(key)
+            (value(key), tuple(dict(key).get(idx, 0) for idx in skp.order), key)
+            for key in work
+            if violations(key)
         ]
         if not candidates:
             break
-        target = min(candidates)[1]
+        target = min(candidates)[2]
+        if once and target in rewritten:
+            raise AssertionError(f"key {target} rewritten twice")
+        rewritten.add(target)
         rewrites += 1
         index = max(violations(target))
         coeff = work.pop(target)

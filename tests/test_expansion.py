@@ -19,11 +19,12 @@ from skpval import (
     parse_poly,
     value_of,
 )
+from skpval import expansion
 from skpval.expansion import sparse_key, vp
 from skpval.realize import random_polynomial
 from skpval.skp import weigh
 
-from conftest import top_cut
+from conftest import at_rewrite_cap, top_cut
 from oracles import long_euclidean_expand, rescan_adic_expand
 
 
@@ -119,17 +120,20 @@ class TestAdicExpand:
 class TestRewriteOrder:
     """The priority queue rewrites in the order of the rescanning loop."""
 
-    @pytest.mark.parametrize("k, rewrites", [(6, 33), (10, 225)])
-    def test_pinned_rewrite_counts(self, diffskp, vdiff, k, rewrites):
+    @pytest.mark.parametrize("k, rewrites", [(6, 29), (10, 145)])
+    def test_pinned_rewrite_counts(self, diffskp, vdiff, k, rewrites, monkeypatch):
         f = P(f"(X0+X1)^{k}")
-        expansion = adic_expand(f, vdiff, max_rewrites=rewrites)
-        with pytest.raises(IterationCapError):
-            adic_expand(f, vdiff, max_rewrites=rewrites - 1)
+        got = at_rewrite_cap(monkeypatch, rewrites, lambda: adic_expand(f, vdiff))
         reference, count = rescan_adic_expand(f, diffskp)
         assert count == rewrites
-        assert expansion.to_json() == reference.to_json()
+        assert got.to_json() == reference.to_json()
 
-    def test_agrees_with_rescan_reference(self, diffskp, example2, example1):
+    def test_each_key_rewritten_once(self, vdiff, monkeypatch):
+        # (X0+X1)^20 makes 1240 distinct violating keys; an order that pops
+        # a key before one of its parents rewrites it again and exceeds the cap
+        at_rewrite_cap(monkeypatch, 1240, lambda: adic_expand(P("(X0+X1)^20"), vdiff))
+
+    def test_agrees_with_rescan_reference(self, diffskp, example2, example1, monkeypatch):
         rng = random.Random(31)
         for skp, degree, polys in ((diffskp, 8, 40), (example2, 8, 40), (example1, 5, 20)):
             # the full table and the top row cut at its second entry
@@ -138,17 +142,14 @@ class TestRewriteOrder:
                 f = random_polynomial(rng, skp.nvars, degree)
                 for v in contexts:
                     reference, rewrites = rescan_adic_expand(f, skp, v.alpha)
-                    got = adic_expand(f, v, max_rewrites=rewrites)
+                    got = at_rewrite_cap(monkeypatch, rewrites, lambda: adic_expand(f, v))
                     assert got.to_json() == reference.to_json()
-                    if rewrites:
-                        with pytest.raises(IterationCapError):
-                            adic_expand(f, v, max_rewrites=rewrites - 1)
 
 
 class TestSparseKey:
     """Inside the rewrite loop a key is dense, its exponent tuple over
     ``skp.order``; ``sparse_key`` turns it into the ((i, j), e) key that
-    expansions report and that adic_expand's heap breaks Vdeg ties by."""
+    expansions report and order by after Vdeg."""
 
     def test_random_pairs_convert_and_order_as_sparse_keys(self, example1):
         rng = random.Random(47)
@@ -334,9 +335,10 @@ class TestEuclideanEntryChecks:
 
 
 class TestGuards:
-    def test_iteration_cap(self, vdiff):
+    def test_iteration_cap(self, vdiff, monkeypatch):
+        monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", 1)
         with pytest.raises(IterationCapError):
-            adic_expand(P("X1^8"), vdiff, max_rewrites=1)
+            adic_expand(P("X1^8"), vdiff)
 
     def test_rewrite_degree_measure(self, diffskp, example2):
         # the successor branch keeps the row degree, every relation branch

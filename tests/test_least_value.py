@@ -20,7 +20,6 @@ from skpval import (
     GF,
     GroupValue,
     InvalidTableError,
-    IterationCapError,
     MultiPoly,
     SemigroupSpec,
     SkpValuation,
@@ -39,13 +38,14 @@ from skpval import (
     value_via_euclidean,
 )
 from skpval.cli import run_command
-from skpval.expansion import AdicExpansion, least_value, least_value_part, value_rules
+from skpval.expansion import AdicExpansion, RuleSet, least_value, least_value_part
 from skpval.realize import random_polynomial, realize
 from skpval.skp import rewrite_rules
 
 from conftest import (
     VALUE_ENTRIES,
     acceptable_vectors,
+    at_rewrite_cap,
     attainment_products,
     doubling_chain,
     example1_rows,
@@ -55,6 +55,7 @@ from oracles import (
     full_least_part,
     multiplied_out,
     planted_expansion,
+    rescan_adic_expand,
     rescan_initial_form,
 )
 
@@ -164,16 +165,16 @@ class TestAgainstFullExpansion:
                     assert results == _results(f, skp, alpha), (alpha, str(f))
 
     def test_every_built_table_stops_early(self):
-        # no rule of a built table has a branch of lower value: the value
-        # rules build at every acceptable vector (on the table whose cutoff
-        # truncated U_{1,2} to 0, whose context's rule_set is refused for
-        # that, the rule check runs alone)
+        # no rule of a built table has a branch of lower value: the rule
+        # set records no refusal at any acceptable vector (on the table
+        # whose cutoff truncated U_{1,2} to 0, whose context's rule_set is
+        # refused for that, the rule set is built alone)
         for name, skp in TABLES.items():
             for alpha in acceptable_vectors(skp):
                 if name == "remark_diffskp-cutoff-1":
-                    value_rules(skp, alpha)
+                    assert RuleSet(skp, alpha).refusal is None
                 else:
-                    SkpValuation(skp, alpha).rule_set
+                    assert SkpValuation(skp, alpha).rule_set.refusal is None
 
 
 def _cross_check_tables():
@@ -273,6 +274,24 @@ class TestValueLoweringRule:
             capsys.readouterr()
 
 
+class TestRefusedTableExpands:
+    """``adic_expand`` runs on the one rule set, refusal and all: on the
+    lowering tail's table it returns the rescanning reference's expansion
+    and rewrite count."""
+
+    def test_value_lowering_tail(self, monkeypatch):
+        skp = jsonio.build_from_problem(_value_lowering_tail())
+        valuation = SkpValuation(skp)
+        assert valuation.rule_set.refusal[0] is InvalidTableError
+        rng = random.Random(83)
+        for f in [parse_poly("X2^3 + X1*X2", 3)] + [
+            random_polynomial(rng, 3, 4) for _ in range(12)
+        ]:
+            reference, rewrites = rescan_adic_expand(f, skp)
+            got = at_rewrite_cap(monkeypatch, rewrites, lambda: adic_expand(f, valuation))
+            assert got.to_json() == reference.to_json(), str(f)
+
+
 EMPTY_ROW_0 = build_skp(compute_relations([[], [2], [3, 7]]))
 POLY_ENTRIES = (
     adic_expand, euclidean_expand, value_of, initial_form, least_value_part, value_via_euclidean
@@ -324,18 +343,14 @@ class TestEarlyStop:
     """The value-ordered loop stops early under the same rewrite cap as
     ``adic_expand``, so a silent fall back to the full expansion fails."""
 
-    @pytest.mark.parametrize("text, least, full", [("(X0+X1)^10", 0, 225), ("X1^8", 4, 44)])
-    def test_pinned_rewrite_counts(self, diffskp, text, least, full):
+    @pytest.mark.parametrize("text, least, full", [("(X0+X1)^10", 0, 145), ("X1^8", 4, 30)])
+    def test_pinned_rewrite_counts(self, diffskp, text, least, full, monkeypatch):
         f = parse_poly(text, 2)
         valuation = SkpValuation(diffskp)
-        part = least_value_part(f, valuation, max_rewrites=least)
+        part = at_rewrite_cap(monkeypatch, least, lambda: least_value_part(f, valuation))
         want = full_least_part(f, valuation)
         assert _part_json(part, diffskp) == _part_json(want, diffskp)
-        adic_expand(f, valuation, max_rewrites=full)
-        for cap, expand in ((least, least_value_part), (full, adic_expand)):
-            if cap:
-                with pytest.raises(IterationCapError):
-                    expand(f, valuation, max_rewrites=cap - 1)
+        at_rewrite_cap(monkeypatch, full, lambda: adic_expand(f, valuation))
 
 
 PLANTED_PER_TABLE = 40
@@ -402,7 +417,7 @@ class TestPlantedExpansions:
 class TestRewriteCount:
     """The value loop's rewrite count on the costliest attainment products
     of the realized 6-generator doubling chain, pinned two ways through
-    ``max_rewrites``.  The count rests on the heap popping every parent
+    the rewrite cap.  The count rests on the heap popping every parent
     before its equal-weight children (``expansion``); a key or tie order
     that breaks this rewrites a key more than once in a class and fails."""
 
@@ -416,10 +431,8 @@ class TestRewriteCount:
             ((1, 0, 0, 0, 0, 3), 2887),
         ],
     )
-    def test_costliest_products(self, witness, rewrites):
+    def test_costliest_products(self, witness, rewrites, monkeypatch):
         valuation, products = attainment_products(doubling_chain(6))
         [(gamma, f)] = [(gamma, f) for gamma, w, f in products if w == witness]
-        row, _ = least_value_part(f, valuation, max_rewrites=rewrites)
+        row, _ = at_rewrite_cap(monkeypatch, rewrites, lambda: least_value_part(f, valuation))
         assert valuation.skp.chain.value(row) == gamma
-        with pytest.raises(IterationCapError):
-            least_value_part(f, valuation, max_rewrites=rewrites - 1)

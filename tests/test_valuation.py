@@ -57,6 +57,15 @@ def gv(*coords):
     return GroupValue(coords)
 
 
+def nonpositive_beta_table(diffskp, index, beta):
+    """diffskp's key polynomials under its betas with the one at ``index``
+    replaced by ``beta`` <= 0, a table built without validation."""
+    betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
+    values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
+    products = KeyProducts(diffskp.entries, diffskp.nvars, diffskp.field, diffskp.cutoff)
+    return SkpTable(values, products)
+
+
 class TestValueOf:
     def test_key_polynomial_values(self, diffskp, example2, example1):
         # the valuation assigns each key polynomial exactly its table value
@@ -287,15 +296,26 @@ class TestEuclideanWork:
     def test_nonpositive_beta_refused(self, diffskp, index, beta):
         # only a table built without validation can carry one; the gate
         # reads the betas from the table's chain
-        betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
-        values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
-        products = KeyProducts(diffskp.entries, diffskp.nvars, diffskp.field, diffskp.cutoff)
-        table = SkpTable(values, products)
+        table = nonpositive_beta_table(diffskp, index, beta)
         # a context holds the table: the gate trips on the first value call
         message = rf"^beta at \({index[0]}, {index[1]}\) is not positive$"
         for entry in VALUE_ENTRIES:
             with pytest.raises(ValueError, match=message):
                 entry(P("X1"), SkpValuation(table))
+
+    @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
+    def test_nonpositive_beta_table_expands(self, diffskp, index, beta):
+        # adic_expand reads the same rule set, refusal and all, and still
+        # gives the rescanning reference's expansion; the counts differ, as
+        # the library weighs by the chain and the reference by the entries,
+        # which keep diffskp's betas
+        table = nonpositive_beta_table(diffskp, index, beta)
+        v = SkpValuation(table)
+        assert v.rule_set.refusal[0] is ValueError
+        rng = random.Random(89)
+        for f in [P("(X0+X1)^6")] + [random_polynomial(rng, 2, 6) for _ in range(12)]:
+            reference, _ = rescan_adic_expand(f, table)
+            assert adic_expand(f, v).to_json() == reference.to_json(), str(f)
 
 
 class TestContext:
@@ -322,8 +342,8 @@ class TestContext:
         assert (len(built), len(lifted)) == (1, len(f.terms))
         assert adic_expand(f, v).to_json() == first
         adic_expand(P("X0*X1^5 + 2*X1^6"), v)  # terms of f: their lifts are reused
+        value_of(f, v)  # the value loop reads the same rule set
         assert (len(built), len(lifted)) == (1, len(f.terms))
-        assert "rule_set" not in vars(v)
 
     def test_contexts_share_the_tables_euclidean_stores(self, diffskp_table, monkeypatch):
         # the steps, bounds and divisor splits are the table's: a second
@@ -360,7 +380,7 @@ class TestContext:
 
     def test_realize_leaves_the_value_rules_unbuilt(self):
         v = realize(SemigroupSpec([[4], [6], [13]])).valuation
-        assert "rule_set" not in vars(v) and "expand_rules" not in vars(v)
+        assert "rule_set" not in vars(v)
         assert value_of(parse_poly("X0", v.skp.nvars), v) == gv(4)
         assert "rule_set" in vars(v)
 
