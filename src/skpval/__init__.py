@@ -45,7 +45,6 @@ from .skp import (
     build_skp,
     minimal_pseudo_skp,
     unroll_limit,
-    validate_acceptable,
 )
 from .expansion import (
     AdicExpansion,

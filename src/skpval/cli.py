@@ -53,9 +53,8 @@ def _load_valuation(path, args):
     flag faults (exit 2) come before a table the valuation refuses (exit 1)."""
     data, digest = _read_problem(path)
     skp = jsonio.build_from_problem(data)
-    alpha = jsonio.load_alpha(args.alpha, skp)
-    f = jsonio.load_poly(args.poly, skp)
-    return SkpValuation(skp, alpha), f, digest
+    valuation = jsonio.load_valuation(args.alpha, skp)
+    return valuation, jsonio.load_poly(args.poly, skp), digest
 
 
 def cmd_validate(args):

@@ -15,11 +15,12 @@ theta * U^m (no less), and an equal-weight branch lowers the exponent at its
 rule's position and raises only earlier ones, so it sorts after its parent.
 Every parent of a key pops first, and the key is rewritten once, the invariant
 the pinned rewrite counts rest on.  The one ``RuleSet`` of an
-``SkpValuation``, the context of every entry, holds each rule branch's
-exponent, weight and order deltas, so a rewrite adds tuples, and lifts each
-term once; sparse keys appear only at the boundary (``AdicMonomial``).  It
-records, without raising, a beta <= 0 or a branch of lower value: the value
-entries refuse such a table, and ``adic_expand`` expands on it to the end.
+``SkpValuation``, the context of every entry, made of the rules the context
+derived once, holds each rule branch's exponent, weight and order deltas, so
+a rewrite adds tuples, and lifts each term once; sparse keys appear only at
+the boundary (``AdicMonomial``).  It records, without raising, a beta <= 0
+or a branch of lower value: the value entries refuse such a table, and
+``adic_expand`` expands on it to the end.
 What the key polynomials alone determine belongs to the table and serves every
 context on it: the products, the Euclidean ``steps``, ``bounds`` and divisor
 splits, and ``check_poly``, which every entry, ``euclidean_expand`` included,
@@ -58,7 +59,7 @@ from operator import add
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import INFINITY, is_finite_index
 from .poly import MultiPoly, divide_split, pack, split, unpack
-from .skp import rewrite_rules, u_order, weigh
+from .skp import u_order, weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 TOP = (INFINITY,)  # a weight above every weight, a tuple of ints
@@ -128,7 +129,7 @@ class AdicExpansion:
 
 
 class RuleSet(dict):
-    """``rewrite_rules`` under a normalized cutoff vector, on dense keys,
+    """An ``SkpValuation``'s ``rules``, its ``rewrite_rules``, on dense keys,
     weighed by value: ``branches`` maps each rule position to the branches
     of U^n there, theta (None for U_next) and the exponent, weight and
     ``u_order`` deltas, and ``scans`` to the (position, n) pairs, greatest
@@ -141,7 +142,7 @@ class RuleSet(dict):
     the first rule with a branch of lower value than its power
     (InvalidTableError); only the value entries raise it (``refuse``)."""
 
-    def __init__(self, skp, alpha):
+    def __init__(self, skp, rules):
         super().__init__()
         self.skp, self.refusal = skp, None
         self.origin = origin = (0,) * skp.dimension
@@ -152,7 +153,7 @@ class RuleSet(dict):
             self.weights[index] = [(k, c) for k, c in enumerate(beta) if c]
         violable = []  # (rule position, n), the greatest first
         self.branches = {}
-        for (i, j), (n, nxt, terms) in sorted(rewrite_rules(skp, alpha).items()):
+        for (i, j), (n, nxt, terms) in sorted(rules.items()):
             p = skp.position[(i, j)]
             violable.insert(0, (p, n))
             out = self.branches[p] = []
@@ -336,14 +337,14 @@ def euclidean_walk(g, splits, steps, row, j, w, piece):
     return walk(g, j, w, TOP)
 
 
-def euclidean_expand(f, valuation, j=None, row=None):
+def euclidean_expand(f, valuation, row=None):
     """Euclidean expansion of a row by iterated monic division.
 
     Returns a list of ({position: exponent} map over the row, coefficient
     polynomial with zero degree in the row's variable), sorted by key:
     every piece of ``euclidean_walk``.  Exponents at positions before
-    the cutoff ``j`` stay below their n.  ``row`` defaults to the top row,
-    ``j`` to the context's cutoff in it.  No rule set is read, so a key
+    the row's cutoff j, the context's ``alpha[row]``, stay below their n;
+    ``row`` defaults to the top row.  No rule set is read, so a key
     polynomial truncated to 0 is refused (NotMonicError) only as a divisor.
     """
     skp = valuation.skp
@@ -351,13 +352,9 @@ def euclidean_expand(f, valuation, j=None, row=None):
     top = skp.nvars - 1 if row is None else row
     if type(top) is not int or not 0 <= top < skp.nvars:
         raise ValueError(f"row {row!r} is not a row of the table")
-    length = skp.row_length(top)
-    if length == 0:
+    j = valuation.alpha[top]  # the context's gate keeps it in 1..length, 0 on an empty row
+    if j == 0:
         raise ValueError(f"row {top} has no key polynomials")
-    if j is None:
-        j = valuation.alpha[top]
-    if type(j) is not int or not 1 <= j <= length:
-        raise ValueError(f"cutoff {j!r} outside 1..{length}")
     if f.is_zero():
         return []
     splits = skp.divisor_splits(f.degree())

@@ -13,8 +13,9 @@ from .fields import QQ, PrimeField, field_to_spec
 from .ordgroup import GroupValue, format_index
 from .poly import parse_poly
 from .realize import SemigroupSpec
-from .skp import LimitTail, build_skp, normalize_alpha, validate_acceptable
+from .skp import LimitTail, build_skp
 from .valtable import compute_relations
+from .valuation import SkpValuation
 
 
 def _require(cond, message):
@@ -199,16 +200,14 @@ def build_from_problem(data):
     return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
 
 
-def load_alpha(text, skp):
-    """The --alpha flag ("1,3") as an acceptable vector of the table, or None."""
-    if text is None:
-        return None
+def load_valuation(text, skp):
+    """The ``SkpValuation`` of the table under the --alpha flag ("1,3"), or
+    the full table; a vector the context refuses is malformed input."""
     try:
-        alpha = normalize_alpha(skp, [load_digits(a) for a in text.split(",")])
+        alpha = None if text is None else [load_digits(a) for a in text.split(",")]
+        return SkpValuation(skp, alpha)
     except ValueError as exc:
-        raise SchemaError(f"bad acceptable vector {text!r}: {exc}") from exc
-    _require(validate_acceptable(skp, alpha), f"{text!r} is not an acceptable vector")
-    return alpha
+        raise SchemaError(f"bad --alpha {text!r}: {exc}") from exc
 
 
 def load_poly(text, skp):

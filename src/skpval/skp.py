@@ -188,10 +188,14 @@ class SkpTable(ValueTable):
     ``cutoff``, and the ``weigh`` weights of Vdeg (U_{i,j} has d in X_i).
     It owns, each made on first use, the Euclidean walk's ``steps``, width
     ``bounds`` and ``DivisorSplits`` by width (``splits``), and the
-    ``empty_rows`` whose variables ``check_poly`` refuses."""
+    ``empty_rows`` whose variables ``check_poly`` refuses.  One beta per
+    position: an entry's beta other than its chain value raises ValueError."""
 
     def __init__(self, table, products):
         super().__init__(table.chain, table.rows, products.entries, table.limit_labels)
+        for index, link in zip(self.order, self.chain):
+            if self.entries[index].beta != link.value:
+                raise ValueError(f"the entry at {index} has a beta other than the chain's")
         self.products, self.field, self.cutoff = products, products.field, products.cutoff
         self.degree_weights = {idx: [(idx[0], e.d)] for idx, e in self.entries.items()}
         self.splits = {}
@@ -465,7 +469,7 @@ def minimal_pseudo_skp(skp):
 
 
 def normalize_alpha(skp, alpha=None):
-    """Resolve an acceptable vector of int components; None means the full table."""
+    """Resolve a cutoff vector of in-range int components; None means the full table."""
     lengths = skp.row_lengths()
     if alpha is None:
         return lengths
@@ -482,17 +486,3 @@ def normalize_alpha(skp, alpha=None):
             raise ValueError(f"cutoff {a} outside 1..{ln}")
     return alpha
 
-
-def validate_acceptable(skp, alpha):
-    """Relation closure of a cutoff vector.
-
-    The expansion rewrites U_{i,j}^{n} only at the positions of
-    ``rewrite_rules``, so exactly their relations must stay inside the
-    cutoff.  The full vector and (1, ..., 1) always pass.
-    """
-    alpha = normalize_alpha(skp, alpha)
-    return all(
-        j2 <= alpha[i2]
-        for index in rewrite_rules(skp, alpha)
-        for i2, j2 in skp.entries[index].relation
-    )

@@ -9,17 +9,18 @@ or building a monomial; ``value_of`` turns it into a ``GroupValue`` by
 rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
 + nu(U^t)) over the top row's Euclidean expansion, each a_t valued on the
 row below by an ``expansion.euclidean_walk`` that starts at its key's
-weight.  ``SkpValuation``, the context of every entry, is the one gate
-both routes trust: built, it refuses an unacceptable cutoff vector; its
-one rule set, which ``adic_expand`` reads too, a key polynomial truncated
-to 0; and the refusal that rule set records, which both routes raise
-first, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on) or
-a rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
+weight.  ``SkpValuation``, the context of every entry, is the one gate both
+routes trust and the only entry of a cutoff vector: built, it refuses one
+that is not acceptable by the ``rewrite_rules`` it derives once; its one
+rule set, made of them and read by ``adic_expand`` too, a key polynomial
+truncated to 0; and the refusal that rule set records, which both routes
+raise first, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on)
+or a rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
 then is the polynomial checked, by the table's ``check_poly``.  Initial
-forms, the top-row delta invariant and graded normal forms all build on
-the least value part; a graded normal form reduces each initial-form
-monomial by the table's relations through ``ordgroup.fold_relations``, the
-reduction that makes a representation canonical.
+forms, the top-row delta invariant and graded normal forms all build on the
+least value part; a graded normal form reduces each initial-form monomial by
+the table's relations through ``ordgroup.fold_relations``, the reduction
+that makes a representation canonical.
 """
 
 from fractions import Fraction
@@ -38,27 +39,30 @@ from .expansion import (
 )
 from .ordgroup import fold_relations, is_finite_index
 from .poly import pack, split
-from .skp import check_key_polynomials, normalize_alpha, validate_acceptable, weigh
+from .skp import check_key_polynomials, normalize_alpha, rewrite_rules, weigh
 
 
 class SkpValuation:
     """A table of key polynomials with an acceptable cutoff vector, checked
-    once, and the one ``RuleSet`` the vector adds, ``rule_set``, made on
-    first use: it refuses a key polynomial truncated to 0 and records the
-    refusal only the value entries raise.  All else an entry reads, the
-    products, the Euclidean route's steps, bounds and divisor splits and the
-    polynomial check, is the table's, shared by every context on it."""
+    once by the ``rewrite_rules`` it derives once, ``rules``, and the one
+    ``RuleSet`` they make, ``rule_set``, made on first use: it refuses a key
+    polynomial truncated to 0 and records the refusal only the value entries
+    raise.  All else an entry reads, the products, the Euclidean route's
+    steps, bounds and divisor splits and the polynomial check, is the
+    table's, shared by every context on it."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
-        self.alpha = normalize_alpha(skp, alpha)
-        if not validate_acceptable(skp, self.alpha):
-            raise ValueError(f"{self.alpha} is not an acceptable vector")
+        self.alpha = alpha = normalize_alpha(skp, alpha)
+        self.rules = rewrite_rules(skp, alpha)
+        # an expansion rewrites only at the rules' positions: their relations stay inside alpha
+        if any(j > alpha[i] for index in self.rules for i, j in skp.entries[index].relation):
+            raise ValueError(f"{alpha} is not an acceptable vector")
 
     @cached_property
     def rule_set(self):
         check_key_polynomials(self.skp)
-        return RuleSet(self.skp, self.alpha)
+        return RuleSet(self.skp, self.rules)
 
     def __repr__(self):
         return f"SkpValuation(alpha={self.alpha}, {self.skp!r})"

@@ -19,11 +19,11 @@ from skpval import (
     compute_relations,
     delta_of,
     initial_form,
-    validate_acceptable,
     value_of,
     value_via_euclidean,
 )
 from skpval import expansion
+from skpval import skp as skp_module
 from skpval.realize import realize
 from skpval.valtable import enumerate_semigroup
 
@@ -33,6 +33,23 @@ settings.load_profile("tier1")
 
 # the entries that value a polynomial, each touching the value gate first
 VALUE_ENTRIES = (value_of, value_via_euclidean, initial_form, delta_of)
+
+
+def count_calls(monkeypatch, *names):
+    """Call counts of the ``skp`` functions ``names``, each wrapped in every
+    skpval module that binds it."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(skp_module, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("skpval") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 def at_rewrite_cap(monkeypatch, rewrites, call):
@@ -156,10 +173,26 @@ def attainment_products(generators):
 def top_cut(skp, j):
     """The context of ``skp`` with its lower rows in full and the top row
     cut at ``j``."""
-    return SkpValuation(skp, skp.row_lengths()[:-1] + (j,))
+    return row_cut(skp, skp.nvars - 1, j)
+
+
+def row_cut(skp, row, j):
+    """The context of ``skp`` that cuts ``row`` at ``j``: the rows below in
+    full, and each higher row at 1 (at 0 when empty)."""
+    higher = tuple(min(n, 1) for n in skp.row_lengths()[row + 1:])
+    return SkpValuation(skp, skp.row_lengths()[:row] + (j,) + higher)
+
+
+def is_acceptable(skp, alpha):
+    """Whether the context's gate takes the cutoff vector ``alpha``."""
+    try:
+        SkpValuation(skp, alpha)
+    except ValueError:
+        return False
+    return True
 
 
 def acceptable_vectors(skp):
     """Every acceptable cutoff vector of ``skp``."""
     ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
-    return [a for a in itertools.product(*ranges) if validate_acceptable(skp, a)]
+    return [a for a in itertools.product(*ranges) if is_acceptable(skp, a)]

@@ -8,6 +8,8 @@ import pytest
 from skpval import GF, QQ, SchemaError
 from skpval.cli import run_command
 
+from conftest import count_calls
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -36,6 +38,16 @@ class TestEval:
         )
         assert code == 0
         assert report["result"]["value"] == ["6"]
+
+    @pytest.mark.parametrize("alpha", [(), ("--alpha", "1,2")])
+    def test_one_context_derives_its_rules_once(self, capsys, monkeypatch, alpha):
+        # the --alpha text is normalized and gated by the one context built
+        calls = count_calls(monkeypatch, "rewrite_rules", "normalize_alpha")
+        code, _ = run(
+            capsys, "eval", "--skp", DATA / "remark_diffskp.json", "--poly", "X1^2", *alpha
+        )
+        assert code == 0
+        assert calls == {"rewrite_rules": 1, "normalize_alpha": 1}
 
     def test_bad_poly_is_malformed_input(self, capsys):
         code, report = run(

@@ -27,15 +27,23 @@ DATA = Path(__file__).parent / "data"
 GAMMA = {"kind": "realize", "generators": [["4"], ["6"], ["13"]]}
 DOUBLING_6 = {"kind": "realize", "generators": [[str(g)] for (g,) in doubling_chain(6)]}
 
+# the relation of entry (2,1) uses (1,2), so (1,1,2) is not an acceptable vector
+RELATION_ACROSS_ROWS = {"kind": "skp", "values": {"rows": [["1"], ["1/2", "4/3"], ["11/6", "2"]]}}
+
 PROBES = {
     "alpha-beyond-its-row": ("remark_diffskp.json", None, "eval --skp {} --poly X1 --alpha 1,9",
                              2, ("schema", "cutoff 9 outside 1..3"), None),
+    "alpha-not-acceptable": (RELATION_ACROSS_ROWS, None, "eval --skp {} --poly X1 --alpha 1,1,2",
+                             2, ("schema", "bad --alpha '1,1,2': (1, 1, 2) is not an acceptable"),
+                             None),
     "realize-limit-labels-zero": (GAMMA, {"limit_labels": 0}, "realize {}",
                                   2, ("schema", '"limit_labels" must be an array'), None),
     "realize-leftover-minimality-bound": (GAMMA, {"minimality_bound": 12}, "realize {}",
                                           0, None, None),
     "verify-doubling-chain-6": (DOUBLING_6, None, "verify {}",
                                 0, None, {"realization.verification.passed": True}),
+    "eval-power-truncated-to-nothing": ("example1_tail.json", None, "eval --skp {} --poly X0^6",
+                                        1, ("ZeroPoly", "no monomials survived"), None),
     "expand-truncated-key-polynomial": ("remark_diffskp.json", {"cutoff": 1}, "expand {} --poly X1",
                                         1, ("ZeroPoly", "U_{1,2} is 0 under cutoff 1"), None),
     "classify-infinite-string": ("classify_vii.json", {"arithmetic.rows.0.infinite": "no"},

@@ -24,7 +24,7 @@ from skpval.expansion import sparse_key, vp
 from skpval.realize import random_polynomial
 from skpval.skp import weigh
 
-from conftest import at_rewrite_cap, top_cut
+from conftest import at_rewrite_cap, row_cut, top_cut
 from oracles import long_euclidean_expand, rescan_adic_expand
 
 
@@ -195,16 +195,16 @@ class TestVdegVp:
 
 
 class TestEuclidean:
-    def test_worked_example(self, vdiff):
-        got = euclidean_expand(P("X1^3 + X0*X1"), vdiff, 2)
+    def test_worked_example(self, diffskp):
+        got = euclidean_expand(P("X1^3 + X0*X1"), top_cut(diffskp, 2))
         want = {
             ((1, 1),): P("X0^3 + X0"),
             ((1, 1), (2, 1)): P("1"),
         }
         assert {tuple(sorted(k.items())): c for k, c in got} == want
 
-    def test_low_degree_single_term(self, vdiff):
-        got = euclidean_expand(P("X0^7 + X1"), vdiff, 2)
+    def test_low_degree_single_term(self, diffskp):
+        got = euclidean_expand(P("X0^7 + X1"), top_cut(diffskp, 2))
         assert {tuple(sorted(k.items())): c for k, c in got} == {
             (): P("X0^7"),
             ((1, 1),): P("1"),
@@ -213,12 +213,12 @@ class TestEuclidean:
     def test_multiply_back(self, diffskp, example2):
         rng = random.Random(21)
         for skp in (diffskp, example2):
-            v = SkpValuation(skp)
             for j in range(1, skp.row_length(1) + 1):
+                v = top_cut(skp, j)
                 for _ in range(40):
                     f = random_polynomial(rng, 2, 6)
                     total = MultiPoly.zero(2)
-                    for exps, coeff in euclidean_expand(f, v, j):
+                    for exps, coeff in euclidean_expand(f, v):
                         term = coeff
                         for pos, e in exps.items():
                             term = term * skp.entries[(1, pos)].poly ** e
@@ -257,14 +257,16 @@ def exact_expansion(items):
     ]
 
 
-def assert_expands_like_oracle(f, valuation, j, row):
+def assert_expands_like_oracle(f, skp, j, row):
+    # the cutoff j reaches the library only through the context's gate
+    valuation = row_cut(skp, row, j)
     try:
-        want = long_euclidean_expand(f, valuation.skp, j, row)
+        want = long_euclidean_expand(f, skp, j, row)
     except NotMonicError:
         with pytest.raises(NotMonicError):
-            euclidean_expand(f, valuation, j, row)
+            euclidean_expand(f, valuation, row)
         return
-    assert exact_expansion(euclidean_expand(f, valuation, j, row)) == exact_expansion(want)
+    assert exact_expansion(euclidean_expand(f, valuation, row)) == exact_expansion(want)
 
 
 class TestEuclideanOracle:
@@ -274,17 +276,16 @@ class TestEuclideanOracle:
     def test_every_row_and_cutoff(self, key_tables):
         rng = random.Random(61)
         for skp in key_tables:
-            v = SkpValuation(skp)
             # example1's fourteen top-row cutoffs get fewer inputs each
             polys = 6 if skp.nvars == 2 else 2
             for row in range(skp.nvars):
                 for j in range(1, skp.row_length(row) + 1):
                     for _ in range(polys):
                         f = random_polynomial(rng, skp.nvars, 6, skp.field)
-                        assert_expands_like_oracle(f, v, j, row)
+                        assert_expands_like_oracle(f, skp, j, row)
                         # a dividend of high degree in the row's variable
                         g = skp.entries[(row, j)].poly ** 2 * f + f
-                        assert_expands_like_oracle(g, v, j, row)
+                        assert_expands_like_oracle(g, skp, j, row)
 
     def test_truncated_divisors(self, diffskp_table):
         # at cutoff 1 the key polynomial X1^2 - X0^3 truncates to 0, which is
@@ -292,21 +293,21 @@ class TestEuclideanOracle:
         # does not divide by it is computed; at cutoff 2 it truncates to X1^2
         rng = random.Random(67)
         for cutoff in (1, 2, 3):
-            v = SkpValuation(build_skp(diffskp_table, cutoff=cutoff))
+            skp = build_skp(diffskp_table, cutoff=cutoff)
             for row in (0, 1):
-                for j in range(1, v.skp.row_length(row) + 1):
+                for j in range(1, skp.row_length(row) + 1):
                     for _ in range(10):
                         f = random_polynomial(rng, 2, 6)
-                        assert_expands_like_oracle(f, v, j, row)
+                        assert_expands_like_oracle(f, skp, j, row)
 
     def test_truncated_divisor_is_refused(self, diffskp_table):
         # at cutoff 1 X1^2 - X0^3 truncates to 0: dividing by it is refused,
         # and so are both rule sets of the context, on first use;
         # swapped, at cutoff 2 X1^3 - X0^2 truncates to -X0^2, not monic in X1
         v = SkpValuation(build_skp(diffskp_table, cutoff=1))
-        assert [key for key, _ in euclidean_expand(P("X1^2"), v, 1)] == [{1: 2}]
+        assert [key for key, _ in euclidean_expand(P("X1^2"), top_cut(v.skp, 1))] == [{1: 2}]
         with pytest.raises(NotMonicError):
-            euclidean_expand(P("X1^2"), v, 2)
+            euclidean_expand(P("X1^2"), top_cut(v.skp, 2))
         for entry in (adic_expand, value_of):
             with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
                 entry(P("X1"), v)
@@ -314,7 +315,7 @@ class TestEuclideanOracle:
         with pytest.raises(NotMonicError):
             long_euclidean_expand(P("X1^3"), swapped, 2)
         with pytest.raises(NotMonicError):
-            euclidean_expand(P("X1^3"), SkpValuation(swapped), 2)
+            euclidean_expand(P("X1^3"), top_cut(swapped, 2))
 
 
 class TestEuclideanEntryChecks:
@@ -324,9 +325,15 @@ class TestEuclideanEntryChecks:
             euclidean_expand(P("X1^3 + X0"), vdiff, row=row)
 
     @pytest.mark.parametrize("j", [0, 4, True, 1.5, "1"])
-    def test_cutoff_outside_the_row(self, vdiff, j):
-        with pytest.raises(ValueError, match=re.escape(f"cutoff {j!r} outside 1..3")):
-            euclidean_expand(P("X1^3 + X0"), vdiff, j=j)
+    def test_cutoff_outside_the_row(self, diffskp, j):
+        # a row's cutoff reaches euclidean_expand only as the context's,
+        # so the context's gate refuses one outside the row
+        if type(j) is int:
+            message = f"cutoff {j!r} outside 1..3"
+        else:
+            message = f"cutoff component {j!r} is not an int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SkpValuation(diffskp, (1, j))
 
     def test_ring_refused(self, vdiff):
         for f in (parse_poly("X0", 3), parse_poly("X1", 2, GF(7))):

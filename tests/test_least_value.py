@@ -172,7 +172,7 @@ class TestAgainstFullExpansion:
         for name, skp in TABLES.items():
             for alpha in acceptable_vectors(skp):
                 if name == "remark_diffskp-cutoff-1":
-                    assert RuleSet(skp, alpha).refusal is None
+                    assert RuleSet(skp, SkpValuation(skp, alpha).rules).refusal is None
                 else:
                     assert SkpValuation(skp, alpha).rule_set.refusal is None
 

@@ -13,7 +13,9 @@ too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1) by the adic
 route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
 ``truncation_valid: false`` (pinned below).  That table is checked by the
 expansion property, which holds under any cutoff, and at cutoff 16, deep
-enough for polynomials of degree 2, with the exact tables.
+enough for polynomials of degree 2, with the exact tables.  At cutoff 5 the
+Euclidean route is checked to add values on products, and it values X0^6
+and X2^6, whose adic expansions truncate to nothing.
 """
 
 import itertools
@@ -28,6 +30,7 @@ from skpval import (
     GroupValue,
     MultiPoly,
     SkpValuation,
+    ZeroPolyError,
     adic_expand,
     parse_poly,
     value_of,
@@ -98,6 +101,39 @@ def test_example1_tail_routes_disagree_at_its_declared_cutoff(valuations):
     f = parse_poly("X2^2", 3)
     assert value_of(f, v) == GroupValue((0, 5, 1))
     assert value_via_euclidean(f, v) == GroupValue((0, 4, 2))
+
+
+def test_euclidean_route_values_what_the_adic_route_refuses(valuations):
+    # at cutoff 5 the adic expansions of X0^6 and X2^6 truncate to nothing,
+    # while the Euclidean route gives 6 * beta (ROADMAP item 8)
+    v, _ = valuations["example1_tail"]
+    for text, value in (("X0^6", (0, 0, 6)), ("X2^6", (0, 12, 6))):
+        f = parse_poly(text, 3)
+        assert value_via_euclidean(f, v) == GroupValue(value)
+        with pytest.raises(ZeroPolyError, match=r"^no monomials survived"):
+            value_of(f, v)
+
+
+def test_example1_tail_routes_disagree_at_cutoff_16():
+    # with the tail unrolled to depth 64, cutoff 16 still drops monomials
+    # that decide the value of a polynomial of degree 8
+    data = json.loads((DATA / "example1_tail.json").read_text())
+    data.update(cutoff=16)
+    data["limit_tails"][0]["depth"] = 64
+    v = SkpValuation(build_from_problem(data))
+    f = parse_poly("5*X0^2*X1*X2^5", 3)
+    assert value_via_euclidean(f, v) == GroupValue((0, 11, 7))
+    assert value_of(f, v) == GroupValue((0, 12, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_euclidean_route_multiplies_at_the_declared_cutoff(valuations, data):
+    # the Euclidean route is the candidate for values under a cutoff: it
+    # adds values on products at example1_tail's own cutoff 5
+    v, _ = valuations["example1_tail"]
+    f, g = draw_poly(data, v, 3), draw_poly(data, v, 3)
+    assert value_via_euclidean(f * g, v) == value_via_euclidean(f, v) + value_via_euclidean(g, v)
 
 
 @pytest.mark.parametrize("name", EXACT_TABLES)

@@ -24,11 +24,11 @@ from skpval import (
     minimal_pseudo_skp,
     parse_poly,
     unroll_limit,
-    validate_acceptable,
 )
 from skpval.jsonio import build_from_problem
 from skpval.skp import KeyProducts, rewrite_rules, u_order
 
+from conftest import is_acceptable
 import oracles
 
 DATA = Path(__file__).parent / "data"
@@ -350,15 +350,18 @@ class TestMinimalPseudo:
 
 
 class TestAcceptableVectors:
+    """``SkpValuation`` is the one gate of a cutoff vector: it refuses one
+    whose rewrite rules use a relation outside it."""
+
     def test_full_vector_passes(self, diffskp):
-        assert validate_acceptable(diffskp, diffskp.row_lengths())
+        assert is_acceptable(diffskp, diffskp.row_lengths())
 
     def test_all_ones_passes(self, diffskp, example2, example1):
         for skp in (diffskp, example2, example1):
-            assert validate_acceptable(skp, (1,) * skp.nvars)
+            assert is_acceptable(skp, (1,) * skp.nvars)
 
     def test_intermediate(self, diffskp):
-        assert validate_acceptable(diffskp, (1, 2))
+        assert is_acceptable(diffskp, (1, 2))
 
     def test_closure_violation(self):
         # the interior row-2 entry (1,1) = (0,1) + (1,0) references the
@@ -367,10 +370,11 @@ class TestAcceptableVectors:
         t = compute_relations([[(0, 1)], [(0, 2), (1, 0)], [(1, 1), (2, 2)]])
         assert t.entries[(2, 1)].relation == {(0, 1): 1, (1, 2): 1}
         skp = build_skp(t)
-        assert validate_acceptable(skp, (1, 2, 2))
-        assert not validate_acceptable(skp, (1, 1, 2))
+        assert is_acceptable(skp, (1, 2, 2))
+        with pytest.raises(ValueError, match=r"^\(1, 1, 2\) is not an acceptable vector$"):
+            SkpValuation(skp, (1, 1, 2))
         # with row 2 cut at its first entry that relation is out of scope
-        assert validate_acceptable(skp, (1, 1, 1))
+        assert is_acceptable(skp, (1, 1, 1))
 
     @pytest.mark.parametrize(
         "alpha, named",
@@ -379,14 +383,9 @@ class TestAcceptableVectors:
     def test_component_that_is_not_an_int_is_refused(self, diffskp, alpha, named):
         # each component is taken as given: 1.9 is not read as 1, nor True
         # or "1" as 1, by the valuation (the context every expansion takes)
-        # or the closure check
         message = rf"^cutoff component {re.escape(named)} is not an int$"
-        for call in (
-            lambda: SkpValuation(diffskp, alpha),
-            lambda: validate_acceptable(diffskp, alpha),
-        ):
-            with pytest.raises(ValueError, match=message):
-                call()
+        with pytest.raises(ValueError, match=message):
+            SkpValuation(diffskp, alpha)
 
 
 class TestDegreeInequality:

@@ -27,14 +27,16 @@ from skpval import skp as skp_module
 from skpval.expansion import euclidean_expand, vp
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
-from skpval.skp import KeyProducts, SkpTable
-from skpval.valtable import table_from_chain
+from skpval.skp import KeyProducts, SkpEntry, SkpTable
+from skpval.valtable import TableEntry, table_from_chain
 from skpval.valuation import value_report
 
 from conftest import (
     VALUE_ENTRIES,
     acceptable_vectors,
+    at_rewrite_cap,
     attainment_products,
+    count_calls,
     doubling_chain,
     example1_rows,
     top_cut,
@@ -59,11 +61,17 @@ def gv(*coords):
 
 def nonpositive_beta_table(diffskp, index, beta):
     """diffskp's key polynomials under its betas with the one at ``index``
-    replaced by ``beta`` <= 0, a table built without validation."""
+    replaced by ``beta`` <= 0, a table built without validation: each entry
+    has its chain value and keeps diffskp's n, relation, d, key polynomial,
+    theta and rewrite terms."""
     betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
     values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
-    products = KeyProducts(diffskp.entries, diffskp.nvars, diffskp.field, diffskp.cutoff)
-    return SkpTable(values, products)
+    entries = {}
+    for k, old in diffskp.entries.items():
+        ventry = TableEntry(k, values.entries[k].beta, old.n, old.relation)
+        entry = entries[k] = SkpEntry(ventry, old.d, old.poly, old.theta)
+        entry.rewrite_terms = old.rewrite_terms
+    return SkpTable(values, KeyProducts(entries, diffskp.nvars, diffskp.field, diffskp.cutoff))
 
 
 class TestValueOf:
@@ -304,18 +312,28 @@ class TestEuclideanWork:
                 entry(P("X1"), SkpValuation(table))
 
     @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
-    def test_nonpositive_beta_table_expands(self, diffskp, index, beta):
+    def test_nonpositive_beta_table_expands(self, diffskp, index, beta, monkeypatch):
         # adic_expand reads the same rule set, refusal and all, and still
-        # gives the rescanning reference's expansion; the counts differ, as
-        # the library weighs by the chain and the reference by the entries,
-        # which keep diffskp's betas
+        # gives the rescanning reference's expansion with its rewrite count:
+        # the library weighs by the chain, the reference by the entries, and
+        # the table holds one beta per position
         table = nonpositive_beta_table(diffskp, index, beta)
         v = SkpValuation(table)
         assert v.rule_set.refusal[0] is ValueError
         rng = random.Random(89)
         for f in [P("(X0+X1)^6")] + [random_polynomial(rng, 2, 6) for _ in range(12)]:
-            reference, _ = rescan_adic_expand(f, table)
-            assert adic_expand(f, v).to_json() == reference.to_json(), str(f)
+            reference, rewrites = rescan_adic_expand(f, table)
+            got = at_rewrite_cap(monkeypatch, rewrites, lambda: adic_expand(f, v))
+            assert got.to_json() == reference.to_json(), str(f)
+
+    def test_entry_with_another_beta_refused(self, diffskp):
+        # diffskp's entries under a chain whose beta at (0, 1) is -2: the
+        # table would weigh by one beta and value by another
+        betas = [gv(-2)] + [diffskp.entries[k].beta for k in diffskp.order[1:]]
+        values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
+        products = KeyProducts(diffskp.entries, diffskp.nvars, diffskp.field, diffskp.cutoff)
+        with pytest.raises(ValueError, match=r"^the entry at \(0, 1\) has a beta other than"):
+            SkpTable(values, products)
 
 
 class TestContext:
@@ -345,6 +363,19 @@ class TestContext:
         value_of(f, v)  # the value loop reads the same rule set
         assert (len(built), len(lifted)) == (1, len(f.terms))
 
+    def test_each_context_derives_its_rules_once(self, diffskp, monkeypatch):
+        # the constructor normalizes the vector and derives its rules; the
+        # gate, the rule set and every entry reuse them
+        calls = count_calls(monkeypatch, "rewrite_rules", "normalize_alpha")
+        for alpha in (None, (1, 2)):
+            v = SkpValuation(diffskp, alpha)
+            for f in (P("(X0+X1)^6"), P("X1^2 - X0^3")):
+                adic_expand(f, v)
+                value_of(f, v)
+                value_via_euclidean(f, v)
+                graded_normal_form(f, v)
+        assert calls == {"rewrite_rules": 2, "normalize_alpha": 2}
+
     def test_contexts_share_the_tables_euclidean_stores(self, diffskp_table, monkeypatch):
         # the steps, bounds and divisor splits are the table's: a second
         # context on it, with the top row cut, splits no divisor again
@@ -362,7 +393,7 @@ class TestContext:
                 for f in polys:
                     value_via_euclidean(f, v)
                     euclidean_expand(f, v)
-                    euclidean_expand(f, v, j=1)
+                    euclidean_expand(f, top_cut(v.skp, 1))
 
         skp = build_skp(diffskp_table)
         full, cut = SkpValuation(skp), top_cut(skp, 2)
