@@ -1,6 +1,11 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,12 +29,102 @@ from skpval import (
 )
 from skpval import expansion
 from skpval import skp as skp_module
+from skpval.cli import run_command
 from skpval.realize import realize
 from skpval.valtable import enumerate_semigroup
 
 # every @given test draws the same examples on every run
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+DATA = Path(__file__).parent / "data"
+
+# a mutation's value that deletes its key
+ABSENT = object()
+
+
+def nested(depth):
+    """A stand-in for ``depth`` nested arrays around "2", which
+    ``write_problem`` writes out: the json module cannot encode or copy a
+    tree that deep."""
+    return f"<nest {depth}>"
+
+
+def at(data, path):
+    """The container and the key that a dotted key path names in ``data``."""
+    *outer, last = path.split(".")
+    for key in outer:
+        data = data[int(key) if isinstance(data, list) else key]
+    return data, int(last) if isinstance(data, list) else last
+
+
+def write_problem(directory, problem, mutation=None, name="problem.json"):
+    """Write ``problem``, a tests/data file name or a dict, to
+    ``directory/name`` and return the path.  ``mutation`` maps a key path
+    (dict keys and list indices joined with ".") to the value set there in
+    a copy of the problem; the value ABSENT deletes the key."""
+    text = (DATA / problem).read_text() if isinstance(problem, str) else json.dumps(problem)
+    data = json.loads(text)  # a copy: a mutation leaves ``problem`` as it is
+    for path, value in (mutation or {}).items():
+        container, key = at(data, path)
+        if value is ABSENT:
+            container.pop(key, None)
+        else:
+            container[key] = value
+    text = re.sub(
+        r'"<nest (\d+)>"',
+        lambda m: "[" * int(m[1]) + '"2"' + "]" * int(m[1]),
+        json.dumps(data, indent=2, sort_keys=True),
+    )
+    path = Path(directory) / name
+    path.write_text(text)
+    return path
+
+
+CliRun = namedtuple("CliRun", "code report text")
+
+
+def run_cli(*argv, code=None, kind=None, message=None):
+    """Run the command line in process on ``argv`` (each item as a str),
+    check what every run owes the 0/1/2 exit contract, and return the exit
+    code, the report and the text it was read from.
+
+    An argparse usage error must be asked for, as kind "usage": it exits 2
+    with no report and the usage on stderr.  Any other run leaves stderr
+    empty and writes one JSON report, to stdout or to the ``--out`` file.
+    The report holds at most one diagnostic: none on exit 0, and kind
+    schema exactly on exit 2.  Its status follows: ok on exit 0, error for
+    kind schema or internal, and invalid for any other kind or for exit 1
+    without a diagnostic.  The exit code, the diagnostic's kind and a
+    fragment of its message (of the usage, for a usage error) match where
+    given.
+    """
+    argv = [str(a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            got = run_command(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        usage = err.getvalue()
+        assert (exc.code, out.getvalue(), kind) == (2, "", "usage"), (argv, usage)
+        assert usage.startswith("usage: skpval") and (message or "") in usage, (argv, usage)
+        return CliRun(2, None, "")
+    assert err.getvalue() == "", (argv, err.getvalue())  # the report is the only output
+    text = out.getvalue()
+    if "--out" in argv and not text:
+        text = Path(argv[argv.index("--out") + 1]).read_text()
+    report = json.loads(text)
+    assert isinstance(report, dict), (argv, text)
+    kinds = [d["kind"] for d in report["diagnostics"]]
+    assert code is None or got == code, (argv, got, report)
+    assert kind is None or kinds == [kind], (argv, report)
+    assert message is None or message in report["diagnostics"][0]["message"], (argv, report)
+    assert got in (0, 1, 2) and len(kinds) <= 1, (argv, got, report)
+    assert (got == 2) == (kinds == ["schema"]) and (got != 0 or not kinds), (argv, got, report)
+    status = "ok" if got == 0 else "error" if kinds in (["schema"], ["internal"]) else "invalid"
+    assert report["status"] == status, (argv, got, report)
+    return CliRun(got, report, text)
+
 
 # the entries that value a polynomial, each touching the value gate first
 VALUE_ENTRIES = (value_of, value_via_euclidean, initial_form, delta_of)

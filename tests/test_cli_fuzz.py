@@ -3,8 +3,9 @@
 Every ``tests/data`` problem is mutated (keys dropped, values retyped, table
 indices moved out of range, integers made extreme, arrays nested deeply)
 and run through every command, and ``--poly``, ``--alpha`` and ``--j`` take
-strings drawn from a token pool.  Whatever the input, a command prints one
-JSON object, exits 0, 1 or 2, and reports no ``internal`` diagnostic.
+strings drawn from a token pool.  Whatever the input, a command passes the
+checks of ``conftest.run_cli`` (one JSON report, empty stderr, exit 0, 1 or
+2, a status that follows) and reports no ``internal`` diagnostic.
 
 The verification bounds, a tail's ``depth``, the ``cutoff`` and every table
 value and generator stay small (``SMALL``): no work budget caps them yet.
@@ -13,16 +14,11 @@ exponent of a key polynomial, which the table's ``skp.KeyProducts`` store
 builds one factor at a time.
 """
 
-import io
 import json
 import random
-import re
-from contextlib import redirect_stdout
-from pathlib import Path
 
-from skpval.cli import run_command
+from conftest import DATA, nested, run_cli, write_problem
 
-DATA = Path(__file__).parent / "data"
 PROBLEMS = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))]
 
 SEED = 20231
@@ -51,20 +47,6 @@ COMMANDS = [
     ["verify"], ["realize", "--verify", "--samples=3"], ["expand"],
     ["eval"], ["initial"], ["normal-form"], ["delta"],
 ]
-
-
-def _nested(depth):
-    """A stand-in for ``depth`` nested arrays, which ``_text`` writes out:
-    the json module cannot encode or copy a tree that deep."""
-    return f"<nest {depth}>"
-
-
-def _text(data):
-    return re.sub(
-        r'"<nest (\d+)>"',
-        lambda m: "[" * int(m[1]) + '"2"' + "]" * int(m[1]),
-        json.dumps(data),
-    )
 
 
 def _nodes(data, path=()):
@@ -96,9 +78,9 @@ def _mutate(rng, data):
     elif kind == 3 and isinstance(parent, dict) and path:
         parent[rng.choice(INDICES)] = parent.pop(last)
     elif kind == 4 and path:
-        parent[last] = _nested(rng.choice([3, 50, 900, 2000]))
+        parent[last] = nested(rng.choice([3, 50, 900, 2000]))
     elif isinstance(data, dict):
-        data["x"] = _nested(rng.choice([10, 1100, 2000]))
+        data["x"] = nested(rng.choice([10, 1100, 2000]))
     return data
 
 
@@ -124,15 +106,11 @@ def _cases():
 
 
 def test_exit_contract_on_mutated_problems(tmp_path):
-    path = tmp_path / "problem.json"
     for data, command in _cases():
-        path.write_text(_text(data))
-        argv = command + (["--skp"] if command[0] in VALUE_COMMANDS else []) + [str(path)]
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = run_command(argv)
-        case = f"{argv} on {json.dumps(data)[:300]}"
-        report = json.loads(out.getvalue())
-        assert isinstance(report, dict), case
-        assert code in (0, 1, 2), case
-        assert all(d["kind"] != "internal" for d in report["diagnostics"]), (case, report)
+        path = write_problem(tmp_path, data)
+        argv = command + (["--skp"] if command[0] in VALUE_COMMANDS else []) + [path]
+        try:
+            report = run_cli(*argv).report
+            assert all(d["kind"] != "internal" for d in report["diagnostics"]), report
+        except AssertionError as exc:
+            raise AssertionError(f"{argv} on {json.dumps(data)[:300]}") from exc

@@ -11,19 +11,14 @@ A row is (problem, mutation, argv, exit_code, diagnostic, fields):
   fragment on stderr;
 - fields: {key path into the report's result: expected value}, or None.
 
-Every run but a usage error leaves stderr empty.  A probe that another
-test already checks gets no row.
+Each row runs through ``conftest.run_cli``, which also checks stderr and
+the report's status.  A probe that another test already checks gets no row.
 """
-
-import json
-from pathlib import Path
 
 import pytest
 
-from conftest import doubling_chain
-from skpval.cli import run_command
+from conftest import at, doubling_chain, run_cli, write_problem
 
-DATA = Path(__file__).parent / "data"
 GAMMA = {"kind": "realize", "generators": [["4"], ["6"], ["13"]]}
 DOUBLING_6 = {"kind": "realize", "generators": [[str(g)] for (g,) in doubling_chain(6)]}
 
@@ -57,40 +52,15 @@ PROBES = {
 }
 
 
-def at(data, path):
-    """The container and the key that a dotted key path names in ``data``."""
-    *outer, last = path.split(".")
-    for key in outer:
-        data = data[int(key) if isinstance(data, list) else key]
-    return data, int(last) if isinstance(data, list) else last
-
-
 @pytest.mark.parametrize(
     "problem, mutation, argv, exit_code, diagnostic, fields", PROBES.values(), ids=list(PROBES)
 )
-def test_probe(tmp_path, capsys, problem, mutation, argv, exit_code, diagnostic, fields):
-    text = (DATA / problem).read_text() if isinstance(problem, str) else json.dumps(problem)
-    problem = json.loads(text)  # a copy: a mutation leaves the row as it is
-    for path, value in (mutation or {}).items():
-        container, key = at(problem, path)
-        container[key] = value
-    path = tmp_path / "problem.json"
-    path.write_text(json.dumps(problem))
-    try:
-        code = run_command([str(path) if a == "{}" else a for a in argv.split()])
-    except SystemExit as exc:  # argparse refuses the command line
-        code = exc.code
-    out, err = capsys.readouterr()
-    assert code == exit_code
-    if diagnostic and diagnostic[0] == "usage":
-        assert out == ""
-        assert diagnostic[1] in err
-        return
-    assert err == ""
-    report = json.loads(out)
-    assert [d["kind"] for d in report["diagnostics"]] == ([diagnostic[0]] if diagnostic else [])
-    if diagnostic:
-        assert diagnostic[1] in report["diagnostics"][0]["message"]
+def test_probe(tmp_path, problem, mutation, argv, exit_code, diagnostic, fields):
+    path = write_problem(tmp_path, problem, mutation)
+    kind, message = diagnostic or (None, None)
+    argv = [path if a == "{}" else a for a in argv.split()]
+    report = run_cli(*argv, code=exit_code, kind=kind, message=message).report
+    assert diagnostic or report["diagnostics"] == []
     for path, want in (fields or {}).items():
         container, key = at(report["result"], path)
         assert container[key] == want

@@ -11,19 +11,15 @@ Regenerate the golden file only when a report is meant to change:
     PYTHONPATH=src python3 tests/test_golden_cli.py
 """
 
-import contextlib
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from skpval.cli import run_command
+from conftest import DATA, run_cli, write_problem
 
-TESTS = Path(__file__).parent
-DATA = TESTS / "data"
-GOLDEN = TESTS / "golden" / "cli_reports.json"
+GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
 
 # skp problem files: two polynomials each and the top-row cutoff for delta
 SKP_FILES = {
@@ -86,12 +82,11 @@ def corpus_commands():
 
 def cutoff_commands(tmp_dir):
     """(name, argv) of build/eval/expand on swapped_diffskp at each cutoff."""
-    base = json.loads((DATA / "swapped_diffskp.json").read_text())
     out = []
     for cutoff in CUTOFFS:
-        path = Path(tmp_dir) / f"swapped_cutoff_{cutoff}.json"
-        path.write_text(json.dumps(dict(base, cutoff=cutoff), indent=2, sort_keys=True))
-        path = str(path)
+        path = write_problem(
+            tmp_dir, "swapped_diffskp.json", {"cutoff": cutoff}, f"swapped_cutoff_{cutoff}.json"
+        )
         out += [
             (f"build cutoff {cutoff}", ["build", path]),
             (f"eval cutoff {cutoff}", ["eval", "--skp", path, "--poly", "X0^2-X1^3"]),
@@ -101,10 +96,8 @@ def cutoff_commands(tmp_dir):
 
 
 def report_of(argv):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = run_command(["--seed", "0"] + argv)
-    return {"exit": code, "report": buf.getvalue()}
+    run = run_cli("--seed", "0", *argv)
+    return {"exit": run.code, "report": run.text}
 
 
 def all_reports(tmp_dir):

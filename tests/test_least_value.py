@@ -37,7 +37,6 @@ from skpval import (
     value_of,
     value_via_euclidean,
 )
-from skpval.cli import run_command
 from skpval.expansion import AdicExpansion, RuleSet, least_value, least_value_part
 from skpval.realize import random_polynomial, realize
 from skpval.skp import rewrite_rules
@@ -49,6 +48,8 @@ from conftest import (
     attainment_products,
     doubling_chain,
     example1_rows,
+    run_cli,
+    write_problem,
 )
 from oracles import (
     admits_tie,
@@ -258,20 +259,14 @@ class TestValueLoweringRule:
             with pytest.raises(InvalidTableError, match=message):
                 entry(parse_poly("X2", 3), SkpValuation(skp))
 
-    def test_value_commands_exit_1(self, tmp_path, capsys):
-        path = tmp_path / "lowering.json"
-        path.write_text(json.dumps(_value_lowering_tail()))
-        poly = ["--skp", str(path), "--poly", "X2"]
+    def test_value_commands_exit_1(self, tmp_path):
+        path = write_problem(tmp_path, _value_lowering_tail())
+        poly = ["--skp", path, "--poly", "X2"]
         for argv in (["eval"] + poly, ["initial"] + poly, ["normal-form"] + poly,
                      ["delta"] + poly + ["--j", "2"]):
-            assert run_command(argv) == 1, argv
-            diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
-            assert [d["kind"] for d in diagnostics] == ["InvalidTable"], argv
-            assert "U_{2,1}" in diagnostics[0]["message"]
-        for argv in (["build", str(path)], ["expand", str(path), "--poly", "X2"],
-                     ["classify", str(path)]):
-            assert run_command(argv) == 0, argv
-            capsys.readouterr()
+            run_cli(*argv, code=1, kind="InvalidTable", message="U_{2,1}")
+        for argv in (["build", path], ["expand", path, "--poly", "X2"], ["classify", path]):
+            run_cli(*argv, code=0)
 
 
 class TestRefusedTableExpands:
@@ -319,7 +314,7 @@ class TestPolynomialCheck:
                 entry(f, v)
         assert value_of(parse_poly("X1 + X2", 3), v) == GroupValue((2,))
 
-    def test_value_rules_refuse_first(self, tmp_path, capsys):
+    def test_value_rules_refuse_first(self, tmp_path):
         # the lowering tail's table with an empty row 3 on top
         data = _value_lowering_tail()
         data["values"]["rows"].append([])
@@ -331,12 +326,9 @@ class TestPolynomialCheck:
             with pytest.raises(fault):
                 entry(f, v)
         # the command line refuses the polynomial before it builds a context
-        path = tmp_path / "lowering_empty_row.json"
-        path.write_text(json.dumps(data))
+        path = write_problem(tmp_path, data)
         for poly, code, kind in (("X3 + X2", 2, "schema"), ("X2", 1, "InvalidTable")):
-            assert run_command(["eval", "--skp", str(path), "--poly", poly]) == code
-            diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
-            assert [d["kind"] for d in diagnostics] == [kind]
+            run_cli("eval", "--skp", path, "--poly", poly, code=code, kind=kind)
 
 
 class TestEarlyStop:
