@@ -136,11 +136,12 @@ def inductive_invariants(skp, declared_infinite_rows=()):
 
 
 class RowArithmetic:
-    """Finiteness flag and row-final value of one reduced row."""
+    """Finiteness flag and row-final value of one reduced row, finite unless
+    declared infinite."""
 
     __slots__ = ("infinite", "final")
 
-    def __init__(self, infinite, final=None):
+    def __init__(self, infinite=False, final=None):
         if not infinite and final is None:
             raise ValueError("a finite row needs its final value")
         self.infinite = infinite
@@ -165,6 +166,9 @@ class PseudoSkpArithmetic:
             raise ValueError("the lookup table covers exactly rows 1 and 2")
         if self.declared is None and self.beta01 is None:
             raise ValueError("need either values or declared predicates")
+        values = [self.beta01] + [row.final for row in self.rows]
+        if len({v.dim for v in values if v is not None}) > 1:
+            raise ValueError("beta01 and the row finals differ in dimension")
 
     def predicates(self):
         if self.declared is not None:

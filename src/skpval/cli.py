@@ -15,7 +15,7 @@ from .classify import abhyankar_check, classify_table1, inductive_invariants
 from .errors import SchemaError, SkpvalError
 from .expansion import adic_expand
 from . import jsonio
-from .realize import CORRECTED, LITERAL, realize, verify_realization
+from .realize import CORRECTED, realize, verify_realization
 from .skp import minimal_pseudo_skp
 from .valuation import (
     SkpValuation,
@@ -27,10 +27,6 @@ from .valuation import (
 from .valtable import validate_table
 
 
-def _digest(raw):
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
-
-
 def _read_problem(path):
     try:
         with open(path, "rb") as fh:
@@ -38,14 +34,11 @@ def _read_problem(path):
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return json.loads(raw), "sha256:" + hashlib.sha256(raw).hexdigest()
+    except ValueError as exc:  # not JSON, not UTF-8, or an int longer than int() reads
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} is nested too deeply to read") from exc
-    if not isinstance(data, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    return data, _digest(raw)
 
 
 def _load_valuation(path, args):
@@ -59,7 +52,7 @@ def _load_valuation(path, args):
 
 def cmd_validate(args):
     data, digest = _read_problem(args.file)
-    table = jsonio.load_table(data.get("values", data))
+    _, table = jsonio.read_skp(data)
     report = validate_table(table)
     status = 0 if report.is_sequence_of_values else 1
     return status, digest, {"validation": report.to_json()}
@@ -113,8 +106,8 @@ def cmd_normal_form(args):
 
 def cmd_classify(args):
     data, digest = _read_problem(args.file)
-    if "arithmetic" in data:
-        arith = jsonio.load_arithmetic(data["arithmetic"])
+    if isinstance(data, dict) and "arithmetic" in data:
+        arith = jsonio.walk(jsonio.CLASSIFY, data)["arithmetic"]
         report = classify_table1(arith)
         payload = report.to_json()
         payload["abhyankar"] = (
@@ -122,43 +115,31 @@ def cmd_classify(args):
         )
         return 0, digest, {"classification": payload}
     skp = jsonio.build_from_problem(data)
-    declared = jsonio.load_declared_rows(data, skp.nvars)
-    report = inductive_invariants(skp, declared)
+    report = inductive_invariants(skp, jsonio.SKP.entry(data, "declared_infinite_rows") or ())
     payload = report.to_json()
     payload["abhyankar"] = abhyankar_check(report, skp.nvars)
     return 0, digest, {"invariants": payload}
 
 
 def cmd_realize(args):
-    for key in ("coeff_bound", "degree_bound", "samples"):
-        if getattr(args, key) is not None:
-            jsonio.load_int(getattr(args, key), "--" + key.replace("_", "-"), nonnegative=True)
+    bounds = {key: getattr(args, key) for key in ("coeff_bound", "degree_bound", "samples")}
+    for key, value in bounds.items():
+        if (value or 0) < 0:
+            raise SchemaError(f"--{key.replace('_', '-')}: an integer >= 0")
     data, digest = _read_problem(args.file)
     spec = jsonio.load_semigroup_spec(data)
-    mode = args.mode or data.get("mode", CORRECTED)
-    if mode not in (LITERAL, CORRECTED):
-        raise SchemaError(f"unknown mode {mode!r}")
-    thetas = jsonio.load_thetas(data, spec.field)
+    mode = args.mode or jsonio.REALIZE.entry(data, "mode") or CORRECTED
+    thetas = jsonio.REALIZE.entry(data, "thetas") or {}
     result = realize(spec, mode, thetas)
     table = result.valuation.skp
     jsonio.require_indices(thetas, table.entries, "a theta")
     payload = {
-        "mode": mode,
-        "blocks": result.blocks.to_json(),
-        "analysis": result.analysis.to_json(),
-        "table": jsonio.dump_table(table),
-        "report": result.report,
+        "mode": mode, "blocks": result.blocks.to_json(), "analysis": result.analysis.to_json(),
+        "table": jsonio.dump_table(table), "report": result.report,
     }
     if args.verify:
-        verdict = verify_realization(
-            result.valuation,
-            spec,
-            result.blocks,
-            coeff_bound=args.coeff_bound,
-            degree_bound=args.degree_bound,
-            samples=args.samples,
-            seed=args.seed,
-        )
+        valuation, blocks = result.valuation, result.blocks
+        verdict = verify_realization(valuation, spec, blocks, seed=args.seed, **bounds)
         payload["verification"] = verdict.to_json()
     return 0, digest, {"realization": payload}
 

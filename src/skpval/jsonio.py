@@ -1,83 +1,234 @@
-"""Problem-file schemas: loading and serializing the JSON interchange forms.
-
-Rationals travel as strings "p/q" (or "p"), group values as arrays of such
-strings (a bare string or number is accepted for dimension one), infinite
-indices as the string "inf", and table indices as "i,j" keys.
+"""Problem files and reports as JSON.  ``SKP``, ``REALIZE`` and ``CLASSIFY``
+give each key of a problem, whether it is required, and its form (``what``
+it is in words, and ``read(data)``, its value); ``walk`` refuses any other
+key at any depth.  A null is the key absent; only the keys present are
+passed on, so each keeps its constructor's default.  Other checks follow.
 """
 
+import json
 from fractions import Fraction
 
 from .classify import PseudoSkpArithmetic, RowArithmetic
 from .errors import SchemaError
-from .fields import QQ, PrimeField, field_to_spec
+from .fields import MAX_PRIME, QQ, PrimeField, field_to_spec
 from .ordgroup import GroupValue, format_index
 from .poly import parse_poly
-from .realize import SemigroupSpec
+from .realize import CORRECTED, LITERAL, SemigroupSpec
 from .skp import LimitTail, build_skp
 from .valtable import compute_relations
 from .valuation import SkpValuation
 
-
-def _require(cond, message):
-    if not cond:
-        raise SchemaError(message)
+REQUIRED, OPTIONAL = True, False
 
 
-def _optional(data, key, kind, what):
-    """An optional field of type ``kind`` (dict or list): a missing key or
-    null reads as empty, any other value of another type is refused."""
-    value = data.get(key)
-    if value is None:
-        return kind()
-    _require(isinstance(value, kind), f"\"{key}\" must be {what}")
-    return value
+class _Refused(Exception):
+    """``what`` a form wants, and the key path to the data it refuses,
+    innermost key first, built as the exception passes out of the walk."""
+
+    def __init__(self, what, *path):
+        self.what, self.path = what, list(path)
 
 
-def load_rational(data):
-    if isinstance(data, bool):
-        raise SchemaError(f"bad rational {data!r}")
-    if isinstance(data, int):
-        return Fraction(data)
-    if isinstance(data, str):
-        return QQ.parse(data)
-    raise SchemaError(f"bad rational {data!r}")
-
-
-def load_int(data, what, nonnegative=False):
-    """A JSON integer, or a number with an integral value such as 3.0.
-
-    A bool is refused although Python counts it as an int.
-    """
-    integral = (isinstance(data, int) and not isinstance(data, bool)) or (
-        isinstance(data, float) and data.is_integer()
-    )
-    want = "a nonnegative integer" if nonnegative else "an integer"
-    _require(
-        integral and not (nonnegative and data < 0), f"bad {what} {data!r} (want {want})"
-    )
-    return int(data)
-
-
-def load_field(data):
-    """The field from its JSON form: "Q" (the default) or {"prime": p},
-    p an integer by ``load_int``'s rule."""
-    if data is None or data == "Q":
-        return QQ
-    _require(isinstance(data, dict) and "prime" in data, f"bad field spec {data!r}")
+def _item(form, data, key):
+    """``data``, the item at ``key`` of its container, read by ``form``."""
     try:
-        return PrimeField(load_int(data["prime"], "prime"))
-    except ValueError as exc:
-        raise SchemaError(f"bad field spec {data!r}") from exc
+        return form.read(data)
+    except _Refused as exc:
+        exc.path.append(key)
+        raise
 
 
-def load_group_value(data, dim=None):
-    if isinstance(data, (int, str)):
-        data = [data]
-    _require(isinstance(data, list) and data, f"bad group value {data!r}")
-    v = GroupValue([load_rational(c) for c in data])
-    if dim is not None and v.dim != dim:
-        raise SchemaError(f"group value {data!r} has dimension {v.dim}, want {dim}")
-    return v
+class Int:
+    """A JSON integer, or a number with an integral value such as 3.0, at
+    least ``low``; a bool is refused although Python counts it an int."""
+
+    def __init__(self, low=None):
+        self.low = low
+        self.what = "an integer" if low is None else f"an integer >= {low}"
+
+    def read(self, data):
+        if type(data) is float and data.is_integer():
+            data = int(data)
+        if type(data) is int and (self.low is None or data >= self.low):
+            return data
+        raise _Refused(self.what)
+
+
+class Enum:
+    """One of the JSON ``values``, of its type: true is not 1."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.what = "one of " + ", ".join(json.dumps(v) for v in values)
+
+    def read(self, data):
+        if any(type(data) is type(v) and data == v for v in self.values):
+            return data
+        raise _Refused(self.what)
+
+
+class Rational:
+    what = 'a rational "p" or "p/q" in the digits 0-9, or an integer'
+
+    def read(self, data):
+        try:
+            return Fraction(data) if type(data) is int else QQ.parse(data)
+        except (TypeError, SchemaError):  # not a str, or not of the form
+            raise _Refused(self.what) from None
+
+
+class Value:
+    what = "a group value: a rational or a nonempty array of rationals"
+
+    def read(self, data):
+        if type(data) is list and data:
+            return GroupValue([_item(RATIONAL, c, k) for k, c in enumerate(data)])
+        if type(data) in (int, str):
+            return GroupValue(RATIONAL.read(data))
+        raise _Refused(self.what)
+
+
+class Field:
+    def read(self, data):
+        if data == "Q":
+            return QQ
+        try:
+            return PrimeField(PRIME.read(data)["prime"])
+        except (ValueError, SchemaError):
+            raise _Refused(f"a prime below {MAX_PRIME}", "prime") from None
+
+
+class Array:
+    """An array of ``item`` forms, ``length`` of them where that is given."""
+
+    def __init__(self, item, length=None):
+        self.item, self.length = item, length
+        self.what = "an array" if length is None else f"an array of {length} items"
+
+    def read(self, data):
+        if type(data) is not list or self.length not in (None, len(data)):
+            raise _Refused(self.what)
+        return [_item(self.item, x, k) for k, x in enumerate(data)]
+
+
+class Map:
+    """An object from table indices "i,j" to ``value`` forms, read in sorted
+    key order, so which fault is refused does not follow the file's order."""
+
+    what = "an object"
+
+    def __init__(self, value):
+        self.value = value
+
+    def read(self, data):
+        if type(data) is not dict:
+            raise _Refused(self.what)
+        out = {}
+        for key in sorted(data):
+            try:
+                i, j = key.split(",")
+                index = load_digits(i), load_digits(j)
+            except ValueError:
+                raise _Refused('a table index "i,j" in the digits 0-9', key) from None
+            out[index] = _item(self.value, data[key], key)
+        return out
+
+
+class Object:
+    """An object of the ``entries`` {key: (required, form)}: another key is
+    refused, the least first, and so is a required key absent.  ``read`` gives
+    the keys present, or ``build`` of them, whose ValueError refuses the object."""
+
+    def __init__(self, entries, build=None, what="an object"):
+        self.entries, self.build, self.what = entries, build, what
+
+    def read(self, data):
+        if type(data) is not dict:
+            raise _Refused(self.what)
+        unknown = data.keys() - self.entries.keys()
+        if unknown:
+            raise _Refused("unknown key", min(unknown))
+        out = {}
+        for key, (required, form) in self.entries.items():
+            if data.get(key) is not None:
+                out[key] = _item(form, data[key], key)
+            elif required:
+                raise _Refused("required", key)
+        try:
+            return out if self.build is None else self.build(**out)
+        except ValueError as exc:
+            raise _Refused(str(exc)) from None
+
+    def entry(self, data, key):
+        """The value of ``key`` in ``data``, which this form has read, or None."""
+        return None if data.get(key) is None else self.entries[key][1].read(data[key])
+
+
+RATIONAL, VALUE, FIELD, BOOL = Rational(), Value(), Field(), Enum(True, False)
+PRIME = Object({"prime": (REQUIRED, Int())}, what='"Q" or {"prime": p}')
+THETAS = Map(RATIONAL)
+
+SKP = Object({
+    "kind": (OPTIONAL, Enum("skp", "values")),
+    "values": (REQUIRED, Object({
+        "dimension": (OPTIONAL, Int(1)),
+        "rows": (REQUIRED, Array(Array(VALUE))),
+        "limit_labels": (OPTIONAL, Map(Int())),
+    })),
+    "thetas": (OPTIONAL, THETAS),
+    "cutoff": (OPTIONAL, Int(0)),
+    "limit_tails": (OPTIONAL, Array(Object({
+        "row": (REQUIRED, Int()),
+        "at": (REQUIRED, Int(2)),
+        "exponents": (REQUIRED, Map(Array(Int(), length=2))),
+        "theta": (OPTIONAL, RATIONAL),
+        "depth": (OPTIONAL, Int()),
+    }, build=LimitTail))),
+    "field": (OPTIONAL, FIELD),
+    "declared_infinite_rows": (OPTIONAL, Array(Int(0))),
+})
+
+REALIZE = Object({
+    "kind": (OPTIONAL, Enum("realize")),
+    "generators": (REQUIRED, Array(VALUE)),
+    "limit_labels": (OPTIONAL, Array(Int(1))),
+    "field": (OPTIONAL, FIELD),
+    **dict.fromkeys(("coeff_bound", "degree_bound", "samples"), (OPTIONAL, Int(0))),
+    "mode": (OPTIONAL, Enum(LITERAL, CORRECTED)),
+    "thetas": (OPTIONAL, THETAS),
+})
+
+CLASSIFY = Object({
+    "kind": (OPTIONAL, Enum("classify")),
+    "arithmetic": (REQUIRED, Object({
+        "beta01": (OPTIONAL, VALUE),
+        "rows": (REQUIRED, Array(Object(
+            {"infinite": (OPTIONAL, BOOL), "final": (OPTIONAL, VALUE)}, build=RowArithmetic
+        ), length=2)),
+        "declared": (OPTIONAL, Object({
+            **dict.fromkeys(("level0", "level1", "level2"), (OPTIONAL, Int(0))),
+            **dict.fromkeys(("in_q1", "in_q2", "span1_in_02", "span2_in_01"), (OPTIONAL, BOOL)),
+        })),
+    }, build=PseudoSkpArithmetic)),
+})
+
+
+def walk(schema, data):
+    """``data`` read by the table ``schema``; a refusal raises SchemaError
+    "<key path>: <expected form>", keys cut short so no message grows."""
+    try:
+        return schema.read(data)
+    except _Refused as exc:
+        keys = [k if len(k) <= 24 else k[:21] + "..." for k in map(str, exc.path[::-1])]
+        raise SchemaError(f"{'.'.join(keys) or 'the problem'}: {exc.what}") from None
+
+
+def _same_dimension(values, path, dim):
+    """Refuse the first value whose dimension is not ``dim``, at its key
+    path ``path.format(k)``."""
+    for k, v in enumerate(values):
+        if v.dim != dim:
+            raise SchemaError(f"{path.format(k)}: a group value of dimension {dim}")
 
 
 def load_digits(text):
@@ -88,116 +239,61 @@ def load_digits(text):
     return int(text)
 
 
-def load_index_key(key):
-    try:
-        i, j = key.split(",")
-        return (load_digits(i), load_digits(j))
-    except (ValueError, AttributeError) as exc:
-        raise SchemaError(f"bad table index {key!r} (want \"i,j\")") from exc
-
-
-def load_table(data):
-    _require(isinstance(data, dict), "table must be an object")
-    rows = data.get("rows")
-    _require(isinstance(rows, list), "table needs a \"rows\" array")
-    _require(
-        any(isinstance(r, list) and r for r in rows),
-        "table rows are empty",
-    )
-    for r in rows:
-        _require(isinstance(r, list), "each table row must be an array")
-    dim = data.get("dimension")
-    if dim is None:  # the first value's, so a value of another dimension is refused
-        dim = load_group_value(next(v for row in rows for v in row)).dim
-    else:
-        dim = load_int(dim, "dimension")
-        _require(dim > 0, f"bad dimension {dim} (want a positive integer)")
-    raw_rows = [[load_group_value(v, dim) for v in row] for row in rows]
-    labels = _optional(data, "limit_labels", dict, "an object")
-    labels = {load_index_key(k): load_int(t, "limit label") for k, t in labels.items()}
-    try:
-        table = compute_relations(raw_rows, limit_labels=labels)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    require_indices(labels, table.entries, "a limit label")
-    return table
-
-
 def require_indices(indices, known, what):
     """Refuse, as malformed input, any of the (i, j) ``indices`` outside ``known``."""
     for i, j in indices:
-        _require((i, j) in known, f"no table index {i},{j} for {what}")
+        if (i, j) not in known:
+            raise SchemaError(f"no table index {i},{j} for {what}")
 
 
-def dump_table(table):
-    out = {
-        "dimension": table.dimension,
-        "rows": [[v.to_json() for v in row] for row in table.rows],
-    }
-    if table.limit_labels:
-        out["limit_labels"] = {
-            f"{i},{j}": t for (i, j), t in sorted(table.limit_labels.items())
-        }
-    return out
-
-
-_TAIL_OPTIONS = (
-    ("theta", load_rational),
-    ("depth", lambda data: load_int(data, "tail depth")),
-)
-
-
-def load_limit_tail(data):
-    _require(isinstance(data, dict), "limit tail must be an object")
-    try:
-        exponents = data["exponents"]
-        _require(isinstance(exponents, dict), "limit tail \"exponents\" must be an object")
-        exponents = {
-            load_index_key(k): tuple(load_int(x, "tail exponent") for x in (a, b))
-            for k, (a, b) in exponents.items()
-        }
-        # absent keys keep LimitTail's own defaults
-        optional = {k: load(data[k]) for k, load in _TAIL_OPTIONS if k in data}
-        return LimitTail(
-            row=load_int(data["row"], "tail row"),
-            at=load_int(data["at"], "tail position"),
-            exponents=exponents,
-            **optional,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"bad limit tail {data!r}") from exc
-
-
-def load_cutoff(data):
-    """The optional total-degree cutoff: None or a nonnegative integer."""
-    if data is None:
-        return None
-    return load_int(data, "cutoff", nonnegative=True)
+def read_skp(data):
+    """An skp problem walked by ``SKP``, and its value table, after the
+    checks the table cannot state."""
+    problem = walk(SKP, data)
+    values = problem["values"]
+    rows = values["rows"]
+    if not any(rows):
+        raise SchemaError("table rows are empty")
+    # without "dimension", the first value's, so a value of another is refused
+    dim = values.get("dimension") or next(v for row in rows for v in row).dim
+    for i, row in enumerate(rows):
+        _same_dimension(row, f"values.rows.{i}.{{}}", dim)
+    labels = values.get("limit_labels", {})
+    table = compute_relations(rows, limit_labels=labels)
+    require_indices(labels, table.entries, "a limit label")
+    thetas = problem.get("thetas", {})
+    require_indices(thetas, table.entries, "a theta")
+    for tail in problem.get("limit_tails", ()):
+        at = f"{tail.row},{tail.at}"
+        require_indices([(tail.row, tail.at)], table.entries, "a limit tail")
+        if (tail.row, tail.at - 1) in thetas:  # its rewrite takes the tail's theta
+            before = f"{tail.row},{tail.at - 1}"
+            raise SchemaError(f"a theta at {before}, whose theta the limit tail at {at} gives")
+        # a tail is unrolled from the entries built before its own
+        earlier = [index for index in table.entries if index < (tail.row, tail.at)]
+        require_indices(tail.exponents, earlier, f"a limit tail exponent before {at}")
+    for k, row in enumerate(problem.get("declared_infinite_rows", ())):
+        if row >= table.nvars:
+            raise SchemaError(f"declared_infinite_rows.{k}: a row 0..{table.nvars - 1}")
+    return problem, table
 
 
 def build_from_problem(data):
     """Build the key polynomials of an skp/valuation problem."""
-    table = load_table(data.get("values", data))
-    field = load_field(data.get("field"))
-    thetas = load_thetas(data, field)
-    tails = _optional(data, "limit_tails", list, "an array")
-    tails = [load_limit_tail(t) for t in tails]
-    require_indices(thetas, table.entries, "a theta")
-    for tail in tails:
-        at = (tail.row, tail.at)
-        require_indices([at], table.entries, "a limit tail")
-        # the predecessor's rewrite takes the tail's theta
-        _require(
-            (tail.row, tail.at - 1) not in thetas,
-            f"a theta at {tail.row},{tail.at - 1}, whose theta the limit tail "
-            f"at {at[0]},{at[1]} gives",
-        )
-        # a tail is unrolled from the entries built before its own
-        earlier = [index for index in table.entries if index < at]
-        what = f"a limit tail exponent before {at[0]},{at[1]}"
-        require_indices(tail.exponents, earlier, what)
-    cutoff = load_cutoff(data.get("cutoff"))
-    return build_skp(table, thetas=thetas, cutoff=cutoff, field=field, limit_tails=tails)
+    problem, table = read_skp(data)
+    keys = ("thetas", "cutoff", "field", "limit_tails")
+    return build_skp(table, **{key: problem[key] for key in keys if key in problem})
+
+
+def load_semigroup_spec(data):
+    problem = walk(REALIZE, data)
+    keys = ("generators", "limit_labels", "field", "coeff_bound", "degree_bound", "samples")
+    try:
+        spec = SemigroupSpec(**{key: problem[key] for key in keys if key in problem})
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    _same_dimension(spec.generators, "generators.{}", spec.generators[0].dim)
+    return spec
 
 
 def load_valuation(text, skp):
@@ -220,12 +316,16 @@ def load_poly(text, skp):
     return f
 
 
-def load_declared_rows(data, nvars):
-    """The optional "declared_infinite_rows" array: row numbers 0..nvars-1."""
-    rows = _optional(data, "declared_infinite_rows", list, "an array")
-    rows = [load_int(i, "declared infinite row") for i in rows]
-    _require(all(0 <= i < nvars for i in rows), f"declared rows {rows} outside 0..{nvars-1}")
-    return rows
+def dump_table(table):
+    out = {
+        "dimension": table.dimension,
+        "rows": [[v.to_json() for v in row] for row in table.rows],
+    }
+    if table.limit_labels:
+        out["limit_labels"] = {
+            f"{i},{j}": t for (i, j), t in sorted(table.limit_labels.items())
+        }
+    return out
 
 
 def dump_skp(skp):
@@ -255,85 +355,3 @@ def dump_skp(skp):
     if skp.cutoff is not None:
         out["cutoff"] = skp.cutoff
     return out
-
-
-_LEVELS = ("level0", "level1", "level2")
-_MEMBERSHIPS = ("in_q1", "in_q2", "span1_in_02", "span2_in_01")
-
-
-def _load_declared(declared):
-    """The "declared" predicates: each level a nonnegative integer or null,
-    each membership predicate a bool or null; other names are refused."""
-    _require(isinstance(declared, dict), "\"declared\" must be an object")
-    out = {}
-    for key, value in declared.items():
-        if key in _LEVELS:
-            out[key] = None if value is None else load_int(value, key, nonnegative=True)
-        else:
-            _require(key in _MEMBERSHIPS, f"unknown declared predicate {key!r}")
-            _require(value is None or isinstance(value, bool), f"{key!r} must be a bool or null")
-            out[key] = value
-    return out
-
-
-def load_arithmetic(data):
-    """The three-row lookup input: "beta01" and each row's "final", values
-    of one dimension, each row's "infinite" a bool, and "declared"."""
-    _require(isinstance(data, dict), "arithmetic must be an object")
-    rows_data = data.get("rows")
-    _require(
-        isinstance(rows_data, list) and len(rows_data) == 2,
-        "arithmetic needs exactly two rows (rows 1 and 2)",
-    )
-    beta01 = data.get("beta01")
-    dim = None
-    if beta01 is not None:
-        beta01 = load_group_value(beta01)
-        dim = beta01.dim
-    rows = []
-    for rd in rows_data:
-        _require(isinstance(rd, dict), "each arithmetic row must be an object")
-        infinite = rd.get("infinite", False)
-        _require(isinstance(infinite, bool), f"\"infinite\" must be a bool, not {infinite!r}")
-        final = rd.get("final")
-        _require(infinite or final is not None, "a finite row needs its final value")
-        if final is not None:
-            final = load_group_value(final, dim)
-            dim = final.dim
-        rows.append(RowArithmetic(infinite, final))
-    declared = data.get("declared")
-    if declared is not None:
-        declared = _load_declared(declared)
-    try:
-        return PseudoSkpArithmetic(beta01, rows, declared)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def load_semigroup_spec(data):
-    _require(isinstance(data, dict), "realize problem must be an object")
-    gens = data.get("generators")
-    _require(isinstance(gens, list) and gens, "need a nonempty \"generators\" array")
-    # absent bounds keep SemigroupSpec's own defaults
-    bounds = {
-        key: load_int(data[key], key, nonnegative=True)
-        for key in ("coeff_bound", "degree_bound", "samples")
-        if key in data
-    }
-    labels = _optional(data, "limit_labels", list, "an array")
-    dim = load_group_value(gens[0]).dim
-    try:
-        return SemigroupSpec(
-            [load_group_value(g, dim) for g in gens],
-            limit_labels=[load_int(p, "limit label") for p in labels],
-            field=load_field(data.get("field")),
-            **bounds,
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def load_thetas(data, field):
-    """The optional "thetas" object as a map from table index to field element."""
-    thetas = _optional(data, "thetas", dict, "an object")
-    return {load_index_key(k): field.of(load_rational(v)) for k, v in thetas.items()}

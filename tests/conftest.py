@@ -58,11 +58,13 @@ def at(data, path):
     return data, int(last) if isinstance(data, list) else last
 
 
-def write_problem(directory, problem, mutation=None, name="problem.json"):
+def write_problem(directory, problem, mutation=None, name="problem.json", sort_keys=True):
     """Write ``problem``, a tests/data file name or a dict, to
     ``directory/name`` and return the path.  ``mutation`` maps a key path
     (dict keys and list indices joined with ".") to the value set there in
-    a copy of the problem; the value ABSENT deletes the key."""
+    a copy of the problem; the value ABSENT deletes the key.  The keys are
+    written sorted, or in the problem's own order where ``sort_keys`` is
+    false."""
     text = (DATA / problem).read_text() if isinstance(problem, str) else json.dumps(problem)
     data = json.loads(text)  # a copy: a mutation leaves ``problem`` as it is
     for path, value in (mutation or {}).items():
@@ -74,7 +76,7 @@ def write_problem(directory, problem, mutation=None, name="problem.json"):
     text = re.sub(
         r'"<nest (\d+)>"',
         lambda m: "[" * int(m[1]) + '"2"' + "]" * int(m[1]),
-        json.dumps(data, indent=2, sort_keys=True),
+        json.dumps(data, indent=2, sort_keys=sort_keys),
     )
     path = Path(directory) / name
     path.write_text(text)

@@ -79,18 +79,28 @@ class TestValidate:
         ids=["bool", "string", "zero", "negative", "float"],
     )
     def test_dimension_is_a_positive_integer(self, tmp_path, dimension):
-        data = {"rows": [["2"], ["3", "7"]], "dimension": dimension}
-        report = run_cli("validate", write_problem(tmp_path, data), code=2, kind="schema").report
-        assert report["diagnostics"][0]["message"].startswith("bad dimension ")
+        data = {"values": {"rows": [["2"], ["3", "7"]], "dimension": dimension}}
+        path = write_problem(tmp_path, data)
+        run_cli("validate", path, code=2, kind="schema", message="values.dimension: ")
 
     def test_integral_dimension(self, tmp_path):
-        data = {"rows": [["2"], ["3", "7"]], "dimension": 1.0}
+        data = {"values": {"rows": [["2"], ["3", "7"]], "dimension": 1.0}}
         run_cli("validate", write_problem(tmp_path, data), code=0)
 
     def test_deeply_nested_file_is_malformed_input(self, tmp_path):
-        # the nesting sits under a key nothing reads
-        path = write_problem(tmp_path, {"rows": [["2"]], "x": nested(2000)})
-        run_cli("validate", path, code=2, kind="schema")
+        # the JSON reader refuses the nesting before any key is walked
+        path = write_problem(tmp_path, {"values": {"rows": [["2"]]}, "x": nested(2000)})
+        run_cli("validate", path, code=2, kind="schema", message="nested too deeply")
+
+    @pytest.mark.parametrize(
+        "raw", [b"\xff\xfe{", b'{"kind": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "int-longer-than-int-reads"],
+    )
+    def test_unreadable_json_is_malformed_input(self, tmp_path, raw):
+        # the json module raises a plain ValueError for each, not JSONDecodeError
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        run_cli("validate", path, code=2, kind="schema", message="is not valid JSON")
 
     def test_missing_file(self):
         run_cli("validate", DATA / "nope.json", code=2, kind="schema")
@@ -377,12 +387,10 @@ class TestProblemIntegers:
         run_cli("verify", path, code=2, kind="schema")
 
     @pytest.mark.parametrize("value", [12, None, "x"])
-    def test_leftover_minimality_bound_is_ignored(self, tmp_path, value):
-        # minimality is decided exactly, so the old bound no longer exists
-        want = run_cli("verify", DATA / "free_pair.json", code=0).report
+    def test_leftover_minimality_bound_is_refused(self, tmp_path, value):
+        # minimality is decided exactly, so the old bound is an unknown key
         path = write_problem(tmp_path, "free_pair.json", {"minimality_bound": value})
-        got = run_cli("verify", path, code=0).report
-        assert got["result"] == want["result"]
+        run_cli("verify", path, code=2, kind="schema", message="minimality_bound: unknown key")
 
     def test_integral_numbers_are_integers(self, tmp_path):
         want = run_cli("verify", DATA / "free_pair.json", code=0).report
@@ -794,12 +802,27 @@ class TestInputFaults:
     @pytest.mark.parametrize(
         "command, data",
         [
-            ("validate", {"rows": [["2"], [["3", "1"]]]}),
+            ("validate", {"values": {"rows": [["2"], [["3", "1"]]]}}),
             ("realize", {"generators": [["1"], ["1", "2"]]}),
         ],
     )
     def test_mixed_dimensions(self, tmp_path, command, data):
         run_cli(command, write_problem(tmp_path, data), code=2, kind="schema")
+
+    @pytest.mark.parametrize(
+        "command, name, mutation, message",
+        [
+            ("build", "swapped_diffskp.json", {"thetas": {"2,1": "x", "1,2": "y"}}, "thetas.1,2"),
+            ("verify", "free_pair.json", {"zz": 1, "aa": 2}, "aa: unknown key"),
+        ],
+        ids=["two-bad-thetas", "two-unknown-keys"],
+    )
+    def test_message_does_not_follow_the_key_order(self, tmp_path, command, name, mutation,
+                                                    message):
+        # of two faults the walker names the least key, in either order of the file
+        for sort_keys in (False, True):
+            path = write_problem(tmp_path, name, mutation, sort_keys=sort_keys)
+            run_cli(command, path, code=2, kind="schema", message=message)
 
     def test_mixed_dimensions_in_the_library(self):
         from skpval import DimensionMismatchError, GroupValue, SemigroupSpec

@@ -32,9 +32,9 @@ PROBES = {
                              2, ("schema", "bad --alpha '1,1,2': (1, 1, 2) is not an acceptable"),
                              None),
     "realize-limit-labels-zero": (GAMMA, {"limit_labels": 0}, "realize {}",
-                                  2, ("schema", '"limit_labels" must be an array'), None),
+                                  2, ("schema", "limit_labels: an array"), None),
     "realize-leftover-minimality-bound": (GAMMA, {"minimality_bound": 12}, "realize {}",
-                                          0, None, None),
+                                          2, ("schema", "minimality_bound: unknown key"), None),
     "verify-doubling-chain-6": (DOUBLING_6, None, "verify {}",
                                 0, None, {"realization.verification.passed": True}),
     "eval-power-truncated-to-nothing": ("example1_tail.json", None, "eval --skp {} --poly X0^6",
@@ -42,13 +42,31 @@ PROBES = {
     "expand-truncated-key-polynomial": ("remark_diffskp.json", {"cutoff": 1}, "expand {} --poly X1",
                                         1, ("ZeroPoly", "U_{1,2} is 0 under cutoff 1"), None),
     "classify-infinite-string": ("classify_vii.json", {"arithmetic.rows.0.infinite": "no"},
-                                 "classify {}", 2, ("schema", '"infinite" must be a bool'), None),
+                                 "classify {}", 2,
+                                 ("schema", "arithmetic.rows.0.infinite: one of true, false"),
+                                 None),
     "poly-arabic-indic-index": ("remark_diffskp.json", None, "eval --skp {} --poly X١",
                                 2, ("schema", "bad character"), None),
     "theta-at-a-tail-predecessor": ("example1_tail.json", {"thetas": {"2,1": "2"}}, "build {}",
                                     2, ("schema", "a theta at 2,1"), None),
     "delta-j-not-an-int": ("remark_diffskp.json", None, "delta --skp {} --poly X1 --j one",
                            2, ("usage", "invalid int value"), None),
+    # a misspelled key is refused by its key path, at any depth
+    "misspelled-thetas": ("swapped_diffskp.json", {"thetaz": {"1,2": "-1"}}, "build {}",
+                          2, ("schema", "thetaz: unknown key"), None),
+    "misspelled-limit-tails": ("example1_tail.json", {"limit_tail": []}, "build {}",
+                               2, ("schema", "limit_tail: unknown key"), None),
+    "misspelled-samples": ("gamma_4_6_13.json", {"sample": 5}, "verify {}",
+                           2, ("schema", "sample: unknown key"), None),
+    "misspelled-cutoff": ("example1_tail.json", {"cutof": 5}, "build {}",
+                          2, ("schema", "cutof: unknown key"), None),
+    "misspelled-tail-depth": ("example1_tail.json", {"limit_tails.0.dpeth": 20}, "build {}",
+                              2, ("schema", "limit_tails.0.dpeth: unknown key"), None),
+    "misspelled-limit-labels": ("example1_tail.json", {"values.limit_label": {"2,2": 1}},
+                                "build {}", 2, ("schema", "values.limit_label: unknown key"), None),
+    "misspelled-infinite": ("classify_vii.json", {"arithmetic.rows.0.infinit": True},
+                            "classify {}", 2,
+                            ("schema", "arithmetic.rows.0.infinit: unknown key"), None),
 }
 
 

@@ -18,15 +18,18 @@ library module imports it (``from .ordgroup import _x``) or reads it
 (``ordgroup._x``).
 
 Every name the benchmark's tracer wraps (``TRACED`` in ``bench/tracer.py``)
-must still resolve to a callable of the library, and the README's library
-quick tour runs as written.
+must still resolve to a callable of the library, the README's library
+quick tour runs as written, and the keys of its problem-file examples are
+the keys of the problem schemas.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import skpval
+from skpval import jsonio
 
 SRC = Path(skpval.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parent.parent
@@ -214,3 +217,25 @@ def test_readme_quick_tour_runs():
     assert tour["value_of"](f, v) == skpval.GroupValue((9,))
     expansion = tour["adic_expand"](f, v)
     assert [m.key for m in expansion] == [(((1, 3), 1),), (((0, 1), 3), ((1, 1), 1))]
+
+
+def _schema_keys(form):
+    """Every key that ``form`` declares, at any depth."""
+    if isinstance(form, jsonio.Object):
+        keys = set(form.entries)
+        for _, inner in form.entries.values():
+            keys |= _schema_keys(inner)
+        return keys
+    if isinstance(form, jsonio.Array):
+        return _schema_keys(form.item)
+    return _schema_keys(form.value) if isinstance(form, jsonio.Map) else set()
+
+
+def test_readme_problem_keys_are_the_schema_keys():
+    # the "Problem files" examples show every key of the three tables (and
+    # of a prime field's object), and no other
+    section = (ROOT / "README.md").read_text().split("### Problem files\n", 1)[1]
+    block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    shown = set(re.findall(r'"([a-z_][a-z0-9_]*)"\s*:', block))
+    tables = (jsonio.SKP, jsonio.REALIZE, jsonio.CLASSIFY, jsonio.PRIME)
+    assert shown == set().union(*map(_schema_keys, tables))
