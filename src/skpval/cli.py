@@ -35,8 +35,10 @@ def _read_problem(path):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw), "sha256:" + hashlib.sha256(raw).hexdigest()
-    except ValueError as exc:  # not JSON, not UTF-8, or an int longer than int() reads
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an int longer than int() reads; its own message runs long
+        raise SchemaError(f"{path} is not valid JSON: an integer longer than int() reads") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path} is nested too deeply to read") from exc
 

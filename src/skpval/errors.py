@@ -1,5 +1,14 @@
 """Exception hierarchy shared by all skpval modules."""
 
+# the most characters of an input that a message echoes
+ECHO_LIMIT = 24
+
+
+def shorten(text):
+    """``text`` cut to ``ECHO_LIMIT`` characters, "..." marking a cut, so a
+    message that echoes input does not grow with it."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT - 3] + "..."
+
 
 class SkpvalError(Exception):
     """Base class for all library errors."""

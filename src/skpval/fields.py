@@ -13,7 +13,7 @@ used in JSON ("p/q" or "p").
 import re
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import SchemaError, shorten
 
 # "p" or "p/q" in ASCII digits, q nonzero: Fraction alone also reads spaces,
 # "+", "_", "1.5", "1e2" and other scripts' digits
@@ -48,7 +48,7 @@ class RationalField:
                 return self.reduce(Fraction(s))
         except ValueError:  # more digits than int() reads
             pass
-        raise SchemaError(f"bad rational literal {s!r}")
+        raise SchemaError(f"bad rational literal {shorten(s)!r}")
 
     def format(self, x):
         return str(x)
@@ -110,7 +110,7 @@ class PrimeField:
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise SchemaError(
-                    f"{x} is not in {self.name}: denominator divisible by {self.p}"
+                    f"a rational whose denominator is divisible by {self.p} is not in {self.name}"
                 )
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         if isinstance(x, str):

@@ -9,7 +9,7 @@ import json
 from fractions import Fraction
 
 from .classify import PseudoSkpArithmetic, RowArithmetic
-from .errors import SchemaError
+from .errors import SchemaError, shorten
 from .fields import MAX_PRIME, QQ, PrimeField, field_to_spec
 from .ordgroup import GroupValue, format_index
 from .poly import parse_poly
@@ -182,7 +182,7 @@ SKP = Object({
         "at": (REQUIRED, Int(2)),
         "exponents": (REQUIRED, Map(Array(Int(), length=2))),
         "theta": (OPTIONAL, RATIONAL),
-        "depth": (OPTIONAL, Int()),
+        "depth": (OPTIONAL, Int(0)),
     }, build=LimitTail))),
     "field": (OPTIONAL, FIELD),
     "declared_infinite_rows": (OPTIONAL, Array(Int(0))),
@@ -219,7 +219,7 @@ def walk(schema, data):
     try:
         return schema.read(data)
     except _Refused as exc:
-        keys = [k if len(k) <= 24 else k[:21] + "..." for k in map(str, exc.path[::-1])]
+        keys = [shorten(k) for k in map(str, exc.path[::-1])]
         raise SchemaError(f"{'.'.join(keys) or 'the problem'}: {exc.what}") from None
 
 
@@ -235,8 +235,11 @@ def load_digits(text):
     """A number written in ASCII digits only: ``int`` would also read a
     sign, spaces, underscores or another script's digits as some number."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} is not written in the digits 0-9")
-    return int(text)
+        raise ValueError(f"{shorten(text)!r} is not written in the digits 0-9")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        raise ValueError(f"{shorten(text)!r} has too many digits") from None
 
 
 def require_indices(indices, known, what):
@@ -303,7 +306,7 @@ def load_valuation(text, skp):
         alpha = None if text is None else [load_digits(a) for a in text.split(",")]
         return SkpValuation(skp, alpha)
     except ValueError as exc:
-        raise SchemaError(f"bad --alpha {text!r}: {exc}") from exc
+        raise SchemaError(f"bad --alpha {shorten(text)!r}: {exc}") from exc
 
 
 def load_poly(text, skp):

@@ -34,7 +34,7 @@ of g) therefore holds every exponent the division forms
 import re
 from operator import add
 
-from .errors import NotMonicError, PolyParseError, ZeroPolyError
+from .errors import NotMonicError, PolyParseError, ZeroPolyError, shorten
 from .fields import QQ
 
 
@@ -359,11 +359,19 @@ def _tokenize(text):
         m = _TOKEN.match(text, pos)
         if not m:
             if text[pos:].strip():
-                raise PolyParseError(f"bad character at {text[pos:]!r}")
+                raise PolyParseError(f"bad character at {shorten(text[pos:])!r}")
             break
         tokens.append((m.lastgroup, m[m.lastgroup]))
         pos = m.end()
     return tokens
+
+
+def _natural(digits, what):
+    """The int that ``digits`` write, refused past the digits int() reads."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"{what} {shorten(digits)} has too many digits") from None
 
 
 class _Parser:
@@ -391,7 +399,7 @@ class _Parser:
     def expect_op(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
-            raise PolyParseError(f"expected {op!r}, got {val!r}")
+            raise PolyParseError(f"expected {op!r}, got {val if val is None else shorten(val)!r}")
 
     def parse(self):
         f = self.expr()
@@ -428,7 +436,7 @@ class _Parser:
             kind, val = self.take()
             if kind != "num" or "/" in (val or ""):
                 raise PolyParseError("exponent must be a natural number")
-            f = f ** int(val)
+            f = f ** _natural(val, "exponent")
         return f
 
     def atom(self):
@@ -436,10 +444,10 @@ class _Parser:
         if kind == "num":
             return MultiPoly.constant(self.field.parse(val), self.nvars, self.field)
         if kind == "var":
-            i = int(val[1:])
+            i = _natural(val[1:], "variable index")
             if i >= self.nvars:
                 raise PolyParseError(
-                    f"variable {val} out of range (ring has X0..X{self.nvars - 1})"
+                    f"variable {shorten(val)} out of range (ring has X0..X{self.nvars - 1})"
                 )
             return MultiPoly.variable(i, self.nvars, self.field)
         if kind == "op" and val in ("(", "-"):
@@ -453,7 +461,7 @@ class _Parser:
                 f = -self.factor()
             self.depth -= 1
             return f
-        raise PolyParseError(f"unexpected token {val!r}")
+        raise PolyParseError(f"unexpected token {val if val is None else shorten(val)!r}")
 
 
 def parse_poly(text, nvars, field=QQ):

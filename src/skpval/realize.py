@@ -73,7 +73,8 @@ class SemigroupSpec:
                 raise ValueError(f"limit label {p} outside the generator range")
         self.limit_labels = sorted(set(labels))
         if len(self.limit_labels) != len(labels):
-            raise ValueError(f"limit labels {labels} repeat a position")
+            repeated = next(p for p, count in collections.Counter(labels).items() if count > 1)
+            raise ValueError(f"limit labels repeat a position: {repeated} more than once")
         self.field = field
         self.coeff_bound = _bound("coeff_bound", coeff_bound)
         self.degree_bound = _bound("degree_bound", degree_bound)

@@ -37,6 +37,7 @@ from .errors import (
     SchemaError,
     ThetaZeroError,
     ZeroPolyError,
+    shorten,
 )
 from .fields import QQ
 from .ordgroup import INFINITY, is_finite_index
@@ -94,6 +95,8 @@ class LimitTail:
                 raise ValueError(f"limit tail number {x!r} is not an int")
         if at < 2:
             raise ValueError("a tail must target a successor position")
+        if depth < 0:
+            raise ValueError(f"limit tail depth {depth} is negative")
         self.row = row
         self.at = at
         self.theta = theta
@@ -265,8 +268,8 @@ def unroll_limit(products, tail):
     ``cutoff``).  Requires a cutoff and a nonzero theta (else
     ThetaZeroError); raises NonStabilizingError when the depth is exhausted
     with summands still at or below the cutoff, and SchemaError when a
-    summand it would use has a negative exponent.  Depth 0 (or less)
-    returns the start power unchanged.
+    summand it would use has a negative exponent.  Depth 0 returns the
+    start power unchanged.
     """
     entries, cutoff, field = products.entries, products.cutoff, products.field
     if cutoff is None:
@@ -280,7 +283,7 @@ def unroll_limit(products, tail):
     affine = sorted(tail.exponents.items())
     # depth 0 takes no summand; past it the loop ends only at a summand
     # above the cutoff, so the report says stabilized
-    for k in range(tail.depth + 1 if tail.depth > 0 else 0):
+    for k in range(tail.depth + 1 if tail.depth else 0):
         m = tuple((idx, a + b * k) for idx, (a, b) in affine if a + b * k)
         order = u_order(m, entries)
         if order == INFINITY:
@@ -483,6 +486,6 @@ def normalize_alpha(skp, alpha=None):
             if a != 0:
                 raise ValueError("nonzero cutoff on an empty row")
         elif not 1 <= a <= ln:
-            raise ValueError(f"cutoff {a} outside 1..{ln}")
+            raise ValueError(f"cutoff {shorten(str(a))} outside 1..{ln}")
     return alpha
 

@@ -3,11 +3,13 @@ import functools
 import io
 import itertools
 import json
+import os
 import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import settings
@@ -20,18 +22,25 @@ from skpval import (
     IterationCapError,
     SemigroupSpec,
     SkpValuation,
+    ZeroPolyError,
     build_skp,
     compute_relations,
     delta_of,
     initial_form,
+    jsonio,
+    minimal_pseudo_skp,
     value_of,
     value_via_euclidean,
 )
 from skpval import expansion
 from skpval import skp as skp_module
 from skpval.cli import run_command
-from skpval.realize import realize
-from skpval.valtable import enumerate_semigroup
+from skpval.expansion import AdicExpansion
+from skpval.fields import QQ
+from skpval.ordgroup import analyze_chain
+from skpval.realize import random_polynomial, realize
+from skpval.skp import KeyProducts, SkpEntry, SkpTable
+from skpval.valtable import TableEntry, enumerate_semigroup, table_from_chain
 
 # every @given test draws the same examples on every run
 settings.register_profile("tier1", derandomize=True)
@@ -41,6 +50,16 @@ DATA = Path(__file__).parent / "data"
 
 # a mutation's value that deletes its key
 ABSENT = object()
+
+# the most characters of a schema message, the paths it names aside
+MESSAGE_LIMIT = 120
+
+
+def problem(name, **changes):
+    """The problem in ``tests/data/name`` with the top-level ``changes`` set."""
+    data = json.loads((DATA / name).read_text())
+    data.update(changes)
+    return data
 
 
 def nested(depth):
@@ -95,11 +114,12 @@ def run_cli(*argv, code=None, kind=None, message=None):
     with no report and the usage on stderr.  Any other run leaves stderr
     empty and writes one JSON report, to stdout or to the ``--out`` file.
     The report holds at most one diagnostic: none on exit 0, and kind
-    schema exactly on exit 2.  Its status follows: ok on exit 0, error for
-    kind schema or internal, and invalid for any other kind or for exit 1
-    without a diagnostic.  The exit code, the diagnostic's kind and a
-    fragment of its message (of the usage, for a usage error) match where
-    given.
+    schema exactly on exit 2, whose message, the absolute paths on the
+    command line aside, stays under ``MESSAGE_LIMIT`` characters.  Its
+    status follows: ok on exit 0, error for kind schema or internal, and
+    invalid for any other kind or for exit 1 without a diagnostic.  The
+    exit code, the diagnostic's kind and a fragment of its message (of the
+    usage, for a usage error) match where given.
     """
     argv = [str(a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -123,6 +143,11 @@ def run_cli(*argv, code=None, kind=None, message=None):
     assert message is None or message in report["diagnostics"][0]["message"], (argv, report)
     assert got in (0, 1, 2) and len(kinds) <= 1, (argv, got, report)
     assert (got == 2) == (kinds == ["schema"]) and (got != 0 or not kinds), (argv, got, report)
+    if got == 2:
+        short = report["diagnostics"][0]["message"]
+        for path in filter(os.path.isabs, argv):
+            short = short.replace(path, "")
+        assert len(short) < MESSAGE_LIMIT, (argv, report)
     status = "ok" if got == 0 else "error" if kinds in (["schema"], ["internal"]) else "invalid"
     assert report["status"] == status, (argv, got, report)
     return CliRun(got, report, text)
@@ -149,19 +174,32 @@ def count_calls(monkeypatch, *names):
     return counts
 
 
-def at_rewrite_cap(monkeypatch, rewrites, call):
+def at_rewrite_cap(rewrites, call):
     """``call()`` with the rewrite cap at ``rewrites``, which the call
     must need: at one fewer (unless it needs none) it raises
     IterationCapError.  The cap is restored afterwards."""
-    cap = expansion.DEFAULT_REWRITE_CAP
-    monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", rewrites)
-    out = call()
+    with mock.patch.object(expansion, "DEFAULT_REWRITE_CAP", rewrites):
+        out = call()
     if rewrites:
-        monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", rewrites - 1)
-        with pytest.raises(IterationCapError):
-            call()
-    monkeypatch.setattr(expansion, "DEFAULT_REWRITE_CAP", cap)
+        with mock.patch.object(expansion, "DEFAULT_REWRITE_CAP", rewrites - 1):
+            with pytest.raises(IterationCapError):
+                call()
     return out
+
+
+def outcome(compute):
+    """What ``compute()`` returns, or the ZeroPolyError it raises as its
+    type's name and its message."""
+    try:
+        return compute()
+    except ZeroPolyError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def part_json(part, skp):
+    """A ``least_value_part`` result with its monomials as JSON."""
+    low, monomials = part
+    return low, AdicExpansion(skp, monomials).to_json()
 
 
 @pytest.fixture(scope="session")
@@ -170,8 +208,8 @@ def diffskp_table():
 
 
 @pytest.fixture(scope="session")
-def diffskp(diffskp_table):
-    return build_skp(diffskp_table)
+def diffskp():
+    return corpus("remark_diffskp")
 
 
 @pytest.fixture(scope="session")
@@ -193,8 +231,8 @@ def example2_table():
 
 
 @pytest.fixture(scope="session")
-def example2(example2_table):
-    return build_skp(example2_table)
+def example2():
+    return corpus("example2")
 
 
 def example1_rows():
@@ -223,23 +261,13 @@ def example1_table():
 
 
 @pytest.fixture(scope="session")
-def example1(example1_table):
-    return build_skp(example1_table)
+def example1():
+    return corpus("example1")
 
 
 @pytest.fixture(scope="session")
 def free2():
     return build_skp(compute_relations([[(1, 0)], [(0, 1)]]))
-
-
-@pytest.fixture(scope="session")
-def key_tables(diffskp, example2, example1, diffskp_table, example2_table, example1_table):
-    """The diffskp, example2 and example1 tables over Q and over GF(7)."""
-    gf7 = [
-        build_skp(table, field=GF(7))
-        for table in (diffskp_table, example2_table, example1_table)
-    ]
-    return [diffskp, example2, example1] + gf7
 
 
 def doubling_chain(k):
@@ -293,3 +321,108 @@ def acceptable_vectors(skp):
     """Every acceptable cutoff vector of ``skp``."""
     ranges = [range(1, n + 1) if n else range(1) for n in skp.row_lengths()]
     return [a for a in itertools.product(*ranges) if is_acceptable(skp, a)]
+
+
+# the skp problems of tests/data, each in the corpus over Q and over GF(7)
+DATA_SKP = ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail")
+
+# Every table the tests sample on, by a name that says how it is built: a
+# problem of tests/data, ``example1`` or ``doubling_5`` (the realized
+# 5-generator doubling chain), then ``_cutoff<N>`` for a cutoff set on it,
+# ``_gf<p>`` for its table over GF(p) and ``_minimal`` for its minimal table.
+# At cutoff 1 U_{1,2} of remark_diffskp truncates to 0, and at 2 some inputs
+# truncate to 0.
+CORPUS = (
+    *(name + gf + minimal for name in DATA_SKP for gf in ("", "_gf7") for minimal in ("", "_minimal")),
+    "example1", "example1_minimal", "example1_gf7",
+    *(f"remark_diffskp_cutoff{cutoff}" for cutoff in (1, 2, 3, 5, 8)),
+    "example1_tail_cutoff16", "example1_tail_cutoff16_gf7",
+    "gamma_4_6_13", "gamma_4_6_13_gf2", "gamma_4_6_13_gf3", "gamma_4_6_13_gf7",
+    "free_pair", "doubling_5",
+)
+# The exact tables, whose values are the same by the adic and the Euclidean
+# route on what ``sample_polynomials`` draws: those with no cutoff, and
+# ``example1`` at its cutoff 32.  At example1_tail.json's cutoffs 5 and 16
+# the adic expansion drops monomials that decide a value (test_properties).
+EXACT = tuple(name for name in CORPUS if "_cutoff" not in name and "example1_tail" not in name)
+
+
+def value_lowering_tail():
+    """example1_tail.json with tail summands X0^(1+k): each has a lower
+    value than the power U_{2,1} it replaces, (0, 2, 1)."""
+    data = problem("example1_tail.json")
+    data["limit_tails"][0]["exponents"] = {"0,1": [1, 1]}
+    return data
+
+
+def nonpositive_beta_table(skp, index, beta):
+    """The key polynomials of ``skp`` under its betas with the one at
+    ``index`` replaced by ``beta`` <= 0, a table built without validation:
+    each entry has its chain value and keeps the n, relation, d, key
+    polynomial, theta and rewrite terms of ``skp``."""
+    betas = [GroupValue((beta,)) if k == index else skp.entries[k].beta for k in skp.order]
+    values = table_from_chain(analyze_chain(betas), skp.row_lengths())
+    entries = {}
+    for k, old in skp.entries.items():
+        ventry = TableEntry(k, values.entries[k].beta, old.n, old.relation)
+        entry = entries[k] = SkpEntry(ventry, old.d, old.poly, old.theta)
+        entry.rewrite_terms = old.rewrite_terms
+    return SkpTable(values, KeyProducts(entries, skp.nvars, skp.field, skp.cutoff))
+
+
+# Tables whose value rules the valuation refuses, outside the corpus, which
+# only an expansion reads: ``adic_expand`` runs on the rule set, refusal and
+# all (the library weighs by the chain, the reference by the entries)
+REFUSED = {
+    "example1_tail_lowering": lambda: jsonio.build_from_problem(value_lowering_tail()),
+    "remark_diffskp_beta12_zero": lambda: nonpositive_beta_table(corpus("remark_diffskp"), (1, 2), 0),
+    "remark_diffskp_beta01_negative": lambda: nonpositive_beta_table(
+        corpus("remark_diffskp"), (0, 1), -2
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def corpus(name):
+    """The corpus or ``REFUSED`` table ``name``, built on first use."""
+    if name in REFUSED:
+        return REFUSED[name]()
+    if name.endswith("_minimal"):
+        return minimal_pseudo_skp(corpus(name[:-len("_minimal")]))
+    name, _, p = name.partition("_gf")
+    name, _, cutoff = name.partition("_cutoff")
+    if name == "example1":
+        rows, labels = example1_rows()
+        return build_skp(compute_relations(rows, limit_labels=labels), field=GF(int(p)) if p else QQ)
+    if name == "doubling_5":
+        return realize(SemigroupSpec(doubling_chain(5))).valuation.skp
+    data = problem(f"{name}.json")
+    if cutoff:
+        data["cutoff"] = int(cutoff)
+    if p:
+        data["field"] = {"prime": int(p)}
+    if data["kind"] == "realize":
+        return realize(jsonio.load_semigroup_spec(data)).valuation.skp
+    return jsonio.build_from_problem(data)
+
+
+def sample_polynomials(rng, skp, alpha, count):
+    """The nonzero ones of ``count`` polynomials on the rows that the
+    cutoff vector ``alpha`` cuts, of total degree up to 8 (4 on three rows
+    or more): random ones, and in turn powers of the key polynomials at the
+    cutoff positions, powers of a key polynomial at a random position, and
+    either power plus a random one.  A power at the cutoff positions makes
+    a normal form reduce there and carry into earlier positions."""
+    rows = [i for i in range(skp.nvars) if alpha[i]]
+    degree = 8 if skp.nvars < 3 else 4
+    for k in range(count):
+        f = random_polynomial(rng, skp.nvars, degree, skp.field, rows)
+        if k % 2:
+            if k % 8 < 4:
+                power = skp.monomial_poly({(i, alpha[i]): rng.randint(1, 3) for i in rows})
+            else:
+                index = rng.choice([idx for idx in skp.order if idx[0] in rows])
+                power = skp.entries[index].poly ** rng.randint(1, 3)
+            f = power + f if k % 4 == 3 else power
+        if not f.is_zero():  # the cutoff truncated the power to 0
+            yield f

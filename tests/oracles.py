@@ -87,8 +87,15 @@ def _integer_rows(values):
 def _integer_betas(skp):
     """(index -> beta as an integer row, common denominator), scaled here
     from the entries' betas, not read from the table's chain."""
-    rows, denom = _integer_rows([skp.entries[idx].beta for idx in skp.order])
+    rows, denom = _scaled_rows(tuple(skp.entries[idx].beta for idx in skp.order))
     return dict(zip(skp.order, rows)), denom
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_rows(betas):
+    """``_integer_rows`` of a tuple of betas as tuples, scaled once per tuple."""
+    rows, denom = _integer_rows(betas)
+    return tuple(map(tuple, rows)), denom
 
 
 def lattice_member(target, basis):
@@ -262,19 +269,22 @@ def rescan_adic_expand(f, skp, alpha=None):
             and e >= skp.entries[(i, j)].n
         ]
 
+    @functools.lru_cache(maxsize=None)
+    def rank(key):
+        """(value, dense key) of a key that violates, None of one that does
+        not: what the scan compares, worked out once per key."""
+        dense = tuple(dict(key).get(idx, 0) for idx in skp.order)
+        return (value(key), dense) if violations(key) else None
+
     work = {}
     for exps, c in f.terms.items():
         add(work, tuple(sorted(((i, 1), e) for i, e in enumerate(exps) if e)), c)
     rewrites, rewritten = 0, set()
     while True:
-        candidates = [
-            (value(key), tuple(dict(key).get(idx, 0) for idx in skp.order), key)
-            for key in work
-            if violations(key)
-        ]
+        candidates = [(rank(key), key) for key in work if rank(key)]
         if not candidates:
             break
-        target = min(candidates)[2]
+        target = min(candidates)[1]
         if once and target in rewritten:
             raise AssertionError(f"key {target} rewritten twice")
         rewritten.add(target)

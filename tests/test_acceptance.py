@@ -15,17 +15,14 @@ from skpval import (
     GroupValue,
     InvalidTableError,
     LITERAL,
-    MultiPoly,
     SemigroupSpec,
     SkpValuation,
     abhyankar_check,
-    adic_expand,
     build_skp,
     canonical_representation,
     classify_table1,
     compute_relations,
     delta_of,
-    euclidean_expand,
     parse_poly,
     realize,
     value_of,
@@ -35,9 +32,10 @@ from skpval import (
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
 
-from conftest import example1_rows, top_cut
+from conftest import corpus, example1_rows, top_cut
 from oracles import representation_box_search, swap_variables
 from test_classify import CONCRETE_CASES, DECLARED_CASES
+from test_cross_checks import adic_form, adic_grouping_against_euclidean
 
 
 def criterion(number, title):
@@ -62,14 +60,7 @@ def P(text, nvars=2):
 
 def fixed_skps():
     """The three fixed tables the sampled criteria run over."""
-    plane = build_skp(compute_relations([[2], [3, 9, 10]]))
-    swapped = build_skp(
-        compute_relations([[3], [2, 9, 10]]), thetas={(1, 2): -1}
-    )
-    primes = build_skp(
-        compute_relations([[1], [Fraction(1, 2), Fraction(4, 3), Fraction(21, 5)]])
-    )
-    return [plane, swapped, primes]
+    return [corpus(name) for name in ("remark_diffskp", "swapped_diffskp", "example2")]
 
 
 @criterion(1, "golden plane-curve tables and the coordinate-change identity")
@@ -143,30 +134,12 @@ def test_criterion_4():
 def test_criterion_5():
     rng = random.Random(555)
     for skp in fixed_skps():
-        top = skp.nvars - 1
         v = SkpValuation(skp)
         for _ in range(200):
             f = random_polynomial(rng, 2, 6)
-            expansion = adic_expand(f, v)
-            assert expansion.evaluate() == f
-            again = adic_expand(expansion.evaluate(), v)
-            assert {m.key for m in expansion} == {m.key for m in again}
-            assert {m.key: m.coeff for m in expansion} == {
-                m.key: m.coeff for m in again
-            }
-            # Euclidean route = adic expansion grouped by top-row exponents
-            grouped = {}
-            for m in expansion:
-                key = tuple((pos, e) for (i, pos), e in m.key if i == top)
-                lower = {idx: e for idx, e in m.key if idx[0] != top}
-                part = skp.monomial_poly(lower).scale(m.coeff)
-                grouped[key] = grouped.get(key, MultiPoly.zero(skp.nvars)) + part
-            grouped = {k: c for k, c in grouped.items() if not c.is_zero()}
-            eucl = {
-                tuple(sorted(exps.items())): coeff
-                for exps, coeff in euclidean_expand(f, v)
-            }
-            assert grouped == eucl
+            # the checks of the adic-evaluate and adic-grouping cross-checks
+            adic_form(v, 1, f)
+            adic_grouping_against_euclidean(v, 1, f)
 
 
 @criterion(6, "adic and Euclidean value paths agree on the axiom samples")

@@ -1,7 +1,5 @@
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -18,12 +16,11 @@ from skpval import (
     compute_relations,
     enumerate_semigroup,
     inductive_invariants,
-    jsonio,
     value_of,
 )
 from skpval.classify import InvariantReport
 
-DATA = Path(__file__).parent / "data"
+from conftest import corpus
 
 
 def gv(*coords):
@@ -149,8 +146,7 @@ class TestRank:
         "name", ["remark_diffskp", "swapped_diffskp", "example2", "example1_tail"]
     )
     def test_per_row_rk_on_the_data_tables(self, name):
-        problem = json.loads((DATA / f"{name}.json").read_text())
-        assert_rk_counts_leading_positions(jsonio.build_from_problem(problem))
+        assert_rk_counts_leading_positions(corpus(name))
 
     def test_per_row_rk_on_random_families(self, example1, free2):
         for skp in (example1, free2):

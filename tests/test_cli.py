@@ -6,7 +6,7 @@ import pytest
 
 from skpval import GF, QQ, SchemaError
 
-from conftest import ABSENT, DATA, count_calls, nested, run_cli, write_problem
+from conftest import ABSENT, DATA, count_calls, nested, problem, run_cli, write_problem
 
 
 class TestEval:
@@ -788,7 +788,7 @@ class TestInputFaults:
     def test_library_realize_ignores_a_stray_theta(self):
         from skpval import jsonio, realize
 
-        spec = jsonio.load_semigroup_spec(json.loads((DATA / "gamma_4_6_13.json").read_text()))
+        spec = jsonio.load_semigroup_spec(problem("gamma_4_6_13.json"))
         plain = realize(spec).valuation.skp
         stray = realize(spec, thetas={(9, 9): 2}).valuation.skp
         assert jsonio.dump_skp(stray) == jsonio.dump_skp(plain)

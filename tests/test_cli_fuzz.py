@@ -5,10 +5,10 @@ indices moved out of range, integers made extreme, arrays nested deeply)
 and run through every command, and ``--poly``, ``--alpha`` and ``--j`` take
 strings drawn from a token pool.  Whatever the input, a command passes the
 checks of ``conftest.run_cli`` (one JSON report, empty stderr, exit 0, 1 or
-2, a status that follows) and reports no ``internal`` diagnostic.  A
-``schema`` message stays under ``MESSAGE_LIMIT`` characters, the file's
-path aside, and reads the same when the problem is written with its keys
-in their own order as when they are sorted.
+2, a status that follows, a ``schema`` message under ``MESSAGE_LIMIT``
+characters) and reports no ``internal`` diagnostic.  A ``schema`` message
+reads the same when the problem is written with its keys in their own
+order as when they are sorted.
 
 Retyping is drawn from the problem schemas of ``jsonio``: it sets a key
 that the table of the problem's kind declares at a node of the problem,
@@ -33,7 +33,6 @@ PROBLEMS = [json.loads(path.read_text()) for path in sorted(DATA.glob("*.json"))
 
 SEED = 20231
 CASES = 3000
-MESSAGE_LIMIT = 120
 
 SMALL = {"coeff_bound", "degree_bound", "samples", "depth", "cutoff", "rows", "generators"}
 VALUE_COMMANDS = ("eval", "initial", "normal-form", "delta")
@@ -194,8 +193,6 @@ def test_exit_contract_on_mutated_problems(tmp_path):
             report = run_cli(*argv).report
             assert all(d["kind"] != "internal" for d in report["diagnostics"]), report
             if report["diagnostics"] and report["diagnostics"][0]["kind"] == "schema":
-                message = report["diagnostics"][0]["message"]
-                assert len(message.replace(str(path), "")) < MESSAGE_LIMIT, message
                 write_problem(tmp_path, data, sort_keys=False)
                 assert run_cli(*argv).report["diagnostics"] == report["diagnostics"]
         except AssertionError as exc:

@@ -25,6 +25,12 @@ DOUBLING_6 = {"kind": "realize", "generators": [[str(g)] for (g,) in doubling_ch
 # the relation of entry (2,1) uses (1,2), so (1,1,2) is not an acceptable vector
 RELATION_ACROSS_ROWS = {"kind": "skp", "values": {"rows": [["1"], ["1/2", "4/3"], ["11/6", "2"]]}}
 
+# every message echoes at most 24 characters of an input this long
+LONG_LITERAL = "1" * 5000 + "/0"
+LONG_GARBAGE = "X0+" + "#" * 5001
+LONG_INDEX = "9" * 5000  # more digits than int() reads
+WIDE_INDEX = "9" * 4000
+
 PROBES = {
     "alpha-beyond-its-row": ("remark_diffskp.json", None, "eval --skp {} --poly X1 --alpha 1,9",
                              2, ("schema", "cutoff 9 outside 1..3"), None),
@@ -67,6 +73,32 @@ PROBES = {
     "misspelled-infinite": ("classify_vii.json", {"arithmetic.rows.0.infinit": True},
                             "classify {}", 2,
                             ("schema", "arithmetic.rows.0.infinit: unknown key"), None),
+    # depth 0 is the one spelling of "no unrolling"
+    "negative-tail-depth": ("example1_tail.json", {"limit_tails.0.depth": -3}, "build {}",
+                            2, ("schema", "limit_tails.0.depth: an integer >= 0"), None),
+    # a message names one repeated label, or the prime, not the whole input
+    "realize-500-repeated-labels": ("gamma_4_6_13.json", {"limit_labels": [2] * 500},
+                                    "realize {}", 2, ("schema", "repeat a position"), None),
+    "theta-of-4000-digits-over-gf7": ("swapped_diffskp.json",
+                                      {"field": {"prime": 7}, "thetas": {"1,2": "1/" + "7" * 4000}},
+                                      "build {}", 2, ("schema", "divisible by 7 is not in F7"), None),
+    "poly-long-literal-over-zero": ("remark_diffskp.json", None, f"eval --skp {{}} --poly {LONG_LITERAL}",
+                                    2, ("schema", "bad rational literal '1111"), None),
+    "poly-long-bad-characters": ("remark_diffskp.json", None, f"eval --skp {{}} --poly {LONG_GARBAGE}",
+                                 2, ("schema", "bad character at '####"), None),
+    "poly-variable-wider-than-the-ring": ("remark_diffskp.json", None,
+                                          f"eval --skp {{}} --poly X{WIDE_INDEX}",
+                                          2, ("schema", "out of range (ring has X0..X1)"), None),
+    "poly-variable-index-past-int": ("remark_diffskp.json", None, f"eval --skp {{}} --poly X{LONG_INDEX}",
+                                     2, ("schema", "variable index 9999"), None),
+    "poly-exponent-past-int": ("remark_diffskp.json", None, f"eval --skp {{}} --poly X0^{LONG_INDEX}",
+                               2, ("schema", "exponent 9999"), None),
+    "alpha-cutoff-past-int": ("remark_diffskp.json", None,
+                              f"eval --skp {{}} --poly X1 --alpha 1,{LONG_INDEX}",
+                              2, ("schema", "has too many digits"), None),
+    "alpha-cutoff-beyond-its-row": ("remark_diffskp.json", None,
+                                    f"eval --skp {{}} --poly X1 --alpha 1,{WIDE_INDEX}",
+                                    2, ("schema", "outside 1..3"), None),
 }
 
 

@@ -9,6 +9,7 @@ from skpval import (
     MultiPoly,
     NotMonicError,
     PolyParseError,
+    SchemaError,
     ZeroPolyError,
     monic_divide,
     parse_poly,
@@ -17,6 +18,7 @@ from skpval.fields import QQ
 from skpval.poly import _tokenize, division_factor, exponent_width
 from skpval.realize import random_polynomial
 
+from conftest import CORPUS, corpus
 from oracles import long_divide
 
 
@@ -164,6 +166,23 @@ class TestTextAndJson:
     def test_rational_coefficient(self):
         assert P("3/2*X0") == P("X0") * Fraction(3, 2)
 
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ("1" * 5000 + "/0", "bad rational literal '111111111111111111111...'"),
+            ("X0 + " + "#" * 5001, "bad character at ' ####################...'"),
+            ("(X0 " + "1" * 5000, "expected ')', got '111111111111111111111...'"),
+            ("X" + "9" * 4000, "variable X99999999999999999999... out of range"),
+            ("X" + "9" * 5000, "variable index 999999999999999999999... has too many digits"),
+            ("X0^" + "9" * 5000, "exponent 999999999999999999999... has too many digits"),
+        ],
+        ids=["literal", "character", "expected", "variable", "variable-index", "exponent"],
+    )
+    def test_error_echoes_a_bounded_part_of_the_input(self, text, prefix):
+        with pytest.raises(SchemaError) as info:
+            P(text)
+        assert str(info.value).startswith(prefix) and len(str(info.value)) < 80
+
     def test_parse_errors(self):
         for bad in ("", "X5", "X0 +", "2**X0", "X0^(2)"):
             with pytest.raises(PolyParseError):
@@ -237,9 +256,9 @@ class TestDivisionOracle:
             assert_divides_like_oracle(f, g, i)
             assert_divides_like_oracle(f * g + random_polynomial(rng, nvars, 4, field), g, i)
 
-    def test_key_polynomial_divisors(self, key_tables):
+    def test_key_polynomial_divisors(self):
         rng = random.Random(41)
-        for skp in key_tables:
+        for skp in map(corpus, CORPUS):
             for (i, _), entry in sorted(skp.entries.items()):
                 g = entry.poly
                 for _ in range(4):

@@ -1,10 +1,10 @@
 """Hypothesis properties of the valuation on the tables of tests/data.
 
-Every ``skp`` problem in tests/data is loaded as the CLI loads it, and the
-tables without a cutoff once more over GF(7).  Polynomials are drawn with
-small total degree and with coefficients that are integers or, over Q,
-fractions with small denominators.  Example counts are capped to keep
-tier-1 quick.
+The tables come from the corpus of ``conftest``: every ``skp`` problem in
+tests/data as the CLI loads it, over Q and over GF(7), and
+example1_tail.json at cutoff 16.  Polynomials are drawn with small total
+degree and with coefficients that are integers or, over Q, fractions with
+small denominators.  Example counts are capped to keep tier-1 quick.
 
 The valuation axioms and the agreement of the adic and Euclidean routes are
 checked on the tables whose values are exact for the degrees drawn.  Under a
@@ -13,15 +13,14 @@ too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1) by the adic
 route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
 ``truncation_valid: false`` (pinned below).  That table is checked by the
 expansion property, which holds under any cutoff, and at cutoff 16, deep
-enough for polynomials of degree 2, with the exact tables.  At cutoff 5 the
+enough for polynomials of degree 2 though not for every product of key
+polynomials (pinned below), with the exact tables.  At cutoff 5 the
 Euclidean route is checked to add values on products, and it values X0^6
 and X2^6, whose adic expansions truncate to nothing.
 """
 
 import itertools
-import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,33 +38,21 @@ from skpval import (
 from skpval.fields import QQ
 from skpval.jsonio import build_from_problem
 
-DATA = Path(__file__).parent / "data"
+from conftest import DATA_SKP, EXACT, corpus, problem
 
-GF7 = {"field": {"prime": 7}}
-
-# problem file, changes to the problem, largest total degree drawn
-TABLES = {
-    "remark_diffskp": ("remark_diffskp.json", {}, 5),
-    "swapped_diffskp": ("swapped_diffskp.json", {}, 5),
-    "example2": ("example2.json", {}, 5),
-    "example1_tail": ("example1_tail.json", {}, 2),
-    "remark_diffskp_gf7": ("remark_diffskp.json", GF7, 5),
-    "swapped_diffskp_gf7": ("swapped_diffskp.json", GF7, 5),
-    "example2_gf7": ("example2.json", GF7, 5),
-    "example1_tail_cutoff16": ("example1_tail.json", {"cutoff": 16}, 2),
-    "example1_tail_cutoff16_gf7": ("example1_tail.json", {"cutoff": 16, **GF7}, 2),
-}
+CUTOFF_16 = ("example1_tail_cutoff16", "example1_tail_cutoff16_gf7")
+TABLES = [name + field for name in DATA_SKP for field in ("", "_gf7")] + list(CUTOFF_16)
 
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None)
 
 
 @pytest.fixture(scope="module")
 def valuations():
+    """Each table's context and the largest total degree drawn on it."""
     out = {}
-    for name, (filename, changes, degree) in TABLES.items():
-        data = json.loads((DATA / filename).read_text())
-        data.update(changes)
-        out[name] = (SkpValuation(build_from_problem(data)), degree)
+    for name in TABLES:
+        skp = corpus(name)
+        out[name] = (SkpValuation(skp), 5 if skp.nvars == 2 else 2)
     return out
 
 
@@ -91,9 +78,9 @@ def draw_poly(data, valuation, degree):
     return data.draw(polynomials(skp.nvars, skp.field, degree))
 
 
-# the tables whose values are exact: no truncation cutoff, or one deep
-# enough for the degrees drawn
-EXACT_TABLES = [name for name in TABLES if name != "example1_tail"]
+# the tables whose values are exact for the degrees drawn: the corpus's
+# exact ones, and example1_tail.json at cutoff 16, deep enough for degree 2
+EXACT_TABLES = [name for name in TABLES if name in EXACT or name in CUTOFF_16]
 
 
 def test_example1_tail_routes_disagree_at_its_declared_cutoff(valuations):
@@ -117,13 +104,27 @@ def test_euclidean_route_values_what_the_adic_route_refuses(valuations):
 def test_example1_tail_routes_disagree_at_cutoff_16():
     # with the tail unrolled to depth 64, cutoff 16 still drops monomials
     # that decide the value of a polynomial of degree 8
-    data = json.loads((DATA / "example1_tail.json").read_text())
-    data.update(cutoff=16)
+    data = problem("example1_tail.json", cutoff=16)
     data["limit_tails"][0]["depth"] = 64
     v = SkpValuation(build_from_problem(data))
     f = parse_poly("5*X0^2*X1*X2^5", 3)
     assert value_via_euclidean(f, v) == GroupValue((0, 11, 7))
     assert value_of(f, v) == GroupValue((0, 12, 6))
+
+
+def test_example1_tail_routes_disagree_on_a_key_power_at_cutoff_16():
+    # U_{2,2}^2 truncated at cutoff 16: the adic route reads the power's
+    # value (0, 6, 0), while the truncation dropped terms whose loss leaves
+    # a polynomial of value (0, 4, 13), as the Euclidean route says and as
+    # both routes say at cutoff 40 with the tail unrolled to depth 64
+    skp = corpus("example1_tail_cutoff16")
+    f = skp.monomial_poly({(2, 2): 2})
+    assert value_of(f, SkpValuation(skp)) == GroupValue((0, 6, 0))
+    assert value_via_euclidean(f, SkpValuation(skp)) == GroupValue((0, 4, 13))
+    data = problem("example1_tail.json", cutoff=40)
+    data["limit_tails"][0]["depth"] = 64
+    deep = SkpValuation(build_from_problem(data))
+    assert value_of(f, deep) == value_via_euclidean(f, deep) == GroupValue((0, 4, 13))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,9 @@
 import collections
 import itertools
-import json
 import random
 import re
 from fractions import Fraction
 from math import inf
-from pathlib import Path
 
 import pytest
 
@@ -28,10 +26,8 @@ from skpval import (
 from skpval.jsonio import build_from_problem
 from skpval.skp import KeyProducts, rewrite_rules, u_order
 
-from conftest import is_acceptable
+from conftest import corpus, is_acceptable, problem
 import oracles
-
-DATA = Path(__file__).parent / "data"
 
 
 def P(text, nvars=2):
@@ -113,8 +109,7 @@ class TestExample1:
 class TestTruncatedSuccessors:
     def test_rewrite_identity_under_truncation(self, example1):
         # U_{i,j}^n = U_{i,j+1} + sum theta * prod U^m, modulo the cutoff
-        with open(DATA / "example1_tail.json") as fh:
-            tail_skp = build_from_problem(json.load(fh))
+        tail_skp = corpus("example1_tail")
         for skp in (example1, tail_skp):
             assert skp.cutoff is not None
             for (i, j), entry in skp.entries.items():
@@ -132,11 +127,6 @@ SKP_FILES = (
 )
 
 
-def problem_table(name, **changes):
-    with open(DATA / name) as fh:
-        return build_from_problem(dict(json.load(fh), **changes))
-
-
 class TestKeyProduct:
     @pytest.mark.parametrize(
         "name, changes",
@@ -149,7 +139,7 @@ class TestKeyProduct:
         # the keys are asked for in a seeded order, so a product is built
         # from whatever smaller one the store already holds, the build's
         # powers and summands among them
-        skp = problem_table(name, **changes)
+        skp = build_from_problem(problem(name, **changes))
         keys = [
             tuple(sorted(collections.Counter(combo).items()))
             for t in range(4)
@@ -168,7 +158,7 @@ class TestKeyProduct:
     def test_each_successor_is_its_own_product(self, name, cutoff):
         # the build stores U_{i,j}, j > 1, under its own key; U_{i,1} = X_i
         # is left to the store, which truncates it under cutoff 0
-        skp = problem_table(name, **({} if cutoff == "file" else {"cutoff": cutoff}))
+        skp = build_from_problem(problem(name, **({} if cutoff == "file" else {"cutoff": cutoff})))
         for (i, j), entry in skp.entries.items():
             product = skp.products[(((i, j), 1),)]
             if j > 1:
@@ -221,8 +211,7 @@ class TestEntryOrders:
     @pytest.mark.parametrize("cutoff", [None, 0, 1, 2, 3, 5, 8])
     def test_none_exactly_for_a_zero_polynomial(self, diffskp_table, example1, cutoff):
         skp = build_skp(diffskp_table, cutoff=cutoff)
-        with open(DATA / "example1_tail.json") as fh:
-            tail_skp = build_from_problem(json.load(fh))
+        tail_skp = corpus("example1_tail")
         for table in (skp, minimal_pseudo_skp(skp), example1, tail_skp):
             for entry in table.entries.values():
                 assert (entry.order == INFINITY) == entry.poly.is_zero()
@@ -241,7 +230,7 @@ class TestEntryOrders:
 
     @pytest.mark.parametrize("name", SKP_FILES)
     def test_position_is_the_place_in_the_order(self, name):
-        skp = problem_table(name)
+        skp = build_from_problem(problem(name))
         for table in (skp, minimal_pseudo_skp(skp)):
             assert table.position == {idx: table.order.index(idx) for idx in table.order}
 
@@ -263,6 +252,11 @@ class TestUnrollLimit:
         # a row, position, exponent or depth is never truncated
         with pytest.raises(ValueError, match="is not an int"):
             LimitTail(*args, **kw)
+
+    def test_negative_depth_refused(self):
+        # depth 0 is the one spelling of "no unrolling"
+        with pytest.raises(ValueError, match="^limit tail depth -3 is negative$"):
+            LimitTail(2, 2, {}, depth=-3)
 
     def tail_table(self, cutoff=5):
         rows = [[GroupValue((0, 0, 1))], [GroupValue((0, 1, 0))], [GroupValue((0, 2, 1))]]

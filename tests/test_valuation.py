@@ -1,8 +1,5 @@
-import functools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -24,31 +21,26 @@ from skpval import (
 )
 from skpval import SemigroupSpec, adic_expand, expansion, jsonio, realize, valuation
 from skpval import skp as skp_module
-from skpval.expansion import euclidean_expand, vp
+from skpval.expansion import euclidean_expand
 from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
-from skpval.skp import KeyProducts, SkpEntry, SkpTable
-from skpval.valtable import TableEntry, table_from_chain
+from skpval.skp import KeyProducts, SkpTable
+from skpval.valtable import table_from_chain
 from skpval.valuation import value_report
 
 from conftest import (
+    CORPUS,
     VALUE_ENTRIES,
     acceptable_vectors,
-    at_rewrite_cap,
     attainment_products,
+    corpus,
     count_calls,
     doubling_chain,
-    example1_rows,
+    nonpositive_beta_table,
+    problem,
     top_cut,
 )
-from oracles import (
-    group_euclid_value,
-    rescan_adic_expand,
-    rescan_graded_normal_form,
-    rescan_initial_form,
-)
-
-DATA = Path(__file__).parent / "data"
+from oracles import group_euclid_value
 
 
 def P(text, nvars=2):
@@ -59,41 +51,17 @@ def gv(*coords):
     return GroupValue(coords)
 
 
-def nonpositive_beta_table(diffskp, index, beta):
-    """diffskp's key polynomials under its betas with the one at ``index``
-    replaced by ``beta`` <= 0, a table built without validation: each entry
-    has its chain value and keeps diffskp's n, relation, d, key polynomial,
-    theta and rewrite terms."""
-    betas = [gv(beta) if k == index else diffskp.entries[k].beta for k in diffskp.order]
-    values = table_from_chain(analyze_chain(betas), diffskp.row_lengths())
-    entries = {}
-    for k, old in diffskp.entries.items():
-        ventry = TableEntry(k, values.entries[k].beta, old.n, old.relation)
-        entry = entries[k] = SkpEntry(ventry, old.d, old.poly, old.theta)
-        entry.rewrite_terms = old.rewrite_terms
-    return SkpTable(values, KeyProducts(entries, diffskp.nvars, diffskp.field, diffskp.cutoff))
-
-
 class TestValueOf:
-    def test_key_polynomial_values(self, diffskp, example2, example1):
-        # the valuation assigns each key polynomial exactly its table value
-        for skp in (diffskp, example2, example1):
-            v = SkpValuation(skp)
-            for idx in skp.order:
-                entry = skp.entries[idx]
-                assert value_of(entry.poly, v) == entry.beta
-
     @pytest.mark.parametrize("route", [value_of, value_via_euclidean])
-    def test_key_polynomials_of_accepted_tables(self, example1, route):
+    def test_key_polynomials_of_accepted_tables(self, route):
         # what the valuation's rule check guarantees: both routes value each
-        # key polynomial at its beta (remark_diffskp at cutoffs 2 and 3 gives
-        # U_{1,2} 10, not 9, on both: a cutoff fault, ROADMAP item 8)
-        tables = [example1, jsonio.build_from_problem(_problem("example1_tail.json"))]
-        for name in ("remark_diffskp", "swapped_diffskp", "example2"):
-            for field in (None, {"prime": 7}):
-                skp = jsonio.build_from_problem(_problem(f"{name}.json", field=field))
-                tables += [skp, minimal_pseudo_skp(skp)]
-        for skp in tables:
+        # key polynomial at its beta on every table of the corpus but
+        # remark_diffskp at cutoffs 1 (refused), 2 and 3 (U_{1,2} gets 10,
+        # not 9, on both: a cutoff fault, ROADMAP item 8)
+        for name in CORPUS:
+            if name in ("remark_diffskp_cutoff1", "remark_diffskp_cutoff2", "remark_diffskp_cutoff3"):
+                continue
+            skp = corpus(name)
             v = SkpValuation(skp)
             for idx in skp.order:
                 assert route(skp.entries[idx].poly, v) == skp.entries[idx].beta, idx
@@ -107,21 +75,6 @@ class TestValueOf:
         with pytest.raises(ZeroPolyError):
             value_of(P("0"), vdiff)
 
-    def test_axioms(self, diffskp, diffskp_swapped, example2):
-        rng = random.Random(42)
-        for skp in (diffskp, diffskp_swapped, example2):
-            v = SkpValuation(skp)
-            for _ in range(60):
-                f = random_polynomial(rng, 2, 5)
-                g = random_polynomial(rng, 2, 5)
-                vf, vg = value_of(f, v), value_of(g, v)
-                assert value_of(f * g, v) == vf + vg
-                if not (f + g).is_zero():
-                    vs = value_of(f + g, v)
-                    assert vs >= min(vf, vg)
-                    if vf != vg:
-                        assert vs == min(vf, vg)
-
     def test_truncation_validity_flag(self):
         t = compute_relations([[2], [3, 9, 10]])
         skp = build_skp(t, cutoff=12)
@@ -132,14 +85,14 @@ class TestValueOf:
     def test_value_at_the_drop_bound_is_not_exact(self):
         # at cutoff 2 the dropped X1^3 (value 9) cancels X0^2 (value 6, the
         # bound 3 * min beta/ord): the computed 6 is not the value 9
-        skp = jsonio.build_from_problem(_problem("swapped_diffskp.json", cutoff=2))
+        skp = jsonio.build_from_problem(problem("swapped_diffskp.json", cutoff=2))
         val, ok = value_report(P("X0^2 - X1^3"), SkpValuation(skp))
         assert val == gv(6) and ok is False
 
     @pytest.mark.parametrize("route", [value_of, value_via_euclidean])
     def test_truncated_key_polynomial_refused(self, route):
         # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: both routes refuse alike
-        skp = jsonio.build_from_problem(_problem("remark_diffskp.json", cutoff=1))
+        skp = corpus("remark_diffskp_cutoff1")
         for alpha in acceptable_vectors(skp):
             with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
                 route(P("X1"), SkpValuation(skp, alpha))
@@ -156,36 +109,15 @@ class TestEuclideanAgreement:
         v = SkpValuation(skp)
         assert value_via_euclidean(parse_poly("X0^4", 1), v) == gv(12)
 
-    def test_random_agreement(self, diffskp, example2, example1):
-        rng = random.Random(7)
-        for skp in (diffskp, example2, example1):
-            v = SkpValuation(skp)
-            for _ in range(70):
-                f = random_polynomial(rng, skp.nvars, 5)
-                assert value_of(f, v) == value_via_euclidean(f, v)
-
 
 class TestEuclideanValueOracle:
-    """value_via_euclidean, summing integer vectors, equals the reference
-    that sums GroupValues (tests/oracles.py)."""
+    """The Euclidean route reads values as integer rows of the table's chain."""
 
-    def test_chain_rows_give_back_every_beta(self, key_tables):
-        for skp in key_tables:
+    def test_chain_rows_give_back_every_beta(self):
+        for skp in map(corpus, CORPUS):
             for idx, row in zip(skp.order, skp.chain.rows):
                 assert skp.chain.value(row).coords == skp.entries[idx].beta.coords
                 assert skp.chain.row(skp.entries[idx].beta) == row
-
-    def test_random_polynomials(self, key_tables):
-        rng = random.Random(83)
-        for skp in key_tables:
-            polys = 25 if skp.nvars == 2 else 10
-            # the full vector and the top row cut at its second entry
-            for alpha in (skp.row_lengths(), skp.row_lengths()[:-1] + (2,)):
-                v = SkpValuation(skp, alpha)
-                for _ in range(polys):
-                    f = random_polynomial(rng, skp.nvars, 6, skp.field)
-                    want = group_euclid_value(f, v, skp.nvars - 1)
-                    assert value_via_euclidean(f, v).coords == want.coords
 
 
 class TestEuclideanWideExponents:
@@ -310,21 +242,6 @@ class TestEuclideanWork:
         for entry in VALUE_ENTRIES:
             with pytest.raises(ValueError, match=message):
                 entry(P("X1"), SkpValuation(table))
-
-    @pytest.mark.parametrize("index, beta", [((1, 2), 0), ((0, 1), -2)])
-    def test_nonpositive_beta_table_expands(self, diffskp, index, beta, monkeypatch):
-        # adic_expand reads the same rule set, refusal and all, and still
-        # gives the rescanning reference's expansion with its rewrite count:
-        # the library weighs by the chain, the reference by the entries, and
-        # the table holds one beta per position
-        table = nonpositive_beta_table(diffskp, index, beta)
-        v = SkpValuation(table)
-        assert v.rule_set.refusal[0] is ValueError
-        rng = random.Random(89)
-        for f in [P("(X0+X1)^6")] + [random_polynomial(rng, 2, 6) for _ in range(12)]:
-            reference, rewrites = rescan_adic_expand(f, table)
-            got = at_rewrite_cap(monkeypatch, rewrites, lambda: adic_expand(f, v))
-            assert got.to_json() == reference.to_json(), str(f)
 
     def test_entry_with_another_beta_refused(self, diffskp):
         # diffskp's entries under a chain whose beta at (0, 1) is -2: the
@@ -473,15 +390,6 @@ class TestInitialForm:
             (((0, 1), 3),),
         }
 
-    def test_vp_distinct_on_random(self, diffskp):
-        v = SkpValuation(diffskp)
-        rng = random.Random(3)
-        for _ in range(60):
-            f = random_polynomial(rng, 2, 6)
-            form = initial_form(f, v)
-            vps = [vp(m.key, v.alpha) for m in form]
-            assert len(set(vps)) == len(vps)
-
     def test_single_monomial_keeps_top_final_exponent(self, diffskp):
         # the initial form of one monomial is one monomial with the same
         # exponent at the top-row cutoff entry
@@ -606,91 +514,3 @@ class TestPrimeField:
         f = parse_poly("X1^2 + 2*X0^3", 2, F3)
         assert value_of(f, v) == gv(9)
 
-
-def _problem(name, **changes):
-    data = json.loads((DATA / name).read_text())
-    data.update(changes)
-    return data
-
-
-def _reference_tables():
-    """The skp tables of tests/data and ``example1`` with their minimal
-    reduced tables, the diffskp table under cutoffs 1 (a key polynomial
-    truncates to 0) and 2 (some inputs truncate to 0), and the table
-    realizing 4, 6, 13 over Q and over GF(7)."""
-    tables = {}
-    for name in ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail"):
-        skp = jsonio.build_from_problem(_problem(f"{name}.json"))
-        tables[name] = skp
-        tables[f"{name}-minimal"] = minimal_pseudo_skp(skp)
-    for cutoff in (1, 2):
-        tables[f"remark_diffskp-cutoff-{cutoff}"] = jsonio.build_from_problem(
-            _problem("remark_diffskp.json", cutoff=cutoff)
-        )
-    for label, field in (("Q", None), ("GF7", {"prime": 7})):
-        spec = jsonio.load_semigroup_spec(_problem("gamma_4_6_13.json", field=field))
-        tables[f"realized-gamma_4_6_13-{label}"] = realize(spec).valuation.skp
-    rows, labels = example1_rows()
-    example1 = build_skp(compute_relations(rows, limit_labels=labels))
-    tables["example1"] = example1
-    tables["example1-minimal"] = minimal_pseudo_skp(example1)
-    return tables
-
-
-REFERENCE_TABLES = _reference_tables()
-POLYS_PER_VECTOR = 8
-
-
-def _outcome(compute):
-    """The JSON of a result, or the ZeroPolyError it raised."""
-    try:
-        return compute()
-    except ZeroPolyError as exc:
-        return (type(exc).__name__, str(exc))
-
-
-class TestAgainstRescanReference:
-    """The expansion, initial form and graded normal form equal the rescan
-    references, and the Euclidean value the exhaustive one, on every
-    acceptable vector, ZeroPolyError messages included."""
-
-    @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
-    def test_every_acceptable_vector(self, name):
-        skp = REFERENCE_TABLES[name]
-        rng = random.Random(sum(map(ord, name)))
-        degree = 8 if skp.nvars < 3 else 4
-        for alpha in acceptable_vectors(skp):
-            # built inside each computation, so a table SkpValuation refuses
-            # gives the same ZeroPolyError on both sides
-            v = functools.partial(SkpValuation, skp, alpha)
-            rows = [i for i in range(skp.nvars) if alpha[i]]
-            for k in range(POLYS_PER_VECTOR):
-                f = random_polynomial(rng, skp.nvars, degree, skp.field, rows)
-                if k % 2:
-                    # powers at the cutoff positions make the normal form
-                    # reduce there and carry into earlier positions
-                    powers = {(i, alpha[i]): rng.randint(1, 3) for i in rows}
-                    power = skp.monomial_poly(powers)
-                    f = power + f if k % 4 == 3 else power
-                if f.is_zero():  # the cutoff truncated the power to 0
-                    continue
-                pairs = [
-                    (
-                        lambda: adic_expand(f, v()).to_json(),
-                        lambda: rescan_adic_expand(f, skp, alpha)[0].to_json(),
-                    ),
-                    (
-                        lambda: initial_form(f, v()).to_json(),
-                        lambda: rescan_initial_form(f, v()).to_json(),
-                    ),
-                    (
-                        lambda: graded_normal_form(f, v()).to_json(skp.field),
-                        lambda: rescan_graded_normal_form(f, v()).to_json(skp.field),
-                    ),
-                    (
-                        lambda: value_via_euclidean(f, v()).to_json(),
-                        lambda: group_euclid_value(f, v(), skp.nvars - 1).to_json(),
-                    ),
-                ]
-                for got, want in pairs:
-                    assert _outcome(got) == _outcome(want), (alpha, str(f))
