@@ -22,8 +22,9 @@ from skpval import expansion
 from skpval.expansion import sparse_key, vp
 from skpval.skp import weigh
 
-from conftest import at_rewrite_cap, top_cut
+from conftest import at_rewrite_cap, sample_polynomials, top_cut
 from oracles import long_euclidean_expand, rescan_adic_expand
+from test_cross_checks import adic_against_rescan, run_check
 
 
 def P(text, nvars=2):
@@ -64,6 +65,13 @@ class TestAdicExpand:
         with pytest.raises(ZeroPolyError):
             adic_expand(MultiPoly.zero(2), vdiff)
 
+    def test_well_order_comparator(self, diffskp, vdiff):
+        # distinct adic monomials have distinct Vdeg, so the comparator is a
+        # total order on every expansion
+        for f in sample_polynomials(random.Random(13), diffskp, vdiff.alpha, 30):
+            degs = [vdeg(m.key, diffskp) for m in adic_expand(f, vdiff)]
+            assert len(set(degs)) == len(degs), str(f)
+
 
 class TestRewriteOrder:
     """The priority queue rewrites in the order of the rescanning loop."""
@@ -80,6 +88,13 @@ class TestRewriteOrder:
         # (X0+X1)^20 makes 1240 distinct violating keys; an order that pops
         # a key before one of its parents rewrites it again and exceeds the cap
         at_rewrite_cap(1240, lambda: adic_expand(P("(X0+X1)^20"), vdiff))
+
+    def test_agrees_with_rescan_reference(self):
+        # the full table and the top row cut at its second entry, each
+        # expansion in exactly the rewrites of the rescanning loop
+        for name, polys in (("remark_diffskp", 40), ("example2", 40), ("example1", 20)):
+            run_check(adic_against_rescan, name, [((name,), "top", polys)], f"rewrite order {name}")
+
 
 class TestSparseKey:
     """Inside the rewrite loop a key is dense, its exponent tuple over

@@ -47,6 +47,7 @@ from conftest import (
     write_problem,
 )
 from oracles import admits_tie, full_least_part, multiplied_out, planted_expansion
+from test_cross_checks import CHECKS, run_check
 
 
 class TestAgainstFullExpansion:
@@ -63,6 +64,35 @@ class TestAgainstFullExpansion:
                     assert RuleSet(skp, SkpValuation(skp, alpha).rules).refusal is None
                 else:
                     assert SkpValuation(skp, alpha).rule_set.refusal is None
+
+
+# the value loop's many-polynomial tables, by the ids of their tests: the
+# data and realized tables with no cutoff over Q, (4, 6, 13) also over GF(2)
+# and GF(3), and example1_tail at cutoff 16
+DENSE = {
+    "doubling-5": "doubling_5",
+    "example1_tail-cutoff-16": "example1_tail_cutoff16",
+    "example2": "example2",
+    "free_pair": "free_pair",
+    "gamma_4_6_13-GF2": "gamma_4_6_13_gf2",
+    "gamma_4_6_13-GF3": "gamma_4_6_13_gf3",
+    "gamma_4_6_13": "gamma_4_6_13",
+    "remark_diffskp": "remark_diffskp",
+    "swapped_diffskp": "swapped_diffskp",
+}
+
+
+class TestDenseLoopCrossCheck:
+    """The value loop on many polynomials at the full vector against two
+    routes that share none of it: the complete ``adic_expand`` with its
+    minimum taken afterwards, and the rescanning reference's initial form.
+    The Euclidean value of the same vectors is the euclid-value-adic and
+    euclid-value-bound rows of ``CHECKS``."""
+
+    @pytest.mark.parametrize("name", [pytest.param(name, id=key) for key, name in DENSE.items()])
+    def test_least_value_and_part(self, name):
+        for check in ("least-part-full", "initial-form-rescan"):
+            run_check(CHECKS[check].run, name, [((name,), "full", 60)], f"dense loop {check} {name}")
 
 
 class TestValueLoweringRule:
