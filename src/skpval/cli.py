@@ -22,7 +22,7 @@ from .valuation import (
     delta_of,
     graded_normal_form,
     initial_form,
-    value_report,
+    value_of,
 )
 from .valtable import validate_table
 
@@ -76,11 +76,8 @@ def cmd_expand(args):
 
 def cmd_eval(args):
     valuation, f, digest = _load_valuation(args.skp, args)
-    value, trunc_ok = value_report(f, valuation)
-    payload = {"value": value.to_json(), "value_str": str(value)}
-    if trunc_ok is not None:
-        payload["truncation_valid"] = trunc_ok
-    return 0, digest, payload
+    value = value_of(f, valuation)
+    return 0, digest, {"value": value.to_json(), "value_str": str(value)}
 
 
 def cmd_initial(args):

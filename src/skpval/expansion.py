@@ -6,21 +6,22 @@ stays below n_{i,j}.  The rewrite replaces an occurrence of U_{i,j}^{n_{i,j}}
 either by U_{i,j+1} + theta * U^{m} (successor rule) or, when the next
 positions form an n = 1 chain, by the collapsed sum across the chain
 (``skp.rewrite_rules``).  Each monomial is rewritten at its greatest violating
-index, and the cutoff drops a monomial by its exponents alone, so the
-expansion is unique.  One loop, ``_rewrite``, pops monomials from a priority
-queue in value order, ties by the dense key, the exponent tuple over
-``skp.order``; the order fixes only the work.  Unless the rules refuse the
-table, no branch weighs less than its power: U^n becomes U_next (greater) and
-theta * U^m (no less), and an equal-weight branch lowers the exponent at its
-rule's position and raises only earlier ones, so it sorts after its parent.
-Every parent of a key pops first, and the key is rewritten once, the invariant
-the pinned rewrite counts rest on.  The one ``RuleSet`` of an
-``SkpValuation``, the context of every entry, made of the rules the context
-derived once, holds each rule branch's exponent, weight and order deltas, so
-a rewrite adds tuples, and lifts each term once; sparse keys appear only at
-the boundary (``AdicMonomial``).  It records, without raising, a beta <= 0
-or a branch of lower value: the value entries refuse such a table, and
-``adic_expand`` expands on it to the end.
+index, so the expansion is unique, and it is fixed by the rules and the betas
+alone: a table's total-degree cutoff truncates its key polynomials, not the
+expansion, which is f's under the successor formulas taken untruncated.  One
+loop, ``_rewrite``, pops monomials from a priority queue in value order, ties
+by the dense key, the exponent tuple over ``skp.order``; the order fixes only
+the work.  Unless the rules refuse the table, no branch weighs less than its
+power: U^n becomes U_next (greater) and theta * U^m (no less), and an
+equal-weight branch lowers the exponent at its rule's position and raises
+only earlier ones, so it sorts after its parent.  Every parent of a key pops
+first, and the key is rewritten once, the invariant the pinned rewrite counts
+rest on.  The one ``RuleSet`` of an ``SkpValuation``, the context of every
+entry, made of the rules the context derived once, holds each rule branch's
+exponent and weight deltas, so a rewrite adds tuples, and lifts each term
+once; sparse keys appear only at the boundary (``AdicMonomial``).  It
+records, without raising, a beta <= 0 or a branch of lower value: the value
+entries refuse such a table, and ``adic_expand`` expands on it to the end.
 What the key polynomials alone determine belongs to the table and serves every
 context on it: the products, the Euclidean ``steps``, ``bounds`` and divisor
 splits, and ``check_poly``, which every entry, ``euclidean_expand`` included,
@@ -59,7 +60,7 @@ from operator import add
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import INFINITY, is_finite_index
 from .poly import MultiPoly, divide_split, pack, split, unpack
-from .skp import u_order, weigh
+from .skp import weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
 TOP = (INFINITY,)  # a weight above every weight, a tuple of ints
@@ -92,8 +93,8 @@ def vp(key, alpha):
 
 
 class AdicExpansion:
-    """A finite sum of adic-form monomials over a fixed table and cutoff,
-    in (Vdeg, key) order."""
+    """A finite sum of adic-form monomials over a fixed table and cutoff
+    vector, in (Vdeg, key) order."""
 
     def __init__(self, skp, monomials):
         self.skp = skp
@@ -131,11 +132,11 @@ class AdicExpansion:
 class RuleSet(dict):
     """An ``SkpValuation``'s ``rules``, its ``rewrite_rules``, on dense keys,
     weighed by value: ``branches`` maps each rule position to the branches
-    of U^n there, theta (None for U_next) and the exponent, weight and
-    ``u_order`` deltas, and ``scans`` to the (position, n) pairs, greatest
-    first, where a branch can violate (None: every rule position).  As a
-    dict it maps the exponents e of a term X^e to the (dense key, weight,
-    order) of prod U_{i,1}^{e_i}, made on first use.  ``weights`` and
+    of U^n there, theta (None for U_next) and the exponent and weight
+    deltas, and ``scans`` to the (position, n) pairs, greatest first, where
+    a branch can violate (None: every rule position).  As a dict it maps
+    the exponents e of a term X^e to the (dense key, weight) of
+    prod U_{i,1}^{e_i}, made on first use.  ``weights`` and
     ``origin`` weigh sparse keys by value, an integer row of the table's
     ``chain`` (it compares as its GroupValue).  ``refusal`` is None or the
     (exception type, message) of the first beta <= 0 (ValueError), else of
@@ -166,7 +167,7 @@ class RuleSet(dict):
                 if dweight < origin and self.refusal is None:
                     message = f"U_{{{i},{j}}}^{n} rewrites to a branch of lower value"
                     self.refusal = (InvalidTableError, message + ": the table defines no valuation")
-                out.append((theta, tuple(dkey), dweight, u_order(signed, skp.entries)))
+                out.append((theta, tuple(dkey), dweight))
         # branches violate only at or below their rule, or where they raise an exponent
         self.scans = {None: violable}
         for p, out in self.branches.items():
@@ -175,7 +176,7 @@ class RuleSet(dict):
     def __missing__(self, exps):
         key = tuple([exps[i] if j == 1 else 0 for i, j in self.skp.order])
         w = weigh(sparse_key(key, self.skp), self.weights, self.origin)
-        out = self[exps] = (key, w, sum(exps))
+        out = self[exps] = (key, w)
         return out
 
     def refuse(self):
@@ -194,7 +195,10 @@ def _rewrite(f, rules, stop_early):
     """The loop over a RuleSet, in value order: the working set (dense key
     -> coefficient) it ends with or, with ``stop_early`` (the value loop,
     which first raises the rules' refusal), the keys in it of the least
-    weight of a surviving key, and that weight."""
+    weight of a surviving key, and that weight.  Nothing is dropped: each
+    rewrite keeps the sum equal to f under the successor formulas taken
+    untruncated, so a nonzero f never rewrites to an empty sum, and the
+    least weight always has a surviving key."""
     skp, scans, branches = rules.skp, rules.scans, rules.branches
     if stop_early:
         rules.refuse()
@@ -203,16 +207,14 @@ def _rewrite(f, rules, stop_early):
     skp.check_poly(f)
 
     reduce = skp.field.reduce
-    limit = INFINITY if skp.cutoff is None else skp.cutoff
     cap = DEFAULT_REWRITE_CAP
 
-    # Each violating key in ``work`` has an entry (weight, key, order,
-    # greatest violating position) in ``heap``, in the value loop every
-    # other key too (position None); an entry whose key has left ``work``
-    # is skipped.  Ties go by the dense key, so every parent of a key pops
-    # before it.  ``pending`` holds the (key, weight - w, order, coefficient)
-    # items to add: the terms of f (w the origin), then the branches of the
-    # popped key.
+    # Each violating key in ``work`` has an entry (weight, key, greatest
+    # violating position) in ``heap``, in the value loop every other key
+    # too (position None); an entry whose key has left ``work`` is skipped.
+    # Ties go by the dense key, so every parent of a key pops before it.
+    # ``pending`` holds the (key, weight - w, coefficient) items to add: the
+    # terms of f (w the origin), then the branches of the popped key.
     work = {}
     heap = []
     w, scan = rules.origin, scans[None]
@@ -220,9 +222,7 @@ def _rewrite(f, rules, stop_early):
     rewrites = 0
     settled, current = [], None  # the popped keys of this weight that need no rewrite
     while pending:
-        for key, dweight, order, coeff in pending:
-            if order > limit:
-                continue
+        for key, dweight, coeff in pending:
             cur = work.get(key)
             if cur is None:  # coefficients and thetas are nonzero in a field
                 work[key] = coeff
@@ -232,14 +232,14 @@ def _rewrite(f, rules, stop_early):
                 else:
                     at = None
                 if at is not None or stop_early:
-                    heappush(heap, (tuple(map(add, w, dweight)), key, order, at))
+                    heappush(heap, (tuple(map(add, w, dweight)), key, at))
             elif cur := reduce(cur + coeff):
                 work[key] = cur
             else:
                 del work[key]
         pending = ()
         while heap:
-            w, key, order, at = heappop(heap)
+            w, key, at = heappop(heap)
             if key not in work:
                 continue
             if w != current:
@@ -254,17 +254,14 @@ def _rewrite(f, rules, stop_early):
                 raise IterationCapError(f"exceeded {cap} rewrites")
             coeff, scan = work.pop(key), scans[at]
             pending = [
-                (tuple(map(add, key, dkey)), dweight, order + dorder,
+                (tuple(map(add, key, dkey)), dweight,
                  coeff if theta is None else reduce(coeff * theta))
-                for theta, dkey, dweight, dorder in branches[at]
+                for theta, dkey, dweight in branches[at]
             ]
             break
     if not stop_early:
         return work, None
-    part = {key: work[key] for key in settled if key in work}
-    if not part:
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
-    return part, current
+    return {key: work[key] for key in settled if key in work}, current
 
 
 def adic_expand(f, valuation):
@@ -371,7 +368,7 @@ def euclidean_expand(f, valuation, row=None):
 
     euclidean_walk(g, splits, units, top, j, (0,) * j, collect)
     keys = sorted((tuple([(p, t) for p, t in enumerate(w, 1) if t]), c) for w, c in pieces)
-    # positions strictly before the cutoff stay below their index
+    # positions strictly before the row's j stay below their index
     for key, _ in keys:
         for pos, t in key:
             entry = skp.entries[(top, pos)]

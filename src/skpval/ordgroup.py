@@ -130,12 +130,9 @@ class GroupValue:
         return [str(c) for c in self.coords]
 
 
-def as_group_value(x, dim=None):
-    """Coerce a scalar, sequence, or GroupValue; optionally check dimension."""
-    v = x if isinstance(x, GroupValue) else GroupValue(x)
-    if dim is not None and v.dim != dim:
-        raise DimensionMismatchError(f"expected dimension {dim}, got {v.dim}")
-    return v
+def as_group_value(x):
+    """Coerce a scalar, sequence, or GroupValue."""
+    return x if isinstance(x, GroupValue) else GroupValue(x)
 
 
 def _pivot(row):

@@ -10,7 +10,10 @@ truncation cutoff, which only chooses more summands: ``successor`` builds
 both.  Every non-final entry also records its summands (U_{i,j}^n =
 U_{i,j+1} + sum theta_t U^{m_t}), from which ``rewrite_rules`` derives the
 rules of one expansion; for a freshly built table that is a single summand,
-for a reduced table the collapsed chain.
+for a reduced table the collapsed chain.  The total-degree cutoff is a fact
+about polynomials: it truncates each successor, tail and product
+(``successor``, ``unroll_limit``, ``KeyProducts``), never the rules, so an
+adic expansion, which reads only the rules, does not depend on it.
 
 A product prod U_{i,j}^e has one form outside the adic rewrite loop (which
 keys by dense exponent tuples), its key: the tuple of ``((i, j), e)`` pairs
@@ -149,16 +152,9 @@ def successor(products, start, n, summands):
 def u_order(key, entries):
     """Total-degree order of prod U^e, i.e. sum e * ord U, over a key, read
     from the stored ``SkpEntry.order``: the one order sum, INFINITY when a
-    factor is 0 (``RuleSet`` sums its branches, with a negative exponent,
-    only on a table ``check_key_polynomials`` accepted)."""
+    factor is 0, read where the cutoff is a fact about polynomials
+    (``KeyProducts`` and ``unroll_limit``)."""
     return sum(e * entries[idx].order for idx, e in key)
-
-
-def check_key_polynomials(skp):
-    """Refuse a table whose cutoff truncated a key polynomial to 0."""
-    for i, j in skp.order:
-        if skp.entries[(i, j)].order == INFINITY:
-            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
 
 
 def weigh(key, weights, start):

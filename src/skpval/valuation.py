@@ -11,19 +11,21 @@ rewrite rule, by ``value_via_euclidean``: nu(sum a_t U^t) = min_t (nu(a_t)
 row below by an ``expansion.euclidean_walk`` that starts at its key's
 weight.  ``SkpValuation``, the context of every entry, is the one gate both
 routes trust and the only entry of a cutoff vector: built, it refuses one
-that is not acceptable by the ``rewrite_rules`` it derives once; its one
-rule set, made of them and read by ``adic_expand`` too, a key polynomial
-truncated to 0; and the refusal that rule set records, which both routes
-raise first, a beta <= 0 (so nu(a_t) >= 0, which the walk's bound rests on)
-or a rule U^n = U_next + sum theta * U^m with a branch of lower value.  Only
-then is the polynomial checked, by the table's ``check_poly``.  Initial
+that is not acceptable by the ``rewrite_rules`` it derives once; and its
+one rule set, made of them and read by ``adic_expand`` too, records the
+refusal both routes raise first, a beta <= 0 (so nu(a_t) >= 0, which the
+walk's bound rests on) or a rule U^n = U_next + sum theta * U^m with a
+branch of lower value.  Only then is the polynomial checked, by the table's
+``check_poly``.  Under a total-degree cutoff the adic route values by the
+rules and the betas alone, a key polynomial the cutoff truncated to 0
+included; the Euclidean route divides by the truncated key polynomials and
+refuses one that is not monic (NotMonicError) when it divides by it.  Initial
 forms, the top-row delta invariant and graded normal forms all build on the
 least value part; a graded normal form reduces each initial-form monomial by
 the table's relations through ``ordgroup.fold_relations``, the reduction
 that makes a representation canonical.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from math import prod
 
@@ -39,17 +41,16 @@ from .expansion import (
 )
 from .ordgroup import fold_relations, is_finite_index
 from .poly import pack, split
-from .skp import check_key_polynomials, normalize_alpha, rewrite_rules, weigh
+from .skp import normalize_alpha, rewrite_rules, weigh
 
 
 class SkpValuation:
     """A table of key polynomials with an acceptable cutoff vector, checked
     once by the ``rewrite_rules`` it derives once, ``rules``, and the one
-    ``RuleSet`` they make, ``rule_set``, made on first use: it refuses a key
-    polynomial truncated to 0 and records the refusal only the value entries
-    raise.  All else an entry reads, the products, the Euclidean route's
-    steps, bounds and divisor splits and the polynomial check, is the
-    table's, shared by every context on it."""
+    ``RuleSet`` they make, ``rule_set``, made on first use: it records the
+    refusal only the value entries raise.  All else an entry reads, the
+    products, the Euclidean route's steps, bounds and divisor splits and
+    the polynomial check, is the table's, shared by every context on it."""
 
     def __init__(self, skp, alpha=None):
         self.skp = skp
@@ -61,7 +62,6 @@ class SkpValuation:
 
     @cached_property
     def rule_set(self):
-        check_key_polynomials(self.skp)
         return RuleSet(self.skp, self.rules)
 
     def __repr__(self):
@@ -71,23 +71,6 @@ class SkpValuation:
 def value_of(f, valuation):
     """The valuation of a nonzero polynomial: the least value of its adic expansion."""
     return valuation.skp.chain.value(least_value(f, valuation))
-
-
-def value_report(f, valuation):
-    """Value plus a conservativeness flag under a cutoff.
-
-    A dropped monomial has total U-order above the cutoff N, hence value at
-    least (N+1) times the smallest beta-per-order ratio; the computed value
-    is trustworthy when it is below that threshold (at the threshold a
-    dropped monomial can cancel it).
-    """
-    val = value_of(f, valuation)
-    skp = valuation.skp
-    if skp.cutoff is None:
-        return val, None
-    ratios = (entry.beta.scale(Fraction(1, max(entry.order, 1))) for entry in skp.entries.values())
-    threshold = min(ratios).scale(skp.cutoff + 1)
-    return val, val < threshold
 
 
 def initial_form(f, valuation):

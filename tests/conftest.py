@@ -20,6 +20,7 @@ from skpval import (
     GF,
     GroupValue,
     IterationCapError,
+    NotMonicError,
     SemigroupSpec,
     SkpValuation,
     ZeroPolyError,
@@ -188,11 +189,11 @@ def at_rewrite_cap(rewrites, call):
 
 
 def outcome(compute):
-    """What ``compute()`` returns, or the ZeroPolyError it raises as its
-    type's name and its message."""
+    """What ``compute()`` returns, or the ZeroPolyError or NotMonicError it
+    raises as its type's name and its message."""
     try:
         return compute()
-    except ZeroPolyError as exc:
+    except (ZeroPolyError, NotMonicError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -330,8 +331,7 @@ DATA_SKP = ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail")
 # problem of tests/data, ``example1`` or ``doubling_5`` (the realized
 # 5-generator doubling chain), then ``_cutoff<N>`` for a cutoff set on it,
 # ``_gf<p>`` for its table over GF(p) and ``_minimal`` for its minimal table.
-# At cutoff 1 U_{1,2} of remark_diffskp truncates to 0, and at 2 some inputs
-# truncate to 0.
+# At cutoff 1 U_{1,2} of remark_diffskp truncates to 0.
 CORPUS = (
     *(name + gf + minimal for name in DATA_SKP for gf in ("", "_gf7") for minimal in ("", "_minimal")),
     "example1", "example1_minimal", "example1_gf7",
@@ -340,10 +340,11 @@ CORPUS = (
     "gamma_4_6_13", "gamma_4_6_13_gf2", "gamma_4_6_13_gf3", "gamma_4_6_13_gf7",
     "free_pair", "doubling_5",
 )
-# The exact tables, whose values are the same by the adic and the Euclidean
-# route on what ``sample_polynomials`` draws: those with no cutoff, and
-# ``example1`` at its cutoff 32.  At example1_tail.json's cutoffs 5 and 16
-# the adic expansion drops monomials that decide a value (test_properties).
+# The exact tables, whose key polynomials and products are untruncated for
+# what ``sample_polynomials`` draws: those with no cutoff, and ``example1``
+# at its cutoff 32.  On the others the adic expansion is still f's, as it
+# reads only the rules, but it multiplies out to f truncated, and the
+# Euclidean route divides by truncated key polynomials (test_properties).
 EXACT = tuple(name for name in CORPUS if "_cutoff" not in name and "example1_tail" not in name)
 
 

@@ -32,7 +32,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf
 
-from skpval.errors import NotInGroupError, NotMonicError, ZeroPolyError
+from skpval.errors import DimensionMismatchError, NotInGroupError, NotMonicError
 from skpval.expansion import AdicExpansion, AdicMonomial, adic_expand
 from skpval.fields import QQ
 from skpval.intlattice import row_echelon
@@ -44,7 +44,7 @@ from skpval.ordgroup import (
     is_finite_index,
 )
 from skpval.poly import MultiPoly
-from skpval.skp import normalize_alpha, rewrite_rules, u_order
+from skpval.skp import normalize_alpha, rewrite_rules
 from skpval.valuation import GradedNormalForm, initial_form
 
 
@@ -215,14 +215,6 @@ def swap_variables(f, perm):
     return MultiPoly(f.nvars, terms, f.field)
 
 
-def refuse_zero_keys(skp):
-    """Refuse, by its own scan, a table whose cutoff truncated a key
-    polynomial to 0, with the library's message."""
-    for i, j in skp.order:
-        if skp.entries[(i, j)].poly.is_zero():
-            raise ZeroPolyError(f"key polynomial U_{{{i},{j}}} is 0 under cutoff {skp.cutoff}")
-
-
 def rescan_adic_expand(f, skp, alpha=None):
     """Adic expansion by rescanning the working set before every rewrite.
 
@@ -230,14 +222,13 @@ def rescan_adic_expand(f, skp, alpha=None):
     key), the value summed from ``_integer_betas`` and the dense key the
     exponent tuple over ``skp.order``, and rewrites it at its greatest
     violating index: the order the library's priority queue must
-    reproduce.  On a table whose betas are positive and whose rules lower
-    no value, no key is rewritten twice, which is asserted.  Returns
-    (expansion, rewrite count).
+    reproduce.  Only the rules are read, never the key polynomials, so a
+    table's total-degree cutoff drops nothing.  On a table whose betas are
+    positive and whose rules lower no value, no key is rewritten twice,
+    which is asserted.  Returns (expansion, rewrite count).
     """
     alpha = normalize_alpha(skp, alpha)
     zero = skp.field.zero
-    cutoff = skp.cutoff
-    refuse_zero_keys(skp)
     rules = rewrite_rules(skp, alpha)
     betas, _ = _integer_betas(skp)
     origin = (0,) * skp.dimension
@@ -252,8 +243,6 @@ def rescan_adic_expand(f, skp, alpha=None):
     )
 
     def add(work, key, coeff):
-        if cutoff is not None and u_order(key, skp.entries) > cutoff:
-            return
         cur = skp.field.reduce(work.get(key, zero) + coeff)
         if cur == zero:
             work.pop(key, None)
@@ -310,8 +299,6 @@ def rescan_initial_form(f, valuation):
     each valued as a sum of GroupValues."""
     skp = valuation.skp
     expansion, _ = rescan_adic_expand(f, skp, valuation.alpha)
-    if not len(expansion):
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
     zero = GroupValue((0,) * skp.dimension)
     values = []
     for m in expansion:
@@ -341,8 +328,6 @@ def full_least_part(f, valuation):
     expands everything and then throws away all but the minimum."""
     skp = valuation.skp
     expansion = adic_expand(f, valuation)
-    if not len(expansion):
-        raise ZeroPolyError("no monomials survived (truncated to zero)")
     betas, _ = _integer_betas(skp)
     origin = (0,) * skp.dimension
     values = [_integer_value(dict(m.key), betas, origin) for m in expansion]
@@ -555,10 +540,9 @@ def long_euclidean_expand(f, skp, j=None, row=None):
 def group_euclid_value(f, valuation, top):
     """The value of f on rows 0..top through every piece of the Euclidean
     expansions of ``long_euclidean_expand``, each summed as a GroupValue
-    (``part + beta.scale(e)``) and compared as one.  Like the value routes,
-    it refuses a table whose cutoff truncated a key polynomial to 0."""
+    (``part + beta.scale(e)``) and compared as one.  Like the value route,
+    it refuses a divisor the cutoff left not monic (NotMonicError)."""
     skp = valuation.skp
-    refuse_zero_keys(skp)
     if top < 0 or f.degree() == 0:
         return GroupValue((0,) * valuation.skp.dimension)
     if skp.row_length(top) == 0 or valuation.alpha[top] == 0:
@@ -668,6 +652,16 @@ def left_kernel(rows):
     return [U[i] for i in range(len(rows)) if all(a == 0 for a in H[i])]
 
 
+def of_dimension(values, dim):
+    """``values`` as GroupValues, each of dimension ``dim`` or refused
+    with DimensionMismatchError."""
+    out = [as_group_value(v) for v in values]
+    for v in out:
+        if v.dim != dim:
+            raise DimensionMismatchError(f"expected dimension {dim}, got {v.dim}")
+    return out
+
+
 def subgroup_index(gamma, previous):
     """Least r >= 1 with r*gamma in the group generated by ``previous``.
 
@@ -675,7 +669,7 @@ def subgroup_index(gamma, previous):
     particular for a nonzero gamma over an empty family.
     """
     gamma = as_group_value(gamma)
-    previous = [as_group_value(v, gamma.dim) for v in previous]
+    previous = of_dimension(previous, gamma.dim)
     if not any(gamma.coords):
         return 1
     if not previous:
@@ -711,7 +705,7 @@ def canonical_representation(n, gamma, previous, ns=None, relations=None):
     Raises NotInGroupError when n*gamma is outside the generated group.
     """
     gamma = as_group_value(gamma)
-    previous = [as_group_value(v, gamma.dim) for v in previous]
+    previous = of_dimension(previous, gamma.dim)
     if ns is None or relations is None:
         chain = analyze_chain(previous)
         ns = [e.n for e in chain]
@@ -798,7 +792,7 @@ def semigroup_member(gamma, gens):
     over the generators whose leading coordinate is 0.
     """
     gamma = as_group_value(gamma)
-    gens = [as_group_value(g, gamma.dim) for g in gens]
+    gens = of_dimension(gens, gamma.dim)
     if gamma.dim == 1:
         return _coin_member(gamma.coords[0], [g.coords[0] for g in gens])
     lead = [g for g in gens if g.coords[0] != 0]

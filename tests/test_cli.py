@@ -38,13 +38,12 @@ class TestEval:
         )
 
     def test_truncated_key_polynomial(self, tmp_path):
-        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: the table is refused by
-        # name (exit 1), but a bad --poly is still reported first (exit 2)
+        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: the table is valued by its
+        # rules, the report holds the value alone, and a bad --poly is exit 2
         path = write_problem(tmp_path, "remark_diffskp.json", {"cutoff": 1})
-        report = run_cli("eval", "--skp", path, "--poly", "X1", code=1).report
-        assert report["diagnostics"] == [
-            {"kind": "ZeroPoly", "message": "key polynomial U_{1,2} is 0 under cutoff 1"}
-        ]
+        for poly, value in (("X1", "3"), ("X1^2 - X0^3", "9")):
+            report = run_cli("eval", "--skp", path, "--poly", poly, code=0).report
+            assert report["result"] == {"value": [value], "value_str": value}
         run_cli("eval", "--skp", path, "--poly", "X9+", code=2, kind="schema")
 
     def test_deep_nesting_is_malformed_input(self):

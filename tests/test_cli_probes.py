@@ -25,6 +25,12 @@ DOUBLING_6 = {"kind": "realize", "generators": [[str(g)] for (g,) in doubling_ch
 # the relation of entry (2,1) uses (1,2), so (1,1,2) is not an acceptable vector
 RELATION_ACROSS_ROWS = {"kind": "skp", "values": {"rows": [["1"], ["1/2", "4/3"], ["11/6", "2"]]}}
 
+NO_ARITHMETIC = {"kind": "classify", "arithmetic": {"rows": [{"infinite": True}] * 2}}
+AMBIGUOUS = {"kind": "classify", "arithmetic": {
+    "rows": [{"final": ["1"]}, {"final": ["2"]}],
+    "declared": {"level1": 2, "level2": 1, "in_q1": True, "in_q2": True, "span1_in_02": True},
+}}
+
 # every message echoes at most 24 characters of an input this long
 LONG_LITERAL = "1" * 5000 + "/0"
 LONG_GARBAGE = "X0+" + "#" * 5001
@@ -43,10 +49,26 @@ PROBES = {
                                           2, ("schema", "minimality_bound: unknown key"), None),
     "verify-doubling-chain-6": (DOUBLING_6, None, "verify {}",
                                 0, None, {"realization.verification.passed": True}),
+    # a cutoff truncates the key polynomials, not the adic expansion
     "eval-power-truncated-to-nothing": ("example1_tail.json", None, "eval --skp {} --poly X0^6",
-                                        1, ("ZeroPoly", "no monomials survived"), None),
+                                        0, None, {"value_str": "(0, 0, 6)"}),
     "expand-truncated-key-polynomial": ("remark_diffskp.json", {"cutoff": 1}, "expand {} --poly X1",
-                                        1, ("ZeroPoly", "U_{1,2} is 0 under cutoff 1"), None),
+                                        0, None,
+                                        {"expansion": [{"coeff": "1", "exponents": {"1,1": 1}}]}),
+    "realize-no-generators": (GAMMA, {"generators": []}, "realize {}",
+                              2, ("schema", "need at least one generator"), None),
+    "realize-limit-label-past-the-generators": (GAMMA, {"limit_labels": [4]}, "realize {}",
+                                                2, ("schema", "limit label 4 outside the generator"),
+                                                None),
+    "realize-limit-labels-in-the-table": (GAMMA, {"limit_labels": [2]}, "realize {}",
+                                          0, None, {"realization.table.limit_labels": {"1,1": 1}}),
+    "classify-neither-values-nor-declared": (NO_ARITHMETIC, None, "classify {}",
+                                             2, ("schema", "need either values or declared"), None),
+    # declared predicates that rows I and VI of the lookup table both match
+    "classify-ambiguous": (AMBIGUOUS, None, "classify {}",
+                           0, None, {"classification.status": "AMBIGUOUS",
+                                     "classification.matches.0.row": "I",
+                                     "classification.matches.1.row": "VI"}),
     "classify-infinite-string": ("classify_vii.json", {"arithmetic.rows.0.infinite": "no"},
                                  "classify {}", 2,
                                  ("schema", "arithmetic.rows.0.infinite: one of true, false"),

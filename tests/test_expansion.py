@@ -6,6 +6,7 @@ import pytest
 
 from skpval import (
     GF,
+    GroupValue,
     IterationCapError,
     MultiPoly,
     NotMonicError,
@@ -17,6 +18,7 @@ from skpval import (
     euclidean_expand,
     parse_poly,
     value_of,
+    value_via_euclidean,
 )
 from skpval import expansion
 from skpval.expansion import sparse_key, vp
@@ -160,19 +162,29 @@ class TestEuclidean:
             ((1, 1),): P("1"),
         }
 
+    def test_zero_and_an_empty_row(self, diffskp):
+        # 0 is the empty expansion; a row with no key polynomials is refused
+        assert euclidean_expand(MultiPoly.zero(2), top_cut(diffskp, 2)) == []
+        v = SkpValuation(build_skp(compute_relations([[], [(1, 0)], [(0, 1)]])))
+        with pytest.raises(ValueError, match="^row 0 has no key polynomials$"):
+            euclidean_expand(parse_poly("X1", 3), v, row=0)
+
 
 class TestEuclideanOracle:
     def test_truncated_divisor_is_refused(self, diffskp_table):
         # at cutoff 1 X1^2 - X0^3 truncates to 0: dividing by it is refused,
-        # and so are both rule sets of the context, on first use;
-        # swapped, at cutoff 2 X1^3 - X0^2 truncates to -X0^2, not monic in X1
+        # while the adic entries, which read only the rules, expand and value
+        # past it; swapped, at cutoff 2 X1^3 - X0^2 truncates to -X0^2, not
+        # monic in X1
         v = SkpValuation(build_skp(diffskp_table, cutoff=1))
         assert [key for key, _ in euclidean_expand(P("X1^2"), top_cut(v.skp, 1))] == [{1: 2}]
         with pytest.raises(NotMonicError):
             euclidean_expand(P("X1^2"), top_cut(v.skp, 2))
-        for entry in (adic_expand, value_of):
-            with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
-                entry(P("X1"), v)
+        with pytest.raises(NotMonicError):
+            value_via_euclidean(P("X1^2"), v)
+        assert [m.key for m in adic_expand(P("X1^2 - X0^3"), top_cut(v.skp, 2))] == [(((1, 2), 1),)]
+        for text, value in (("X1^2", 6), ("X1^2 - X0^3", 9)):
+            assert value_of(P(text), v) == GroupValue((value,))
         swapped = build_skp(compute_relations([[3], [2, 9, 10]]), thetas={(1, 2): -1}, cutoff=2)
         with pytest.raises(NotMonicError):
             long_euclidean_expand(P("X1^3"), swapped, 2)

@@ -6,17 +6,17 @@ example1_tail.json at cutoff 16.  Polynomials are drawn with small total
 degree and with coefficients that are integers or, over Q, fractions with
 small denominators.  Example counts are capped to keep tier-1 quick.
 
-The valuation axioms and the agreement of the adic and Euclidean routes are
-checked on the tables whose values are exact for the degrees drawn.  Under a
-cutoff the adic expansion drops monomials of high U-order, so a value may be
-too large: on example1_tail.json (cutoff 5) X2^2 gets (0, 5, 1) by the adic
-route and (0, 4, 2) by the Euclidean one, and ``eval`` reports
-``truncation_valid: false`` (pinned below).  That table is checked by the
-expansion property, which holds under any cutoff, and at cutoff 16, deep
-enough for polynomials of degree 2 though not for every product of key
-polynomials (pinned below), with the exact tables.  At cutoff 5 the
-Euclidean route is checked to add values on products, and it values X0^6
-and X2^6, whose adic expansions truncate to nothing.
+The valuation axioms, the agreement of the adic and Euclidean routes and
+the expansion property are checked on every table, example1_tail.json at
+its declared cutoff 5 included.  A table's total-degree cutoff truncates its
+key polynomials, not the adic expansion, which the rules and the betas
+alone fix, so the adic route values a polynomial whose terms pass the
+cutoff: X0^6 and X2^6 at cutoff 5, and products of key polynomials at
+cutoff 16 (pinned below).  The Euclidean route divides by the truncated key
+polynomials.  Where the cutoff cut a key polynomial below its own degree,
+it values some polynomials wrongly or refuses them (NotMonicError), while
+the adic route gives the value of the table with no cutoff (pinned below on
+remark_diffskp.json at cutoffs 1 and 3).
 """
 
 import itertools
@@ -28,8 +28,8 @@ from hypothesis import given, settings, strategies as st
 from skpval import (
     GroupValue,
     MultiPoly,
+    NotMonicError,
     SkpValuation,
-    ZeroPolyError,
     adic_expand,
     parse_poly,
     value_of,
@@ -38,7 +38,7 @@ from skpval import (
 from skpval.fields import QQ
 from skpval.jsonio import build_from_problem
 
-from conftest import DATA_SKP, EXACT, corpus, problem
+from conftest import DATA_SKP, corpus, problem
 
 CUTOFF_16 = ("example1_tail_cutoff16", "example1_tail_cutoff16_gf7")
 TABLES = [name + field for name in DATA_SKP for field in ("", "_gf7")] + list(CUTOFF_16)
@@ -78,66 +78,70 @@ def draw_poly(data, valuation, degree):
     return data.draw(polynomials(skp.nvars, skp.field, degree))
 
 
-# the tables whose values are exact for the degrees drawn: the corpus's
-# exact ones, and example1_tail.json at cutoff 16, deep enough for degree 2
-EXACT_TABLES = [name for name in TABLES if name in EXACT or name in CUTOFF_16]
-
-
-def test_example1_tail_routes_disagree_at_its_declared_cutoff(valuations):
+def test_example1_tail_routes_agree_at_its_declared_cutoff(valuations):
+    # X2^2 is 2 * nu(X2) on both routes at cutoff 5
     v, _ = valuations["example1_tail"]
     f = parse_poly("X2^2", 3)
-    assert value_of(f, v) == GroupValue((0, 5, 1))
-    assert value_via_euclidean(f, v) == GroupValue((0, 4, 2))
+    assert value_of(f, v) == value_via_euclidean(f, v) == GroupValue((0, 4, 2))
 
 
-def test_euclidean_route_values_what_the_adic_route_refuses(valuations):
-    # at cutoff 5 the adic expansions of X0^6 and X2^6 truncate to nothing,
-    # while the Euclidean route gives 6 * beta (ROADMAP item 8)
+def test_routes_value_powers_past_the_declared_cutoff(valuations):
+    # at cutoff 5 the products X0^6 and X2^6 truncate to 0, yet both routes
+    # give 6 * beta: the adic expansion reads no product
     v, _ = valuations["example1_tail"]
     for text, value in (("X0^6", (0, 0, 6)), ("X2^6", (0, 12, 6))):
         f = parse_poly(text, 3)
-        assert value_via_euclidean(f, v) == GroupValue(value)
-        with pytest.raises(ZeroPolyError, match=r"^no monomials survived"):
-            value_of(f, v)
+        assert value_of(f, v) == value_via_euclidean(f, v) == GroupValue(value)
 
 
-def test_example1_tail_routes_disagree_at_cutoff_16():
-    # with the tail unrolled to depth 64, cutoff 16 still drops monomials
-    # that decide the value of a polynomial of degree 8
+def test_example1_tail_routes_agree_at_cutoff_16():
+    # with the tail unrolled to depth 64, a polynomial of degree 8
     data = problem("example1_tail.json", cutoff=16)
     data["limit_tails"][0]["depth"] = 64
     v = SkpValuation(build_from_problem(data))
     f = parse_poly("5*X0^2*X1*X2^5", 3)
-    assert value_via_euclidean(f, v) == GroupValue((0, 11, 7))
-    assert value_of(f, v) == GroupValue((0, 12, 6))
+    assert value_of(f, v) == value_via_euclidean(f, v) == GroupValue((0, 11, 7))
 
 
-def test_example1_tail_routes_disagree_on_a_key_power_at_cutoff_16():
-    # U_{2,2}^2 truncated at cutoff 16: the adic route reads the power's
-    # value (0, 6, 0), while the truncation dropped terms whose loss leaves
-    # a polynomial of value (0, 4, 13), as the Euclidean route says and as
-    # both routes say at cutoff 40 with the tail unrolled to depth 64
+def test_example1_tail_routes_agree_on_a_key_power_at_cutoff_16():
+    # U_{2,2}^2 truncated at cutoff 16 has value (0, 4, 13), as both routes
+    # say at cutoff 40 with the tail unrolled to depth 64
     skp = corpus("example1_tail_cutoff16")
     f = skp.monomial_poly({(2, 2): 2})
-    assert value_of(f, SkpValuation(skp)) == GroupValue((0, 6, 0))
-    assert value_via_euclidean(f, SkpValuation(skp)) == GroupValue((0, 4, 13))
+    v = SkpValuation(skp)
+    assert value_of(f, v) == value_via_euclidean(f, v) == GroupValue((0, 4, 13))
     data = problem("example1_tail.json", cutoff=40)
     data["limit_tails"][0]["depth"] = 64
     deep = SkpValuation(build_from_problem(data))
     assert value_of(f, deep) == value_via_euclidean(f, deep) == GroupValue((0, 4, 13))
 
 
+def test_euclidean_route_fails_where_the_cutoff_cut_a_key_polynomial():
+    # remark_diffskp.json at cutoff 3 leaves U_{1,3} as X1^2 - X0^3, below
+    # its degree 4 in X1, and at cutoff 1 truncates U_{1,2} to 0: the
+    # Euclidean route divides by them, and gives 20 where the value is 18,
+    # or refuses; the adic route gives the value of the table with no cutoff
+    full = SkpValuation(corpus("remark_diffskp"))
+    f = parse_poly("X1^4 - 2*X0^3*X1^2 + X0^6", 2)
+    for cutoff in (1, 3):
+        v = SkpValuation(corpus(f"remark_diffskp_cutoff{cutoff}"))
+        assert value_of(f, v) == value_of(f, full) == GroupValue((18,))
+    assert value_via_euclidean(f, SkpValuation(corpus("remark_diffskp_cutoff3"))) == GroupValue((20,))
+    with pytest.raises(NotMonicError, match="^divisor is not monic in X1$"):
+        value_via_euclidean(f, SkpValuation(corpus("remark_diffskp_cutoff1")))
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_euclidean_route_multiplies_at_the_declared_cutoff(valuations, data):
-    # the Euclidean route is the candidate for values under a cutoff: it
-    # adds values on products at example1_tail's own cutoff 5
+    # the Euclidean route adds values on products at example1_tail's own
+    # cutoff 5
     v, _ = valuations["example1_tail"]
     f, g = draw_poly(data, v, 3), draw_poly(data, v, 3)
     assert value_via_euclidean(f * g, v) == value_via_euclidean(f, v) + value_via_euclidean(g, v)
 
 
-@pytest.mark.parametrize("name", EXACT_TABLES)
+@pytest.mark.parametrize("name", TABLES)
 class TestValuationAxioms:
     @PROPERTY_SETTINGS
     @given(data=st.data())

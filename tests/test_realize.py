@@ -115,6 +115,10 @@ class TestReindex:
         assert [[v.coords[0] for v in row] for row in res.table.rows] == [[4], [6, 13]]
         assert res.validation.is_sequence_of_values
 
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown mode 'lazy'$"):
+            reindex(spec(4, 6, 13), "lazy")
+
     def test_free_pair_both_modes(self):
         for mode in (LITERAL, CORRECTED):
             res = reindex(spec((1, 0), (0, 1)), mode)

@@ -84,6 +84,9 @@ class TestBuild:
         skp = build_skp(compute_relations([[], [(1, 0)], [(0, 1)]]))
         assert (0, 1) not in skp.entries
         assert skp.entries[(1, 1)].poly == parse_poly("X1", 3)
+        SkpValuation(skp, (0, 1, 1))
+        with pytest.raises(ValueError, match="^nonzero cutoff on an empty row$"):
+            SkpValuation(skp, (1, 1, 1))
 
 
 class TestExample1:
@@ -257,6 +260,11 @@ class TestUnrollLimit:
         # depth 0 is the one spelling of "no unrolling"
         with pytest.raises(ValueError, match="^limit tail depth -3 is negative$"):
             LimitTail(2, 2, {}, depth=-3)
+
+    def test_tail_at_a_first_position_refused(self):
+        # U_{row,1} = X_row has no predecessor to unroll from
+        with pytest.raises(ValueError, match="^a tail must target a successor position$"):
+            LimitTail(2, 1, {})
 
     def tail_table(self, cutoff=5):
         rows = [[GroupValue((0, 0, 1))], [GroupValue((0, 1, 0))], [GroupValue((0, 2, 1))]]

@@ -26,7 +26,6 @@ from skpval.ordgroup import analyze_chain
 from skpval.realize import random_polynomial
 from skpval.skp import KeyProducts, SkpTable
 from skpval.valtable import table_from_chain
-from skpval.valuation import value_report
 
 from conftest import (
     CORPUS,
@@ -56,8 +55,8 @@ class TestValueOf:
     def test_key_polynomials_of_accepted_tables(self, route):
         # what the valuation's rule check guarantees: both routes value each
         # key polynomial at its beta on every table of the corpus but
-        # remark_diffskp at cutoffs 1 (refused), 2 and 3 (U_{1,2} gets 10,
-        # not 9, on both: a cutoff fault, ROADMAP item 8)
+        # remark_diffskp at cutoffs 1, 2 and 3, which cut U_{1,2} or U_{1,3}
+        # to a polynomial of another value (0, X1^2, X1^2 - X0^3)
         for name in CORPUS:
             if name in ("remark_diffskp_cutoff1", "remark_diffskp_cutoff2", "remark_diffskp_cutoff3"):
                 continue
@@ -74,28 +73,26 @@ class TestValueOf:
     def test_zero_rejected(self, vdiff):
         with pytest.raises(ZeroPolyError):
             value_of(P("0"), vdiff)
+        with pytest.raises(ZeroPolyError, match="^value of the zero polynomial$"):
+            value_via_euclidean(P("0"), vdiff)
 
-    def test_truncation_validity_flag(self):
-        t = compute_relations([[2], [3, 9, 10]])
-        skp = build_skp(t, cutoff=12)
-        v = SkpValuation(skp)
-        val, ok = value_report(P("X1^2"), v)
-        assert val == gv(6) and ok is True
-
-    def test_value_at_the_drop_bound_is_not_exact(self):
-        # at cutoff 2 the dropped X1^3 (value 9) cancels X0^2 (value 6, the
-        # bound 3 * min beta/ord): the computed 6 is not the value 9
+    def test_term_past_the_cutoff_still_cancels(self):
+        # at cutoff 2 the products drop X1^3, but the adic expansion keeps
+        # it: X0^2 - X1^3 is -U_{1,2}, of value 9, not X0^2, of value 6
         skp = jsonio.build_from_problem(problem("swapped_diffskp.json", cutoff=2))
-        val, ok = value_report(P("X0^2 - X1^3"), SkpValuation(skp))
-        assert val == gv(6) and ok is False
+        assert value_of(P("X0^2 - X1^3"), SkpValuation(skp)) == gv(9)
 
     @pytest.mark.parametrize("route", [value_of, value_via_euclidean])
     def test_truncated_key_polynomial_refused(self, route):
-        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0: both routes refuse alike
+        # at cutoff 1, U_{1,2} = X1^2 - X0^3 is 0, which both routes refuse
+        # to value, while the table is not refused: both value X1, which
+        # needs no division by U_{1,2}, at every acceptable vector
         skp = corpus("remark_diffskp_cutoff1")
         for alpha in acceptable_vectors(skp):
-            with pytest.raises(ZeroPolyError, match=r"^key polynomial U_\{1,2\} is 0 under cutoff 1$"):
-                route(P("X1"), SkpValuation(skp, alpha))
+            v = SkpValuation(skp, alpha)
+            with pytest.raises(ZeroPolyError, match="zero polynomial$"):
+                route(skp.entries[(1, 2)].poly, v)
+            assert route(P("X1"), v) == gv(3)
 
 
 class TestEuclideanAgreement:
