@@ -34,13 +34,22 @@ monomials too.
 The Euclidean expansion of a row is computed by iterated monic division by
 the largest applicable key polynomial; it coincides with grouping the adic
 expansion by the row's exponents.  One plain recursive walk,
-``euclidean_walk``, divides packed monomials (``poly.pack``), split by
+``euclidean_walk``, divides packed slices (``packed.Split``), split by
 X_row-degree, by the table's ``DivisorSplits`` of its width, and carries the
 key's weight, raised by beta per power divided out.  It hands each piece (a
-coefficient of X_row-degree 0) and its weight to its caller, and divides
-only while the weight is below the least sum the caller returned: the value
+slice of X_row-degree 0) and its weight to its caller, and divides only
+while the weight is below the least sum the caller returned: the value
 route values each coefficient on the row below, and under unit weights
-(``euclidean_expand``) a weight is the key.
+(``euclidean_expand``) a weight is the key.  The digit variable of the
+slices is X_L, L the table's ``digit_row``, its lowest nonempty row: the
+coefficient of a monomial in the other variables, a polynomial in X_L, is
+one int.  Row L holds one key polynomial, X_L itself, as the table refuses
+an interior entry of infinite index, so the value route reads a piece's
+value on row L off its one int, with no walk: the least power of X_L in it
+is the place of its lowest nonzero digit, v2(x) // width, and over GF(p)
+the digits are residues there, so that digit is the first not 0 mod p.
+``euclidean_expand`` on row L itself takes X0 (X1 when L is 0) as the
+digit variable.
 
 The packing width follows the proof in ``poly``, row by row
 (``SkpTable.bounds``).  Let W_r be the largest ``poly.division_factor`` of
@@ -51,7 +60,8 @@ degree T; so every exponent in the walk is at most W_r * T, and so is the
 total degree of each piece's coefficient, which has X_r-degree 0.  Valuing
 the coefficients on the rows below repeats the argument, so on all rows
 every exponent is at most totdeg(f) * prod W_r.  The width holds the larger
-of that bound and the key polynomials' own largest exponent.
+of that bound and the key polynomials' own largest exponent; the digit
+width grows in each division as ``poly`` proves it must.
 """
 
 from heapq import heappop, heappush
@@ -59,7 +69,8 @@ from operator import add
 
 from .errors import InvalidTableError, IterationCapError, ZeroPolyError
 from .ordgroup import INFINITY, is_finite_index
-from .poly import MultiPoly, divide_split, pack, split, unpack
+from .packed import digit_variable, divide_split, join, pack, split
+from .poly import MultiPoly
 from .skp import weigh
 
 DEFAULT_REWRITE_CAP = 1_000_000
@@ -294,36 +305,35 @@ def least_value_part(f, valuation):
 def euclidean_walk(g, splits, steps, row, j, w, piece):
     """The least sum ``piece`` returns over the Euclidean expansion in row
     ``row`` with cutoff ``j`` of the nonzero polynomial with packed
-    X_row-degree split ``g`` (consumed) at the width of ``splits``, the
-    exponent at each position ascending; ``steps[j']`` is (d, beta) of
-    U_{row,j'}.  Each piece goes to ``piece(w + sum t * beta over its key,
-    packed coefficient, row)``, which returns a sum, or ``TOP`` throughout
-    to bound nothing; a further power is divided out only below the least
-    sum.
+    X_row-degree split ``g`` (consumed) at the exponent width of
+    ``splits``, the exponent at each position ascending; ``steps[j']`` is
+    (d, beta) of U_{row,j'}.  Each piece goes to ``piece(w + sum t * beta
+    over its key, packed piece, row)``, which returns a sum, or ``TOP``
+    throughout to bound nothing; a further power is divided out only below
+    the least sum.
     """
-    field = splits.skp.field
 
     def walk(g, j0, w, best):
         dg = max(g)
         while j0 and steps[j0][0] > dg:
             j0 -= 1
         if not j0:
-            part = piece(w, g[0], row)  # X_row-degree 0: the split is {0: terms}
+            part = piece(w, g, row)  # X_row-degree 0: the split is a piece
             return part if part < best else best
         beta = steps[j0][1]
-        lower, d0 = splits[(row, j0)]
-        if not lower and d0 == 1:
+        divisor = splits[(row, j0)]
+        if not divisor.lower and divisor.dg == 1:
             # U = X_row, every row's first key polynomial: the coefficient of
-            # U^t is the split's part of degree t, read with no division
+            # U^t is the split's slice of degree t, read with no division
             for t in sorted(g):
                 wt = tuple([a + t * b for a, b in zip(w, beta)]) if t else w
                 if t and wt >= best:
                     break  # every larger power weighs more
-                part = piece(wt, g[t], row)
+                part = piece(wt, g.piece(t), row)
                 best = part if part < best else best
             return best
         while g:
-            g, ct = divide_split(g, lower, d0, field)
+            g, ct = divide_split(g, divisor)
             if ct:
                 best = walk(ct, j0 - 1, w, best)
             w = tuple(map(add, w, beta))  # the weight of the next power's key
@@ -343,6 +353,8 @@ def euclidean_expand(f, valuation, row=None):
     the row's cutoff j, the context's ``alpha[row]``, stay below their n;
     ``row`` defaults to the top row.  No rule set is read, so a key
     polynomial truncated to 0 is refused (NotMonicError) only as a divisor.
+    The digit variable is X_L, L the table's ``digit_row``, or on row L
+    itself X0 (X1 when L is 0).
     """
     skp = valuation.skp
     skp.check_poly(f)
@@ -355,12 +367,13 @@ def euclidean_expand(f, valuation, row=None):
     if f.is_zero():
         return []
     splits = skp.divisor_splits(f.degree())
+    width = splits.width
     # under unit weights the weight of a key is its exponent vector over 1..j
     units = [None] + [
         (skp.entries[(top, p)].d, (0,) * (p - 1) + (1,) + (0,) * (j - p)) for p in range(1, j + 1)
     ]
     pieces = []
-    g = split(pack(f, splits.width), top, splits.width)
+    g = split(pack(f, width, digit_variable(top, skp.digit_row)), top, width)
 
     def collect(w, c, _):
         pieces.append((w, c))
@@ -374,4 +387,5 @@ def euclidean_expand(f, valuation, row=None):
             entry = skp.entries[(top, pos)]
             if pos != j and is_finite_index(entry.n) and t >= entry.n:
                 raise AssertionError(key)
-    return [(dict(key), unpack(leaf, splits.width, f.nvars, f.field)) for key, leaf in keys]
+    return [(dict(key), MultiPoly.from_reduced(f.nvars, join(c, top, width, f.nvars, f.field), f.field))
+            for key, c in keys]

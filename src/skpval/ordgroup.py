@@ -248,8 +248,13 @@ class Chain(list):
         return tuple(c.numerator for c in row)
 
     def value(self, row):
-        """The GroupValue of an integer row over ``denom``."""
-        return GroupValue(tuple(Fraction(c, self.denom) for c in row))
+        """The GroupValue of an integer row over ``denom``, its coordinates
+        made Fractions here, so the constructor's check is skipped."""
+        denom = self.denom
+        out = object.__new__(GroupValue)
+        coords = [Fraction(c) for c in row] if denom == 1 else [Fraction(c, denom) for c in row]
+        object.__setattr__(out, "coords", tuple(coords))
+        return out
 
 
 def analyze_chain(values):

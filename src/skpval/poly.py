@@ -9,11 +9,11 @@ already carry.
 
 The one nontrivial algorithm is division with remainder in X_i by a divisor
 monic in X_i, which keeps quotient and remainder in the same ring.  It runs
-on X_i-degree splits of packed monomials (``pack``, ``split``,
-``divide_split``): the exponent vector e is coded as the one int
-sum e_v << (w*v) at a width of w bits per variable, so the product of two
-monomials is the sum of their codes, and each step is one scaled
-subtraction per lower X_i-coefficient of the divisor.
+on packed polynomials (module ``packed``: ``pack``, ``split``,
+``divide_split``, ``join``): the exponents of a monomial are coded as the
+one int sum e_v << (w*v) at a width of w bits per variable, so the product
+of two monomials is the sum of their codes, and the coefficients of the
+powers of one variable are the digits of one int.
 
 The width is proven, not guessed.  The sum of two codes is the code of the
 product as long as no exponent of the product reaches 2^w.  Let g be monic
@@ -29,13 +29,41 @@ dividend f, which is at most W * totdeg(f), and each of its exponents is at
 most its phi.  A width that holds max(W * totdeg(f), the largest exponent
 of g) therefore holds every exponent the division forms
 (``exponent_width``); ``expansion`` repeats the argument row by row.
+
+The digit width is proven, not guessed, like the exponent width.  In the
+division the coefficients of the powers of one variable are the signed
+digits, b bits wide, of one int (``packed``), and each ``packed.Split``
+carries a bound B on every |digit| of its ints.  A step subtracts the lead
+slice times the divisor's coefficient of X_i^k, for each lower k; each
+digit of that product is a sum of the lead's digits times the
+coefficient's, so at most L * N in absolute value, L a bound on the lead's
+digits and N the largest sum of |c| over one coefficient
+(``packed.Divisor.norm``), and B + L * N bounds every digit after the
+step; L is B unless the lead was read.  An int determines its digits, and
+its lowest set bit lies in its lowest nonzero digit, at place v2(x) // b,
+while B < 2^(b-1) (``packed.digit_limit``).  So before a step that would
+take B there, the division makes room.  Over Q the terms the bound adds up
+may cancel, so it first reads the lead's digits for a true L, then every
+slice's for a true B; over GF(p) it reduces the digits mod p, which sets
+B to p - 1.  Only when that is not enough does it widen the slices
+(``packed.widen``) to a width that holds the step, at least a quarter
+wider; a slice of the quotient, finished, keeps its width until the
+quotient is divided again.  The limit over GF(p) is lower, 2^t,
+t = (b - bits(p)) // 2 - 2, so that one multiply reduces every digit of an
+int (``packed``'s ``_reduce``).  A divisor whose lower coefficients are
+not integral is taken as D * g, D the lcm of their denominators: a step
+is then rem <- D * rem - lead * X_i^(d - dg) * (D * g), pseudo-division,
+which multiplies every bound, the quotient's too, by D, and after s steps
+the quotient and the remainder hold D^(s-1) and D^s times the true ones,
+their ``scale``.
 """
 
 import re
 from operator import add
 
-from .errors import NotMonicError, PolyParseError, ZeroPolyError, shorten
+from .errors import PolyParseError, ZeroPolyError, shorten
 from .fields import QQ
+from .packed import digit_variable, divide_split, join, pack, split, split_divisor
 
 
 class MultiPoly:
@@ -224,92 +252,24 @@ def division_factor(g, i):
     return max([-((e[i] - sum(e)) // (dg - e[i])) for e in g.terms if e[i] < dg] + [1])
 
 
-def pack(f, w):
-    """f's terms keyed by packed monomial, w bits per variable."""
-    shifts = range(0, w * f.nvars, w)
-    return {sum([e << s for e, s in zip(exps, shifts)]): c for exps, c in f.terms.items()}
-
-
-def unpack(terms, w, nvars, field):
-    """The polynomial of packed terms, w bits per variable."""
-    mask = (1 << w) - 1
-    shifts = range(0, w * nvars, w)
-    terms = {tuple([e >> s & mask for s in shifts]): c for e, c in terms.items()}
-    return MultiPoly.from_reduced(nvars, terms, field)
-
-
-def split(terms, i, w):
-    """{k: packed terms of the coefficient of X_i^k, their X_i-exponent 0}."""
-    shift, mask = w * i, (1 << w) - 1
-    out = {}
-    for e, c in terms.items():
-        k = e >> shift & mask
-        out.setdefault(k, {})[e - (k << shift)] = c
-    return out
-
-
-def join(groups, i, w, nvars, field):
-    """The polynomial whose packed X_i-degree split is ``groups``."""
-    shift = w * i
-    terms = {e + (k << shift): c for k, part in groups.items() for e, c in part.items()}
-    return unpack(terms, w, nvars, field)
-
-
-def split_divisor(g, i, w):
-    """(lower X_i-coefficients, X_i-degree) of g, a divisor monic in X_i,
-    packed at width w."""
-    groups = split(pack(g, w), i, w)
-    dg = max(groups, default=-1)
-    if groups.get(dg) != {0: g.field.one}:
-        raise NotMonicError(f"divisor is not monic in X{i}")
-    return [(k, part) for k, part in groups.items() if k < dg], dg
-
-
-def divide_split(rem, lower, dg, field):
-    """The splits (q, rem) of f = q*g + rem, deg_{X_i} rem < dg, from the
-    packed split of f (consumed) and the divisor as ``split_divisor`` gives
-    it, both at one width that holds every exponent the division forms."""
-    reduce = field.reduce
-    q = {}
-    for d in range(max(rem, default=-1), dg - 1, -1):
-        lead = rem.pop(d, None)
-        if lead is None:
-            continue
-        q[d - dg] = lead
-        lead = lead.items()
-        for k, part in lower:
-            target = rem.setdefault(d - dg + k, {})
-            get = target.get
-            for e2, c2 in part.items():
-                for e1, c1 in lead:
-                    e = e1 + e2
-                    c = reduce(get(e, 0) - c1 * c2)
-                    if c:
-                        target[e] = c
-                    else:
-                        del target[e]
-            if not target:
-                del rem[d - dg + k]
-    if rem and max(rem) >= dg:
-        raise AssertionError(f"division left X_i-degree {max(rem)} >= {dg}")
-    return q, rem
-
-
 def monic_divide(f, g, i):
     """Division with remainder by a divisor monic in X_i.
 
     Returns (q, rem) with f = q*g + rem exactly and deg_{X_i}(rem) <
     deg_{X_i}(g).  Since g is monic in X_i no coefficient division happens,
     so quotient and remainder stay in the same ring.  f and g are packed at
-    the width that holds max(W * totdeg(f), the largest exponent of g),
-    W = ``division_factor(g, i)``, and q and rem unpacked.
+    the exponent width that holds max(W * totdeg(f), the largest exponent
+    of g), W = ``division_factor(g, i)``, with digit variable X0 (X1 when
+    i is 0), and q and rem joined.
     """
     f._check(g)
     largest = max(map(max, g.terms), default=0)
     w = exponent_width(max(division_factor(g, i) * f.degree(), largest))
-    lower, dg = split_divisor(g, i, w)
-    q, rem = divide_split(split(pack(f, w), i, w), lower, dg, f.field)
-    return join(q, i, w, f.nvars, f.field), join(rem, i, w, f.nvars, f.field)
+    divisor = split_divisor(g, i, w)
+    q, rem = divide_split(split(pack(f, w, digit_variable(i)), i, w), divisor)
+    return tuple(
+        MultiPoly.from_reduced(f.nvars, join(g, i, w, f.nvars, f.field), f.field) for g in (q, rem)
+    )
 
 
 # -- text form ---------------------------------------------------------------

@@ -44,7 +44,8 @@ from .errors import (
 )
 from .fields import QQ
 from .ordgroup import INFINITY, is_finite_index
-from .poly import MultiPoly, division_factor, exponent_width, split_divisor
+from .packed import split_divisor
+from .poly import MultiPoly, division_factor, exponent_width
 from .valtable import TableEntry, ValueTable, compute_relations, validate_table
 
 DEFAULT_LIMIT_CUTOFF = 32
@@ -168,8 +169,9 @@ def weigh(key, weights, start):
 
 
 class DivisorSplits(dict):
-    """Index (row, j) -> ``poly.split_divisor`` of U_{row,j} packed at
-    ``width``, each made on first use."""
+    """Index (row, j) -> the ``packed.Divisor`` of U_{row,j} at exponent
+    width ``width``, each made on first use and packed at each digit width
+    a division asks for."""
 
     def __init__(self, skp, width):
         super().__init__()
@@ -202,6 +204,12 @@ class SkpTable(ValueTable):
     def monomial_poly(self, exps):
         """prod U_{i,j}^{e} from the table's ``products``."""
         return self.products[tuple(sorted((idx, e) for idx, e in exps.items() if e))]
+
+    @cached_property
+    def digit_row(self):
+        """The lowest nonempty row: its one key polynomial is its variable,
+        which packed polynomials keep in their digits (``poly``)."""
+        return next(i for i, row in enumerate(self.rows) if row)
 
     @cached_property
     def empty_rows(self):

@@ -23,7 +23,9 @@ refuses one that is not monic (NotMonicError) when it divides by it.  Initial
 forms, the top-row delta invariant and graded normal forms all build on the
 least value part; a graded normal form reduces each initial-form monomial by
 the table's relations through ``ordgroup.fold_relations``, the reduction
-that makes a representation canonical.
+that makes a representation canonical.  On the table's ``digit_row`` the
+Euclidean route reads a coefficient's value off the lowest nonzero digit
+of its packed int (``expansion``).
 """
 
 from functools import cached_property
@@ -40,7 +42,7 @@ from .expansion import (
     vp,
 )
 from .ordgroup import fold_relations, is_finite_index
-from .poly import pack, split
+from .packed import pack, split
 from .skp import normalize_alpha, rewrite_rules, weigh
 
 
@@ -95,19 +97,23 @@ def value_via_euclidean(f, valuation):
     skp = valuation.skp
     skp.check_poly(f)
     splits = skp.divisor_splits(f.degree())
-    steps, alpha, width = skp.steps, valuation.alpha, splits.width
+    steps, alpha, width, low = skp.steps, valuation.alpha, splits.width, skp.digit_row
+    beta_low = steps[low][1][1]  # of U_{low,1} = X_low, the row's one key polynomial
 
-    def value(w, terms, row):
-        # w plus the value on rows below ``row`` of the packed ``terms``; an
-        # empty row's variable is in no key polynomial, so in no coefficient
-        while row and (len(terms) > 1 or 0 not in terms):
+    def value(w, g, row):
+        # w plus the value on rows below ``row`` of the packed piece ``g``;
+        # an empty row's variable is in no key polynomial, so in no coefficient
+        while row and g.has_variable():
             row -= 1
+            if row == g.low:  # g is in X_low alone, which values beta_low
+                t = g.least_power()
+                return tuple([a + t * b for a, b in zip(w, beta_low)]) if t else w
             if alpha[row]:
-                g = split(terms, row, width)
+                g = split(g, row, width)
                 return euclidean_walk(g, splits, steps[row], row, alpha[row], w, value)
         return w
 
-    return skp.chain.value(value(valuation.rule_set.origin, pack(f, width), skp.nvars))
+    return skp.chain.value(value(valuation.rule_set.origin, pack(f, width, low), skp.nvars))
 
 
 def delta_of(f, valuation):

@@ -327,15 +327,22 @@ def acceptable_vectors(skp):
 # the skp problems of tests/data, each in the corpus over Q and over GF(7)
 DATA_SKP = ("remark_diffskp", "swapped_diffskp", "example2", "example1_tail")
 
+# The thetas at (1, 2) of remark_diffskp that ``_theta_<name>`` sets: a
+# non-integral one, which makes U_{1,3} = X1^2 - 1/2*X0^3*X1 - X0^3, and one
+# whose size makes a Euclidean division widen its digits.
+THETAS = {"half": "1/2", "1e30": str(10**30)}
+
 # Every table the tests sample on, by a name that says how it is built: a
 # problem of tests/data, ``example1`` or ``doubling_5`` (the realized
 # 5-generator doubling chain), then ``_cutoff<N>`` for a cutoff set on it,
-# ``_gf<p>`` for its table over GF(p) and ``_minimal`` for its minimal table.
-# At cutoff 1 U_{1,2} of remark_diffskp truncates to 0.
+# ``_theta_<name>`` for a theta of ``THETAS``, ``_gf<p>`` for its table
+# over GF(p) and ``_minimal`` for its minimal table.  At cutoff 1 U_{1,2}
+# of remark_diffskp truncates to 0.
 CORPUS = (
     *(name + gf + minimal for name in DATA_SKP for gf in ("", "_gf7") for minimal in ("", "_minimal")),
     "example1", "example1_minimal", "example1_gf7",
     *(f"remark_diffskp_cutoff{cutoff}" for cutoff in (1, 2, 3, 5, 8)),
+    *(f"remark_diffskp_theta_{theta}" for theta in THETAS),
     "example1_tail_cutoff16", "example1_tail_cutoff16_gf7",
     "gamma_4_6_13", "gamma_4_6_13_gf2", "gamma_4_6_13_gf3", "gamma_4_6_13_gf7",
     "free_pair", "doubling_5",
@@ -391,6 +398,7 @@ def corpus(name):
     if name.endswith("_minimal"):
         return minimal_pseudo_skp(corpus(name[:-len("_minimal")]))
     name, _, p = name.partition("_gf")
+    name, _, theta = name.partition("_theta_")
     name, _, cutoff = name.partition("_cutoff")
     if name == "example1":
         rows, labels = example1_rows()
@@ -400,6 +408,8 @@ def corpus(name):
     data = problem(f"{name}.json")
     if cutoff:
         data["cutoff"] = int(cutoff)
+    if theta:
+        data["thetas"] = {"1,2": THETAS[theta]}
     if p:
         data["field"] = {"prime": int(p)}
     if data["kind"] == "realize":

@@ -194,6 +194,9 @@ EVERY = tuple(name for name in CORPUS if name != "example1_gf7")
 EVERY_EXACT = tuple(name for name in EVERY if name in EXACT)
 INEXACT = tuple(name for name in CORPUS if name not in EXACT)
 KEYS = ("remark_diffskp", "example2", "remark_diffskp_gf7", "example2_gf7")
+# the tables of conftest.THETAS: U_{1,3} with a non-integral coefficient,
+# and with one that makes a division widen its digits
+THETA = tuple(name for name in CORPUS if "_theta_" in name)
 KEYS_3 = ("example1", "example1_gf7")
 # the cutoff tables of remark_diffskp; cutoffs 1, 2 and 3 cut U_{1,3}, of
 # degree 4 in X1, to 0, X1^2 and X1^2 - X0^3
@@ -242,10 +245,10 @@ CHECKS = {
         value_forms, lambda f, v: value_forms(f, SkpValuation(untruncated(v.skp), v.alpha)),
     ), [(CUTOFFS, "every", 40)]),
     "euclid-expand-long": Check(expand_like_long_division, [
-        (KEYS, "row", 6), (KEYS_3, "row", 2), (TRUNCATED, "row", 10),
+        (KEYS, "row", 6), (KEYS_3, "row", 2), (TRUNCATED, "row", 10), (THETA, "row", 10),
     ]),
     "euclid-evaluate": Check(euclidean_multiplies_back, [
-        (("remark_diffskp", "example2"), "every", 40),
+        (("remark_diffskp", "example2", *THETA), "every", 40),
     ]),
     # the expansion evaluates back to f truncated at the cutoff, expands
     # again to itself, keeps each exponent below n before a row's cutoff

@@ -10,15 +10,22 @@ from skpval import (
     NotMonicError,
     PolyParseError,
     SchemaError,
+    GroupValue,
+    SkpValuation,
     ZeroPolyError,
+    euclidean_expand,
+    expansion,
     monic_divide,
+    packed,
     parse_poly,
+    poly,
+    value_via_euclidean,
 )
 from skpval.fields import QQ
 from skpval.poly import _tokenize, division_factor, exponent_width
 from skpval.realize import random_polynomial
 
-from conftest import CORPUS, corpus
+from conftest import CORPUS, acceptable_vectors, corpus, sample_polynomials
 from oracles import long_divide
 
 
@@ -327,6 +334,99 @@ class TestPackedDivision:
         assert division_factor(P("X1^2 + X0*X1"), 1) == 1
         assert division_factor(P("X1"), 1) == 1
         assert division_factor(MultiPoly.zero(2), 1) == 1
+
+
+class TestDigitWidth:
+    """A division packs the coefficients of each power of the digit
+    variable at the digit width the bound in the poly module docstring
+    proves: it starts at 32 bits and widens only before a step whose bound
+    would pass 2^(width - 1), so a wider width, or a narrower one that
+    overflows, fails here."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The quotient and remainder splits of every division, and the
+        number of ints widened."""
+        seen = {"splits": [], "widened": 0}
+        divide, widen = packed.divide_split, packed.widen
+
+        def counted_divide(rem, divisor):
+            q, r = divide(rem, divisor)
+            seen["splits"] += [q, r]
+            return q, r
+
+        def counted_widen(*args):
+            seen["widened"] += 1
+            return widen(*args)
+
+        for module in (poly, expansion):
+            monkeypatch.setattr(module, "divide_split", counted_divide)
+        monkeypatch.setattr(packed, "widen", counted_widen)
+        return seen
+
+    @staticmethod
+    def assert_bounded(g):
+        """Every digit of the split, at its slice's width, is at most its
+        bound, which is below 2^(width - 1) at the split's width."""
+        assert g.bound < 2 ** (g.width - 1)
+        for k, slab in g.items():
+            width = (g.widths or {}).get(k, g.width)
+            for x in slab.values():
+                assert max(map(abs, packed.digits(x, width))) <= g.bound
+
+    @pytest.mark.parametrize("name", ["remark_diffskp", "remark_diffskp_gf7", "example2"])
+    def test_pool_sized_inputs_keep_the_starting_width(self, seen, name):
+        # the sizes of the benchmark's pool on two-variable tables: total
+        # degree up to 12, up to 5 terms with small coefficients
+        skp = corpus(name)
+        v = SkpValuation(skp)
+        rng = random.Random(12)
+        for _ in range(30):
+            value_via_euclidean(random_polynomial(rng, skp.nvars, 12, skp.field), v)
+        assert {g.width for g in seen["splits"]} == {32}
+        assert seen["widened"] == 0
+        for g in seen["splits"]:
+            self.assert_bounded(g)
+
+    @pytest.mark.parametrize("theta, widens", [("1e30", True), ("half", False)])
+    def test_theta_divisions_are_the_long_division(self, seen, theta, widens):
+        # theta 10^30 makes U_{1,3} = X1^2 - 10^30 * X0^3 * X1 - X0^3: each
+        # step by it multiplies the bound by 10^30 + 1, past the starting
+        # width's limit within two steps; theta 1/2 makes each step a
+        # pseudo-division by 2 * U_{1,3}
+        skp = corpus(f"remark_diffskp_theta_{theta}")
+        g = skp.entries[(1, 3)].poly
+        rng = random.Random(30)
+        for _ in range(20):
+            f = random_polynomial(rng, skp.nvars, 8)
+            assert_divides_like_oracle(f, g, 1)
+            assert_divides_like_oracle(f * g + f, g, 1)
+        assert (max(g.width for g in seen["splits"]) > 32) == bool(seen["widened"]) == widens
+        for g in seen["splits"]:
+            self.assert_bounded(g)
+
+    @pytest.mark.parametrize("theta", ["1e30", "half"])
+    def test_walks_stay_bounded(self, seen, theta):
+        # every split of the Euclidean walks at every cutoff vector, the
+        # quotients of pseudo-divisions by 2 * U_{1,3} included
+        skp = corpus(f"remark_diffskp_theta_{theta}")
+        rng = random.Random(7)
+        for alpha in acceptable_vectors(skp):
+            v = SkpValuation(skp, alpha)
+            for f in sample_polynomials(rng, skp, alpha, 20):
+                value_via_euclidean(f, v)
+                euclidean_expand(f, v)
+        for g in seen["splits"]:
+            self.assert_bounded(g)
+
+    def test_a_slowly_growing_bound_widens_in_time(self, seen):
+        # dividing X1^200 by U_{1,3} = X1^2 - X0^3*X1 - X0^3 at least doubles
+        # the bound at each step, so it passes 2^31 with no jump past it
+        v = SkpValuation(corpus("remark_diffskp"))
+        assert value_via_euclidean(P("X1^200 + X0"), v) == GroupValue(2)
+        assert seen["widened"]
+        for g in seen["splits"]:
+            self.assert_bounded(g)
 
 
 def to_sympy(f, symbols):
